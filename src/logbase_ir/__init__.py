@@ -27,9 +27,9 @@ from .evaluation import (
     map_at_30,
     pr_curve,
 )
-from .index import InvertedIndex, Posting, build_index
+from .index import InvertedIndex, build_index
 from .porter import stem as porter_stem
-from .retrieval import RankedList, Ranker, cosine, rank
+from .retrieval import RankedList, Ranker
 from .sweep import BaseGrid, SweepResult, best_standard_worst, run_sweep, top_k_report
 from .textpipe import default_stoplist, load_stoplist, pipeline, remove_stopwords, tokenize
 from .weighting import (
@@ -39,8 +39,6 @@ from .weighting import (
     WeightScheme,
     idf,
     log_base,
-    tfidf,
-    weigh_document,
     weigh_query,
 )
 

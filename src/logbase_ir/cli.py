@@ -130,22 +130,15 @@ def _judged_queries(queries, qrels):
     return judged
 
 
-def cmd_stats(opts: _Options) -> int:
-    stoplist = _stoplist(opts)
-    docs, index = _build_index(opts, stoplist)
-    stats = collection_io.collection_stats(docs, index)
-    print(f"documents={stats.n_docs} distinct_terms={stats.n_distinct_terms} "
-          f"text_bytes={stats.size_bytes}")
-    return 0
-
-
 def cmd_index(opts: _Options) -> int:
+    """``stats`` and ``index``: build the index and print its statistics;
+    ``index`` also writes a snapshot when --save-index is given."""
     stoplist = _stoplist(opts)
     docs, index = _build_index(opts, stoplist)
     stats = collection_io.collection_stats(docs, index)
     print(f"documents={stats.n_docs} distinct_terms={stats.n_distinct_terms} "
           f"text_bytes={stats.size_bytes}")
-    snapshot = opts.get("save_index")
+    snapshot = opts.get("save_index") if opts.args.command == "index" else None
     if snapshot:
         try:
             index.save(snapshot)
@@ -163,6 +156,8 @@ def cmd_search(opts: _Options) -> int:
             index = InvertedIndex.load(snapshot)
         except OSError as e:
             raise _Exit(2, f"cannot read {snapshot}: {e}") from e
+        except ValueError as e:
+            raise _Exit(1, f"{snapshot}: {e}") from e
     else:
         _, index = _build_index(opts, stoplist)
     base = opts.get("base", 10.0, cast=float)
@@ -176,12 +171,15 @@ def cmd_search(opts: _Options) -> int:
 
 def _eval_inputs(opts: _Options):
     stoplist = _stoplist(opts)
-    _, index = _build_index(opts, stoplist)
+    docs, index = _build_index(opts, stoplist)
     queries = _load_queries(opts)
     qrels = _load_qrels(opts)
     unknown = sorted(q for q in qrels if q not in {x.query_id for x in queries})
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
+    absent = set().union(*qrels.values()) - {d.doc_id for d in docs}
+    if absent:
+        print(f"note: {len(absent)} judged doc ids are not in the collection", file=sys.stderr)
     return stoplist, index, _judged_queries(queries, qrels), qrels
 
 
@@ -341,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _COMMANDS = {
-    "stats": cmd_stats,
+    "stats": cmd_index,
     "index": cmd_index,
     "search": cmd_search,
     "eval": cmd_eval,

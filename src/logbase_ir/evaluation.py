@@ -11,29 +11,19 @@ all 11 levels and ``map_at_30`` averages the levels 0.0 through 0.3 (it is a
 recall-level average, not precision at rank 30).
 """
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .collection_io import Qrels
 from .retrieval import RankedList
 
 RECALL_LEVELS = tuple(k / 10 for k in range(11))
 
-
-def _edge(k: int) -> float:
-    # smallest double not below the rational boundary (2k+1)/20, so plain
-    # float comparison reproduces the exact half-open bucket rule
-    f = (2 * k + 1) / 20
-    if Fraction(f) < Fraction(2 * k + 1, 20):
-        f = math.nextafter(f, math.inf)
-    return f
-
-
 # upper bucket edges for levels 0.0 .. 0.9; membership is half-open, so a
-# recall equal to an edge belongs to the next level up
-_BUCKET_EDGES = [_edge(k) for k in range(10)]
+# recall equal to an edge belongs to the next level up. A recall hits/R and an
+# edge (2k+1)/20 are both correctly rounded doubles of rationals that differ by
+# at least 1/(20R) unless equal, so comparing the doubles gives the exact rule.
+_BUCKET_EDGES = [(2 * k + 1) / 20 for k in range(10)]
 
 INTERPOLATION_MODES = ("paper", "standard")
 POOLING_MODES = ("per_query", "pooled")
@@ -96,11 +86,13 @@ def bucketize(points: list[PRPoint]) -> list[list[float]]:
     return buckets
 
 
+def _bucket_means(buckets: list[list[float]]) -> ElevenLevels:
+    return tuple(sum(bucket) / len(bucket) if bucket else 0.0 for bucket in buckets)
+
+
 def bucket_to_levels(points: list[PRPoint]) -> ElevenLevels:
     """Mean precision per recall-level bucket; empty buckets give 0.0."""
-    return tuple(
-        sum(bucket) / len(bucket) if bucket else 0.0 for bucket in bucketize(points)
-    )
+    return _bucket_means(bucketize(points))
 
 
 def interpolated_levels(points: list[PRPoint]) -> ElevenLevels:
@@ -113,10 +105,6 @@ def interpolated_levels(points: list[PRPoint]) -> ElevenLevels:
                 best = p.precision
         levels.append(best)
     return tuple(levels)
-
-
-def empty_buckets(points: list[PRPoint]) -> list[int]:
-    return [i for i, bucket in enumerate(bucketize(points)) if not bucket]
 
 
 def average_over_queries(per_query: list[ElevenLevels]) -> ElevenLevels:
@@ -164,22 +152,25 @@ def evaluate_rankings(
     if missing:
         raise ValueError(f"no ranking for judged queries {missing}")
 
-    to_levels = bucket_to_levels if interpolation == "paper" else interpolated_levels
     diagnostics: list[tuple[int | None, int]] = []
+
+    def score(points: list[PRPoint], query_id: int | None) -> ElevenLevels:
+        buckets = bucketize(points)
+        diagnostics.extend((query_id, i) for i, bucket in enumerate(buckets) if not bucket)
+        if interpolation == "paper":
+            return _bucket_means(buckets)
+        return interpolated_levels(points)
 
     if pooling == "pooled":
         pool: list[PRPoint] = []
         for query_id in sorted(qrels):
             pool.extend(pr_curve(rankings[query_id], qrels[query_id], cutoff))
-        levels = to_levels(pool)
-        diagnostics.extend((None, i) for i in empty_buckets(pool))
-        return summarize(levels), diagnostics
+        return summarize(score(pool, None)), diagnostics
 
-    per_query = []
-    for query_id in sorted(qrels):
-        points = pr_curve(rankings[query_id], qrels[query_id], cutoff)
-        per_query.append(to_levels(points))
-        diagnostics.extend((query_id, i) for i in empty_buckets(points))
+    per_query = [
+        score(pr_curve(rankings[query_id], qrels[query_id], cutoff), query_id)
+        for query_id in sorted(qrels)
+    ]
     return summarize(average_over_queries(per_query)), diagnostics
 
 

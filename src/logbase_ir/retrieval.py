@@ -7,11 +7,8 @@ doc_id. Repeated runs produce bit-identical rankings.
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
 
-from .collection_io import RawQuery
 from .index import InvertedIndex
-from .textpipe import pipeline
 from .weighting import WeightScheme, idf, weigh_query
 
 
@@ -19,19 +16,6 @@ from .weighting import WeightScheme, idf, weigh_query
 class RankedList:
     query_id: int
     entries: tuple[tuple[int, float], ...] = field(default_factory=tuple)
-
-
-def cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
-    """Cosine of two sparse weight vectors; 0.0 when either norm is zero."""
-    dot = 0.0
-    for term in sorted(a):
-        if term in b:
-            dot += a[term] * b[term]
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
 
 
 class Ranker:
@@ -48,14 +32,15 @@ class Ranker:
         self._idf: dict[str, float] = {
             term: idf(index, term, scheme) for term in index.dictionary
         }
-        norms: dict[int, float] = {}
-        for doc_id, pairs in index.doc_terms.items():
-            acc = 0.0
-            for term, tf in pairs:
-                w = tf * self._idf[term]
-                acc += w * w
-            norms[doc_id] = math.sqrt(acc)
-        self._doc_norm = norms
+        # one pass over the postings in sorted term order: each document's
+        # squares are added in the order of its terms
+        squares: dict[int, float] = {}
+        for term, (doc_ids, tfs) in index.dictionary.items():
+            term_idf = self._idf[term]
+            for doc_id, tf in zip(doc_ids, tfs):
+                w = tf * term_idf
+                squares[doc_id] = squares.get(doc_id, 0.0) + w * w
+        self._doc_norm = {doc_id: math.sqrt(s) for doc_id, s in squares.items()}
 
     def rank_tokens(self, query_id: int, tokens: list[str]) -> RankedList:
         """Rank all documents sharing at least one term with the query."""
@@ -66,8 +51,9 @@ class Ranker:
         dot: dict[int, float] = {}
         for tw in query_weights:
             term_idf = self._idf[tw.term]
-            for p in self.index.dictionary[tw.term].postings:
-                dot[p.doc_id] = dot.get(p.doc_id, 0.0) + tw.weight * (p.tf * term_idf)
+            doc_ids, tfs = self.index.dictionary[tw.term]
+            for doc_id, tf in zip(doc_ids, tfs):
+                dot[doc_id] = dot.get(doc_id, 0.0) + tw.weight * (tf * term_idf)
         entries = []
         for doc_id in sorted(dot):
             denom = query_norm * self._doc_norm[doc_id]
@@ -75,17 +61,6 @@ class Ranker:
             entries.append((doc_id, score))
         entries.sort(key=lambda e: (-e[1], e[0]))
         return RankedList(query_id, tuple(entries))
-
-
-def rank(
-    index: InvertedIndex,
-    query: RawQuery,
-    scheme: WeightScheme,
-    stoplist: frozenset[str] | None = None,
-) -> RankedList:
-    """Tokenize, stem and score one query against the whole collection."""
-    tokens = pipeline(query.text, stoplist)
-    return Ranker(index, scheme).rank_tokens(query.query_id, tokens)
 
 
 def format_run(ranked_lists: list[RankedList]) -> str:

@@ -10,6 +10,7 @@ the inputs, so an interrupted sweep resumes instead of recomputing.
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 
@@ -113,47 +114,34 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
 
 
 def _evaluate_base(
+    item: tuple[str, float],
     index: InvertedIndex,
     query_tokens: dict[int, list[str]],
     qrels: Qrels,
-    base: float,
     cutoff: int,
     interpolation: str,
     pooling: str,
-) -> EvalSummary:
+) -> tuple[str, EvalSummary]:
+    label, base = item
     ranker = Ranker(index, WeightScheme(base))
     rankings = {
         qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()
     }
     summary, _ = evaluate_rankings(rankings, qrels, cutoff, interpolation, pooling)
-    return summary
+    return label, summary
 
 
-_WORKER: dict = {}
+# arguments after the base item of _evaluate_base, set once per worker process
+_WORKER: tuple = ()
 
 
-def _worker_init(index, query_tokens, qrels, cutoff, interpolation, pooling):
-    _WORKER.update(
-        index=index,
-        query_tokens=query_tokens,
-        qrels=qrels,
-        cutoff=cutoff,
-        interpolation=interpolation,
-        pooling=pooling,
-    )
+def _worker_init(*context) -> None:
+    global _WORKER
+    _WORKER = context
 
 
 def _worker_eval(item: tuple[str, float]) -> tuple[str, EvalSummary]:
-    label, base = item
-    return label, _evaluate_base(
-        _WORKER["index"],
-        _WORKER["query_tokens"],
-        _WORKER["qrels"],
-        base,
-        _WORKER["cutoff"],
-        _WORKER["interpolation"],
-        _WORKER["pooling"],
-    )
+    return _evaluate_base(item, *_WORKER)
 
 
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
@@ -234,41 +222,32 @@ def run_sweep(
         else:
             todo.append((label, float(value)))
 
-    digest = ""
-    cache_file = None
-    if cache_path is not None:
-        digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
-        cached = _load_cache(cache_path, digest)
-        hits = [(label, base) for label, base in todo if label in cached]
-        for label, _ in hits:
-            result.per_base[label] = cached[label]
-        todo = [(label, base) for label, base in todo if label not in cached]
-        cache_file = open(cache_path, "a", encoding="utf-8")
+    with ExitStack() as stack:
+        cache_file = None
+        if cache_path is not None:
+            digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
+            cached = _load_cache(cache_path, digest)
+            for label, _ in todo:
+                if label in cached:
+                    result.per_base[label] = cached[label]
+            todo = [(label, base) for label, base in todo if label not in cached]
+            cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
 
-    try:
+        context = (index, query_tokens, qrels, cutoff, interpolation, pooling)
         if jobs > 1 and len(todo) > 1:
-            with ProcessPoolExecutor(
-                max_workers=jobs,
-                initializer=_worker_init,
-                initargs=(index, query_tokens, qrels, cutoff, interpolation, pooling),
-            ) as pool:
-                for label, summary in pool.map(_worker_eval, todo, chunksize=8):
-                    result.per_base[label] = summary
-                    if cache_file:
-                        cache_file.write(_cache_line(digest, label, summary) + "\n")
-                        cache_file.flush()
-        else:
-            for label, base in todo:
-                summary = _evaluate_base(
-                    index, query_tokens, qrels, base, cutoff, interpolation, pooling
+            pool = stack.enter_context(
+                ProcessPoolExecutor(
+                    max_workers=jobs, initializer=_worker_init, initargs=context
                 )
-                result.per_base[label] = summary
-                if cache_file:
-                    cache_file.write(_cache_line(digest, label, summary) + "\n")
-                    cache_file.flush()
-    finally:
-        if cache_file:
-            cache_file.close()
+            )
+            summaries = pool.map(_worker_eval, todo, chunksize=8)
+        else:
+            summaries = (_evaluate_base(item, *context) for item in todo)
+        for label, summary in summaries:
+            result.per_base[label] = summary
+            if cache_file:
+                cache_file.write(_cache_line(digest, label, summary) + "\n")
+                cache_file.flush()
     return result
 
 

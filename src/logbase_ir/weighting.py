@@ -65,24 +65,6 @@ def idf(index: InvertedIndex, term: str, scheme: WeightScheme = DEFAULT_SCHEME) 
     return log_base(index.n_docs / df, scheme.base)
 
 
-def tfidf(tf: int, idf_value: float) -> float:
-    if tf < 0:
-        raise ValueError(f"term frequency must be >= 0, got {tf}")
-    return tf * idf_value
-
-
-def weigh_document(
-    index: InvertedIndex, doc_id: int, scheme: WeightScheme = DEFAULT_SCHEME
-) -> list[TermWeight]:
-    """TF-IDF weights for every distinct term of a document, term-sorted."""
-    if doc_id not in index.doc_terms:
-        raise ValueError(f"unknown doc_id {doc_id}")
-    return [
-        TermWeight(term, tfidf(tf, idf(index, term, scheme)))
-        for term, tf in index.doc_terms[doc_id]
-    ]
-
-
 def weigh_query(
     index: InvertedIndex, query_tokens: list[str], scheme: WeightScheme = DEFAULT_SCHEME
 ) -> list[TermWeight]:
@@ -92,5 +74,5 @@ def weigh_query(
     for term in sorted(counts):
         if index.doc_freq(term) == 0:
             continue
-        weights.append(TermWeight(term, tfidf(counts[term], idf(index, term, scheme))))
+        weights.append(TermWeight(term, counts[term] * idf(index, term, scheme)))
     return weights

@@ -333,12 +333,12 @@ def test_criterion_7_metric_property_suite():
                 assert 0.0 <= p.recall <= 1.0
                 assert 0.0 <= p.precision <= 1.0
 
-        # bucketing is a total partition at 0.001 recall resolution
+        # bucketing is a total partition at 0.001 recall resolution: the
+        # double k/1000 lands where the rational k/1000 belongs
         edges = [Fraction(2 * k + 1, 20) for k in range(10)]
         for k in range(1001):
             recall = k / 1000
-            exact = Fraction(recall)
-            want = sum(1 for e in edges if e <= exact)
+            want = sum(1 for e in edges if e <= Fraction(k, 1000))
             assert bucket_index(recall) == want
 
         # map_at_30 ignores levels 0.4 .. 1.0

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from logbase_ir.cli import main
@@ -63,6 +65,16 @@ class TestStatsAndIndex:
         index = InvertedIndex.load(str(snap))
         assert index.n_docs == 31
 
+    def test_stats_ignores_save_index_from_config(self, capsys, collection, tmp_path):
+        snap = tmp_path / "index.json"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={collection['docs']}\nsave_index={snap}\n")
+        code, out, _ = run(capsys, "stats", "--config", cfg)
+        assert code == 0
+        assert out.startswith("documents=31 distinct_terms=2 ")
+        assert "snapshot" not in out
+        assert not snap.exists()
+
 
 class TestSearch:
     def test_ranks_matching_documents(self, capsys, collection):
@@ -96,6 +108,44 @@ class TestSearch:
         )
         assert code == 2
         assert "base" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            # a format 1 snapshot whose only posting names doc id 7
+            (json.dumps({
+                "format_version": 1,
+                "n_docs": 2,
+                "dictionary": {"zebra": [1, [[7, 1]]]},
+                "doc_lengths": {"1": 1, "2": 0},
+            }), "version 1"),
+            (json.dumps({
+                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[2, 1], [1, 1]]},
+            }), "strictly increasing"),
+            (json.dumps({
+                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1, 1], [1, 1]]},
+            }), "strictly increasing"),
+            (json.dumps({
+                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [0]]},
+            }), "tf below 1"),
+            (json.dumps({
+                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1, 2], [1]]},
+            }), "equal length"),
+            ("[]", "not a JSON object"),
+            ('{"format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1', "Expecting"),
+            ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+        ],
+        ids=["v1-doc-7", "unsorted", "duplicate", "tf-0", "unequal", "list", "truncated", "deep"],
+    )
+    def test_malformed_snapshot_is_domain_error(self, capsys, tmp_path, content, message):
+        snap = tmp_path / "index.json"
+        snap.write_text(content)
+        code, out, err = run(capsys, "search", "--load-index", snap, "zebra")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {snap}: ")
+        assert message in err
+        assert len(err.splitlines()) == 1
 
 
 class TestEval:
@@ -175,6 +225,34 @@ class TestEval:
         )
         assert code == 1
         assert "unknown query ids" in err
+
+    def test_judged_doc_ids_missing_from_collection_are_noted(self, capsys, tmp_path):
+        docs = tmp_path / "two.all"
+        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n")
+        queries = tmp_path / "two.qry"
+        queries.write_text(".I 1\n.W\napple banana\n")
+        qrels = tmp_path / "two.rel"
+        qrels.write_text("1 1\n1 999\n")
+        args = ["--docs", docs, "--queries", queries, "--qrels", qrels]
+        code, out, err = run(capsys, "eval", *args, "--out", tmp_path / "out")
+        assert code == 0
+        assert "map 0.068182" in out
+        assert "note: 1 judged doc ids are not in the collection" in err.splitlines()
+        code, _, err = run(capsys, "sweep", *args, "--base", "10", "--out", tmp_path / "sw")
+        assert code == 0
+        assert "note: 1 judged doc ids are not in the collection" in err.splitlines()
+
+    def test_all_judged_doc_ids_present_gives_no_note(self, capsys, collection, tmp_path):
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--docs", collection["docs"],
+            "--queries", collection["queries"],
+            "--qrels", collection["qrels"],
+            "--out", tmp_path / "out",
+        )
+        assert code == 0
+        assert "judged doc ids" not in err
 
     def test_out_dir_from_environment(self, capsys, collection, tmp_path, monkeypatch):
         monkeypatch.setenv("LOGBASE_IR_OUT", str(tmp_path / "envout"))

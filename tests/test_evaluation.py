@@ -10,7 +10,7 @@ from logbase_ir.evaluation import (
     average_over_queries,
     bucket_index,
     bucket_to_levels,
-    empty_buckets,
+    bucketize,
     evaluate_rankings,
     interpolated_levels,
     map11,
@@ -92,7 +92,7 @@ class TestBucketing:
         ]
         levels = bucket_to_levels(points)
         assert levels == pytest.approx(WORKED_LEVELS)
-        assert empty_buckets(points) == [10]
+        assert [i for i, bucket in enumerate(bucketize(points)) if not bucket] == [10]
 
     def test_boundary_membership_is_half_open(self):
         # a recall exactly on an edge belongs to the level above
@@ -103,14 +103,29 @@ class TestBucketing:
         assert bucket_index(1.0) == 10
 
     def test_partition_scan_matches_exact_rule(self):
-        # scan recalls 0.000 .. 1.000 in 0.001 steps; the float bucket must
-        # equal exact rational membership in [L/10 - 1/20, L/10 + 1/20)
+        # scan recalls 0.000 .. 1.000 in 0.001 steps; the bucket of the double
+        # k/1000 must equal exact rational membership of k/1000 itself in
+        # [L/10 - 1/20, L/10 + 1/20)
         edges = [Fraction(2 * k + 1, 20) for k in range(10)]
         for k in range(1001):
             recall = k / 1000
-            exact = Fraction(recall)
-            want = sum(1 for e in edges if e <= exact)
+            want = sum(1 for e in edges if e <= Fraction(k, 1000))
             assert bucket_index(recall) == want, recall
+
+    def test_recall_on_edge_without_exact_double_goes_up(self):
+        # 3 hits of 20 relevant is recall 3/20 = 0.15, on the 0.1/0.2 edge;
+        # the double 3/20 lies just below 0.15 but must still land in 0.2
+        ranked = RankedList(1, tuple((d, 1.0 / d) for d in range(1, 4)))
+        points = pr_curve(ranked, set(range(1, 21)))
+        assert bucket_index(points[-1].recall) == 2
+        assert bucket_to_levels(points)[2] == 1.0
+
+    def test_hits_over_relevant_scan_matches_exact_rule(self):
+        # every recall h/R a ranking can produce lands in level
+        # floor((h/R) * 10 + 1/2), capped at 10
+        for r in range(1, 201):
+            for h in range(r + 1):
+                assert bucket_index(h / r) == min(10, (20 * h + r) // (2 * r)), (h, r)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_every_recall_lands_in_exactly_one_bucket(self, recall):

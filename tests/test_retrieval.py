@@ -3,45 +3,57 @@ import random
 
 import pytest
 
-from logbase_ir.collection_io import RawQuery
 from logbase_ir.index import build_index
-from logbase_ir.retrieval import RankedList, Ranker, cosine, format_run, rank
+from logbase_ir.retrieval import RankedList, Ranker, format_run
+from logbase_ir.textpipe import pipeline
 from logbase_ir.weighting import WeightScheme
 
 from oracle import dense_rank, random_corpus
 
 
+def scores(docs, query_tokens, base=10.0):
+    """doc_id -> Ranker score; "pad" fills a document no query term reaches."""
+    index = build_index(sorted(docs.items()))
+    return dict(Ranker(index, WeightScheme(base)).rank_tokens(1, query_tokens).entries)
+
+
 class TestCosine:
+    # x and y occur in doc 1 only, so both have the same nonzero IDF
     def test_identical_vectors(self):
-        assert cosine({"x": 1, "y": 1}, {"x": 1, "y": 1}) == pytest.approx(1.0)
+        got = scores({1: ["x", "y"], 2: ["pad"]}, ["x", "y"])
+        assert got[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal(self):
-        assert cosine({"x": 1}, {"y": 1}) == 0.0
+        assert scores({1: ["x"], 2: ["y"], 3: ["pad"]}, ["y"]) == {2: pytest.approx(1.0)}
 
     def test_partial_overlap(self):
-        got = cosine({"x": 1, "y": 1}, {"x": 1})
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+        got = scores({1: ["x", "y"], 2: ["pad"]}, ["x"])
+        assert got[1] == pytest.approx(1 / math.sqrt(2), abs=1e-9)
 
     def test_zero_norm_guard(self):
-        assert cosine({}, {"x": 1}) == 0.0
-        assert cosine({"x": 0.0}, {"x": 1}) == 0.0
+        # x is in every document: IDF 0, so the query vector has norm zero
+        assert scores({1: ["x"], 2: ["x", "y"]}, ["x"]) == {1: 0.0, 2: 0.0}
 
     def test_negative_scale_invariance(self):
-        a = {"x": 1.0, "y": 2.0}
-        b = {"x": 0.5, "y": 1.0}
-        na = {t: -w for t, w in a.items()}
-        nb = {t: -w for t, w in b.items()}
-        assert cosine(na, nb) == pytest.approx(cosine(a, b), abs=1e-12)
+        docs = {1: ["x", "y", "y"], 2: ["x", "z"], 3: ["z", "pad"]}
+        above = scores(docs, ["x", "y", "z"], base=2.0)
+        below = scores(docs, ["x", "y", "z"], base=0.5)
+        assert below.keys() == above.keys()
+        for doc_id, score in above.items():
+            assert below[doc_id] == pytest.approx(score, abs=1e-12)
+
+
+def rank_text(index, query_id, text):
+    """Rank raw query text the way the CLI does: pipeline, then score."""
+    return Ranker(index, WeightScheme(10)).rank_tokens(query_id, pipeline(text, frozenset()))
 
 
 class TestRank:
     def test_zero_overlap_documents_omitted(self):
-        # rank() pipelines the query text, so index the documents the same way
-        from logbase_ir.textpipe import pipeline
-
+        # the query text is pipelined, so index the documents the same way
         texts = {1: "apple", 2: "pear", 3: "apple plum"}
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
-        ranked = rank(index, RawQuery(1, "apple"), WeightScheme(10), frozenset())
+        ranked = rank_text(index, 1, "apple")
         ids = [doc_id for doc_id, _ in ranked.entries]
         assert 2 not in ids
         assert set(ids) == {1, 3}
@@ -54,17 +66,17 @@ class TestRank:
             (3, ["beta", "epsilon", "zeta"]),
         ]
         index = build_index(docs)
-        ranked = rank(index, RawQuery(5, "alpha beta gamma"), WeightScheme(10), frozenset())
+        ranked = rank_text(index, 5, "alpha beta gamma")
         assert ranked.entries[0][0] == 1
         assert ranked.entries[0][1] == pytest.approx(1.0, abs=1e-9)
         assert ranked.entries[0][1] > ranked.entries[1][1]
 
     def test_empty_query_gives_empty_ranking(self, toy_index):
-        ranked = rank(toy_index, RawQuery(1, ""), WeightScheme(10), frozenset())
+        ranked = rank_text(toy_index, 1, "")
         assert ranked == RankedList(1)
 
     def test_out_of_vocabulary_query(self, toy_index):
-        ranked = rank(toy_index, RawQuery(1, "qqq zzz"), WeightScheme(10), frozenset())
+        ranked = rank_text(toy_index, 1, "qqq zzz")
         assert ranked.entries == ()
 
     def test_deterministic_repeat(self, toy_index):

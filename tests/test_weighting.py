@@ -11,8 +11,6 @@ from logbase_ir.weighting import (
     WeightScheme,
     idf,
     log_base,
-    tfidf,
-    weigh_document,
     weigh_query,
 )
 
@@ -82,40 +80,6 @@ class TestIdf:
             idf(two_doc_index, "zzz", WeightScheme(10))
 
 
-class TestTfidf:
-    def test_product(self):
-        assert tfidf(3, 1.0) == 3.0
-        assert tfidf(0, 123.4) == 0.0
-        assert tfidf(2, -1.0) == -2.0
-
-    def test_negative_tf_rejected(self):
-        with pytest.raises(ValueError):
-            tfidf(-1, 1.0)
-
-
-class TestWeighDocument:
-    def test_weights(self, two_doc_index):
-        got = weigh_document(two_doc_index, 1, WeightScheme(10))
-        assert got == [
-            TermWeight("a", pytest.approx(2 * math.log10(2), rel=1e-12)),
-            TermWeight("b", 0.0),
-        ]
-        assert got[0].weight == pytest.approx(0.60206, abs=1e-5)
-
-    def test_fractional_base_sign_flip(self, two_doc_index):
-        got = weigh_document(two_doc_index, 1, WeightScheme(0.1))
-        assert got[0].weight == pytest.approx(-2 * math.log10(2), rel=1e-12)
-        assert got[1].weight == 0.0
-
-    def test_empty_document(self):
-        index = build_index([(1, []), (2, ["x"])])
-        assert weigh_document(index, 1, WeightScheme(10)) == []
-
-    def test_unknown_doc_id(self, two_doc_index):
-        with pytest.raises(ValueError, match="unknown doc_id"):
-            weigh_document(two_doc_index, 99, WeightScheme(10))
-
-
 class TestWeighQuery:
     def test_repeated_term(self, two_doc_index):
         got = weigh_query(two_doc_index, ["a", "a"], WeightScheme(10))
@@ -126,6 +90,11 @@ class TestWeighQuery:
 
     def test_everywhere_term_weighs_zero(self, two_doc_index):
         assert weigh_query(two_doc_index, ["b"], WeightScheme(10)) == [TermWeight("b", 0.0)]
+
+    def test_fractional_base_sign_flip(self, two_doc_index):
+        got = weigh_query(two_doc_index, ["a", "a", "b"], WeightScheme(0.1))
+        assert got[0].weight == pytest.approx(-2 * math.log10(2), rel=1e-12)
+        assert got[1].weight == 0.0
 
 
 bases = st.floats(min_value=0.01, max_value=100.0).filter(
