@@ -47,6 +47,16 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _boolean(value: str) -> bool:
+    try:
+        return _BOOLEANS[value.lower()]
+    except KeyError:
+        raise ValueError("expected true/false/yes/no/1/0") from None
+
+
 class _Options:
     """Flag > config > default resolution for one parsed command."""
 
@@ -183,13 +193,25 @@ def _eval_inputs(opts: _Options):
     return stoplist, index, _judged_queries(queries, qrels), qrels
 
 
+def _eval_options(opts: _Options) -> tuple[int, str, str]:
+    """Cutoff, interpolation and pooling, validated before any work."""
+    cutoff = opts.get("cutoff", evaluation.DEFAULT_CUTOFF, cast=int)
+    if cutoff < 1:
+        raise _Exit(2, f"cutoff must be >= 1, got {cutoff}")
+    interp = opts.get("interp", "paper")
+    if interp not in evaluation.INTERPOLATION_MODES:
+        raise _Exit(2, f"unknown interp {interp!r}")
+    pooling = opts.get("pooling", "per_query")
+    if pooling not in evaluation.POOLING_MODES:
+        raise _Exit(2, f"unknown pooling {pooling!r}")
+    return cutoff, interp, pooling
+
+
 def cmd_eval(opts: _Options) -> int:
+    cutoff, interp, pooling = _eval_options(opts)
     out = _out_dir(opts)
     stoplist, index, queries, qrels = _eval_inputs(opts)
     base = opts.get("base", 10.0, cast=float)
-    cutoff = opts.get("cutoff", evaluation.DEFAULT_CUTOFF, cast=int)
-    interp = opts.get("interp", "paper")
-    pooling = opts.get("pooling", "per_query")
     ranker = retrieval.Ranker(index, WeightScheme(float(base)))
     rankings = {
         q.query_id: ranker.rank_tokens(q.query_id, pipeline(q.text, stoplist))
@@ -221,6 +243,7 @@ def cmd_eval(opts: _Options) -> int:
 
 
 def cmd_sweep(opts: _Options) -> int:
+    cutoff, interp, pooling = _eval_options(opts)
     stoplist, index, queries, qrels = _eval_inputs(opts)
     if opts.get("base", cast=float) is not None and opts.get("grid") is not None:
         raise _Exit(2, "--base and --grid are mutually exclusive")
@@ -233,13 +256,10 @@ def cmd_sweep(opts: _Options) -> int:
             grid = sweep_mod.BaseGrid.parse(spec) if spec else sweep_mod.BaseGrid.default()
         except ValueError as e:
             raise _Exit(2, str(e)) from e
-    cutoff = opts.get("cutoff", evaluation.DEFAULT_CUTOFF, cast=int)
-    interp = opts.get("interp", "paper")
-    pooling = opts.get("pooling", "per_query")
-    jobs = opts.get("jobs", 1, cast=int)
     top = opts.get("top", 5, cast=int)
     out = _out_dir(opts)
-    cache_path = None if opts.get("no_cache") else os.path.join(out, "sweep_cache.jsonl")
+    no_cache = opts.get("no_cache", False, cast=_boolean)
+    cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")
 
     result = sweep_mod.run_sweep(
         index,
@@ -250,7 +270,6 @@ def cmd_sweep(opts: _Options) -> int:
         cutoff=cutoff,
         interpolation=interp,
         pooling=pooling,
-        jobs=jobs,
         cache_path=cache_path,
         collection_name=opts.get("name", ""),
     )
@@ -330,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, queries=True)
     p.add_argument("--base", type=float, help="evaluate a single base instead of a grid")
     p.add_argument("--grid", help="base grid as START:STOP:STEP (default 0.1:100.0:0.1)")
-    p.add_argument("--jobs", type=int, help="parallel workers over bases (default 1)")
     p.add_argument("--top", type=int, help="rows in the top-k tables (default 5)")
     p.add_argument("--name", help="collection name recorded in the sweep result")
     p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None,

@@ -8,6 +8,8 @@ terminal y becomes i only when preceded by a consonant, so "playing" stems to
 "play" rather than "plai" while "happy" still becomes "happi".
 """
 
+from functools import cache
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -182,10 +184,12 @@ def _step5b(word: str) -> str:
     return word
 
 
+@cache
 def stem(word: str) -> str:
     """Stem a lowercase word.
 
-    Words shorter than 3 characters are returned unchanged.
+    Words shorter than 3 characters are returned unchanged. Results are
+    memoized: a collection repeats a few thousand distinct words many times.
     """
     if len(word) < 3:
         return word

@@ -7,6 +7,7 @@ doc_id. Repeated runs produce bit-identical rankings.
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .index import InvertedIndex
 from .weighting import WeightScheme, idf, weigh_query
@@ -22,8 +23,9 @@ class Ranker:
     """Scores queries against one index under one weighting scheme.
 
     Per-term IDF and per-document norms depend only on (index, base), so they
-    are computed once here and shared across queries; a parameter sweep builds
-    one Ranker per base.
+    are computed once here and shared across queries. Changing the base from
+    e to b multiplies every weight by 1 / ln b, so a parameter sweep builds one
+    Ranker at base e and rescales its accumulators per base (see ``rank``).
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
@@ -42,11 +44,14 @@ class Ranker:
                 squares[doc_id] = squares.get(doc_id, 0.0) + w * w
         self._doc_norm = {doc_id: math.sqrt(s) for doc_id, s in squares.items()}
 
-    def rank_tokens(self, query_id: int, tokens: list[str]) -> RankedList:
-        """Rank all documents sharing at least one term with the query."""
+    def accumulate(self, tokens: list[str]) -> tuple[float, dict[int, float]]:
+        """Query norm and dot product with every document sharing a term.
+
+        Term-at-a-time: one pass over each query term's postings.
+        """
         query_weights = weigh_query(self.index, tokens, self.scheme)
         if not query_weights:
-            return RankedList(query_id)
+            return 0.0, {}
         query_norm = math.sqrt(sum(tw.weight * tw.weight for tw in query_weights))
         dot: dict[int, float] = {}
         for tw in query_weights:
@@ -54,13 +59,33 @@ class Ranker:
             doc_ids, tfs = self.index.dictionary[tw.term]
             for doc_id, tf in zip(doc_ids, tfs):
                 dot[doc_id] = dot.get(doc_id, 0.0) + tw.weight * (tf * term_idf)
+        return query_norm, dot
+
+    def rank(
+        self, query_id: int, acc: tuple[float, dict[int, float]], scale: float = 1.0
+    ) -> RankedList:
+        """Cosine ranking from accumulators, every weight multiplied by scale.
+
+        Scale c rescales the dot product by c*c and each norm by |c|; at
+        c = 1.0 every multiplication is exact, so the scores are those of the
+        unscaled weights bit for bit.
+        """
+        query_norm, dot = acc
+        c2 = scale * scale
+        magnitude = abs(scale)
+        scaled_query_norm = magnitude * query_norm
         entries = []
         for doc_id in sorted(dot):
-            denom = query_norm * self._doc_norm[doc_id]
-            score = dot[doc_id] / denom if denom != 0.0 else 0.0
+            denom = scaled_query_norm * (magnitude * self._doc_norm[doc_id])
+            score = c2 * dot[doc_id] / denom if denom != 0.0 else 0.0
             entries.append((doc_id, score))
-        entries.sort(key=lambda e: (-e[1], e[0]))
+        # stable sort: equal scores keep ascending doc_id order
+        entries.sort(key=itemgetter(1), reverse=True)
         return RankedList(query_id, tuple(entries))
+
+    def rank_tokens(self, query_id: int, tokens: list[str]) -> RankedList:
+        """Rank all documents sharing at least one term with the query."""
+        return self.rank(query_id, self.accumulate(tokens))
 
 
 def format_run(ranked_lists: list[RankedList]) -> str:

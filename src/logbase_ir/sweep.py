@@ -3,16 +3,18 @@
 The default grid is 0.1 to 100.0 in steps of 0.1 (1000 values). Grid values
 are generated with Decimal arithmetic so the rendered one-decimal labels are
 exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
-than evaluated. Per-base summaries can be cached on disk keyed by a digest of
-the inputs, so an interrupted sweep resumes instead of recomputing.
+than evaluated. The base only rescales the TF-IDF weights, so one ranker
+serves every base. Per-base summaries can be cached on disk keyed by a
+digest of the inputs, so an interrupted sweep resumes instead of recomputing.
 """
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import math
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from operator import itemgetter
 
 from .collection_io import Qrels, RawQuery
 from .evaluation import (
@@ -23,7 +25,7 @@ from .evaluation import (
     format_summary_csv_row,
 )
 from .index import InvertedIndex
-from .retrieval import Ranker
+from .retrieval import RankedList, Ranker
 from .textpipe import pipeline
 from .weighting import WeightScheme
 
@@ -113,35 +115,18 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def _evaluate_base(
-    item: tuple[str, float],
-    index: InvertedIndex,
-    query_tokens: dict[int, list[str]],
-    qrels: Qrels,
-    cutoff: int,
-    interpolation: str,
-    pooling: str,
-) -> tuple[str, EvalSummary]:
-    label, base = item
-    ranker = Ranker(index, WeightScheme(base))
-    rankings = {
-        qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()
-    }
-    summary, _ = evaluate_rankings(rankings, qrels, cutoff, interpolation, pooling)
-    return label, summary
+def base_rankings(
+    ranker: Ranker, accumulators: dict[int, tuple], base: float
+) -> dict[int, RankedList]:
+    """Every query's ranking at log base ``base``.
 
-
-# arguments after the base item of _evaluate_base, set once per worker process
-_WORKER: tuple = ()
-
-
-def _worker_init(*context) -> None:
-    global _WORKER
-    _WORKER = context
-
-
-def _worker_eval(item: tuple[str, float]) -> tuple[str, EvalSummary]:
-    return _evaluate_base(item, *_WORKER)
+    ``ranker`` weighs at base e and ``accumulators`` are its per-query
+    ``accumulate`` results; log_b x = ln x / ln b, so base b rescales every
+    weight by 1 / ln b. Scores and order are computed afresh, so a tie that
+    rounding breaks differently at some base still shows up there.
+    """
+    scale = 1.0 / math.log(base)
+    return {qid: ranker.rank(qid, acc, scale) for qid, acc in accumulators.items()}
 
 
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
@@ -191,14 +176,15 @@ def run_sweep(
     cutoff: int = DEFAULT_CUTOFF,
     interpolation: str = "paper",
     pooling: str = "per_query",
-    jobs: int = 1,
     cache_path: str | None = None,
     collection_name: str = "",
 ) -> SweepResult:
     """Evaluate every grid base; base 1.0 is recorded as skipped.
 
     Every qrels query_id must exist in the query list (checked before any
-    evaluation). The result is independent of the jobs count.
+    evaluation). One base-e ranker scores each query once; each base then
+    rescales, sorts and evaluates, and bases whose rankings agree share one
+    evaluation.
     """
     if grid is None:
         grid = BaseGrid.default()
@@ -222,6 +208,10 @@ def run_sweep(
         else:
             todo.append((label, float(value)))
 
+    ranker = Ranker(index, WeightScheme(math.e))
+    accumulators = {qid: ranker.accumulate(tokens) for qid, tokens in query_tokens.items()}
+    # evaluation reads only the doc ids in the top ``cutoff`` of each ranking
+    memo: dict[tuple, EvalSummary] = {}
     with ExitStack() as stack:
         cache_file = None
         if cache_path is not None:
@@ -233,18 +223,16 @@ def run_sweep(
             todo = [(label, base) for label, base in todo if label not in cached]
             cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
 
-        context = (index, query_tokens, qrels, cutoff, interpolation, pooling)
-        if jobs > 1 and len(todo) > 1:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(
-                    max_workers=jobs, initializer=_worker_init, initargs=context
-                )
+        for label, base in todo:
+            rankings = base_rankings(ranker, accumulators, base)
+            key = tuple(
+                tuple(map(itemgetter(0), rl.entries[:cutoff])) for rl in rankings.values()
             )
-            summaries = pool.map(_worker_eval, todo, chunksize=8)
-        else:
-            summaries = (_evaluate_base(item, *context) for item in todo)
-        for label, summary in summaries:
-            result.per_base[label] = summary
+            if key not in memo:
+                memo[key], _ = evaluate_rankings(
+                    rankings, qrels, cutoff, interpolation, pooling
+                )
+            summary = result.per_base[label] = memo[key]
             if cache_file:
                 cache_file.write(_cache_line(digest, label, summary) + "\n")
                 cache_file.flush()

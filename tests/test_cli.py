@@ -354,3 +354,63 @@ class TestConfigPrecedence:
         code, _, err = run(capsys, "stats", "--config", cfg)
         assert code == 2
         assert "key=value" in err
+
+
+class TestConfigValues:
+    def eval_config(self, collection, tmp_path, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"docs={collection['docs']}\nqueries={collection['queries']}\n"
+            f"qrels={collection['qrels']}\nout={tmp_path / 'out'}\n{extra}\n"
+        )
+        return cfg
+
+    @pytest.mark.parametrize("value", ["false", "No", "0"])
+    def test_no_cache_false_keeps_the_cache(self, capsys, collection, tmp_path, value):
+        cfg = self.eval_config(collection, tmp_path, f"no_cache={value}")
+        code, _, _ = run(capsys, "sweep", "--config", cfg, "--base", "10")
+        assert code == 0
+        assert (tmp_path / "out" / "sweep_cache.jsonl").exists()
+
+    @pytest.mark.parametrize("value", ["true", "YES", "1"])
+    def test_no_cache_true_disables_the_cache(self, capsys, collection, tmp_path, value):
+        cfg = self.eval_config(collection, tmp_path, f"no_cache={value}")
+        code, _, _ = run(capsys, "sweep", "--config", cfg, "--base", "10")
+        assert code == 0
+        assert (tmp_path / "out" / "sweep.csv").exists()
+        assert not (tmp_path / "out" / "sweep_cache.jsonl").exists()
+
+    def test_no_cache_other_value_is_usage_error(self, capsys, collection, tmp_path):
+        cfg = self.eval_config(collection, tmp_path, "no_cache=maybe")
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--base", "10")
+        assert code == 2
+        assert "config no_cache='maybe'" in err
+
+
+class TestUsageErrors:
+    """Bad evaluation options exit 2 before any input is read."""
+
+    def check(self, capsys, tmp_path, argv, config, message):
+        cfg = tmp_path / "run.cfg"
+        # the inputs do not exist: validation must come first
+        cfg.write_text(f"docs={tmp_path / 'none.all'}\nout={tmp_path / 'out'}\n{config}\n")
+        code, _, err = run(capsys, *argv, "--config", cfg)
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_cutoff_zero_flag(self, capsys, tmp_path, command):
+        self.check(capsys, tmp_path, [command, "--cutoff", "0"], "", "cutoff must be >= 1")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_cutoff_zero_config(self, capsys, tmp_path, command):
+        self.check(capsys, tmp_path, [command], "cutoff=0", "cutoff must be >= 1")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_interp_bogus_config(self, capsys, tmp_path, command):
+        self.check(capsys, tmp_path, [command], "interp=bogus", "unknown interp 'bogus'")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_pooling_bogus_config(self, capsys, tmp_path, command):
+        self.check(capsys, tmp_path, [command], "pooling=bogus", "unknown pooling 'bogus'")

@@ -1,13 +1,18 @@
+import math
+import random
 from decimal import Decimal
 
 import pytest
 
+from logbase_ir import sweep
 from logbase_ir.collection_io import RawQuery
-from logbase_ir.evaluation import EvalSummary
+from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
+from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import (
     BaseGrid,
     SweepResult,
+    base_rankings,
     best_standard_worst,
     emit_csv,
     emit_level_curves,
@@ -17,6 +22,9 @@ from logbase_ir.sweep import (
     top_k_report,
 )
 from logbase_ir.textpipe import pipeline
+from logbase_ir.weighting import WeightScheme
+
+from oracle import random_corpus
 
 TEXTS = {
     1: "red apple orchard apple",
@@ -109,12 +117,132 @@ class TestRunSweep:
             run_sweep(INDEX, QUERIES, {}, BaseGrid.single(Decimal("10")),
                       stoplist=frozenset())
 
-    def test_parallel_equals_sequential(self):
-        grid = BaseGrid.parse("2:6:1")
-        sequential = toy_sweep(grid)
-        parallel = toy_sweep(grid, jobs=2)
-        assert sequential.per_base == parallel.per_base
-        assert sequential.skipped == parallel.skipped
+
+class TestRescaledRanking:
+    """The sweep's one base-e ranker, rescaled per base, against a Ranker
+    built at each base."""
+
+    BASES = (0.1, 0.3, 0.5, 2.0, 10.0, 32.6, 84.6, 100.0)
+
+    def corpora(self):
+        """The 50 corpora of acceptance criterion 4, drawn in the same order."""
+        rng = random.Random(1234)
+        for _ in range(50):
+            docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
+            rng.choice(self.BASES)  # criterion 4 draws its base here
+            yield build_index(sorted(docs.items())), queries
+
+    def test_matches_per_base_ranker(self):
+        rng = random.Random(5678)
+        pairs = reordered = 0
+        for index, queries in self.corpora():
+            tokens = dict(enumerate(queries))
+            qrels = {
+                qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
+                for qid in tokens
+            }
+            # query text that the pipeline maps back to the same tokens
+            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
+            assert all(pipeline(q.text, frozenset()) == tokens[q.query_id] for q in raw)
+            ranker = Ranker(index, WeightScheme(math.e))
+            accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+            for base in self.BASES:
+                reference = Ranker(index, WeightScheme(base))
+                want = {qid: reference.rank_tokens(qid, t) for qid, t in tokens.items()}
+                got = base_rankings(ranker, accumulators, base)
+                same_order = True
+                for qid, rl in got.items():
+                    pairs += 1
+                    want_scores = dict(want[qid].entries)
+                    assert set(dict(rl.entries)) == set(want_scores)
+                    for doc_id, score in rl.entries:
+                        assert abs(score - want_scores[doc_id]) <= 1e-12
+                    position = {d: i for i, (d, _) in enumerate(want[qid].entries)}
+                    order = [d for d, _ in rl.entries]
+                    if order != [d for d, _ in want[qid].entries]:
+                        reordered += 1
+                        same_order = False
+                    # a pair of docs may swap only where the reference scores tie
+                    for i, x in enumerate(order):
+                        for y in order[i + 1:]:
+                            if position[x] > position[y]:
+                                assert abs(want_scores[x] - want_scores[y]) <= 1e-12
+                if not same_order:
+                    continue
+                swept = run_sweep(index, raw, qrels, BaseGrid.single(Decimal(str(base))),
+                                  stoplist=frozenset())
+                expected, _ = evaluate_rankings(want, qrels)
+                (summary,) = swept.per_base.values()
+                assert summary.levels == pytest.approx(expected.levels, abs=1e-12, rel=0)
+                assert summary.map == pytest.approx(expected.map, abs=1e-12, rel=0)
+                assert summary.map_at_30 == pytest.approx(expected.map_at_30, abs=1e-12, rel=0)
+        # the summaries were compared on all but a few query/base pairs
+        assert reordered < pairs / 10
+
+    def test_unit_scale_is_rank_tokens_bit_for_bit(self):
+        for index, queries in self.corpora():
+            for base in self.BASES:
+                ranker = Ranker(index, WeightScheme(base))
+                for qid, tokens in enumerate(queries):
+                    got = ranker.rank(qid, ranker.accumulate(tokens), 1.0)
+                    # repr tells -0.0 from 0.0, which == does not
+                    assert repr(got) == repr(ranker.rank_tokens(qid, tokens))
+
+    def test_each_base_gets_the_summary_of_its_own_rankings(self):
+        rng = random.Random(5678)
+        grid = BaseGrid.parse("0.1:2.0:0.1")
+        varied = 0
+        for index, queries in self.corpora():
+            tokens = dict(enumerate(queries))
+            qrels = {
+                qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
+                for qid in tokens
+            }
+            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
+            swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset())
+            ranker = Ranker(index, WeightScheme(math.e))
+            accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+            for label, summary in swept.per_base.items():
+                rankings = base_rankings(ranker, accumulators, float(label))
+                assert summary == evaluate_rankings(rankings, qrels)[0]
+            varied += len(set(swept.per_base.values())) > 1
+        # rounding breaks ties differently across bases in some corpora, so
+        # the memo must tell their rankings apart
+        assert varied > 0
+
+    def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
+        grid = BaseGrid.parse("2:6:0.5")
+        bases = [float(v) for v in grid.values()]
+        ranker = Ranker(INDEX, WeightScheme(math.e))
+        tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
+        accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+        orders = {
+            tuple(tuple(d for d, _ in rl.entries) for rl in
+                  base_rankings(ranker, accumulators, base).values())
+            for base in bases
+        }
+        assert len(orders) == 1
+
+        # every base evaluated on its own Ranker
+        full = SweepResult("toy", grid)
+        for value in grid.values():
+            r = Ranker(INDEX, WeightScheme(float(value)))
+            rankings = {qid: r.rank_tokens(qid, t) for qid, t in tokens.items()}
+            full.per_base[str(value)], _ = evaluate_rankings(rankings, QRELS)
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return evaluate_rankings(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "evaluate_rankings", counting)
+        memoized = toy_sweep(grid)
+        assert len(calls) == 1
+        assert len(memoized.per_base) == len(bases)
+        emit_csv(full, str(tmp_path / "full.csv"))
+        emit_csv(memoized, str(tmp_path / "memo.csv"))
+        assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 class TestCache:
