@@ -16,7 +16,7 @@ from decimal import Decimal, InvalidOperation
 from . import collection_io, evaluation, retrieval, sweep as sweep_mod
 from .collection_io import ParseError
 from .index import InvertedIndex, build_index
-from .textpipe import default_stoplist, load_stoplist, pipeline
+from .textpipe import default_stoplist, load_stoplist, pipeline, stoplist_fingerprint
 from .weighting import InvalidBaseError, WeightScheme
 
 
@@ -113,7 +113,7 @@ def _load_documents(opts: _Options):
 def _build_index(opts: _Options, stoplist) -> tuple[list, InvertedIndex]:
     docs = _load_documents(opts)
     tokenized = [(d.doc_id, pipeline(d.text, stoplist)) for d in docs]
-    return docs, build_index(tokenized)
+    return docs, build_index(tokenized, stoplist_fingerprint(stoplist))
 
 
 def _load_queries(opts: _Options):
@@ -158,7 +158,14 @@ def cmd_index(opts: _Options) -> int:
     return 0
 
 
+def _scheme(opts: _Options) -> WeightScheme:
+    """The --base weighting, checked before any input is read."""
+    return WeightScheme(float(opts.get("base", 10.0, cast=float)))
+
+
 def cmd_search(opts: _Options) -> int:
+    scheme = _scheme(opts)
+    k = opts.get("top", 10, cast=int)
     stoplist = _stoplist(opts)
     snapshot = opts.get("load_index")
     if snapshot:
@@ -168,11 +175,13 @@ def cmd_search(opts: _Options) -> int:
             raise _Exit(2, f"cannot read {snapshot}: {e}") from e
         except ValueError as e:
             raise _Exit(1, f"{snapshot}: {e}") from e
+        if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
+            raise _Exit(1, f"{snapshot}: index snapshot was built with another stoplist; "
+                           "rebuild it with `logbase-ir index --save-index` and the same "
+                           "--stoplist as this search")
     else:
         _, index = _build_index(opts, stoplist)
-    base = opts.get("base", 10.0, cast=float)
-    k = opts.get("top", 10, cast=int)
-    ranker = retrieval.Ranker(index, WeightScheme(float(base)))
+    ranker = retrieval.Ranker(index, scheme)
     ranked = ranker.rank_tokens(0, pipeline(opts.args.query, stoplist))
     for position, (doc_id, score) in enumerate(ranked.entries[: max(k, 0)], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
@@ -209,14 +218,14 @@ def _eval_options(opts: _Options) -> tuple[int, str, str]:
 
 def cmd_eval(opts: _Options) -> int:
     cutoff, interp, pooling = _eval_options(opts)
+    scheme = _scheme(opts)
     out = _out_dir(opts)
     stoplist, index, queries, qrels = _eval_inputs(opts)
-    base = opts.get("base", 10.0, cast=float)
-    ranker = retrieval.Ranker(index, WeightScheme(float(base)))
-    rankings = {
-        q.query_id: ranker.rank_tokens(q.query_id, pipeline(q.text, stoplist))
-        for q in queries
-    }
+    ranker = retrieval.Ranker(index, scheme)
+    accumulators = {q.query_id: ranker.accumulate(pipeline(q.text, stoplist)) for q in queries}
+    # one pass for the norms of every document any query reaches
+    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
+    rankings = {qid: ranker.rank(qid, acc, norms) for qid, acc in accumulators.items()}
     summary, diagnostics = evaluation.evaluate_rankings(
         rankings, qrels, cutoff, interp, pooling
     )
@@ -237,26 +246,28 @@ def cmd_eval(opts: _Options) -> int:
     csv_path = os.path.join(out, "eval.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(evaluation.EVAL_CSV_COLUMNS) + "\n")
-        f.write(evaluation.format_summary_csv_row(str(base), summary) + "\n")
+        f.write(evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
     print(f"report written to {csv_path}", file=sys.stderr)
     return 0
 
 
 def cmd_sweep(opts: _Options) -> int:
     cutoff, interp, pooling = _eval_options(opts)
-    stoplist, index, queries, qrels = _eval_inputs(opts)
-    if opts.get("base", cast=float) is not None and opts.get("grid") is not None:
-        raise _Exit(2, "--base and --grid are mutually exclusive")
     base = opts.get("base", cast=float)
-    if base is not None:
-        grid = sweep_mod.BaseGrid.single(Decimal(str(base)))
-    else:
-        spec = opts.get("grid")
-        try:
+    spec = opts.get("grid")
+    if base is not None and spec is not None:
+        raise _Exit(2, "--base and --grid are mutually exclusive")
+    try:
+        if base is not None:
+            grid = sweep_mod.BaseGrid.single(Decimal(str(base)))
+        else:
             grid = sweep_mod.BaseGrid.parse(spec) if spec else sweep_mod.BaseGrid.default()
-        except ValueError as e:
-            raise _Exit(2, str(e)) from e
+    except ValueError as e:
+        raise _Exit(2, str(e)) from e
     top = opts.get("top", 5, cast=int)
+    if top < 1:
+        raise _Exit(2, f"top must be >= 1, got {top}")
+    stoplist, index, queries, qrels = _eval_inputs(opts)
     out = _out_dir(opts)
     no_cache = opts.get("no_cache", False, cast=_boolean)
     cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")

@@ -43,6 +43,10 @@ class BaseGrid:
     step: Decimal
 
     def __post_init__(self):
+        if not all(v.is_finite() for v in (self.start, self.stop, self.step)):
+            raise ValueError(
+                f"grid values must be finite, got {self.start}:{self.stop}:{self.step}"
+            )
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.start <= 0:
@@ -101,9 +105,12 @@ class ReportRow:
 
 
 def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
+    """sha256 of the index's snapshot bytes, then the queries, qrels and options."""
+    h = hashlib.sha256()
+    for part in index.snapshot_parts():
+        h.update(part)
     payload = json.dumps(
         {
-            "index": index.to_dict(),
             "queries": {str(q): t for q, t in sorted(query_tokens.items())},
             "qrels": {str(q): sorted(d) for q, d in sorted(qrels.items())},
             "cutoff": cutoff,
@@ -112,21 +119,23 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
         },
         sort_keys=True,
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    h.update(payload.encode("utf-8"))
+    return h.hexdigest()
 
 
 def base_rankings(
-    ranker: Ranker, accumulators: dict[int, tuple], base: float
+    ranker: Ranker, accumulators: dict[int, tuple], norms: dict[int, float], base: float
 ) -> dict[int, RankedList]:
     """Every query's ranking at log base ``base``.
 
-    ``ranker`` weighs at base e and ``accumulators`` are its per-query
-    ``accumulate`` results; log_b x = ln x / ln b, so base b rescales every
+    ``ranker`` weighs at base e, ``accumulators`` are its per-query
+    ``accumulate`` results and ``norms`` its ``doc_norms`` of every document
+    they reach; log_b x = ln x / ln b, so base b rescales every
     weight by 1 / ln b. Scores and order are computed afresh, so a tie that
     rounding breaks differently at some base still shows up there.
     """
     scale = 1.0 / math.log(base)
-    return {qid: ranker.rank(qid, acc, scale) for qid, acc in accumulators.items()}
+    return {qid: ranker.rank(qid, acc, norms, scale) for qid, acc in accumulators.items()}
 
 
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
@@ -210,6 +219,8 @@ def run_sweep(
 
     ranker = Ranker(index, WeightScheme(math.e))
     accumulators = {qid: ranker.accumulate(tokens) for qid, tokens in query_tokens.items()}
+    # once for the whole grid: norms rescale with the base like every weight
+    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
     # evaluation reads only the doc ids in the top ``cutoff`` of each ranking
     memo: dict[tuple, EvalSummary] = {}
     with ExitStack() as stack:
@@ -224,7 +235,7 @@ def run_sweep(
             cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
 
         for label, base in todo:
-            rankings = base_rankings(ranker, accumulators, base)
+            rankings = base_rankings(ranker, accumulators, norms, base)
             key = tuple(
                 tuple(map(itemgetter(0), rl.entries[:cutoff])) for rl in rankings.values()
             )

@@ -5,6 +5,7 @@ character, so hyphenated and punctuated forms break apart before any
 filtering happens.
 """
 
+import hashlib
 import re
 from functools import lru_cache
 from importlib import resources
@@ -42,6 +43,11 @@ def default_stoplist() -> frozenset[str]:
     for line in data.splitlines():
         words.update(tokenize(line.split("#", 1)[0]))
     return frozenset(words)
+
+
+def stoplist_fingerprint(stoplist: frozenset[str]) -> str:
+    """sha256 of the sorted stoplist words, one per line."""
+    return hashlib.sha256("\n".join(sorted(stoplist)).encode("utf-8")).hexdigest()
 
 
 def remove_stopwords(tokens: Iterable[str], stoplist: frozenset[str]) -> list[str]:

@@ -1,9 +1,12 @@
 import json
+import struct
 
 import pytest
 
+from logbase_ir import retrieval
 from logbase_ir.cli import main
 from logbase_ir.index import InvertedIndex
+from logbase_ir.textpipe import default_stoplist, stoplist_fingerprint
 
 
 @pytest.fixture
@@ -21,6 +24,19 @@ def collection(tmp_path):
     paths["queries"].write_text(queries)
     paths["qrels"].write_text(qrels)
     return paths
+
+
+def _v3(ids, tfs, df=None) -> bytes:
+    """A format 3 snapshot of one term, 'zebra', built with the bundled stoplist."""
+    header = {
+        "format_version": 3,
+        "n_docs": 3,
+        "stoplist_sha256": stoplist_fingerprint(default_stoplist()),
+        "terms": ["zebra"],
+        "df": [len(ids)] if df is None else df,
+    }
+    column = ids + tfs
+    return json.dumps(header).encode() + b"\n" + struct.pack(f"<{len(column)}q", *column)
 
 
 def run(capsys, *argv):
@@ -64,6 +80,18 @@ class TestStatsAndIndex:
         assert snap.exists()
         index = InvertedIndex.load(str(snap))
         assert index.n_docs == 31
+
+    @pytest.mark.parametrize("command", ["index", "eval"])
+    def test_doc_id_outside_int64_is_domain_error(self, capsys, collection, tmp_path, command):
+        collection["docs"].write_text(".I 1\n.W\nzebra\n.I 9223372036854775808\n.W\nyak\n")
+        argv = [command, "--docs", collection["docs"], "--out", tmp_path / "out"]
+        if command == "eval":
+            argv += ["--queries", collection["queries"], "--qrels", collection["qrels"]]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == (
+            "error: doc_id 9223372036854775808 does not fit in a signed 64-bit integer\n"
+        )
 
     def test_stats_ignores_save_index_from_config(self, capsys, collection, tmp_path):
         snap = tmp_path / "index.json"
@@ -118,34 +146,48 @@ class TestSearch:
                 "n_docs": 2,
                 "dictionary": {"zebra": [1, [[7, 1]]]},
                 "doc_lengths": {"1": 1, "2": 0},
-            }), "version 1"),
+            }).encode(), "version 1"),
+            (_v3([2, 1], [1, 1]), "strictly increasing"),
+            (_v3([1, 1], [1, 1]), "strictly increasing"),
+            (_v3([1], [0]), "tf below 1"),
+            (_v3([], [], df=[]), "equal length"),
+            (b"[]", "not a JSON object"),
+            (b'{"df": [1], "format_version": 3,', "Expecting"),
+            (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+            (_v3([1], [1])[:-1], "body is 15 bytes, expected 16"),
             (json.dumps({
-                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[2, 1], [1, 1]]},
-            }), "strictly increasing"),
-            (json.dumps({
-                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1, 1], [1, 1]]},
-            }), "strictly increasing"),
-            (json.dumps({
-                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [0]]},
-            }), "tf below 1"),
-            (json.dumps({
-                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1, 2], [1]]},
-            }), "equal length"),
-            ("[]", "not a JSON object"),
-            ('{"format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1', "Expecting"),
-            ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+                "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [1]]},
+            }).encode(), "version 2, which is no longer read; rebuild it"),
+            (b"\xff" + _v3([1], [1]), "not UTF-8"),
         ],
-        ids=["v1-doc-7", "unsorted", "duplicate", "tf-0", "unequal", "list", "truncated", "deep"],
+        ids=[
+            "v1-doc-7", "unsorted", "duplicate", "tf-0", "unequal", "list", "truncated", "deep",
+            "truncated-body", "v2", "not-utf8",
+        ],
     )
     def test_malformed_snapshot_is_domain_error(self, capsys, tmp_path, content, message):
         snap = tmp_path / "index.json"
-        snap.write_text(content)
+        snap.write_bytes(content)
         code, out, err = run(capsys, "search", "--load-index", snap, "zebra")
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {snap}: ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    def test_snapshot_built_with_another_stoplist_is_refused(self, capsys, collection, tmp_path):
+        snap = tmp_path / "index.json"
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("yak\n")
+        run(capsys, "index", "--docs", collection["docs"], "--stoplist", stoplist,
+            "--save-index", snap)
+        code, out, err = run(capsys, "search", "--load-index", snap, "zebra")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {snap}: index snapshot was built with another stoplist")
+        code, out, _ = run(capsys, "search", "--load-index", snap, "--stoplist", stoplist, "zebra")
+        assert code == 0
+        assert len(out.splitlines()) == 10
 
 
 class TestEval:
@@ -225,6 +267,27 @@ class TestEval:
         )
         assert code == 1
         assert "unknown query ids" in err
+
+    def test_norms_computed_once_for_all_queries(self, capsys, tmp_path, monkeypatch):
+        docs = tmp_path / "docs.all"
+        docs.write_text(".I 1\n.W\napple\n.I 2\n.W\npear\n.I 3\n.W\nplum\n.I 4\n.W\nfig\n")
+        queries = tmp_path / "q.qry"
+        queries.write_text(".I 1\n.W\napple\n.I 2\n.W\npear plum\n")
+        qrels = tmp_path / "q.rel"
+        qrels.write_text("1 1\n2 2\n")
+        calls = []
+        doc_norms = retrieval.Ranker.doc_norms
+
+        def recording(self, doc_ids):
+            calls.append(set(doc_ids))
+            return doc_norms(self, doc_ids)
+
+        monkeypatch.setattr(retrieval.Ranker, "doc_norms", recording)
+        code, _, _ = run(capsys, "eval", "--docs", docs, "--queries", queries,
+                         "--qrels", qrels, "--out", tmp_path / "out")
+        assert code == 0
+        # one pass over the union of both queries' candidates; doc 4 is reached by none
+        assert calls == [{1, 2, 3}]
 
     def test_judged_doc_ids_missing_from_collection_are_noted(self, capsys, tmp_path):
         docs = tmp_path / "two.all"
@@ -414,3 +477,44 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_pooling_bogus_config(self, capsys, tmp_path, command):
         self.check(capsys, tmp_path, [command], "pooling=bogus", "unknown pooling 'bogus'")
+
+    def test_top_zero_flag(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")
+
+    def test_top_zero_config(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep"], "top=0", "top must be >= 1, got 0")
+
+    @pytest.mark.parametrize("argv", [["eval"], ["search", "zebra"]], ids=["eval", "search"])
+    def test_invalid_base_flag(self, capsys, tmp_path, argv):
+        self.check(capsys, tmp_path, [*argv, "--base", "1"], "", "log base must be positive")
+
+    @pytest.mark.parametrize("argv", [["eval"], ["search", "zebra"]], ids=["eval", "search"])
+    def test_invalid_base_config(self, capsys, tmp_path, argv):
+        self.check(capsys, tmp_path, argv, "base=-2", "log base must be positive")
+
+    def test_invalid_base_before_snapshot_load(self, capsys, tmp_path):
+        snap = tmp_path / "index.json"
+        snap.write_text("[]")  # loading it would exit 1
+        self.check(capsys, tmp_path, ["search", "--load-index", snap, "--base", "0", "zebra"],
+                   "", "log base must be positive")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1:2", "START:STOP:STEP"),
+            ("a:b:c", "non-numeric"),
+            ("2:1:1", "below start"),
+            ("0:1:0.5", "start must be positive"),
+            ("1:2:0", "step must be positive"),
+            ("nan:1:0.1", "must be finite"),
+            ("1:inf:1", "must be finite"),
+        ],
+    )
+    def test_malformed_grid_flag(self, capsys, tmp_path, spec, message):
+        self.check(capsys, tmp_path, ["sweep", "--grid", spec], "", message)
+
+    def test_malformed_grid_config(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep"], "grid=1:2", "START:STOP:STEP")
+
+    def test_sweep_base_zero(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep", "--base", "0"], "", "start must be positive")

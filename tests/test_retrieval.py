@@ -154,3 +154,55 @@ class TestRunFile:
         a = format_run([ranker.rank_tokens(1, ["apple", "cherry"])])
         b = format_run([ranker.rank_tokens(1, ["apple", "cherry"])])
         assert a == b
+
+
+def full_pass_norms(ranker):
+    """Every document's norm from one pass over all postings in sorted term
+    order: the table the ranker built eagerly before norms went on demand."""
+    squares = {}
+    for term, (doc_ids, tfs) in ranker.index.dictionary.items():
+        term_idf = ranker._idf[term]
+        for doc_id, tf in zip(doc_ids, tfs):
+            w = tf * term_idf
+            squares[doc_id] = squares.get(doc_id, 0.0) + w * w
+    return {doc_id: math.sqrt(s) for doc_id, s in squares.items()}
+
+
+def bits(norms):
+    # repr shows every bit of a double and tells -0.0 from 0.0
+    return {doc_id: repr(norm) for doc_id, norm in norms.items()}
+
+
+class TestDocNorms:
+    def test_on_demand_equals_full_pass_bit_for_bit(self):
+        # the 50 corpora of acceptance criterion 4, drawn in the same order
+        rng = random.Random(1234)
+        subsets = random.Random(99)
+        for _ in range(50):
+            docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
+            base = rng.choice([0.1, 0.3, 0.5, 2.0, 10.0, 32.6, 84.6, 100.0])
+            ranker = Ranker(build_index(sorted(docs.items())), WeightScheme(base))
+            table = full_pass_norms(ranker)
+            assert bits(ranker.doc_norms(table)) == bits(table)
+            # up to half the documents are picked out, more are read in full
+            subset = subsets.sample(sorted(table), k=subsets.randint(0, len(table)))
+            assert bits(ranker.doc_norms(subset)) == bits({d: table[d] for d in subset})
+            for tokens in queries:
+                _, dot = ranker.accumulate(tokens)
+                assert bits(ranker.doc_norms(dot)) == bits({d: table[d] for d in dot})
+
+    def test_search_computes_norms_of_its_candidates_only(self, toy_index, monkeypatch):
+        ranker = Ranker(toy_index, WeightScheme(10))
+        calls = []
+        doc_norms = Ranker.doc_norms
+
+        def recording(self, doc_ids):
+            calls.append(set(doc_ids))
+            return doc_norms(self, doc_ids)
+
+        monkeypatch.setattr(Ranker, "doc_norms", recording)
+        ranked = ranker.rank_tokens(1, ["date"])
+        candidates = set(toy_index.dictionary["date"][0])
+        assert calls == [candidates]
+        assert {d for d, _ in ranked.entries} == candidates
+        assert candidates < set().union(*(ids for ids, _ in toy_index.dictionary.values()))

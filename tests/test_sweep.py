@@ -118,6 +118,15 @@ class TestRunSweep:
                       stoplist=frozenset())
 
 
+def _base_e(index, tokens):
+    """The sweep's base-e ranker, its accumulators and its norms of every
+    document they reach."""
+    ranker = Ranker(index, WeightScheme(math.e))
+    accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
+    return ranker, accumulators, norms
+
+
 class TestRescaledRanking:
     """The sweep's one base-e ranker, rescaled per base, against a Ranker
     built at each base."""
@@ -144,12 +153,11 @@ class TestRescaledRanking:
             # query text that the pipeline maps back to the same tokens
             raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
             assert all(pipeline(q.text, frozenset()) == tokens[q.query_id] for q in raw)
-            ranker = Ranker(index, WeightScheme(math.e))
-            accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+            ranker, accumulators, norms = _base_e(index, tokens)
             for base in self.BASES:
                 reference = Ranker(index, WeightScheme(base))
                 want = {qid: reference.rank_tokens(qid, t) for qid, t in tokens.items()}
-                got = base_rankings(ranker, accumulators, base)
+                got = base_rankings(ranker, accumulators, norms, base)
                 same_order = True
                 for qid, rl in got.items():
                     pairs += 1
@@ -184,7 +192,8 @@ class TestRescaledRanking:
             for base in self.BASES:
                 ranker = Ranker(index, WeightScheme(base))
                 for qid, tokens in enumerate(queries):
-                    got = ranker.rank(qid, ranker.accumulate(tokens), 1.0)
+                    acc = ranker.accumulate(tokens)
+                    got = ranker.rank(qid, acc, ranker.doc_norms(acc[1]), 1.0)
                     # repr tells -0.0 from 0.0, which == does not
                     assert repr(got) == repr(ranker.rank_tokens(qid, tokens))
 
@@ -200,25 +209,39 @@ class TestRescaledRanking:
             }
             raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
             swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset())
-            ranker = Ranker(index, WeightScheme(math.e))
-            accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+            ranker, accumulators, norms = _base_e(index, tokens)
             for label, summary in swept.per_base.items():
-                rankings = base_rankings(ranker, accumulators, float(label))
+                rankings = base_rankings(ranker, accumulators, norms, float(label))
                 assert summary == evaluate_rankings(rankings, qrels)[0]
             varied += len(set(swept.per_base.values())) > 1
         # rounding breaks ties differently across bases in some corpora, so
         # the memo must tell their rankings apart
         assert varied > 0
 
+    def test_norms_computed_once_per_sweep(self, monkeypatch):
+        calls = []
+        doc_norms = Ranker.doc_norms
+
+        def recording(self, doc_ids):
+            calls.append(set(doc_ids))
+            return doc_norms(self, doc_ids)
+
+        monkeypatch.setattr(Ranker, "doc_norms", recording)
+        result = toy_sweep(BaseGrid.parse("0.5:5:0.5"))
+        assert len(result.per_base) == 9
+        tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
+        ranker = Ranker(INDEX, WeightScheme(math.e))
+        reached = set().union(*(ranker.accumulate(t)[1] for t in tokens.values()))
+        assert calls == [reached]
+
     def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
         grid = BaseGrid.parse("2:6:0.5")
         bases = [float(v) for v in grid.values()]
-        ranker = Ranker(INDEX, WeightScheme(math.e))
         tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
-        accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
+        ranker, accumulators, norms = _base_e(INDEX, tokens)
         orders = {
             tuple(tuple(d for d, _ in rl.entries) for rl in
-                  base_rankings(ranker, accumulators, base).values())
+                  base_rankings(ranker, accumulators, norms, base).values())
             for base in bases
         }
         assert len(orders) == 1
