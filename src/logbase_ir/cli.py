@@ -140,6 +140,10 @@ def _judged_queries(queries, qrels):
     return judged
 
 
+def _count(n: int, noun: str) -> str:
+    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+
+
 def cmd_index(opts: _Options) -> int:
     """``stats`` and ``index``: build the index and print its statistics;
     ``index`` also writes a snapshot when --save-index is given."""
@@ -166,6 +170,8 @@ def _scheme(opts: _Options) -> WeightScheme:
 def cmd_search(opts: _Options) -> int:
     scheme = _scheme(opts)
     k = opts.get("top", 10, cast=int)
+    if k < 1:
+        raise _Exit(2, f"top must be >= 1, got {k}")
     stoplist = _stoplist(opts)
     snapshot = opts.get("load_index")
     if snapshot:
@@ -183,7 +189,7 @@ def cmd_search(opts: _Options) -> int:
         _, index = _build_index(opts, stoplist)
     ranker = retrieval.Ranker(index, scheme)
     ranked = ranker.rank_tokens(0, pipeline(opts.args.query, stoplist))
-    for position, (doc_id, score) in enumerate(ranked.entries[: max(k, 0)], start=1):
+    for position, (doc_id, score) in enumerate(ranked.entries[:k], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
     return 0
 
@@ -232,11 +238,7 @@ def cmd_eval(opts: _Options) -> int:
     run_path = opts.get("save_run")
     if run_path:
         ordered = [rankings[qid] for qid in sorted(rankings)]
-        try:
-            with open(run_path, "w", encoding="utf-8", newline="\n") as f:
-                f.write(retrieval.format_run(ordered))
-        except OSError as e:
-            raise _Exit(2, f"cannot write {run_path}: {e}") from e
+        sweep_mod.write_report(run_path, retrieval.format_run(ordered))
     for level, value in zip(evaluation.RECALL_LEVELS, summary.levels):
         print(f"level_{level:.1f} {value:.6f}")
     print(f"map {summary.map:.6f}")
@@ -244,9 +246,8 @@ def cmd_eval(opts: _Options) -> int:
     for query_id, level in diagnostics:
         print(f"empty-bucket query={query_id} level={level / 10:.1f}", file=sys.stderr)
     csv_path = os.path.join(out, "eval.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(evaluation.EVAL_CSV_COLUMNS) + "\n")
-        f.write(evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
+    sweep_mod.write_report(csv_path, ",".join(evaluation.EVAL_CSV_COLUMNS) + "\n"
+                           + evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
     print(f"report written to {csv_path}", file=sys.stderr)
     return 0
 
@@ -284,20 +285,23 @@ def cmd_sweep(opts: _Options) -> int:
         cache_path=cache_path,
         collection_name=opts.get("name", ""),
     )
+    print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
+          f"across {_count(result.ranked_bases, 'base')}; "
+          f"{_count(result.fragile_groups, 'fragile group')}", file=sys.stderr)
 
     sweep_mod.emit_csv(result, os.path.join(out, "sweep.csv"))
     for metric in sweep_mod.METRICS:
         rows = sweep_mod.top_k_report(result, metric, top)
-        with open(os.path.join(out, f"top{top}_{metric}.txt"), "w", encoding="utf-8") as f:
-            f.write(sweep_mod.render_table(rows, metric))
+        sweep_mod.write_report(os.path.join(out, f"top{top}_{metric}.txt"),
+                               sweep_mod.render_table(rows, metric))
         sweep_mod.emit_metric_curve(result, metric, os.path.join(out, f"curve_{metric}.csv"))
         try:
             compare = sweep_mod.best_standard_worst(result, metric)
         except ValueError as e:
             print(f"note: comparison table skipped: {e}", file=sys.stderr)
             continue
-        with open(os.path.join(out, f"compare_{metric}.txt"), "w", encoding="utf-8") as f:
-            f.write(sweep_mod.render_table(compare, metric))
+        sweep_mod.write_report(os.path.join(out, f"compare_{metric}.txt"),
+                               sweep_mod.render_table(compare, metric))
         sweep_mod.emit_level_curves(
             result,
             [row.base for row in compare],

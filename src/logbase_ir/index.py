@@ -69,23 +69,9 @@ class InvertedIndex:
         return line.encode("utf-8"), ids, tfs
 
     def save(self, path: str) -> None:
-        """Write a format-3 snapshot to a temporary file in the same
-        directory, then rename it over ``path``: an interrupted save leaves
-        any earlier snapshot whole."""
-        header, ids, tfs = self.snapshot_parts()
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "wb") as f:
-                f.write(header)
-                ids.tofile(f)
-                tfs.tofile(f)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.remove(tmp)
-            except OSError:
-                pass
-            raise
+        """Write a format-3 snapshot atomically (``write_atomic``): an
+        interrupted save leaves any earlier snapshot whole."""
+        write_atomic(path, *self.snapshot_parts())
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
@@ -134,6 +120,24 @@ class InvertedIndex:
             for term, start, stop in zip(terms, starts, islice(starts, 1, None))
         }
         return cls(n_docs, dictionary, header["stoplist_sha256"])
+
+
+def write_atomic(path: str, *parts) -> None:
+    """Write the bytes-like ``parts`` to a temporary file in the same
+    directory, then rename it over ``path``. An error or interrupt removes the
+    temporary file and leaves any earlier file at ``path`` whole."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _header(line: bytes) -> dict:

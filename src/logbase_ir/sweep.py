@@ -4,17 +4,21 @@ The default grid is 0.1 to 100.0 in steps of 0.1 (1000 values). Grid values
 are generated with Decimal arithmetic so the rendered one-decimal labels are
 exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
 than evaluated. The base only rescales the TF-IDF weights, so one ranker
-serves every base. Per-base summaries can be cached on disk keyed by a
-digest of the inputs, so an interrupted sweep resumes instead of recomputing.
+serves every base: each query is ranked once, at base e, and a base re-scores
+only the groups of near-tied documents whose order rounding could change
+(``_plan``). Per-base summaries can be cached on disk keyed by a digest of the
+inputs, so an interrupted sweep resumes instead of recomputing.
 """
 
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
-from operator import itemgetter
+from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from itertools import compress, count, repeat
+from operator import itemgetter, lt, mul
 
 from .collection_io import Qrels, RawQuery
 from .evaluation import (
@@ -24,7 +28,7 @@ from .evaluation import (
     evaluate_rankings,
     format_summary_csv_row,
 )
-from .index import InvertedIndex
+from .index import InvertedIndex, write_atomic
 from .retrieval import RankedList, Ranker
 from .textpipe import pipeline
 from .weighting import WeightScheme
@@ -32,6 +36,9 @@ from .weighting import WeightScheme
 METRICS = ("map", "map_at_30")
 
 SKIP_INVALID_BASE = "invalid-base"
+
+MAX_GRID_VALUES = 1_000_000
+_HALF_ULP = Decimal(2.0**-53)
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,34 @@ class BaseGrid:
             raise ValueError(f"grid start must be positive, got {self.start}")
         if self.stop < self.start:
             raise ValueError(f"grid stop {self.stop} below start {self.start}")
+        spec = f"{self.start}:{self.stop}:{self.step}"
+        if float(self.start) == 0.0:
+            raise ValueError(f"grid start {self.start} is 0 as a double")
+        if math.isinf(float(self.stop)):
+            raise ValueError(f"grid stop {self.stop} is infinite as a double")
+        # every value, and the first one past the stop, must be exact in
+        # Decimal's 28 digits, or values() could repeat a value without end
+        with localcontext() as ctx:
+            ctx.traps[Inexact] = True
+            try:
+                n = (self.stop - self.start) // self.step + 1
+                self.start + n * self.step  # the value that ends values()
+            except (Inexact, InvalidOperation):
+                raise ValueError(
+                    f"grid {spec} needs more than {ctx.prec} significant digits"
+                ) from None
+        if n > MAX_GRID_VALUES:
+            raise ValueError(f"grid {spec} has {n} values, more than {MAX_GRID_VALUES}")
+        # a value other than 1 within half an ulp of 1.0 would divide by
+        # ln 1.0 = 0; only the two values around 1 can lie there
+        if self.start <= 1 + _HALF_ULP and self.stop >= 1 - _HALF_ULP:
+            near = int((1 - self.start) // self.step)
+            for k in range(max(near - 1, 0), min(near + 3, int(n))):
+                value = self.start + k * self.step
+                if value != 1 and float(value) == 1.0:
+                    raise ValueError(f"grid value {value} is 1.0 as a double")
+        if n == 1 and self.start == 1:
+            raise ValueError("grid holds no base but 1, whose logarithm is 0")
 
     @classmethod
     def default(cls) -> "BaseGrid":
@@ -94,6 +129,11 @@ class SweepResult:
     grid: BaseGrid
     per_base: dict[str, EvalSummary] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
+    # bases ranked in this run (not taken from the cache), the distinct
+    # rankings to the cutoff among them, and the fragile groups of the plan
+    ranked_bases: int = 0
+    distinct_rankings: int = 0
+    fragile_groups: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,44 +163,46 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
     return h.hexdigest()
 
 
-def base_rankings(
-    ranker: Ranker, accumulators: dict[int, tuple], norms: dict[int, float], base: float
-) -> dict[int, RankedList]:
-    """Every query's ranking at log base ``base``.
-
-    ``ranker`` weighs at base e, ``accumulators`` are its per-query
-    ``accumulate`` results and ``norms`` its ``doc_norms`` of every document
-    they reach; log_b x = ln x / ln b, so base b rescales every
-    weight by 1 / ln b. Scores and order are computed afresh, so a tie that
-    rounding breaks differently at some base still shows up there.
-    """
-    scale = 1.0 / math.log(base)
-    return {qid: ranker.rank(qid, acc, norms, scale) for qid, acc in accumulators.items()}
-
-
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
-    cached: dict[str, EvalSummary] = {}
+    """The cached summaries of this digest, by base label.
+
+    A line that is torn, not a JSON object, of another digest or ill-typed is
+    skipped (its base is recomputed), and the file is rewritten atomically
+    without such lines and with one line per base, the last.
+    """
     try:
-        f = open(cache_path, encoding="utf-8")
+        with open(cache_path, "rb") as f:
+            lines = f.read().splitlines(keepends=True)
     except FileNotFoundError:
-        return cached
-    with f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn write from an interrupted run
-            if entry.get("digest") != digest:
-                continue
-            cached[entry["base"]] = EvalSummary(
-                levels=tuple(entry["levels"]),
-                map=entry["map"],
-                map_at_30=entry["map_at_30"],
-            )
+        return {}
+    cached: dict[str, EvalSummary] = {}
+    kept: dict[str, bytes] = {}
+    for line in lines:
+        entry = _cache_entry(line, digest)
+        if entry is not None:
+            label, cached[label] = entry
+            kept[label] = line.rstrip(b"\r\n") + b"\n"
+    compacted = b"".join(kept.values())
+    if compacted != b"".join(lines):
+        write_atomic(cache_path, compacted)
     return cached
+
+
+def _cache_entry(line: bytes, digest: str) -> tuple[str, EvalSummary] | None:
+    """The (base label, summary) of a well-formed cache line of this digest."""
+    try:
+        entry = json.loads(line)
+    except (ValueError, RecursionError):
+        return None  # torn write from an interrupted run, or not UTF-8
+    if not isinstance(entry, dict) or entry.get("digest") != digest:
+        return None
+    label, levels = entry.get("base"), entry.get("levels")
+    metrics = (entry.get("map"), entry.get("map_at_30"))
+    if not (type(label) is str and type(levels) is list and len(levels) == 11):
+        return None
+    if not all(type(v) is float for v in (*levels, *metrics)):
+        return None
+    return label, EvalSummary(tuple(levels), *metrics)
 
 
 def _cache_line(digest: str, label: str, s: EvalSummary) -> str:
@@ -173,6 +215,77 @@ def _cache_line(digest: str, label: str, s: EvalSummary) -> str:
             "map_at_30": s.map_at_30,
         }
     )
+
+
+# Rounding bound (Higham 2002, ch. 3), with u = 2**-53: a document's base-b
+# score fl(fl(c*c*dot) / fl(fl(|c|*qn) * fl(|c|*dn))) is A * (dot/dn) * (1 + θ)
+# with |θ| <= γ_4 ≈ 4u and A the same for every document of a query; at base
+# e (c = 1) |θ| <= γ_2. So two documents' scores at any base are in the ratio
+# of their dot/dn within about 8u, and that is the ratio of their base-e
+# scores within about 4u: a base-e gap above about 12u (16u with room to
+# spare) keeps their order at every base. _SAFE_GAP asks for 32u. The bound
+# holds while every product is a normal double; _SAFE_RANGE keeps far inside.
+_SAFE_GAP = 1.0 - 32 * 2.0**-53
+_SAFE_RANGE = (2.0**-480, 2.0**480)
+
+
+def _plan(ranker: Ranker, accumulators: dict[int, tuple], norms: dict[int, float],
+          cutoff: int) -> tuple[dict[int, RankedList], list, Callable[[float], bool]]:
+    """Rank every query once at base e and find its fragile groups.
+
+    Returns the base-e rankings, the fragile groups and a test of whether the
+    bound holds at scale c = 1 / ln b. A fragile group, given as (query id,
+    start, (query norm, dot of the members)), is two or more consecutive
+    documents that no safe gap separates, that start before the cutoff and
+    that do not tie exactly. Exact ties (bit-equal dot and norm) and zero
+    scores tie at every base and keep their doc-id order.
+    """
+    rankings, fragile = {}, []
+    # the non-zero dot products and norms (1.0 only widens their extremes)
+    dots, lengths = [1.0], [1.0, *filter(None, norms.values())]
+    smallest = 1.0  # the smallest score of a non-zero dot product
+    for qid, acc in accumulators.items():
+        query_norm, dot = acc
+        ranked = rankings[qid] = ranker.rank(qid, acc, norms)
+        scores = list(map(itemgetter(1), ranked.entries))
+        nonzero = list(filter(None, dot.values()))
+        if nonzero:
+            dots += nonzero
+            lengths.append(query_norm)
+            smallest = min(smallest, scores[len(nonzero) - 1])  # zero dots rank last
+        # a gap after position i is safe when score i+1 < score i * _SAFE_GAP
+        safe = map(lt, scores[1:], map(mul, scores, repeat(_SAFE_GAP)))
+        cuts = [0, *compress(count(1), safe), len(scores)]
+        for start, stop in zip(cuts, cuts[1:]):
+            if start >= cutoff:
+                break
+            if stop - start == 1:
+                continue
+            members = [d for d, _ in ranked.entries[start:stop]]
+            # every zero dot product scores 0.0, whatever the norm
+            if len({(dot[d], norms[d]) if dot[d] else 0.0 for d in members}) > 1:
+                fragile.append((qid, start, (query_norm, {d: dot[d] for d in members})))
+    lo, hi = _SAFE_RANGE
+    dot_lo, dot_hi, length_lo, length_hi = min(dots), max(dots), min(lengths), max(lengths)
+
+    def in_range(scale: float) -> bool:
+        """Whether every c*c*dot and |c|*norm stays inside _SAFE_RANGE."""
+        c2, m = scale * scale, abs(scale)
+        return (lo <= c2 * dot_lo and c2 * dot_hi <= hi
+                and lo <= m * length_lo and m * length_hi <= hi)
+
+    # the base-e scores that the groups come from must obey the bound too
+    base_e_in_range = smallest >= lo and in_range(1.0)
+    return rankings, fragile, lambda scale: base_e_in_range and in_range(scale)
+
+
+def _spliced(rankings: dict[int, RankedList], groups: list, orders: list
+             ) -> dict[int, RankedList]:
+    """The rankings with each re-scored group put in its new order."""
+    entries = {qid: list(rl.entries) for qid, rl in rankings.items()}
+    for (qid, start, _), order in zip(groups, orders):
+        entries[qid][start:start + len(order)] = order
+    return {qid: RankedList(qid, tuple(e)) for qid, e in entries.items()}
 
 
 def run_sweep(
@@ -191,9 +304,9 @@ def run_sweep(
     """Evaluate every grid base; base 1.0 is recorded as skipped.
 
     Every qrels query_id must exist in the query list (checked before any
-    evaluation). One base-e ranker scores each query once; each base then
-    rescales, sorts and evaluates, and bases whose rankings agree share one
-    evaluation.
+    evaluation). One base-e ranker scores and ranks each query once (see
+    ``_plan``); each base re-scores only the fragile groups, and bases whose
+    rankings agree to the cutoff share one evaluation.
     """
     if grid is None:
         grid = BaseGrid.default()
@@ -221,7 +334,10 @@ def run_sweep(
     accumulators = {qid: ranker.accumulate(tokens) for qid, tokens in query_tokens.items()}
     # once for the whole grid: norms rescale with the base like every weight
     norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
-    # evaluation reads only the doc ids in the top ``cutoff`` of each ranking
+    rankings, fragile, bound_holds = _plan(ranker, accumulators, norms, cutoff)
+    # each query's ranking as one group, for a base where the bound may fail
+    whole = [(qid, 0, acc) for qid, acc in accumulators.items()]
+    result.fragile_groups = len(fragile)
     memo: dict[tuple, EvalSummary] = {}
     with ExitStack() as stack:
         cache_file = None
@@ -235,18 +351,25 @@ def run_sweep(
             cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
 
         for label, base in todo:
-            rankings = base_rankings(ranker, accumulators, norms, base)
-            key = tuple(
-                tuple(map(itemgetter(0), rl.entries[:cutoff])) for rl in rankings.values()
-            )
+            scale = 1.0 / math.log(base)
+            groups = fragile if bound_holds(scale) else whole
+            orders = [ranker.rank(qid, acc, norms, scale).entries for qid, _, acc in groups]
+            # evaluation reads only the doc ids up to the cutoff; a base whose
+            # every document is re-scored is keyed apart
+            key = (groups is whole, tuple(
+                tuple(map(itemgetter(0), order[:cutoff - start]))
+                for (_, start, _), order in zip(groups, orders)
+            ))
             if key not in memo:
                 memo[key], _ = evaluate_rankings(
-                    rankings, qrels, cutoff, interpolation, pooling
+                    _spliced(rankings, groups, orders), qrels, cutoff, interpolation, pooling
                 )
             summary = result.per_base[label] = memo[key]
             if cache_file:
                 cache_file.write(_cache_line(digest, label, summary) + "\n")
                 cache_file.flush()
+    result.ranked_bases = len(todo)
+    result.distinct_rankings = len(memo)
     return result
 
 
@@ -306,7 +429,7 @@ def emit_csv(result: SweepResult, path: str) -> None:
     for row in _sorted_rows(result):
         summary = result.per_base[row.base]
         lines.append(format_summary_csv_row(row.base, summary))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_report(path, "\n".join(lines) + "\n")
 
 
 def emit_metric_curve(result: SweepResult, metric: str, path: str) -> None:
@@ -314,7 +437,7 @@ def emit_metric_curve(result: SweepResult, metric: str, path: str) -> None:
     lines = [f"base,{metric}"]
     for row in _sorted_rows(result):
         lines.append(f"{row.base},{_metric_value(row, metric)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    write_report(path, "\n".join(lines) + "\n")
 
 
 def emit_level_curves(result: SweepResult, labels: list[str], path: str) -> None:
@@ -324,12 +447,12 @@ def emit_level_curves(result: SweepResult, labels: list[str], path: str) -> None
         summary = result.per_base[label]
         cells = [label] + [repr(v) for v in summary.levels]
         lines.append(",".join(cells))
-    _write_text(path, "\n".join(lines) + "\n")
+    write_report(path, "\n".join(lines) + "\n")
 
 
-def _write_text(path: str, content: str) -> None:
+def write_report(path: str, content: str) -> None:
+    """Write a report file atomically (``index.write_atomic``)."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write(content)
+        write_atomic(path, content.encode("utf-8"))
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e

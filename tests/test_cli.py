@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import pytest
@@ -113,10 +114,11 @@ class TestSearch:
         first = lines[0].split("\t")
         assert first[0] == "1" and first[1] == "1"
 
-    def test_k_zero_prints_nothing(self, capsys, collection):
-        code, out, _ = run(capsys, "search", "--docs", collection["docs"], "-k", "0", "zebra")
-        assert code == 0
+    def test_k_zero_is_usage_error(self, capsys, collection):
+        code, out, err = run(capsys, "search", "--docs", collection["docs"], "-k", "0", "zebra")
+        assert code == 2
         assert out == ""
+        assert "top must be >= 1, got 0" in err
 
     def test_stopword_only_query_prints_nothing(self, capsys, collection):
         code, out, _ = run(capsys, "search", "--docs", collection["docs"], "the and a")
@@ -224,6 +226,31 @@ class TestEval:
         qid, doc_id, rank_pos, score = lines[0].split("\t")
         assert (qid, doc_id, rank_pos) == ("1", "1", "1")
         assert float(score) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("interrupted", ["run.tsv", "eval.csv"])
+    def test_interrupted_report_keeps_the_old_file(self, capsys, collection, tmp_path,
+                                                   monkeypatch, interrupted):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = {out / "eval.csv": "old eval\n", tmp_path / "run.tsv": "old run\n"}
+        for path, text in old.items():
+            path.write_text(text)
+        replace = os.replace
+
+        def replace_or_interrupt(src, dst):
+            if os.path.basename(dst) == interrupted:
+                raise KeyboardInterrupt
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_or_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run(capsys, "eval", "--docs", collection["docs"], "--queries",
+                collection["queries"], "--qrels", collection["qrels"], "--out", out,
+                "--save-run", tmp_path / "run.tsv")
+        # the run file is written before eval.csv, so eval.csv is never replaced
+        for path, text in old.items():
+            assert (path.read_text() == text) == (path.name in (interrupted, "eval.csv"))
+        assert not [p for p in tmp_path.rglob("*.tmp")]
 
     def test_save_run_inside_fresh_out_dir(self, capsys, collection, tmp_path):
         out = tmp_path / "newout"
@@ -391,6 +418,17 @@ class TestSweep:
         assert code == 2
         assert "mutually exclusive" in err
 
+    def test_invariance_note_on_stderr(self, capsys, collection, tmp_path):
+        args = [*self.sweep_args(collection, tmp_path / "out"), "--grid", "0.5:1.5:0.5"]
+        code, stdout, err = run(capsys, *args)
+        assert code == 0
+        assert "note:" not in stdout
+        assert ("note: 1 distinct ranking to the cutoff across 2 bases; 0 fragile groups\n"
+                in err)
+        # a resumed sweep ranks nothing
+        code, _, err = run(capsys, *args)
+        assert "note: 0 distinct rankings to the cutoff across 0 bases; 0 fragile groups" in err
+
     def test_single_base_sweep(self, capsys, collection, tmp_path):
         out = tmp_path / "out"
         code, _, _ = run(capsys, *self.sweep_args(collection, out), "--base", "10")
@@ -518,3 +556,29 @@ class TestUsageErrors:
 
     def test_sweep_base_zero(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep", "--base", "0"], "", "start must be positive")
+
+    def test_sweep_base_one(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep", "--base", "1"], "", "no base but 1")
+
+    def test_sweep_grid_of_one_config(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep"], "grid=1:1.5:1", "no base but 1")
+
+    # the third never ended before: values() appended the same value forever
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1.00000000000000000001:1.00000000000000000001:1", "is 1.0 as a double"),
+            ("1e-400:1e-400:1", "is 0 as a double"),
+            ("1e400:1e400:1", "infinite as a double"),
+        ],
+    )
+    def test_grid_value_unusable_as_double(self, capsys, tmp_path, spec, message):
+        self.check(capsys, tmp_path, ["sweep", "--grid", spec], "", message)
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_search_top_below_one(self, capsys, tmp_path, k):
+        self.check(capsys, tmp_path, ["search", "-k", k, "zebra"], "",
+                   f"top must be >= 1, got {k}")
+
+    def test_search_top_zero_config(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import random
 from decimal import Decimal
 
@@ -12,7 +14,6 @@ from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import (
     BaseGrid,
     SweepResult,
-    base_rankings,
     best_standard_worst,
     emit_csv,
     emit_level_curves,
@@ -75,6 +76,36 @@ class TestBaseGrid:
     def test_single(self):
         assert BaseGrid.single(Decimal("10")).labels() == ["10.0"]
 
+    # each is rejected on construction; values() is never called on them, as
+    # for the third it would append the same value without end
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1.00000000000000000001:1.00000000000000000001:1", "is 1.0 as a double"),
+            ("0.99999999999999999:1.00000000000000001:0.00000000000000001",
+             "is 1.0 as a double"),
+            ("1e-400:1e-400:1", "is 0 as a double"),
+            ("1e400:1e400:1", "infinite as a double"),
+            ("1e300:1e300:1", "more than 28 significant digits"),
+            ("2:2:1e-30", "more than 28 significant digits"),
+            ("0.1:1e30:0.1", "more than 28 significant digits"),
+            ("0.1:100000.1:0.1", "more than 1000000"),
+            ("1:1:1", "no base but 1"),
+            ("1:1.9:1", "no base but 1"),
+        ],
+    )
+    def test_unusable_grids_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            BaseGrid.parse(spec)
+
+    def test_grid_around_one_kept(self):
+        assert BaseGrid.parse("0.5:1.5:0.5").labels() == ["0.5", "1.0", "1.5"]
+        grid = BaseGrid.parse("0.9999999999999998:1.0000000000000004:0.0000000000000002")
+        labels = grid.labels()
+        assert [float(x) for x in labels] == [
+            0.9999999999999998, 1.0, 1.0000000000000002, 1.0000000000000004
+        ]
+
 
 class TestRunSweep:
     def test_base_one_is_skipped_not_evaluated(self):
@@ -118,6 +149,14 @@ class TestRunSweep:
                       stoplist=frozenset())
 
 
+def base_rankings(ranker, accumulators, norms, base):
+    """Reference: every query's ranking at log base ``base``, scored and
+    sorted afresh from the base-e ``ranker``'s accumulators and norms
+    (log_b x = ln x / ln b rescales every weight by 1 / ln b)."""
+    scale = 1.0 / math.log(base)
+    return {qid: ranker.rank(qid, acc, norms, scale) for qid, acc in accumulators.items()}
+
+
 def _base_e(index, tokens):
     """The sweep's base-e ranker, its accumulators and its norms of every
     document they reach."""
@@ -125,6 +164,44 @@ def _base_e(index, tokens):
     accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
     norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
     return ranker, accumulators, norms
+
+
+def criterion_4_corpora(count):
+    """Random corpora drawn as acceptance criterion 4 draws its 50 (these
+    first), as (index, query token lists)."""
+    rng = random.Random(1234)
+    for _ in range(count):
+        docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
+        rng.choice(TestRescaledRanking.BASES)  # criterion 4 draws its base here
+        yield build_index(sorted(docs.items())), queries
+
+
+def reference_sweep(index, tokens, qrels, grid, cutoffs):
+    """Per cutoff, base label -> summary in grid order, with every base ranked
+    afresh by ``base_rankings``; bases whose full rankings agree share an
+    evaluation."""
+    ranker, accumulators, norms = _base_e(index, tokens)
+    orders, rankings = {}, {}
+    for value in grid.values():
+        if value != 1:
+            ranked = base_rankings(ranker, accumulators, norms, float(value))
+            order = orders[str(value)] = tuple(
+                tuple(d for d, _ in rl.entries) for rl in ranked.values()
+            )
+            rankings.setdefault(order, ranked)
+    want = {}
+    for cutoff in cutoffs:
+        summaries = {o: evaluate_rankings(r, qrels, cutoff)[0] for o, r in rankings.items()}
+        want[cutoff] = {label: summaries[order] for label, order in orders.items()}
+    return want
+
+
+def assert_summaries_equal(got, want):
+    """Equal by repr, labels in the same order; a failure names the first
+    base that differs (a diff of the whole repr would take minutes)."""
+    if repr(got) != repr(want):
+        first = next((b for b in want if repr(got.get(b)) != repr(want[b])), "label order")
+        pytest.fail(f"sweep summaries differ from the reference at base {first}")
 
 
 class TestRescaledRanking:
@@ -135,11 +212,7 @@ class TestRescaledRanking:
 
     def corpora(self):
         """The 50 corpora of acceptance criterion 4, drawn in the same order."""
-        rng = random.Random(1234)
-        for _ in range(50):
-            docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
-            rng.choice(self.BASES)  # criterion 4 draws its base here
-            yield build_index(sorted(docs.items())), queries
+        return criterion_4_corpora(50)
 
     def test_matches_per_base_ranker(self):
         rng = random.Random(5678)
@@ -268,6 +341,97 @@ class TestRescaledRanking:
         assert (tmp_path / "memo.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
+class TestPlan:
+    """Rank once at base e, re-score only the fragile groups per base."""
+
+    def test_default_grid_on_200_random_corpora(self):
+        rng = random.Random(5678)
+        grid = BaseGrid.default()
+        varied = fragile = 0
+        for index, queries in criterion_4_corpora(200):
+            tokens = dict(enumerate(queries))
+            qrels = {
+                qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
+                for qid in tokens
+            }
+            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
+            want = reference_sweep(index, tokens, qrels, grid, (1000, 2))
+            for cutoff in (1000, 2):
+                swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset(), cutoff=cutoff)
+                assert_summaries_equal(swept.per_base, want[cutoff])
+                varied += len(set(swept.per_base.values())) > 1
+                fragile += swept.fragile_groups
+        # some sweeps really differ between bases, through their fragile groups
+        assert varied > 0
+        assert fragile > 0
+
+    def sweep_and_reference(self, texts, query, qrels, grid, **kwargs):
+        index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
+        swept = run_sweep(index, [RawQuery(1, query)], qrels, grid, stoplist=frozenset(),
+                          **kwargs)
+        tokens = {1: pipeline(query, frozenset())}
+        cutoff = kwargs.get("cutoff", 1000)
+        return swept, reference_sweep(index, tokens, qrels, grid, (cutoff,))[cutoff]
+
+    # docs 1 and 2 have the same cosine with the query, rounded differently
+    NEAR_TIE = {1: "x y", 2: "x y x y x y", 3: "z", 4: "z", 5: "z w"}
+
+    def test_fragile_group_changes_order_between_bases(self):
+        swept, want = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, BaseGrid.default())
+        assert_summaries_equal(swept.per_base, want)
+        assert swept.fragile_groups == 1
+        assert swept.distinct_rankings == len(set(want.values())) == 2
+
+    def test_fragile_group_from_the_cutoff_on_is_not_rescored(self):
+        # doc 1 ranks first at every base; docs 2 and 3 tie as docs 1 and 2 of
+        # NEAR_TIE do, at ranks 2 and 3
+        texts = {1: "x y", 2: "x y z", 3: "x y z x y z x y z", 4: "z", 5: "z w", 6: "w"}
+        for cutoff, fragile in ((1, 0), (2, 1)):
+            swept, want = self.sweep_and_reference(texts, "x y", {1: {3}}, BaseGrid.default(),
+                                                   cutoff=cutoff)
+            assert_summaries_equal(swept.per_base, want)
+            assert swept.fragile_groups == fragile
+            assert swept.distinct_rankings == len(set(want.values())) == 1 + fragile
+
+    def test_zero_scores_and_exact_ties_are_fixed(self):
+        texts = {
+            1: "common apple",
+            2: "common apple",  # an exact tie with doc 1
+            3: "common pear",  # score 0, like docs 4 and 5 with other norms
+            4: "common pear pear plum",
+            5: "common",
+            6: "plum",
+        }
+        swept, want = self.sweep_and_reference(texts, "common apple", {1: {2, 4}},
+                                               BaseGrid.default())
+        assert_summaries_equal(swept.per_base, want)
+        assert swept.fragile_groups == 0
+        assert swept.distinct_rankings == 1
+
+    def test_bases_outside_the_safe_range_rescore_everything(self, monkeypatch):
+        # a range that only some scales keep their products inside
+        monkeypatch.setattr(sweep, "_SAFE_RANGE", (0.05, 20.0))
+        texts = {**self.NEAR_TIE, 6: "x z", 7: "y y w"}
+        swept, want = self.sweep_and_reference(texts, "x y w", {1: {2, 6}}, BaseGrid.default())
+        assert_summaries_equal(swept.per_base, want)
+
+    def test_one_rescore_per_fragile_group_and_base(self, monkeypatch):
+        calls = []
+        rank = Ranker.rank
+
+        def recording(self, query_id, acc, norms, scale=1.0):
+            calls.append(sorted(acc[1]))
+            return rank(self, query_id, acc, norms, scale)
+
+        monkeypatch.setattr(Ranker, "rank", recording)
+        grid = BaseGrid.parse("2:6:0.5")
+        swept, _ = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, grid)
+        # one base-e ranking of both candidates, then the pair per base
+        # (the reference's calls come after the sweep's)
+        n = len(grid.values())
+        assert calls[: 1 + n] == [[1, 2]] * (1 + n)
+
+
 class TestCache:
     def test_resume_uses_cached_entries(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -304,6 +468,79 @@ class TestCache:
         grid = BaseGrid.single(Decimal("2"))
         result = toy_sweep(grid, cache_path=str(cache))
         assert list(result.per_base) == ["2.0"]
+
+
+    def cached_line(self, tmp_path, **changes):
+        """A valid cache line of the toy sweep at base 2, with ``changes``
+        applied (a value of None deletes the key)."""
+        cache = tmp_path / "first.jsonl"
+        toy_sweep(BaseGrid.single(Decimal("2")), cache_path=str(cache))
+        entry = json.loads(cache.read_text())
+        for key, value in changes.items():
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
+        return json.dumps(entry)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"map": None},
+            {"levels": None},
+            {"base": None},
+            {"map": "0.5"},
+            {"map_at_30": True},
+            {"levels": [0.5] * 10},
+            {"levels": "0.5"},
+            {"base": 2.0},
+        ],
+        ids=["no-map", "no-levels", "no-base", "map-string", "map30-bool", "ten-levels",
+             "levels-string", "base-number"],
+    )
+    def test_ill_typed_entry_is_recomputed(self, tmp_path, changes):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(self.cached_line(tmp_path, **changes) + "\n")
+        grid = BaseGrid.single(Decimal("2"))
+        assert toy_sweep(grid, cache_path=str(cache)).per_base == toy_sweep(grid).per_base
+        # the bad line is gone and the recomputed one appended
+        assert cache.read_text() == (tmp_path / "first.jsonl").read_text()
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"text"', "3", "null", "\udcff"],
+                             ids=["list", "string", "number", "null", "not-utf8"])
+    def test_non_object_line_is_skipped(self, tmp_path, line):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_bytes(line.encode("utf-8", "surrogateescape") + b"\n")
+        grid = BaseGrid.single(Decimal("2"))
+        assert toy_sweep(grid, cache_path=str(cache)).per_base == toy_sweep(grid).per_base
+
+    def test_load_compacts_stale_and_torn_lines(self, tmp_path):
+        good = self.cached_line(tmp_path)
+        stale = self.cached_line(tmp_path, digest="0" * 64)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(f"{stale}\n{good}\n\n{good}\n{good[:20]}")
+        grid = BaseGrid.single(Decimal("2"))
+        result = toy_sweep(grid, cache_path=str(cache))
+        assert result.ranked_bases == 0  # base 2 came from the cache
+        assert cache.read_text() == good + "\n"
+
+    def test_line_without_newline_is_completed(self, tmp_path):
+        good = self.cached_line(tmp_path)
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(good)
+        toy_sweep(BaseGrid.parse("2.0:3.0:1.0"), cache_path=str(cache))
+        lines = cache.read_text().splitlines()
+        assert lines[0] == good
+        assert [json.loads(x)["base"] for x in lines] == ["2.0", "3.0"]
+
+    def test_valid_cache_is_not_rewritten(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache.jsonl"
+        grid = BaseGrid.parse("2:4:1")
+        toy_sweep(grid, cache_path=str(cache))
+        writes = []
+        monkeypatch.setattr(sweep, "write_atomic", lambda *args: writes.append(args))
+        toy_sweep(grid, cache_path=str(cache))
+        assert writes == []
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +623,19 @@ class TestEmission:
         lines = path.read_text().splitlines()
         assert len(lines) == 3
         assert all(len(l.split(",")) == 12 for l in lines)
+
+    def test_interrupted_write_keeps_the_old_report(self, tmp_path, monkeypatch):
+        path = tmp_path / "sweep.csv"
+        path.write_text("old report\n")
+
+        def interrupted(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            emit_csv(toy_sweep(BaseGrid.parse("2:3:1")), str(path))
+        assert path.read_text() == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
         result = toy_sweep(BaseGrid.parse("2:3:1"))
