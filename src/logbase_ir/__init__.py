@@ -19,9 +19,7 @@ from .collection_io import (
 )
 from .evaluation import (
     EvalSummary,
-    PRPoint,
     average_over_queries,
-    bucket_to_levels,
     evaluate_rankings,
     map11,
     map_at_30,
@@ -34,11 +32,8 @@ from .sweep import BaseGrid, SweepResult, best_standard_worst, run_sweep, top_k_
 from .textpipe import default_stoplist, load_stoplist, pipeline, remove_stopwords, tokenize
 from .weighting import (
     InvalidBaseError,
-    TermNotInCollectionError,
-    TermWeight,
     WeightScheme,
     idf,
-    log_base,
     weigh_query,
 )
 

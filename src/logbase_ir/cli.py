@@ -2,7 +2,10 @@
 
 Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Options
 resolve with precedence flags > config file > defaults; the config file is a
-flat ``key=value`` text file using the long option names. Exit codes: 0 on
+flat ``key=value`` text file whose keys are the long option names with ``_``
+where the flag has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key
+that no subcommand takes is a usage error; a key of another subcommand is
+ignored, so one file can serve several commands. Exit codes: 0 on
 success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
 errors. The pipeline has no randomness anywhere, so identical inputs and
 flags always reproduce identical artifacts.
@@ -34,7 +37,7 @@ def _read_text(path: str) -> str:
         raise _Exit(2, f"cannot read {path}: {e}") from e
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
     cfg: dict[str, str] = {}
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -42,9 +45,24 @@ def _load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise _Exit(2, f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            hint = key.replace("-", "_")
+            hint = f" (did you mean {hint!r}?)" if hint in known else ""
+            raise _Exit(2, f"{path}:{lineno}: unknown option {key!r}{hint}")
+        cfg[key] = value
     return cfg
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
+    """The keys a config file may set: every option of every subcommand."""
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return frozenset(
+        action.dest
+        for p in subcommands.choices.values()
+        for action in p._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    )
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -60,9 +78,9 @@ def _boolean(value: str) -> bool:
 class _Options:
     """Flag > config > default resolution for one parsed command."""
 
-    def __init__(self, args: argparse.Namespace):
+    def __init__(self, args: argparse.Namespace, config_keys: frozenset[str]):
         self.args = args
-        self.cfg = _load_config(args.config) if args.config else {}
+        self.cfg = _load_config(args.config, config_keys) if args.config else {}
 
     def get(self, key: str, default=None, cast=None):
         value = getattr(self.args, key, None)
@@ -381,9 +399,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](_Options(args))
+        return _COMMANDS[args.command](_Options(args, _config_keys(parser)))
     except _Exit as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code

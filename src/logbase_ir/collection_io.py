@@ -216,7 +216,9 @@ def docs_from_jsonl(content: str) -> list[RawDocument]:
             obj = json.loads(line)
             doc_id = obj["id"]
             text = obj["text"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError, RecursionError):
+            # ValueError: malformed JSON, or an integer past the digit limit;
+            # RecursionError: nesting deeper than the decoder's stack
             raise ParseError("bad JSON document record", lineno) from None
         if not isinstance(doc_id, int) or isinstance(doc_id, bool):
             raise ParseError(f"record id must be an integer, got {doc_id!r}", lineno)
@@ -323,18 +325,19 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
     is not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
     """
     if format == "auto":
-        rows = [line.split() for line in content.splitlines() if line.split()]
+        lines = enumerate(content.splitlines(), start=1)
+        rows = [(n, line.split()) for n, line in lines if line.split()]
         if not rows:
             return {}
-        width = len(rows[0])
+        first_row, width = rows[0][0], len(rows[0][1])
         if width == 2:
             return _qrels_columns(content, 2, 1)
         if width == 3:
             return _qrels_columns(content, 3, 1)
         if width == 4:
-            doc_col = 2 if all(r[1] == "0" for r in rows if len(r) == 4) else 1
+            doc_col = 2 if all(r[1] == "0" for _, r in rows if len(r) == 4) else 1
             return _qrels_columns(content, 4, doc_col)
-        raise ParseError(f"cannot infer qrels layout from {width} columns", 1)
+        raise ParseError(f"cannot infer qrels layout from {width} columns", first_row)
     if format == "idlist":
         return _qrels_idlist(content)
     if format == "two":

@@ -1,10 +1,12 @@
 """Precision/recall evaluation on the 11 fixed recall levels.
 
-Each ranked list yields a (recall, precision) point at every rank position.
-Points are bucketed onto the fixed recall levels 0.0, 0.1, ..., 1.0 by recall
-range: level 0.0 owns [0.00, 0.05), each middle level L owns [L-0.05, L+0.05)
-and level 1.0 owns [0.95, 1.00]. A level's precision is the mean of its
-bucket; empty buckets score 0.0 and are reported as diagnostics.
+One pass over each ranked list (``pr_curve``) takes the precision at every
+rank position and places it on the fixed recall levels 0.0, 0.1, ..., 1.0
+by the rank's recall: level 0.0 owns [0.00, 0.05), each middle level L owns
+[L-0.05, L+0.05) and level 1.0 owns [0.95, 1.00]. In ``paper`` mode a
+level's precision is the mean of its list; empty lists score 0.0 and are
+reported as diagnostics. ``standard`` mode takes instead the highest
+precision at any recall >= the level, which is always that of a hit.
 
 The two summary metrics are means over level precisions: ``map11`` averages
 all 11 levels and ``map_at_30`` averages the levels 0.0 through 0.3 (it is a
@@ -13,6 +15,7 @@ recall-level average, not precision at rank 30).
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 
 from .collection_io import Qrels
 from .retrieval import RankedList
@@ -38,13 +41,6 @@ EVAL_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    rank: int
-    recall: float
-    precision: float
-
-
 # precision at each of the 11 recall levels
 ElevenLevels = tuple[float, ...]
 
@@ -56,55 +52,37 @@ class EvalSummary:
     map_at_30: float
 
 
-def pr_curve(
-    ranked: RankedList, relevant: set[int], cutoff: int = DEFAULT_CUTOFF
-) -> list[PRPoint]:
-    """Precision and recall at every rank position up to cutoff."""
-    if not relevant:
-        raise ValueError(f"query {ranked.query_id}: empty relevant set")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    points = []
-    hits = 0
-    for position, (doc_id, _score) in enumerate(ranked.entries[:cutoff], start=1):
-        if doc_id in relevant:
-            hits += 1
-        points.append(PRPoint(position, hits / len(relevant), hits / position))
-    return points
-
-
 def bucket_index(recall: float) -> int:
     """The recall level (0..10) owning a recall value in [0, 1]."""
     return bisect_right(_BUCKET_EDGES, recall)
 
 
-def bucketize(points: list[PRPoint]) -> list[list[float]]:
-    """Group point precisions into the 11 recall-level buckets."""
-    buckets: list[list[float]] = [[] for _ in range(11)]
-    for p in points:
-        buckets[bucket_index(p.recall)].append(p.precision)
-    return buckets
+def pr_curve(
+    ranked: RankedList, relevant: set[int], cutoff: int = DEFAULT_CUTOFF
+) -> tuple[list[list[float]], list[tuple[float, float]]]:
+    """One pass over a ranking to the cutoff.
 
-
-def _bucket_means(buckets: list[list[float]]) -> ElevenLevels:
-    return tuple(sum(bucket) / len(bucket) if bucket else 0.0 for bucket in buckets)
-
-
-def bucket_to_levels(points: list[PRPoint]) -> ElevenLevels:
-    """Mean precision per recall-level bucket; empty buckets give 0.0."""
-    return _bucket_means(bucketize(points))
-
-
-def interpolated_levels(points: list[PRPoint]) -> ElevenLevels:
-    """Standard interpolation: max precision at recall >= each level."""
-    levels = []
-    for level in RECALL_LEVELS:
-        best = 0.0
-        for p in points:
-            if p.recall >= level and p.precision > best:
-                best = p.precision
-        levels.append(best)
-    return tuple(levels)
+    Returns the precision at every rank, in rank order, placed in the list
+    of the recall level that owns the rank's recall, and the (recall,
+    precision) of every hit. The level changes only at a hit, and between
+    hits precision only falls, so the hits carry every interpolation maximum.
+    """
+    if not relevant:
+        raise ValueError(f"query {ranked.query_id}: empty relevant set")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    levels: list[list[float]] = [[] for _ in RECALL_LEVELS]
+    hits: list[tuple[float, float]] = []
+    bucket = levels[0]
+    found = 0
+    for position, (doc_id, _score) in enumerate(ranked.entries[:cutoff], start=1):
+        if doc_id in relevant:
+            found += 1
+            recall = found / len(relevant)
+            bucket = levels[bucket_index(recall)]
+            hits.append((recall, found / position))
+        bucket.append(found / position)
+    return levels, hits
 
 
 def average_over_queries(per_query: list[ElevenLevels]) -> ElevenLevels:
@@ -152,25 +130,31 @@ def evaluate_rankings(
     if missing:
         raise ValueError(f"no ranking for judged queries {missing}")
 
-    diagnostics: list[tuple[int | None, int]] = []
-
-    def score(points: list[PRPoint], query_id: int | None) -> ElevenLevels:
-        buckets = bucketize(points)
-        diagnostics.extend((query_id, i) for i, bucket in enumerate(buckets) if not bucket)
-        if interpolation == "paper":
-            return _bucket_means(buckets)
-        return interpolated_levels(points)
-
+    query_ids: list[int | None] = sorted(qrels)
+    curves = [pr_curve(rankings[q], qrels[q], cutoff) for q in query_ids]
     if pooling == "pooled":
-        pool: list[PRPoint] = []
-        for query_id in sorted(qrels):
-            pool.extend(pr_curve(rankings[query_id], qrels[query_id], cutoff))
-        return summarize(score(pool, None)), diagnostics
-
-    per_query = [
-        score(pr_curve(rankings[query_id], qrels[query_id], cutoff), query_id)
-        for query_id in sorted(qrels)
+        query_ids = [None]
+        all_levels, all_hits = zip(*curves)
+        curves = [([list(chain(*lists)) for lists in zip(*all_levels)], list(chain(*all_hits)))]
+    diagnostics = [
+        (query_id, i)
+        for query_id, (levels, _) in zip(query_ids, curves)
+        for i, bucket in enumerate(levels)
+        if not bucket
     ]
+    if interpolation == "paper":
+        # sum() over the whole list, not a running +=: from Python 3.12 sum()
+        # adds floats with compensation, so the two can differ
+        per_query = [
+            tuple(sum(bucket) / len(bucket) if bucket else 0.0 for bucket in levels)
+            for levels, _ in curves
+        ]
+    else:
+        per_query = [
+            tuple(max((p for r, p in hits if r >= level), default=0.0) for level in RECALL_LEVELS)
+            for _, hits in curves
+        ]
+    # the mean of one vector (pooled mode) is that vector exactly
     return summarize(average_over_queries(per_query)), diagnostics
 
 

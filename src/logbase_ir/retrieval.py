@@ -71,13 +71,13 @@ class Ranker:
         query_weights = weigh_query(self.index, tokens, self.scheme)
         if not query_weights:
             return 0.0, {}
-        query_norm = math.sqrt(sum(tw.weight * tw.weight for tw in query_weights))
+        query_norm = math.sqrt(sum(weight * weight for _, weight in query_weights))
         dot: dict[int, float] = {}
-        for tw in query_weights:
-            term_idf = self._idf[tw.term]
-            doc_ids, tfs = self.index.dictionary[tw.term]
+        for term, weight in query_weights:
+            term_idf = self._idf[term]
+            doc_ids, tfs = self.index.dictionary[term]
             for doc_id, tf in zip(doc_ids, tfs):
-                dot[doc_id] = dot.get(doc_id, 0.0) + tw.weight * (tf * term_idf)
+                dot[doc_id] = dot.get(doc_id, 0.0) + weight * (tf * term_idf)
         return query_norm, dot
 
     def rank(

@@ -1,11 +1,15 @@
-"""Dense brute-force ranking oracle used to cross-check the indexed path.
+"""Brute-force reference models used to cross-check the package.
 
-Builds explicit term-space vectors for every document, weights them with
-tf * log(N/df)/log(base) directly, and ranks by the cosine formula written
-out in full. Deliberately shares no code with the package implementation.
+``dense_rank`` builds explicit term-space vectors for every document,
+weights them with tf * log(N/df)/log(base) directly, and ranks by the cosine
+formula written out in full. ``evaluate`` scores rankings from one
+(recall, precision) point per rank. Both deliberately share no code with the
+package implementation.
 """
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 
 
 def dense_rank(
@@ -49,3 +53,82 @@ def random_corpus(rng, max_docs=10, max_terms=15, max_queries=5):
         length = rng.randint(1, 6)
         queries.append([rng.choice(vocab + ["zzz"]) for _ in range(length)])
     return docs, queries
+
+
+# 11-level evaluation written out per rank point: the reference for
+# logbase_ir.evaluation, sharing no code with it. Recall is compared exactly:
+# pr_points keeps it as a Fraction, and a float recall given by hand stands
+# for the decimal it prints as, so 0.15 is on the 0.1/0.2 edge and 0.6 is at
+# level 0.6.
+_EDGES = [Fraction(2 * k + 1, 20) for k in range(10)]
+
+
+@dataclass(frozen=True)
+class PRPoint:
+    rank: int
+    recall: Fraction | float
+    precision: float
+
+
+def pr_points(entries, relevant, cutoff) -> list[PRPoint]:
+    """Recall and precision at every rank position up to cutoff."""
+    points = []
+    hits = 0
+    for position, (doc_id, _score) in enumerate(entries[:cutoff], start=1):
+        if doc_id in relevant:
+            hits += 1
+        points.append(PRPoint(position, Fraction(hits, len(relevant)), hits / position))
+    return points
+
+
+def _exact(recall) -> Fraction:
+    return Fraction(str(recall))
+
+
+def level_of(recall) -> int:
+    """Level 0..10 owning a recall: [L - 1/20, L + 1/20), half-open upwards."""
+    return sum(1 for edge in _EDGES if edge <= _exact(recall))
+
+
+def bucketize(points: list[PRPoint]) -> list[list[float]]:
+    buckets = [[] for _ in range(11)]
+    for p in points:
+        buckets[level_of(p.recall)].append(p.precision)
+    return buckets
+
+
+def bucket_to_levels(points: list[PRPoint]) -> tuple[float, ...]:
+    """Mean precision per level bucket; an empty bucket gives 0.0."""
+    return tuple(sum(b) / len(b) if b else 0.0 for b in bucketize(points))
+
+
+def interpolated_levels(points: list[PRPoint]) -> tuple[float, ...]:
+    """Max precision over every point at recall >= each level."""
+    levels = []
+    for k in range(11):
+        best = 0.0
+        for p in points:
+            if _exact(p.recall) >= Fraction(k, 10) and p.precision > best:
+                best = p.precision
+        levels.append(best)
+    return tuple(levels)
+
+
+def evaluate(rankings, qrels, cutoff, interpolation, pooling):
+    """(levels, map, map_at_30, diagnostics) as evaluate_rankings defines them.
+
+    ``rankings`` maps query id to a list of (doc_id, score) entries.
+    """
+    score = bucket_to_levels if interpolation == "paper" else interpolated_levels
+    curves = [(q, pr_points(rankings[q], qrels[q], cutoff)) for q in sorted(qrels)]
+    if pooling == "pooled":
+        curves = [(None, [p for _, points in curves for p in points])]
+    diagnostics = [
+        (q, i) for q, points in curves for i, b in enumerate(bucketize(points)) if not b
+    ]
+    per_query = [score(points) for _, points in curves]
+    if pooling == "pooled":
+        levels = per_query[0]
+    else:
+        levels = tuple(sum(v[i] for v in per_query) / len(per_query) for i in range(11))
+    return levels, sum(levels) / 11, sum(levels[:4]) / 4, diagnostics

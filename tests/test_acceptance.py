@@ -326,12 +326,14 @@ def test_criterion_7_metric_property_suite():
             doc_ids = rng.sample(range(1, 100), k=n)
             ranked = RankedList(1, tuple((d, 1.0 - i / n) for i, d in enumerate(doc_ids)))
             relevant = set(rng.sample(range(1, 100), k=rng.randint(1, 20)))
-            points = pr_curve(ranked, relevant, cutoff=50)
-            recalls = [p.recall for p in points]
+            levels, hits = pr_curve(ranked, relevant, cutoff=50)
+            recalls = [recall for recall, _ in hits]
+            assert len(recalls) == len(relevant.intersection(doc_ids))
             assert recalls == sorted(recalls)
-            for p in points:
-                assert 0.0 <= p.recall <= 1.0
-                assert 0.0 <= p.precision <= 1.0
+            assert all(0.0 <= recall <= 1.0 for recall in recalls)
+            precisions = [p for bucket in levels for p in bucket]
+            assert len(precisions) == n
+            assert all(0.0 <= p <= 1.0 for p in precisions)
 
         # bucketing is a total partition at 0.001 recall resolution: the
         # double k/1000 lands where the rational k/1000 belongs

@@ -487,6 +487,36 @@ class TestConfigValues:
         assert code == 2
         assert "config no_cache='maybe'" in err
 
+    def test_misspelt_key_is_usage_error(self, capsys, collection, tmp_path):
+        # cutof=2 used to run with the default cutoff and exit 0
+        cfg = self.eval_config(collection, tmp_path, "cutof=2")
+        code, out, err = run(capsys, "eval", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert f"{cfg}:5: unknown option 'cutof'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_dashed_key_is_usage_error_with_hint(self, capsys, collection, tmp_path):
+        # keys use _ where the flag has -; save-run= used to write no run file
+        cfg = self.eval_config(collection, tmp_path, f"save-run={tmp_path / 'run.tsv'}")
+        code, _, err = run(capsys, "eval", "--config", cfg)
+        assert code == 2
+        assert f"{cfg}:5: unknown option 'save-run' (did you mean 'save_run'?)" in err
+        assert not (tmp_path / "run.tsv").exists()
+
+    def test_save_run_from_config(self, capsys, collection, tmp_path):
+        cfg = self.eval_config(collection, tmp_path, f"save_run={tmp_path / 'run.tsv'}")
+        code, _, _ = run(capsys, "eval", "--config", cfg)
+        assert code == 0
+        assert (tmp_path / "run.tsv").read_text().startswith("1\t")
+
+    def test_positional_is_not_a_config_key(self, capsys, collection, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={collection['docs']}\nquery=zebra\n")
+        code, _, err = run(capsys, "search", "--config", cfg, "zebra")
+        assert code == 2
+        assert "unknown option 'query'" in err
+
 
 class TestUsageErrors:
     """Bad evaluation options exit 2 before any input is read."""

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbase_ir.collection_io import (
+    DOC_FORMATS,
+    QRELS_FORMATS,
     ParseError,
     RawDocument,
     RawQuery,
@@ -12,6 +14,7 @@ from logbase_ir.collection_io import (
     docs_to_jsonl,
     parse_lisa,
     parse_lisa_queries,
+    parse_documents,
     parse_npl,
     parse_qrels,
     parse_queries,
@@ -201,3 +204,72 @@ class TestCollectionStats:
         assert stats.n_docs == 2
         assert stats.n_distinct_terms == 3
         assert stats.size_bytes == sum(len(d.text.encode()) for d in docs)
+
+
+# Fuzzing: on any text, a parser returns records or raises ParseError with a
+# line of the input; nothing else escapes. Lines are drawn from pieces of
+# every layout, so the parsers get past their first checks.
+PIECES = [
+    ".I", ".W", ".T", ".A", ".X", "/", "#", "*", "**", "Document", "document",
+    "1", "2", "-3", "0", "007", "1_0", "x", "\u0663", "1" * 4400, "1 0 2 1", "1 2 3",
+    '{"id": 1, "text": "a"}', '{"id": 2}', '{"id": true, "text": ""}', "[" * 1200, "[]",
+    '{"id": 1' + "0" * 4400 + ', "text": "a"}', "null", " ", "\t", "\x0c", "\x85", "\u2028",
+    "\r", "\ufeff", "\u00e9",
+]
+fuzz_lines = st.lists(st.sampled_from(PIECES), max_size=5).map(" ".join)
+fuzz_text = st.one_of(
+    st.text(max_size=200),
+    st.lists(fuzz_lines, max_size=12).map("\n".join),
+)
+
+
+def parses_or_parse_error(parse, content, jsonl=False):
+    """parse(content) returns, or raises ParseError naming a non-blank line."""
+    try:
+        parse(content)
+    except ParseError as e:
+        # JSONL splits records on "\n" only, the other layouts on any line break
+        lines = content.split("\n") if jsonl else content.splitlines()
+        assert 1 <= e.line <= len(lines)
+        assert lines[e.line - 1].strip()
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @given(content=fuzz_text)
+    def test_document_parsers(self, fmt, content):
+        parses_or_parse_error(lambda c: parse_documents(c, fmt), content, fmt == "jsonl")
+
+    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @given(content=fuzz_text)
+    def test_query_parsers(self, fmt, content):
+        parses_or_parse_error(lambda c: parse_queries(c, fmt), content, fmt == "jsonl")
+
+    @pytest.mark.parametrize("fmt", QRELS_FORMATS)
+    @given(content=fuzz_text)
+    def test_qrels_parser(self, fmt, content):
+        parses_or_parse_error(lambda c: parse_qrels(c, fmt), content)
+
+    @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
+    def test_jsonl_round_trips_exactly(self, records):
+        docs = [RawDocument(i, t) for i, t in records]
+        content = docs_to_jsonl(docs)
+        assert docs_from_jsonl(content) == docs
+        assert parse_documents(content, "jsonl") == docs
+        assert parse_queries(content, "jsonl") == [RawQuery(i, t) for i, t in records]
+
+    def test_deep_nesting_is_parse_error(self):
+        # 200,000 '[' used to end in a RecursionError traceback
+        for parse in (docs_from_jsonl, lambda c: parse_queries(c, "jsonl")):
+            with pytest.raises(ParseError, match="line 2"):
+                parse('{"id": 1, "text": "a"}\n' + "[" * 200_000)
+
+    def test_qrels_layout_error_names_the_first_row(self):
+        # the error named line 1 even when the first row came later
+        with pytest.raises(ParseError, match="line 3"):
+            parse_qrels("\n\n1 2 3 4 5\n")
+
+    def test_integer_past_the_digit_limit_is_parse_error(self):
+        # a plain ValueError without a line number before
+        with pytest.raises(ParseError, match="line 1"):
+            docs_from_jsonl('{"id": 1' + "0" * 5000 + ', "text": "a"}')

@@ -1,24 +1,24 @@
-import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logbase_ir.evaluation import (
-    PRPoint,
+    INTERPOLATION_MODES,
+    POOLING_MODES,
     RECALL_LEVELS,
     average_over_queries,
     bucket_index,
-    bucket_to_levels,
-    bucketize,
     evaluate_rankings,
-    interpolated_levels,
     map11,
     map_at_30,
     pr_curve,
     summarize,
 )
 from logbase_ir.retrieval import RankedList
+
+import oracle
+from oracle import PRPoint
 
 # Precisions at the 11 fixed recall levels for the worked bucketing example;
 # the two summary metrics over it are 0.444 and 0.658.
@@ -29,26 +29,48 @@ def ranked(*doc_ids):
     return RankedList(1, tuple((d, 1.0 / (i + 1)) for i, d in enumerate(doc_ids)))
 
 
+def assert_matches_oracle(rankings, qrels, cutoff=100):
+    """evaluate_rankings equals the per-rank point model in every mode, by repr."""
+    entries = {q: rl.entries for q, rl in rankings.items()}
+    for interpolation in INTERPOLATION_MODES:
+        for pooling in POOLING_MODES:
+            summary, diagnostics = evaluate_rankings(rankings, qrels, cutoff, interpolation, pooling)
+            got = (summary.levels, summary.map, summary.map_at_30, diagnostics)
+            want = oracle.evaluate(entries, qrels, cutoff, interpolation, pooling)
+            assert repr(got) == repr(want), (interpolation, pooling)
+
+
+def flat(levels):
+    """The precisions of a pr_curve in rank order: recall never falls."""
+    return [p for bucket in levels for p in bucket]
+
+
+def hits_of(points, relevant_ranks):
+    return [(float(p.recall), p.precision) for p in points if p.rank in relevant_ranks]
+
+
 class TestPrCurve:
     def test_hit_miss_hit_with_six_relevant(self):
-        points = pr_curve(ranked(10, 20, 30), relevant={10, 30, 40, 50, 60, 70}, cutoff=10)
-        assert points == [
-            PRPoint(1, pytest.approx(1 / 6), pytest.approx(1.0)),
-            PRPoint(2, pytest.approx(1 / 6), pytest.approx(0.5)),
-            PRPoint(3, pytest.approx(2 / 6), pytest.approx(2 / 3)),
-        ]
+        levels, hits = pr_curve(ranked(10, 20, 30), relevant={10, 30, 40, 50, 60, 70}, cutoff=10)
+        # recall 1/6 at ranks 1-2 is level 0.2, recall 2/6 at rank 3 is level 0.3
+        assert levels == [[], [], [1.0, 0.5], [pytest.approx(2 / 3)]] + [[]] * 7
+        assert hits == [(pytest.approx(1 / 6), 1.0), (pytest.approx(2 / 6), pytest.approx(2 / 3))]
 
     def test_all_relevant_prefix(self):
-        points = pr_curve(ranked(1, 2, 3), relevant={1, 2, 3}, cutoff=10)
-        assert [p.precision for p in points] == [1.0, 1.0, 1.0]
+        levels, hits = pr_curve(ranked(1, 2, 3), relevant={1, 2, 3}, cutoff=10)
+        assert flat(levels) == [1.0, 1.0, 1.0]
+        assert [p for _, p in hits] == [1.0, 1.0, 1.0]
 
     def test_no_relevant_retrieved(self):
-        points = pr_curve(ranked(1, 2), relevant={9}, cutoff=10)
-        assert all(p.precision == 0.0 and p.recall == 0.0 for p in points)
+        levels, hits = pr_curve(ranked(1, 2), relevant={9}, cutoff=10)
+        # ranks before the first hit have recall 0: level 0.0
+        assert levels == [[0.0, 0.0]] + [[]] * 10
+        assert hits == []
 
     def test_cutoff_truncates(self):
-        points = pr_curve(ranked(1, 2, 3, 4), relevant={4}, cutoff=2)
-        assert len(points) == 2
+        levels, hits = pr_curve(ranked(1, 2, 3, 4), relevant={4}, cutoff=2)
+        assert len(flat(levels)) == 2
+        assert hits == []
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="empty relevant"):
@@ -63,24 +85,40 @@ class TestPrCurve:
         st.sets(st.integers(1, 50), min_size=1, max_size=20),
     )
     def test_recall_monotone_and_bounded(self, doc_ids, relevant):
-        points = pr_curve(ranked(*doc_ids), relevant, cutoff=100)
-        recalls = [p.recall for p in points]
-        assert recalls == sorted(recalls)
-        for p in points:
-            assert 0.0 <= p.recall <= 1.0
-            assert 0.0 <= p.precision <= 1.0
+        levels, hits = pr_curve(ranked(*doc_ids), relevant, cutoff=100)
+        recalls = [r for r, _ in hits]
+        assert recalls == sorted(set(recalls))
+        assert all(0.0 < r <= 1.0 for r in recalls)
+        assert all(0.0 <= p <= 1.0 for p in flat(levels))
+        assert len(flat(levels)) == len(doc_ids)
+        # the same precisions, levels and hits as one point per rank
+        points = oracle.pr_points(ranked(*doc_ids).entries, relevant, 100)
+        assert levels == oracle.bucketize(points)
+        hit_ranks = {i for i, d in enumerate(doc_ids, start=1) if d in relevant}
+        assert hits == hits_of(points, hit_ranks)
 
 
 class TestBucketing:
     def test_low_recall_points_average_into_level_zero(self):
         points = [PRPoint(1, 0.02, 1.0), PRPoint(2, 0.04, 0.8)]
-        levels = bucket_to_levels(points)
+        levels = oracle.bucket_to_levels(points)
         assert levels[0] == pytest.approx(0.9)
         assert levels[1:] == tuple([0.0] * 10)
+        # a hit then a miss at recall 1/50 both land in level 0.0
+        relevant = {1, *range(100, 149)}
+        pr_levels, _ = pr_curve(ranked(1, 2), relevant)
+        assert pr_levels == [[1.0, 0.5]] + [[]] * 10
+        summary, _ = evaluate_rankings({1: ranked(1, 2)}, {1: relevant})
+        assert summary.levels == (0.75,) + tuple([0.0] * 10)
+        assert_matches_oracle({1: ranked(1, 2)}, {1: relevant})
 
     def test_single_point_mid_level(self):
-        levels = bucket_to_levels([PRPoint(1, 0.5, 0.42)])
+        levels = oracle.bucket_to_levels([PRPoint(1, 0.5, 0.42)])
         assert levels[5] == pytest.approx(0.42)
+        # one hit of two relevant at rank 1: recall 0.5, level 0.5
+        pr_levels, hits = pr_curve(ranked(1), {1, 2})
+        assert pr_levels[5] == [1.0]
+        assert hits == [(0.5, 1.0)]
 
     def test_worked_average_example(self):
         # one point per populated level reproduces the worked table exactly;
@@ -90,9 +128,9 @@ class TestBucketing:
             for i, (level, precision) in enumerate(zip(RECALL_LEVELS, WORKED_LEVELS))
             if level < 1.0
         ]
-        levels = bucket_to_levels(points)
+        levels = oracle.bucket_to_levels(points)
         assert levels == pytest.approx(WORKED_LEVELS)
-        assert [i for i, bucket in enumerate(bucketize(points)) if not bucket] == [10]
+        assert [i for i, bucket in enumerate(oracle.bucketize(points)) if not bucket] == [10]
 
     def test_boundary_membership_is_half_open(self):
         # a recall exactly on an edge belongs to the level above
@@ -116,9 +154,12 @@ class TestBucketing:
         # 3 hits of 20 relevant is recall 3/20 = 0.15, on the 0.1/0.2 edge;
         # the double 3/20 lies just below 0.15 but must still land in 0.2
         ranked = RankedList(1, tuple((d, 1.0 / d) for d in range(1, 4)))
-        points = pr_curve(ranked, set(range(1, 21)))
-        assert bucket_index(points[-1].recall) == 2
-        assert bucket_to_levels(points)[2] == 1.0
+        levels, hits = pr_curve(ranked, set(range(1, 21)))
+        assert bucket_index(hits[-1][0]) == 2
+        assert levels[2] == [1.0]
+        summary, _ = evaluate_rankings({1: ranked}, {1: set(range(1, 21))})
+        assert summary.levels[2] == 1.0
+        assert_matches_oracle({1: ranked}, {1: set(range(1, 21))})
 
     def test_hits_over_relevant_scan_matches_exact_rule(self):
         # every recall h/R a ranking can produce lands in level
@@ -139,15 +180,26 @@ class TestBucketing:
 class TestInterpolatedLevels:
     def test_max_precision_at_or_above_each_level(self):
         points = [PRPoint(1, 0.2, 0.6), PRPoint(2, 0.6, 0.9), PRPoint(3, 1.0, 0.1)]
-        levels = interpolated_levels(points)
+        levels = oracle.interpolated_levels(points)
         assert levels[0] == pytest.approx(0.9)
         assert levels[2] == pytest.approx(0.9)  # 0.2 and above includes 0.6
         assert levels[6] == pytest.approx(0.9)
         assert levels[7] == pytest.approx(0.1)
         assert levels[10] == pytest.approx(0.1)
+        # N R R N N R with three relevant: hits at recall 1/3, 2/3 and 1 with
+        # precision 1/2, 2/3 and 1/2; level 0.7 and above reach only the last
+        ranking = ranked_list(["N", "R", "R", "N", "N", "R"])
+        summary, _ = evaluate_rankings({1: ranking}, {1: {1, 2, 5}}, interpolation="standard")
+        assert summary.levels == (2 / 3,) * 7 + (0.5,) * 4
+        assert_matches_oracle({1: ranking}, {1: {1, 2, 5}})
 
     def test_no_points(self):
-        assert interpolated_levels([]) == tuple([0.0] * 11)
+        assert oracle.interpolated_levels([]) == tuple([0.0] * 11)
+        empty = RankedList(1, ())
+        assert pr_curve(empty, {1}) == ([[] for _ in range(11)], [])
+        summary, diagnostics = evaluate_rankings({1: empty}, {1: {1}}, interpolation="standard")
+        assert summary.levels == tuple([0.0] * 11)
+        assert diagnostics == [(1, level) for level in range(11)]
 
 
 class TestAveraging:
@@ -194,10 +246,13 @@ class TestSpreadsheetCrossCheck:
     """Five hand-built rankings checked against explicit fraction arithmetic."""
 
     def check(self, ranking, relevant, expected_by_level):
-        points = pr_curve(ranking, relevant, cutoff=100)
-        levels = bucket_to_levels(points)
+        summary, _ = evaluate_rankings({1: ranking}, {1: relevant}, cutoff=100)
+        levels = summary.levels
         expected = [float(expected_by_level.get(i, 0)) for i in range(11)]
         assert levels == pytest.approx(expected, abs=1e-12)
+        pr_levels, _ = pr_curve(ranking, relevant, cutoff=100)
+        assert [i for i, bucket in enumerate(pr_levels) if bucket] == sorted(expected_by_level)
+        assert_matches_oracle({1: ranking}, {1: relevant})
         want_map = float(sum(Fraction(v) for v in expected_by_level.values()) / 11)
         assert map11(levels) == pytest.approx(want_map, abs=1e-12)
 
@@ -269,8 +324,8 @@ class TestEvaluateRankings:
         qrels = {1: {10, 11, 12}, 2: {20, 21}}
         summary, diagnostics = evaluate_rankings(rankings, qrels)
         per_query = [
-            bucket_to_levels(pr_curve(rankings[1], qrels[1])),
-            bucket_to_levels(pr_curve(rankings[2], qrels[2])),
+            oracle.bucket_to_levels(oracle.pr_points(rankings[1].entries, qrels[1], 1000)),
+            oracle.bucket_to_levels(oracle.pr_points(rankings[2].entries, qrels[2], 1000)),
         ]
         assert summary.levels == pytest.approx(average_over_queries(per_query))
         assert summary.map == pytest.approx(map11(summary.levels))
@@ -280,8 +335,11 @@ class TestEvaluateRankings:
     def test_pooled_mode_buckets_once(self, rankings):
         qrels = {1: {10, 11, 12}, 2: {20, 21}}
         pooled, diagnostics = evaluate_rankings(rankings, qrels, pooling="pooled")
-        pool = pr_curve(rankings[1], qrels[1]) + pr_curve(rankings[2], qrels[2])
-        assert pooled.levels == pytest.approx(bucket_to_levels(pool))
+        pool = [
+            *oracle.pr_points(rankings[1].entries, qrels[1], 1000),
+            *oracle.pr_points(rankings[2].entries, qrels[2], 1000),
+        ]
+        assert pooled.levels == pytest.approx(oracle.bucket_to_levels(pool))
         assert all(qid is None for qid, _ in diagnostics)
 
     def test_missing_ranking_rejected(self, rankings):
@@ -302,3 +360,32 @@ class TestEvaluateRankings:
         summary = summarize(WORKED_LEVELS)
         assert summary.map == pytest.approx(map11(WORKED_LEVELS))
         assert summary.map_at_30 == pytest.approx(map_at_30(WORKED_LEVELS))
+
+
+@st.composite
+def judged_rankings(draw):
+    """Rankings of 1-4 queries, their relevant sets and a cutoff.
+
+    Relevant sets reach 40 documents, so recalls h/20 and h/40 fall exactly
+    on level edges; some relevant documents are never retrieved.
+    """
+    query_ids = draw(st.sets(st.integers(1, 9), min_size=1, max_size=4))
+    rankings, qrels = {}, {}
+    for q in sorted(query_ids):
+        doc_ids = draw(st.lists(st.integers(1, 60), max_size=45, unique=True))
+        rankings[q] = RankedList(q, tuple((d, 1.0 / (i + 1)) for i, d in enumerate(doc_ids)))
+        qrels[q] = draw(st.sets(st.integers(1, 60), min_size=1, max_size=40))
+    return rankings, qrels, draw(st.integers(1, 50))
+
+
+class TestOracleEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(judged_rankings())
+    def test_every_mode_matches_the_point_model(self, drawn):
+        rankings, qrels, cutoff = drawn
+        assert_matches_oracle(rankings, qrels, cutoff)
+
+    def test_ranking_with_unjudged_query(self):
+        # a ranking without judgments is not evaluated at all
+        rankings = {1: ranked(1, 2), 2: RankedList(2, ((3, 1.0),))}
+        assert_matches_oracle(rankings, {1: {2}})
