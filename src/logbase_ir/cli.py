@@ -14,13 +14,14 @@ flags always reproduce identical artifacts.
 import argparse
 import os
 import sys
-from decimal import Decimal, InvalidOperation
 
-from . import collection_io, evaluation, retrieval, sweep as sweep_mod
-from .collection_io import ParseError
-from .index import InvertedIndex, build_index
+from .index import InvertedIndex, build_index, write_report
+from .retrieval import Ranker
 from .textpipe import default_stoplist, load_stoplist, pipeline, stoplist_fingerprint
 from .weighting import InvalidBaseError, WeightScheme
+
+# A command imports the modules only it runs (collection_io, evaluation,
+# sweep) when it runs, so a search from a snapshot loads none of them.
 
 
 class _Exit(Exception):
@@ -39,7 +40,9 @@ def _read_text(path: str) -> str:
 
 def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    # split at "\n" only, as the collection parsers do
+    lines = _read_text(path).replace("\r\n", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -89,7 +92,7 @@ class _Options:
             if value is not None and cast is not None:
                 try:
                     value = cast(value)
-                except (ValueError, InvalidOperation) as e:
+                except ValueError as e:
                     raise _Exit(2, f"config {key}={value!r}: {e}") from e
         if value is None:
             value = default
@@ -118,10 +121,19 @@ def _stoplist(opts: _Options) -> frozenset[str]:
         raise _Exit(2, f"cannot read stoplist {path}: {e}") from e
 
 
+def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) -> str:
+    """An option that takes one of a fixed set of values, from a flag or the
+    config file alike; any other value exits 2."""
+    value = opts.get(key, default)
+    if value not in allowed:
+        raise _Exit(2, f"unknown {key.replace('_', ' ')} {value!r}")
+    return value
+
+
 def _load_documents(opts: _Options):
-    fmt = opts.get("format", "smart")
-    if fmt not in collection_io.DOC_FORMATS:
-        raise _Exit(2, f"unknown format {fmt!r}")
+    from . import collection_io
+
+    fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
     docs = collection_io.parse_documents(_read_text(opts.require("docs")), fmt)
     if not docs:
         raise _Exit(1, "empty collection: no documents parsed")
@@ -135,14 +147,16 @@ def _build_index(opts: _Options, stoplist) -> tuple[list, InvertedIndex]:
 
 
 def _load_queries(opts: _Options):
+    from . import collection_io
+
     fmt = opts.get("format", "smart")
     return collection_io.parse_queries(_read_text(opts.require("queries")), fmt)
 
 
 def _load_qrels(opts: _Options):
-    fmt = opts.get("qrels_format", "auto")
-    if fmt not in collection_io.QRELS_FORMATS:
-        raise _Exit(2, f"unknown qrels format {fmt!r}")
+    from . import collection_io
+
+    fmt = opts.get("qrels_format", "auto")  # checked by _eval_options
     qrels = collection_io.parse_qrels(_read_text(opts.require("qrels")), fmt)
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
@@ -165,9 +179,11 @@ def _count(n: int, noun: str) -> str:
 def cmd_index(opts: _Options) -> int:
     """``stats`` and ``index``: build the index and print its statistics;
     ``index`` also writes a snapshot when --save-index is given."""
+    from .collection_io import collection_stats
+
     stoplist = _stoplist(opts)
     docs, index = _build_index(opts, stoplist)
-    stats = collection_io.collection_stats(docs, index)
+    stats = collection_stats(docs, index)
     print(f"documents={stats.n_docs} distinct_terms={stats.n_distinct_terms} "
           f"text_bytes={stats.size_bytes}")
     snapshot = opts.get("save_index") if opts.args.command == "index" else None
@@ -205,8 +221,7 @@ def cmd_search(opts: _Options) -> int:
                            "--stoplist as this search")
     else:
         _, index = _build_index(opts, stoplist)
-    ranker = retrieval.Ranker(index, scheme)
-    ranked = ranker.rank_tokens(0, pipeline(opts.args.query, stoplist))
+    ranked = Ranker(index, scheme).rank_tokens(0, pipeline(opts.args.query, stoplist))
     for position, (doc_id, score) in enumerate(ranked.entries[:k], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
     return 0
@@ -227,36 +242,38 @@ def _eval_inputs(opts: _Options):
 
 
 def _eval_options(opts: _Options) -> tuple[int, str, str]:
-    """Cutoff, interpolation and pooling, validated before any work."""
+    """Cutoff, interpolation and pooling, validated before any work, as are
+    the collection and qrels formats."""
+    from . import collection_io, evaluation
+
     cutoff = opts.get("cutoff", evaluation.DEFAULT_CUTOFF, cast=int)
     if cutoff < 1:
         raise _Exit(2, f"cutoff must be >= 1, got {cutoff}")
-    interp = opts.get("interp", "paper")
-    if interp not in evaluation.INTERPOLATION_MODES:
-        raise _Exit(2, f"unknown interp {interp!r}")
-    pooling = opts.get("pooling", "per_query")
-    if pooling not in evaluation.POOLING_MODES:
-        raise _Exit(2, f"unknown pooling {pooling!r}")
+    interp = _choice(opts, "interp", "paper", evaluation.INTERPOLATION_MODES)
+    pooling = _choice(opts, "pooling", "per_query", evaluation.POOLING_MODES)
+    _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
+    _choice(opts, "qrels_format", "auto", collection_io.QRELS_FORMATS)
     return cutoff, interp, pooling
 
 
 def cmd_eval(opts: _Options) -> int:
+    from . import evaluation
+    from .retrieval import format_run
+
     cutoff, interp, pooling = _eval_options(opts)
     scheme = _scheme(opts)
     out = _out_dir(opts)
     stoplist, index, queries, qrels = _eval_inputs(opts)
-    ranker = retrieval.Ranker(index, scheme)
-    accumulators = {q.query_id: ranker.accumulate(pipeline(q.text, stoplist)) for q in queries}
-    # one pass for the norms of every document any query reaches
-    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
-    rankings = {qid: ranker.rank(qid, acc, norms) for qid, acc in accumulators.items()}
+    ranker = Ranker(index, scheme)
+    rankings = {q.query_id: ranker.rank_tokens(q.query_id, pipeline(q.text, stoplist))
+                for q in queries}
     summary, diagnostics = evaluation.evaluate_rankings(
         rankings, qrels, cutoff, interp, pooling
     )
     run_path = opts.get("save_run")
     if run_path:
         ordered = [rankings[qid] for qid in sorted(rankings)]
-        sweep_mod.write_report(run_path, retrieval.format_run(ordered))
+        write_report(run_path, format_run(ordered))
     for level, value in zip(evaluation.RECALL_LEVELS, summary.levels):
         print(f"level_{level:.1f} {value:.6f}")
     print(f"map {summary.map:.6f}")
@@ -264,13 +281,17 @@ def cmd_eval(opts: _Options) -> int:
     for query_id, level in diagnostics:
         print(f"empty-bucket query={query_id} level={level / 10:.1f}", file=sys.stderr)
     csv_path = os.path.join(out, "eval.csv")
-    sweep_mod.write_report(csv_path, ",".join(evaluation.EVAL_CSV_COLUMNS) + "\n"
-                           + evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
+    write_report(csv_path, ",".join(evaluation.EVAL_CSV_COLUMNS) + "\n"
+                 + evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
     print(f"report written to {csv_path}", file=sys.stderr)
     return 0
 
 
 def cmd_sweep(opts: _Options) -> int:
+    from decimal import Decimal
+
+    from . import sweep as sweep_mod
+
     cutoff, interp, pooling = _eval_options(opts)
     base = opts.get("base", cast=float)
     spec = opts.get("grid")
@@ -310,16 +331,16 @@ def cmd_sweep(opts: _Options) -> int:
     sweep_mod.emit_csv(result, os.path.join(out, "sweep.csv"))
     for metric in sweep_mod.METRICS:
         rows = sweep_mod.top_k_report(result, metric, top)
-        sweep_mod.write_report(os.path.join(out, f"top{top}_{metric}.txt"),
-                               sweep_mod.render_table(rows, metric))
+        write_report(os.path.join(out, f"top{top}_{metric}.txt"),
+                     sweep_mod.render_table(rows, metric))
         sweep_mod.emit_metric_curve(result, metric, os.path.join(out, f"curve_{metric}.csv"))
         try:
             compare = sweep_mod.best_standard_worst(result, metric)
         except ValueError as e:
             print(f"note: comparison table skipped: {e}", file=sys.stderr)
             continue
-        sweep_mod.write_report(os.path.join(out, f"compare_{metric}.txt"),
-                               sweep_mod.render_table(compare, metric))
+        write_report(os.path.join(out, f"compare_{metric}.txt"),
+                     sweep_mod.render_table(compare, metric))
         sweep_mod.emit_level_curves(
             result,
             [row.base for row in compare],
@@ -341,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, queries: bool = False):
         p.add_argument("--docs", help="document collection file")
-        p.add_argument("--format", choices=collection_io.DOC_FORMATS,
-                       help="collection file format (default smart)")
+        p.add_argument("--format",
+                       help="collection file format: smart, npl, lisa or jsonl (default smart)")
         p.add_argument("--stoplist", help="stoplist file overriding the bundled list")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--out", help="output directory (default $LOGBASE_IR_OUT or ./out)")
@@ -350,13 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--queries", help="query file")
             p.add_argument("--qrels", help="relevance judgments file")
             p.add_argument("--qrels-format", dest="qrels_format",
-                           choices=collection_io.QRELS_FORMATS,
-                           help="qrels layout (default auto)")
+                           help="qrels layout: auto, two, three, four or idlist (default auto)")
             p.add_argument("--cutoff", type=int, help="ranking depth per query (default 1000)")
-            p.add_argument("--interp", choices=evaluation.INTERPOLATION_MODES,
-                           help="level precision mode (default paper)")
-            p.add_argument("--pooling", choices=evaluation.POOLING_MODES,
-                           help="bucket per query or pool all points (default per_query)")
+            p.add_argument("--interp", help="level precision mode: paper or standard "
+                           "(default paper)")
+            p.add_argument("--pooling", help="bucket per query or pool all points: "
+                           "per_query or pooled (default per_query)")
 
     p = sub.add_parser("stats", help="parse, index and report collection statistics")
     add_common(p)
@@ -409,9 +429,6 @@ def main(argv=None) -> int:
     except InvalidBaseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -48,6 +48,13 @@ class CollectionStats:
     size_bytes: int
 
 
+def _lines(content: str) -> list[str]:
+    """The lines of a text, split at "\n" and "\r\n" only, as an editor
+    counts them: str.splitlines() would also split at a form feed,
+    \x1c-\x1e, \x85, U+2028 and U+2029."""
+    return content.replace("\r\n", "\n").split("\n")
+
+
 _SMART_SECTIONS = frozenset({".T", ".A", ".W", ".B", ".X"})
 _SMART_INDEXED = frozenset({".T", ".W"})
 
@@ -64,7 +71,7 @@ def _parse_smart_blocks(content: str, indexed: frozenset[str]) -> list[tuple[int
         if cur_id is not None:
             records.append((cur_id, " ".join(pieces)))
 
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         marker = line.split(maxsplit=1)[0] if line.strip() else ""
         if marker == ".I":
             rest = line.strip()[2:].strip()
@@ -126,7 +133,7 @@ def parse_npl(content: str) -> list[RawDocument]:
         pieces += [" ".join(l.split()) for _, l in lines[1:]]
         records.append(RawDocument(doc_id, " ".join(p for p in pieces if p)))
 
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         if line.strip() == "/":
             flush()
             block = []
@@ -147,7 +154,7 @@ def parse_lisa(content: str) -> list[RawDocument]:
         if cur_id is not None:
             records.append(RawDocument(cur_id, " ".join(pieces)))
 
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         stripped = line.strip()
         words = stripped.split()
         if len(words) == 2 and words[0].lower() == "document":
@@ -177,7 +184,7 @@ def parse_lisa_queries(content: str) -> list[RawQuery]:
     seen: set[int] = set()
     cur_id: int | None = None
     pieces: list[str] = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         stripped = line.strip()
         if cur_id is None:
             if not stripped:
@@ -207,9 +214,7 @@ def docs_from_jsonl(content: str) -> list[RawDocument]:
     """Parse the canonical JSON-lines form: ``{"id": int, "text": str}``."""
     docs: list[RawDocument] = []
     seen: set[int] = set()
-    # split strictly on \n: record texts may contain exotic Unicode line
-    # separators that str.splitlines would treat as record boundaries
-    for lineno, line in enumerate(content.split("\n"), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         if not line.strip():
             continue
         try:
@@ -272,7 +277,7 @@ QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
 
 def _qrels_columns(content: str, want: int, doc_col: int) -> Qrels:
     qrels: Qrels = {}
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         parts = line.split()
         if not parts:
             continue
@@ -293,7 +298,7 @@ def _qrels_idlist(content: str) -> Qrels:
     """Relevance lists: a query id, then doc ids, terminated by a ``/`` line."""
     qrels: Qrels = {}
     tokens: list[tuple[int, str]] = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_lines(content), start=1):
         if line.strip() == "/":
             if tokens:
                 first_no, first = tokens[0]
@@ -325,7 +330,7 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
     is not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
     """
     if format == "auto":
-        lines = enumerate(content.splitlines(), start=1)
+        lines = enumerate(_lines(content), start=1)
         rows = [(n, line.split()) for n, line in lines if line.split()]
         if not rows:
             return {}

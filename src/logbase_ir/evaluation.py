@@ -15,7 +15,9 @@ recall-level average, not precision at rank 30).
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import add
 
 from .collection_io import Qrels
 from .retrieval import RankedList
@@ -50,6 +52,12 @@ class EvalSummary:
     levels: ElevenLevels
     map: float
     map_at_30: float
+
+
+def _total(values) -> float:
+    """Plain left-to-right float sum, the same on every Python version:
+    from 3.12, sum() adds floats with compensation."""
+    return reduce(add, values, 0.0)
 
 
 def bucket_index(recall: float) -> int:
@@ -90,17 +98,17 @@ def average_over_queries(per_query: list[ElevenLevels]) -> ElevenLevels:
     if not per_query:
         raise ValueError("no per-query level vectors to average")
     n = len(per_query)
-    return tuple(sum(levels[i] for levels in per_query) / n for i in range(11))
+    return tuple(_total(levels[i] for levels in per_query) / n for i in range(11))
 
 
 def map11(levels: ElevenLevels) -> float:
     """Mean of the precisions at all 11 recall levels."""
-    return sum(levels) / len(levels)
+    return _total(levels) / len(levels)
 
 
 def map_at_30(levels: ElevenLevels) -> float:
     """Mean of the precisions at recall levels 0.0, 0.1, 0.2 and 0.3."""
-    return sum(levels[:4]) / 4
+    return _total(levels[:4]) / 4
 
 
 def summarize(levels: ElevenLevels) -> EvalSummary:
@@ -143,10 +151,8 @@ def evaluate_rankings(
         if not bucket
     ]
     if interpolation == "paper":
-        # sum() over the whole list, not a running +=: from Python 3.12 sum()
-        # adds floats with compensation, so the two can differ
         per_query = [
-            tuple(sum(bucket) / len(bucket) if bucket else 0.0 for bucket in levels)
+            tuple(_total(bucket) / len(bucket) if bucket else 0.0 for bucket in levels)
             for levels, _ in curves
         ]
     else:

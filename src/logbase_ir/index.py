@@ -1,16 +1,21 @@
-"""Inverted index: one posting list of doc ids and term frequencies per term.
+"""Inverted index: one posting list of doc ids and term frequencies per term,
+plus the length of every document's base-e weight vector.
 
 The index is an immutable snapshot built once per collection. Terms and
 postings are kept in sorted order so every downstream traversal (weighting,
 scoring, serialization) is reproducible run to run.
 
-Snapshot format 3 is one JSON header line (``format_version``, ``n_docs``,
-``stoplist_sha256``, the sorted ``terms`` and one ``df`` per term) followed by
-two little-endian int64 columns in term order: every doc id, then every term
-frequency. A load reads both columns with one ``frombytes`` each.
+Snapshot format 4 is one JSON header line (``body_sha256``, ``df``,
+``format_version``, ``n_docs``, ``stoplist_sha256`` and the sorted ``terms``)
+followed by four little-endian columns: every posting's doc id, then every
+term frequency (int64, in term order), then every document's id (int64,
+ascending) and its base-e norm (float64). A load reads each column with one
+``frombytes``.
 """
 
+import hashlib
 import json
+import math
 import os
 import sys
 from array import array
@@ -26,21 +31,26 @@ _INT64 = range(-(2**63), 2**63)
 
 
 class InvertedIndex:
-    """Document count plus term dictionary.
+    """Document norms plus term dictionary.
 
     Attributes:
-        n_docs: total number of documents, including ones that produced no
-            tokens.
+        norms: doc_id -> length of the document's base-e weight vector
+            (``tf * ln(N / df)`` per term), every document in ascending
+            doc_id order, including ones that produced no tokens (norm 0.0).
+        n_docs: the number of documents, ``len(norms)``.
         dictionary: term -> (doc_ids, tfs), keys in sorted term order; a
             term's document frequency is the length of its doc_ids.
         stoplist_sha256: fingerprint of the stoplist the tokens were made
             with (``textpipe.stoplist_fingerprint``); empty when unknown.
     """
 
-    FORMAT_VERSION = 3
+    FORMAT_VERSION = 4
 
-    def __init__(self, n_docs: int, dictionary: dict[str, Entry], stoplist_sha256: str = ""):
-        self.n_docs = n_docs
+    def __init__(
+        self, norms: dict[int, float], dictionary: dict[str, Entry], stoplist_sha256: str = ""
+    ):
+        self.norms = norms
+        self.n_docs = len(norms)
         self.dictionary = dictionary
         self.stoplist_sha256 = stoplist_sha256
 
@@ -48,28 +58,34 @@ class InvertedIndex:
         postings = self.dictionary.get(term)
         return len(postings[0]) if postings else 0
 
-    def snapshot_parts(self) -> tuple[bytes, array, array]:
-        """The snapshot's header line and its doc-id and tf columns, each
-        column in the file's little-endian byte order."""
-        ids, tfs = array("q"), array("q")
-        for doc_ids, term_tfs in self.dictionary.values():
-            ids += doc_ids
-            tfs += term_tfs
+    def snapshot_parts(self) -> list:
+        """The snapshot's header line, then its body piece by piece: every
+        term's doc ids, every term's tfs, the doc ids and the norms, each
+        in the file's little-endian byte order. The header holds the sha256
+        of the body, so nothing is concatenated."""
+        entries = self.dictionary.values()
+        body = [*(ids for ids, _ in entries), *(tfs for _, tfs in entries),
+                array("q", self.norms), array("d", self.norms.values())]
         if sys.byteorder == "big":
-            ids.byteswap()
-            tfs.byteswap()
+            body = [array(piece.typecode, piece) for piece in body]
+            for piece in body:
+                piece.byteswap()
+        digest = hashlib.sha256()
+        for piece in body:
+            digest.update(piece)
         header = {
+            "body_sha256": digest.hexdigest(),
             "format_version": self.FORMAT_VERSION,
             "n_docs": self.n_docs,
             "stoplist_sha256": self.stoplist_sha256,
             "terms": list(self.dictionary),
-            "df": [len(doc_ids) for doc_ids, _ in self.dictionary.values()],
+            "df": [len(ids) for ids, _ in entries],
         }
         line = json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n"
-        return line.encode("utf-8"), ids, tfs
+        return [line.encode("utf-8"), *body]
 
     def save(self, path: str) -> None:
-        """Write a format-3 snapshot atomically (``write_atomic``): an
+        """Write a format-4 snapshot atomically (``write_atomic``): an
         interrupted save leaves any earlier snapshot whole."""
         write_atomic(path, *self.snapshot_parts())
 
@@ -85,17 +101,19 @@ class InvertedIndex:
         n_docs, terms, df = header["n_docs"], header["terms"], header["df"]
         body = memoryview(data)[end + 1:]
         n = sum(df)
-        if len(body) != 16 * n:
+        if len(body) != 16 * (n + n_docs):
             raise ValueError(
-                f"index snapshot: body is {len(body)} bytes, expected {16 * n} "
-                f"(16 per posting, {n} postings)"
+                f"index snapshot: body is {len(body)} bytes, expected {16 * (n + n_docs)} "
+                f"(16 per posting and per document: {n} postings, n_docs {n_docs})"
             )
-        ids, tfs = array("q"), array("q")
-        ids.frombytes(body[: 8 * n])
-        tfs.frombytes(body[8 * n:])
-        if sys.byteorder == "big":
-            ids.byteswap()
-            tfs.byteswap()
+        if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
+            raise ValueError("index snapshot: body does not match its sha256 in the header")
+        ids, tfs, doc_ids, norms = array("q"), array("q"), array("q"), array("d")
+        edges = (0, 8 * n, 16 * n, 16 * n + 8 * n_docs, len(body))
+        for column, start, stop in zip((ids, tfs, doc_ids, norms), edges, edges[1:]):
+            column.frombytes(body[start:stop])
+            if sys.byteorder == "big":
+                column.byteswap()
         starts = list(accumulate(df, initial=0))
 
         def term_at(position: int) -> str:
@@ -110,16 +128,29 @@ class InvertedIndex:
             raise ValueError(
                 f"index snapshot: term {term_at(inside)!r}: doc ids not strictly increasing"
             )
-        distinct = len(set(ids))
-        if distinct > n_docs:
+        unordered = next(compress(doc_ids[1:], map(ge, doc_ids, doc_ids[1:])), None)
+        if unordered is not None:
             raise ValueError(
-                f"index snapshot: {distinct} distinct doc ids but n_docs is {n_docs}"
+                f"index snapshot: doc id {unordered}: doc-id column not strictly increasing"
+            )
+        if not all(map(math.isfinite, norms)) or min(norms) < 0.0:
+            bad = next(i for i, norm in enumerate(norms) if not 0.0 <= norm < math.inf)
+            raise ValueError(
+                f"index snapshot: doc id {doc_ids[bad]}: norm {norms[bad]!r}, "
+                "expected a finite value >= 0"
+            )
+        norm_of = dict(zip(doc_ids, norms))
+        if not norm_of.keys() >= set(ids):
+            absent = next(filterfalse(norm_of.__contains__, ids))
+            raise ValueError(
+                f"index snapshot: term {term_at(ids.index(absent))!r}: "
+                f"doc id {absent} is not in the doc-id column"
             )
         dictionary = {
             term: (ids[start:stop], tfs[start:stop])
             for term, start, stop in zip(terms, starts, islice(starts, 1, None))
         }
-        return cls(n_docs, dictionary, header["stoplist_sha256"])
+        return cls(norm_of, dictionary, header["stoplist_sha256"])
 
 
 def write_atomic(path: str, *parts) -> None:
@@ -140,6 +171,14 @@ def write_atomic(path: str, *parts) -> None:
         raise
 
 
+def write_report(path: str, content: str) -> None:
+    """Write a report file atomically (``write_atomic``)."""
+    try:
+        write_atomic(path, content.encode("utf-8"))
+    except OSError as e:
+        raise OSError(f"cannot write {path}: {e}") from e
+
+
 def _header(line: bytes) -> dict:
     """Decode and check a snapshot's header line."""
     try:
@@ -151,7 +190,7 @@ def _header(line: bytes) -> dict:
     if not isinstance(header, dict):
         raise ValueError("index snapshot header is not a JSON object")
     version = header.get("format_version")
-    if version in (1, 2):
+    if version in (1, 2, 3):
         raise ValueError(
             f"index snapshot has format version {version}, which is no longer read; "
             "rebuild it with `logbase-ir index --save-index`"
@@ -159,10 +198,14 @@ def _header(line: bytes) -> dict:
     if version != InvertedIndex.FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {version!r}")
     n_docs = header.get("n_docs")
-    if type(n_docs) is not int or n_docs < 1:
-        raise ValueError(f"index snapshot: n_docs must be an integer >= 1, got {n_docs!r}")
-    if not isinstance(header.get("stoplist_sha256"), str):
-        raise ValueError("index snapshot: stoplist_sha256 is not a string")
+    # the length of an int64 column, like a doc id below 2**63
+    if type(n_docs) is not int or not 1 <= n_docs < 2**63:
+        raise ValueError(
+            f"index snapshot: n_docs must be an integer from 1 to 2**63 - 1, got {n_docs!r:.40}"
+        )
+    for key in ("body_sha256", "stoplist_sha256"):
+        if not isinstance(header.get(key), str):
+            raise ValueError(f"index snapshot: {key} is not a string")
     terms, df = header.get("terms"), header.get("df")
     if not (isinstance(terms, list) and isinstance(df, list)):
         raise ValueError("index snapshot: dictionary: terms and df must be lists")
@@ -194,7 +237,7 @@ def _header(line: bytes) -> dict:
 def build_index(
     docs: list[tuple[int, list[str]]], stoplist_sha256: str = ""
 ) -> InvertedIndex:
-    """Build an index from (doc_id, tokens) pairs.
+    """Build an index, with every document's norm, from (doc_id, tokens) pairs.
 
     Documents with no tokens still count toward n_docs. Raises ValueError on
     an empty document list, duplicate doc_ids or a doc_id outside int64.
@@ -215,4 +258,22 @@ def build_index(
     for term, by_doc in sorted(term_docs.items()):
         doc_ids = sorted(by_doc)
         dictionary[term] = (array("q", doc_ids), array("q", map(by_doc.__getitem__, doc_ids)))
-    return InvertedIndex(len(docs), dictionary, stoplist_sha256)
+    del term_docs  # the norm pass need not hold it too
+    return InvertedIndex(_norms(sorted(seen), dictionary), dictionary, stoplist_sha256)
+
+
+def _norms(doc_ids: list[int], dictionary: dict[str, Entry]) -> dict[int, float]:
+    """Length of each document's base-e weight vector, doc ids ascending.
+
+    One pass over the postings in sorted term order, so each document's
+    squares are added in the order of its terms. A term's weight factor is
+    ``weighting.idf`` at base e, ln(N / df), which is 0.0 when df = N.
+    """
+    n_docs = len(doc_ids)
+    squares = dict.fromkeys(doc_ids, 0.0)
+    for ids, tfs in dictionary.values():
+        term_idf = math.log(n_docs / len(ids))
+        for doc_id, tf in zip(ids, tfs):
+            w = tf * term_idf
+            squares[doc_id] += w * w
+    return dict(zip(squares, map(math.sqrt, squares.values())))

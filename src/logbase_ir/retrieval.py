@@ -7,95 +7,90 @@ doc_id. Repeated runs produce bit-identical rankings.
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from itertools import compress
-from operator import itemgetter
+from functools import reduce
+from itertools import compress, count, repeat
+from operator import add, itemgetter, lt, mul
+from typing import NamedTuple
 
 from .index import InvertedIndex
 from .weighting import WeightScheme, idf, weigh_query
 
+_BASE_E = WeightScheme(math.e)
+_U = 2.0**-53
 
-@dataclass(frozen=True)
-class RankedList:
+
+class RankedList(NamedTuple):
     query_id: int
-    entries: tuple[tuple[int, float], ...] = field(default_factory=tuple)
+    entries: tuple[tuple[int, float], ...] = ()
+
+
+def near_ties(scores: list[float], gap: float) -> list[tuple[int, int]]:
+    """(start, stop) of every run of two or more consecutive scores, sorted
+    descending, that no safe gap separates: the gap after position i is safe
+    when score i+1 < score i * gap."""
+    safe = map(lt, scores[1:], map(mul, scores, repeat(gap)))
+    cuts = [0, *compress(count(1), safe), len(scores)]
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop - start > 1]
+
+
+# Rounding bound (Higham 2002, ch. 3), u = 2**-53. Let L_t = ln(N / df) as
+# computed, and C a document's cosine with the query over weights tf * L_t.
+# ``rank`` at scale c = 1 / ln b returns C * (1 + θ), and so does the direct
+# base-b arithmetic, with weights tf * (L_t / ln b) rounded as
+# ``weighting.idf`` rounds them. In both, |θ| <= γ_K for K = k + n + m + 22
+# (k shared terms, n query terms, m document terms): every weight, product
+# and square is rounded a few times, and each sum of non-negative terms adds
+# γ of its length. With k <= n and m <= V, the vocabulary size, two
+# documents whose scaled scores differ by more than a relative 4 γ_K <= 8 K u
+# rank in the same order under both; 16 K u leaves room for the rounding of
+# the comparison. Validated inputs keep every product a normal double.
 
 
 class Ranker:
-    """Scores queries against one index under one weighting scheme.
+    """Scores queries against one index at one log base.
 
-    Per-term IDF depends only on (index, base), so it is computed once here
-    and shared across queries. Document norms are computed on demand, only
-    for the documents a set of queries reaches (``doc_norms``). Changing the
-    base from e to b multiplies every weight by 1 / ln b, so a parameter sweep
-    builds one Ranker at base e and rescales its accumulators per base (see
-    ``rank``).
+    Weighing happens at base e: a query's terms get ``weighting.idf`` at
+    base e, computed for those terms alone, and each document's norm is the
+    base-e one the index stores. Changing the base from e to b multiplies
+    every weight by c = 1 / ln b (the scheme's ``scale``), which ``rank``
+    applies to the base-e accumulators; so a parameter sweep builds one
+    Ranker at base e and rescales its accumulators per base.
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
         self.index = index
         self.scheme = scheme
-        self._idf: dict[str, float] = {
-            term: idf(index, term, scheme) for term in index.dictionary
-        }
-
-    def doc_norms(self, doc_ids: Iterable[int]) -> dict[int, float]:
-        """Length of each given document's weight vector.
-
-        One pass over the postings in sorted term order, so each document's
-        squares are added in the order of its terms and a norm does not
-        depend on which others are asked for. For at most half of the
-        documents the pass picks out their postings in C and runs Python code
-        for those alone; for more, visiting every posting costs less.
-        """
-        wanted = set(doc_ids)
-        squares = dict.fromkeys(wanted, 0.0)
-        few = 2 * len(wanted) <= self.index.n_docs
-        for term, (ids, tfs) in self.index.dictionary.items():
-            term_idf = self._idf[term]
-            if few:
-                for p in compress(range(len(ids)), map(wanted.__contains__, ids)):
-                    w = tfs[p] * term_idf
-                    squares[ids[p]] += w * w
-            else:
-                for doc_id, tf in zip(ids, tfs):
-                    w = tf * term_idf
-                    squares[doc_id] = squares.get(doc_id, 0.0) + w * w
-        return {doc_id: math.sqrt(squares[doc_id]) for doc_id in wanted}
 
     def accumulate(self, tokens: list[str]) -> tuple[float, dict[int, float]]:
-        """Query norm and dot product with every document sharing a term.
+        """Base-e query norm and dot product with every document sharing a
+        term.
 
         Term-at-a-time: one pass over each query term's postings.
         """
-        query_weights = weigh_query(self.index, tokens, self.scheme)
+        query_weights = weigh_query(self.index, tokens, _BASE_E)
         if not query_weights:
             return 0.0, {}
-        query_norm = math.sqrt(sum(weight * weight for _, weight in query_weights))
+        # plain left-to-right addition: sum() compensates floats from 3.12
+        query_norm = math.sqrt(reduce(add, [w * w for _, w, _ in query_weights], 0.0))
         dot: dict[int, float] = {}
-        for term, weight in query_weights:
-            term_idf = self._idf[term]
+        for term, weight, term_idf in query_weights:
             doc_ids, tfs = self.index.dictionary[term]
             for doc_id, tf in zip(doc_ids, tfs):
                 dot[doc_id] = dot.get(doc_id, 0.0) + weight * (tf * term_idf)
         return query_norm, dot
 
     def rank(
-        self,
-        query_id: int,
-        acc: tuple[float, dict[int, float]],
-        norms: dict[int, float],
-        scale: float = 1.0,
+        self, query_id: int, acc: tuple[float, dict[int, float]], scale: float = 1.0
     ) -> RankedList:
-        """Cosine ranking from accumulators, every weight multiplied by scale.
-
-        ``norms`` holds ``doc_norms`` of at least every document in ``acc``.
+        """Cosine ranking from base-e accumulators, every weight multiplied
+        by scale.
 
         Scale c rescales the dot product by c*c and each norm by |c|; at
         c = 1.0 every multiplication is exact, so the scores are those of the
-        unscaled weights bit for bit.
+        base-e weights bit for bit.
         """
         query_norm, dot = acc
+        norms = self.index.norms
         c2 = scale * scale
         magnitude = abs(scale)
         scaled_query_norm = magnitude * query_norm
@@ -109,9 +104,62 @@ class Ranker:
         return RankedList(query_id, tuple(entries))
 
     def rank_tokens(self, query_id: int, tokens: list[str]) -> RankedList:
-        """Rank all documents sharing at least one term with the query."""
-        acc = self.accumulate(tokens)
-        return self.rank(query_id, acc, self.doc_norms(acc[1]))
+        """Rank all documents sharing at least one term with the query, at
+        the scheme's base.
+
+        The scores are the base-e ones rescaled (``rank``). Documents whose
+        scores are too close for the bound above to order them are re-scored
+        with the weights of the scheme's base computed directly (``_settle``),
+        so the order is the one those weights give.
+        """
+        ranked = self.rank(query_id, self.accumulate(tokens), self.scheme.scale)
+        k = len(self.index.dictionary) + 2 * len(set(tokens)) + 22
+        scores = list(map(itemgetter(1), ranked.entries))
+        # zero scores (zero dot products) tie in every arithmetic
+        groups = [g for g in near_ties(scores, 1.0 - 16 * k * _U) if scores[g[0]] > 0.0]
+        return self._settle(ranked, groups, tokens) if groups else ranked
+
+    def doc_norms(self, doc_ids: Iterable[int]) -> dict[int, float]:
+        """Length of each given document's weight vector at the scheme's
+        base, computed directly: one pass over the postings in sorted term
+        order, so each document's squares are added in the order of its
+        terms. The pass picks out the given documents' postings in C and
+        weighs only the terms that hold one."""
+        wanted = set(doc_ids)
+        squares = dict.fromkeys(wanted, 0.0)
+        for term, (ids, tfs) in self.index.dictionary.items():
+            hits = list(compress(count(), map(wanted.__contains__, ids)))
+            if hits:
+                term_idf = idf(self.index, term, self.scheme)
+                for p in hits:
+                    w = tfs[p] * term_idf
+                    squares[ids[p]] += w * w
+        return {doc_id: math.sqrt(squares[doc_id]) for doc_id in wanted}
+
+    def _settle(self, ranked: RankedList, groups: list[tuple[int, int]],
+                tokens: list[str]) -> RankedList:
+        """Re-score and re-sort each group of positions of ``ranked`` with the
+        scheme's base computed directly: query weights, dot products in
+        sorted term order and ``doc_norms``."""
+        entries = list(ranked.entries)
+        members = {doc_id for start, stop in groups for doc_id, _ in entries[start:stop]}
+        weights = weigh_query(self.index, tokens, self.scheme)
+        query_norm = math.sqrt(reduce(add, [w * w for _, w, _ in weights], 0.0))
+        dot = dict.fromkeys(members, 0.0)
+        for term, weight, term_idf in weights:
+            ids, tfs = self.index.dictionary[term]
+            for p in compress(count(), map(members.__contains__, ids)):
+                dot[ids[p]] += weight * (tfs[p] * term_idf)
+        norms = self.doc_norms(members)
+        for start, stop in groups:
+            group = []
+            for doc_id in sorted(doc_id for doc_id, _ in entries[start:stop]):
+                denom = query_norm * norms[doc_id]
+                group.append((doc_id, dot[doc_id] / denom if denom != 0.0 else 0.0))
+            # stable sort: equal scores keep ascending doc_id order
+            group.sort(key=itemgetter(1), reverse=True)
+            entries[start:stop] = group
+        return RankedList(ranked.query_id, tuple(entries))
 
 
 def format_run(ranked_lists: list[RankedList]) -> str:

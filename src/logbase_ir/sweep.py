@@ -17,8 +17,7 @@ from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
-from itertools import compress, count, repeat
-from operator import itemgetter, lt, mul
+from operator import itemgetter
 
 from .collection_io import Qrels, RawQuery
 from .evaluation import (
@@ -28,8 +27,8 @@ from .evaluation import (
     evaluate_rankings,
     format_summary_csv_row,
 )
-from .index import InvertedIndex, write_atomic
-from .retrieval import RankedList, Ranker
+from .index import InvertedIndex, write_atomic, write_report
+from .retrieval import RankedList, Ranker, near_ties
 from .textpipe import pipeline
 from .weighting import WeightScheme
 
@@ -145,10 +144,9 @@ class ReportRow:
 
 
 def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
-    """sha256 of the index's snapshot bytes, then the queries, qrels and options."""
-    h = hashlib.sha256()
-    for part in index.snapshot_parts():
-        h.update(part)
+    """sha256 of the index's snapshot header, which holds the sha256 of the
+    snapshot body, then the queries, qrels and options."""
+    h = hashlib.sha256(index.snapshot_parts()[0])
     payload = json.dumps(
         {
             "queries": {str(q): t for q, t in sorted(query_tokens.items())},
@@ -229,7 +227,7 @@ _SAFE_GAP = 1.0 - 32 * 2.0**-53
 _SAFE_RANGE = (2.0**-480, 2.0**480)
 
 
-def _plan(ranker: Ranker, accumulators: dict[int, tuple], norms: dict[int, float],
+def _plan(ranker: Ranker, accumulators: dict[int, tuple],
           cutoff: int) -> tuple[dict[int, RankedList], list, Callable[[float], bool]]:
     """Rank every query once at base e and find its fragile groups.
 
@@ -241,26 +239,22 @@ def _plan(ranker: Ranker, accumulators: dict[int, tuple], norms: dict[int, float
     scores tie at every base and keep their doc-id order.
     """
     rankings, fragile = {}, []
+    norms = ranker.index.norms
     # the non-zero dot products and norms (1.0 only widens their extremes)
     dots, lengths = [1.0], [1.0, *filter(None, norms.values())]
     smallest = 1.0  # the smallest score of a non-zero dot product
     for qid, acc in accumulators.items():
         query_norm, dot = acc
-        ranked = rankings[qid] = ranker.rank(qid, acc, norms)
+        ranked = rankings[qid] = ranker.rank(qid, acc)
         scores = list(map(itemgetter(1), ranked.entries))
         nonzero = list(filter(None, dot.values()))
         if nonzero:
             dots += nonzero
             lengths.append(query_norm)
             smallest = min(smallest, scores[len(nonzero) - 1])  # zero dots rank last
-        # a gap after position i is safe when score i+1 < score i * _SAFE_GAP
-        safe = map(lt, scores[1:], map(mul, scores, repeat(_SAFE_GAP)))
-        cuts = [0, *compress(count(1), safe), len(scores)]
-        for start, stop in zip(cuts, cuts[1:]):
+        for start, stop in near_ties(scores, _SAFE_GAP):
             if start >= cutoff:
                 break
-            if stop - start == 1:
-                continue
             members = [d for d, _ in ranked.entries[start:stop]]
             # every zero dot product scores 0.0, whatever the norm
             if len({(dot[d], norms[d]) if dot[d] else 0.0 for d in members}) > 1:
@@ -332,9 +326,7 @@ def run_sweep(
 
     ranker = Ranker(index, WeightScheme(math.e))
     accumulators = {qid: ranker.accumulate(tokens) for qid, tokens in query_tokens.items()}
-    # once for the whole grid: norms rescale with the base like every weight
-    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
-    rankings, fragile, bound_holds = _plan(ranker, accumulators, norms, cutoff)
+    rankings, fragile, bound_holds = _plan(ranker, accumulators, cutoff)
     # each query's ranking as one group, for a base where the bound may fail
     whole = [(qid, 0, acc) for qid, acc in accumulators.items()]
     result.fragile_groups = len(fragile)
@@ -353,7 +345,7 @@ def run_sweep(
         for label, base in todo:
             scale = 1.0 / math.log(base)
             groups = fragile if bound_holds(scale) else whole
-            orders = [ranker.rank(qid, acc, norms, scale).entries for qid, _, acc in groups]
+            orders = [ranker.rank(qid, acc, scale).entries for qid, _, acc in groups]
             # evaluation reads only the doc ids up to the cutoff; a base whose
             # every document is re-scored is keyed apart
             key = (groups is whole, tuple(
@@ -448,11 +440,3 @@ def emit_level_curves(result: SweepResult, labels: list[str], path: str) -> None
         cells = [label] + [repr(v) for v in summary.levels]
         lines.append(",".join(cells))
     write_report(path, "\n".join(lines) + "\n")
-
-
-def write_report(path: str, content: str) -> None:
-    """Write a report file atomically (``index.write_atomic``)."""
-    try:
-        write_atomic(path, content.encode("utf-8"))
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e

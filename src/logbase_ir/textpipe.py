@@ -7,17 +7,29 @@ filtering happens.
 
 import hashlib
 import re
+from collections.abc import Iterable
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
 
 from .porter import stem as porter_stem
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
+# every ASCII character but [A-Za-z0-9] to a space
+_SEPARATORS = str.maketrans(dict.fromkeys(
+    (c for c in map(chr, range(128)) if not c.isalnum()), " "
+))
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase alphanumeric tokens, order preserved."""
+    """Split text into lowercase alphanumeric tokens, order preserved.
+
+    ASCII text is lowercased whole, every separator becomes a space and the
+    result is split, all in C. Other text is matched first and each token
+    lowercased, since lowercasing a non-ASCII character can give an ASCII
+    letter (the Kelvin sign gives 'k').
+    """
+    if text.isascii():
+        return text.lower().translate(_SEPARATORS).split()
     return [piece.lower() for piece in _TOKEN_RE.findall(text)]
 
 
@@ -62,4 +74,4 @@ def pipeline(text: str, stoplist: frozenset[str] | None = None) -> list[str]:
     """
     if stoplist is None:
         stoplist = default_stoplist()
-    return [porter_stem(t) for t in remove_stopwords(tokenize(text), stoplist)]
+    return list(map(porter_stem, remove_stopwords(tokenize(text), stoplist)))

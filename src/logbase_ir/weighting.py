@@ -3,11 +3,14 @@
 IDF of a term is log_b(N / df) computed by change of base, so any b > 0,
 b != 1 is usable. Bases below 1 flip the sign of every weight; that is left
 intact because cosine ranking is invariant under a uniform rescale.
+
+Since log_b x = ln x / ln b, a weight at base b is the base-e weight times
+the scheme's ``scale`` 1 / ln b. Ranking therefore weighs at base e only and
+applies the scale to the base-e scores (``retrieval.Ranker.rank``).
 """
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .index import InvertedIndex
 
@@ -16,17 +19,16 @@ class InvalidBaseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class WeightScheme:
-    """Weighting configuration: the single parameter is the log base."""
+    """A validated log base and its scale 1 / ln b."""
 
-    base: float
+    __slots__ = ("base", "scale")
 
-    def __post_init__(self):
-        if not (self.base > 0.0) or self.base == 1.0 or math.isinf(self.base):
-            raise InvalidBaseError(
-                f"log base must be positive and != 1, got {self.base!r}"
-            )
+    def __init__(self, base: float):
+        if not (base > 0.0) or base == 1.0 or math.isinf(base):
+            raise InvalidBaseError(f"log base must be positive and != 1, got {base!r}")
+        self.base = base
+        self.scale = 1.0 / math.log(base)
 
 
 def idf(index: InvertedIndex, term: str, scheme: WeightScheme) -> float:
@@ -43,12 +45,13 @@ def idf(index: InvertedIndex, term: str, scheme: WeightScheme) -> float:
 
 def weigh_query(
     index: InvertedIndex, query_tokens: list[str], scheme: WeightScheme
-) -> list[tuple[str, float]]:
-    """(term, tf * idf) for each distinct query term in sorted order;
+) -> list[tuple[str, float, float]]:
+    """(term, tf * idf, idf) for each distinct query term in sorted order;
     out-of-vocabulary terms are dropped."""
     counts = Counter(query_tokens)
-    return [
-        (term, counts[term] * idf(index, term, scheme))
-        for term in sorted(counts)
-        if index.doc_freq(term)
-    ]
+    weights = []
+    for term in sorted(counts):
+        if index.doc_freq(term):
+            term_idf = idf(index, term, scheme)
+            weights.append((term, counts[term] * term_idf, term_idf))
+    return weights

@@ -5,11 +5,21 @@ weights them with tf * log(N/df)/log(base) directly, and ranks by the cosine
 formula written out in full. ``evaluate`` scores rankings from one
 (recall, precision) point per rank. Both deliberately share no code with the
 package implementation.
+
+Floats are added left to right (``total``), as the package adds them: from
+Python 3.12, sum() adds floats with compensation, and a repr comparison
+with the package would then differ in the last bit.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
+
+
+def total(values) -> float:
+    return reduce(add, values, 0.0)
 
 
 def dense_rank(
@@ -21,7 +31,7 @@ def dense_rank(
     idf = {t: math.log(n / df[t]) / math.log(base) for t in vocab}
 
     query_vec = [query_tokens.count(t) * idf[t] for t in vocab]
-    query_norm = math.sqrt(sum(w * w for w in query_vec))
+    query_norm = math.sqrt(total(w * w for w in query_vec))
 
     results = []
     for doc_id in sorted(docs):
@@ -29,8 +39,8 @@ def dense_rank(
         if not any(t in tokens for t in query_tokens if t in df):
             continue
         doc_vec = [tokens.count(t) * idf[t] for t in vocab]
-        doc_norm = math.sqrt(sum(w * w for w in doc_vec))
-        dot = sum(a * b for a, b in zip(query_vec, doc_vec))
+        doc_norm = math.sqrt(total(w * w for w in doc_vec))
+        dot = total(a * b for a, b in zip(query_vec, doc_vec))
         if query_norm == 0.0 or doc_norm == 0.0:
             score = 0.0
         else:
@@ -99,7 +109,7 @@ def bucketize(points: list[PRPoint]) -> list[list[float]]:
 
 def bucket_to_levels(points: list[PRPoint]) -> tuple[float, ...]:
     """Mean precision per level bucket; an empty bucket gives 0.0."""
-    return tuple(sum(b) / len(b) if b else 0.0 for b in bucketize(points))
+    return tuple(total(b) / len(b) if b else 0.0 for b in bucketize(points))
 
 
 def interpolated_levels(points: list[PRPoint]) -> tuple[float, ...]:
@@ -130,5 +140,5 @@ def evaluate(rankings, qrels, cutoff, interpolation, pooling):
     if pooling == "pooled":
         levels = per_query[0]
     else:
-        levels = tuple(sum(v[i] for v in per_query) / len(per_query) for i in range(11))
-    return levels, sum(levels) / 11, sum(levels[:4]) / 4, diagnostics
+        levels = tuple(total(v[i] for v in per_query) / len(per_query) for i in range(11))
+    return levels, total(levels) / 11, total(levels[:4]) / 4, diagnostics

@@ -1,10 +1,14 @@
+import ast
+import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 
 import pytest
 
-from logbase_ir import retrieval
+from logbase_ir import index as index_mod
 from logbase_ir.cli import main
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import default_stoplist, stoplist_fingerprint
@@ -27,17 +31,32 @@ def collection(tmp_path):
     return paths
 
 
-def _v3(ids, tfs, df=None) -> bytes:
-    """A format 3 snapshot of one term, 'zebra', built with the bundled stoplist."""
+def _v4(ids, tfs, df=None, norms=(1.0, 1.0, 0.0), **changes) -> bytes:
+    """A format 4 snapshot of three documents and one term, 'zebra', built
+    with the bundled stoplist."""
+    body = struct.pack(f"<{len(ids) + len(tfs) + 3}q3d", *ids, *tfs, 1, 2, 3, *norms)
     header = {
-        "format_version": 3,
+        "body_sha256": hashlib.sha256(body).hexdigest(),
+        "format_version": 4,
         "n_docs": 3,
         "stoplist_sha256": stoplist_fingerprint(default_stoplist()),
         "terms": ["zebra"],
         "df": [len(ids)] if df is None else df,
+        **changes,
     }
-    column = ids + tfs
-    return json.dumps(header).encode() + b"\n" + struct.pack(f"<{len(column)}q", *column)
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _v3(n_docs: int) -> bytes:
+    """A format 3 snapshot: header, then the doc-id and tf columns."""
+    header = {
+        "format_version": 3,
+        "n_docs": n_docs,
+        "stoplist_sha256": stoplist_fingerprint(default_stoplist()),
+        "terms": ["zebra"],
+        "df": [1],
+    }
+    return json.dumps(header).encode() + b"\n" + struct.pack("<2q", 1, 1)
 
 
 def run(capsys, *argv):
@@ -149,22 +168,30 @@ class TestSearch:
                 "dictionary": {"zebra": [1, [[7, 1]]]},
                 "doc_lengths": {"1": 1, "2": 0},
             }).encode(), "version 1"),
-            (_v3([2, 1], [1, 1]), "strictly increasing"),
-            (_v3([1, 1], [1, 1]), "strictly increasing"),
-            (_v3([1], [0]), "tf below 1"),
-            (_v3([], [], df=[]), "equal length"),
+            (_v4([2, 1], [1, 1]), "strictly increasing"),
+            (_v4([1, 1], [1, 1]), "strictly increasing"),
+            (_v4([1], [0]), "tf below 1"),
+            (_v4([], [], df=[]), "equal length"),
             (b"[]", "not a JSON object"),
             (b'{"df": [1], "format_version": 3,', "Expecting"),
             (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-            (_v3([1], [1])[:-1], "body is 15 bytes, expected 16"),
+            (_v4([1], [1])[:-1], "body is 63 bytes, expected 64"),
             (json.dumps({
                 "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [1]]},
             }).encode(), "version 2, which is no longer read; rebuild it"),
-            (b"\xff" + _v3([1], [1]), "not UTF-8"),
+            (b"\xff" + _v4([1], [1]), "not UTF-8"),
+            (_v3(3), "version 3, which is no longer read; rebuild it"),
+            # format 3 read this n_docs, and the search then overflowed
+            (_v3(10**400), "version 3, which is no longer read; rebuild it"),
+            (_v4([1], [1], n_docs=10**400), "n_docs must be an integer from 1 to 2**63 - 1"),
+            (_v4([4], [1]), "doc id 4 is not in the doc-id column"),
+            (_v4([1], [1], norms=(float("nan"), 1.0, 0.0)), "doc id 1: norm nan"),
+            (_v4([1], [1])[:-1] + b"\x01", "body does not match its sha256"),
         ],
         ids=[
             "v1-doc-7", "unsorted", "duplicate", "tf-0", "unequal", "list", "truncated", "deep",
-            "truncated-body", "v2", "not-utf8",
+            "truncated-body", "v2", "not-utf8", "v3", "v3-huge-n-docs", "huge-n-docs",
+            "absent-doc", "nan-norm", "damaged",
         ],
     )
     def test_malformed_snapshot_is_domain_error(self, capsys, tmp_path, content, message):
@@ -176,6 +203,24 @@ class TestSearch:
         assert err.startswith(f"error: {snap}: ")
         assert message in err
         assert len(err.splitlines()) == 1
+
+    def test_search_from_snapshot_imports_only_what_it_runs(self, capsys, collection, tmp_path):
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
+        script = (
+            "import sys; before = set(sys.modules)\n"
+            "from logbase_ir.cli import main\n"
+            f"assert main(['search', '--load-index', {str(snap)!r}, 'zebra']) == 0\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+        assert "logbase_ir.retrieval" in loaded
+        unused = {"logbase_ir.sweep", "logbase_ir.evaluation", "logbase_ir.collection_io",
+                  "decimal", "dataclasses"}
+        assert loaded & unused == set()
 
     def test_snapshot_built_with_another_stoplist_is_refused(self, capsys, collection, tmp_path):
         snap = tmp_path / "index.json"
@@ -303,18 +348,19 @@ class TestEval:
         qrels = tmp_path / "q.rel"
         qrels.write_text("1 1\n2 2\n")
         calls = []
-        doc_norms = retrieval.Ranker.doc_norms
+        norms = index_mod._norms
 
-        def recording(self, doc_ids):
-            calls.append(set(doc_ids))
-            return doc_norms(self, doc_ids)
+        def recording(doc_ids, dictionary):
+            calls.append(list(doc_ids))
+            return norms(doc_ids, dictionary)
 
-        monkeypatch.setattr(retrieval.Ranker, "doc_norms", recording)
+        monkeypatch.setattr(index_mod, "_norms", recording)
         code, _, _ = run(capsys, "eval", "--docs", docs, "--queries", queries,
                          "--qrels", qrels, "--out", tmp_path / "out")
         assert code == 0
-        # one pass over the union of both queries' candidates; doc 4 is reached by none
-        assert calls == [{1, 2, 3}]
+        # one pass, when the index is built, for every document; doc 4 is
+        # reached by no query
+        assert calls == [[1, 2, 3, 4]]
 
     def test_judged_doc_ids_missing_from_collection_are_noted(self, capsys, tmp_path):
         docs = tmp_path / "two.all"
@@ -518,6 +564,16 @@ class TestConfigValues:
         assert "unknown option 'query'" in err
 
 
+class TestConfigLines:
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_at_newlines_only(self, capsys, tmp_path, sep):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"top=3{sep}\r\nbogus=1\n", encoding="utf-8", newline="")
+        code, _, err = run(capsys, "search", "--config", cfg, "zebra")
+        assert code == 2
+        assert err == f"error: {cfg}:2: unknown option 'bogus'\n"
+
+
 class TestUsageErrors:
     """Bad evaluation options exit 2 before any input is read."""
 
@@ -545,6 +601,14 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["eval", "sweep"])
     def test_pooling_bogus_config(self, capsys, tmp_path, command):
         self.check(capsys, tmp_path, [command], "pooling=bogus", "unknown pooling 'bogus'")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("key", ["format", "qrels_format", "interp", "pooling"])
+    def test_unknown_choice_flag_and_config_alike(self, capsys, tmp_path, command, key):
+        message = f"unknown {key.replace('_', ' ')} 'bogus'"
+        flag = "--" + key.replace("_", "-")
+        self.check(capsys, tmp_path, [command, flag, "bogus"], "", message)
+        self.check(capsys, tmp_path, [command], f"{key}=bogus", message)
 
     def test_top_zero_flag(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")

@@ -181,6 +181,34 @@ ids = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=3
 texts = st.lists(st.text(max_size=60), min_size=1, max_size=30)
 
 
+SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+class TestLineBreaks:
+    """Only "\n" and "\r\n" end a line, as in an editor; the other line
+    separators of str.splitlines() are text."""
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_separator_inside_a_smart_record(self, sep):
+        assert parse_smart(f".I 1\n.W\nabc{sep}.I 2\n") == [RawDocument(1, "abc .I 2")]
+
+    @pytest.mark.parametrize("sep", SEPARATORS)
+    def test_error_line_as_an_editor_counts(self, sep):
+        with pytest.raises(ParseError, match="line 4"):
+            parse_smart(f".I 1\n.W\na{sep}b\n.I x\n")
+        with pytest.raises(ParseError, match="line 3"):
+            parse_npl(f"1 a{sep}b\n/\nx y\n/\n")
+        with pytest.raises(ParseError, match="line 2"):
+            parse_qrels(f"1 2{sep}\n1 x\n", "two")
+
+    def test_crlf(self):
+        assert parse_smart(".I 1\r\n.W\r\nabc\r\n.I 2\r\n") == [
+            RawDocument(1, "abc"), RawDocument(2, "")
+        ]
+        assert parse_lisa("Document 3\r\ntext\r\n****\r\n") == [RawDocument(3, "text")]
+        assert parse_qrels("1 2\r\n1 3\r\n") == {1: {2, 3}}
+
+
 class TestJsonlRoundTrip:
     @given(ids=ids, texts=texts)
     def test_round_trip(self, ids, texts):
@@ -214,7 +242,7 @@ PIECES = [
     "1", "2", "-3", "0", "007", "1_0", "x", "\u0663", "1" * 4400, "1 0 2 1", "1 2 3",
     '{"id": 1, "text": "a"}', '{"id": 2}', '{"id": true, "text": ""}', "[" * 1200, "[]",
     '{"id": 1' + "0" * 4400 + ', "text": "a"}', "null", " ", "\t", "\x0c", "\x85", "\u2028",
-    "\r", "\ufeff", "\u00e9",
+    "\r", "\ufeff", "\u00e9", "\x1c", "\x1d", "\x1e", "\u2029", "\r\n", "\x0b",
 ]
 fuzz_lines = st.lists(st.sampled_from(PIECES), max_size=5).map(" ".join)
 fuzz_text = st.one_of(
@@ -223,13 +251,13 @@ fuzz_text = st.one_of(
 )
 
 
-def parses_or_parse_error(parse, content, jsonl=False):
-    """parse(content) returns, or raises ParseError naming a non-blank line."""
+def parses_or_parse_error(parse, content):
+    """parse(content) returns, or raises ParseError naming a non-blank line
+    as an editor counts lines: split at "\n" and "\r\n" only."""
     try:
         parse(content)
     except ParseError as e:
-        # JSONL splits records on "\n" only, the other layouts on any line break
-        lines = content.split("\n") if jsonl else content.splitlines()
+        lines = content.replace("\r\n", "\n").split("\n")
         assert 1 <= e.line <= len(lines)
         assert lines[e.line - 1].strip()
 
@@ -238,12 +266,12 @@ class TestFuzz:
     @pytest.mark.parametrize("fmt", DOC_FORMATS)
     @given(content=fuzz_text)
     def test_document_parsers(self, fmt, content):
-        parses_or_parse_error(lambda c: parse_documents(c, fmt), content, fmt == "jsonl")
+        parses_or_parse_error(lambda c: parse_documents(c, fmt), content)
 
     @pytest.mark.parametrize("fmt", DOC_FORMATS)
     @given(content=fuzz_text)
     def test_query_parsers(self, fmt, content):
-        parses_or_parse_error(lambda c: parse_queries(c, fmt), content, fmt == "jsonl")
+        parses_or_parse_error(lambda c: parse_queries(c, fmt), content)
 
     @pytest.mark.parametrize("fmt", QRELS_FORMATS)
     @given(content=fuzz_text)

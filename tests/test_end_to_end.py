@@ -1,0 +1,117 @@
+"""The command line end to end, against the benchmark's independent reference.
+
+``perfbench/gen.py`` generates small seeded collections with their index
+terms, ``perfbench/reference.py`` ranks and evaluates them with no code
+shared with the package, and ``perfbench/checks.py`` compares a command's
+output with the reference within 1e-9 (documents whose reference scores tie
+within that may come in either order). The three are run from their source
+by path, as ``tests/test_tracer_targets.py`` runs the tracer, so nothing is
+written beside them.
+"""
+
+import builtins
+import math
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+from logbase_ir.cli import main
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name: str) -> types.ModuleType:
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look the module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
+
+
+gen, reference, checks = _load("gen"), _load("reference"), _load("checks")
+
+# a MED-like make-up at a tenth of the size
+SHAPE = gen.Shape("tiny", 150, (20, 80), (2, 8), 900, 12, (3, 9), (3, 8), (10, 400))
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3])
+def collection(request, tmp_path_factory):
+    col = gen.generate(SHAPE, request.param)
+    paths = gen.write(col, str(tmp_path_factory.mktemp(f"tiny{request.param}")))
+    return col, paths, reference.Reference(col.docs)
+
+
+def run(capsys, *argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+def inputs(paths):
+    return ["--docs", paths["docs"], "--queries", paths["queries"], "--qrels", paths["qrels"]]
+
+
+def test_index_then_search(capsys, tmp_path, collection):
+    col, paths, ref = collection
+    snapshot = tmp_path / "index.bin"
+    out = run(capsys, "index", "--docs", paths["docs"], "--save-index", snapshot)
+    assert checks.index(out, str(snapshot), len(col.docs), len(ref.postings)) == []
+    for base in ("10", "0.3"):
+        for qid, terms in sorted(col.queries.items()):
+            out = run(capsys, "search", "--load-index", snapshot, "--base", base, "-k", "10",
+                      col.query_text[qid])
+            assert checks.search(out, ref.rank(terms), 10) == [], (base, qid)
+
+
+def test_eval(capsys, tmp_path, collection):
+    col, paths, ref = collection
+    runs = {q: ref.rank(col.queries[q]) for q in col.qrels}
+    want = reference.summary({q: [d for d, _ in r] for q, r in runs.items()}, col.qrels)
+    run_path = tmp_path / "run.tsv"
+    out = run(capsys, "eval", *inputs(paths), "--out", tmp_path, "--save-run", run_path)
+    assert checks.eval_(out, str(tmp_path), want, str(run_path), runs) == []
+
+
+def compensated_sum(iterable, start=0):
+    """sum() as Python 3.12 and later add floats: with compensation (here
+    correctly rounded); other values as sum() adds them."""
+    items = [start, *iterable]
+    if any(type(x) is float for x in items) and all(type(x) in (int, float) for x in items):
+        return math.fsum(items)
+    return builtin_sum(items[1:], start)
+
+
+builtin_sum = builtins.sum
+
+
+def outputs(capsys, out_dir, paths):
+    """stdout and every report of an eval and a sweep, by name."""
+    files = {}
+    files["eval"] = run(capsys, "eval", *inputs(paths), "--out", out_dir,
+                        "--save-run", out_dir / "run.tsv", "--base", "0.3")
+    files["eval-pooled"] = run(capsys, "eval", *inputs(paths), "--out", out_dir / "pooled",
+                               "--interp", "standard", "--pooling", "pooled")
+    files["sweep"] = run(capsys, "sweep", *inputs(paths), "--out", out_dir / "sweep",
+                         "--grid", "0.2:10.0:0.2", "--no-cache")
+    for path in sorted(out_dir.rglob("*")):
+        if path.is_file():
+            files[str(path.relative_to(out_dir))] = path.read_bytes()
+    return files
+
+
+def test_same_bytes_when_sum_compensates(capsys, tmp_path, collection, monkeypatch):
+    # every float sum that reaches an output adds left to right, so the
+    # outputs do not depend on how the running Python's sum() adds floats
+    _, paths, _ = collection
+    plain = outputs(capsys, tmp_path, paths)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1] * 10) == 1.0 != builtin_sum([0.1] * 10)
+    compensated = outputs(capsys, tmp_path, paths)
+    monkeypatch.undo()
+    assert compensated.keys() == plain.keys()
+    for name, content in plain.items():
+        assert compensated[name] == content, name

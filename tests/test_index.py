@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import random
 import struct
 import tempfile
@@ -100,25 +102,30 @@ class TestInvariants:
         assert a.snapshot_parts() == b.snapshot_parts()
 
 
-# the header and the doc-id and tf columns of the snapshot of ``small``
-def _snapshot(ids=None, tfs=None, **changes) -> tuple:
+# the header and the four columns of the snapshot of ``small``
+def _snapshot(ids=None, tfs=None, doc_ids=(1, 2), norms=(2 * math.log(2), 0.0), **changes):
     header = {
-        "format_version": 3,
+        "format_version": 4,
         "n_docs": 2,
         "stoplist_sha256": "",
         "terms": ["a", "b"],
         "df": [1, 2],
     }
     header.update(changes)
-    return header, [1, 1, 2] if ids is None else ids, [2, 1, 1] if tfs is None else tfs
+    ids = [1, 1, 2] if ids is None else ids
+    return header, ids, [2, 1, 1] if tfs is None else tfs, doc_ids, norms
 
 
-def _column(values) -> bytes:
-    return struct.pack(f"<{len(values)}q", *values)
+def _column(values, code="q") -> bytes:
+    return struct.pack(f"<{len(values)}{code}", *values)
 
 
-def _write(path: Path, header, ids, tfs) -> str:
-    path.write_bytes(json.dumps(header).encode() + b"\n" + _column(ids) + _column(tfs))
+def _write(path: Path, header, ids, tfs, doc_ids, norms) -> str:
+    """The snapshot file, with the sha256 of its body unless the header has one."""
+    body = _column(ids) + _column(tfs) + _column(doc_ids) + _column(norms, "d")
+    if isinstance(header, dict):
+        header = {"body_sha256": hashlib.sha256(body).hexdigest(), **header}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
     return str(path)
 
 
@@ -131,16 +138,20 @@ class TestSnapshot:
         assert loaded.n_docs == small.n_docs
         assert loaded.dictionary == small.dictionary
         assert loaded.stoplist_sha256 == small.stoplist_sha256
+        assert repr(loaded.norms) == repr(small.norms)
         assert all(
             ids.typecode == tfs.typecode == "q" for ids, tfs in loaded.dictionary.values()
         )
 
-    def test_format_3_layout(self, tmp_path, small):
+    def test_format_4_layout(self, tmp_path, small):
         path = tmp_path / "index.bin"
         small.save(str(path))
         header, _, body = path.read_bytes().partition(b"\n")
-        assert json.loads(header) == _snapshot()[0]
-        assert body == _column([1, 1, 2]) + _column([2, 1, 1])
+        assert body == (_column([1, 1, 2]) + _column([2, 1, 1]) + _column([1, 2])
+                        + _column([2 * math.log(2), 0.0], "d"))
+        assert json.loads(header) == {
+            **_snapshot()[0], "body_sha256": hashlib.sha256(body).hexdigest()
+        }
 
     def test_save_is_deterministic(self, tmp_path, small):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -152,7 +163,7 @@ class TestSnapshot:
         path = tmp_path / "index.bin"
         build_index([(1, [])]).save(str(path))
         loaded = InvertedIndex.load(str(path))
-        assert (loaded.n_docs, loaded.dictionary) == (1, {})
+        assert (loaded.n_docs, loaded.dictionary, loaded.norms) == (1, {}, {1: 0.0})
 
     def test_interrupted_save_keeps_the_old_snapshot(self, tmp_path, small, monkeypatch):
         path = tmp_path / "index.bin"
@@ -177,6 +188,14 @@ class TestSnapshot:
         path = _write(tmp_path / "index.bin", *_snapshot(format_version=999))
         with pytest.raises(ValueError, match="version"):
             InvertedIndex.load(path)
+
+    def test_version_3_rejected_with_rebuild_hint(self, tmp_path):
+        # the format 3 snapshot of ``small``: header, doc-id and tf columns
+        v3 = dict(_snapshot()[0], format_version=3)
+        path = tmp_path / "index.bin"
+        path.write_bytes(json.dumps(v3).encode() + b"\n" + _column([1, 1, 2]) + _column([2, 1, 1]))
+        with pytest.raises(ValueError, match="version 3.*index --save-index"):
+            InvertedIndex.load(str(path))
 
     def test_version_1_rejected_with_rebuild_hint(self, tmp_path):
         v1 = {
@@ -205,7 +224,7 @@ class TestSnapshot:
     @pytest.mark.parametrize(
         "data, match",
         [
-            (([1, 2], [], []), "not a JSON object"),
+            (([1, 2], [], [], [], []), "not a JSON object"),
             (_snapshot(n_docs=0), "n_docs"),
             (_snapshot(n_docs="2"), "n_docs"),
             (_snapshot(n_docs=True), "n_docs"),
@@ -219,14 +238,26 @@ class TestSnapshot:
             (_snapshot(df=[2, 2], ids=[2, 1, 1, 2], tfs=[1] * 4), "'a'.*strictly increasing"),
             (_snapshot(df=[2, 2], ids=[1, 1, 1, 2], tfs=[1] * 4), "'a'.*strictly increasing"),
             (_snapshot(tfs=[0, 1, 1]), "'a'.*tf below 1"),
-            (_snapshot(ids=[1, 7, 9]), "3 distinct doc ids"),
-            (_snapshot(ids=[1, 1]), "body is 40 bytes, expected 48"),
+            (_snapshot(ids=[1, 7, 9]), "'b': doc id 7 is not in"),
+            (_snapshot(ids=[1, 1]), "body is 72 bytes, expected 80"),
             (_snapshot(terms=["b", "a"]), "term 'a'.*terms not strictly increasing"),
             (_snapshot(terms=["a", "a"]), "term 'a'.*terms not strictly increasing"),
             (_snapshot(terms=["a", 2]), "not a string"),
             (_snapshot(stoplist_sha256=None), "stoplist_sha256"),
             (_snapshot(tfs=[2, 0, 1]), "'b'.*tf below 1"),
             (_snapshot(ids=[1, 2, 1]), "'b'.*strictly increasing"),
+            (_snapshot(doc_ids=[2, 1]), "doc id 1: doc-id column not strictly increasing"),
+            (_snapshot(doc_ids=[1, 1]), "doc id 1: doc-id column not strictly increasing"),
+            (_snapshot(doc_ids=[1, 3]), "'b': doc id 2 is not in the doc-id column"),
+            (_snapshot(norms=[math.nan, 0.0]), "doc id 1: norm nan, expected a finite"),
+            (_snapshot(norms=[1.0, math.inf]), "doc id 2: norm inf, expected a finite"),
+            (_snapshot(norms=[1.0, -0.5]), "doc id 2: norm -0.5, expected a finite value >= 0"),
+            (_snapshot(body_sha256="0" * 64), "body does not match its sha256"),
+            (_snapshot(body_sha256=None), "body_sha256 is not a string"),
+            (_snapshot(n_docs=3), "body is 80 bytes, expected 96"),
+            (_snapshot(n_docs=1), "body is 80 bytes, expected 64"),
+            (_snapshot(n_docs=10**400), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
+            (_snapshot(n_docs=2**63), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, data, match):

@@ -6,7 +6,7 @@ import pytest
 from logbase_ir.index import build_index
 from logbase_ir.retrieval import RankedList, Ranker, format_run
 from logbase_ir.textpipe import pipeline
-from logbase_ir.weighting import WeightScheme
+from logbase_ir.weighting import WeightScheme, idf
 
 from oracle import dense_rank, random_corpus
 
@@ -119,6 +119,29 @@ class TestOracleEquivalence:
                     assert gs == pytest.approx(ws, abs=1e-9)
 
 
+    def test_near_ties_rank_as_the_weights_at_the_base(self):
+        # small vocabularies give documents with proportional vectors, whose
+        # cosines tie; rounding orders them, and rank_tokens must order them
+        # as the weights computed at the base do
+        rng = random.Random(7)
+        rescaled_differs = 0
+        for _ in range(300):
+            docs, queries = random_corpus(rng, max_terms=rng.choice([3, 6]))
+            index = build_index(sorted(docs.items()))
+            for base in (rng.uniform(0.01, 0.99), rng.uniform(1.01, 100), 1 + 2**-40, 5e-324):
+                ranker = Ranker(index, WeightScheme(base))
+                for i, q in enumerate(queries):
+                    got = ranker.rank_tokens(i, q).entries
+                    want = dense_rank(docs, q, base)
+                    assert [d for d, _ in got] == [d for d, _ in want]
+                    for (_, gs), (_, ws) in zip(got, want):
+                        assert gs == pytest.approx(ws, abs=1e-9)
+                    rescaled = ranker.rank(i, ranker.accumulate(q), ranker.scheme.scale)
+                    rescaled_differs += [d for d, _ in rescaled.entries] != [d for d, _ in want]
+        # the rescaled base-e scores alone would have ordered some ties otherwise
+        assert rescaled_differs > 0
+
+
 class TestScaleInvariance:
     def test_ranking_identical_across_bases(self):
         rng = random.Random(23)
@@ -156,12 +179,13 @@ class TestRunFile:
         assert a == b
 
 
-def full_pass_norms(ranker):
-    """Every document's norm from one pass over all postings in sorted term
-    order: the table the ranker built eagerly before norms went on demand."""
+def full_pass_norms(index, scheme):
+    """Every document's norm at the scheme's base from one pass over all
+    postings in sorted term order: the table the ranker built eagerly before
+    norms went on demand."""
     squares = {}
-    for term, (doc_ids, tfs) in ranker.index.dictionary.items():
-        term_idf = ranker._idf[term]
+    for term, (doc_ids, tfs) in index.dictionary.items():
+        term_idf = idf(index, term, scheme)
         for doc_id, tf in zip(doc_ids, tfs):
             w = tf * term_idf
             squares[doc_id] = squares.get(doc_id, 0.0) + w * w
@@ -181,18 +205,22 @@ class TestDocNorms:
         for _ in range(50):
             docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
             base = rng.choice([0.1, 0.3, 0.5, 2.0, 10.0, 32.6, 84.6, 100.0])
-            ranker = Ranker(build_index(sorted(docs.items())), WeightScheme(base))
-            table = full_pass_norms(ranker)
+            index = build_index(sorted(docs.items()))
+            ranker = Ranker(index, WeightScheme(base))
+            table = full_pass_norms(index, ranker.scheme)
             assert bits(ranker.doc_norms(table)) == bits(table)
-            # up to half the documents are picked out, more are read in full
             subset = subsets.sample(sorted(table), k=subsets.randint(0, len(table)))
             assert bits(ranker.doc_norms(subset)) == bits({d: table[d] for d in subset})
-            for tokens in queries:
-                _, dot = ranker.accumulate(tokens)
-                assert bits(ranker.doc_norms(dot)) == bits({d: table[d] for d in dot})
+            # the index stores the base-e norms of every document, those
+            # with no postings at 0.0
+            base_e = full_pass_norms(index, WeightScheme(math.e))
+            assert bits(index.norms) == bits({d: base_e.get(d, 0.0) for d in sorted(docs)})
 
-    def test_search_computes_norms_of_its_candidates_only(self, toy_index, monkeypatch):
-        ranker = Ranker(toy_index, WeightScheme(10))
+    def test_search_computes_norms_of_its_candidates_only(self, monkeypatch):
+        # docs 1 and 2 have the same cosine with the query; docs 3 and 4 do not
+        index = build_index([(1, ["x", "y"]), (2, ["x", "y"] * 3), (3, ["x", "z", "z"]),
+                             (4, ["x", "w"]), (5, ["w"])])
+        ranker = Ranker(index, WeightScheme(10))
         calls = []
         doc_norms = Ranker.doc_norms
 
@@ -201,8 +229,11 @@ class TestDocNorms:
             return doc_norms(self, doc_ids)
 
         monkeypatch.setattr(Ranker, "doc_norms", recording)
-        ranked = ranker.rank_tokens(1, ["date"])
-        candidates = set(toy_index.dictionary["date"][0])
-        assert calls == [candidates]
-        assert {d for d, _ in ranked.entries} == candidates
-        assert candidates < set().union(*(ids for ids, _ in toy_index.dictionary.values()))
+        ranked = ranker.rank_tokens(1, ["x", "y"])
+        # only the near-tied candidates get norms at base 10; the others
+        # are ranked by the stored base-e norms
+        assert calls == [{1, 2}]
+        assert {d for d, _ in ranked.entries[:2]} == {1, 2}
+        assert {d for d, _ in ranked.entries} == {1, 2, 3, 4}
+        ranker.rank_tokens(2, ["z", "w"])  # no near ties
+        assert calls == [{1, 2}]

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from logbase_ir import sweep
+from logbase_ir import index as index_mod, sweep
 from logbase_ir.collection_io import RawQuery
 from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
@@ -149,21 +149,18 @@ class TestRunSweep:
                       stoplist=frozenset())
 
 
-def base_rankings(ranker, accumulators, norms, base):
+def base_rankings(ranker, accumulators, base):
     """Reference: every query's ranking at log base ``base``, scored and
-    sorted afresh from the base-e ``ranker``'s accumulators and norms
-    (log_b x = ln x / ln b rescales every weight by 1 / ln b)."""
+    sorted afresh from the base-e ``ranker``'s accumulators and the index's
+    norms (log_b x = ln x / ln b rescales every weight by 1 / ln b)."""
     scale = 1.0 / math.log(base)
-    return {qid: ranker.rank(qid, acc, norms, scale) for qid, acc in accumulators.items()}
+    return {qid: ranker.rank(qid, acc, scale) for qid, acc in accumulators.items()}
 
 
 def _base_e(index, tokens):
-    """The sweep's base-e ranker, its accumulators and its norms of every
-    document they reach."""
+    """The sweep's base-e ranker and its accumulators."""
     ranker = Ranker(index, WeightScheme(math.e))
-    accumulators = {qid: ranker.accumulate(t) for qid, t in tokens.items()}
-    norms = ranker.doc_norms(set().union(*(dot for _, dot in accumulators.values())))
-    return ranker, accumulators, norms
+    return ranker, {qid: ranker.accumulate(t) for qid, t in tokens.items()}
 
 
 def criterion_4_corpora(count):
@@ -180,11 +177,11 @@ def reference_sweep(index, tokens, qrels, grid, cutoffs):
     """Per cutoff, base label -> summary in grid order, with every base ranked
     afresh by ``base_rankings``; bases whose full rankings agree share an
     evaluation."""
-    ranker, accumulators, norms = _base_e(index, tokens)
+    ranker, accumulators = _base_e(index, tokens)
     orders, rankings = {}, {}
     for value in grid.values():
         if value != 1:
-            ranked = base_rankings(ranker, accumulators, norms, float(value))
+            ranked = base_rankings(ranker, accumulators, float(value))
             order = orders[str(value)] = tuple(
                 tuple(d for d, _ in rl.entries) for rl in ranked.values()
             )
@@ -226,11 +223,11 @@ class TestRescaledRanking:
             # query text that the pipeline maps back to the same tokens
             raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
             assert all(pipeline(q.text, frozenset()) == tokens[q.query_id] for q in raw)
-            ranker, accumulators, norms = _base_e(index, tokens)
+            ranker, accumulators = _base_e(index, tokens)
             for base in self.BASES:
                 reference = Ranker(index, WeightScheme(base))
                 want = {qid: reference.rank_tokens(qid, t) for qid, t in tokens.items()}
-                got = base_rankings(ranker, accumulators, norms, base)
+                got = base_rankings(ranker, accumulators, base)
                 same_order = True
                 for qid, rl in got.items():
                     pairs += 1
@@ -262,13 +259,18 @@ class TestRescaledRanking:
 
     def test_unit_scale_is_rank_tokens_bit_for_bit(self):
         for index, queries in self.corpora():
-            for base in self.BASES:
-                ranker = Ranker(index, WeightScheme(base))
-                for qid, tokens in enumerate(queries):
-                    acc = ranker.accumulate(tokens)
-                    got = ranker.rank(qid, acc, ranker.doc_norms(acc[1]), 1.0)
-                    # repr tells -0.0 from 0.0, which == does not
-                    assert repr(got) == repr(ranker.rank_tokens(qid, tokens))
+            ranker = Ranker(index, WeightScheme(math.e))
+            assert ranker.scheme.scale == 1.0
+            for qid, tokens in enumerate(queries):
+                acc = ranker.accumulate(tokens)
+                query_norm, dot = acc
+                got = ranker.rank(qid, acc, 1.0)
+                # at c = 1.0 the scores are the unscaled cosines
+                for doc_id, score in got.entries:
+                    denom = query_norm * index.norms[doc_id]
+                    assert repr(score) == repr(dot[doc_id] / denom if denom != 0.0 else 0.0)
+                # repr tells -0.0 from 0.0, which == does not
+                assert repr(got) == repr(ranker.rank_tokens(qid, tokens))
 
     def test_each_base_gets_the_summary_of_its_own_rankings(self):
         rng = random.Random(5678)
@@ -282,9 +284,9 @@ class TestRescaledRanking:
             }
             raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
             swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset())
-            ranker, accumulators, norms = _base_e(index, tokens)
+            ranker, accumulators = _base_e(index, tokens)
             for label, summary in swept.per_base.items():
-                rankings = base_rankings(ranker, accumulators, norms, float(label))
+                rankings = base_rankings(ranker, accumulators, float(label))
                 assert summary == evaluate_rankings(rankings, qrels)[0]
             varied += len(set(swept.per_base.values())) > 1
         # rounding breaks ties differently across bases in some corpora, so
@@ -292,29 +294,29 @@ class TestRescaledRanking:
         assert varied > 0
 
     def test_norms_computed_once_per_sweep(self, monkeypatch):
+        # the index computes every norm when it is built; the sweep reads them
         calls = []
-        doc_norms = Ranker.doc_norms
+        norms = index_mod._norms
 
-        def recording(self, doc_ids):
-            calls.append(set(doc_ids))
-            return doc_norms(self, doc_ids)
+        def recording(doc_ids, dictionary):
+            calls.append(list(doc_ids))
+            return norms(doc_ids, dictionary)
 
-        monkeypatch.setattr(Ranker, "doc_norms", recording)
-        result = toy_sweep(BaseGrid.parse("0.5:5:0.5"))
+        monkeypatch.setattr(index_mod, "_norms", recording)
+        index = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
+        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5"),
+                           stoplist=frozenset())
         assert len(result.per_base) == 9
-        tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
-        ranker = Ranker(INDEX, WeightScheme(math.e))
-        reached = set().union(*(ranker.accumulate(t)[1] for t in tokens.values()))
-        assert calls == [reached]
+        assert calls == [sorted(TEXTS)]
 
     def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
         grid = BaseGrid.parse("2:6:0.5")
         bases = [float(v) for v in grid.values()]
         tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
-        ranker, accumulators, norms = _base_e(INDEX, tokens)
+        ranker, accumulators = _base_e(INDEX, tokens)
         orders = {
             tuple(tuple(d for d, _ in rl.entries) for rl in
-                  base_rankings(ranker, accumulators, norms, base).values())
+                  base_rankings(ranker, accumulators, base).values())
             for base in bases
         }
         assert len(orders) == 1
@@ -419,9 +421,9 @@ class TestPlan:
         calls = []
         rank = Ranker.rank
 
-        def recording(self, query_id, acc, norms, scale=1.0):
+        def recording(self, query_id, acc, scale=1.0):
             calls.append(sorted(acc[1]))
-            return rank(self, query_id, acc, norms, scale)
+            return rank(self, query_id, acc, scale)
 
         monkeypatch.setattr(Ranker, "rank", recording)
         grid = BaseGrid.parse("2:6:0.5")

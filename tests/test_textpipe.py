@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +27,15 @@ class TestTokenize:
 
     def test_non_ascii_is_a_separator(self):
         assert tokenize("naïve café") == ["na", "ve", "caf"]
+
+    def test_non_ascii_that_lowercases_to_ascii_is_a_separator(self):
+        # the Kelvin sign lowercases to "k", and "İ" to "i" plus a combining dot
+        assert tokenize("\u212aelvin \u0130stanbul") == ["elvin", "stanbul"]
+
+    @given(st.one_of(st.text(max_size=200), st.text(st.characters(max_codepoint=127))))
+    def test_runs_of_ascii_alphanumerics_lowercased(self, text):
+        want = [piece.lower() for piece in re.findall("[A-Za-z0-9]+", text)]
+        assert tokenize(text) == want
 
     @given(st.text(max_size=200))
     def test_output_alphabet(self, text):

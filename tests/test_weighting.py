@@ -60,6 +60,18 @@ class TestScheme:
     def test_accepts_fractional(self):
         assert WeightScheme(0.1).base == 0.1
 
+    @pytest.mark.parametrize("base", [0.1, 0.5, 2.0, 10.0, 1 + 2**-52, 5e-324])
+    def test_scale_turns_base_e_weights_into_base_b_ones(self, base):
+        scheme = WeightScheme(base)
+        assert scheme.scale == 1.0 / math.log(base)
+        want = idf(TWO_DOC_INDEX, "a", scheme)
+        assert idf(TWO_DOC_INDEX, "a", WeightScheme(math.e)) * scheme.scale == pytest.approx(
+            want, rel=1e-15
+        )
+
+    def test_base_e_scale_is_exactly_one(self):
+        assert WeightScheme(math.e).scale == 1.0
+
 
 class TestIdf:
     def test_round_numbers(self):
@@ -85,18 +97,20 @@ class TestIdf:
 class TestWeighQuery:
     def test_repeated_term(self, two_doc_index):
         got = weigh_query(two_doc_index, ["a", "a"], WeightScheme(10))
-        assert got == [("a", pytest.approx(2 * math.log10(2), rel=1e-12))]
+        assert got == [("a", pytest.approx(2 * math.log10(2), rel=1e-12),
+                        pytest.approx(math.log10(2), rel=1e-12))]
 
     def test_out_of_vocabulary_dropped(self, two_doc_index):
         assert weigh_query(two_doc_index, ["nope", "nada"], WeightScheme(10)) == []
 
     def test_everywhere_term_weighs_zero(self, two_doc_index):
-        assert weigh_query(two_doc_index, ["b"], WeightScheme(10)) == [("b", 0.0)]
+        assert weigh_query(two_doc_index, ["b"], WeightScheme(10)) == [("b", 0.0, 0.0)]
 
     def test_fractional_base_sign_flip(self, two_doc_index):
         got = weigh_query(two_doc_index, ["a", "a", "b"], WeightScheme(0.1))
-        assert got[0] == ("a", pytest.approx(-2 * math.log10(2), rel=1e-12))
-        assert got[1] == ("b", 0.0)
+        assert got[0] == ("a", pytest.approx(-2 * math.log10(2), rel=1e-12),
+                          pytest.approx(-math.log10(2), rel=1e-12))
+        assert got[1] == ("b", 0.0, 0.0)
 
 
 bases = st.floats(min_value=0.01, max_value=100.0).filter(
