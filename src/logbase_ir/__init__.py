@@ -13,12 +13,10 @@ import importlib
 
 _EXPORTS = {
     "collection_io": (
-        "CollectionStats",
         "ParseError",
         "Qrels",
         "RawDocument",
         "RawQuery",
-        "collection_stats",
         "parse_qrels",
         "parse_queries",
         "parse_smart",
@@ -34,7 +32,7 @@ _EXPORTS = {
     "index": ("InvertedIndex", "build_index"),
     "retrieval": ("RankedList", "Ranker"),
     "sweep": ("BaseGrid", "SweepResult", "best_standard_worst", "run_sweep", "top_k_report"),
-    "textpipe": ("default_stoplist", "load_stoplist", "pipeline", "remove_stopwords", "tokenize"),
+    "textpipe": ("default_stoplist", "load_stoplist", "pipeline", "tokenize"),
     "weighting": ("InvalidBaseError", "WeightScheme", "idf", "weigh_query"),
 }
 # public name -> (module, attribute)

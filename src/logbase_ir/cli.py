@@ -31,11 +31,15 @@ class _Exit(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The file's text, line ends untranslated: only "\n" and "\r\n" end a
+    line, so a lone "\r" stays text, as in the collection parsers."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8", newline="") as f:
             return f.read()
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
 
 
 def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
@@ -130,20 +134,31 @@ def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) ->
     return value
 
 
-def _load_documents(opts: _Options):
+def _build_index(opts: _Options, stoplist) -> tuple[InvertedIndex, int]:
+    """The index of the --docs file, read in one pass, and the UTF-8 size of
+    the documents' text. Each record is parsed, run through the pipeline
+    and folded into the postings, then dropped."""
     from . import collection_io
 
     fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
-    docs = collection_io.parse_documents(_read_text(opts.require("docs")), fmt)
-    if not docs:
-        raise _Exit(1, "empty collection: no documents parsed")
-    return docs
+    path = opts.require("docs")
+    text_bytes = 0
 
+    def tokenized(records):
+        nonlocal text_bytes
+        for doc_id, text in records:
+            text_bytes += len(text.encode("utf-8"))
+            yield doc_id, pipeline(text, stoplist)
 
-def _build_index(opts: _Options, stoplist) -> tuple[list, InvertedIndex]:
-    docs = _load_documents(opts)
-    tokenized = [(d.doc_id, pipeline(d.text, stoplist)) for d in docs]
-    return docs, build_index(tokenized, stoplist_fingerprint(stoplist))
+    try:
+        with open(path, encoding="utf-8", newline="") as f:
+            records = collection_io.document_records(collection_io.file_lines(f), fmt)
+            index = build_index(tokenized(records), stoplist_fingerprint(stoplist))
+    except OSError as e:
+        raise _Exit(2, f"cannot read {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
+    return index, text_bytes
 
 
 def _load_queries(opts: _Options):
@@ -179,13 +194,9 @@ def _count(n: int, noun: str) -> str:
 def cmd_index(opts: _Options) -> int:
     """``stats`` and ``index``: build the index and print its statistics;
     ``index`` also writes a snapshot when --save-index is given."""
-    from .collection_io import collection_stats
-
-    stoplist = _stoplist(opts)
-    docs, index = _build_index(opts, stoplist)
-    stats = collection_stats(docs, index)
-    print(f"documents={stats.n_docs} distinct_terms={stats.n_distinct_terms} "
-          f"text_bytes={stats.size_bytes}")
+    index, text_bytes = _build_index(opts, _stoplist(opts))
+    print(f"documents={index.n_docs} distinct_terms={len(index.dictionary)} "
+          f"text_bytes={text_bytes}")
     snapshot = opts.get("save_index") if opts.args.command == "index" else None
     if snapshot:
         try:
@@ -220,7 +231,7 @@ def cmd_search(opts: _Options) -> int:
                            "rebuild it with `logbase-ir index --save-index` and the same "
                            "--stoplist as this search")
     else:
-        _, index = _build_index(opts, stoplist)
+        index, _ = _build_index(opts, stoplist)
     ranked = Ranker(index, scheme).rank_tokens(0, pipeline(opts.args.query, stoplist))
     for position, (doc_id, score) in enumerate(ranked.entries[:k], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
@@ -229,13 +240,13 @@ def cmd_search(opts: _Options) -> int:
 
 def _eval_inputs(opts: _Options):
     stoplist = _stoplist(opts)
-    docs, index = _build_index(opts, stoplist)
+    index, _ = _build_index(opts, stoplist)
     queries = _load_queries(opts)
     qrels = _load_qrels(opts)
     unknown = sorted(q for q in qrels if q not in {x.query_id for x in queries})
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
-    absent = set().union(*qrels.values()) - {d.doc_id for d in docs}
+    absent = set().union(*qrels.values()) - index.norms.keys()
     if absent:
         print(f"note: {len(absent)} judged doc ids are not in the collection", file=sys.stderr)
     return stoplist, index, _judged_queries(queries, qrels), qrels
@@ -322,7 +333,6 @@ def cmd_sweep(opts: _Options) -> int:
         interpolation=interp,
         pooling=pooling,
         cache_path=cache_path,
-        collection_name=opts.get("name", ""),
     )
     print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
           f"across {_count(result.ranked_bases, 'base')}; "
@@ -403,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=float, help="evaluate a single base instead of a grid")
     p.add_argument("--grid", help="base grid as START:STOP:STEP (default 0.1:100.0:0.1)")
     p.add_argument("--top", type=int, help="rows in the top-k tables (default 5)")
-    p.add_argument("--name", help="collection name recorded in the sweep result")
     p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None,
                    help="disable the per-base resume cache")
     return parser

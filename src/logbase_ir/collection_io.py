@@ -8,13 +8,20 @@ Documents and queries arrive in one of three incompatible native layouts:
 * LISA: records introduced by ``Document <id>`` headers, separated by rows of
   asterisks; queries are ``<id>`` then text terminated by a ``#`` line.
 
-Everything is normalized into RawDocument / RawQuery / Qrels. The canonical
-on-disk exchange format is JSON-lines ``{"id": int, "text": str}`` for
-documents and queries, and two-column TSV for qrels.
+Each document format has one reader, a generator of (id, text) records over
+an iterable of lines, so a collection file can be streamed a record at a time
+(``file_lines``, ``document_records``); ``parse_documents`` and
+``parse_queries`` collect a whole text into RawDocument / RawQuery lists.
+The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
+str}`` for documents and queries, and two-column TSV for qrels.
 """
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
+from typing import TextIO
 
 
 class ParseError(ValueError):
@@ -41,13 +48,6 @@ class RawQuery:
 Qrels = dict[int, set[int]]
 
 
-@dataclass(frozen=True)
-class CollectionStats:
-    n_docs: int
-    n_distinct_terms: int
-    size_bytes: int
-
-
 def _lines(content: str) -> list[str]:
     """The lines of a text, split at "\n" and "\r\n" only, as an editor
     counts them: str.splitlines() would also split at a form feed,
@@ -55,23 +55,38 @@ def _lines(content: str) -> list[str]:
     return content.replace("\r\n", "\n").split("\n")
 
 
+def file_lines(f: TextIO, chunk_size: int = 1 << 16) -> Iterator[str]:
+    """The lines of a text file opened with ``newline=""``, as ``_lines``
+    gives those of its whole text, read a chunk at a time. A chunk's last
+    piece is carried into the next chunk, so a "\r\n" split between two
+    chunks still ends one line."""
+
+    def chunks() -> Iterator[list[str]]:
+        rest = ""
+        for chunk in iter(partial(f.read, chunk_size), ""):
+            lines = (rest + chunk).replace("\r\n", "\n").split("\n")
+            rest = lines.pop()
+            yield lines
+        yield [rest]
+
+    return chain.from_iterable(chunks())
+
+
+# A record reader takes an iterable of lines and yields (id, text) pairs as
+# it goes, so a caller streaming a file holds one record at a time.
+Records = Iterator[tuple[int, str]]
+
 _SMART_SECTIONS = frozenset({".T", ".A", ".W", ".B", ".X"})
 _SMART_INDEXED = frozenset({".T", ".W"})
 
 
-def _parse_smart_blocks(content: str, indexed: frozenset[str]) -> list[tuple[int, str]]:
-    """Split SMART marker text into (id, text of the indexed sections)."""
-    records: list[tuple[int, str]] = []
+def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Records:
+    """SMART marker records: (id, text of the indexed sections)."""
     seen: set[int] = set()
     cur_id: int | None = None
     section: str | None = None
     pieces: list[str] = []
-
-    def flush() -> None:
-        if cur_id is not None:
-            records.append((cur_id, " ".join(pieces)))
-
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(lines, start=1):
         marker = line.split(maxsplit=1)[0] if line.strip() else ""
         if marker == ".I":
             rest = line.strip()[2:].strip()
@@ -81,7 +96,8 @@ def _parse_smart_blocks(content: str, indexed: frozenset[str]) -> list[tuple[int
                 raise ParseError(f"bad .I record id {rest!r}", lineno) from None
             if record_id in seen:
                 raise ParseError(f"duplicate record id {record_id}", lineno)
-            flush()
+            if cur_id is not None:
+                yield cur_id, " ".join(pieces)
             seen.add(record_id)
             cur_id = record_id
             section = None
@@ -97,64 +113,52 @@ def _parse_smart_blocks(content: str, indexed: frozenset[str]) -> list[tuple[int
             stripped = " ".join(line.split())
             if stripped:
                 pieces.append(stripped)
-    flush()
-    return records
+    if cur_id is not None:
+        yield cur_id, " ".join(pieces)
 
 
-def parse_smart(content: str) -> list[RawDocument]:
-    """Parse a SMART-format document file.
+def _npl_record(block: list[tuple[int, str]], seen: set[int]) -> tuple[int, str] | None:
+    """The (id, text) of one NPL record's numbered lines; None when blank."""
+    lines = [(n, l) for n, l in block if l.strip()]
+    if not lines:
+        return None
+    first_no, first = lines[0]
+    head = first.split()
+    try:
+        doc_id = int(head[0])
+    except ValueError:
+        raise ParseError(f"bad record id {head[0]!r}", first_no) from None
+    if doc_id in seen:
+        raise ParseError(f"duplicate record id {doc_id}", first_no)
+    seen.add(doc_id)
+    pieces = [" ".join(head[1:])] if len(head) > 1 else []
+    pieces += [" ".join(l.split()) for _, l in lines[1:]]
+    return doc_id, " ".join(p for p in pieces if p)
 
-    Indexable text is the concatenation of the ``.T`` and ``.W`` sections;
-    ``.A``/``.B``/``.X`` are discarded. Record order is preserved.
-    """
-    return [RawDocument(i, t) for i, t in _parse_smart_blocks(content, _SMART_INDEXED)]
 
-
-def parse_npl(content: str) -> list[RawDocument]:
-    """Parse NPL-style text: records separated by lines holding only ``/``."""
-    records: list[RawDocument] = []
+def _npl(lines: Iterable[str]) -> Records:
+    """NPL-style records, separated by lines holding only ``/``."""
     seen: set[int] = set()
     block: list[tuple[int, str]] = []
-
-    def flush() -> None:
-        lines = [(n, l) for n, l in block if l.strip()]
-        if not lines:
-            return
-        first_no, first = lines[0]
-        head = first.split()
-        try:
-            doc_id = int(head[0])
-        except ValueError:
-            raise ParseError(f"bad record id {head[0]!r}", first_no) from None
-        if doc_id in seen:
-            raise ParseError(f"duplicate record id {doc_id}", first_no)
-        seen.add(doc_id)
-        pieces = [" ".join(head[1:])] if len(head) > 1 else []
-        pieces += [" ".join(l.split()) for _, l in lines[1:]]
-        records.append(RawDocument(doc_id, " ".join(p for p in pieces if p)))
-
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if line.strip() == "/":
-            flush()
+            record = _npl_record(block, seen)
+            if record is not None:
+                yield record
             block = []
         else:
             block.append((lineno, line))
-    flush()
-    return records
+    record = _npl_record(block, seen)
+    if record is not None:
+        yield record
 
 
-def parse_lisa(content: str) -> list[RawDocument]:
-    """Parse LISA-style documents: ``Document <id>`` headers, ``*`` separators."""
-    records: list[RawDocument] = []
+def _lisa(lines: Iterable[str]) -> Records:
+    """LISA-style documents: ``Document <id>`` headers, ``*`` separators."""
     seen: set[int] = set()
     cur_id: int | None = None
     pieces: list[str] = []
-
-    def flush() -> None:
-        if cur_id is not None:
-            records.append(RawDocument(cur_id, " ".join(pieces)))
-
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         words = stripped.split()
         if len(words) == 2 and words[0].lower() == "document":
@@ -164,27 +168,28 @@ def parse_lisa(content: str) -> list[RawDocument]:
                 raise ParseError(f"bad document id {words[1]!r}", lineno) from None
             if doc_id in seen:
                 raise ParseError(f"duplicate record id {doc_id}", lineno)
-            flush()
+            if cur_id is not None:
+                yield cur_id, " ".join(pieces)
             seen.add(doc_id)
             cur_id = doc_id
             pieces = []
         elif stripped and set(stripped) == {"*"}:
-            flush()
+            if cur_id is not None:
+                yield cur_id, " ".join(pieces)
             cur_id = None
             pieces = []
         elif cur_id is not None and stripped:
             pieces.append(" ".join(words))
-    flush()
-    return records
+    if cur_id is not None:
+        yield cur_id, " ".join(pieces)
 
 
-def parse_lisa_queries(content: str) -> list[RawQuery]:
-    """Parse LISA queries: an id line, then text ending with a ``#`` line."""
-    queries: list[RawQuery] = []
+def _lisa_queries(lines: Iterable[str]) -> Records:
+    """LISA queries: an id line, then text ending with a ``#`` line."""
     seen: set[int] = set()
     cur_id: int | None = None
     pieces: list[str] = []
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if cur_id is None:
             if not stripped:
@@ -203,18 +208,16 @@ def parse_lisa_queries(content: str) -> list[RawQuery]:
             if stripped:
                 pieces.append(" ".join(stripped.split()))
             if done:
-                queries.append(RawQuery(cur_id, " ".join(pieces)))
+                yield cur_id, " ".join(pieces)
                 cur_id = None
     if cur_id is not None:
-        queries.append(RawQuery(cur_id, " ".join(pieces)))
-    return queries
+        yield cur_id, " ".join(pieces)
 
 
-def docs_from_jsonl(content: str) -> list[RawDocument]:
-    """Parse the canonical JSON-lines form: ``{"id": int, "text": str}``."""
-    docs: list[RawDocument] = []
+def _jsonl(lines: Iterable[str]) -> Records:
+    """The canonical JSON-lines form: ``{"id": int, "text": str}``."""
     seen: set[int] = set()
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -232,44 +235,47 @@ def docs_from_jsonl(content: str) -> list[RawDocument]:
         if doc_id in seen:
             raise ParseError(f"duplicate record id {doc_id}", lineno)
         seen.add(doc_id)
-        docs.append(RawDocument(doc_id, text))
-    return docs
+        yield doc_id, text
 
 
-def docs_to_jsonl(docs: list[RawDocument]) -> str:
-    return "".join(
-        json.dumps({"id": d.doc_id, "text": d.text}, ensure_ascii=False) + "\n"
-        for d in docs
-    )
+_DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa, "jsonl": _jsonl}
+_QUERY_READERS = {
+    **_DOC_READERS,
+    "smart": partial(_smart, indexed=frozenset({".W"})),  # the .W section only
+    "lisa": _lisa_queries,
+}
+DOC_FORMATS = tuple(_DOC_READERS)
 
 
-DOC_FORMATS = ("smart", "npl", "lisa", "jsonl")
+def document_records(lines: Iterable[str], format: str) -> Records:
+    """The (doc_id, text) records of a document file's lines, read lazily."""
+    try:
+        reader = _DOC_READERS[format]
+    except KeyError:
+        raise ValueError(f"unknown document format {format!r}") from None
+    return reader(lines)
 
 
 def parse_documents(content: str, format: str) -> list[RawDocument]:
-    if format == "smart":
-        return parse_smart(content)
-    if format == "npl":
-        return parse_npl(content)
-    if format == "lisa":
-        return parse_lisa(content)
-    if format == "jsonl":
-        return docs_from_jsonl(content)
-    raise ValueError(f"unknown document format {format!r}")
+    return [RawDocument(i, t) for i, t in document_records(_lines(content), format)]
+
+
+def parse_smart(content: str) -> list[RawDocument]:
+    """Parse a SMART-format document file.
+
+    Indexable text is the concatenation of the ``.T`` and ``.W`` sections;
+    ``.A``/``.B``/``.X`` are discarded. Record order is preserved.
+    """
+    return parse_documents(content, "smart")
 
 
 def parse_queries(content: str, format: str = "smart") -> list[RawQuery]:
     """Parse a query file; SMART queries take their text from ``.W`` only."""
-    if format == "smart":
-        blocks = _parse_smart_blocks(content, frozenset({".W"}))
-        return [RawQuery(i, t) for i, t in blocks]
-    if format == "npl":
-        return [RawQuery(d.doc_id, d.text) for d in parse_npl(content)]
-    if format == "lisa":
-        return parse_lisa_queries(content)
-    if format == "jsonl":
-        return [RawQuery(d.doc_id, d.text) for d in docs_from_jsonl(content)]
-    raise ValueError(f"unknown query format {format!r}")
+    try:
+        reader = _QUERY_READERS[format]
+    except KeyError:
+        raise ValueError(f"unknown query format {format!r}") from None
+    return [RawQuery(i, t) for i, t in reader(_lines(content))]
 
 
 QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
@@ -352,20 +358,3 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
     if format == "four":
         return _qrels_columns(content, 4, 2)
     raise ValueError(f"unknown qrels format {format!r}")
-
-
-def qrels_to_tsv(qrels: Qrels) -> str:
-    lines = []
-    for query_id in sorted(qrels):
-        for doc_id in sorted(qrels[query_id]):
-            lines.append(f"{query_id}\t{doc_id}\n")
-    return "".join(lines)
-
-
-def collection_stats(docs: list[RawDocument], index) -> CollectionStats:
-    """Summarize a parsed collection against its built index."""
-    return CollectionStats(
-        n_docs=len(docs),
-        n_distinct_terms=len(index.dictionary),
-        size_bytes=sum(len(d.text.encode("utf-8")) for d in docs),
-    )

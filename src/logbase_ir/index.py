@@ -20,7 +20,8 @@ import os
 import sys
 from array import array
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
+from collections.abc import Iterable
 from itertools import accumulate, compress, count, filterfalse, islice, repeat
 from operator import ge, is_not, lt
 
@@ -235,30 +236,44 @@ def _header(line: bytes) -> dict:
 
 
 def build_index(
-    docs: list[tuple[int, list[str]]], stoplist_sha256: str = ""
+    docs: Iterable[tuple[int, list[str]]], stoplist_sha256: str = ""
 ) -> InvertedIndex:
     """Build an index, with every document's norm, from (doc_id, tokens) pairs.
 
-    Documents with no tokens still count toward n_docs. Raises ValueError on
-    an empty document list, duplicate doc_ids or a doc_id outside int64.
+    ``docs`` is read once, so it may be a generator that parses and tokenizes
+    one document at a time: each document's term counts are appended to its
+    terms' int64 columns and its tokens dropped. A term's columns are sorted
+    by doc id only when the doc ids arrived out of order. Documents with no
+    tokens still count toward n_docs. Raises ValueError on an empty
+    collection, duplicate doc_ids or a doc_id outside int64.
     """
-    if not docs:
-        raise ValueError("empty collection: no documents to index")
     seen: set[int] = set()
-    term_docs: defaultdict[str, dict[int, int]] = defaultdict(dict)
+    columns: dict[str, Entry] = {}
+    ascending, last = True, _INT64.start
     for doc_id, tokens in docs:
         if doc_id in seen:
             raise ValueError(f"duplicate doc_id {doc_id}")
         if doc_id not in _INT64:
             raise ValueError(f"doc_id {doc_id} does not fit in a signed 64-bit integer")
         seen.add(doc_id)
+        if doc_id < last:
+            ascending = False
+        last = doc_id
         for term, tf in Counter(tokens).items():
-            term_docs[term][doc_id] = tf
-    dictionary = {}
-    for term, by_doc in sorted(term_docs.items()):
-        doc_ids = sorted(by_doc)
-        dictionary[term] = (array("q", doc_ids), array("q", map(by_doc.__getitem__, doc_ids)))
-    del term_docs  # the norm pass need not hold it too
+            try:
+                ids, tfs = columns[term]
+            except KeyError:
+                ids, tfs = columns[term] = array("q"), array("q")
+            ids.append(doc_id)
+            tfs.append(tf)
+    if not seen:
+        raise ValueError("empty collection: no documents to index")
+    dictionary = {term: columns.pop(term) for term in sorted(columns)}
+    if not ascending:
+        for term, (ids, tfs) in dictionary.items():
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            dictionary[term] = (array("q", map(ids.__getitem__, order)),
+                                array("q", map(tfs.__getitem__, order)))
     return InvertedIndex(_norms(sorted(seen), dictionary), dictionary, stoplist_sha256)
 
 

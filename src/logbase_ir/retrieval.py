@@ -43,7 +43,16 @@ def near_ties(scores: list[float], gap: float) -> list[tuple[int, int]]:
 # γ of its length. With k <= n and m <= V, the vocabulary size, two
 # documents whose scaled scores differ by more than a relative 4 γ_K <= 8 K u
 # rank in the same order under both; 16 K u leaves room for the rounding of
-# the comparison. Validated inputs keep every product a normal double.
+# the comparison. Validated inputs keep every product a normal double. The
+# same holds between the base-e scores (c = 1) and the direct arithmetic at
+# any base, which is what the sweep relies on.
+
+
+def near_tie_gap(index: InvertedIndex, tokens: list[str]) -> float:
+    """The gap of ``near_ties`` that keeps two documents' order the same in
+    the rescaled and the direct arithmetic: 1 - 16 K u, K bounded as above."""
+    k = len(index.dictionary) + 2 * len(set(tokens)) + 22
+    return 1.0 - 16 * k * _U
 
 
 class Ranker:
@@ -109,15 +118,15 @@ class Ranker:
 
         The scores are the base-e ones rescaled (``rank``). Documents whose
         scores are too close for the bound above to order them are re-scored
-        with the weights of the scheme's base computed directly (``_settle``),
+        with the weights of the scheme's base computed directly (``settle``),
         so the order is the one those weights give.
         """
         ranked = self.rank(query_id, self.accumulate(tokens), self.scheme.scale)
-        k = len(self.index.dictionary) + 2 * len(set(tokens)) + 22
         scores = list(map(itemgetter(1), ranked.entries))
         # zero scores (zero dot products) tie in every arithmetic
-        groups = [g for g in near_ties(scores, 1.0 - 16 * k * _U) if scores[g[0]] > 0.0]
-        return self._settle(ranked, groups, tokens) if groups else ranked
+        groups = [g for g in near_ties(scores, near_tie_gap(self.index, tokens))
+                  if scores[g[0]] > 0.0]
+        return self.settle(ranked, groups, tokens) if groups else ranked
 
     def doc_norms(self, doc_ids: Iterable[int]) -> dict[int, float]:
         """Length of each given document's weight vector at the scheme's
@@ -136,8 +145,8 @@ class Ranker:
                     squares[ids[p]] += w * w
         return {doc_id: math.sqrt(squares[doc_id]) for doc_id in wanted}
 
-    def _settle(self, ranked: RankedList, groups: list[tuple[int, int]],
-                tokens: list[str]) -> RankedList:
+    def settle(self, ranked: RankedList, groups: list[tuple[int, int]],
+               tokens: list[str]) -> RankedList:
         """Re-score and re-sort each group of positions of ``ranked`` with the
         scheme's base computed directly: query weights, dot products in
         sorted term order and ``doc_norms``."""

@@ -6,17 +6,17 @@ exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
 than evaluated. The base only rescales the TF-IDF weights, so one ranker
 serves every base: each query is ranked once, at base e, and a base re-scores
 only the groups of near-tied documents whose order rounding could change
-(``_plan``). Per-base summaries can be cached on disk keyed by a digest of the
+(``_plan``), with that base's weights computed directly. Per-base summaries can be cached on disk keyed by a digest of the
 inputs, so an interrupted sweep resumes instead of recomputing.
 """
 
 import hashlib
 import json
 import math
-from collections.abc import Callable
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from itertools import compress, count
 from operator import itemgetter
 
 from .collection_io import Qrels, RawQuery
@@ -28,7 +28,7 @@ from .evaluation import (
     format_summary_csv_row,
 )
 from .index import InvertedIndex, write_atomic, write_report
-from .retrieval import RankedList, Ranker, near_ties
+from .retrieval import RankedList, Ranker, near_tie_gap, near_ties
 from .textpipe import pipeline
 from .weighting import WeightScheme
 
@@ -124,7 +124,6 @@ class BaseGrid:
 
 @dataclass
 class SweepResult:
-    collection_name: str
     grid: BaseGrid
     per_base: dict[str, EvalSummary] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
@@ -215,71 +214,50 @@ def _cache_line(digest: str, label: str, s: EvalSummary) -> str:
     )
 
 
-# Rounding bound (Higham 2002, ch. 3), with u = 2**-53: a document's base-b
-# score fl(fl(c*c*dot) / fl(fl(|c|*qn) * fl(|c|*dn))) is A * (dot/dn) * (1 + θ)
-# with |θ| <= γ_4 ≈ 4u and A the same for every document of a query; at base
-# e (c = 1) |θ| <= γ_2. So two documents' scores at any base are in the ratio
-# of their dot/dn within about 8u, and that is the ratio of their base-e
-# scores within about 4u: a base-e gap above about 12u (16u with room to
-# spare) keeps their order at every base. _SAFE_GAP asks for 32u. The bound
-# holds while every product is a normal double; _SAFE_RANGE keeps far inside.
-_SAFE_GAP = 1.0 - 32 * 2.0**-53
-_SAFE_RANGE = (2.0**-480, 2.0**480)
-
-
-def _plan(ranker: Ranker, accumulators: dict[int, tuple],
-          cutoff: int) -> tuple[dict[int, RankedList], list, Callable[[float], bool]]:
+def _plan(ranker: Ranker, query_tokens: dict[int, list[str]],
+          cutoff: int) -> tuple[dict[int, RankedList], dict[int, list[tuple[int, int]]]]:
     """Rank every query once at base e and find its fragile groups.
 
-    Returns the base-e rankings, the fragile groups and a test of whether the
-    bound holds at scale c = 1 / ln b. A fragile group, given as (query id,
-    start, (query norm, dot of the members)), is two or more consecutive
-    documents that no safe gap separates, that start before the cutoff and
-    that do not tie exactly. Exact ties (bit-equal dot and norm) and zero
-    scores tie at every base and keep their doc-id order.
+    Returns the base-e rankings and, for each query that has any, its fragile
+    groups as (start, stop) positions: the groups of positive near ties that
+    ``Ranker.rank_tokens`` settles (``near_tie_gap``), less those from the
+    cutoff on and those of identical documents. Outside these groups the
+    base-e order is that of the direct arithmetic at every base (the bound
+    in ``retrieval``); identical documents score alike in every arithmetic
+    and keep their doc-id order.
     """
-    rankings, fragile = {}, []
+    rankings, fragile, ties = {}, {}, []
     norms = ranker.index.norms
-    # the non-zero dot products and norms (1.0 only widens their extremes)
-    dots, lengths = [1.0], [1.0, *filter(None, norms.values())]
-    smallest = 1.0  # the smallest score of a non-zero dot product
-    for qid, acc in accumulators.items():
-        query_norm, dot = acc
+    for qid, tokens in query_tokens.items():
+        acc = ranker.accumulate(tokens)
         ranked = rankings[qid] = ranker.rank(qid, acc)
         scores = list(map(itemgetter(1), ranked.entries))
-        nonzero = list(filter(None, dot.values()))
-        if nonzero:
-            dots += nonzero
-            lengths.append(query_norm)
-            smallest = min(smallest, scores[len(nonzero) - 1])  # zero dots rank last
-        for start, stop in near_ties(scores, _SAFE_GAP):
-            if start >= cutoff:
+        for start, stop in near_ties(scores, near_tie_gap(ranker.index, tokens)):
+            # zero scores (zero dot products) rank last and tie in every arithmetic
+            if start >= cutoff or scores[start] == 0.0:
                 break
             members = [d for d, _ in ranked.entries[start:stop]]
-            # every zero dot product scores 0.0, whatever the norm
-            if len({(dot[d], norms[d]) if dot[d] else 0.0 for d in members}) > 1:
-                fragile.append((qid, start, (query_norm, {d: dot[d] for d in members})))
-    lo, hi = _SAFE_RANGE
-    dot_lo, dot_hi, length_lo, length_hi = min(dots), max(dots), min(lengths), max(lengths)
-
-    def in_range(scale: float) -> bool:
-        """Whether every c*c*dot and |c|*norm stays inside _SAFE_RANGE."""
-        c2, m = scale * scale, abs(scale)
-        return (lo <= c2 * dot_lo and c2 * dot_hi <= hi
-                and lo <= m * length_lo and m * length_hi <= hi)
-
-    # the base-e scores that the groups come from must obey the bound too
-    base_e_in_range = smallest >= lo and in_range(1.0)
-    return rankings, fragile, lambda scale: base_e_in_range and in_range(scale)
+            # only documents with bit-equal dot product and norm can be identical
+            if len({(acc[1][d], norms[d]) for d in members}) == 1:
+                ties.append((qid, start, stop, members))
+            else:
+                fragile.setdefault(qid, []).append((start, stop))
+    if ties:
+        vectors = _term_vectors(ranker.index, {d for *_, members in ties for d in members})
+        for qid, start, stop, members in ties:
+            if any(vectors[d] != vectors[members[0]] for d in members):
+                fragile.setdefault(qid, []).append((start, stop))
+    return rankings, fragile
 
 
-def _spliced(rankings: dict[int, RankedList], groups: list, orders: list
-             ) -> dict[int, RankedList]:
-    """The rankings with each re-scored group put in its new order."""
-    entries = {qid: list(rl.entries) for qid, rl in rankings.items()}
-    for (qid, start, _), order in zip(groups, orders):
-        entries[qid][start:start + len(order)] = order
-    return {qid: RankedList(qid, tuple(e)) for qid, e in entries.items()}
+def _term_vectors(index: InvertedIndex, doc_ids: set[int]) -> dict[int, list[tuple[str, int]]]:
+    """Each given document's (term, tf) pairs in term order, from one pass
+    over the postings."""
+    vectors: dict[int, list[tuple[str, int]]] = {d: [] for d in doc_ids}
+    for term, (ids, tfs) in index.dictionary.items():
+        for p in compress(count(), map(doc_ids.__contains__, ids)):
+            vectors[ids[p]].append((term, tfs[p]))
+    return vectors
 
 
 def run_sweep(
@@ -293,14 +271,15 @@ def run_sweep(
     interpolation: str = "paper",
     pooling: str = "per_query",
     cache_path: str | None = None,
-    collection_name: str = "",
 ) -> SweepResult:
     """Evaluate every grid base; base 1.0 is recorded as skipped.
 
     Every qrels query_id must exist in the query list (checked before any
     evaluation). One base-e ranker scores and ranks each query once (see
-    ``_plan``); each base re-scores only the fragile groups, and bases whose
-    rankings agree to the cutoff share one evaluation.
+    ``_plan``); each base re-scores only the fragile groups, with the weights
+    of that base computed directly (``Ranker.settle``), so every base ranks
+    as ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
+    share one evaluation.
     """
     if grid is None:
         grid = BaseGrid.default()
@@ -315,7 +294,7 @@ def run_sweep(
         q.query_id: pipeline(q.text, stoplist) for q in queries if q.query_id in qrels
     }
 
-    result = SweepResult(collection_name=collection_name, grid=grid)
+    result = SweepResult(grid=grid)
     todo: list[tuple[str, float]] = []
     for value in grid.values():
         label = str(value)
@@ -324,12 +303,8 @@ def run_sweep(
         else:
             todo.append((label, float(value)))
 
-    ranker = Ranker(index, WeightScheme(math.e))
-    accumulators = {qid: ranker.accumulate(tokens) for qid, tokens in query_tokens.items()}
-    rankings, fragile, bound_holds = _plan(ranker, accumulators, cutoff)
-    # each query's ranking as one group, for a base where the bound may fail
-    whole = [(qid, 0, acc) for qid, acc in accumulators.items()]
-    result.fragile_groups = len(fragile)
+    rankings, fragile = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
+    result.fragile_groups = sum(map(len, fragile.values()))
     memo: dict[tuple, EvalSummary] = {}
     with ExitStack() as stack:
         cache_file = None
@@ -343,19 +318,18 @@ def run_sweep(
             cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
 
         for label, base in todo:
-            scale = 1.0 / math.log(base)
-            groups = fragile if bound_holds(scale) else whole
-            orders = [ranker.rank(qid, acc, scale).entries for qid, _, acc in groups]
-            # evaluation reads only the doc ids up to the cutoff; a base whose
-            # every document is re-scored is keyed apart
-            key = (groups is whole, tuple(
-                tuple(map(itemgetter(0), order[:cutoff - start]))
-                for (_, start, _), order in zip(groups, orders)
-            ))
+            settled = dict(rankings)
+            if fragile:
+                ranker = Ranker(index, WeightScheme(base))
+                for qid, groups in fragile.items():
+                    settled[qid] = ranker.settle(rankings[qid], groups, query_tokens[qid])
+            # evaluation reads only the doc ids up to the cutoff
+            key = tuple(
+                tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))
+                for qid, groups in fragile.items() for start, stop in groups
+            )
             if key not in memo:
-                memo[key], _ = evaluate_rankings(
-                    _spliced(rankings, groups, orders), qrels, cutoff, interpolation, pooling
-                )
+                memo[key], _ = evaluate_rankings(settled, qrels, cutoff, interpolation, pooling)
             summary = result.per_base[label] = memo[key]
             if cache_file:
                 cache_file.write(_cache_line(digest, label, summary) + "\n")

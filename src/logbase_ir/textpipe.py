@@ -7,7 +7,6 @@ filtering happens.
 
 import hashlib
 import re
-from collections.abc import Iterable
 from functools import lru_cache
 from importlib import resources
 
@@ -62,16 +61,37 @@ def stoplist_fingerprint(stoplist: frozenset[str]) -> str:
     return hashlib.sha256("\n".join(sorted(stoplist)).encode("utf-8")).hexdigest()
 
 
-def remove_stopwords(tokens: Iterable[str], stoplist: frozenset[str]) -> list[str]:
-    return [t for t in tokens if t not in stoplist]
+class _Terms(dict):
+    """Surface token -> index term, or None for a stopword. A token missing
+    from the map is looked up once, when it is first seen: ``porter_stem`` is
+    read from this module at that moment, so a wrapper put in its place sees
+    each distinct word once."""
+
+    __slots__ = ("stoplist",)
+
+    def __init__(self, stoplist: frozenset[str]):
+        super().__init__()
+        self.stoplist = stoplist
+
+    def __missing__(self, token: str) -> str | None:
+        term = self[token] = None if token in self.stoplist else porter_stem(token)
+        return term
+
+
+@lru_cache(maxsize=4)
+def _terms(stoplist: frozenset[str]) -> _Terms:
+    """The term map of a stoplist, shared by every pipeline call with it."""
+    return _Terms(stoplist)
 
 
 def pipeline(text: str, stoplist: frozenset[str] | None = None) -> list[str]:
     """Produce index terms: tokenize, remove stopwords, then stem.
 
     Stopword removal happens before stemming so stoplist entries match the
-    surface forms they were written for.
+    surface forms they were written for. Each token goes through the
+    stoplist's term map; a stem is never empty (every Porter rule leaves at
+    least one letter), so ``filter(None, ...)`` drops exactly the stopwords.
     """
     if stoplist is None:
         stoplist = default_stoplist()
-    return list(map(porter_stem, remove_stopwords(tokenize(text), stoplist)))
+    return list(filter(None, map(_terms(stoplist).__getitem__, tokenize(text))))

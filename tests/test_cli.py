@@ -72,6 +72,33 @@ class TestStatsAndIndex:
         assert "documents=31" in out
         assert "distinct_terms=2" in out
 
+    def test_stats_counts_documents_terms_and_text_bytes(self, capsys, tmp_path):
+        # the text of the indexed sections, joined by spaces, in UTF-8
+        docs = tmp_path / "docs.all"
+        docs.write_text(".I 1\n.T\napple\n.W\nbanana  caf\u00e9\n.A\nx\n.I 2\n.W\nbanana cherry\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "stats", "--docs", docs)
+        assert code == 0
+        text_bytes = len("apple banana caf\u00e9".encode()) + len("banana cherry")
+        assert out == f"documents=2 distinct_terms=4 text_bytes={text_bytes}\n"
+
+    def test_lone_carriage_return_is_text(self, capsys, tmp_path):
+        # a lone "\r" does not end a line: ".I 1\r.W\rhello world" is one line
+        docs = tmp_path / "docs.all"
+        docs.write_bytes(b".I 1\r.W\rhello world\n.I 2\n.W\nfoo\n")
+        code, out, err = run(capsys, "stats", "--docs", docs)
+        assert (code, out) == (1, "")
+        assert err == "error: line 1: bad .I record id '1\\r.W\\rhello world'\n"
+
+    def test_non_utf8_docs_is_domain_error(self, capsys, tmp_path):
+        docs = tmp_path / "latin1.all"
+        docs.write_bytes(".I 1\n.W\ncaf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "stats", "--docs", docs)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {docs}: not UTF-8: ")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", "--docs", tmp_path / "nope.all")
         assert code == 2
@@ -556,6 +583,13 @@ class TestConfigValues:
         assert code == 0
         assert (tmp_path / "run.tsv").read_text().startswith("1\t")
 
+    def test_name_is_not_a_config_key(self, capsys, collection, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={collection['docs']}\nname=med\n")
+        code, _, err = run(capsys, "sweep", "--config", cfg)
+        assert code == 2
+        assert err == f"error: {cfg}:2: unknown option 'name'\n"
+
     def test_positional_is_not_a_config_key(self, capsys, collection, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"docs={collection['docs']}\nquery=zebra\n")
@@ -565,7 +599,7 @@ class TestConfigValues:
 
 
 class TestConfigLines:
-    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"])
     def test_lines_end_at_newlines_only(self, capsys, tmp_path, sep):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"top=3{sep}\r\nbogus=1\n", encoding="utf-8", newline="")

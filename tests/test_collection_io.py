@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -9,20 +10,18 @@ from logbase_ir.collection_io import (
     ParseError,
     RawDocument,
     RawQuery,
-    collection_stats,
-    docs_from_jsonl,
-    docs_to_jsonl,
-    parse_lisa,
-    parse_lisa_queries,
     parse_documents,
-    parse_npl,
     parse_qrels,
     parse_queries,
     parse_smart,
-    qrels_to_tsv,
 )
-from logbase_ir.index import build_index
-from logbase_ir.textpipe import pipeline
+
+
+def jsonl(docs: list[RawDocument]) -> str:
+    """The canonical JSON-lines form of documents, one object per line."""
+    return "".join(
+        json.dumps({"id": d.doc_id, "text": d.text}, ensure_ascii=False) + "\n" for d in docs
+    )
 
 
 class TestParseSmart:
@@ -90,13 +89,13 @@ class TestParseNpl:
     CONTENT = "1\nenergy levels in gases\n/\n2\nmicrowave spectroscopy\n  /\n"
 
     def test_documents(self):
-        assert parse_npl(self.CONTENT) == [
+        assert parse_documents(self.CONTENT, "npl") == [
             RawDocument(1, "energy levels in gases"),
             RawDocument(2, "microwave spectroscopy"),
         ]
 
     def test_id_on_text_line(self):
-        assert parse_npl("3 compact text\n/\n") == [RawDocument(3, "compact text")]
+        assert parse_documents("3 compact text\n/\n", "npl") == [RawDocument(3, "compact text")]
 
     def test_queries_via_format_flag(self):
         assert parse_queries(self.CONTENT, format="npl") == [
@@ -106,7 +105,7 @@ class TestParseNpl:
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_npl("1\na\n/\n1\nb\n/\n")
+            parse_documents("1\na\n/\n1\nb\n/\n", "npl")
 
 
 class TestParseLisa:
@@ -118,14 +117,14 @@ class TestParseLisa:
     )
 
     def test_documents(self):
-        assert parse_lisa(self.CONTENT) == [
+        assert parse_documents(self.CONTENT, "lisa") == [
             RawDocument(1, "LIBRARY AUTOMATION. the effects of automation."),
             RawDocument(2, "CATALOGUING RULES."),
         ]
 
     def test_queries_hash_terminated(self):
         content = "1\nWHAT IS AUTOMATION\nIN LIBRARIES #\n2\nSECOND QUERY#\n"
-        assert parse_lisa_queries(content) == [
+        assert parse_queries(content, "lisa") == [
             RawQuery(1, "WHAT IS AUTOMATION IN LIBRARIES"),
             RawQuery(2, "SECOND QUERY"),
         ]
@@ -171,7 +170,8 @@ class TestParseQrels:
 
     def test_idempotent_via_tsv_round_trip(self):
         qrels = parse_qrels("2 4\n1 9\n1 3", "two")
-        assert parse_qrels(qrels_to_tsv(qrels), "two") == qrels
+        tsv = "".join(f"{q}\t{d}\n" for q in sorted(qrels) for d in sorted(qrels[q]))
+        assert parse_qrels(tsv, "two") == qrels
 
     def test_empty(self):
         assert parse_qrels("") == {}
@@ -197,7 +197,7 @@ class TestLineBreaks:
         with pytest.raises(ParseError, match="line 4"):
             parse_smart(f".I 1\n.W\na{sep}b\n.I x\n")
         with pytest.raises(ParseError, match="line 3"):
-            parse_npl(f"1 a{sep}b\n/\nx y\n/\n")
+            parse_documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n", "two")
 
@@ -205,7 +205,7 @@ class TestLineBreaks:
         assert parse_smart(".I 1\r\n.W\r\nabc\r\n.I 2\r\n") == [
             RawDocument(1, "abc"), RawDocument(2, "")
         ]
-        assert parse_lisa("Document 3\r\ntext\r\n****\r\n") == [RawDocument(3, "text")]
+        assert parse_documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [RawDocument(3, "text")]
         assert parse_qrels("1 2\r\n1 3\r\n") == {1: {2, 3}}
 
 
@@ -213,25 +213,15 @@ class TestJsonlRoundTrip:
     @given(ids=ids, texts=texts)
     def test_round_trip(self, ids, texts):
         docs = [RawDocument(i, t) for i, t in zip(ids, texts)]
-        assert docs_from_jsonl(docs_to_jsonl(docs)) == docs
+        assert parse_documents(jsonl(docs), "jsonl") == docs
 
     def test_bad_record_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            docs_from_jsonl('{"id": 1, "text": "a"}\n{"id": "x"}\n')
+            parse_documents('{"id": 1, "text": "a"}\n{"id": "x"}\n', "jsonl")
 
     def test_smart_to_jsonl_round_trip(self):
         docs = parse_smart(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta")
-        assert docs_from_jsonl(docs_to_jsonl(docs)) == docs
-
-
-class TestCollectionStats:
-    def test_counts(self):
-        docs = parse_smart(".I 1\n.W\napple banana\n.I 2\n.W\nbanana cherry")
-        index = build_index([(d.doc_id, pipeline(d.text)) for d in docs])
-        stats = collection_stats(docs, index)
-        assert stats.n_docs == 2
-        assert stats.n_distinct_terms == 3
-        assert stats.size_bytes == sum(len(d.text.encode()) for d in docs)
+        assert parse_documents(jsonl(docs), "jsonl") == docs
 
 
 # Fuzzing: on any text, a parser returns records or raises ParseError with a
@@ -281,14 +271,13 @@ class TestFuzz:
     @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
     def test_jsonl_round_trips_exactly(self, records):
         docs = [RawDocument(i, t) for i, t in records]
-        content = docs_to_jsonl(docs)
-        assert docs_from_jsonl(content) == docs
+        content = jsonl(docs)
         assert parse_documents(content, "jsonl") == docs
         assert parse_queries(content, "jsonl") == [RawQuery(i, t) for i, t in records]
 
     def test_deep_nesting_is_parse_error(self):
         # 200,000 '[' used to end in a RecursionError traceback
-        for parse in (docs_from_jsonl, lambda c: parse_queries(c, "jsonl")):
+        for parse in (lambda c: parse_documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
             with pytest.raises(ParseError, match="line 2"):
                 parse('{"id": 1, "text": "a"}\n' + "[" * 200_000)
 
@@ -300,4 +289,4 @@ class TestFuzz:
     def test_integer_past_the_digit_limit_is_parse_error(self):
         # a plain ValueError without a line number before
         with pytest.raises(ParseError, match="line 1"):
-            docs_from_jsonl('{"id": 1' + "0" * 5000 + ', "text": "a"}')
+            parse_documents('{"id": 1' + "0" * 5000 + ', "text": "a"}', "jsonl")

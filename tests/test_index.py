@@ -45,6 +45,15 @@ class TestBuild:
         with pytest.raises(ValueError, match=f"doc_id {doc_id} does not fit"):
             build_index([(1, ["a"]), (doc_id, ["b"])])
 
+    def test_one_shot_generator(self):
+        docs = [(3, ["b", "a"]), (1, ["a", "a"]), (2, [])]
+        stream = (doc for doc in docs)
+        index = build_index(stream)
+        assert next(stream, None) is None
+        assert index.snapshot_parts() == build_index(docs).snapshot_parts()
+        assert index.dictionary["a"] == (array("q", [1, 3]), array("q", [2, 1]))
+        assert list(index.norms) == [1, 2, 3]
+
     def test_int64_limits_accepted(self):
         index = build_index([(2**63 - 1, ["a"]), (-(2**63), ["a"])])
         assert index.dictionary["a"][0] == array("q", [-(2**63), 2**63 - 1])

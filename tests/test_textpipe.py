@@ -1,15 +1,20 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from logbase_ir.porter import stem as porter_stem
 from logbase_ir.textpipe import (
     default_stoplist,
     load_stoplist,
     pipeline,
-    remove_stopwords,
     tokenize,
 )
+
+PAIRS = Path(__file__).parent / "data" / "porter_pairs.txt"
+PAIR_WORDS = [line.split()[0] for line in PAIRS.read_text().splitlines()
+              if line.strip() and not line.startswith("#")]
 
 
 class TestTokenize:
@@ -52,19 +57,17 @@ class TestStopwords:
             assert word in stoplist
 
     def test_removal(self):
-        got = remove_stopwords(["the", "cat", "in", "a", "hat"], default_stoplist())
-        assert got == ["cat", "hat"]
+        assert pipeline("the cat in a hat", default_stoplist()) == ["cat", "hat"]
 
     def test_empty_tokens(self):
-        assert remove_stopwords([], default_stoplist()) == []
+        assert pipeline("the in a", default_stoplist()) == []
 
     def test_empty_stoplist_is_identity(self):
-        assert remove_stopwords(["cat"], frozenset()) == ["cat"]
+        assert pipeline("the cat", frozenset()) == ["the", "cat"]
 
     def test_idempotent(self):
-        tokens = ["the", "cat", "sat", "on", "a", "mat"]
-        once = remove_stopwords(tokens, default_stoplist())
-        assert remove_stopwords(once, default_stoplist()) == once
+        once = pipeline("the cat sat on a mat", default_stoplist())
+        assert pipeline(" ".join(once), default_stoplist()) == once
 
     def test_load_file_with_comments(self, tmp_path):
         path = tmp_path / "stop.txt"
@@ -93,3 +96,17 @@ class TestPipeline:
     @given(st.text(max_size=200))
     def test_deterministic(self, text):
         assert pipeline(text) == pipeline(text)
+
+    @given(st.lists(st.sampled_from(PAIR_WORDS + ["The", "AND", "caf\u00e9", "\u212aelvin", "-", "7"]),
+                    max_size=30).map(" ".join),
+           st.sampled_from([None, frozenset(), frozenset({"and", "abstain", "caf"})]))
+    def test_term_map_is_stop_then_stem(self, text, stoplist):
+        stop = default_stoplist() if stoplist is None else stoplist
+        want = [porter_stem(t) for t in tokenize(text) if t not in stop]
+        assert pipeline(text, stoplist) == want
+        assert pipeline(text, stoplist) == want  # from a filled map
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12))
+    def test_stem_is_never_empty(self, word):
+        # the pipeline drops stopwords with filter(None, ...)
+        assert porter_stem(word)
