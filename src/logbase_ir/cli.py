@@ -123,6 +123,8 @@ def _stoplist(opts: _Options) -> frozenset[str]:
         return load_stoplist(path)
     except OSError as e:
         raise _Exit(2, f"cannot read stoplist {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
 
 
 def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) -> str:
@@ -353,7 +355,7 @@ def cmd_sweep(opts: _Options) -> int:
                      sweep_mod.render_table(compare, metric))
         sweep_mod.emit_level_curves(
             result,
-            [row.base for row in compare],
+            [label for label, _ in compare],
             os.path.join(out, f"levels_{metric}.csv"),
         )
     evaluated = len(result.per_base)

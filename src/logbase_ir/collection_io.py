@@ -279,6 +279,8 @@ def parse_queries(content: str, format: str = "smart") -> list[RawQuery]:
 
 
 QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
+# (column count, doc-id column) of each fixed-column layout
+_QRELS_LAYOUTS = {"two": (2, 1), "three": (3, 1), "four": (4, 2)}
 
 
 def _qrels_columns(content: str, want: int, doc_col: int) -> Qrels:
@@ -304,25 +306,22 @@ def _qrels_idlist(content: str) -> Qrels:
     """Relevance lists: a query id, then doc ids, terminated by a ``/`` line."""
     qrels: Qrels = {}
     tokens: list[tuple[int, str]] = []
+
+    def flush() -> None:
+        if tokens:
+            try:
+                ids = [int(t) for _, t in tokens]
+            except ValueError:
+                raise ParseError("non-integer id", tokens[0][0]) from None
+            qrels.setdefault(ids[0], set()).update(ids[1:])
+            tokens.clear()
+
     for lineno, line in enumerate(_lines(content), start=1):
         if line.strip() == "/":
-            if tokens:
-                first_no, first = tokens[0]
-                try:
-                    ids = [int(t) for _, t in tokens]
-                except ValueError:
-                    raise ParseError("non-integer id", first_no) from None
-                qrels.setdefault(ids[0], set()).update(ids[1:])
-            tokens = []
+            flush()
         else:
             tokens.extend((lineno, t) for t in line.split())
-    if tokens:
-        first_no, _ = tokens[0]
-        try:
-            ids = [int(t) for _, t in tokens]
-        except ValueError:
-            raise ParseError("non-integer id", first_no) from None
-        qrels.setdefault(ids[0], set()).update(ids[1:])
+    flush()
     return qrels
 
 
@@ -335,26 +334,22 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
     the layout from the column count; a four-column file whose second column
     is not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
     """
+    if format == "idlist":
+        return _qrels_idlist(content)
     if format == "auto":
         lines = enumerate(_lines(content), start=1)
         rows = [(n, line.split()) for n, line in lines if line.split()]
         if not rows:
             return {}
         first_row, width = rows[0][0], len(rows[0][1])
-        if width == 2:
-            return _qrels_columns(content, 2, 1)
-        if width == 3:
-            return _qrels_columns(content, 3, 1)
-        if width == 4:
-            doc_col = 2 if all(r[1] == "0" for _, r in rows if len(r) == 4) else 1
-            return _qrels_columns(content, 4, doc_col)
-        raise ParseError(f"cannot infer qrels layout from {width} columns", first_row)
-    if format == "idlist":
-        return _qrels_idlist(content)
-    if format == "two":
-        return _qrels_columns(content, 2, 1)
-    if format == "three":
-        return _qrels_columns(content, 3, 1)
-    if format == "four":
-        return _qrels_columns(content, 4, 2)
-    raise ValueError(f"unknown qrels format {format!r}")
+        doc_cols = dict(_QRELS_LAYOUTS.values())
+        if width not in doc_cols:
+            raise ParseError(f"cannot infer qrels layout from {width} columns", first_row)
+        columns, doc_col = width, doc_cols[width]
+        if width == 4 and any(r[1] != "0" for _, r in rows if len(r) == 4):
+            doc_col = 1
+    elif format in _QRELS_LAYOUTS:
+        columns, doc_col = _QRELS_LAYOUTS[format]
+    else:
+        raise ValueError(f"unknown qrels format {format!r}")
+    return _qrels_columns(content, columns, doc_col)

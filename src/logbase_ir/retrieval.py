@@ -24,6 +24,10 @@ class RankedList(NamedTuple):
     entries: tuple[tuple[int, float], ...] = ()
 
 
+# doc_id -> its (term, tf) pairs in sorted term order
+Vectors = dict[int, list[tuple[str, int]]]
+
+
 def near_ties(scores: list[float], gap: float) -> list[tuple[int, int]]:
     """(start, stop) of every run of two or more consecutive scores, sorted
     descending, that no safe gap separates: the gap after position i is safe
@@ -62,8 +66,9 @@ class Ranker:
     base e, computed for those terms alone, and each document's norm is the
     base-e one the index stores. Changing the base from e to b multiplies
     every weight by c = 1 / ln b (the scheme's ``scale``), which ``rank``
-    applies to the base-e accumulators; so a parameter sweep builds one
-    Ranker at base e and rescales its accumulators per base.
+    applies to the base-e accumulators. Documents too close for that to
+    order them are re-scored from their term vectors with the weights of
+    the scheme's base computed directly (``settle``).
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
@@ -126,49 +131,51 @@ class Ranker:
         # zero scores (zero dot products) tie in every arithmetic
         groups = [g for g in near_ties(scores, near_tie_gap(self.index, tokens))
                   if scores[g[0]] > 0.0]
-        return self.settle(ranked, groups, tokens) if groups else ranked
+        if not groups:
+            return ranked
+        members = [doc_id for start, stop in groups for doc_id, _ in ranked.entries[start:stop]]
+        return self.settle(ranked, groups, tokens, term_vectors(self.index, members))
 
-    def doc_norms(self, doc_ids: Iterable[int]) -> dict[int, float]:
-        """Length of each given document's weight vector at the scheme's
-        base, computed directly: one pass over the postings in sorted term
-        order, so each document's squares are added in the order of its
-        terms. The pass picks out the given documents' postings in C and
-        weighs only the terms that hold one."""
-        wanted = set(doc_ids)
-        squares = dict.fromkeys(wanted, 0.0)
-        for term, (ids, tfs) in self.index.dictionary.items():
-            hits = list(compress(count(), map(wanted.__contains__, ids)))
-            if hits:
-                term_idf = idf(self.index, term, self.scheme)
-                for p in hits:
-                    w = tfs[p] * term_idf
-                    squares[ids[p]] += w * w
-        return {doc_id: math.sqrt(squares[doc_id]) for doc_id in wanted}
-
-    def settle(self, ranked: RankedList, groups: list[tuple[int, int]],
-               tokens: list[str]) -> RankedList:
+    def settle(self, ranked: RankedList, groups: list[tuple[int, int]], tokens: list[str],
+               vectors: Vectors) -> RankedList:
         """Re-score and re-sort each group of positions of ``ranked`` with the
-        scheme's base computed directly: query weights, dot products in
-        sorted term order and ``doc_norms``."""
+        scheme's base computed directly. A member's dot product with the
+        query weights and its squared norm come from its term vector
+        (``term_vectors``), each added in sorted term order."""
         entries = list(ranked.entries)
-        members = {doc_id for start, stop in groups for doc_id, _ in entries[start:stop]}
         weights = weigh_query(self.index, tokens, self.scheme)
         query_norm = math.sqrt(reduce(add, [w * w for _, w, _ in weights], 0.0))
-        dot = dict.fromkeys(members, 0.0)
-        for term, weight, term_idf in weights:
-            ids, tfs = self.index.dictionary[term]
-            for p in compress(count(), map(members.__contains__, ids)):
-                dot[ids[p]] += weight * (tfs[p] * term_idf)
-        norms = self.doc_norms(members)
+        query = {term: weight for term, weight, _ in weights}
+        idfs: dict[str, float] = {}
         for start, stop in groups:
             group = []
             for doc_id in sorted(doc_id for doc_id, _ in entries[start:stop]):
-                denom = query_norm * norms[doc_id]
-                group.append((doc_id, dot[doc_id] / denom if denom != 0.0 else 0.0))
+                dot = square = 0.0
+                for term, tf in vectors[doc_id]:
+                    if term not in idfs:
+                        idfs[term] = idf(self.index, term, self.scheme)
+                    w = tf * idfs[term]
+                    square += w * w
+                    if term in query:
+                        dot += query[term] * w
+                denom = query_norm * math.sqrt(square)
+                group.append((doc_id, dot / denom if denom != 0.0 else 0.0))
             # stable sort: equal scores keep ascending doc_id order
             group.sort(key=itemgetter(1), reverse=True)
             entries[start:stop] = group
         return RankedList(ranked.query_id, tuple(entries))
+
+
+def term_vectors(index: InvertedIndex, doc_ids: Iterable[int]) -> Vectors:
+    """Each given document's (term, tf) pairs in sorted term order, from one
+    pass over the postings that picks out the given documents' postings in
+    C."""
+    wanted = set(doc_ids)
+    vectors: Vectors = {doc_id: [] for doc_id in wanted}
+    for term, (ids, tfs) in index.dictionary.items():
+        for p in compress(count(), map(wanted.__contains__, ids)):
+            vectors[ids[p]].append((term, tfs[p]))
+    return vectors
 
 
 def format_run(ranked_lists: list[RankedList]) -> str:

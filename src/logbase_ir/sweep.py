@@ -5,18 +5,18 @@ are generated with Decimal arithmetic so the rendered one-decimal labels are
 exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
 than evaluated. The base only rescales the TF-IDF weights, so one ranker
 serves every base: each query is ranked once, at base e, and a base re-scores
-only the groups of near-tied documents whose order rounding could change
-(``_plan``), with that base's weights computed directly. Per-base summaries can be cached on disk keyed by a digest of the
-inputs, so an interrupted sweep resumes instead of recomputing.
+only the groups of near-tied documents whose order rounding could change,
+with that base's weights computed directly from term vectors gathered once
+(``_plan``). Per-base summaries can be cached on disk keyed by a digest of
+the inputs, so an interrupted sweep resumes instead of recomputing.
 """
 
 import hashlib
 import json
 import math
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
-from itertools import compress, count
 from operator import itemgetter
 
 from .collection_io import Qrels, RawQuery
@@ -28,7 +28,7 @@ from .evaluation import (
     format_summary_csv_row,
 )
 from .index import InvertedIndex, write_atomic, write_report
-from .retrieval import RankedList, Ranker, near_tie_gap, near_ties
+from .retrieval import RankedList, Ranker, Vectors, near_tie_gap, near_ties, term_vectors
 from .textpipe import pipeline
 from .weighting import WeightScheme
 
@@ -118,13 +118,11 @@ class BaseGrid:
             out.append(v)
             k += 1
 
-    def labels(self) -> list[str]:
-        return [str(v) for v in self.values()]
-
 
 @dataclass
 class SweepResult:
     grid: BaseGrid
+    # base label -> summary, in ascending base order
     per_base: dict[str, EvalSummary] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     # bases ranked in this run (not taken from the cache), the distinct
@@ -134,12 +132,8 @@ class SweepResult:
     fragile_groups: int = 0
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    base: str
-    levels: tuple[float, ...]
-    map: float
-    map_at_30: float
+# a report row: base label and its summary
+Row = tuple[str, EvalSummary]
 
 
 def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
@@ -214,50 +208,35 @@ def _cache_line(digest: str, label: str, s: EvalSummary) -> str:
     )
 
 
-def _plan(ranker: Ranker, query_tokens: dict[int, list[str]],
-          cutoff: int) -> tuple[dict[int, RankedList], dict[int, list[tuple[int, int]]]]:
+def _plan(ranker: Ranker, query_tokens: dict[int, list[str]], cutoff: int
+          ) -> tuple[dict[int, RankedList], dict[int, list[tuple[int, int]]], Vectors]:
     """Rank every query once at base e and find its fragile groups.
 
-    Returns the base-e rankings and, for each query that has any, its fragile
+    Returns the base-e rankings; for each query that has any, its fragile
     groups as (start, stop) positions: the groups of positive near ties that
     ``Ranker.rank_tokens`` settles (``near_tie_gap``), less those from the
-    cutoff on and those of identical documents. Outside these groups the
-    base-e order is that of the direct arithmetic at every base (the bound
-    in ``retrieval``); identical documents score alike in every arithmetic
-    and keep their doc-id order.
+    cutoff on and those of identical documents; and the term vectors of their
+    members, from one pass over the postings, for ``Ranker.settle``. Outside
+    these groups the base-e order is that of the direct arithmetic at every
+    base (the bound in ``retrieval``); identical documents score alike in
+    every arithmetic and keep their doc-id order.
     """
-    rankings, fragile, ties = {}, {}, []
-    norms = ranker.index.norms
+    rankings, ties = {}, []
     for qid, tokens in query_tokens.items():
-        acc = ranker.accumulate(tokens)
-        ranked = rankings[qid] = ranker.rank(qid, acc)
+        ranked = rankings[qid] = ranker.rank(qid, ranker.accumulate(tokens))
         scores = list(map(itemgetter(1), ranked.entries))
         for start, stop in near_ties(scores, near_tie_gap(ranker.index, tokens)):
             # zero scores (zero dot products) rank last and tie in every arithmetic
             if start >= cutoff or scores[start] == 0.0:
                 break
-            members = [d for d, _ in ranked.entries[start:stop]]
-            # only documents with bit-equal dot product and norm can be identical
-            if len({(acc[1][d], norms[d]) for d in members}) == 1:
-                ties.append((qid, start, stop, members))
-            else:
-                fragile.setdefault(qid, []).append((start, stop))
-    if ties:
-        vectors = _term_vectors(ranker.index, {d for *_, members in ties for d in members})
-        for qid, start, stop, members in ties:
-            if any(vectors[d] != vectors[members[0]] for d in members):
-                fragile.setdefault(qid, []).append((start, stop))
-    return rankings, fragile
-
-
-def _term_vectors(index: InvertedIndex, doc_ids: set[int]) -> dict[int, list[tuple[str, int]]]:
-    """Each given document's (term, tf) pairs in term order, from one pass
-    over the postings."""
-    vectors: dict[int, list[tuple[str, int]]] = {d: [] for d in doc_ids}
-    for term, (ids, tfs) in index.dictionary.items():
-        for p in compress(count(), map(doc_ids.__contains__, ids)):
-            vectors[ids[p]].append((term, tfs[p]))
-    return vectors
+            ties.append((qid, start, stop, [d for d, _ in ranked.entries[start:stop]]))
+    members = {d for *_, group in ties for d in group}
+    vectors = term_vectors(ranker.index, members) if members else {}
+    fragile: dict[int, list[tuple[int, int]]] = {}
+    for qid, start, stop, members in ties:
+        if any(vectors[d] != vectors[members[0]] for d in members):
+            fragile.setdefault(qid, []).append((start, stop))
+    return rankings, fragile, vectors
 
 
 def run_sweep(
@@ -295,34 +274,29 @@ def run_sweep(
     }
 
     result = SweepResult(grid=grid)
-    todo: list[tuple[str, float]] = []
-    for value in grid.values():
-        label = str(value)
-        if value == 1:
-            result.skipped.append((label, SKIP_INVALID_BASE))
-        else:
-            todo.append((label, float(value)))
-
-    rankings, fragile = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
+    rankings, fragile, vectors = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
     result.fragile_groups = sum(map(len, fragile.values()))
+    cached: dict[str, EvalSummary] = {}
+    if cache_path is not None:
+        digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
+        cached = _load_cache(cache_path, digest)
     memo: dict[tuple, EvalSummary] = {}
-    with ExitStack() as stack:
-        cache_file = None
-        if cache_path is not None:
-            digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
-            cached = _load_cache(cache_path, digest)
-            for label, _ in todo:
-                if label in cached:
-                    result.per_base[label] = cached[label]
-            todo = [(label, base) for label, base in todo if label not in cached]
-            cache_file = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
-
-        for label, base in todo:
+    with (nullcontext() if cache_path is None
+          else open(cache_path, "a", encoding="utf-8")) as cache_file:
+        for value in grid.values():
+            label = str(value)
+            if value == 1:
+                result.skipped.append((label, SKIP_INVALID_BASE))
+                continue
+            if label in cached:
+                result.per_base[label] = cached[label]
+                continue
             settled = dict(rankings)
             if fragile:
-                ranker = Ranker(index, WeightScheme(base))
+                ranker = Ranker(index, WeightScheme(float(value)))
                 for qid, groups in fragile.items():
-                    settled[qid] = ranker.settle(rankings[qid], groups, query_tokens[qid])
+                    settled[qid] = ranker.settle(rankings[qid], groups, query_tokens[qid],
+                                                 vectors)
             # evaluation reads only the doc ids up to the cutoff
             key = tuple(
                 tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))
@@ -331,59 +305,49 @@ def run_sweep(
             if key not in memo:
                 memo[key], _ = evaluate_rankings(settled, qrels, cutoff, interpolation, pooling)
             summary = result.per_base[label] = memo[key]
+            result.ranked_bases += 1
             if cache_file:
                 cache_file.write(_cache_line(digest, label, summary) + "\n")
                 cache_file.flush()
-    result.ranked_bases = len(todo)
     result.distinct_rankings = len(memo)
     return result
 
 
-def _sorted_rows(result: SweepResult) -> list[ReportRow]:
-    rows = [
-        ReportRow(label, s.levels, s.map, s.map_at_30)
-        for label, s in result.per_base.items()
-    ]
-    rows.sort(key=lambda r: Decimal(r.base))
-    return rows
-
-
-def _metric_value(row: ReportRow, metric: str) -> float:
+def _metric(metric: str):
+    """The key that reads a metric off a report row."""
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    return row.map if metric == "map" else row.map_at_30
+    return lambda row: getattr(row[1], metric)
 
 
-def top_k_report(result: SweepResult, metric: str, k: int) -> list[ReportRow]:
+def top_k_report(result: SweepResult, metric: str, k: int) -> list[Row]:
     """The k best bases under a metric; ties go to the smaller base."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rows = _sorted_rows(result)
-    rows.sort(key=lambda r: (-_metric_value(r, metric), Decimal(r.base)))
-    return rows[:k]
+    # a stable sort of rows in ascending base order
+    return sorted(result.per_base.items(), key=_metric(metric), reverse=True)[:k]
 
 
-def best_standard_worst(result: SweepResult, metric: str) -> list[ReportRow]:
-    """Three rows: the best base, base 10, and the worst base."""
-    rows = _sorted_rows(result)
-    standard = [r for r in rows if Decimal(r.base) == 10]
+def best_standard_worst(result: SweepResult, metric: str) -> list[Row]:
+    """Three rows: the best base, base 10, and the worst base; ties go to
+    the smaller base."""
+    rows = list(result.per_base.items())
+    standard = [row for row in rows if Decimal(row[0]) == 10]
     if not standard:
         raise ValueError("base 10 is not present in the sweep result")
-    best = min(rows, key=lambda r: (-_metric_value(r, metric), Decimal(r.base)))
-    worst = min(rows, key=lambda r: (_metric_value(r, metric), Decimal(r.base)))
-    return [best, standard[0], worst]
+    key = _metric(metric)
+    return [max(rows, key=key), standard[0], min(rows, key=key)]
 
 
-def render_table(rows: list[ReportRow], metric: str) -> str:
+def render_table(rows: list[Row], metric: str) -> str:
     """Aligned plain-text table: LOG, the 11 level precisions, the metric."""
     header_metric = {"map": "MAP", "map_at_30": "MAP@30"}[metric]
     headers = ["LOG"] + [f"{k / 10:.1f}" for k in range(11)] + [header_metric]
+    key = _metric(metric)
     table = [headers]
     for row in rows:
-        cells = [row.base]
-        cells += [f"{v:.4f}" for v in row.levels]
-        cells.append(f"{_metric_value(row, metric):.6f}")
-        table.append(cells)
+        label, summary = row
+        table.append([label, *(f"{v:.4f}" for v in summary.levels), f"{key(row):.6f}"])
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     lines = ["  ".join(c.rjust(w) for c, w in zip(r, widths)) for r in table]
     return "\n".join(lines) + "\n"
@@ -392,17 +356,15 @@ def render_table(rows: list[ReportRow], metric: str) -> str:
 def emit_csv(result: SweepResult, path: str) -> None:
     """One CSV row per evaluated base, ascending; byte-stable across reruns."""
     lines = [",".join(EVAL_CSV_COLUMNS)]
-    for row in _sorted_rows(result):
-        summary = result.per_base[row.base]
-        lines.append(format_summary_csv_row(row.base, summary))
+    lines += [format_summary_csv_row(label, s) for label, s in result.per_base.items()]
     write_report(path, "\n".join(lines) + "\n")
 
 
 def emit_metric_curve(result: SweepResult, metric: str, path: str) -> None:
     """Two-column plot data: base, metric value."""
+    key = _metric(metric)
     lines = [f"base,{metric}"]
-    for row in _sorted_rows(result):
-        lines.append(f"{row.base},{_metric_value(row, metric)!r}")
+    lines += [f"{row[0]},{key(row)!r}" for row in result.per_base.items()]
     write_report(path, "\n".join(lines) + "\n")
 
 

@@ -32,28 +32,32 @@ def tokenize(text: str) -> list[str]:
     return [piece.lower() for piece in _TOKEN_RE.findall(text)]
 
 
-def load_stoplist(path: str) -> frozenset[str]:
-    """Read a stoplist file: one word per line, ``#`` starts a comment.
+def _stopwords(text: str) -> frozenset[str]:
+    """The words of a stoplist text: one word per line, ``#`` starts a
+    comment.
 
-    Every line is run through the tokenizer, so entries are guaranteed to be
+    Lines end at "\n" and "\r\n" only, as in every other input file, so a
+    lone "\r" is text; a "\r" left at a line's end is a separator to the
+    tokenizer. Every line is run through the tokenizer, so entries are
     lowercase alphanumeric and punctuated forms degrade predictably.
     """
     words: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.split("#", 1)[0]
-            words.update(tokenize(line))
+    for line in text.split("\n"):
+        words.update(tokenize(line.split("#", 1)[0]))
     return frozenset(words)
+
+
+def load_stoplist(path: str) -> frozenset[str]:
+    """Read a UTF-8 stoplist file (``_stopwords``)."""
+    with open(path, encoding="utf-8", newline="") as f:
+        return _stopwords(f.read())
 
 
 @lru_cache(maxsize=1)
 def default_stoplist() -> frozenset[str]:
     """The bundled classic English stoplist."""
-    data = (resources.files("logbase_ir") / "data" / "stopwords.txt").read_text("utf-8")
-    words: set[str] = set()
-    for line in data.splitlines():
-        words.update(tokenize(line.split("#", 1)[0]))
-    return frozenset(words)
+    data = (resources.files("logbase_ir") / "data" / "stopwords.txt").read_bytes()
+    return _stopwords(data.decode("utf-8"))
 
 
 def stoplist_fingerprint(stoplist: frozenset[str]) -> str:

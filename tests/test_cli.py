@@ -99,6 +99,15 @@ class TestStatsAndIndex:
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_non_utf8_stoplist_is_domain_error(self, capsys, collection, tmp_path):
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_bytes(b"the\n\xff\n")
+        code, out, err = run(capsys, "stats", "--docs", collection["docs"],
+                             "--stoplist", stoplist)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {stoplist}: not UTF-8: ")
+        assert len(err.splitlines()) == 1
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", "--docs", tmp_path / "nope.all")
         assert code == 2

@@ -156,6 +156,11 @@ class TestParseQrels:
         content = "1\n10 11\n12\n/\n2 20\n/\n"
         assert parse_qrels(content, "idlist") == {1: {10, 11, 12}, 2: {20}}
 
+    def test_idlist_last_record_needs_no_slash(self):
+        assert parse_qrels("1\n10 11\n/\n2 20\n21", "idlist") == {1: {10, 11}, 2: {20, 21}}
+        with pytest.raises(ParseError, match="line 4"):
+            parse_qrels("1\n10 11\n/\n2 x\n21", "idlist")
+
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels("1 13\n1 x", "two")

@@ -11,6 +11,7 @@ written beside them.
 
 import builtins
 import math
+import re
 import sys
 import types
 from pathlib import Path
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from logbase_ir.cli import main
+from logbase_ir.collection_io import parse_documents
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -115,3 +117,32 @@ def test_same_bytes_when_sum_compensates(capsys, tmp_path, collection, monkeypat
     assert compensated.keys() == plain.keys()
     for name, content in plain.items():
         assert compensated[name] == content, name
+
+
+def csv_rows(path):
+    """The rows of a report after its header, each split at commas."""
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
+    # each query's top document is appended again with its text written
+    # three times: a vector proportional to the original's, so the two tie
+    # in exact arithmetic, and rounding orders them differently at different
+    # bases (twice would scale every sum by 2 exactly and tie them bit for
+    # bit at all bases)
+    col = gen.generate(SHAPE, 1)
+    ref = reference.Reference(col.docs)
+    texts = {doc.doc_id: doc.text for doc in parse_documents(col.docs_smart, "smart")}
+    top = sorted({ref.rank(terms)[0][0] for terms in col.queries.values()})
+    col.docs_smart += "".join(f".I {1000 + d}\n.W\n" + f"{texts[d]}\n" * 3 for d in top)
+    paths = gen.write(col, str(tmp_path / "fragile"))
+    argv = ["sweep", *inputs(paths), "--out", tmp_path, "--grid", "0.5:3.0:0.5", "--no-cache"]
+    assert main([str(a) for a in argv]) == 0
+    fragile = re.search(r"; (\d+) fragile groups?\n", capsys.readouterr().err)
+    assert fragile and int(fragile[1]) > 0
+    swept = csv_rows(tmp_path / "sweep.csv")
+    assert [row[0] for row in swept] == ["0.5", "1.5", "2.0", "2.5", "3.0"]
+    for row in swept:
+        out = tmp_path / f"eval-{row[0]}"
+        run(capsys, "eval", *inputs(paths), "--out", out, "--base", row[0])
+        assert csv_rows(out / "eval.csv")[0][1:] == row[1:], row[0]

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from logbase_ir import retrieval
 from logbase_ir.index import build_index
 from logbase_ir.retrieval import RankedList, Ranker, format_run
 from logbase_ir.textpipe import pipeline
@@ -181,8 +182,7 @@ class TestRunFile:
 
 def full_pass_norms(index, scheme):
     """Every document's norm at the scheme's base from one pass over all
-    postings in sorted term order: the table the ranker built eagerly before
-    norms went on demand."""
+    postings in sorted term order."""
     squares = {}
     for term, (doc_ids, tfs) in index.dictionary.items():
         term_idf = idf(index, term, scheme)
@@ -197,42 +197,55 @@ def bits(norms):
     return {doc_id: repr(norm) for doc_id, norm in norms.items()}
 
 
-class TestDocNorms:
-    def test_on_demand_equals_full_pass_bit_for_bit(self):
+class TestSettle:
+    def test_settled_scores_equal_the_dense_oracle_bit_for_bit(self, monkeypatch):
+        settled = []
+        settle = Ranker.settle
+
+        def recording(self, ranked, groups, tokens, vectors):
+            result = settle(self, ranked, groups, tokens, vectors)
+            settled.extend(entry for start, stop in groups for entry in result.entries[start:stop])
+            return result
+
+        monkeypatch.setattr(Ranker, "settle", recording)
         # the 50 corpora of acceptance criterion 4, drawn in the same order
         rng = random.Random(1234)
-        subsets = random.Random(99)
+        checked = 0
         for _ in range(50):
             docs, queries = random_corpus(rng, max_docs=10, max_terms=15, max_queries=5)
             base = rng.choice([0.1, 0.3, 0.5, 2.0, 10.0, 32.6, 84.6, 100.0])
             index = build_index(sorted(docs.items()))
             ranker = Ranker(index, WeightScheme(base))
-            table = full_pass_norms(index, ranker.scheme)
-            assert bits(ranker.doc_norms(table)) == bits(table)
-            subset = subsets.sample(sorted(table), k=subsets.randint(0, len(table)))
-            assert bits(ranker.doc_norms(subset)) == bits({d: table[d] for d in subset})
+            for qid, tokens in enumerate(queries):
+                settled.clear()
+                ranker.rank_tokens(qid, tokens)
+                want = dict(dense_rank(docs, tokens, base))
+                assert bits(dict(settled)) == bits({d: want[d] for d, _ in settled})
+                checked += len(settled)
             # the index stores the base-e norms of every document, those
             # with no postings at 0.0
             base_e = full_pass_norms(index, WeightScheme(math.e))
             assert bits(index.norms) == bits({d: base_e.get(d, 0.0) for d in sorted(docs)})
+        assert checked > 0
 
-    def test_search_computes_norms_of_its_candidates_only(self, monkeypatch):
+    def test_search_gathers_vectors_of_near_tied_candidates_only(self, monkeypatch):
         # docs 1 and 2 have the same cosine with the query; docs 3 and 4 do not
         index = build_index([(1, ["x", "y"]), (2, ["x", "y"] * 3), (3, ["x", "z", "z"]),
                              (4, ["x", "w"]), (5, ["w"])])
         ranker = Ranker(index, WeightScheme(10))
         calls = []
-        doc_norms = Ranker.doc_norms
+        term_vectors = retrieval.term_vectors
 
-        def recording(self, doc_ids):
+        def recording(index, doc_ids):
             calls.append(set(doc_ids))
-            return doc_norms(self, doc_ids)
+            return term_vectors(index, doc_ids)
 
-        monkeypatch.setattr(Ranker, "doc_norms", recording)
+        monkeypatch.setattr(retrieval, "term_vectors", recording)
         ranked = ranker.rank_tokens(1, ["x", "y"])
-        # only the near-tied candidates get norms at base 10; the others
+        # only the near-tied candidates are re-scored at base 10; the others
         # are ranked by the stored base-e norms
         assert calls == [{1, 2}]
+        assert term_vectors(index, [1, 2]) == {1: [("x", 1), ("y", 1)], 2: [("x", 3), ("y", 3)]}
         assert {d for d, _ in ranked.entries[:2]} == {1, 2}
         assert {d for d, _ in ranked.entries} == {1, 2, 3, 4}
         ranker.rank_tokens(2, ["z", "w"])  # no near ties

@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from logbase_ir import index as index_mod, sweep
+from logbase_ir import index as index_mod, retrieval, sweep
 from logbase_ir.collection_io import RawQuery
 from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
@@ -39,6 +39,10 @@ QRELS = {1: {1, 3, 5}, 2: {2, 4}}
 INDEX = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
 
 
+def grid_labels(grid):
+    return [str(v) for v in grid.values()]
+
+
 def toy_sweep(grid, **kwargs):
     kwargs.setdefault("stoplist", frozenset())
     return run_sweep(INDEX, QUERIES, QRELS, grid, **kwargs)
@@ -47,7 +51,7 @@ def toy_sweep(grid, **kwargs):
 class TestBaseGrid:
     def test_default_grid_is_exactly_the_thousand_tenths(self):
         grid = BaseGrid.default()
-        labels = grid.labels()
+        labels = grid_labels(grid)
         assert len(labels) == 1000
         assert len(set(labels)) == 1000
         assert labels == [str(k * Decimal("0.1")) for k in range(1, 1001)]
@@ -57,7 +61,7 @@ class TestBaseGrid:
 
     def test_parse(self):
         grid = BaseGrid.parse("9.9:10.1:0.1")
-        assert grid.labels() == ["9.9", "10.0", "10.1"]
+        assert grid_labels(grid) == ["9.9", "10.0", "10.1"]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -74,7 +78,7 @@ class TestBaseGrid:
             BaseGrid(Decimal("3"), Decimal("2"), Decimal("1"))
 
     def test_single(self):
-        assert BaseGrid.single(Decimal("10")).labels() == ["10.0"]
+        assert grid_labels(BaseGrid.single(Decimal("10"))) == ["10.0"]
 
     # each is rejected on construction; values() is never called on them, as
     # for the third it would append the same value without end
@@ -99,9 +103,9 @@ class TestBaseGrid:
             BaseGrid.parse(spec)
 
     def test_grid_around_one_kept(self):
-        assert BaseGrid.parse("0.5:1.5:0.5").labels() == ["0.5", "1.0", "1.5"]
+        assert grid_labels(BaseGrid.parse("0.5:1.5:0.5")) == ["0.5", "1.0", "1.5"]
         grid = BaseGrid.parse("0.9999999999999998:1.0000000000000004:0.0000000000000002")
-        labels = grid.labels()
+        labels = grid_labels(grid)
         assert [float(x) for x in labels] == [
             0.9999999999999998, 1.0, 1.0000000000000002, 1.0000000000000004
         ]
@@ -119,7 +123,7 @@ class TestRunSweep:
         result = toy_sweep(grid)
         evaluated = set(result.per_base)
         skipped = {label for label, _ in result.skipped}
-        assert evaluated | skipped == set(grid.labels())
+        assert evaluated | skipped == set(grid_labels(grid))
         assert not (evaluated & skipped)
 
     def test_single_base_matches_direct_evaluation(self):
@@ -410,9 +414,9 @@ class TestPlan:
         calls = []
         settle = Ranker.settle
 
-        def recording(self, ranked, groups, tokens):
+        def recording(self, ranked, groups, tokens, vectors):
             calls.append((self.scheme.base, groups))
-            return settle(self, ranked, groups, tokens)
+            return settle(self, ranked, groups, tokens, vectors)
 
         monkeypatch.setattr(Ranker, "settle", recording)
         grid = BaseGrid.parse("2:6:0.5")
@@ -426,15 +430,44 @@ class TestPlan:
         # docs 2 and 3 tie bit for bit at base e, but their vectors differ,
         # so the weights at other bases can tell them apart
         index, queries = list(criterion_4_corpora(72))[71]
-        rankings, fragile = sweep._plan(Ranker(index, WeightScheme(math.e)), {0: queries[0]}, 1000)
+        ranker = Ranker(index, WeightScheme(math.e))
+        rankings, fragile, vectors = sweep._plan(ranker, {0: queries[0]}, 1000)
         assert [d for d, _ in rankings[0].entries[:2]] == [2, 3]
         assert rankings[0].entries[0][1] == rankings[0].entries[1][1]
         assert fragile == {0: [(0, 2)]}
+        assert vectors[2] != vectors[3]
+        assert vectors == retrieval.term_vectors(index, vectors)
         orders = {
             tuple(d for d, _ in Ranker(index, WeightScheme(b)).rank_tokens(0, queries[0]).entries)
             for b in (2.0, 2.4, 10.0)
         }
         assert len(orders) == 2
+
+    def test_one_term_vectors_pass_per_sweep(self, monkeypatch):
+        calls = []
+        term_vectors = retrieval.term_vectors
+
+        def recording(index, doc_ids):
+            calls.append(set(doc_ids))
+            return term_vectors(index, doc_ids)
+
+        monkeypatch.setattr(sweep, "term_vectors", recording)
+        monkeypatch.setattr(retrieval, "term_vectors", recording)
+        grid = BaseGrid.parse("2:6:0.5")
+        index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
+        # both queries hold docs 1 and 2 in a fragile group
+        queries = [RawQuery(1, "x y"), RawQuery(2, "y x y x")]
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid, stoplist=frozenset())
+        assert swept.fragile_groups == 2
+        assert swept.ranked_bases == len(grid.values())
+        assert calls == [{1, 2}]
+        # no near ties, no pass
+        calls.clear()
+        index = build_index([(1, ["x", "y"]), (2, ["x", "x", "y"]), (3, ["z"])])
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid, stoplist=frozenset())
+        assert swept.fragile_groups == 0
+        assert swept.ranked_bases == len(grid.values())
+        assert calls == []
 
 
 class TestCache:
@@ -453,10 +486,11 @@ class TestCache:
         cache = tmp_path / "cache.jsonl"
         grid = BaseGrid.parse("2.0:4.0:1.0")
         full = toy_sweep(grid)
-        toy_sweep(BaseGrid.single(Decimal("2")), cache_path=str(cache))
-        assert "2.0" in cache.read_text()
+        toy_sweep(BaseGrid.single(Decimal("3")), cache_path=str(cache))
+        assert "3.0" in cache.read_text()
         resumed = toy_sweep(grid, cache_path=str(cache))
-        assert resumed.per_base == full.per_base
+        # in grid order, the cached base among the computed ones
+        assert list(resumed.per_base.items()) == list(full.per_base.items())
 
     def test_cache_keyed_by_inputs(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -557,7 +591,7 @@ class TestReports:
 
     def test_top_k_ties_go_to_smaller_bases(self, report_result):
         rows = top_k_report(report_result, "map", 2)
-        assert [r.base for r in rows] == ["5.0", "7.5"]
+        assert [label for label, _ in rows] == ["5.0", "7.5"]
 
     def test_top_k_beyond_size_returns_all(self, report_result):
         assert len(top_k_report(report_result, "map", 99)) == 3
@@ -570,10 +604,10 @@ class TestReports:
 
     def test_best_standard_worst_rows(self, report_result):
         best, standard, worst = best_standard_worst(report_result, "map_at_30")
-        assert Decimal(standard.base) == 10
-        assert best.base == "5.0"  # all equal, tie to smallest
-        assert worst.base == "5.0"
-        assert best.map_at_30 == pytest.approx(worst.map_at_30, abs=1e-9)
+        assert Decimal(standard[0]) == 10
+        assert best[0] == "5.0"  # all equal, tie to smallest
+        assert worst[0] == "5.0"
+        assert best[1].map_at_30 == pytest.approx(worst[1].map_at_30, abs=1e-9)
 
     def test_best_standard_worst_requires_base_ten(self):
         result = toy_sweep(BaseGrid.parse("2:4:1"))
@@ -581,7 +615,7 @@ class TestReports:
             best_standard_worst(result, "map")
 
     def test_consistency_with_top_one(self, report_result):
-        assert top_k_report(report_result, "map", 1)[0].base == best_standard_worst(report_result, "map")[0].base
+        assert top_k_report(report_result, "map", 1)[0] == best_standard_worst(report_result, "map")[0]
 
     def test_render_table_shape(self, report_result):
         text = render_table(top_k_report(report_result, "map", 3), "map")

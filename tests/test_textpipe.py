@@ -9,6 +9,7 @@ from logbase_ir.textpipe import (
     default_stoplist,
     load_stoplist,
     pipeline,
+    stoplist_fingerprint,
     tokenize,
 )
 
@@ -78,6 +79,19 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("aren't\n")
         assert load_stoplist(str(path)) == frozenset({"aren", "t"})
+
+    def test_load_ends_lines_at_newlines_only(self, tmp_path):
+        # a lone "\r" is text, so "the" stays inside the comment
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"zzz # c\rthe\r\nfoo\r\nbar # x\nbaz")
+        assert load_stoplist(str(path)) == frozenset({"zzz", "foo", "bar", "baz"})
+
+    def test_default_list_words_and_fingerprint(self):
+        stoplist = default_stoplist()
+        assert len(stoplist) == 523
+        assert stoplist_fingerprint(stoplist) == (
+            "9aeda0d6df514ccce270cd6c6cc452b229c98b6cce8d062feb41851a9cc056eb"
+        )
 
 
 class TestPipeline:
