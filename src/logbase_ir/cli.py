@@ -5,7 +5,9 @@ resolve with precedence flags > config file > defaults; the config file is a
 flat ``key=value`` text file whose keys are the long option names with ``_``
 where the flag has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key
 that no subcommand takes is a usage error; a key of another subcommand is
-ignored, so one file can serve several commands. Exit codes: 0 on
+ignored, so one file can serve several commands; for ``sweep``, a --base
+or --grid flag outranks both the ``base`` and ``grid`` keys. Every option is
+checked before any input but the config file is read. Exit codes: 0 on
 success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
 errors. The pipeline has no randomness anywhere, so identical inputs and
 flags always reproduce identical artifacts.
@@ -14,10 +16,17 @@ flags always reproduce identical artifacts.
 import argparse
 import os
 import sys
+from io import TextIOWrapper
 
 from .index import InvertedIndex, build_index, write_report
 from .retrieval import Ranker
-from .textpipe import default_stoplist, load_stoplist, pipeline, stoplist_fingerprint
+from .textpipe import (
+    default_stoplist,
+    parse_stoplist,
+    pipeline,
+    split_lines,
+    stoplist_fingerprint,
+)
 from .weighting import InvalidBaseError, WeightScheme
 
 # A command imports the modules only it runs (collection_io, evaluation,
@@ -30,12 +39,14 @@ class _Exit(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    """The file's text, line ends untranslated: only "\n" and "\r\n" end a
-    line, so a lone "\r" stays text, as in the collection parsers."""
+def _read(path: str, read=TextIOWrapper.read):
+    """``read`` applied to the open text input file, by default its whole
+    text. Every input file (--docs, --queries, --qrels, --config, --stoplist)
+    is opened here: as UTF-8, line ends untranslated, so only "\n" and "\r\n"
+    end a line (``split_lines``) and a lone "\r" stays text."""
     try:
         with open(path, encoding="utf-8", newline="") as f:
-            return f.read()
+            return read(f)
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
@@ -44,9 +55,7 @@ def _read_text(path: str) -> str:
 
 def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    # split at "\n" only, as the collection parsers do
-    lines = _read_text(path).replace("\r\n", "\n").split("\n")
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(split_lines(_read(path)), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -117,14 +126,7 @@ def _out_dir(opts: _Options) -> str:
 
 def _stoplist(opts: _Options) -> frozenset[str]:
     path = opts.get("stoplist")
-    if path is None:
-        return default_stoplist()
-    try:
-        return load_stoplist(path)
-    except OSError as e:
-        raise _Exit(2, f"cannot read stoplist {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
+    return default_stoplist() if path is None else parse_stoplist(_read(path))
 
 
 def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) -> str:
@@ -136,14 +138,16 @@ def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) ->
     return value
 
 
-def _build_index(opts: _Options, stoplist) -> tuple[InvertedIndex, int]:
-    """The index of the --docs file, read in one pass, and the UTF-8 size of
-    the documents' text. Each record is parsed, run through the pipeline
-    and folded into the postings, then dropped."""
+def _build_index(opts: _Options) -> tuple[InvertedIndex, int, frozenset[str]]:
+    """The index of the --docs file, read in one pass, the UTF-8 size of the
+    documents' text, and the stoplist the index was built with. --format and
+    --docs are checked before any input is read. Each record is parsed, run
+    through the pipeline and folded into the postings, then dropped."""
     from . import collection_io
 
     fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
     path = opts.require("docs")
+    stoplist = _stoplist(opts)
     text_bytes = 0
 
     def tokenized(records):
@@ -152,32 +156,11 @@ def _build_index(opts: _Options, stoplist) -> tuple[InvertedIndex, int]:
             text_bytes += len(text.encode("utf-8"))
             yield doc_id, pipeline(text, stoplist)
 
-    try:
-        with open(path, encoding="utf-8", newline="") as f:
-            records = collection_io.document_records(collection_io.file_lines(f), fmt)
-            index = build_index(tokenized(records), stoplist_fingerprint(stoplist))
-    except OSError as e:
-        raise _Exit(2, f"cannot read {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
-    return index, text_bytes
+    def build(f):
+        records = collection_io.document_records(collection_io.file_lines(f), fmt)
+        return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
-
-def _load_queries(opts: _Options):
-    from . import collection_io
-
-    fmt = opts.get("format", "smart")
-    return collection_io.parse_queries(_read_text(opts.require("queries")), fmt)
-
-
-def _load_qrels(opts: _Options):
-    from . import collection_io
-
-    fmt = opts.get("qrels_format", "auto")  # checked by _eval_options
-    qrels = collection_io.parse_qrels(_read_text(opts.require("qrels")), fmt)
-    if not qrels:
-        raise _Exit(1, "degenerate qrels: no judged queries")
-    return qrels
+    return _read(path, build), text_bytes, stoplist
 
 
 def _judged_queries(queries, qrels):
@@ -196,7 +179,7 @@ def _count(n: int, noun: str) -> str:
 def cmd_index(opts: _Options) -> int:
     """``stats`` and ``index``: build the index and print its statistics;
     ``index`` also writes a snapshot when --save-index is given."""
-    index, text_bytes = _build_index(opts, _stoplist(opts))
+    index, text_bytes, _ = _build_index(opts)
     print(f"documents={index.n_docs} distinct_terms={len(index.dictionary)} "
           f"text_bytes={text_bytes}")
     snapshot = opts.get("save_index") if opts.args.command == "index" else None
@@ -219,9 +202,9 @@ def cmd_search(opts: _Options) -> int:
     k = opts.get("top", 10, cast=int)
     if k < 1:
         raise _Exit(2, f"top must be >= 1, got {k}")
-    stoplist = _stoplist(opts)
     snapshot = opts.get("load_index")
     if snapshot:
+        stoplist = _stoplist(opts)
         try:
             index = InvertedIndex.load(snapshot)
         except OSError as e:
@@ -233,7 +216,7 @@ def cmd_search(opts: _Options) -> int:
                            "rebuild it with `logbase-ir index --save-index` and the same "
                            "--stoplist as this search")
     else:
-        index, _ = _build_index(opts, stoplist)
+        index, _, stoplist = _build_index(opts)
     ranked = Ranker(index, scheme).rank_tokens(0, pipeline(opts.args.query, stoplist))
     for position, (doc_id, score) in enumerate(ranked.entries[:k], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
@@ -241,10 +224,17 @@ def cmd_search(opts: _Options) -> int:
 
 
 def _eval_inputs(opts: _Options):
-    stoplist = _stoplist(opts)
-    index, _ = _build_index(opts, stoplist)
-    queries = _load_queries(opts)
-    qrels = _load_qrels(opts)
+    """The stoplist, index, judged queries and qrels of ``eval`` and
+    ``sweep``; every input path is checked before any input is read."""
+    from . import collection_io
+
+    queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
+    index, _, stoplist = _build_index(opts)
+    queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
+    # the qrels format is checked by _eval_options
+    qrels = collection_io.parse_qrels(_read(qrels_path), opts.get("qrels_format", "auto"))
+    if not qrels:
+        raise _Exit(1, "degenerate qrels: no judged queries")
     unknown = sorted(q for q in qrels if q not in {x.query_id for x in queries})
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
@@ -306,8 +296,10 @@ def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
     cutoff, interp, pooling = _eval_options(opts)
-    base = opts.get("base", cast=float)
-    spec = opts.get("grid")
+    if opts.args.base is None and opts.args.grid is None:
+        base, spec = opts.get("base", cast=float), opts.get("grid")
+    else:  # a --base or --grid flag outranks both keys of the config file
+        base, spec = opts.args.base, opts.args.grid
     if base is not None and spec is not None:
         raise _Exit(2, "--base and --grid are mutually exclusive")
     try:
@@ -320,9 +312,9 @@ def cmd_sweep(opts: _Options) -> int:
     top = opts.get("top", 5, cast=int)
     if top < 1:
         raise _Exit(2, f"top must be >= 1, got {top}")
+    no_cache = opts.get("no_cache", False, cast=_boolean)
     stoplist, index, queries, qrels = _eval_inputs(opts)
     out = _out_dir(opts)
-    no_cache = opts.get("no_cache", False, cast=_boolean)
     cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")
 
     result = sweep_mod.run_sweep(

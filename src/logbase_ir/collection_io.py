@@ -8,10 +8,12 @@ Documents and queries arrive in one of three incompatible native layouts:
 * LISA: records introduced by ``Document <id>`` headers, separated by rows of
   asterisks; queries are ``<id>`` then text terminated by a ``#`` line.
 
-Each document format has one reader, a generator of (id, text) records over
-an iterable of lines, so a collection file can be streamed a record at a time
-(``file_lines``, ``document_records``); ``parse_documents`` and
-``parse_queries`` collect a whole text into RawDocument / RawQuery lists.
+Each format has one reader, a generator of (line, id, text) records over an
+iterable of lines, so a collection file can be streamed a record at a time
+(``file_lines``, ``document_records``). Lines end at "\n" and "\r\n" only
+(``textpipe.split_lines``). One check, ``_unique``, rejects a repeated id at
+its line for every format; ``parse_documents`` and ``parse_queries`` collect
+a whole text into RawDocument / RawQuery lists.
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import TextIO
+
+from .textpipe import split_lines
 
 
 class ParseError(ValueError):
@@ -48,15 +52,8 @@ class RawQuery:
 Qrels = dict[int, set[int]]
 
 
-def _lines(content: str) -> list[str]:
-    """The lines of a text, split at "\n" and "\r\n" only, as an editor
-    counts them: str.splitlines() would also split at a form feed,
-    \x1c-\x1e, \x85, U+2028 and U+2029."""
-    return content.replace("\r\n", "\n").split("\n")
-
-
 def file_lines(f: TextIO, chunk_size: int = 1 << 16) -> Iterator[str]:
-    """The lines of a text file opened with ``newline=""``, as ``_lines``
+    """The lines of a text file opened with ``newline=""``, as ``split_lines``
     gives those of its whole text, read a chunk at a time. A chunk's last
     piece is carried into the next chunk, so a "\r\n" split between two
     chunks still ends one line."""
@@ -64,7 +61,7 @@ def file_lines(f: TextIO, chunk_size: int = 1 << 16) -> Iterator[str]:
     def chunks() -> Iterator[list[str]]:
         rest = ""
         for chunk in iter(partial(f.read, chunk_size), ""):
-            lines = (rest + chunk).replace("\r\n", "\n").split("\n")
+            lines = split_lines(rest + chunk)
             rest = lines.pop()
             yield lines
         yield [rest]
@@ -72,53 +69,51 @@ def file_lines(f: TextIO, chunk_size: int = 1 << 16) -> Iterator[str]:
     return chain.from_iterable(chunks())
 
 
-# A record reader takes an iterable of lines and yields (id, text) pairs as
-# it goes, so a caller streaming a file holds one record at a time.
-Records = Iterator[tuple[int, str]]
+# A record reader takes an iterable of lines and yields (line, id, text)
+# records as it goes, line being that of the record's id, so a caller
+# streaming a file holds one record at a time. A reader yields the open
+# record before it reads the next record's id, so ``_unique`` reports a
+# repeated id before any later fault.
+Records = Iterator[tuple[int, int, str]]
 
 _SMART_SECTIONS = frozenset({".T", ".A", ".W", ".B", ".X"})
 _SMART_INDEXED = frozenset({".T", ".W"})
 
 
 def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Records:
-    """SMART marker records: (id, text of the indexed sections)."""
-    seen: set[int] = set()
-    cur_id: int | None = None
+    """SMART marker records: the text of the indexed sections."""
+    head: tuple[int, int] | None = None  # (line, id) of the open record
     section: str | None = None
     pieces: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         marker = line.split(maxsplit=1)[0] if line.strip() else ""
         if marker == ".I":
+            if head is not None:
+                yield *head, " ".join(pieces)
             rest = line.strip()[2:].strip()
             try:
-                record_id = int(rest)
+                head = lineno, int(rest)
             except ValueError:
                 raise ParseError(f"bad .I record id {rest!r}", lineno) from None
-            if record_id in seen:
-                raise ParseError(f"duplicate record id {record_id}", lineno)
-            if cur_id is not None:
-                yield cur_id, " ".join(pieces)
-            seen.add(record_id)
-            cur_id = record_id
             section = None
             pieces = []
         elif marker in _SMART_SECTIONS:
-            if cur_id is None:
+            if head is None:
                 raise ParseError(f"section {marker} before any .I record", lineno)
             section = marker
             rest = line.strip()[2:].strip()
             if rest and section in indexed:
                 pieces.append(rest)
-        elif cur_id is not None and section in indexed:
+        elif head is not None and section in indexed:
             stripped = " ".join(line.split())
             if stripped:
                 pieces.append(stripped)
-    if cur_id is not None:
-        yield cur_id, " ".join(pieces)
+    if head is not None:
+        yield *head, " ".join(pieces)
 
 
-def _npl_record(block: list[tuple[int, str]], seen: set[int]) -> tuple[int, str] | None:
-    """The (id, text) of one NPL record's numbered lines; None when blank."""
+def _npl_record(block: list[tuple[int, str]]) -> tuple[int, int, str] | None:
+    """The record of one NPL block of numbered lines; None when blank."""
     lines = [(n, l) for n, l in block if l.strip()]
     if not lines:
         return None
@@ -128,79 +123,64 @@ def _npl_record(block: list[tuple[int, str]], seen: set[int]) -> tuple[int, str]
         doc_id = int(head[0])
     except ValueError:
         raise ParseError(f"bad record id {head[0]!r}", first_no) from None
-    if doc_id in seen:
-        raise ParseError(f"duplicate record id {doc_id}", first_no)
-    seen.add(doc_id)
     pieces = [" ".join(head[1:])] if len(head) > 1 else []
     pieces += [" ".join(l.split()) for _, l in lines[1:]]
-    return doc_id, " ".join(p for p in pieces if p)
+    return first_no, doc_id, " ".join(p for p in pieces if p)
 
 
 def _npl(lines: Iterable[str]) -> Records:
     """NPL-style records, separated by lines holding only ``/``."""
-    seen: set[int] = set()
     block: list[tuple[int, str]] = []
     for lineno, line in enumerate(lines, start=1):
         if line.strip() == "/":
-            record = _npl_record(block, seen)
+            record = _npl_record(block)
             if record is not None:
                 yield record
             block = []
         else:
             block.append((lineno, line))
-    record = _npl_record(block, seen)
+    record = _npl_record(block)
     if record is not None:
         yield record
 
 
 def _lisa(lines: Iterable[str]) -> Records:
     """LISA-style documents: ``Document <id>`` headers, ``*`` separators."""
-    seen: set[int] = set()
-    cur_id: int | None = None
+    head: tuple[int, int] | None = None  # (line, id) of the open record
     pieces: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         words = stripped.split()
-        if len(words) == 2 and words[0].lower() == "document":
-            try:
-                doc_id = int(words[1])
-            except ValueError:
-                raise ParseError(f"bad document id {words[1]!r}", lineno) from None
-            if doc_id in seen:
-                raise ParseError(f"duplicate record id {doc_id}", lineno)
-            if cur_id is not None:
-                yield cur_id, " ".join(pieces)
-            seen.add(doc_id)
-            cur_id = doc_id
+        is_header = len(words) == 2 and words[0].lower() == "document"
+        if is_header or (stripped and set(stripped) == {"*"}):
+            if head is not None:
+                yield *head, " ".join(pieces)
+            head = None
             pieces = []
-        elif stripped and set(stripped) == {"*"}:
-            if cur_id is not None:
-                yield cur_id, " ".join(pieces)
-            cur_id = None
-            pieces = []
-        elif cur_id is not None and stripped:
+            if is_header:
+                try:
+                    head = lineno, int(words[1])
+                except ValueError:
+                    raise ParseError(f"bad document id {words[1]!r}", lineno) from None
+        elif head is not None and stripped:
             pieces.append(" ".join(words))
-    if cur_id is not None:
-        yield cur_id, " ".join(pieces)
+    if head is not None:
+        yield *head, " ".join(pieces)
 
 
 def _lisa_queries(lines: Iterable[str]) -> Records:
     """LISA queries: an id line, then text ending with a ``#`` line."""
-    seen: set[int] = set()
-    cur_id: int | None = None
+    head: tuple[int, int] | None = None  # (line, id) of the open query
     pieces: list[str] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
-        if cur_id is None:
+        if head is None:
             if not stripped:
                 continue
             try:
-                cur_id = int(stripped)
+                head = lineno, int(stripped)
             except ValueError:
                 raise ParseError(f"bad query id {stripped!r}", lineno) from None
-            if cur_id in seen:
-                raise ParseError(f"duplicate query id {cur_id}", lineno)
-            seen.add(cur_id)
             pieces = []
         else:
             done = stripped.endswith("#")
@@ -208,15 +188,14 @@ def _lisa_queries(lines: Iterable[str]) -> Records:
             if stripped:
                 pieces.append(" ".join(stripped.split()))
             if done:
-                yield cur_id, " ".join(pieces)
-                cur_id = None
-    if cur_id is not None:
-        yield cur_id, " ".join(pieces)
+                yield *head, " ".join(pieces)
+                head = None
+    if head is not None:
+        yield *head, " ".join(pieces)
 
 
 def _jsonl(lines: Iterable[str]) -> Records:
     """The canonical JSON-lines form: ``{"id": int, "text": str}``."""
-    seen: set[int] = set()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -232,10 +211,17 @@ def _jsonl(lines: Iterable[str]) -> Records:
             raise ParseError(f"record id must be an integer, got {doc_id!r}", lineno)
         if not isinstance(text, str):
             raise ParseError("record text must be a string", lineno)
-        if doc_id in seen:
-            raise ParseError(f"duplicate record id {doc_id}", lineno)
-        seen.add(doc_id)
-        yield doc_id, text
+        yield lineno, doc_id, text
+
+
+def _unique(records: Records) -> Iterator[tuple[int, str]]:
+    """The (id, text) of each record; a repeated id fails at its line."""
+    seen: set[int] = set()
+    for lineno, record_id, text in records:
+        if record_id in seen:
+            raise ParseError(f"duplicate record id {record_id}", lineno)
+        seen.add(record_id)
+        yield record_id, text
 
 
 _DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa, "jsonl": _jsonl}
@@ -247,26 +233,19 @@ _QUERY_READERS = {
 DOC_FORMATS = tuple(_DOC_READERS)
 
 
-def document_records(lines: Iterable[str], format: str) -> Records:
+def document_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, str]]:
     """The (doc_id, text) records of a document file's lines, read lazily."""
     try:
         reader = _DOC_READERS[format]
     except KeyError:
         raise ValueError(f"unknown document format {format!r}") from None
-    return reader(lines)
+    return _unique(reader(lines))
 
 
 def parse_documents(content: str, format: str) -> list[RawDocument]:
-    return [RawDocument(i, t) for i, t in document_records(_lines(content), format)]
-
-
-def parse_smart(content: str) -> list[RawDocument]:
-    """Parse a SMART-format document file.
-
-    Indexable text is the concatenation of the ``.T`` and ``.W`` sections;
-    ``.A``/``.B``/``.X`` are discarded. Record order is preserved.
-    """
-    return parse_documents(content, "smart")
+    """Parse a document file; SMART documents take their text from the
+    ``.T`` and ``.W`` sections, in record order."""
+    return [RawDocument(i, t) for i, t in document_records(split_lines(content), format)]
 
 
 def parse_queries(content: str, format: str = "smart") -> list[RawQuery]:
@@ -275,31 +254,12 @@ def parse_queries(content: str, format: str = "smart") -> list[RawQuery]:
         reader = _QUERY_READERS[format]
     except KeyError:
         raise ValueError(f"unknown query format {format!r}") from None
-    return [RawQuery(i, t) for i, t in reader(_lines(content))]
+    return [RawQuery(i, t) for i, t in _unique(reader(split_lines(content)))]
 
 
 QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
 # (column count, doc-id column) of each fixed-column layout
 _QRELS_LAYOUTS = {"two": (2, 1), "three": (3, 1), "four": (4, 2)}
-
-
-def _qrels_columns(content: str, want: int, doc_col: int) -> Qrels:
-    qrels: Qrels = {}
-    for lineno, line in enumerate(_lines(content), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != want:
-            raise ParseError(
-                f"expected {want} columns, found {len(parts)}", lineno
-            )
-        try:
-            query_id = int(parts[0])
-            doc_id = int(parts[doc_col])
-        except ValueError:
-            raise ParseError("non-integer id column", lineno) from None
-        qrels.setdefault(query_id, set()).add(doc_id)
-    return qrels
 
 
 def _qrels_idlist(content: str) -> Qrels:
@@ -316,7 +276,7 @@ def _qrels_idlist(content: str) -> Qrels:
             qrels.setdefault(ids[0], set()).update(ids[1:])
             tokens.clear()
 
-    for lineno, line in enumerate(_lines(content), start=1):
+    for lineno, line in enumerate(split_lines(content), start=1):
         if line.strip() == "/":
             flush()
         else:
@@ -336,9 +296,11 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
     """
     if format == "idlist":
         return _qrels_idlist(content)
+    if format != "auto" and format not in _QRELS_LAYOUTS:
+        raise ValueError(f"unknown qrels format {format!r}")
+    rows = [(n, parts) for n, parts in enumerate(map(str.split, split_lines(content)), start=1)
+            if parts]
     if format == "auto":
-        lines = enumerate(_lines(content), start=1)
-        rows = [(n, line.split()) for n, line in lines if line.split()]
         if not rows:
             return {}
         first_row, width = rows[0][0], len(rows[0][1])
@@ -348,8 +310,16 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
         columns, doc_col = width, doc_cols[width]
         if width == 4 and any(r[1] != "0" for _, r in rows if len(r) == 4):
             doc_col = 1
-    elif format in _QRELS_LAYOUTS:
-        columns, doc_col = _QRELS_LAYOUTS[format]
     else:
-        raise ValueError(f"unknown qrels format {format!r}")
-    return _qrels_columns(content, columns, doc_col)
+        columns, doc_col = _QRELS_LAYOUTS[format]
+    qrels: Qrels = {}
+    for lineno, parts in rows:
+        if len(parts) != columns:
+            raise ParseError(f"expected {columns} columns, found {len(parts)}", lineno)
+        try:
+            query_id = int(parts[0])
+            doc_id = int(parts[doc_col])
+        except ValueError:
+            raise ParseError("non-integer id column", lineno) from None
+        qrels.setdefault(query_id, set()).add(doc_id)
+    return qrels

@@ -8,8 +8,6 @@ terminal y becomes i only when preceded by a consonant, so "playing" stems to
 "play" rather than "plai" while "happy" still becomes "happi".
 """
 
-from functools import cache
-
 _VOWELS = frozenset("aeiou")
 
 
@@ -184,12 +182,11 @@ def _step5b(word: str) -> str:
     return word
 
 
-@cache
 def stem(word: str) -> str:
     """Stem a lowercase word.
 
-    Words shorter than 3 characters are returned unchanged. Results are
-    memoized: a collection repeats a few thousand distinct words many times.
+    Words shorter than 3 characters are returned unchanged. The text
+    pipeline's term map calls it once per distinct word.
     """
     if len(word) < 3:
         return word

@@ -121,7 +121,6 @@ class BaseGrid:
 
 @dataclass
 class SweepResult:
-    grid: BaseGrid
     # base label -> summary, in ascending base order
     per_base: dict[str, EvalSummary] = field(default_factory=dict)
     skipped: list[tuple[str, str]] = field(default_factory=list)
@@ -157,8 +156,8 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
     """The cached summaries of this digest, by base label.
 
-    A line that is torn, not a JSON object, of another digest or ill-typed is
-    skipped (its base is recomputed), and the file is rewritten atomically
+    A line that is torn, not a JSON object, of another digest, ill-typed or
+    holding a value outside [0, 1] (NaN included) is skipped (its base is recomputed), and the file is rewritten atomically
     without such lines and with one line per base, the last.
     """
     try:
@@ -191,7 +190,8 @@ def _cache_entry(line: bytes, digest: str) -> tuple[str, EvalSummary] | None:
     metrics = (entry.get("map"), entry.get("map_at_30"))
     if not (type(label) is str and type(levels) is list and len(levels) == 11):
         return None
-    if not all(type(v) is float for v in (*levels, *metrics)):
+    # a precision is a float in [0, 1]: NaN and out-of-range values fail
+    if not all(type(v) is float and 0.0 <= v <= 1.0 for v in (*levels, *metrics)):
         return None
     return label, EvalSummary(tuple(levels), *metrics)
 
@@ -273,7 +273,7 @@ def run_sweep(
         q.query_id: pipeline(q.text, stoplist) for q in queries if q.query_id in qrels
     }
 
-    result = SweepResult(grid=grid)
+    result = SweepResult()
     rankings, fragile, vectors = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
     result.fragile_groups = sum(map(len, fragile.values()))
     cached: dict[str, EvalSummary] = {}

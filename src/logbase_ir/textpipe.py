@@ -2,7 +2,8 @@
 
 The index term alphabet is [a-z0-9]. Tokenization splits on every other
 character, so hyphenated and punctuated forms break apart before any
-filtering happens.
+filtering happens. Every input file (collection, queries, qrels, config,
+stoplist) is split into lines by ``split_lines``.
 """
 
 import hashlib
@@ -32,32 +33,28 @@ def tokenize(text: str) -> list[str]:
     return [piece.lower() for piece in _TOKEN_RE.findall(text)]
 
 
-def _stopwords(text: str) -> frozenset[str]:
-    """The words of a stoplist text: one word per line, ``#`` starts a
-    comment.
+def split_lines(text: str) -> list[str]:
+    """The lines of an input file's text, split at "\n" and "\r\n" only, as
+    an editor counts them: str.splitlines() would also split at a lone "\r",
+    a form feed, \x1c-\x1e, \x85, U+2028 and U+2029, which stay text."""
+    return text.replace("\r\n", "\n").split("\n")
 
-    Lines end at "\n" and "\r\n" only, as in every other input file, so a
-    lone "\r" is text; a "\r" left at a line's end is a separator to the
-    tokenizer. Every line is run through the tokenizer, so entries are
-    lowercase alphanumeric and punctuated forms degrade predictably.
-    """
+
+def parse_stoplist(text: str) -> frozenset[str]:
+    """The words of a stoplist text: one word per line, ``#`` starts a
+    comment. Every line is run through the tokenizer, so entries are
+    lowercase alphanumeric and punctuated forms degrade predictably."""
     words: set[str] = set()
-    for line in text.split("\n"):
+    for line in split_lines(text):
         words.update(tokenize(line.split("#", 1)[0]))
     return frozenset(words)
-
-
-def load_stoplist(path: str) -> frozenset[str]:
-    """Read a UTF-8 stoplist file (``_stopwords``)."""
-    with open(path, encoding="utf-8", newline="") as f:
-        return _stopwords(f.read())
 
 
 @lru_cache(maxsize=1)
 def default_stoplist() -> frozenset[str]:
     """The bundled classic English stoplist."""
     data = (resources.files("logbase_ir") / "data" / "stopwords.txt").read_bytes()
-    return _stopwords(data.decode("utf-8"))
+    return parse_stoplist(data.decode("utf-8"))
 
 
 def stoplist_fingerprint(stoplist: frozenset[str]) -> str:

@@ -511,6 +511,31 @@ class TestSweep:
         code, _, err = run(capsys, *args)
         assert "note: 0 distinct rankings to the cutoff across 0 bases; 0 fragile groups" in err
 
+    @pytest.mark.parametrize(
+        "config, flags, bases",
+        [("base=10", ["--grid", "2:3:1"], ["2", "3"]),
+         ("grid=2:3:1", ["--base", "10"], ["10.0"])],
+        ids=["grid-flag", "base-flag"],
+    )
+    def test_base_or_grid_flag_outranks_both_config_keys(self, capsys, collection, tmp_path,
+                                                         config, flags, bases):
+        # one config file may serve eval (base) and sweep (grid) alike
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{config}\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *self.sweep_args(collection, out), "--config", cfg, *flags)
+        assert code == 0, err
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == bases
+
+    def test_base_and_grid_in_config_conflict(self, capsys, collection, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("base=10\ngrid=2:3:1\n")
+        code, _, err = run(capsys, *self.sweep_args(collection, tmp_path / "out"),
+                           "--config", cfg)
+        assert code == 2
+        assert "mutually exclusive" in err
+
     def test_single_base_sweep(self, capsys, collection, tmp_path):
         out = tmp_path / "out"
         code, _, _ = run(capsys, *self.sweep_args(collection, out), "--base", "10")
@@ -716,6 +741,18 @@ class TestUsageErrors:
     def test_search_top_below_one(self, capsys, tmp_path, k):
         self.check(capsys, tmp_path, ["search", "-k", k, "zebra"], "",
                    f"top must be >= 1, got {k}")
+
+    @pytest.mark.parametrize("argv", [["stats"], ["index"], ["search", "zebra"], ["eval"]],
+                             ids=["stats", "index", "search", "eval"])
+    def test_unknown_format_before_the_stoplist_is_read(self, capsys, tmp_path, argv):
+        stoplist = tmp_path / "bad.txt"
+        stoplist.write_bytes(b"\xff")  # reading it would exit 1
+        self.check(capsys, tmp_path, [*argv, "--format", "bogus", "--stoplist", stoplist], "",
+                   "unknown format 'bogus'")
+
+    def test_no_cache_value_before_the_inputs_are_read(self, capsys, tmp_path):
+        self.check(capsys, tmp_path, ["sweep", "--base", "10"], "no_cache=maybe",
+                   "config no_cache='maybe'")
 
     def test_search_top_zero_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")

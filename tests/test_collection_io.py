@@ -13,7 +13,6 @@ from logbase_ir.collection_io import (
     parse_documents,
     parse_qrels,
     parse_queries,
-    parse_smart,
 )
 
 
@@ -27,43 +26,44 @@ def jsonl(docs: list[RawDocument]) -> str:
 class TestParseSmart:
     def test_two_documents(self):
         content = ".I 1\n.W\nhello world\n.I 2\n.W\nfoo"
-        assert parse_smart(content) == [
+        assert parse_documents(content, "smart") == [
             RawDocument(1, "hello world"),
             RawDocument(2, "foo"),
         ]
 
     def test_title_and_body_joined(self):
-        assert parse_smart(".I 3\n.T\ntitle\n.W\nbody") == [RawDocument(3, "title body")]
+        content = ".I 3\n.T\ntitle\n.W\nbody"
+        assert parse_documents(content, "smart") == [RawDocument(3, "title body")]
 
     def test_other_sections_discarded(self):
         content = ".I 7\n.T\nt\n.A\nauthor x\n.B\njournal 1999\n.W\nw\n.X\n1 2 3"
-        assert parse_smart(content) == [RawDocument(7, "t w")]
+        assert parse_documents(content, "smart") == [RawDocument(7, "t w")]
 
     def test_empty_file(self):
-        assert parse_smart("") == []
+        assert parse_documents("", "smart") == []
 
     def test_document_with_no_sections(self):
-        assert parse_smart(".I 4") == [RawDocument(4, "")]
+        assert parse_documents(".I 4", "smart") == [RawDocument(4, "")]
 
     def test_multiline_sections_whitespace_normalized(self):
         content = ".I 1\n.W\n  line one\n\tline   two\n"
-        assert parse_smart(content) == [RawDocument(1, "line one line two")]
+        assert parse_documents(content, "smart") == [RawDocument(1, "line one line two")]
 
     def test_bad_id_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
-            parse_smart(".I 1\n.W\n.I x\n")
+            parse_documents(".I 1\n.W\n.I x\n", "smart")
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_smart(".I 1\n.W\na\n.I 1\n.W\nb")
+            parse_documents(".I 1\n.W\na\n.I 1\n.W\nb", "smart")
 
     def test_count_equals_marker_count(self):
         content = "".join(f".I {i}\n.W\nword{i}\n" for i in range(1, 42))
-        docs = parse_smart(content)
+        docs = parse_documents(content, "smart")
         assert len(docs) == content.count(".I ")
 
     def test_dot_line_that_is_not_a_marker_is_content(self):
-        assert parse_smart(".I 1\n.W\n.5 percent solution") == [
+        assert parse_documents(".I 1\n.W\n.5 percent solution", "smart") == [
             RawDocument(1, ".5 percent solution")
         ]
 
@@ -195,19 +195,20 @@ class TestLineBreaks:
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator_inside_a_smart_record(self, sep):
-        assert parse_smart(f".I 1\n.W\nabc{sep}.I 2\n") == [RawDocument(1, "abc .I 2")]
+        content = f".I 1\n.W\nabc{sep}.I 2\n"
+        assert parse_documents(content, "smart") == [RawDocument(1, "abc .I 2")]
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_error_line_as_an_editor_counts(self, sep):
         with pytest.raises(ParseError, match="line 4"):
-            parse_smart(f".I 1\n.W\na{sep}b\n.I x\n")
+            parse_documents(f".I 1\n.W\na{sep}b\n.I x\n", "smart")
         with pytest.raises(ParseError, match="line 3"):
             parse_documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n", "two")
 
     def test_crlf(self):
-        assert parse_smart(".I 1\r\n.W\r\nabc\r\n.I 2\r\n") == [
+        assert parse_documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n", "smart") == [
             RawDocument(1, "abc"), RawDocument(2, "")
         ]
         assert parse_documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [RawDocument(3, "text")]
@@ -225,7 +226,7 @@ class TestJsonlRoundTrip:
             parse_documents('{"id": 1, "text": "a"}\n{"id": "x"}\n', "jsonl")
 
     def test_smart_to_jsonl_round_trip(self):
-        docs = parse_smart(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta")
+        docs = parse_documents(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta", "smart")
         assert parse_documents(jsonl(docs), "jsonl") == docs
 
 
@@ -257,6 +258,23 @@ def parses_or_parse_error(parse, content):
         assert lines[e.line - 1].strip()
 
 
+def one_record_of(kind, fmt):
+    """The parser of a kind of file, and a template of one record whose id
+    is on its first line."""
+    if kind == "queries":
+        template = "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
+        return lambda c: parse_queries(c, fmt), template
+    return lambda c: parse_documents(c, fmt), RECORDS[fmt]
+
+
+RECORDS = {
+    "smart": ".I {}\n.T\nt\n.W\nw\n",
+    "npl": "{}\nw\n/\n",
+    "lisa": "Document {}\nw\n****\n",
+    "jsonl": '{{"id": {}, "text": "w"}}\n',
+}
+
+
 class TestFuzz:
     @pytest.mark.parametrize("fmt", DOC_FORMATS)
     @given(content=fuzz_text)
@@ -272,6 +290,24 @@ class TestFuzz:
     @given(content=fuzz_text)
     def test_qrels_parser(self, fmt, content):
         parses_or_parse_error(lambda c: parse_qrels(c, fmt), content)
+
+    @pytest.mark.parametrize("kind", ["documents", "queries"])
+    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    def test_repeated_id_fails_at_its_second_line(self, kind, fmt):
+        parse, record = one_record_of(kind, fmt)
+        n = record.count("\n")
+        with pytest.raises(ParseError, match=rf"^line {2 * n + 1}: duplicate record id 1$"):
+            parse(record.format(1) + record.format(2) + record.format(1))
+
+    @pytest.mark.parametrize("kind", ["documents", "queries"])
+    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    def test_repeated_id_is_reported_before_a_later_bad_id(self, kind, fmt):
+        # a reader yields a record before it reads the next id, so the
+        # repeat, the first fault of the file, is the one reported
+        parse, record = one_record_of(kind, fmt)
+        n = record.count("\n")
+        with pytest.raises(ParseError, match=rf"^line {n + 1}: duplicate record id 1$"):
+            parse(record.format(1) + record.format(1) + record.format("x"))
 
     @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
     def test_jsonl_round_trips_exactly(self, records):

@@ -146,3 +146,26 @@ def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
         out = tmp_path / f"eval-{row[0]}"
         run(capsys, "eval", *inputs(paths), "--out", out, "--base", row[0])
         assert csv_rows(out / "eval.csv")[0][1:] == row[1:], row[0]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_code_runs(tmp_path, monkeypatch, capsys):
+    """The python blocks of the README's Library section run in order, in one
+    namespace, on a MED-shaped collection at data/med/MED.ALL, so the
+    documented imports cannot go stale."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    library = library.split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", library, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    med = tmp_path / "data" / "med" / "MED.ALL"
+    med.parent.mkdir(parents=True)
+    med.write_text(gen.generate(gen.MED, 1).docs_smart, encoding="utf-8", newline="\n")
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["index"].n_docs == gen.MED.n_docs
+    assert len(namespace["result"].per_base) == 3
+    assert capsys.readouterr().out.count("\n") == len(blocks)

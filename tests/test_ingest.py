@@ -11,16 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from logbase_ir import porter, textpipe
+from logbase_ir import textpipe
 from logbase_ir.cli import main
 from logbase_ir.collection_io import (
     DOC_FORMATS,
     ParseError,
-    _lines,
     document_records,
     file_lines,
     parse_documents,
 )
+from logbase_ir.textpipe import split_lines
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,7 +32,7 @@ line_text = st.lists(st.sampled_from(["a", "b c", "\r", "\n", "\r\n", "é", "\x8
 def test_file_lines_split_as_lines(text, chunk_size):
     # a "\r\n" may straddle two chunks
     got = list(file_lines(io.StringIO(text, newline=""), chunk_size))
-    assert got == _lines(text)
+    assert got == split_lines(text)
 
 
 @pytest.mark.parametrize("fmt", DOC_FORMATS)
@@ -69,8 +69,7 @@ def test_index_peak_memory_is_a_few_snapshots(tmp_path, capsys):
     gen = _gen()
     paths = gen.write(gen.generate(gen.NPL, 1), str(tmp_path / "npl"))
     snapshot = tmp_path / "npl.idx"
-    # as in a fresh process: no stem or term map filled by earlier tests
-    porter.stem.cache_clear()
+    # as in a fresh process: no term map filled by earlier tests
     textpipe._terms.cache_clear()
     tracemalloc.start()
     try:

@@ -322,7 +322,7 @@ class TestRescaledRanking:
         assert len(orders) == 1
 
         # every base evaluated on its own Ranker
-        full = SweepResult(grid)
+        full = SweepResult()
         for value in grid.values():
             r = Ranker(INDEX, WeightScheme(float(value)))
             rankings = {qid: r.rank_tokens(qid, t) for qid, t in tokens.items()}
@@ -533,9 +533,14 @@ class TestCache:
             {"levels": [0.5] * 10},
             {"levels": "0.5"},
             {"base": 2.0},
+            {"map": float("nan")},
+            {"map": float("inf")},
+            {"map_at_30": 7.5},
+            {"levels": [0.5] * 10 + [-0.25]},
         ],
         ids=["no-map", "no-levels", "no-base", "map-string", "map30-bool", "ten-levels",
-             "levels-string", "base-number"],
+             "levels-string", "base-number", "map-nan", "map-inf", "map30-above-one",
+             "level-below-zero"],
     )
     def test_ill_typed_entry_is_recomputed(self, tmp_path, changes):
         cache = tmp_path / "cache.jsonl"
@@ -552,6 +557,21 @@ class TestCache:
         cache.write_bytes(line.encode("utf-8", "surrogateescape") + b"\n")
         grid = BaseGrid.single(Decimal("2"))
         assert toy_sweep(grid, cache_path=str(cache)).per_base == toy_sweep(grid).per_base
+
+    def test_values_outside_the_unit_interval_are_recomputed(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        grid = BaseGrid.parse("9:11:1")
+        first = toy_sweep(grid, cache_path=str(cache))
+        good = cache.read_text().splitlines()
+        entries = [json.loads(line) for line in good]
+        entries[0]["map"] = float("nan")  # written as NaN, which json.loads reads
+        entries[1]["map_at_30"] = 7.5
+        cache.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        resumed = toy_sweep(grid, cache_path=str(cache))
+        assert resumed.ranked_bases == 2
+        assert list(resumed.per_base.items()) == list(first.per_base.items())
+        # compacted to base 11's line, then bases 9 and 10 appended again
+        assert cache.read_text().splitlines() == [good[2], good[0], good[1]]
 
     def test_load_compacts_stale_and_torn_lines(self, tmp_path):
         good = self.cached_line(tmp_path)
@@ -639,7 +659,7 @@ class TestEmission:
         assert [l.split(",")[0] for l in lines[1:]] == ["0.8", "0.9", "1.1", "1.2"]
 
     def test_empty_result_gives_header_only(self, tmp_path):
-        empty = SweepResult(BaseGrid.default())
+        empty = SweepResult()
         path = tmp_path / "empty.csv"
         emit_csv(empty, str(path))
         assert path.read_text().splitlines() == [

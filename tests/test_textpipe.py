@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from logbase_ir.porter import stem as porter_stem
 from logbase_ir.textpipe import (
     default_stoplist,
-    load_stoplist,
+    parse_stoplist,
     pipeline,
     stoplist_fingerprint,
     tokenize,
@@ -70,21 +70,17 @@ class TestStopwords:
         once = pipeline("the cat sat on a mat", default_stoplist())
         assert pipeline(" ".join(once), default_stoplist()) == once
 
-    def test_load_file_with_comments(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("# header\nfoo\nBAR  # trailing comment\n\nbaz qux\n")
-        assert load_stoplist(str(path)) == frozenset({"foo", "bar", "baz", "qux"})
+    def test_load_file_with_comments(self):
+        text = "# header\nfoo\nBAR  # trailing comment\n\nbaz qux\n"
+        assert parse_stoplist(text) == frozenset({"foo", "bar", "baz", "qux"})
 
-    def test_load_normalizes_punctuated_entries(self, tmp_path):
-        path = tmp_path / "stop.txt"
-        path.write_text("aren't\n")
-        assert load_stoplist(str(path)) == frozenset({"aren", "t"})
+    def test_load_normalizes_punctuated_entries(self):
+        assert parse_stoplist("aren't\n") == frozenset({"aren", "t"})
 
-    def test_load_ends_lines_at_newlines_only(self, tmp_path):
+    def test_load_ends_lines_at_newlines_only(self):
         # a lone "\r" is text, so "the" stays inside the comment
-        path = tmp_path / "stop.txt"
-        path.write_bytes(b"zzz # c\rthe\r\nfoo\r\nbar # x\nbaz")
-        assert load_stoplist(str(path)) == frozenset({"zzz", "foo", "bar", "baz"})
+        text = "zzz # c\rthe\r\nfoo\r\nbar # x\nbaz"
+        assert parse_stoplist(text) == frozenset({"zzz", "foo", "bar", "baz"})
 
     def test_default_list_words_and_fingerprint(self):
         stoplist = default_stoplist()
