@@ -265,8 +265,8 @@ def cmd_eval(opts: _Options) -> int:
 
     cutoff, interp, pooling = _eval_options(opts)
     scheme = _scheme(opts)
-    out = _out_dir(opts)
     stoplist, index, queries, qrels = _eval_inputs(opts)
+    out = _out_dir(opts)
     ranker = Ranker(index, scheme)
     rankings = {q.query_id: ranker.rank_tokens(q.query_id, pipeline(q.text, stoplist))
                 for q in queries}

@@ -86,7 +86,10 @@ def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Re
     section: str | None = None
     pieces: list[str] = []
     for lineno, line in enumerate(lines, start=1):
-        marker = line.split(maxsplit=1)[0] if line.strip() else ""
+        words = line.split()
+        if not words:
+            continue
+        marker = words[0]
         if marker == ".I":
             if head is not None:
                 yield *head, " ".join(pieces)
@@ -105,9 +108,7 @@ def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Re
             if rest and section in indexed:
                 pieces.append(rest)
         elif head is not None and section in indexed:
-            stripped = " ".join(line.split())
-            if stripped:
-                pieces.append(stripped)
+            pieces.append(" ".join(words))
     if head is not None:
         yield *head, " ".join(pieces)
 

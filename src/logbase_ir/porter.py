@@ -145,8 +145,27 @@ _STEP4_SUFFIXES = (
 )
 
 
-def _apply_rules(word: str, rules) -> str:
-    for suffix, replacement in rules:
+def _by_last_letter(rules, suffix=lambda rule: rule[0]) -> dict[str, tuple]:
+    """The rules grouped by the last letter of their suffix, in list order
+    within each group. Only a suffix that ends in a word's last letter can
+    match it, so a step tries that letter's group alone and the first match
+    in list order still wins."""
+    groups: dict[str, tuple] = {}
+    for rule in rules:
+        last = suffix(rule)[-1]
+        groups[last] = groups.get(last, ()) + (rule,)
+    return groups
+
+
+_STEP2 = _by_last_letter(_STEP2_RULES)
+_STEP3 = _by_last_letter(_STEP3_RULES)
+# When _step4 skips "ion", the flat list would go on to the later suffixes;
+# none of them ends in "n", so none can match a word that "ion" ended.
+_STEP4 = _by_last_letter(_STEP4_SUFFIXES, suffix=lambda s: s)
+
+
+def _apply_rules(word: str, rules: dict[str, tuple]) -> str:
+    for suffix, replacement in rules.get(word[-1], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if _measure(stem) > 0:
@@ -156,7 +175,7 @@ def _apply_rules(word: str, rules) -> str:
 
 
 def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
+    for suffix in _STEP4.get(word[-1], ()):
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
@@ -193,8 +212,8 @@ def stem(word: str) -> str:
     word = _step1a(word)
     word = _step1b(word)
     word = _step1c(word)
-    word = _apply_rules(word, _STEP2_RULES)
-    word = _apply_rules(word, _STEP3_RULES)
+    word = _apply_rules(word, _STEP2)
+    word = _apply_rules(word, _STEP3)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

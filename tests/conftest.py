@@ -1,6 +1,10 @@
-"""Shared fixtures: toy corpora and optional real-collection discovery."""
+"""Shared fixtures: toy corpora, optional real-collection discovery and the
+benchmark's modules."""
 
+import functools
 import os
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -20,6 +24,21 @@ _CANDIDATE_NAMES = {
     "lisa_docs": ["LISA.ALL", "lisa.all"],
     "cisi_docs": ["CISI.ALL", "cisi.all"],
 }
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@functools.cache
+def perfbench(name: str) -> types.ModuleType:
+    """``perfbench/<name>.py`` run from its source by path, so nothing is
+    written beside it."""
+    path = PERFBENCH / f"{name}.py"
+    module = types.ModuleType(f"perfbench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look the module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
+    return module
 
 
 def data_dir() -> Path | None:

@@ -4,7 +4,9 @@
 weights them with tf * log(N/df)/log(base) directly, and ranks by the cosine
 formula written out in full. ``evaluate`` scores rankings from one
 (recall, precision) point per rank. Both deliberately share no code with the
-package implementation.
+package implementation. ``porter_stem`` is the Porter stemmer with steps 2
+to 4 scanning every suffix in list order, the reference for the package's
+lookup by the word's last letter.
 
 Floats are added left to right (``total``), as the package adds them: from
 Python 3.12, sum() adds floats with compensation, and a repr comparison
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
+
+from logbase_ir import porter
 
 
 def total(values) -> float:
@@ -142,3 +146,77 @@ def evaluate(rankings, qrels, cutoff, interpolation, pooling):
     else:
         levels = tuple(total(v[i] for v in per_query) / len(per_query) for i in range(11))
     return levels, total(levels) / 11, total(levels[:4]) / 4, diagnostics
+
+
+# Porter steps 2 to 4 as a linear scan of the flat rule lists; steps 1 and 5
+# are the package's own. The lists are copies, so a reordering in the package
+# shows as a difference.
+STEP2_RULES = (
+    ("ational", "ate"),
+    ("tional", "tion"),
+    ("enci", "ence"),
+    ("anci", "ance"),
+    ("izer", "ize"),
+    ("bli", "ble"),
+    ("alli", "al"),
+    ("entli", "ent"),
+    ("eli", "e"),
+    ("ousli", "ous"),
+    ("ization", "ize"),
+    ("ation", "ate"),
+    ("ator", "ate"),
+    ("alism", "al"),
+    ("iveness", "ive"),
+    ("fulness", "ful"),
+    ("ousness", "ous"),
+    ("aliti", "al"),
+    ("iviti", "ive"),
+    ("biliti", "ble"),
+    ("logi", "log"),
+)
+
+STEP3_RULES = (
+    ("icate", "ic"),
+    ("ative", ""),
+    ("alize", "al"),
+    ("iciti", "ic"),
+    ("ical", "ic"),
+    ("ful", ""),
+    ("ness", ""),
+)
+
+STEP4_SUFFIXES = (
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant",
+    "ement", "ment", "ent", "ion", "ou", "ism", "ate", "iti",
+    "ous", "ive", "ize",
+)
+
+
+def _apply_rules(word: str, rules) -> str:
+    for suffix, replacement in rules:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if porter._measure(stem) > 0:
+                return stem + replacement
+            return word
+    return word
+
+
+def _step4(word: str) -> str:
+    for suffix in STEP4_SUFFIXES:
+        if word.endswith(suffix):
+            stem = word[: -len(suffix)]
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                continue
+            if porter._measure(stem) > 1:
+                return stem
+            return word
+    return word
+
+
+def porter_stem(word: str) -> str:
+    if len(word) < 3:
+        return word
+    word = porter._step1c(porter._step1b(porter._step1a(word)))
+    word = _step4(_apply_rules(_apply_rules(word, STEP2_RULES), STEP3_RULES))
+    return porter._step5b(porter._step5a(word))

@@ -347,6 +347,24 @@ class TestEval:
         assert code == 0
         assert (out / "run.tsv").exists()
 
+    @pytest.mark.parametrize("name,content,code", [
+        ("queries", b".I 1\n.W\nzebra\n.I 1\n.W\nyak\n", 1),
+        ("qrels", b"1 2\n1 x\n", 1),
+        ("qrels", None, 2),
+        ("docs", ".I 1\n.W\ncaf\u00e9\n".encode("latin-1"), 1),
+    ], ids=["duplicate-query-id", "bad-qrels-line", "missing-qrels", "non-utf8-docs"])
+    def test_failing_eval_leaves_no_out_dir(self, capsys, collection, tmp_path, name,
+                                            content, code):
+        if content is None:
+            collection[name].unlink()
+        else:
+            collection[name].write_bytes(content)
+        out = tmp_path / "out"
+        got, _, err = run(capsys, "eval", "--docs", collection["docs"], "--queries",
+                          collection["queries"], "--qrels", collection["qrels"], "--out", out)
+        assert (got, err.count("\n")) == (code, 1), err
+        assert not out.exists()
+
     def test_zero_hit_scores_zero(self, capsys, collection, tmp_path):
         zero = collection["qrels"].parent / "zero.txt"
         zero.write_text("1 31\n")  # only the yak document is relevant

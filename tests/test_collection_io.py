@@ -207,6 +207,55 @@ class TestLineBreaks:
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n", "two")
 
+    # Whitespace-only lines that split_lines keeps as text, inside and between
+    # records; a marker with leading whitespace; an id with trailing tabs. A
+    # marker line's rest keeps its inner whitespace, a text line's does not.
+    SMART_WHITESPACE = (
+        "\x0b\n　\n"
+        ".I 1\n"
+        "\x0c\n"
+        ".T\n"
+        "a\x0btitle\n"
+        " .W  body\t text \n"
+        "\x0b\n\x0c\n\x1c\n \n　\n"
+        "more　text\x1c\n"
+        ".I 2\t\t\n"
+        " \x1c\n"
+        ".A\n"
+        "an author\n"
+        "\x0c\n"
+        "\t.W\t\n"
+        "second\n"
+        "\x0b\n"
+        ".I 3\n"
+        ".W\n"
+    )
+
+    def test_smart_whitespace_lines_and_markers(self):
+        content = self.SMART_WHITESPACE
+        assert parse_documents(content, "smart") == [
+            RawDocument(1, "a title body\t text more text"),
+            RawDocument(2, "second"),
+            RawDocument(3, ""),
+        ]
+        assert parse_queries(content, "smart") == [
+            RawQuery(1, "body\t text more text"), RawQuery(2, "second"), RawQuery(3, "")
+        ]
+
+    @pytest.mark.parametrize("parse", [parse_documents, parse_queries])
+    @pytest.mark.parametrize("tail,message", [
+        ("\x0c\n.I 1\n", "line 25: duplicate record id 1"),
+        ("　\n.I 4\t\tx\n", "line 25: bad .I record id '4\\t\\tx'"),
+        ("\x1c\n .I  x\n", "line 25: bad .I record id 'x'"),
+    ])
+    def test_smart_error_lines_count_whitespace_lines(self, parse, tail, message):
+        with pytest.raises(ParseError) as e:
+            parse(self.SMART_WHITESPACE + tail, "smart")
+        assert str(e.value) == message
+        with pytest.raises(ParseError) as e:
+            parse("\x0c\n \n .W\n", "smart")
+        assert str(e.value) == "line 3: section .W before any .I record"
+
     def test_crlf(self):
         assert parse_documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n", "smart") == [
             RawDocument(1, "abc"), RawDocument(2, "")

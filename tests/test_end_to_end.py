@@ -5,15 +5,13 @@ terms, ``perfbench/reference.py`` ranks and evaluates them with no code
 shared with the package, and ``perfbench/checks.py`` compares a command's
 output with the reference within 1e-9 (documents whose reference scores tie
 within that may come in either order). The three are run from their source
-by path, as ``tests/test_tracer_targets.py`` runs the tracer, so nothing is
-written beside them.
+by path (``conftest.perfbench``), so nothing is written beside them.
 """
 
 import builtins
+import hashlib
 import math
 import re
-import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -21,19 +19,9 @@ import pytest
 from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import perfbench
 
-
-def _load(name: str) -> types.ModuleType:
-    path = PERFBENCH / f"{name}.py"
-    module = types.ModuleType(f"perfbench_{name}")
-    module.__file__ = str(path)
-    sys.modules[module.__name__] = module  # dataclasses look the module up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
-    return module
-
-
-gen, reference, checks = _load("gen"), _load("reference"), _load("checks")
+gen, reference, checks = perfbench("gen"), perfbench("reference"), perfbench("checks")
 
 # a MED-like make-up at a tenth of the size
 SHAPE = gen.Shape("tiny", 150, (20, 80), (2, 8), 900, 12, (3, 9), (3, 8), (10, 400))
@@ -117,6 +105,25 @@ def test_same_bytes_when_sum_compensates(capsys, tmp_path, collection, monkeypat
     assert compensated.keys() == plain.keys()
     for name, content in plain.items():
         assert compensated[name] == content, name
+
+
+# sha256 of the whole snapshot file of each benchmark shape at seed 1: parsing,
+# the text pipeline (tokenizer, stoplist, stemmer), the build and the
+# snapshot layout all show in it. The header's body hash does not cover the
+# term strings, so the whole file is hashed.
+SNAPSHOT_SHA256 = {
+    "med": "97b1008e4c5c4e91f730f569dfaaa495959399fa2d106089773daa331f9b483b",
+    "cran": "08d6cdaf8dda15bfcff24438842c51f017538cb40463b2906e87d80f816d2ea5",
+    "npl": "5ee09eaf9ad2dd24da9a45da524585c960bda685af2f3077441586b40a8c4aab",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SNAPSHOT_SHA256))
+def test_benchmark_snapshots_keep_their_bytes(capsys, tmp_path, shape):
+    paths = gen.write(gen.generate(gen.SHAPES[shape], 1), str(tmp_path))
+    snapshot = tmp_path / "index.bin"
+    run(capsys, "index", "--docs", paths["docs"], "--save-index", snapshot)
+    assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == SNAPSHOT_SHA256[shape]
 
 
 def csv_rows(path):

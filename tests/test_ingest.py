@@ -3,10 +3,7 @@ record at a time and folded into the posting columns, so a command holds
 the postings, not the collection."""
 
 import io
-import sys
 import tracemalloc
-import types
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +19,7 @@ from logbase_ir.collection_io import (
 )
 from logbase_ir.textpipe import split_lines
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+from conftest import perfbench
 
 line_text = st.lists(st.sampled_from(["a", "b c", "\r", "\n", "\r\n", "é", "\x85", " "]),
                      max_size=40).map("".join)
@@ -52,21 +49,12 @@ def test_stream_gives_the_records_and_errors_of_the_whole_text(fmt, content):
     assert outcome(lambda: document_records(lines, fmt)) == whole
 
 
-def _gen() -> types.ModuleType:
-    path = PERFBENCH / "gen.py"
-    module = types.ModuleType("perfbench_gen")
-    module.__file__ = str(path)
-    sys.modules[module.__name__] = module  # dataclasses look the module up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), vars(module))
-    return module
-
-
 def test_index_peak_memory_is_a_few_snapshots(tmp_path, capsys):
     """On the benchmark's NPL-shaped collection (11,000 documents, seed 1),
     building and saving the index allocates at its peak no more than four
     times the snapshot's size; holding every document and token list, as a
     whole-file parse does, took 6.8 times."""
-    gen = _gen()
+    gen = perfbench("gen")
     paths = gen.write(gen.generate(gen.NPL, 1), str(tmp_path / "npl"))
     snapshot = tmp_path / "npl.idx"
     # as in a fresh process: no term map filled by earlier tests

@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbase_ir.porter import stem
+from logbase_ir.textpipe import tokenize
+
+import oracle
+from conftest import perfbench
 
 FIXTURE = Path(__file__).parent / "data" / "porter_pairs.txt"
 
@@ -75,3 +79,39 @@ def test_never_lengthens(word):
 @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=30))
 def test_deterministic(word):
     assert stem(word) == stem(word)
+
+
+# Every suffix the stemmer tests for, steps 1 to 5.
+SUFFIXES = sorted({
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "ll",
+    *(suffix for suffix, _ in oracle.STEP2_RULES + oracle.STEP3_RULES),
+    *oracle.STEP4_SUFFIXES,
+})
+
+
+class TestAgainstLinearScan:
+    """Steps 2 to 4 try only the rules whose suffix ends in the word's last
+    letter; ``oracle.porter_stem`` scans every rule in list order."""
+
+    def test_fixture_words(self):
+        words = [word for word, _ in load_pairs()]
+        assert [stem(w) for w in words] == [oracle.porter_stem(w) for w in words]
+
+    @pytest.mark.parametrize("shape", ["med", "cran", "npl"])
+    def test_benchmark_collection_words(self, shape):
+        gen = perfbench("gen")
+        col = gen.generate(gen.SHAPES[shape], 1)
+        words = sorted(set(tokenize(col.docs_smart)) | set(tokenize(col.queries_smart)))
+        assert [w for w in words if stem(w) != oracle.porter_stem(w)] == []
+
+    def test_every_suffix_pair_on_fixed_roots(self):
+        # roots of measure 0 to 2, ending in a vowel, a consonant, s, t and y
+        roots = ["", "b", "ab", "bab", "abab", "babab", "abs", "babat", "aby", "oy"]
+        words = [r + a + b for r in roots for a in SUFFIXES for b in ["", *SUFFIXES]]
+        assert [w for w in words if stem(w) != oracle.porter_stem(w)] == []
+
+    @given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=8),
+           st.lists(st.sampled_from(SUFFIXES), min_size=1, max_size=3))
+    def test_stem_plus_suffixes(self, root, suffixes):
+        word = root + "".join(suffixes)
+        assert stem(word) == oracle.porter_stem(word)
