@@ -5,12 +5,13 @@ resolve with precedence flags > config file > defaults; the config file is a
 flat ``key=value`` text file whose keys are the long option names with ``_``
 where the flag has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key
 that no subcommand takes is a usage error; a key of another subcommand is
-ignored, so one file can serve several commands; for ``sweep``, a --base
-or --grid flag outranks both the ``base`` and ``grid`` keys. Every option is
-checked before any input but the config file is read. Exit codes: 0 on
-success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
-errors. The pipeline has no randomness anywhere, so identical inputs and
-flags always reproduce identical artifacts.
+ignored, so one file can serve several commands. Of two mutually exclusive
+options (--base and --grid of ``sweep``, --docs and --load-index of
+``search``), a flag outranks both keys. Every option is checked before any
+input but the config file is read. Exit codes: 0 on success, 1 for domain
+errors (empty or malformed data), 2 for usage and I/O errors. The pipeline
+has no randomness anywhere, so identical inputs and flags always reproduce
+identical artifacts.
 """
 
 import argparse
@@ -118,6 +119,20 @@ class _Options:
         return value
 
 
+def _exclusive(opts: _Options, first: str, second: str, cast=None) -> tuple:
+    """The values of two mutually exclusive options, at most one of them not
+    None; ``cast`` converts a config value of the first. A flag outranks both
+    config keys; two flags, or both keys and no flag, exit 2."""
+    flags = getattr(opts.args, first), getattr(opts.args, second)
+    if flags == (None, None):
+        values = opts.get(first, cast=cast), opts.get(second)
+    else:
+        values = flags
+    if None not in values:
+        raise _Exit(2, f"--{first} and --{second} are mutually exclusive".replace("_", "-"))
+    return values
+
+
 def _out_dir(opts: _Options) -> str:
     out = opts.get("out") or os.environ.get("LOGBASE_IR_OUT") or "out"
     os.makedirs(out, exist_ok=True)
@@ -202,8 +217,12 @@ def cmd_search(opts: _Options) -> int:
     k = opts.get("top", 10, cast=int)
     if k < 1:
         raise _Exit(2, f"top must be >= 1, got {k}")
-    snapshot = opts.get("load_index")
+    snapshot, _ = _exclusive(opts, "load_index", "docs")
     if snapshot:
+        if opts.get("format") is not None:  # as the --docs path checks it
+            from .collection_io import DOC_FORMATS
+
+            _choice(opts, "format", "smart", DOC_FORMATS)
         stoplist = _stoplist(opts)
         try:
             index = InvertedIndex.load(snapshot)
@@ -296,12 +315,7 @@ def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
     cutoff, interp, pooling = _eval_options(opts)
-    if opts.args.base is None and opts.args.grid is None:
-        base, spec = opts.get("base", cast=float), opts.get("grid")
-    else:  # a --base or --grid flag outranks both keys of the config file
-        base, spec = opts.args.base, opts.args.grid
-    if base is not None and spec is not None:
-        raise _Exit(2, "--base and --grid are mutually exclusive")
+    base, spec = _exclusive(opts, "base", "grid", cast=float)
     try:
         if base is not None:
             grid = sweep_mod.BaseGrid.single(Decimal(str(base)))

@@ -20,10 +20,9 @@ str}`` for documents and queries, and two-column TSV for qrels.
 
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .textpipe import split_lines
 
@@ -36,14 +35,12 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class RawDocument:
+class RawDocument(NamedTuple):
     doc_id: int
     text: str
 
 
-@dataclass(frozen=True)
-class RawQuery:
+class RawQuery(NamedTuple):
     query_id: int
     text: str
 

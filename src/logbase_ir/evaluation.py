@@ -14,10 +14,10 @@ recall-level average, not precision at rank 30).
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain
 from operator import add
+from typing import NamedTuple
 
 from .collection_io import Qrels
 from .retrieval import RankedList
@@ -47,8 +47,7 @@ EVAL_CSV_COLUMNS = (
 ElevenLevels = tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class EvalSummary:
+class EvalSummary(NamedTuple):
     levels: ElevenLevels
     map: float
     map_at_30: float

@@ -28,47 +28,44 @@ class RankedList(NamedTuple):
 Vectors = dict[int, list[tuple[str, int]]]
 
 
-def near_ties(scores: list[float], gap: float) -> list[tuple[int, int]]:
-    """(start, stop) of every run of two or more consecutive scores, sorted
-    descending, that no safe gap separates: the gap after position i is safe
-    when score i+1 < score i * gap."""
-    safe = map(lt, scores[1:], map(mul, scores, repeat(gap)))
-    cuts = [0, *compress(count(1), safe), len(scores)]
-    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if stop - start > 1]
-
-
 # Rounding bound (Higham 2002, ch. 3), u = 2**-53. Let L_t = ln(N / df) as
 # computed, and C a document's cosine with the query over weights tf * L_t.
-# ``rank`` at scale c = 1 / ln b returns C * (1 + θ), and so does the direct
-# base-b arithmetic, with weights tf * (L_t / ln b) rounded as
-# ``weighting.idf`` rounds them. In both, |θ| <= γ_K for K = k + n + m + 22
-# (k shared terms, n query terms, m document terms): every weight, product
-# and square is rounded a few times, and each sum of non-negative terms adds
-# γ of its length. With k <= n and m <= V, the vocabulary size, two
-# documents whose scaled scores differ by more than a relative 4 γ_K <= 8 K u
-# rank in the same order under both; 16 K u leaves room for the rounding of
-# the comparison. Validated inputs keep every product a normal double. The
-# same holds between the base-e scores (c = 1) and the direct arithmetic at
-# any base, which is what the sweep relies on.
+# ``rank`` returns C * (1 + θ), and so does the direct base-b arithmetic,
+# with weights tf * (L_t / ln b) rounded as ``weighting.idf`` rounds them:
+# log_b x = ln x / ln b, so the base multiplies every weight by 1 / ln b,
+# which cosine cancels. In both, |θ| <= γ_K for K = k + n + m + 22 (k shared
+# terms, n query terms, m document terms): every weight, product and square
+# is rounded a few times, and each sum of non-negative terms adds γ of its
+# length. With k <= n and m <= V, the vocabulary size, two documents whose
+# base-e scores differ by more than a relative 4 γ_K <= 8 K u rank in the
+# same order under the direct arithmetic at any base; 16 K u leaves room for
+# the rounding of the comparison. Validated inputs keep every product a
+# normal double.
 
 
-def near_tie_gap(index: InvertedIndex, tokens: list[str]) -> float:
-    """The gap of ``near_ties`` that keeps two documents' order the same in
-    the rescaled and the direct arithmetic: 1 - 16 K u, K bounded as above."""
-    k = len(index.dictionary) + 2 * len(set(tokens)) + 22
-    return 1.0 - 16 * k * _U
+def near_tie_groups(index: InvertedIndex, tokens: list[str], ranked: RankedList
+                    ) -> list[tuple[int, int]]:
+    """(start, stop) of every run of two or more consecutive positive scores
+    of the base-e ``ranked`` that the bound above cannot order: the gap after
+    position i is safe when score i+1 < score i * (1 - 16 K u), with
+    K <= V + 2 n + 22 for n distinct query terms."""
+    scores = list(map(itemgetter(1), ranked.entries))
+    gap = 1.0 - 16 * (len(index.dictionary) + 2 * len(set(tokens)) + 22) * _U
+    safe = map(lt, scores[1:], map(mul, scores, repeat(gap)))
+    cuts = [0, *compress(count(1), safe), len(scores)]
+    # zero scores (zero dot products) rank last and tie in every arithmetic
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:])
+            if stop - start > 1 and scores[start] > 0.0]
 
 
 class Ranker:
     """Scores queries against one index at one log base.
 
-    Weighing happens at base e: a query's terms get ``weighting.idf`` at
-    base e, computed for those terms alone, and each document's norm is the
-    base-e one the index stores. Changing the base from e to b multiplies
-    every weight by c = 1 / ln b (the scheme's ``scale``), which ``rank``
-    applies to the base-e accumulators. Documents too close for that to
-    order them are re-scored from their term vectors with the weights of
-    the scheme's base computed directly (``settle``).
+    Scoring happens at base e: a query's terms get ``weighting.idf`` at base
+    e, computed for those terms alone, and each document's norm is the base-e
+    one the index stores. Documents too close for the bound above to order
+    them are re-scored from their term vectors with the weights of the
+    scheme's base computed directly (``settle``).
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
@@ -93,26 +90,14 @@ class Ranker:
                 dot[doc_id] = dot.get(doc_id, 0.0) + weight * (tf * term_idf)
         return query_norm, dot
 
-    def rank(
-        self, query_id: int, acc: tuple[float, dict[int, float]], scale: float = 1.0
-    ) -> RankedList:
-        """Cosine ranking from base-e accumulators, every weight multiplied
-        by scale.
-
-        Scale c rescales the dot product by c*c and each norm by |c|; at
-        c = 1.0 every multiplication is exact, so the scores are those of the
-        base-e weights bit for bit.
-        """
+    def rank(self, query_id: int, acc: tuple[float, dict[int, float]]) -> RankedList:
+        """Base-e cosine ranking from base-e accumulators."""
         query_norm, dot = acc
         norms = self.index.norms
-        c2 = scale * scale
-        magnitude = abs(scale)
-        scaled_query_norm = magnitude * query_norm
         entries = []
         for doc_id in sorted(dot):
-            denom = scaled_query_norm * (magnitude * norms[doc_id])
-            score = c2 * dot[doc_id] / denom if denom != 0.0 else 0.0
-            entries.append((doc_id, score))
+            denom = query_norm * norms[doc_id]
+            entries.append((doc_id, dot[doc_id] / denom if denom != 0.0 else 0.0))
         # stable sort: equal scores keep ascending doc_id order
         entries.sort(key=itemgetter(1), reverse=True)
         return RankedList(query_id, tuple(entries))
@@ -121,16 +106,13 @@ class Ranker:
         """Rank all documents sharing at least one term with the query, at
         the scheme's base.
 
-        The scores are the base-e ones rescaled (``rank``). Documents whose
-        scores are too close for the bound above to order them are re-scored
-        with the weights of the scheme's base computed directly (``settle``),
-        so the order is the one those weights give.
+        The scores are the base-e ones (``rank``), but for the near-tie
+        groups (``near_tie_groups``), which are re-scored with the weights of
+        the scheme's base computed directly (``settle``), so the order is the
+        one those weights give.
         """
-        ranked = self.rank(query_id, self.accumulate(tokens), self.scheme.scale)
-        scores = list(map(itemgetter(1), ranked.entries))
-        # zero scores (zero dot products) tie in every arithmetic
-        groups = [g for g in near_ties(scores, near_tie_gap(self.index, tokens))
-                  if scores[g[0]] > 0.0]
+        ranked = self.rank(query_id, self.accumulate(tokens))
+        groups = near_tie_groups(self.index, tokens, ranked)
         if not groups:
             return ranked
         members = [doc_id for start, stop in groups for doc_id, _ in ranked.entries[start:stop]]

@@ -3,10 +3,11 @@
 The default grid is 0.1 to 100.0 in steps of 0.1 (1000 values). Grid values
 are generated with Decimal arithmetic so the rendered one-decimal labels are
 exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
-than evaluated. The base only rescales the TF-IDF weights, so one ranker
-serves every base: each query is ranked once, at base e, and a base re-scores
-only the groups of near-tied documents whose order rounding could change,
-with that base's weights computed directly from term vectors gathered once
+than evaluated. The base only rescales the TF-IDF weights, which cosine
+cancels, so one ranking serves every base: each query is ranked once, at
+base e, as ``Ranker.rank_tokens`` ranks it, and a base re-scores only the
+groups of near-tied documents whose order rounding could change, with that
+base's weights computed directly from term vectors gathered once
 (``_plan``). Per-base summaries can be cached on disk keyed by a digest of
 the inputs, so an interrupted sweep resumes instead of recomputing.
 """
@@ -15,7 +16,6 @@ import hashlib
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from operator import itemgetter
 
@@ -28,7 +28,7 @@ from .evaluation import (
     format_summary_csv_row,
 )
 from .index import InvertedIndex, write_atomic, write_report
-from .retrieval import RankedList, Ranker, Vectors, near_tie_gap, near_ties, term_vectors
+from .retrieval import RankedList, Ranker, Vectors, near_tie_groups, term_vectors
 from .textpipe import pipeline
 from .weighting import WeightScheme
 
@@ -40,15 +40,13 @@ MAX_GRID_VALUES = 1_000_000
 _HALF_ULP = Decimal(2.0**-53)
 
 
-@dataclass(frozen=True)
 class BaseGrid:
     """Arithmetic grid of log bases, generated exactly via Decimal steps."""
 
-    start: Decimal
-    stop: Decimal
-    step: Decimal
+    __slots__ = ("start", "stop", "step")
 
-    def __post_init__(self):
+    def __init__(self, start: Decimal, stop: Decimal, step: Decimal):
+        self.start, self.stop, self.step = start, stop, step
         if not all(v.is_finite() for v in (self.start, self.stop, self.step)):
             raise ValueError(
                 f"grid values must be finite, got {self.start}:{self.stop}:{self.step}"
@@ -119,16 +117,16 @@ class BaseGrid:
             k += 1
 
 
-@dataclass
 class SweepResult:
-    # base label -> summary, in ascending base order
-    per_base: dict[str, EvalSummary] = field(default_factory=dict)
-    skipped: list[tuple[str, str]] = field(default_factory=list)
-    # bases ranked in this run (not taken from the cache), the distinct
-    # rankings to the cutoff among them, and the fragile groups of the plan
-    ranked_bases: int = 0
-    distinct_rankings: int = 0
-    fragile_groups: int = 0
+    def __init__(self):
+        # base label -> summary, in ascending base order
+        self.per_base: dict[str, EvalSummary] = {}
+        self.skipped: list[tuple[str, str]] = []
+        # bases ranked in this run (not taken from the cache), the distinct
+        # rankings to the cutoff among them, and the fragile groups of the plan
+        self.ranked_bases = 0
+        self.distinct_rankings = 0
+        self.fragile_groups = 0
 
 
 # a report row: base label and its summary
@@ -157,8 +155,9 @@ def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
     """The cached summaries of this digest, by base label.
 
     A line that is torn, not a JSON object, of another digest, ill-typed or
-    holding a value outside [0, 1] (NaN included) is skipped (its base is recomputed), and the file is rewritten atomically
-    without such lines and with one line per base, the last.
+    holding a value outside [0, 1] (NaN included) is skipped (its base is
+    recomputed), and the file is rewritten atomically without such lines and
+    with one line per base, the last.
     """
     try:
         with open(cache_path, "rb") as f:
@@ -213,8 +212,8 @@ def _plan(ranker: Ranker, query_tokens: dict[int, list[str]], cutoff: int
     """Rank every query once at base e and find its fragile groups.
 
     Returns the base-e rankings; for each query that has any, its fragile
-    groups as (start, stop) positions: the groups of positive near ties that
-    ``Ranker.rank_tokens`` settles (``near_tie_gap``), less those from the
+    groups as (start, stop) positions: the near-tie groups that
+    ``Ranker.rank_tokens`` settles (``near_tie_groups``), less those from the
     cutoff on and those of identical documents; and the term vectors of their
     members, from one pass over the postings, for ``Ranker.settle``. Outside
     these groups the base-e order is that of the direct arithmetic at every
@@ -224,10 +223,8 @@ def _plan(ranker: Ranker, query_tokens: dict[int, list[str]], cutoff: int
     rankings, ties = {}, []
     for qid, tokens in query_tokens.items():
         ranked = rankings[qid] = ranker.rank(qid, ranker.accumulate(tokens))
-        scores = list(map(itemgetter(1), ranked.entries))
-        for start, stop in near_ties(scores, near_tie_gap(ranker.index, tokens)):
-            # zero scores (zero dot products) rank last and tie in every arithmetic
-            if start >= cutoff or scores[start] == 0.0:
+        for start, stop in near_tie_groups(ranker.index, tokens, ranked):
+            if start >= cutoff:
                 break
             ties.append((qid, start, stop, [d for d, _ in ranked.entries[start:stop]]))
     members = {d for *_, group in ties for d in group}

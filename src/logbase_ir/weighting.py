@@ -5,8 +5,9 @@ b != 1 is usable. Bases below 1 flip the sign of every weight; that is left
 intact because cosine ranking is invariant under a uniform rescale.
 
 Since log_b x = ln x / ln b, a weight at base b is the base-e weight times
-the scheme's ``scale`` 1 / ln b. Ranking therefore weighs at base e only and
-applies the scale to the base-e scores (``retrieval.Ranker.rank``).
+1 / ln b, a factor that cosine cancels. Ranking therefore scores at base e,
+and weighs at the scheme's base only the documents whose order rounding
+could change (``retrieval.Ranker.rank_tokens``).
 """
 
 import math
@@ -20,15 +21,14 @@ class InvalidBaseError(ValueError):
 
 
 class WeightScheme:
-    """A validated log base and its scale 1 / ln b."""
+    """A validated log base."""
 
-    __slots__ = ("base", "scale")
+    __slots__ = ("base",)
 
     def __init__(self, base: float):
         if not (base > 0.0) or base == 1.0 or math.isinf(base):
             raise InvalidBaseError(f"log base must be positive and != 1, got {base!r}")
         self.base = base
-        self.scale = 1.0 / math.log(base)
 
 
 def idf(index: InvertedIndex, term: str, scheme: WeightScheme) -> float:

@@ -187,6 +187,56 @@ class TestSearch:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    def test_docs_and_load_index_flags_conflict(self, capsys, collection, tmp_path):
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
+        code, out, err = run(capsys, "search", "--load-index", snap, "--docs",
+                             tmp_path / "none.all", "zebra")
+        assert code == 2
+        assert out == ""
+        assert "--load-index and --docs are mutually exclusive" in err
+
+    @pytest.mark.parametrize("flag", ["--docs", "--load-index"])
+    def test_docs_or_load_index_flag_outranks_both_config_keys(self, capsys, collection,
+                                                               tmp_path, flag):
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
+        cfg = tmp_path / "run.cfg"
+        # the keys name files that do not exist: reading either would exit 2
+        cfg.write_text(f"docs={tmp_path / 'none.all'}\nload_index={tmp_path / 'none.bin'}\n")
+        path = collection["docs"] if flag == "--docs" else snap
+        code, out, err = run(capsys, "search", "--config", cfg, flag, path, "-k", "2", "zebra")
+        assert code == 0, err
+        assert len(out.splitlines()) == 2
+
+    def test_docs_and_load_index_in_config_conflict(self, capsys, collection, tmp_path):
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={collection['docs']}\nload_index={snap}\n")
+        code, out, err = run(capsys, "search", "--config", cfg, "zebra")
+        assert code == 2
+        assert out == ""
+        assert "mutually exclusive" in err
+
+    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
+    def test_format_is_checked_on_the_snapshot_path(self, capsys, collection, tmp_path,
+                                                     config):
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=bogus\n" if config else "")
+        flags = [] if config else ["--format", "bogus"]
+        code, out, err = run(capsys, "search", "--load-index", snap, "--config", cfg, *flags,
+                             "zebra")
+        assert code == 2
+        assert out == ""
+        assert "unknown format 'bogus'" in err
+        cfg.write_text("format=jsonl\n")  # a valid format is accepted
+        code, out, _ = run(capsys, "search", "--load-index", snap, "--config", cfg, "zebra")
+        assert code == 0
+        assert len(out.splitlines()) == 10
+
     def test_invalid_base_is_usage_error(self, capsys, collection):
         code, _, err = run(
             capsys, "search", "--docs", collection["docs"], "--base", "1.0", "zebra"
@@ -274,6 +324,24 @@ class TestSearch:
 
 
 class TestEval:
+    @pytest.mark.parametrize("command", [["eval"], ["sweep", "--grid", "2:3:1"]],
+                             ids=["eval", "sweep"])
+    def test_eval_and_sweep_import_no_dataclasses(self, collection, tmp_path, command):
+        argv = [*command, "--docs", collection["docs"], "--queries", collection["queries"],
+                "--qrels", collection["qrels"], "--out", str(tmp_path / "out")]
+        script = (
+            "import sys; before = set(sys.modules)\n"
+            "from logbase_ir.cli import main\n"
+            f"assert main({[str(a) for a in argv]!r}) == 0\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+        assert "logbase_ir.evaluation" in loaded
+        assert "dataclasses" not in loaded
+
     def test_perfect_retrieval_scores_one(self, capsys, collection, tmp_path):
         code, out, _ = run(
             capsys,

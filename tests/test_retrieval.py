@@ -137,7 +137,7 @@ class TestOracleEquivalence:
                     assert [d for d, _ in got] == [d for d, _ in want]
                     for (_, gs), (_, ws) in zip(got, want):
                         assert gs == pytest.approx(ws, abs=1e-9)
-                    rescaled = ranker.rank(i, ranker.accumulate(q), ranker.scheme.scale)
+                    rescaled = ranker.rank(i, ranker.accumulate(q))
                     rescaled_differs += [d for d, _ in rescaled.entries] != [d for d, _ in want]
         # the rescaled base-e scores alone would have ordered some ties otherwise
         assert rescaled_differs > 0

@@ -153,12 +153,11 @@ class TestRunSweep:
                       stoplist=frozenset())
 
 
-def rescaled_rankings(ranker, accumulators, base):
-    """Every query's ranking at log base ``base``, scored and sorted afresh
-    from the base-e ``ranker``'s accumulators and the index's norms
-    (log_b x = ln x / ln b rescales every weight by 1 / ln b)."""
-    scale = 1.0 / math.log(base)
-    return {qid: ranker.rank(qid, acc, scale) for qid, acc in accumulators.items()}
+def rescaled_rankings(ranker, accumulators):
+    """Every query's ranking at any log base, scored and sorted afresh from
+    the base-e ``ranker``'s accumulators and the index's norms (log_b x =
+    ln x / ln b rescales every weight by 1 / ln b, which cosine cancels)."""
+    return {qid: ranker.rank(qid, acc) for qid, acc in accumulators.items()}
 
 
 def base_rankings(index, tokens, base):
@@ -237,7 +236,7 @@ class TestRescaledRanking:
             for base in self.BASES:
                 reference = Ranker(index, WeightScheme(base))
                 want = {qid: reference.rank_tokens(qid, t) for qid, t in tokens.items()}
-                got = rescaled_rankings(ranker, accumulators, base)
+                got = rescaled_rankings(ranker, accumulators)
                 for qid, rl in got.items():
                     pairs += 1
                     want_scores = dict(want[qid].entries)
@@ -262,17 +261,42 @@ class TestRescaledRanking:
     def test_unit_scale_is_rank_tokens_bit_for_bit(self):
         for index, queries in self.corpora():
             ranker = Ranker(index, WeightScheme(math.e))
-            assert ranker.scheme.scale == 1.0
             for qid, tokens in enumerate(queries):
                 acc = ranker.accumulate(tokens)
                 query_norm, dot = acc
-                got = ranker.rank(qid, acc, 1.0)
-                # at c = 1.0 the scores are the unscaled cosines
+                got = ranker.rank(qid, acc)
+                # the scores are the base-e cosines
                 for doc_id, score in got.entries:
                     denom = query_norm * index.norms[doc_id]
                     assert repr(score) == repr(dot[doc_id] / denom if denom != 0.0 else 0.0)
                 # repr tells -0.0 from 0.0, which == does not
                 assert repr(got) == repr(ranker.rank_tokens(qid, tokens))
+
+    def test_unsettled_scores_are_the_base_e_ones_at_every_base(self, monkeypatch):
+        settled_positions = set()
+        settle = Ranker.settle
+
+        def recording(self, ranked, groups, tokens, vectors):
+            settled_positions.update(p for start, stop in groups for p in range(start, stop))
+            return settle(self, ranked, groups, tokens, vectors)
+
+        monkeypatch.setattr(Ranker, "settle", recording)
+        unsettled = 0
+        for index, queries in self.corpora():
+            base_e = Ranker(index, WeightScheme(math.e))
+            for base in self.BASES:
+                ranker = Ranker(index, WeightScheme(base))
+                for qid, tokens in enumerate(queries):
+                    want = base_e.rank(qid, base_e.accumulate(tokens)).entries
+                    settled_positions.clear()
+                    got = ranker.rank_tokens(qid, tokens).entries
+                    assert len(got) == len(want)
+                    for position, (entry, base_e_entry) in enumerate(zip(got, want)):
+                        if position not in settled_positions:
+                            # repr shows every bit of a double
+                            assert repr(entry) == repr(base_e_entry)
+                            unsettled += 1
+        assert unsettled > 0
 
     def test_each_base_gets_the_summary_of_its_own_rankings(self):
         rng = random.Random(5678)
