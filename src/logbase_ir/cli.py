@@ -1,17 +1,21 @@
 """Command-line interface.
 
-Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Options
-resolve with precedence flags > config file > defaults; the config file is a
-flat ``key=value`` text file whose keys are the long option names with ``_``
-where the flag has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key
-that no subcommand takes is a usage error; a key of another subcommand is
-ignored, so one file can serve several commands. Of two mutually exclusive
-options (--base and --grid of ``sweep``, --docs and --load-index of
-``search``), a flag outranks both keys. Every option is checked before any
-input but the config file is read. Exit codes: 0 on success, 1 for domain
-errors (empty or malformed data), 2 for usage and I/O errors. The pipeline
-has no randomness anywhere, so identical inputs and flags always reproduce
-identical artifacts.
+Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Each
+option is declared once, in ``_OPTIONS``: its config key, the subcommands
+that take it and its help text. The parser and the config check are both
+built from that table. Options resolve with precedence flags > config file
+> defaults; the config file is a flat ``key=value`` text file whose keys are
+the long option names with ``_`` where the flag has ``-`` (``save_run=run.tsv``
+for ``--save-run``). A key that no subcommand takes, or a key set twice, is
+a usage error; a key of another subcommand is ignored, so one file can
+serve several commands. A flag's value and a config value are the same
+text, converted by the same cast, and an empty one is a usage error. Of two
+mutually exclusive options (--base and --grid of ``sweep``, --docs and
+--load-index of ``search``), a flag outranks both keys. Every option is
+checked before any input but the config file is read. Exit codes: 0 on
+success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
+errors. The pipeline has no randomness anywhere, so identical inputs and
+flags always reproduce identical artifacts.
 """
 
 import argparse
@@ -54,8 +58,45 @@ def _read(path: str, read=TextIOWrapper.read):
         raise _Exit(1, f"{path}: not UTF-8: {e}") from e
 
 
-def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
+_ALL = ("stats", "index", "search", "eval", "sweep")
+_EVAL = ("eval", "sweep")
+
+# Every option once: its config key (the flag is --key with - for _), the
+# subcommands that take it and its help text. A no_* option is a switch:
+# its flag takes no value and stands for "true".
+_OPTIONS = {
+    "docs": (_ALL, "document collection file"),
+    "format": (_ALL, "collection file format: smart, npl, lisa or jsonl (default smart)"),
+    "stoplist": (_ALL, "stoplist file overriding the bundled list"),
+    "save_index": (("index",), "write an index snapshot"),
+    "load_index": (("search",), "use an index snapshot"),
+    "out": (_EVAL, "output directory (default $LOGBASE_IR_OUT or ./out)"),
+    "queries": (_EVAL, "query file"),
+    "qrels": (_EVAL, "relevance judgments file"),
+    "qrels_format": (_EVAL, "qrels layout: auto, two, three, four or idlist (default auto)"),
+    "cutoff": (_EVAL, "ranking depth per query (default 1000)"),
+    "interp": (_EVAL, "level precision mode: paper or standard (default paper)"),
+    "pooling": (_EVAL, "bucket per query or pool all points: per_query or pooled "
+                       "(default per_query)"),
+    "base": (("search", "eval", "sweep"),
+             "log base (default 10); sweep evaluates it alone, in place of a grid"),
+    "save_run": (("eval",), "write the ranked lists as a TSV run file"),
+    "grid": (("sweep",), "base grid as START:STOP:STEP (default 0.1:100.0:0.1)"),
+    "top": (("search", "sweep"), "results to print (search, default 10) or rows in "
+                                 "the top-k tables (sweep, default 5)"),
+    "no_cache": (("sweep",), "disable the per-base resume cache"),
+}
+# pairs of mutually exclusive options, in the order their error names them
+_EXCLUSIVE = (("load_index", "docs"), ("base", "grid"))
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(split_lines(_read(path)), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -63,23 +104,15 @@ def _load_config(path: str, known: frozenset[str]) -> dict[str, str]:
         if "=" not in line:
             raise _Exit(2, f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _OPTIONS:
             hint = key.replace("-", "_")
-            hint = f" (did you mean {hint!r}?)" if hint in known else ""
+            hint = f" (did you mean {hint!r}?)" if hint in _OPTIONS else ""
             raise _Exit(2, f"{path}:{lineno}: unknown option {key!r}{hint}")
-        cfg[key] = value
+        if key in cfg:
+            raise _Exit(2, f"{path}:{lineno}: option {key!r} already set on line "
+                           f"{first_line[key]}")
+        cfg[key], first_line[key] = value, lineno
     return cfg
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> frozenset[str]:
-    """The keys a config file may set: every option of every subcommand."""
-    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return frozenset(
-        action.dest
-        for p in subcommands.choices.values()
-        for action in p._actions
-        if action.option_strings and action.dest not in ("help", "config")
-    )
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -93,44 +126,48 @@ def _boolean(value: str) -> bool:
 
 
 class _Options:
-    """Flag > config > default resolution for one parsed command."""
+    """Flag > config > default resolution of the running subcommand's
+    options; the config keys of other subcommands are dropped. An empty
+    value, from a flag or a config key, exits 2. A flag of an exclusive pair
+    outranks both config keys; two flags, or both keys and no flag, exit 2."""
 
-    def __init__(self, args: argparse.Namespace, config_keys: frozenset[str]):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.cfg = _load_config(args.config, config_keys) if args.config else {}
+        keys = [key for key, (commands, _) in _OPTIONS.items() if args.command in commands]
+        if args.config == "":
+            raise _Exit(2, "--config is empty")
+        cfg = {} if args.config is None else _load_config(args.config)
+        flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
+        outranked = {key for pair in _EXCLUSIVE if flags.keys() & set(pair) for key in pair}
+        # each given option: (text, where it came from)
+        self.given = {key: (cfg[key], f"config {key}") for key in keys
+                      if key in cfg and key not in outranked}
+        self.given.update((key, (value, _flag(key))) for key, value in flags.items())
+        for value, where in self.given.values():
+            if not value:
+                raise _Exit(2, f"{where} is empty")
+        for first, second in _EXCLUSIVE:
+            if first in self.given and second in self.given:
+                raise _Exit(2, f"{_flag(first)} and {_flag(second)} are mutually exclusive")
 
     def get(self, key: str, default=None, cast=None):
-        value = getattr(self.args, key, None)
+        """The option's text, ``cast`` applied to a flag's and a config
+        value's alike, or ``default`` when neither is given."""
+        if key not in self.given:
+            return default
+        value, where = self.given[key]
+        if cast is None:
+            return value
+        try:
+            return cast(value)
+        except ValueError as e:
+            raise _Exit(2, f"{where}={value!r}: {e}") from e
+
+    def require(self, key: str):
+        value = self.get(key)
         if value is None:
-            value = self.cfg.get(key)
-            if value is not None and cast is not None:
-                try:
-                    value = cast(value)
-                except ValueError as e:
-                    raise _Exit(2, f"config {key}={value!r}: {e}") from e
-        if value is None:
-            value = default
+            raise _Exit(2, f"missing required option {_flag(key)}")
         return value
-
-    def require(self, key: str, cast=None):
-        value = self.get(key, cast=cast)
-        if value is None:
-            raise _Exit(2, f"missing required option --{key.replace('_', '-')}")
-        return value
-
-
-def _exclusive(opts: _Options, first: str, second: str, cast=None) -> tuple:
-    """The values of two mutually exclusive options, at most one of them not
-    None; ``cast`` converts a config value of the first. A flag outranks both
-    config keys; two flags, or both keys and no flag, exit 2."""
-    flags = getattr(opts.args, first), getattr(opts.args, second)
-    if flags == (None, None):
-        values = opts.get(first, cast=cast), opts.get(second)
-    else:
-        values = flags
-    if None not in values:
-        raise _Exit(2, f"--{first} and --{second} are mutually exclusive".replace("_", "-"))
-    return values
 
 
 def _out_dir(opts: _Options) -> str:
@@ -153,16 +190,38 @@ def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) ->
     return value
 
 
-def _build_index(opts: _Options) -> tuple[InvertedIndex, int, frozenset[str]]:
-    """The index of the --docs file, read in one pass, the UTF-8 size of the
-    documents' text, and the stoplist the index was built with. --format and
-    --docs are checked before any input is read. Each record is parsed, run
-    through the pipeline and folded into the postings, then dropped."""
-    from . import collection_io
+def _at_least_one(opts: _Options, key: str, default: int) -> int:
+    value = opts.get(key, default, cast=int)
+    if value < 1:
+        raise _Exit(2, f"{key} must be >= 1, got {value}")
+    return value
 
-    fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
-    path = opts.require("docs")
+
+def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
+    """The command's index and stoplist, and the UTF-8 size of the
+    documents' text (None from a snapshot). The index is the --load-index
+    snapshot, if built with the same stoplist, or else built from --docs in
+    one pass. --format (for a snapshot only when given, so collection_io is
+    not imported) and --docs are checked before any input is read."""
+    snapshot = opts.get("load_index")
+    if snapshot is None or opts.get("format") is not None:
+        from . import collection_io
+
+        fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
+    docs = None if snapshot else opts.require("docs")
     stoplist = _stoplist(opts)
+    if snapshot:
+        try:
+            index = InvertedIndex.load(snapshot)
+        except OSError as e:
+            raise _Exit(2, f"cannot read {snapshot}: {e}") from e
+        except ValueError as e:
+            raise _Exit(1, f"{snapshot}: {e}") from e
+        if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
+            raise _Exit(1, f"{snapshot}: index snapshot was built with another stoplist; "
+                           "rebuild it with `logbase-ir index --save-index` and the same "
+                           "--stoplist as this search")
+        return index, stoplist, None
     text_bytes = 0
 
     def tokenized(records):
@@ -175,7 +234,7 @@ def _build_index(opts: _Options) -> tuple[InvertedIndex, int, frozenset[str]]:
         records = collection_io.document_records(collection_io.file_lines(f), fmt)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
-    return _read(path, build), text_bytes, stoplist
+    return _read(docs, build), stoplist, text_bytes
 
 
 def _judged_queries(queries, qrels):
@@ -194,10 +253,10 @@ def _count(n: int, noun: str) -> str:
 def cmd_index(opts: _Options) -> int:
     """``stats`` and ``index``: build the index and print its statistics;
     ``index`` also writes a snapshot when --save-index is given."""
-    index, text_bytes, _ = _build_index(opts)
+    index, _, text_bytes = _index(opts)
     print(f"documents={index.n_docs} distinct_terms={len(index.dictionary)} "
           f"text_bytes={text_bytes}")
-    snapshot = opts.get("save_index") if opts.args.command == "index" else None
+    snapshot = opts.get("save_index")
     if snapshot:
         try:
             index.save(snapshot)
@@ -209,33 +268,13 @@ def cmd_index(opts: _Options) -> int:
 
 def _scheme(opts: _Options) -> WeightScheme:
     """The --base weighting, checked before any input is read."""
-    return WeightScheme(float(opts.get("base", 10.0, cast=float)))
+    return WeightScheme(opts.get("base", 10.0, cast=float))
 
 
 def cmd_search(opts: _Options) -> int:
     scheme = _scheme(opts)
-    k = opts.get("top", 10, cast=int)
-    if k < 1:
-        raise _Exit(2, f"top must be >= 1, got {k}")
-    snapshot, _ = _exclusive(opts, "load_index", "docs")
-    if snapshot:
-        if opts.get("format") is not None:  # as the --docs path checks it
-            from .collection_io import DOC_FORMATS
-
-            _choice(opts, "format", "smart", DOC_FORMATS)
-        stoplist = _stoplist(opts)
-        try:
-            index = InvertedIndex.load(snapshot)
-        except OSError as e:
-            raise _Exit(2, f"cannot read {snapshot}: {e}") from e
-        except ValueError as e:
-            raise _Exit(1, f"{snapshot}: {e}") from e
-        if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
-            raise _Exit(1, f"{snapshot}: index snapshot was built with another stoplist; "
-                           "rebuild it with `logbase-ir index --save-index` and the same "
-                           "--stoplist as this search")
-    else:
-        index, _, stoplist = _build_index(opts)
+    k = _at_least_one(opts, "top", 10)
+    index, stoplist, _ = _index(opts)
     ranked = Ranker(index, scheme).rank_tokens(0, pipeline(opts.args.query, stoplist))
     for position, (doc_id, score) in enumerate(ranked.entries[:k], start=1):
         print(f"{position}\t{doc_id}\t{score!r}")
@@ -248,7 +287,7 @@ def _eval_inputs(opts: _Options):
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
-    index, _, stoplist = _build_index(opts)
+    index, stoplist, _ = _index(opts)
     queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
     # the qrels format is checked by _eval_options
     qrels = collection_io.parse_qrels(_read(qrels_path), opts.get("qrels_format", "auto"))
@@ -268,9 +307,7 @@ def _eval_options(opts: _Options) -> tuple[int, str, str]:
     the collection and qrels formats."""
     from . import collection_io, evaluation
 
-    cutoff = opts.get("cutoff", evaluation.DEFAULT_CUTOFF, cast=int)
-    if cutoff < 1:
-        raise _Exit(2, f"cutoff must be >= 1, got {cutoff}")
+    cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
     interp = _choice(opts, "interp", "paper", evaluation.INTERPOLATION_MODES)
     pooling = _choice(opts, "pooling", "per_query", evaluation.POOLING_MODES)
     _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
@@ -315,7 +352,7 @@ def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
     cutoff, interp, pooling = _eval_options(opts)
-    base, spec = _exclusive(opts, "base", "grid", cast=float)
+    base, spec = opts.get("base", cast=float), opts.get("grid")
     try:
         if base is not None:
             grid = sweep_mod.BaseGrid.single(Decimal(str(base)))
@@ -323,9 +360,7 @@ def cmd_sweep(opts: _Options) -> int:
             grid = sweep_mod.BaseGrid.parse(spec) if spec else sweep_mod.BaseGrid.default()
     except ValueError as e:
         raise _Exit(2, str(e)) from e
-    top = opts.get("top", 5, cast=int)
-    if top < 1:
-        raise _Exit(2, f"top must be >= 1, got {top}")
+    top = _at_least_one(opts, "top", 5)
     no_cache = opts.get("no_cache", False, cast=_boolean)
     stoplist, index, queries, qrels = _eval_inputs(opts)
     out = _out_dir(opts)
@@ -371,87 +406,50 @@ def cmd_sweep(opts: _Options) -> int:
     return 0
 
 
+_COMMANDS = {
+    "stats": (cmd_index, "parse, index and report collection statistics"),
+    "index": (cmd_index, "build the index and optionally snapshot it"),
+    "search": (cmd_search, "rank documents for an ad-hoc query"),
+    "eval": (cmd_eval, "evaluate one weighting base against qrels"),
+    "sweep": (cmd_sweep, "evaluate every base on a grid and report"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each subcommand takes --config and its options of ``_OPTIONS``, all
+    as text; ``search`` also takes -k for --top and the query."""
     parser = argparse.ArgumentParser(
         prog="logbase-ir",
         description="Vector-space retrieval with a configurable IDF log base.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, queries: bool = False):
-        p.add_argument("--docs", help="document collection file")
-        p.add_argument("--format",
-                       help="collection file format: smart, npl, lisa or jsonl (default smart)")
-        p.add_argument("--stoplist", help="stoplist file overriding the bundled list")
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--out", help="output directory (default $LOGBASE_IR_OUT or ./out)")
-        if queries:
-            p.add_argument("--queries", help="query file")
-            p.add_argument("--qrels", help="relevance judgments file")
-            p.add_argument("--qrels-format", dest="qrels_format",
-                           help="qrels layout: auto, two, three, four or idlist (default auto)")
-            p.add_argument("--cutoff", type=int, help="ranking depth per query (default 1000)")
-            p.add_argument("--interp", help="level precision mode: paper or standard "
-                           "(default paper)")
-            p.add_argument("--pooling", help="bucket per query or pool all points: "
-                           "per_query or pooled (default per_query)")
-
-    p = sub.add_parser("stats", help="parse, index and report collection statistics")
-    add_common(p)
-
-    p = sub.add_parser("index", help="build the index and optionally snapshot it")
-    add_common(p)
-    p.add_argument("--save-index", dest="save_index", help="write an index snapshot")
-
-    p = sub.add_parser("search", help="rank documents for an ad-hoc query")
-    add_common(p)
-    p.add_argument("--load-index", dest="load_index", help="use an index snapshot")
-    p.add_argument("--base", type=float, help="log base (default 10)")
-    p.add_argument("-k", "--top", type=int, help="results to print (default 10)")
-    p.add_argument("query", help="query text")
-
-    p = sub.add_parser("eval", help="evaluate one weighting base against qrels")
-    add_common(p, queries=True)
-    p.add_argument("--base", type=float, help="log base (default 10)")
-    p.add_argument("--save-run", dest="save_run",
-                   help="write the ranked lists as a TSV run file")
-
-    p = sub.add_parser("sweep", help="evaluate every base on a grid and report")
-    add_common(p, queries=True)
-    p.add_argument("--base", type=float, help="evaluate a single base instead of a grid")
-    p.add_argument("--grid", help="base grid as START:STOP:STEP (default 0.1:100.0:0.1)")
-    p.add_argument("--top", type=int, help="rows in the top-k tables (default 5)")
-    p.add_argument("--no-cache", dest="no_cache", action="store_true", default=None,
-                   help="disable the per-base resume cache")
+        for key, (commands, help_text) in _OPTIONS.items():
+            if command not in commands:
+                continue
+            short = ["-k"] if (command, key) == ("search", "top") else []
+            switch = {"action": "store_const", "const": "true"} if key.startswith("no_") else {}
+            p.add_argument(*short, _flag(key), help=help_text, **switch)
+        if command == "search":
+            p.add_argument("query", help="query text")
     return parser
 
 
-_COMMANDS = {
-    "stats": cmd_index,
-    "index": cmd_index,
-    "search": cmd_search,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](_Options(args, _config_keys(parser)))
+        return _COMMANDS[args.command][0](_Options(args))
     except _Exit as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except InvalidBaseError as e:
+    except (InvalidBaseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -2,14 +2,16 @@ import ast
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from logbase_ir import index as index_mod
-from logbase_ir.cli import main
+from logbase_ir.cli import _OPTIONS, build_parser, main
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import default_stoplist, stoplist_fingerprint
 
@@ -140,9 +142,10 @@ class TestStatsAndIndex:
     @pytest.mark.parametrize("command", ["index", "eval"])
     def test_doc_id_outside_int64_is_domain_error(self, capsys, collection, tmp_path, command):
         collection["docs"].write_text(".I 1\n.W\nzebra\n.I 9223372036854775808\n.W\nyak\n")
-        argv = [command, "--docs", collection["docs"], "--out", tmp_path / "out"]
+        argv = [command, "--docs", collection["docs"]]
         if command == "eval":
-            argv += ["--queries", collection["queries"], "--qrels", collection["qrels"]]
+            argv += ["--queries", collection["queries"], "--qrels", collection["qrels"],
+                     "--out", tmp_path / "out"]
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert err == (
@@ -719,6 +722,14 @@ class TestConfigValues:
 
 
 class TestConfigLines:
+    def test_repeated_key_is_usage_error(self, capsys, collection, tmp_path):
+        # the second top=3 used to replace the first silently
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={collection['docs']}\ntop=1\n# a comment\ntop=3\n")
+        code, out, err = run(capsys, "search", "--config", cfg, "zebra")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}:4: option 'top' already set on line 2\n"
+
     @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\u2029", "\r"])
     def test_lines_end_at_newlines_only(self, capsys, tmp_path, sep):
         cfg = tmp_path / "run.cfg"
@@ -842,3 +853,129 @@ class TestUsageErrors:
 
     def test_search_top_zero_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")
+
+
+COMMANDS = ("stats", "index", "search", "eval", "sweep")
+
+
+def table_flags(command):
+    return {"--" + key.replace("_", "-")
+            for key, (commands, _) in _OPTIONS.items() if command in commands}
+
+
+class TestOptionTable:
+    """The parser and the config check come from one table of options."""
+
+    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 13, 15)))
+    def test_parser_flags_are_the_table_entries(self, command, count):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
+        actions = [a for a in subparsers.choices[command]._actions if a.option_strings]
+        flags = {flag for a in actions for flag in a.option_strings}
+        extra = {"--config", "-h", "--help"} | ({"-k"} if command == "search" else set())
+        assert flags == table_flags(command) | extra
+        assert len(actions) - 1 == count  # not counting -h
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_keys_of_other_subcommands_are_ignored(self, capsys, collection, tmp_path,
+                                                  command):
+        # each value fails if read: a path under a missing directory, or no
+        # valid number, choice, grid or boolean
+        poison = tmp_path / "absent" / "x"
+        others = [key for key, (commands, _) in _OPTIONS.items() if command not in commands]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key}={poison}\n" for key in others))
+        argv = [command, "--config", cfg, "--docs", collection["docs"]]
+        if command in ("eval", "sweep"):
+            argv += ["--queries", collection["queries"], "--qrels", collection["qrels"],
+                     "--out", tmp_path / "out", "--base", "10"]
+        code, _, err = run(capsys, *argv, *(["zebra"] if command == "search" else []))
+        assert code == 0, err
+        assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize("argv", [["stats"], ["index"], ["search", "zebra"]],
+                             ids=["stats", "index", "search"])
+    def test_out_is_not_an_option_of(self, capsys, collection, tmp_path, argv):
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--docs", str(collection["docs"]), "--out", str(tmp_path / "out")])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_docs_and_load_index_in_config_serve_eval(self, capsys, collection, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        # eval takes no load_index: it reads docs, and the snapshot is not read
+        cfg.write_text(f"docs={collection['docs']}\nload_index={tmp_path / 'none.bin'}\n")
+        code, out, err = run(capsys, "eval", "--config", cfg, "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--out", tmp_path / "out")
+        assert code == 0, err
+        assert "map 1.000000" in out
+        code, _, err = run(capsys, "search", "--config", cfg, "zebra")
+        assert code == 2
+        assert "--load-index and --docs are mutually exclusive" in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["search", "zebra"], "base"), (["eval"], "base"), (["sweep"], "base"),
+        (["eval"], "cutoff"), (["sweep"], "cutoff"), (["search", "zebra"], "top"),
+        (["sweep"], "top"),
+    ], ids=["search-base", "eval-base", "sweep-base", "eval-cutoff", "sweep-cutoff",
+            "search-top", "sweep-top"])
+    def test_malformed_number_same_reason_from_flag_and_config(self, capsys, tmp_path,
+                                                               argv, key):
+        # the inputs do not exist: the value must be checked first
+        flag = "--" + key
+        reasons = []
+        for given_as_flag in (True, False):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"docs={tmp_path / 'none.all'}\n"
+                           + ("" if given_as_flag else f"{key}=1x\n"))
+            flags = [flag, "1x"] if given_as_flag else []
+            code, out, err = run(capsys, *argv, "--config", cfg, *flags)
+            assert (code, out) == (2, ""), err
+            where = flag if given_as_flag else f"config {key}"
+            assert err.startswith(f"error: {where}='1x': ")
+            assert len(err.splitlines()) == 1
+            reasons.append(err.split("'1x': ", 1)[1])
+        assert reasons[0] == reasons[1]
+        assert not (tmp_path / "out").exists()
+
+    def test_short_top_flag_is_checked_as_top(self, capsys, collection):
+        code, out, err = run(capsys, "search", "--docs", collection["docs"], "-k", "x", "zebra")
+        assert (code, out) == (2, "")
+        assert err == "error: --top='x': invalid literal for int() with base 10: 'x'\n"
+
+
+class TestEmptyValues:
+    """An empty value exits 2, from a flag or a config key, before any input
+    is read; it never stands for the default."""
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sweep"], "grid"), (["eval"], "save_run"), (["index"], "save_index"),
+        (["eval"], "out"), (["search", "zebra"], "load_index"), (["search", "zebra"], "top"),
+    ], ids=["grid", "save_run", "save_index", "out", "load_index", "top"])
+    @pytest.mark.parametrize("given_as_flag", [True, False], ids=["flag", "config"])
+    def test_empty_value_is_usage_error(self, capsys, tmp_path, argv, key, given_as_flag):
+        cfg = tmp_path / "run.cfg"
+        # the inputs do not exist: reading any would exit 2 with another message
+        cfg.write_text(f"docs={tmp_path / 'none.all'}\nqueries={tmp_path / 'none.qry'}\n"
+                       f"qrels={tmp_path / 'none.rel'}\n" + ("" if given_as_flag else f"{key}=\n"))
+        flag = "--" + key.replace("_", "-")
+        flags = [flag, ""] if given_as_flag else []
+        code, out, err = run(capsys, *argv, "--config", cfg, *flags)
+        assert (code, out) == (2, "")
+        where = flag if given_as_flag else f"config {key}"
+        assert err == f"error: {where} is empty\n"
+
+    def test_empty_config_flag_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "stats", "--config", "", "--docs", tmp_path / "none.all")
+        assert (code, out, err) == (2, "", "error: --config is empty\n")
+
+
+def test_readme_cli_section_names_every_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    table = set().union(*map(table_flags, COMMANDS))
+    assert table - named == set(), "options missing from README's CLI section"
+    assert named - table - {"--config"} == set(), "README names flags the table lacks"
