@@ -4,18 +4,19 @@ Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Each
 option is declared once, in ``_OPTIONS``: its config key, the subcommands
 that take it and its help text. The parser and the config check are both
 built from that table. Options resolve with precedence flags > config file
-> defaults; the config file is a flat ``key=value`` text file whose keys are
-the long option names with ``_`` where the flag has ``-`` (``save_run=run.tsv``
-for ``--save-run``). A key that no subcommand takes, or a key set twice, is
-a usage error; a key of another subcommand is ignored, so one file can
-serve several commands. A flag's value and a config value are the same
-text, converted by the same cast, and an empty one is a usage error. Of two
-mutually exclusive options (--base and --grid of ``sweep``, --docs and
---load-index of ``search``), a flag outranks both keys. Every option is
-checked before any input but the config file is read. Exit codes: 0 on
-success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
-errors. The pipeline has no randomness anywhere, so identical inputs and
-flags always reproduce identical artifacts.
+> defaults, and --out has $LOGBASE_IR_OUT before its default. A flag is
+spelled in full, never abbreviated. The config file is a flat ``key=value``
+text file whose keys are the long option names with ``_`` where the flag
+has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key that no
+subcommand takes, or a key set twice, is a usage error; a key of another
+subcommand is ignored, so one file can serve several commands. A flag's
+value and a config value are the same text, converted by the same cast, and
+an empty one is a usage error. Of two mutually exclusive options (--base and
+--grid of ``sweep``, --docs and --load-index of ``search``), a flag outranks
+both keys. Every option is checked before any input but the config file is
+read. Exit codes: 0 on success, 1 for domain errors (empty or malformed
+data), 2 for usage and I/O errors. The pipeline has no randomness anywhere,
+so identical inputs and flags always reproduce identical artifacts.
 """
 
 import argparse
@@ -127,8 +128,9 @@ def _boolean(value: str) -> bool:
 
 class _Options:
     """Flag > config > default resolution of the running subcommand's
-    options; the config keys of other subcommands are dropped. An empty
-    value, from a flag or a config key, exits 2. A flag of an exclusive pair
+    options; the config keys of other subcommands are dropped. ``out`` has
+    $LOGBASE_IR_OUT between config and default. An empty value, from a flag,
+    a config key or the variable, exits 2. A flag of an exclusive pair
     outranks both config keys; two flags, or both keys and no flag, exit 2."""
 
     def __init__(self, args: argparse.Namespace):
@@ -140,8 +142,11 @@ class _Options:
         flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
         outranked = {key for pair in _EXCLUSIVE if flags.keys() & set(pair) for key in pair}
         # each given option: (text, where it came from)
-        self.given = {key: (cfg[key], f"config {key}") for key in keys
-                      if key in cfg and key not in outranked}
+        self.given = {}
+        if "out" in keys and (env := os.environ.get("LOGBASE_IR_OUT")) is not None:
+            self.given["out"] = (env, "$LOGBASE_IR_OUT")
+        self.given.update((key, (cfg[key], f"config {key}")) for key in keys
+                          if key in cfg and key not in outranked)
         self.given.update((key, (value, _flag(key))) for key, value in flags.items())
         for value, where in self.given.values():
             if not value:
@@ -171,7 +176,7 @@ class _Options:
 
 
 def _out_dir(opts: _Options) -> str:
-    out = opts.get("out") or os.environ.get("LOGBASE_IR_OUT") or "out"
+    out = opts.get("out", "out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -237,15 +242,6 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
     return _read(docs, build), stoplist, text_bytes
 
 
-def _judged_queries(queries, qrels):
-    """Keep queries with judgments; report the dropped remainder on stderr."""
-    judged = [q for q in queries if q.query_id in qrels]
-    dropped = len(queries) - len(judged)
-    if dropped:
-        print(f"note: {dropped} queries have no judgments and are skipped", file=sys.stderr)
-    return judged
-
-
 def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
@@ -282,8 +278,11 @@ def cmd_search(opts: _Options) -> int:
 
 
 def _eval_inputs(opts: _Options):
-    """The stoplist, index, judged queries and qrels of ``eval`` and
-    ``sweep``; every input path is checked before any input is read."""
+    """The index, judged queries and qrels of ``eval`` and ``sweep``; every
+    input path is checked before any input is read. The judged queries are
+    ``{query_id: tokens}`` in query-file order; qrels naming a query the
+    file lacks, or no query at all, exit 1. Judged doc ids absent from the
+    collection, then unjudged queries, are noted on stderr."""
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
@@ -293,13 +292,18 @@ def _eval_inputs(opts: _Options):
     qrels = collection_io.parse_qrels(_read(qrels_path), opts.get("qrels_format", "auto"))
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
-    unknown = sorted(q for q in qrels if q not in {x.query_id for x in queries})
+    unknown = sorted(qrels.keys() - {q.query_id for q in queries})
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
     absent = set().union(*qrels.values()) - index.norms.keys()
     if absent:
         print(f"note: {len(absent)} judged doc ids are not in the collection", file=sys.stderr)
-    return stoplist, index, _judged_queries(queries, qrels), qrels
+    dropped = len(queries) - len(qrels)  # the qrels name known queries only
+    if dropped:
+        print(f"note: {dropped} queries have no judgments and are skipped", file=sys.stderr)
+    query_tokens = {q.query_id: pipeline(q.text, stoplist) for q in queries
+                    if q.query_id in qrels}
+    return index, query_tokens, qrels
 
 
 def _eval_options(opts: _Options) -> tuple[int, str, str]:
@@ -321,11 +325,10 @@ def cmd_eval(opts: _Options) -> int:
 
     cutoff, interp, pooling = _eval_options(opts)
     scheme = _scheme(opts)
-    stoplist, index, queries, qrels = _eval_inputs(opts)
+    index, query_tokens, qrels = _eval_inputs(opts)
     out = _out_dir(opts)
     ranker = Ranker(index, scheme)
-    rankings = {q.query_id: ranker.rank_tokens(q.query_id, pipeline(q.text, stoplist))
-                for q in queries}
+    rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
     summary, diagnostics = evaluation.evaluate_rankings(
         rankings, qrels, cutoff, interp, pooling
     )
@@ -362,16 +365,15 @@ def cmd_sweep(opts: _Options) -> int:
         raise _Exit(2, str(e)) from e
     top = _at_least_one(opts, "top", 5)
     no_cache = opts.get("no_cache", False, cast=_boolean)
-    stoplist, index, queries, qrels = _eval_inputs(opts)
+    index, query_tokens, qrels = _eval_inputs(opts)
     out = _out_dir(opts)
     cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")
 
     result = sweep_mod.run_sweep(
         index,
-        queries,
+        query_tokens,
         qrels,
         grid,
-        stoplist=stoplist,
         cutoff=cutoff,
         interpolation=interp,
         pooling=pooling,
@@ -421,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logbase-ir",
         description="Vector-space retrieval with a configurable IDF log base.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value config file")
         for key, (commands, help_text) in _OPTIONS.items():
             if command not in commands:

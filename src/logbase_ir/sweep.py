@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from operator import itemgetter
 
-from .collection_io import Qrels, RawQuery
+from .collection_io import Qrels
 from .evaluation import (
     DEFAULT_CUTOFF,
     EVAL_CSV_COLUMNS,
@@ -29,7 +29,6 @@ from .evaluation import (
 )
 from .index import InvertedIndex, write_atomic, write_report
 from .retrieval import RankedList, Ranker, Vectors, near_tie_groups, term_vectors
-from .textpipe import pipeline
 from .weighting import WeightScheme
 
 METRICS = ("map", "map_at_30")
@@ -238,20 +237,21 @@ def _plan(ranker: Ranker, query_tokens: dict[int, list[str]], cutoff: int
 
 def run_sweep(
     index: InvertedIndex,
-    queries: list[RawQuery],
+    query_tokens: dict[int, list[str]],
     qrels: Qrels,
     grid: BaseGrid | None = None,
     *,
-    stoplist: frozenset[str] | None = None,
     cutoff: int = DEFAULT_CUTOFF,
     interpolation: str = "paper",
     pooling: str = "per_query",
     cache_path: str | None = None,
 ) -> SweepResult:
-    """Evaluate every grid base; base 1.0 is recorded as skipped.
+    """Evaluate the judged queries' tokens, ``{query_id: tokens}`` as
+    ``Ranker.rank_tokens`` takes them, at every grid base; base 1.0 is
+    recorded as skipped.
 
-    Every qrels query_id must exist in the query list (checked before any
-    evaluation). One base-e ranker scores and ranks each query once (see
+    ``evaluate_rankings`` refuses empty qrels and qrels naming a query not
+    passed. One base-e ranker scores and ranks each query once (see
     ``_plan``); each base re-scores only the fragile groups, with the weights
     of that base computed directly (``Ranker.settle``), so every base ranks
     as ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
@@ -259,17 +259,6 @@ def run_sweep(
     """
     if grid is None:
         grid = BaseGrid.default()
-    query_ids = {q.query_id for q in queries}
-    orphans = sorted(q for q in qrels if q not in query_ids)
-    if orphans:
-        raise ValueError(f"qrels reference unknown query ids {orphans}")
-    if not qrels:
-        raise ValueError("no judged queries to evaluate")
-
-    query_tokens = {
-        q.query_id: pipeline(q.text, stoplist) for q in queries if q.query_id in qrels
-    }
-
     result = SweepResult()
     rankings, fragile, vectors = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
     result.fragile_groups = sum(map(len, fragile.values()))

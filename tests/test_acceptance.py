@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from logbase_ir.collection_io import RawQuery, parse_documents, parse_qrels, parse_queries
+from logbase_ir.collection_io import parse_documents, parse_qrels, parse_queries
 from logbase_ir.evaluation import (
     bucket_index,
     evaluate_rankings,
@@ -262,10 +262,8 @@ def test_criterion_5_report_shape():
     with criterion(5, "sweep reports keep the comparison-table shape"):
         texts = {1: "apple pie", 2: "pear tart", 3: "apple tart"}
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
-        queries = [RawQuery(1, "apple")]
-        result = run_sweep(
-            index, queries, {1: {1}}, BaseGrid.parse("9:11:1"), stoplist=frozenset()
-        )
+        result = run_sweep(index, {1: pipeline("apple", frozenset())}, {1: {1}},
+                           BaseGrid.parse("9:11:1"))
         rows = top_k_report(result, "map", 5)
         text = render_table(rows, "map")
         header = text.splitlines()[0].split()
@@ -283,18 +281,19 @@ def test_criterion_6_sweep_contract():
             4: "hydro power dam",
         }
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
-        queries = [RawQuery(1, "solar energy"), RawQuery(2, "wind power")]
+        queries = {qid: pipeline(text, frozenset())
+                   for qid, text in ((1, "solar energy"), (2, "wind power"))}
         qrels = {1: {1, 3}, 2: {2, 4}}
         grid = BaseGrid.default()
         assert len(grid.values()) == 1000
-        result = run_sweep(index, queries, qrels, grid, stoplist=frozenset())
+        result = run_sweep(index, queries, qrels, grid)
         assert len(result.per_base) == 999
         assert [label for label, _ in result.skipped] == ["1.0"]
         with tempfile.TemporaryDirectory() as tmp:
             p1 = Path(tmp) / "a.csv"
             p2 = Path(tmp) / "b.csv"
             emit_csv(result, str(p1))
-            rerun = run_sweep(index, queries, qrels, grid, stoplist=frozenset())
+            rerun = run_sweep(index, queries, qrels, grid)
             emit_csv(rerun, str(p2))
             assert p1.read_bytes() == p2.read_bytes()
             assert len(p1.read_text().splitlines()) == 1000  # header + 999 rows
@@ -309,7 +308,8 @@ def test_criterion_6_med_sweep_wall_time():
             pytest.skip("set LOGBASE_IR_RUN_SLOW=1 to run the full MED sweep")
         stoplist, index, queries, qrels = setup
         start = time.perf_counter()
-        result = run_sweep(index, queries, qrels, stoplist=stoplist)
+        tokens = {q.query_id: pipeline(q.text, stoplist) for q in queries if q.query_id in qrels}
+        result = run_sweep(index, tokens, qrels)
         elapsed = time.perf_counter() - start
         assert len(result.per_base) == 999
         assert elapsed < 1800, f"MED sweep took {elapsed:.0f}s"

@@ -515,6 +515,28 @@ class TestEval:
         assert code == 0
         assert "judged doc ids" not in err
 
+    def test_unjudged_queries_are_noted_and_skipped(self, capsys, tmp_path):
+        docs = tmp_path / "two.all"
+        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n")
+        queries = tmp_path / "three.qry"
+        queries.write_text(".I 1\n.W\napple banana\n.I 2\n.W\ncherry\n.I 3\n.W\nbanana\n")
+        qrels = tmp_path / "one.rel"
+        qrels.write_text("1 1\n1 999\n")  # doc 999 is not in the collection
+        args = ["--docs", docs, "--queries", queries, "--qrels", qrels]
+        notes = ["note: 1 judged doc ids are not in the collection",
+                 "note: 2 queries have no judgments and are skipped"]
+        out, run_path = tmp_path / "out", tmp_path / "run.tsv"
+        code, _, err = run(capsys, "eval", *args, "--out", out, "--save-run", run_path)
+        assert code == 0
+        # doc 1 at rank 1 is the one point, at recall 0.5
+        empty = [f"empty-bucket query=1 level={k / 10:.1f}" for k in range(11) if k != 5]
+        assert err.splitlines() == [*notes, *empty, f"report written to {out / 'eval.csv'}"]
+        assert [line.split("\t")[0] for line in run_path.read_text().splitlines()] == ["1", "1"]
+        code, _, err = run(capsys, "sweep", *args, "--base", "10", "--out", tmp_path / "sw")
+        assert code == 0
+        assert err.splitlines() == [
+            *notes, "note: 1 distinct ranking to the cutoff across 1 base; 0 fragile groups"]
+
     def test_out_dir_from_environment(self, capsys, collection, tmp_path, monkeypatch):
         monkeypatch.setenv("LOGBASE_IR_OUT", str(tmp_path / "envout"))
         code, _, _ = run(
@@ -526,6 +548,41 @@ class TestEval:
         )
         assert code == 0
         assert (tmp_path / "envout" / "eval.csv").exists()
+
+    @pytest.mark.parametrize("inputs", ["present", "absent"])
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_empty_out_dir_from_environment_is_usage_error(self, capsys, collection, tmp_path,
+                                                           monkeypatch, command, inputs):
+        monkeypatch.setenv("LOGBASE_IR_OUT", "")
+        monkeypatch.chdir(tmp_path)
+        # absent inputs: reading any would exit 2 with another message
+        paths = {role: collection[role] if inputs == "present" else f"none.{role}"
+                 for role in ("docs", "queries", "qrels")}
+        code, out, err = run(capsys, command, *(f"--{role}={path}"
+                                                for role, path in paths.items()))
+        assert (code, out, err) == (2, "", "error: $LOGBASE_IR_OUT is empty\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_out_dir_flag_and_config_outrank_environment(self, capsys, collection, tmp_path,
+                                                         monkeypatch, command):
+        monkeypatch.setenv("LOGBASE_IR_OUT", "")
+        args = [command, "--docs", collection["docs"], "--queries", collection["queries"],
+                "--qrels", collection["qrels"], "--base", "10"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'cfg'}\n")
+        code, _, err = run(capsys, *args, "--config", cfg)
+        assert code == 0, err
+        code, _, err = run(capsys, *args, "--config", cfg, "--out", tmp_path / "flag")
+        assert code == 0, err
+        report = "eval.csv" if command == "eval" else "sweep.csv"
+        assert (tmp_path / "cfg" / report).exists() and (tmp_path / "flag" / report).exists()
+
+    def test_commands_without_out_ignore_the_environment(self, capsys, collection,
+                                                         monkeypatch):
+        monkeypatch.setenv("LOGBASE_IR_OUT", "")
+        code, _, err = run(capsys, "stats", "--docs", collection["docs"])
+        assert code == 0, err
 
 
 class TestSweep:
@@ -939,6 +996,20 @@ class TestOptionTable:
             reasons.append(err.split("'1x': ", 1)[1])
         assert reasons[0] == reasons[1]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--gri", "2:3:1"], ["sweep", "--ou", "o5"], ["sweep", "--no"],
+        ["eval", "--save", "r.tsv"],
+    ], ids=["gri", "ou", "no", "save"])
+    def test_flags_are_not_abbreviated(self, capsys, collection, tmp_path, monkeypatch,
+                                       argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, "--docs", str(collection["docs"]), "--queries",
+                  str(collection["queries"]), "--qrels", str(collection["qrels"])])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "o5").exists()
 
     def test_short_top_flag_is_checked_as_top(self, capsys, collection):
         code, out, err = run(capsys, "search", "--docs", collection["docs"], "-k", "x", "zebra")

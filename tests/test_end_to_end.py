@@ -126,6 +126,61 @@ def test_benchmark_snapshots_keep_their_bytes(capsys, tmp_path, shape):
     assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == SNAPSHOT_SHA256[shape]
 
 
+# sha256 of the stdout, the stderr and every file written by a benchmark
+# command at seed 1, run where its inputs lie with relative paths, so no
+# absolute path reaches an output: the sweep of the MED shape, resume cache
+# included, and the eval of the CRAN shape with its run file.
+REPORT_ARGV = {
+    "med": ["sweep", "--grid", "0.2:10.0:0.2"],
+    "cran": ["eval", "--base", "10", "--save-run", "run.tsv"],
+}
+REPORT_SHA256 = {
+    "med": {
+        "stdout": "988d500908323e4150e7d053cfd4acbdc16d054a57341dd1cf9cbc2614d34051",
+        "stderr": "b34aad45d89665745275f7fd73d942b88b55e203a83c2ea5e85ff08421080ccf",
+        "out/compare_map.txt": "d44950a598065e2d8dda37bf8cf9a8e9c0e44474193fdf32b1c61656d028f65f",
+        "out/compare_map_at_30.txt":
+            "41f53c68474528c912b417262485a59bf9b71c970fb2fa9ed81d8e81375107e8",
+        "out/curve_map.csv": "17e2ba0ed7261e0780b42d7477f487f399633746fb30208c01faa2a29996ad22",
+        "out/curve_map_at_30.csv":
+            "a4347e23666be23a290fbe8ceb09905aa5ac03b2be999486a8490fda78a9426e",
+        "out/levels_map.csv": "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
+        "out/levels_map_at_30.csv":
+            "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
+        "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
+        "out/sweep_cache.jsonl":
+            "5744719538ac88b807fc371e84492449ca7f3d773212bf746bbc9fbc2a1d1ae3",
+        "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
+        "out/top5_map_at_30.txt":
+            "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",
+    },
+    "cran": {
+        "stdout": "443bc7989a1180b56dede92e2f89f820119046382e2673baa45e483437da9efe",
+        "stderr": "b31933a696fc007dc4597b6cbec26c91ea8e6ec84d99832739f35d175a2b57ef",
+        "out/eval.csv": "0e82685379fc48272ae70fe2003a1b5ad092800af2249729d6777e1aec38046a",
+        "run.tsv": "79f807e752c6b9c06138e5a779ab20d1c16c013bbe3edc1fb1a947d13a19cc7b",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(REPORT_SHA256))
+def test_benchmark_reports_keep_their_bytes(capsys, tmp_path, monkeypatch, shape):
+    paths = gen.write(gen.generate(gen.SHAPES[shape], 1), str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = [*REPORT_ARGV[shape], "--out", "out"]
+    for role, path in sorted(paths.items()):
+        argv += [f"--{role}", Path(path).name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    written = {"stdout": captured.out.encode(), "stderr": captured.err.encode()}
+    written.update((str(p.relative_to(tmp_path)), p.read_bytes())
+                   for p in sorted(tmp_path.rglob("*"))
+                   if p.is_file() and str(p) not in paths.values())
+    assert {name: hashlib.sha256(content).hexdigest()
+            for name, content in written.items()} == REPORT_SHA256[shape]
+
+
 def csv_rows(path):
     """The rows of a report after its header, each split at commas."""
     return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]

@@ -7,7 +7,6 @@ from decimal import Decimal
 import pytest
 
 from logbase_ir import index as index_mod, retrieval, sweep
-from logbase_ir.collection_io import RawQuery
 from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
 from logbase_ir.retrieval import Ranker
@@ -34,7 +33,7 @@ TEXTS = {
     4: "tree house green",
     5: "red pie",
 }
-QUERIES = [RawQuery(1, "apple pie"), RawQuery(2, "green tree")]
+QUERIES = {1: pipeline("apple pie", frozenset()), 2: pipeline("green tree", frozenset())}
 QRELS = {1: {1, 3, 5}, 2: {2, 4}}
 INDEX = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
 
@@ -44,7 +43,6 @@ def grid_labels(grid):
 
 
 def toy_sweep(grid, **kwargs):
-    kwargs.setdefault("stoplist", frozenset())
     return run_sweep(INDEX, QUERIES, QRELS, grid, **kwargs)
 
 
@@ -143,14 +141,12 @@ class TestRunSweep:
             assert other.levels == pytest.approx(first.levels, abs=1e-9)
 
     def test_qrels_for_unknown_query_rejected(self):
-        with pytest.raises(ValueError, match="unknown query ids"):
-            run_sweep(INDEX, QUERIES, {9: {1}}, BaseGrid.single(Decimal("10")),
-                      stoplist=frozenset())
+        with pytest.raises(ValueError, match="no ranking for judged queries"):
+            run_sweep(INDEX, QUERIES, {9: {1}}, BaseGrid.single(Decimal("10")))
 
     def test_empty_qrels_rejected(self):
         with pytest.raises(ValueError, match="no judged"):
-            run_sweep(INDEX, QUERIES, {}, BaseGrid.single(Decimal("10")),
-                      stoplist=frozenset())
+            run_sweep(INDEX, QUERIES, {}, BaseGrid.single(Decimal("10")))
 
 
 def rescaled_rankings(ranker, accumulators):
@@ -229,9 +225,6 @@ class TestRescaledRanking:
                 qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
                 for qid in tokens
             }
-            # query text that the pipeline maps back to the same tokens
-            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
-            assert all(pipeline(q.text, frozenset()) == tokens[q.query_id] for q in raw)
             ranker, accumulators = _base_e(index, tokens)
             for base in self.BASES:
                 reference = Ranker(index, WeightScheme(base))
@@ -252,8 +245,7 @@ class TestRescaledRanking:
                             if position[x] > position[y]:
                                 assert abs(want_scores[x] - want_scores[y]) <= 1e-12
                 # the sweep ranks as eval does, near ties included
-                swept = run_sweep(index, raw, qrels, BaseGrid.single(Decimal(str(base))),
-                                  stoplist=frozenset())
+                swept = run_sweep(index, tokens, qrels, BaseGrid.single(Decimal(str(base))))
                 assert list(swept.per_base.values()) == [evaluate_rankings(want, qrels)[0]]
         # the rescaled order alone differs from the reference's on a few pairs
         assert 0 < reordered < pairs / 10
@@ -308,8 +300,7 @@ class TestRescaledRanking:
                 qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
                 for qid in tokens
             }
-            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
-            swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset())
+            swept = run_sweep(index, tokens, qrels, grid)
             for label, summary in swept.per_base.items():
                 rankings = base_rankings(index, tokens, float(label))
                 assert summary == evaluate_rankings(rankings, qrels)[0]
@@ -329,18 +320,16 @@ class TestRescaledRanking:
 
         monkeypatch.setattr(index_mod, "_norms", recording)
         index = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
-        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5"),
-                           stoplist=frozenset())
+        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5"))
         assert len(result.per_base) == 9
         assert calls == [sorted(TEXTS)]
 
     def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
         grid = BaseGrid.parse("2:6:0.5")
         bases = [float(v) for v in grid.values()]
-        tokens = {q.query_id: pipeline(q.text, frozenset()) for q in QUERIES}
         orders = {
             tuple(tuple(d for d, _ in rl.entries) for rl in
-                  base_rankings(INDEX, tokens, base).values())
+                  base_rankings(INDEX, QUERIES, base).values())
             for base in bases
         }
         assert len(orders) == 1
@@ -349,7 +338,7 @@ class TestRescaledRanking:
         full = SweepResult()
         for value in grid.values():
             r = Ranker(INDEX, WeightScheme(float(value)))
-            rankings = {qid: r.rank_tokens(qid, t) for qid, t in tokens.items()}
+            rankings = {qid: r.rank_tokens(qid, t) for qid, t in QUERIES.items()}
             full.per_base[str(value)], _ = evaluate_rankings(rankings, QRELS)
 
         calls = []
@@ -380,10 +369,9 @@ class TestPlan:
                 qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
                 for qid in tokens
             }
-            raw = [RawQuery(qid, " ".join(t)) for qid, t in tokens.items()]
             want = reference_sweep(index, tokens, qrels, grid, (1000, 2))
             for cutoff in (1000, 2):
-                swept = run_sweep(index, raw, qrels, grid, stoplist=frozenset(), cutoff=cutoff)
+                swept = run_sweep(index, tokens, qrels, grid, cutoff=cutoff)
                 assert_summaries_equal(swept.per_base, want[cutoff])
                 varied += len(set(swept.per_base.values())) > 1
                 fragile += swept.fragile_groups
@@ -393,9 +381,8 @@ class TestPlan:
 
     def sweep_and_reference(self, texts, query, qrels, grid, **kwargs):
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
-        swept = run_sweep(index, [RawQuery(1, query)], qrels, grid, stoplist=frozenset(),
-                          **kwargs)
         tokens = {1: pipeline(query, frozenset())}
+        swept = run_sweep(index, tokens, qrels, grid, **kwargs)
         cutoff = kwargs.get("cutoff", 1000)
         return swept, reference_sweep(index, tokens, qrels, grid, (cutoff,))[cutoff]
 
@@ -480,15 +467,15 @@ class TestPlan:
         grid = BaseGrid.parse("2:6:0.5")
         index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
         # both queries hold docs 1 and 2 in a fragile group
-        queries = [RawQuery(1, "x y"), RawQuery(2, "y x y x")]
-        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid, stoplist=frozenset())
+        queries = {1: ["x", "y"], 2: ["y", "x", "y", "x"]}
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid)
         assert swept.fragile_groups == 2
         assert swept.ranked_bases == len(grid.values())
         assert calls == [{1, 2}]
         # no near ties, no pass
         calls.clear()
         index = build_index([(1, ["x", "y"]), (2, ["x", "x", "y"]), (3, ["z"])])
-        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid, stoplist=frozenset())
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid)
         assert swept.fragile_groups == 0
         assert swept.ranked_bases == len(grid.values())
         assert calls == []
