@@ -5,12 +5,24 @@ The index is an immutable snapshot built once per collection. Terms and
 postings are kept in sorted order so every downstream traversal (weighting,
 scoring, serialization) is reproducible run to run.
 
-Snapshot format 4 is one JSON header line (``body_sha256``, ``df``,
-``format_version``, ``n_docs``, ``stoplist_sha256`` and the sorted ``terms``)
-followed by four little-endian columns: every posting's doc id, then every
-term frequency (int64, in term order), then every document's id (int64,
-ascending) and its base-e norm (float64). A load reads each column with one
-``frombytes``.
+Snapshot format 5 is one JSON header line (``body_sha256``, ``df``,
+``format_version``, ``n_docs``, ``pipeline_version``, ``stoplist_sha256``
+and the sorted ``terms``) followed by four little-endian columns of 8-byte
+values, the first two in term order:
+
+- postings (uint64): a term's first value is the position of its first
+  document in the doc-id column, each later value the position less the
+  previous position less 1 (a d-gap, Zobel & Moffat 2006, less one);
+- tfs (uint64): each term frequency less 1;
+- doc ids (int64): every document's id, ascending;
+- norms (float64): every document's base-e norm, in the same order.
+
+Every body decodes to tfs of at least 1 and positions strictly increasing
+within each term, so a load checks no posting for order, membership or a
+tf below 1. Per term it checks one sum: the term's last position, the sum
+of its values plus df - 1, must be below ``n_docs``. One sum over the tf
+column bounds every tf to int64. A loaded index decodes a term's postings
+the first time the term is read (``_Postings``).
 """
 
 import hashlib
@@ -19,11 +31,12 @@ import math
 import os
 import sys
 from array import array
-from bisect import bisect_right
 from collections import Counter
-from collections.abc import Iterable
-from itertools import accumulate, compress, count, filterfalse, islice, repeat
-from operator import ge, is_not, lt
+from collections.abc import Iterable, Mapping
+from itertools import accumulate, compress, count, islice, repeat
+from operator import add, ge, is_not, lt, sub
+
+from .textpipe import PIPELINE_VERSION
 
 # term -> (doc_ids, tfs): equal-length int64 arrays, doc ids strictly increasing
 Entry = tuple[array, array]
@@ -40,15 +53,16 @@ class InvertedIndex:
             doc_id order, including ones that produced no tokens (norm 0.0).
         n_docs: the number of documents, ``len(norms)``.
         dictionary: term -> (doc_ids, tfs), keys in sorted term order; a
-            term's document frequency is the length of its doc_ids.
+            term's document frequency is the length of its doc_ids. A dict
+            when built, a ``_Postings`` when loaded.
         stoplist_sha256: fingerprint of the stoplist the tokens were made
             with (``textpipe.stoplist_fingerprint``); empty when unknown.
     """
 
-    FORMAT_VERSION = 4
+    FORMAT_VERSION = 5
 
     def __init__(
-        self, norms: dict[int, float], dictionary: dict[str, Entry], stoplist_sha256: str = ""
+        self, norms: dict[int, float], dictionary: Mapping[str, Entry], stoplist_sha256: str = ""
     ):
         self.norms = norms
         self.n_docs = len(norms)
@@ -60,39 +74,44 @@ class InvertedIndex:
         return len(postings[0]) if postings else 0
 
     def snapshot_parts(self) -> list:
-        """The snapshot's header line, then its body piece by piece: every
-        term's doc ids, every term's tfs, the doc ids and the norms, each
-        in the file's little-endian byte order. The header holds the sha256
-        of the body, so nothing is concatenated."""
-        entries = self.dictionary.values()
-        body = [*(ids for ids, _ in entries), *(tfs for _, tfs in entries),
-                array("q", self.norms), array("d", self.norms.values())]
+        """The snapshot's header line, then its four columns, each in the
+        file's little-endian byte order. The header holds the sha256 of the
+        body, so nothing is concatenated."""
+        position = dict(zip(self.norms, count()))
+        postings, tfs = array("Q"), array("Q")
+        for ids, term_tfs in self.dictionary.values():
+            at = list(map(position.__getitem__, ids))
+            # each position less the one after the previous posting, from 0
+            postings.fromlist(list(map(sub, at, [0, *map(add, at, repeat(1))])))
+            tfs.fromlist([tf - 1 for tf in term_tfs])
+        body = [postings, tfs, array("q", self.norms), array("d", self.norms.values())]
         if sys.byteorder == "big":
-            body = [array(piece.typecode, piece) for piece in body]
-            for piece in body:
-                piece.byteswap()
+            for column in body:
+                column.byteswap()
         digest = hashlib.sha256()
-        for piece in body:
-            digest.update(piece)
+        for column in body:
+            digest.update(column)
         header = {
             "body_sha256": digest.hexdigest(),
             "format_version": self.FORMAT_VERSION,
             "n_docs": self.n_docs,
+            "pipeline_version": PIPELINE_VERSION,
             "stoplist_sha256": self.stoplist_sha256,
             "terms": list(self.dictionary),
-            "df": [len(ids) for ids, _ in entries],
+            "df": [len(ids) for ids, _ in self.dictionary.values()],
         }
         line = json.dumps(header, ensure_ascii=False, sort_keys=True) + "\n"
         return [line.encode("utf-8"), *body]
 
     def save(self, path: str) -> None:
-        """Write a format-4 snapshot atomically (``write_atomic``): an
+        """Write a format-5 snapshot atomically (``write_atomic``): an
         interrupted save leaves any earlier snapshot whole."""
         write_atomic(path, *self.snapshot_parts())
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
-        """Read and validate a snapshot; raises ValueError naming the fault."""
+        """Read and validate a snapshot; raises ValueError naming the fault.
+        No term's postings are decoded here (``_Postings``)."""
         with open(path, "rb") as f:
             data = f.read()
         end = data.find(b"\n")
@@ -109,26 +128,26 @@ class InvertedIndex:
             )
         if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
             raise ValueError("index snapshot: body does not match its sha256 in the header")
-        ids, tfs, doc_ids, norms = array("q"), array("q"), array("q"), array("d")
+        postings, tfs, doc_ids, norms = array("Q"), array("Q"), array("q"), array("d")
         edges = (0, 8 * n, 16 * n, 16 * n + 8 * n_docs, len(body))
-        for column, start, stop in zip((ids, tfs, doc_ids, norms), edges, edges[1:]):
+        for column, start, stop in zip((postings, tfs, doc_ids, norms), edges, edges[1:]):
             column.frombytes(body[start:stop])
             if sys.byteorder == "big":
                 column.byteswap()
         starts = list(accumulate(df, initial=0))
-
-        def term_at(position: int) -> str:
-            return terms[bisect_right(starts, position) - 1]
-
-        if tfs and min(tfs) < 1:
-            raise ValueError(f"index snapshot: term {term_at(tfs.index(min(tfs)))!r}: tf below 1")
-        # a doc id no greater than the one before it must start a new term
-        non_increasing = compress(count(1), map(ge, ids, islice(ids, 1, None)))
-        inside = next(filterfalse(set(starts).__contains__, non_increasing), None)
-        if inside is not None:
+        # the position of each term's last document: its values plus df - 1
+        last = list(map(add, map(sum, map(postings.__getitem__, map(slice, starts, starts[1:]))),
+                        map(sub, df, repeat(1))))
+        past = next(compress(count(), map(ge, last, repeat(n_docs))), None)
+        if past is not None:
             raise ValueError(
-                f"index snapshot: term {term_at(inside)!r}: doc ids not strictly increasing"
+                f"index snapshot: term {terms[past]!r}: last posting at position {last[past]} "
+                f"of the doc-id column, expected below n_docs {n_docs}"
             )
+        # every tf is at most the total, so every tf fits int64
+        total = sum(tfs) + n
+        if total >= 2**63:
+            raise ValueError(f"index snapshot: tfs sum to {total}, expected below 2**63")
         unordered = next(compress(doc_ids[1:], map(ge, doc_ids, doc_ids[1:])), None)
         if unordered is not None:
             raise ValueError(
@@ -140,18 +159,45 @@ class InvertedIndex:
                 f"index snapshot: doc id {doc_ids[bad]}: norm {norms[bad]!r}, "
                 "expected a finite value >= 0"
             )
-        norm_of = dict(zip(doc_ids, norms))
-        if not norm_of.keys() >= set(ids):
-            absent = next(filterfalse(norm_of.__contains__, ids))
-            raise ValueError(
-                f"index snapshot: term {term_at(ids.index(absent))!r}: "
-                f"doc id {absent} is not in the doc-id column"
+        return cls(dict(zip(doc_ids, norms)), _Postings(terms, starts, postings, tfs, doc_ids),
+                   header["stoplist_sha256"])
+
+
+class _Postings(Mapping):
+    """The read-only dictionary of a loaded snapshot: term -> (doc_ids, tfs),
+    in sorted term order, equal to the dict of the index built from the same
+    documents. A term's entry is decoded from the columns the first time it
+    is read and then kept, so a search decodes only its query's terms."""
+
+    def __init__(self, terms: list[str], starts: list[int], postings: array, tfs: array,
+                 doc_ids: array):
+        self._number = dict(zip(terms, count()))
+        self._starts = starts
+        self._columns = postings, tfs, doc_ids
+        self._decoded: dict[str, Entry] = {}
+
+    def __getitem__(self, term: str) -> Entry:
+        entry = self._decoded.get(term)
+        if entry is None:
+            i = self._number[term]
+            start, stop = self._starts[i], self._starts[i + 1]
+            postings, tfs, doc_ids = self._columns
+            # each position is the previous one plus its value plus 1, from -1
+            positions = accumulate(map(add, postings[start:stop], repeat(1)), initial=-1)
+            entry = self._decoded[term] = (
+                array("q", map(doc_ids.__getitem__, islice(positions, 1, None))),
+                array("q", map(add, tfs[start:stop], repeat(1))),
             )
-        dictionary = {
-            term: (ids[start:stop], tfs[start:stop])
-            for term, start, stop in zip(terms, starts, islice(starts, 1, None))
-        }
-        return cls(norm_of, dictionary, header["stoplist_sha256"])
+        return entry
+
+    def __contains__(self, term: object) -> bool:
+        return term in self._number
+
+    def __iter__(self):
+        return iter(self._number)
+
+    def __len__(self) -> int:
+        return len(self._number)
 
 
 def write_atomic(path: str, *parts) -> None:
@@ -191,13 +237,19 @@ def _header(line: bytes) -> dict:
     if not isinstance(header, dict):
         raise ValueError("index snapshot header is not a JSON object")
     version = header.get("format_version")
-    if version in (1, 2, 3):
+    if version in (1, 2, 3, 4):
         raise ValueError(
             f"index snapshot has format version {version}, which is no longer read; "
             "rebuild it with `logbase-ir index --save-index`"
         )
     if version != InvertedIndex.FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {version!r}")
+    pipeline = header.get("pipeline_version")
+    if type(pipeline) is not int or pipeline != PIPELINE_VERSION:
+        raise ValueError(
+            f"index snapshot was made by text pipeline version {pipeline!r:.40}, not "
+            f"{PIPELINE_VERSION}; rebuild it with `logbase-ir index --save-index`"
+        )
     n_docs = header.get("n_docs")
     # the length of an int64 column, like a doc id below 2**63
     if type(n_docs) is not int or not 1 <= n_docs < 2**63:

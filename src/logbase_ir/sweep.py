@@ -15,8 +15,11 @@ the inputs, so an interrupted sweep resumes instead of recomputing.
 import hashlib
 import json
 import math
+import sys
+from array import array
 from contextlib import nullcontext
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from itertools import chain
 from operator import itemgetter
 
 from .collection_io import Qrels
@@ -133,9 +136,21 @@ Row = tuple[str, EvalSummary]
 
 
 def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
-    """sha256 of the index's snapshot header, which holds the sha256 of the
-    snapshot body, then the queries, qrels and options."""
-    h = hashlib.sha256(index.snapshot_parts()[0])
+    """sha256 of the index as it is held, then the queries, qrels and
+    options. The index enters with nothing encoded: its stoplist fingerprint,
+    terms and df, each term's doc ids and tfs, then the doc ids and norms,
+    each column in little-endian byte order, so a built index and a loaded
+    copy of it give one digest."""
+    entries = index.dictionary.values()
+    h = hashlib.sha256(json.dumps(
+        [index.stoplist_sha256, list(index.dictionary), [len(ids) for ids, _ in entries]]
+    ).encode("utf-8"))
+    for column in (*chain.from_iterable(entries), array("q", index.norms),
+                   array("d", index.norms.values())):
+        if sys.byteorder == "big":
+            column = array(column.typecode, column)
+            column.byteswap()
+        h.update(column)
     payload = json.dumps(
         {
             "queries": {str(q): t for q, t in sorted(query_tokens.items())},

@@ -13,6 +13,12 @@ from importlib import resources
 
 from .porter import stem as porter_stem
 
+# The identity of the terms ``pipeline`` makes from a text. Snapshots record
+# it and a load refuses any other, so bump it with any change to the
+# tokenizer or the stemmer that changes a term; a test pins the terms of the
+# Porter fixture words to it.
+PIPELINE_VERSION = 1
+
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 # every ASCII character but [A-Za-z0-9] to a space
 _SEPARATORS = str.maketrans(dict.fromkeys(

@@ -13,7 +13,7 @@ import pytest
 from logbase_ir import index as index_mod
 from logbase_ir.cli import _OPTIONS, build_parser, main
 from logbase_ir.index import InvertedIndex
-from logbase_ir.textpipe import default_stoplist, stoplist_fingerprint
+from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, stoplist_fingerprint
 
 
 @pytest.fixture
@@ -33,18 +33,34 @@ def collection(tmp_path):
     return paths
 
 
-def _v4(ids, tfs, df=None, norms=(1.0, 1.0, 0.0), **changes) -> bytes:
-    """A format 4 snapshot of three documents and one term, 'zebra', built
-    with the bundled stoplist."""
-    body = struct.pack(f"<{len(ids) + len(tfs) + 3}q3d", *ids, *tfs, 1, 2, 3, *norms)
+def _v5(postings, tfs, df=None, norms=(1.0, 1.0, 0.0), **changes) -> bytes:
+    """A format 5 snapshot of three documents and one term, 'zebra', built
+    with the bundled stoplist: ``postings`` and ``tfs`` are the stored
+    values, the first position then gaps less one, and tfs less one."""
+    body = struct.pack(f"<{len(postings) + len(tfs)}Q3q3d", *postings, *tfs, 1, 2, 3, *norms)
+    header = {
+        "body_sha256": hashlib.sha256(body).hexdigest(),
+        "format_version": 5,
+        "n_docs": 3,
+        "pipeline_version": PIPELINE_VERSION,
+        "stoplist_sha256": stoplist_fingerprint(default_stoplist()),
+        "terms": ["zebra"],
+        "df": [len(postings)] if df is None else df,
+        **changes,
+    }
+    return json.dumps(header).encode() + b"\n" + body
+
+
+def _v4() -> bytes:
+    """The format 4 snapshot of doc 1 holding 'zebra' once, of three."""
+    body = struct.pack("<5q3d", 1, 1, 1, 2, 3, 1.0, 0.0, 0.0)
     header = {
         "body_sha256": hashlib.sha256(body).hexdigest(),
         "format_version": 4,
         "n_docs": 3,
         "stoplist_sha256": stoplist_fingerprint(default_stoplist()),
         "terms": ["zebra"],
-        "df": [len(ids)] if df is None else df,
-        **changes,
+        "df": [1],
     }
     return json.dumps(header).encode() + b"\n" + body
 
@@ -190,6 +206,32 @@ class TestSearch:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    def test_search_from_snapshot_decodes_only_its_query_terms(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # 'apple' once in each document, beside a word of its own a different
+        # number of times: six distinct scores, so no near tie reads the
+        # other terms' postings
+        words = ["kiwi", "lemon", "mango", "nectar", "olive", "peach"]
+        docs = tmp_path / "docs.all"
+        docs.write_text("".join(f".I {i}\n.W\napple {(word + ' ') * i}\n"
+                                for i, word in enumerate(words, start=1)))
+        snap = tmp_path / "index.bin"
+        run(capsys, "index", "--docs", docs, "--save-index", snap)
+        loaded = []
+        load = InvertedIndex.load
+
+        def keep(path):
+            loaded.append(load(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(InvertedIndex, "load", keep)
+        code, out, _ = run(capsys, "search", "--load-index", snap, "apple plum")
+        assert code == 0
+        assert [line.split("\t")[1] for line in out.splitlines()] == ["1", "2", "3", "4", "5", "6"]
+        dictionary = loaded[0].dictionary
+        assert len(dictionary) == 7
+        assert dictionary._decoded.keys() == {"appl"}
+
     def test_docs_and_load_index_flags_conflict(self, capsys, collection, tmp_path):
         snap = tmp_path / "index.bin"
         run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
@@ -257,30 +299,35 @@ class TestSearch:
                 "dictionary": {"zebra": [1, [[7, 1]]]},
                 "doc_lengths": {"1": 1, "2": 0},
             }).encode(), "version 1"),
-            (_v4([2, 1], [1, 1]), "strictly increasing"),
-            (_v4([1, 1], [1, 1]), "strictly increasing"),
-            (_v4([1], [0]), "tf below 1"),
-            (_v4([], [], df=[]), "equal length"),
+            (_v5([], [], df=[]), "equal length"),
             (b"[]", "not a JSON object"),
             (b'{"df": [1], "format_version": 3,', "Expecting"),
             (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
-            (_v4([1], [1])[:-1], "body is 63 bytes, expected 64"),
+            (_v5([0], [0])[:-1], "body is 63 bytes, expected 64"),
             (json.dumps({
                 "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [1]]},
             }).encode(), "version 2, which is no longer read; rebuild it"),
-            (b"\xff" + _v4([1], [1]), "not UTF-8"),
+            (b"\xff" + _v5([0], [0]), "not UTF-8"),
             (_v3(3), "version 3, which is no longer read; rebuild it"),
             # format 3 read this n_docs, and the search then overflowed
             (_v3(10**400), "version 3, which is no longer read; rebuild it"),
-            (_v4([1], [1], n_docs=10**400), "n_docs must be an integer from 1 to 2**63 - 1"),
-            (_v4([4], [1]), "doc id 4 is not in the doc-id column"),
-            (_v4([1], [1], norms=(float("nan"), 1.0, 0.0)), "doc id 1: norm nan"),
-            (_v4([1], [1])[:-1] + b"\x01", "body does not match its sha256"),
+            (_v5([0], [0], n_docs=10**400), "n_docs must be an integer from 1 to 2**63 - 1"),
+            # a posting of the fourth document, of three
+            (_v5([3], [0]), "term 'zebra': last posting at position 3 of the doc-id column, "
+             "expected below n_docs 3"),
+            (_v5([0], [0], norms=(float("nan"), 1.0, 0.0)), "doc id 1: norm nan"),
+            (_v5([0], [0])[:-1] + b"\x01", "body does not match its sha256"),
+            (_v4(), "version 4, which is no longer read; rebuild it"),
+            (_v5([0], [0], pipeline_version=PIPELINE_VERSION + 1),
+             f"text pipeline version {PIPELINE_VERSION + 1}, not {PIPELINE_VERSION}; rebuild it"),
+            (_v5([0, 1, 2**64 - 1], [0, 0, 0]), "term 'zebra': last posting at position "
+             "18446744073709551618"),
+            (_v5([0], [2**64 - 1]), "tfs sum to 18446744073709551616, expected below 2**63"),
         ],
         ids=[
-            "v1-doc-7", "unsorted", "duplicate", "tf-0", "unequal", "list", "truncated", "deep",
-            "truncated-body", "v2", "not-utf8", "v3", "v3-huge-n-docs", "huge-n-docs",
-            "absent-doc", "nan-norm", "damaged",
+            "v1-doc-7", "unequal", "list", "truncated", "deep", "truncated-body", "v2",
+            "not-utf8", "v3", "v3-huge-n-docs", "huge-n-docs", "absent-doc", "nan-norm",
+            "damaged", "v4", "pipeline", "past-end-near-2**64", "tf-near-2**64",
         ],
     )
     def test_malformed_snapshot_is_domain_error(self, capsys, tmp_path, content, message):

@@ -18,6 +18,7 @@ import pytest
 
 from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
+from logbase_ir.index import InvertedIndex, build_index
 
 from conftest import perfbench
 
@@ -107,14 +108,14 @@ def test_same_bytes_when_sum_compensates(capsys, tmp_path, collection, monkeypat
         assert compensated[name] == content, name
 
 
-# sha256 of the whole snapshot file of each benchmark shape at seed 1: parsing,
-# the text pipeline (tokenizer, stoplist, stemmer), the build and the
-# snapshot layout all show in it. The header's body hash does not cover the
-# term strings, so the whole file is hashed.
+# sha256 of the whole format-5 snapshot file of each benchmark shape at seed
+# 1: parsing, the text pipeline (tokenizer, stoplist, stemmer), the build and
+# the snapshot layout all show in it. The header's body hash does not cover
+# the term strings, so the whole file is hashed.
 SNAPSHOT_SHA256 = {
-    "med": "97b1008e4c5c4e91f730f569dfaaa495959399fa2d106089773daa331f9b483b",
-    "cran": "08d6cdaf8dda15bfcff24438842c51f017538cb40463b2906e87d80f816d2ea5",
-    "npl": "5ee09eaf9ad2dd24da9a45da524585c960bda685af2f3077441586b40a8c4aab",
+    "med": "80bc4e0c55f82b2c411029f9be112bfebdc290d577a3af16534df13560c63e82",
+    "cran": "a862d4605a1b3f50260ab3959dcba317a4a5ec9fb08e230e79a04d3b4e359ed8",
+    "npl": "2eed31aebe6e691cb4e1805fdb8819dd6ea7ce6df6d7e8ee1d95a223c0217dd4",
 }
 
 
@@ -124,6 +125,25 @@ def test_benchmark_snapshots_keep_their_bytes(capsys, tmp_path, shape):
     snapshot = tmp_path / "index.bin"
     run(capsys, "index", "--docs", paths["docs"], "--save-index", snapshot)
     assert hashlib.sha256(snapshot.read_bytes()).hexdigest() == SNAPSHOT_SHA256[shape]
+
+
+@pytest.mark.parametrize("shape", sorted(SNAPSHOT_SHA256))
+def test_benchmark_snapshots_decode_to_the_generated_postings(capsys, tmp_path, shape):
+    # the generator's own index terms, indexed apart from the text pipeline,
+    # and the reference's posting lists, which share no code with the package
+    col = gen.generate(gen.SHAPES[shape], 1)
+    paths = gen.write(col, str(tmp_path))
+    snapshot = tmp_path / "index.bin"
+    run(capsys, "index", "--docs", paths["docs"], "--save-index", snapshot)
+    loaded = InvertedIndex.load(str(snapshot))
+    built = build_index(col.docs.items())
+    assert loaded.n_docs == built.n_docs == len(col.docs)
+    assert loaded.dictionary == built.dictionary
+    assert repr(loaded.norms) == repr(built.norms)
+    postings = reference.Reference(col.docs).postings
+    assert {term: list(ids) for term, (ids, _) in loaded.dictionary.items()} == postings
+    assert all(list(tfs) == [col.docs[d].count(term) for d in ids]
+               for term, (ids, tfs) in loaded.dictionary.items())
 
 
 # sha256 of the stdout, the stderr and every file written by a benchmark
@@ -149,7 +169,7 @@ REPORT_SHA256 = {
             "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
         "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
         "out/sweep_cache.jsonl":
-            "5744719538ac88b807fc371e84492449ca7f3d773212bf746bbc9fbc2a1d1ae3",
+            "f4d8a83fb108b2faa6ce6ce33dde8222cdba0dba33ab3766cb3410d08d954d35",
         "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
         "out/top5_map_at_30.txt":
             "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",

@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from logbase_ir import index as index_mod
 from logbase_ir.index import InvertedIndex, build_index
+from logbase_ir.textpipe import PIPELINE_VERSION
 
 
 @pytest.fixture
@@ -111,27 +112,30 @@ class TestInvariants:
         assert a.snapshot_parts() == b.snapshot_parts()
 
 
-# the header and the four columns of the snapshot of ``small``
-def _snapshot(ids=None, tfs=None, doc_ids=(1, 2), norms=(2 * math.log(2), 0.0), **changes):
+# the header and the four columns of the snapshot of ``small``, as stored:
+# each term's first position in the doc-id column and then its gaps less
+# one, each tf less one, the doc ids and the norms
+def _snapshot(postings=None, tfs=None, doc_ids=(1, 2), norms=(2 * math.log(2), 0.0), **changes):
     header = {
-        "format_version": 4,
+        "format_version": 5,
         "n_docs": 2,
+        "pipeline_version": PIPELINE_VERSION,
         "stoplist_sha256": "",
         "terms": ["a", "b"],
         "df": [1, 2],
     }
     header.update(changes)
-    ids = [1, 1, 2] if ids is None else ids
-    return header, ids, [2, 1, 1] if tfs is None else tfs, doc_ids, norms
+    postings = [0, 0, 0] if postings is None else postings
+    return header, postings, [1, 0, 0] if tfs is None else tfs, doc_ids, norms
 
 
-def _column(values, code="q") -> bytes:
+def _column(values, code="Q") -> bytes:
     return struct.pack(f"<{len(values)}{code}", *values)
 
 
-def _write(path: Path, header, ids, tfs, doc_ids, norms) -> str:
+def _write(path: Path, header, postings, tfs, doc_ids, norms) -> str:
     """The snapshot file, with the sha256 of its body unless the header has one."""
-    body = _column(ids) + _column(tfs) + _column(doc_ids) + _column(norms, "d")
+    body = _column(postings) + _column(tfs) + _column(doc_ids, "q") + _column(norms, "d")
     if isinstance(header, dict):
         header = {"body_sha256": hashlib.sha256(body).hexdigest(), **header}
     path.write_bytes(json.dumps(header).encode() + b"\n" + body)
@@ -152,15 +156,22 @@ class TestSnapshot:
             ids.typecode == tfs.typecode == "q" for ids, tfs in loaded.dictionary.values()
         )
 
-    def test_format_4_layout(self, tmp_path, small):
+    def test_format_5_layout(self, tmp_path, small):
         path = tmp_path / "index.bin"
         small.save(str(path))
         header, _, body = path.read_bytes().partition(b"\n")
-        assert body == (_column([1, 1, 2]) + _column([2, 1, 1]) + _column([1, 2])
+        assert body == (_column([0, 0, 0]) + _column([1, 0, 0]) + _column([1, 2], "q")
                         + _column([2 * math.log(2), 0.0], "d"))
         assert json.loads(header) == {
             **_snapshot()[0], "body_sha256": hashlib.sha256(body).hexdigest()
         }
+        # sparse doc ids: a posting is stored by its position in the doc-id column
+        sparse = build_index([(20, ["b"]), (10, ["a", "a"]), (7, []), (-5, ["b", "a"])])
+        sparse.save(str(path))
+        header, _, body = path.read_bytes().partition(b"\n")
+        assert json.loads(header)["df"] == [2, 2]
+        assert body[:64] == _column([0, 1, 0, 2]) + _column([0, 1, 0, 0])
+        assert body[64:96] == _column([-5, 7, 10, 20], "q")
 
     def test_save_is_deterministic(self, tmp_path, small):
         p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -173,6 +184,12 @@ class TestSnapshot:
         build_index([(1, [])]).save(str(path))
         loaded = InvertedIndex.load(str(path))
         assert (loaded.n_docs, loaded.dictionary, loaded.norms) == (1, {}, {1: 0.0})
+
+    def test_largest_tfs_that_fit_are_read(self, tmp_path):
+        # the tfs sum to 2**63 - 1, so each fits int64
+        path = _write(tmp_path / "index.bin", *_snapshot(tfs=[2**63 - 4, 0, 0]))
+        loaded = InvertedIndex.load(path)
+        assert loaded.dictionary["a"] == (array("q", [1]), array("q", [2**63 - 3]))
 
     def test_interrupted_save_keeps_the_old_snapshot(self, tmp_path, small, monkeypatch):
         path = tmp_path / "index.bin"
@@ -198,11 +215,24 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="version"):
             InvertedIndex.load(path)
 
+    def test_version_4_rejected_with_rebuild_hint(self, tmp_path):
+        # the format 4 snapshot of ``small``: doc ids, tfs, doc-id column, norms
+        body = (_column([1, 1, 2], "q") + _column([2, 1, 1], "q") + _column([1, 2], "q")
+                + _column([2 * math.log(2), 0.0], "d"))
+        v4 = dict(_snapshot()[0], format_version=4, body_sha256=hashlib.sha256(body).hexdigest())
+        del v4["pipeline_version"]
+        path = tmp_path / "index.bin"
+        path.write_bytes(json.dumps(v4).encode() + b"\n" + body)
+        with pytest.raises(ValueError, match="version 4, which is no longer read.*--save-index"):
+            InvertedIndex.load(str(path))
+
     def test_version_3_rejected_with_rebuild_hint(self, tmp_path):
         # the format 3 snapshot of ``small``: header, doc-id and tf columns
         v3 = dict(_snapshot()[0], format_version=3)
+        del v3["pipeline_version"]
         path = tmp_path / "index.bin"
-        path.write_bytes(json.dumps(v3).encode() + b"\n" + _column([1, 1, 2]) + _column([2, 1, 1]))
+        path.write_bytes(json.dumps(v3).encode() + b"\n" + _column([1, 1, 2], "q")
+                         + _column([2, 1, 1], "q"))
         with pytest.raises(ValueError, match="version 3.*index --save-index"):
             InvertedIndex.load(str(path))
 
@@ -244,20 +274,29 @@ class TestSnapshot:
             (_snapshot(df=[1]), "equal length"),
             (_snapshot(df=[1.0, 2]), "'a'.*non-integer"),
             (_snapshot(df=[None, 2]), "'a'.*non-integer"),
-            (_snapshot(df=[2, 2], ids=[2, 1, 1, 2], tfs=[1] * 4), "'a'.*strictly increasing"),
-            (_snapshot(df=[2, 2], ids=[1, 1, 1, 2], tfs=[1] * 4), "'a'.*strictly increasing"),
-            (_snapshot(tfs=[0, 1, 1]), "'a'.*tf below 1"),
-            (_snapshot(ids=[1, 7, 9]), "'b': doc id 7 is not in"),
-            (_snapshot(ids=[1, 1]), "body is 72 bytes, expected 80"),
+            # postings past the doc-id column: the first term, values near 2**64
+            (_snapshot(postings=[2, 0, 0]), "term 'a': last posting at position 2 of the doc-id "
+             "column, expected below n_docs 2"),
+            (_snapshot(postings=[2**64 - 1, 0, 0]),
+             "'a': last posting at position 18446744073709551615"),
+            (_snapshot(tfs=[2**64 - 1, 0, 0]),
+             r"tfs sum to 18446744073709551618, expected below 2\*\*63"),
+            (_snapshot(postings=[0, 0, 1]), "term 'b': last posting at position 2 of"),
+            (_snapshot(postings=[0, 0]), "body is 72 bytes, expected 80"),
             (_snapshot(terms=["b", "a"]), "term 'a'.*terms not strictly increasing"),
             (_snapshot(terms=["a", "a"]), "term 'a'.*terms not strictly increasing"),
             (_snapshot(terms=["a", 2]), "not a string"),
             (_snapshot(stoplist_sha256=None), "stoplist_sha256"),
-            (_snapshot(tfs=[2, 0, 1]), "'b'.*tf below 1"),
-            (_snapshot(ids=[1, 2, 1]), "'b'.*strictly increasing"),
+            # a tf of 2**63 does not fit int64
+            (_snapshot(tfs=[0, 0, 2**63 - 1]), r"tfs sum to 9223372036854775810, expected below"),
+            # the middle term
+            (_snapshot(terms=["a", "b", "c"], df=[1, 2, 1], postings=[0, 1, 0, 0], tfs=[0] * 4),
+             "term 'b': last posting at position 2 of"),
             (_snapshot(doc_ids=[2, 1]), "doc id 1: doc-id column not strictly increasing"),
             (_snapshot(doc_ids=[1, 1]), "doc id 1: doc-id column not strictly increasing"),
-            (_snapshot(doc_ids=[1, 3]), "'b': doc id 2 is not in the doc-id column"),
+            # 1 + (2**64 - 1) + 1 would wrap to 1 in 64 bits
+            (_snapshot(postings=[0, 1, 2**64 - 1]),
+             "'b': last posting at position 18446744073709551617"),
             (_snapshot(norms=[math.nan, 0.0]), "doc id 1: norm nan, expected a finite"),
             (_snapshot(norms=[1.0, math.inf]), "doc id 2: norm inf, expected a finite"),
             (_snapshot(norms=[1.0, -0.5]), "doc id 2: norm -0.5, expected a finite value >= 0"),
@@ -267,6 +306,11 @@ class TestSnapshot:
             (_snapshot(n_docs=1), "body is 80 bytes, expected 64"),
             (_snapshot(n_docs=10**400), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
             (_snapshot(n_docs=2**63), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
+            (_snapshot(pipeline_version=PIPELINE_VERSION + 1),
+             f"text pipeline version {PIPELINE_VERSION + 1}, not {PIPELINE_VERSION}; rebuild it"),
+            (_snapshot(pipeline_version=None), "text pipeline version None"),
+            (_snapshot(pipeline_version=float(PIPELINE_VERSION)), "text pipeline version"),
+            (_snapshot(pipeline_version=True), "text pipeline version True"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, data, match):
@@ -287,6 +331,47 @@ class TestSnapshot:
         path.write_bytes(content)
         with pytest.raises(ValueError, match=match):
             InvertedIndex.load(str(path))
+
+
+# sparse doc ids, int64's ends among them, in any order
+sparse_corpora = st.lists(
+    st.tuples(
+        st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from([-(2**63), -1, 0, 2**63 - 1])),
+        st.lists(st.sampled_from("abcdefgh"), max_size=8),
+    ),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda doc: doc[0],
+)
+
+
+class TestRoundTrip:
+    @given(sparse_corpora)
+    @settings(suppress_health_check=[HealthCheck.too_slow])
+    def test_load_of_save_is_the_built_index(self, docs):
+        built = build_index(docs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "index.bin")
+            built.save(path)
+            loaded = InvertedIndex.load(path)
+        assert loaded.n_docs == built.n_docs
+        assert list(loaded.dictionary) == list(built.dictionary)
+        assert loaded.dictionary == built.dictionary
+        assert repr(loaded.norms) == repr(built.norms)
+        for ids, tfs in loaded.dictionary.values():
+            assert ids.typecode == tfs.typecode == "q"
+
+    def test_loaded_dictionary_is_a_read_only_mapping(self, tmp_path, small):
+        path = tmp_path / "index.bin"
+        small.save(str(path))
+        loaded = InvertedIndex.load(str(path)).dictionary
+        assert len(loaded) == 2 and list(loaded) == ["a", "b"]
+        assert "b" in loaded and "z" not in loaded and 1 not in loaded
+        assert loaded.get("z") is None and loaded.get(1) is None
+        assert loaded["b"] is loaded["b"]  # decoded once, then kept
+        assert loaded != {"a": small.dictionary["a"]}
+        with pytest.raises(TypeError):
+            loaded["c"] = (array("q"), array("q"))
 
 
 def _valid_snapshot() -> bytes:

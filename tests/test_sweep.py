@@ -512,6 +512,23 @@ class TestCache:
         fresh = toy_sweep(grid, cutoff=2)
         assert different.per_base == fresh.per_base
 
+    def test_built_and_loaded_index_give_one_digest(self, tmp_path, monkeypatch):
+        path = tmp_path / "index.bin"
+        INDEX.save(str(path))
+        loaded = index_mod.InvertedIndex.load(str(path))
+        # the digest hashes the index as held: no snapshot is encoded
+        monkeypatch.setattr(index_mod.InvertedIndex, "snapshot_parts", None)
+        cache = tmp_path / "cache.jsonl"
+        grid = BaseGrid.parse("2:4:1")
+        built = toy_sweep(grid, cache_path=str(cache))
+        resumed = run_sweep(loaded, QUERIES, QRELS, grid, cache_path=str(cache))
+        assert (resumed.ranked_bases, resumed.per_base) == (0, built.per_base)
+        # another index, another digest
+        fewer = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items() if d != 5])
+        options = (QUERIES, QRELS, 30, "standard", "macro")
+        assert sweep._digest(loaded, *options) == sweep._digest(INDEX, *options)
+        assert sweep._digest(fewer, *options) != sweep._digest(INDEX, *options)
+
     def test_corrupt_cache_line_ignored(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("{not json\n")

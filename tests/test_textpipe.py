@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from logbase_ir.porter import stem as porter_stem
 from logbase_ir.textpipe import (
+    PIPELINE_VERSION,
     default_stoplist,
     parse_stoplist,
     pipeline,
@@ -16,6 +18,18 @@ from logbase_ir.textpipe import (
 PAIRS = Path(__file__).parent / "data" / "porter_pairs.txt"
 PAIR_WORDS = [line.split()[0] for line in PAIRS.read_text().splitlines()
               if line.strip() and not line.startswith("#")]
+
+# sha256 of the terms the pipeline makes of each line of the Porter fixture,
+# comments included, with no stoplist, by text pipeline version: a change of
+# the tokenizer or the stemmer that changes one of them needs a new version,
+# which snapshots of the old one are then refused for
+FIXTURE_TERMS_SHA256 = {1: "e6529c55200b885e859f580c503df5b3cd748415750de632ac9e796c88d70275"}
+
+
+def test_pipeline_version_pins_the_fixture_terms():
+    terms = "\n".join(" ".join(pipeline(line, frozenset()))
+                      for line in PAIRS.read_text().splitlines())
+    assert hashlib.sha256(terms.encode()).hexdigest() == FIXTURE_TERMS_SHA256[PIPELINE_VERSION]
 
 
 class TestTokenize:
