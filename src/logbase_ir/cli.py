@@ -48,10 +48,11 @@ class _Exit(Exception):
 def _read(path: str, read=TextIOWrapper.read):
     """``read`` applied to the open text input file, by default its whole
     text. Every input file (--docs, --queries, --qrels, --config, --stoplist)
-    is opened here: as UTF-8, line ends untranslated, so only "\n" and "\r\n"
-    end a line (``split_lines``) and a lone "\r" stays text."""
+    is opened here: as UTF-8 less a leading byte order mark, line ends
+    untranslated, so only "\n" and "\r\n" end a line (``split_lines``) and a
+    lone "\r" stays text."""
     try:
-        with open(path, encoding="utf-8", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="") as f:
             return read(f)
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e}") from e
@@ -343,8 +344,7 @@ def cmd_eval(opts: _Options) -> int:
     for query_id, level in diagnostics:
         print(f"empty-bucket query={query_id} level={level / 10:.1f}", file=sys.stderr)
     csv_path = os.path.join(out, "eval.csv")
-    write_report(csv_path, ",".join(evaluation.EVAL_CSV_COLUMNS) + "\n"
-                 + evaluation.format_summary_csv_row(str(scheme.base), summary) + "\n")
+    write_report(csv_path, evaluation.summary_csv([(str(scheme.base), summary)]))
     print(f"report written to {csv_path}", file=sys.stderr)
     return 0
 

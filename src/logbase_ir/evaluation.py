@@ -14,6 +14,7 @@ recall-level average, not precision at rank 30).
 """
 
 from bisect import bisect_right
+from collections.abc import Iterable
 from functools import reduce
 from itertools import chain
 from operator import add
@@ -163,8 +164,9 @@ def evaluate_rankings(
     return summarize(average_over_queries(per_query)), diagnostics
 
 
-def format_summary_csv_row(base_label: str, summary: EvalSummary) -> str:
-    fields = [base_label]
-    fields += [repr(v) for v in summary.levels]
-    fields += [repr(summary.map), repr(summary.map_at_30)]
-    return ",".join(fields)
+def summary_csv(rows: Iterable[tuple[str, EvalSummary]]) -> str:
+    """``eval.csv`` and ``sweep.csv``: the header, then one line per (base
+    label, summary) row, every value as its ``repr``."""
+    lines = [",".join(EVAL_CSV_COLUMNS)]
+    lines += [",".join([label, *map(repr, (*s.levels, s.map, s.map_at_30))]) for label, s in rows]
+    return "\n".join(lines) + "\n"

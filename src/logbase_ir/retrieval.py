@@ -26,6 +26,8 @@ class RankedList(NamedTuple):
 
 # doc_id -> its (term, tf) pairs in sorted term order
 Vectors = dict[int, list[tuple[str, int]]]
+# query id -> its near-tie groups, each as (start, stop) positions
+Groups = dict[int, list[tuple[int, int]]]
 
 
 # Rounding bound (Higham 2002, ch. 3), u = 2**-53. Let L_t = ln(N / df) as
@@ -63,9 +65,10 @@ class Ranker:
 
     Scoring happens at base e: a query's terms get ``weighting.idf`` at base
     e, computed for those terms alone, and each document's norm is the base-e
-    one the index stores. Documents too close for the bound above to order
-    them are re-scored from their term vectors with the weights of the
-    scheme's base computed directly (``settle``).
+    one the index stores. Every command ranks in the same two calls: ``plan``
+    ranks at base e and finds the documents too close for the bound above to
+    order them, and ``settle`` re-scores those from their term vectors with
+    the weights of the scheme's base computed directly.
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
@@ -104,48 +107,59 @@ class Ranker:
 
     def rank_tokens(self, query_id: int, tokens: list[str]) -> RankedList:
         """Rank all documents sharing at least one term with the query, at
-        the scheme's base.
+        the scheme's base: ``plan``, then ``settle``, for this query alone."""
+        q = {query_id: tokens}
+        return self.settle(q, *self.plan(q))[query_id]
 
-        The scores are the base-e ones (``rank``), but for the near-tie
-        groups (``near_tie_groups``), which are re-scored with the weights of
-        the scheme's base computed directly (``settle``), so the order is the
-        one those weights give.
-        """
-        ranked = self.rank(query_id, self.accumulate(tokens))
-        groups = near_tie_groups(self.index, tokens, ranked)
-        if not groups:
-            return ranked
-        members = [doc_id for start, stop in groups for doc_id, _ in ranked.entries[start:stop]]
-        return self.settle(ranked, groups, tokens, term_vectors(self.index, members))
+    def plan(self, query_tokens: dict[int, list[str]], depth: int | None = None
+             ) -> tuple[dict[int, RankedList], Groups, Vectors]:
+        """Each query's base-e ranking (``rank``); for each query that has
+        any, its near-tie groups (``near_tie_groups``) that start before
+        ``depth`` (all of them for None); and the term vectors of their
+        members, from one pass over the postings (none when no group)."""
+        rankings, groups = {}, {}
+        for qid, tokens in query_tokens.items():
+            ranked = rankings[qid] = self.rank(qid, self.accumulate(tokens))
+            found = [(start, stop) for start, stop in near_tie_groups(self.index, tokens, ranked)
+                     if depth is None or start < depth]
+            if found:
+                groups[qid] = found
+        members = {doc_id for qid, found in groups.items() for start, stop in found
+                   for doc_id, _ in rankings[qid].entries[start:stop]}
+        return rankings, groups, term_vectors(self.index, members) if members else {}
 
-    def settle(self, ranked: RankedList, groups: list[tuple[int, int]], tokens: list[str],
-               vectors: Vectors) -> RankedList:
-        """Re-score and re-sort each group of positions of ``ranked`` with the
-        scheme's base computed directly. A member's dot product with the
-        query weights and its squared norm come from its term vector
-        (``term_vectors``), each added in sorted term order."""
-        entries = list(ranked.entries)
-        weights = weigh_query(self.index, tokens, self.scheme)
-        query_norm = math.sqrt(reduce(add, [w * w for _, w, _ in weights], 0.0))
-        query = {term: weight for term, weight, _ in weights}
+    def settle(self, query_tokens: dict[int, list[str]], rankings: dict[int, RankedList],
+               groups: Groups, vectors: Vectors) -> dict[int, RankedList]:
+        """The rankings with each group of positions re-scored and re-sorted
+        with the scheme's base computed directly; a query with no group keeps
+        its ranking. A member's dot product with the query weights and its
+        squared norm come from its term vector (``term_vectors``), each added
+        in sorted term order, with one idf per term for the whole call."""
+        settled = dict(rankings)
         idfs: dict[str, float] = {}
-        for start, stop in groups:
-            group = []
-            for doc_id in sorted(doc_id for doc_id, _ in entries[start:stop]):
-                dot = square = 0.0
-                for term, tf in vectors[doc_id]:
-                    if term not in idfs:
-                        idfs[term] = idf(self.index, term, self.scheme)
-                    w = tf * idfs[term]
-                    square += w * w
-                    if term in query:
-                        dot += query[term] * w
-                denom = query_norm * math.sqrt(square)
-                group.append((doc_id, dot / denom if denom != 0.0 else 0.0))
-            # stable sort: equal scores keep ascending doc_id order
-            group.sort(key=itemgetter(1), reverse=True)
-            entries[start:stop] = group
-        return RankedList(ranked.query_id, tuple(entries))
+        for qid, query_groups in groups.items():
+            entries = list(rankings[qid].entries)
+            weights = weigh_query(self.index, query_tokens[qid], self.scheme)
+            query_norm = math.sqrt(reduce(add, [w * w for _, w, _ in weights], 0.0))
+            query = {term: weight for term, weight, _ in weights}
+            for start, stop in query_groups:
+                group = []
+                for doc_id in sorted(doc_id for doc_id, _ in entries[start:stop]):
+                    dot = square = 0.0
+                    for term, tf in vectors[doc_id]:
+                        if term not in idfs:
+                            idfs[term] = idf(self.index, term, self.scheme)
+                        w = tf * idfs[term]
+                        square += w * w
+                        if term in query:
+                            dot += query[term] * w
+                    denom = query_norm * math.sqrt(square)
+                    group.append((doc_id, dot / denom if denom != 0.0 else 0.0))
+                # stable sort: equal scores keep ascending doc_id order
+                group.sort(key=itemgetter(1), reverse=True)
+                entries[start:stop] = group
+            settled[qid] = RankedList(qid, tuple(entries))
+        return settled
 
 
 def term_vectors(index: InvertedIndex, doc_ids: Iterable[int]) -> Vectors:

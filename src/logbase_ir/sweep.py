@@ -5,11 +5,12 @@ are generated with Decimal arithmetic so the rendered one-decimal labels are
 exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
 than evaluated. The base only rescales the TF-IDF weights, which cosine
 cancels, so one ranking serves every base: each query is ranked once, at
-base e, as ``Ranker.rank_tokens`` ranks it, and a base re-scores only the
-groups of near-tied documents whose order rounding could change, with that
-base's weights computed directly from term vectors gathered once
-(``_plan``). Per-base summaries can be cached on disk keyed by a digest of
-the inputs, so an interrupted sweep resumes instead of recomputing.
+base e (``Ranker.plan``), and a base re-scores only the groups of near-tied
+documents whose order rounding could change, with that base's weights
+computed directly from term vectors gathered once (``Ranker.settle``): the
+two calls of ``Ranker.rank_tokens``. Per-base summaries can be cached on
+disk keyed by a digest of the inputs, so an interrupted sweep resumes
+instead of recomputing, and one whose every base is cached ranks nothing.
 """
 
 import hashlib
@@ -28,10 +29,10 @@ from .evaluation import (
     EVAL_CSV_COLUMNS,
     EvalSummary,
     evaluate_rankings,
-    format_summary_csv_row,
+    summary_csv,
 )
 from .index import InvertedIndex, write_atomic, write_report
-from .retrieval import RankedList, Ranker, Vectors, near_tie_groups, term_vectors
+from .retrieval import Ranker
 from .weighting import WeightScheme
 
 METRICS = ("map", "map_at_30")
@@ -221,35 +222,6 @@ def _cache_line(digest: str, label: str, s: EvalSummary) -> str:
     )
 
 
-def _plan(ranker: Ranker, query_tokens: dict[int, list[str]], cutoff: int
-          ) -> tuple[dict[int, RankedList], dict[int, list[tuple[int, int]]], Vectors]:
-    """Rank every query once at base e and find its fragile groups.
-
-    Returns the base-e rankings; for each query that has any, its fragile
-    groups as (start, stop) positions: the near-tie groups that
-    ``Ranker.rank_tokens`` settles (``near_tie_groups``), less those from the
-    cutoff on and those of identical documents; and the term vectors of their
-    members, from one pass over the postings, for ``Ranker.settle``. Outside
-    these groups the base-e order is that of the direct arithmetic at every
-    base (the bound in ``retrieval``); identical documents score alike in
-    every arithmetic and keep their doc-id order.
-    """
-    rankings, ties = {}, []
-    for qid, tokens in query_tokens.items():
-        ranked = rankings[qid] = ranker.rank(qid, ranker.accumulate(tokens))
-        for start, stop in near_tie_groups(ranker.index, tokens, ranked):
-            if start >= cutoff:
-                break
-            ties.append((qid, start, stop, [d for d, _ in ranked.entries[start:stop]]))
-    members = {d for *_, group in ties for d in group}
-    vectors = term_vectors(ranker.index, members) if members else {}
-    fragile: dict[int, list[tuple[int, int]]] = {}
-    for qid, start, stop, members in ties:
-        if any(vectors[d] != vectors[members[0]] for d in members):
-            fragile.setdefault(qid, []).append((start, stop))
-    return rankings, fragile, vectors
-
-
 def run_sweep(
     index: InvertedIndex,
     query_tokens: dict[int, list[str]],
@@ -266,25 +238,37 @@ def run_sweep(
     recorded as skipped.
 
     ``evaluate_rankings`` refuses empty qrels and qrels naming a query not
-    passed. One base-e ranker scores and ranks each query once (see
-    ``_plan``); each base re-scores only the fragile groups, with the weights
-    of that base computed directly (``Ranker.settle``), so every base ranks
-    as ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
+    passed. Unless the cache holds every base, one base-e ranker plans once
+    (``Ranker.plan``): it ranks each query and finds the near-tie groups
+    before the cutoff. Of these, the fragile ones are those whose members'
+    term vectors are not all equal; identical documents score alike in every
+    arithmetic and keep their doc-id order. Each base settles only the
+    fragile groups (``Ranker.settle``), so every base ranks as
+    ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
     share one evaluation.
     """
     if grid is None:
         grid = BaseGrid.default()
     result = SweepResult()
-    rankings, fragile, vectors = _plan(Ranker(index, WeightScheme(math.e)), query_tokens, cutoff)
-    result.fragile_groups = sum(map(len, fragile.values()))
     cached: dict[str, EvalSummary] = {}
     if cache_path is not None:
         digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
         cached = _load_cache(cache_path, digest)
+    values = grid.values()
+    fragile: dict[int, list[tuple[int, int]]] = {}
+    if any(value != 1 and str(value) not in cached for value in values):
+        rankings, groups, vectors = Ranker(index, WeightScheme(math.e)).plan(query_tokens, cutoff)
+        for qid, query_groups in groups.items():
+            entries = rankings[qid].entries
+            for start, stop in query_groups:
+                first = vectors[entries[start][0]]
+                if any(vectors[d] != first for d, _ in entries[start + 1:stop]):
+                    fragile.setdefault(qid, []).append((start, stop))
+    result.fragile_groups = sum(map(len, fragile.values()))
     memo: dict[tuple, EvalSummary] = {}
     with (nullcontext() if cache_path is None
           else open(cache_path, "a", encoding="utf-8")) as cache_file:
-        for value in grid.values():
+        for value in values:
             label = str(value)
             if value == 1:
                 result.skipped.append((label, SKIP_INVALID_BASE))
@@ -292,12 +276,10 @@ def run_sweep(
             if label in cached:
                 result.per_base[label] = cached[label]
                 continue
-            settled = dict(rankings)
+            settled = rankings
             if fragile:
                 ranker = Ranker(index, WeightScheme(float(value)))
-                for qid, groups in fragile.items():
-                    settled[qid] = ranker.settle(rankings[qid], groups, query_tokens[qid],
-                                                 vectors)
+                settled = ranker.settle(query_tokens, rankings, fragile, vectors)
             # evaluation reads only the doc ids up to the cutoff
             key = tuple(
                 tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))
@@ -356,9 +338,7 @@ def render_table(rows: list[Row], metric: str) -> str:
 
 def emit_csv(result: SweepResult, path: str) -> None:
     """One CSV row per evaluated base, ascending; byte-stable across reruns."""
-    lines = [",".join(EVAL_CSV_COLUMNS)]
-    lines += [format_summary_csv_row(label, s) for label, s in result.per_base.items()]
-    write_report(path, "\n".join(lines) + "\n")
+    write_report(path, summary_csv(result.per_base.items()))
 
 
 def emit_metric_curve(result: SweepResult, metric: str, path: str) -> None:

@@ -5,9 +5,9 @@ b != 1 is usable. Bases below 1 flip the sign of every weight; that is left
 intact because cosine ranking is invariant under a uniform rescale.
 
 Since log_b x = ln x / ln b, a weight at base b is the base-e weight times
-1 / ln b, a factor that cosine cancels. Ranking therefore scores at base e,
-and weighs at the scheme's base only the documents whose order rounding
-could change (``retrieval.Ranker.rank_tokens``).
+1 / ln b, a factor that cosine cancels. Ranking therefore scores at base e
+(``retrieval.Ranker.plan``), and weighs at the scheme's base only the
+documents whose order rounding could change (``retrieval.Ranker.settle``).
 """
 
 import math

@@ -738,6 +738,47 @@ class TestSweep:
         assert rows[1].startswith("10.0,")
 
 
+LISA_END = "*" * 44
+# documents 1 to 3 and queries 1 and 2 of each collection format
+FORMAT_FILES = {
+    "smart": (".I 1\n.W\nzebra yak\n.I 2\n.W\nzebra zebra\n.I 3\n.W\nyak\n",
+              ".I 1\n.W\nzebra yak\n.I 2\n.W\nyak\n"),
+    "npl": ("1\nzebra yak\n/\n2\nzebra zebra\n/\n3\nyak\n/\n", "1\nzebra yak\n/\n2\nyak\n/\n"),
+    "lisa": ("".join(f"Document {d}\n{text}\n{LISA_END}\n"
+                     for d, text in ((1, "zebra yak"), (2, "zebra zebra"), (3, "yak"))),
+             "1\nzebra yak #\n2\nyak #\n"),
+    "jsonl": ("".join(json.dumps({"id": d, "text": text}) + "\n"
+                      for d, text in ((1, "zebra yak"), (2, "zebra zebra"), (3, "yak"))),
+              '{"id": 1, "text": "zebra yak"}\n{"id": 2, "text": "yak"}\n'),
+}
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte order mark that starts an input file is not text."""
+
+    @pytest.mark.parametrize("fmt, role", [
+        ("smart", "docs"), ("smart", "queries"), ("npl", "docs"), ("npl", "queries"),
+        ("lisa", "docs"), ("lisa", "queries"), ("jsonl", "docs"), ("jsonl", "queries"),
+        ("smart", "qrels"), ("smart", "config"), ("smart", "stoplist"),
+    ])
+    def test_leading_mark_gives_the_same_output(self, capsys, tmp_path, fmt, role):
+        docs, queries = FORMAT_FILES[fmt]
+        texts = {"docs": docs, "queries": queries, "qrels": "1 1\n1 2\n2 3\n",
+                 "config": "cutoff=1000\nformat=" + fmt + "\n", "stoplist": "zebra\nthe\n"}
+        paths = {name: tmp_path / name for name in texts}
+        argv = ["eval", "--out", tmp_path / "out", "--save-run", tmp_path / "run.tsv",
+                *(arg for name, path in paths.items() for arg in (f"--{name}", path))]
+        outputs = []
+        for mark in ("", "\ufeff"):
+            for name, text in texts.items():
+                paths[name].write_text(mark + text if name == role else text, encoding="utf-8")
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            outputs.append((out, err, (tmp_path / "out" / "eval.csv").read_bytes(),
+                            (tmp_path / "run.tsv").read_bytes()))
+        assert outputs[1] == outputs[0]
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_override(self, capsys, collection, tmp_path):
         cfg = tmp_path / "run.cfg"

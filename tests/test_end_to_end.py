@@ -19,6 +19,7 @@ import pytest
 from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
+from logbase_ir.retrieval import Ranker
 
 from conftest import perfbench
 
@@ -228,6 +229,134 @@ def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
         out = tmp_path / f"eval-{row[0]}"
         run(capsys, "eval", *inputs(paths), "--out", out, "--base", row[0])
         assert csv_rows(out / "eval.csv")[0][1:] == row[1:], row[0]
+
+
+def near_tie_collection():
+    """The collection of ``test_sweep_settles_fragile_groups_as_eval_ranks``
+    plus ``2000 + d``, one exact copy of each query's second-ranked document
+    that is no query's top document: its groups of near ties hold both
+    proportional and identical documents (100 groups at base e, 43 of them
+    identical, to the full depth)."""
+    col = gen.generate(SHAPE, 1)
+    ref = reference.Reference(col.docs)
+    texts = {doc.doc_id: doc.text for doc in parse_documents(col.docs_smart, "smart")}
+    ranked = [ref.rank(terms) for terms in col.queries.values()]
+    top = sorted({r[0][0] for r in ranked})
+    second = sorted({r[1][0] for r in ranked} - set(top))
+    col.docs_smart += "".join(f".I {1000 + d}\n.W\n" + f"{texts[d]}\n" * 3 for d in top)
+    col.docs_smart += "".join(f".I {2000 + d}\n.W\n{texts[d]}\n" for d in second)
+    return col
+
+
+# sha256 of the stdout, the stderr and every file written by a command on
+# the near-tie collection, run where its inputs lie with relative paths:
+# the sweep with its resume cache, eval with its run file, and a search for
+# query 7, whose first 50 results hold groups of both kinds.
+NEAR_TIE_ARGV = {
+    "sweep": ["sweep", "--grid", "0.5:3.0:0.5", "--out", "out"],
+    **{f"eval-{b}": ["eval", "--base", b, "--save-run", "run.tsv", "--out", "out"]
+       for b in ("0.3", "2.5", "10")},
+    **{f"search-{b}": ["search", "--base", b, "-k", "50"] for b in ("0.3", "2.5", "10")},
+}
+NEAR_TIE_SHA256 = {
+    "eval-0.3": {
+        "stdout": "77011772bc41d66b34a9b02cf8ddf4726954b021247fe8db7b6c0d5abe09bf4f",
+        "stderr": "8a8eb7804ac8ea2b622e3a4b09fcd9b89bb2d5b5e58d95bfa9a5767ae4446a78",
+        "out/eval.csv": "50c0e8867d5c7e56a8e2f0e6ab7bd95dc39c7be5dffae5b8cf99e9e280667c34",
+        "run.tsv": "10383eea071688401c37267e31f91c651ff6a0b09f95ca19f9cb696aadf046c0",
+    },
+    "eval-10": {
+        "stdout": "f3cd385e0e92766ca8c1459c3a228253db9143d3ec802ffbf76c4265aa87bac9",
+        "stderr": "82dc842231fc78bcb7b83c40aee9e96881468871e2195a3ee137c90764b99e64",
+        "out/eval.csv": "d6e812ccd046cf4e2dacdc6d05977d82013c73d91af92f4f25448c845e2d63a2",
+        "run.tsv": "8c69d772024959964f5abe0bc0f9f8ec07537da1631220cd0a97dbd0c2e319a4",
+    },
+    "eval-2.5": {
+        "stdout": "15f757c04b31b06ea25bc4ae60916919ce95b5da18570fd19a136c4483d60057",
+        "stderr": "706fc5101086ce870f0c3170cdccbdf681adfad6f4afc654af10b9d31e15e054",
+        "out/eval.csv": "8405d44c816b0614b0d4eaf83b8822bd2564def062d7d0fed83137c1f6817934",
+        "run.tsv": "b93385c3624f13a655c83515c6c263b922c965f561120ca6180f3d3b5df2085d",
+    },
+    "search-0.3": {
+        "stdout": "48524d739a9c4cf5d8eeb3a670b3c1b096b8ce7601b2d8f2abd963532c9a3c8c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "search-10": {
+        "stdout": "ec6f505a1564155cfe81711b99e4548a0b57522f4f2e029a378fbed519dea8f3",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "search-2.5": {
+        "stdout": "5e19c01a72da194c8b777caacf5e05e19343f77659645132c2ed9d8fa4ca6f53",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "sweep": {
+        "stdout": "b0b792d64b65b6ff7d633f04922966c9dde88cc1e755317883df77cb49a36b72",
+        "stderr": "3d5dd62de20a9154978bdca48b8b41ba1074e004cf58555634b534057707408c",
+        "out/curve_map.csv": "fa3cd9095d775c052f2a4684ff78d5c7db407061477d7ef5033086b4cf3a4489",
+        "out/curve_map_at_30.csv":
+            "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
+        "out/sweep.csv": "4bedf566aebdb6c27a948f01238ae343ed60b9f8757e77b5ceafa9aa2001bb30",
+        "out/sweep_cache.jsonl":
+            "9d2c39c432de0e93bbba61499b2d9bbf91ab8ea19acc4e7754faa61c92058119",
+        "out/top5_map.txt": "a2289db068381b102705426e564fdf6750f2d872480129d3ea87240db7eddd32",
+        "out/top5_map_at_30.txt":
+            "f8e80d881e930c1c5dc244f780d780f9c3404a66380e530c1ee13c24623c49f8",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEAR_TIE_ARGV))
+def test_near_tie_outputs_keep_their_bytes(capsys, tmp_path, monkeypatch, case):
+    col = near_tie_collection()
+    paths = gen.write(col, str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = [*NEAR_TIE_ARGV[case], "--docs", "docs.all"]
+    if case.startswith("search"):
+        argv.append(col.query_text[7])
+    else:
+        argv += ["--queries", "queries.qry", "--qrels", "qrels.rel"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    written = {"stdout": captured.out.encode(), "stderr": captured.err.encode()}
+    written.update((str(p.relative_to(tmp_path)), p.read_bytes())
+                   for p in sorted(tmp_path.rglob("*"))
+                   if p.is_file() and str(p) not in paths.values())
+    assert {name: hashlib.sha256(content).hexdigest()
+            for name, content in written.items()} == NEAR_TIE_SHA256[case]
+
+
+def test_resumed_sweep_plans_only_for_uncached_bases(capsys, tmp_path, monkeypatch):
+    # a sweep with bases left to rank plans once; one whose every base is
+    # cached plans nothing; both write the reports of a sweep in one go
+    paths = gen.write(near_tie_collection(), str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    argv = ["sweep", "--out", "out", "--docs", "docs.all", "--queries", "queries.qry",
+            "--qrels", "qrels.rel"]
+    want = NEAR_TIE_SHA256["sweep"]
+    plans = []
+    plan = Ranker.plan
+
+    def counting(self, *args):
+        plans.append(args)
+        return plan(self, *args)
+
+    def sweep():
+        assert main([*argv, "--grid", "0.5:3.0:0.5"]) == 0
+        captured = capsys.readouterr()
+        written = {str(p): p.read_bytes() for p in sorted(Path("out").iterdir())}
+        assert {name: hashlib.sha256(content).hexdigest() for name, content in written.items()
+                } == {name: sha for name, sha in want.items() if name.startswith("out/")}
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == want["stdout"]
+        return captured.err.splitlines()[0]
+
+    monkeypatch.setattr(Ranker, "plan", counting)
+    assert main([*argv, "--grid", "0.5:1.5:0.5"]) == 0  # caches the first two bases
+    capsys.readouterr()
+    assert sweep().endswith("across 3 bases; 57 fragile groups")
+    assert len(plans) == 2
+    monkeypatch.setattr(Ranker, "plan", None)
+    assert sweep() == "note: 0 distinct rankings to the cutoff across 0 bases; 0 fragile groups"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

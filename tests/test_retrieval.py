@@ -202,9 +202,10 @@ class TestSettle:
         settled = []
         settle = Ranker.settle
 
-        def recording(self, ranked, groups, tokens, vectors):
-            result = settle(self, ranked, groups, tokens, vectors)
-            settled.extend(entry for start, stop in groups for entry in result.entries[start:stop])
+        def recording(self, query_tokens, rankings, groups, vectors):
+            result = settle(self, query_tokens, rankings, groups, vectors)
+            settled.extend(entry for qid, spans in groups.items() for start, stop in spans
+                           for entry in result[qid].entries[start:stop])
             return result
 
         monkeypatch.setattr(Ranker, "settle", recording)

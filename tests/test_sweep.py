@@ -268,9 +268,10 @@ class TestRescaledRanking:
         settled_positions = set()
         settle = Ranker.settle
 
-        def recording(self, ranked, groups, tokens, vectors):
-            settled_positions.update(p for start, stop in groups for p in range(start, stop))
-            return settle(self, ranked, groups, tokens, vectors)
+        def recording(self, query_tokens, rankings, groups, vectors):
+            settled_positions.update(p for spans in groups.values() for start, stop in spans
+                                     for p in range(start, stop))
+            return settle(self, query_tokens, rankings, groups, vectors)
 
         monkeypatch.setattr(Ranker, "settle", recording)
         unsettled = 0
@@ -425,9 +426,9 @@ class TestPlan:
         calls = []
         settle = Ranker.settle
 
-        def recording(self, ranked, groups, tokens, vectors):
+        def recording(self, query_tokens, rankings, groups, vectors):
             calls.append((self.scheme.base, groups))
-            return settle(self, ranked, groups, tokens, vectors)
+            return settle(self, query_tokens, rankings, groups, vectors)
 
         monkeypatch.setattr(Ranker, "settle", recording)
         grid = BaseGrid.parse("2:6:0.5")
@@ -435,17 +436,17 @@ class TestPlan:
         # the pair, at positions 0 and 1, settled once per base with a ranker
         # of that base (the reference's calls come after the sweep's)
         n = len(grid.values())
-        assert calls[:n] == [(float(v), [(0, 2)]) for v in grid.values()]
+        assert calls[:n] == [(float(v), {1: [(0, 2)]}) for v in grid.values()]
 
     def test_tie_of_different_documents_is_fragile(self):
         # docs 2 and 3 tie bit for bit at base e, but their vectors differ,
         # so the weights at other bases can tell them apart
         index, queries = list(criterion_4_corpora(72))[71]
         ranker = Ranker(index, WeightScheme(math.e))
-        rankings, fragile, vectors = sweep._plan(ranker, {0: queries[0]}, 1000)
+        rankings, groups, vectors = ranker.plan({0: queries[0]}, 1000)
         assert [d for d, _ in rankings[0].entries[:2]] == [2, 3]
         assert rankings[0].entries[0][1] == rankings[0].entries[1][1]
-        assert fragile == {0: [(0, 2)]}
+        assert groups == {0: [(0, 2)]}
         assert vectors[2] != vectors[3]
         assert vectors == retrieval.term_vectors(index, vectors)
         orders = {
@@ -462,7 +463,6 @@ class TestPlan:
             calls.append(set(doc_ids))
             return term_vectors(index, doc_ids)
 
-        monkeypatch.setattr(sweep, "term_vectors", recording)
         monkeypatch.setattr(retrieval, "term_vectors", recording)
         grid = BaseGrid.parse("2:6:0.5")
         index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
