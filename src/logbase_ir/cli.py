@@ -3,20 +3,21 @@
 Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Each
 option is declared once, in ``_OPTIONS``: its config key, the subcommands
 that take it and its help text. The parser and the config check are both
-built from that table. Options resolve with precedence flags > config file
-> defaults, and --out has $LOGBASE_IR_OUT before its default. A flag is
+built from that table. Options resolve with precedence flags > config file >
+defaults, and --out has $LOGBASE_IR_OUT before its default. A flag is
 spelled in full, never abbreviated. The config file is a flat ``key=value``
-text file whose keys are the long option names with ``_`` where the flag
-has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key that no
-subcommand takes, or a key set twice, is a usage error; a key of another
-subcommand is ignored, so one file can serve several commands. A flag's
-value and a config value are the same text, converted by the same cast, and
-an empty one is a usage error. Of two mutually exclusive options (--base and
---grid of ``sweep``, --docs and --load-index of ``search``), a flag outranks
-both keys. Every option is checked before any input but the config file is
-read. Exit codes: 0 on success, 1 for domain errors (empty or malformed
-data), 2 for usage and I/O errors. The pipeline has no randomness anywhere,
-so identical inputs and flags always reproduce identical artifacts.
+text file whose keys are the long option names with ``_`` where the flag has
+``-`` (``save_run=run.tsv`` for ``--save-run``). A key that no subcommand
+takes, a key set twice or a flag given twice (-k and --top are one flag) is
+a usage error; a key of another subcommand is ignored, so one file can serve
+several commands. A flag's value and a config value are the same text,
+converted by the same cast, and an empty one is a usage error. Of two
+mutually exclusive options (--base and --grid of ``sweep``, --docs and
+--load-index of ``search``), a flag outranks both keys. Every option is
+checked before any input but the config file is read. Exit codes: 0 on
+success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
+errors. The pipeline has no randomness anywhere, so identical inputs and
+flags always reproduce identical artifacts.
 """
 
 import argparse
@@ -130,17 +131,24 @@ def _boolean(value: str) -> bool:
 class _Options:
     """Flag > config > default resolution of the running subcommand's
     options; the config keys of other subcommands are dropped. ``out`` has
-    $LOGBASE_IR_OUT between config and default. An empty value, from a flag,
-    a config key or the variable, exits 2. A flag of an exclusive pair
-    outranks both config keys; two flags, or both keys and no flag, exit 2."""
+    $LOGBASE_IR_OUT between config and default. A flag given twice exits 2
+    before the config file is read. An empty value, from a flag, a config key
+    or the variable, exits 2. A flag of an exclusive pair outranks both
+    config keys; two flags, or both keys and no flag, exit 2."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         keys = [key for key, (commands, _) in _OPTIONS.items() if args.command in commands]
-        if args.config == "":
+        # each flag's values, as build_parser appends them
+        flags = {key: values for key in ("config", *keys) if (values := getattr(args, key))}
+        twice = [key for key, values in flags.items() if len(values) > 1]
+        if twice:
+            raise _Exit(2, f"{_flag(twice[0])} given twice")
+        flags = {key: value for key, (value,) in flags.items()}
+        config = flags.pop("config", None)
+        if config == "":
             raise _Exit(2, "--config is empty")
-        cfg = {} if args.config is None else _load_config(args.config)
-        flags = {key: value for key in keys if (value := getattr(args, key)) is not None}
+        cfg = {} if config is None else _load_config(config)
         outranked = {key for pair in _EXCLUSIVE if flags.keys() & set(pair) for key in pair}
         # each given option: (text, where it came from)
         self.given = {}
@@ -255,10 +263,7 @@ def cmd_index(opts: _Options) -> int:
           f"text_bytes={text_bytes}")
     snapshot = opts.get("save_index")
     if snapshot:
-        try:
-            index.save(snapshot)
-        except OSError as e:
-            raise _Exit(2, f"cannot write {snapshot}: {e}") from e
+        index.save(snapshot)
         print(f"index snapshot written to {snapshot}")
     return 0
 
@@ -419,7 +424,9 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand takes --config and its options of ``_OPTIONS``, all
-    as text; ``search`` also takes -k for --top and the query."""
+    as text, each flag's values appended to a list so that ``_Options`` can
+    refuse a flag given twice; ``search`` also takes -k for --top and the
+    query."""
     parser = argparse.ArgumentParser(
         prog="logbase-ir",
         description="Vector-space retrieval with a configurable IDF log base.",
@@ -428,13 +435,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--config", action="append", help="flat key=value config file")
         for key, (commands, help_text) in _OPTIONS.items():
             if command not in commands:
                 continue
             short = ["-k"] if (command, key) == ("search", "top") else []
-            switch = {"action": "store_const", "const": "true"} if key.startswith("no_") else {}
-            p.add_argument(*short, _flag(key), help=help_text, **switch)
+            action = ({"action": "append_const", "const": "true"} if key.startswith("no_")
+                      else {"action": "append"})
+            p.add_argument(*short, _flag(key), help=help_text, **action)
         if command == "search":
             p.add_argument("query", help="query text")
     return parser

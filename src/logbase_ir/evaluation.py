@@ -164,9 +164,13 @@ def evaluate_rankings(
     return summarize(average_over_queries(per_query)), diagnostics
 
 
-def summary_csv(rows: Iterable[tuple[str, EvalSummary]]) -> str:
-    """``eval.csv`` and ``sweep.csv``: the header, then one line per (base
-    label, summary) row, every value as its ``repr``."""
-    lines = [",".join(EVAL_CSV_COLUMNS)]
-    lines += [",".join([label, *map(repr, (*s.levels, s.map, s.map_at_30))]) for label, s in rows]
+def summary_csv(rows: Iterable[tuple[str, EvalSummary]], columns=EVAL_CSV_COLUMNS) -> str:
+    """Every CSV report: the header ``columns``, then one line per (base
+    label, summary) row with the row's value under each of those columns of
+    ``EVAL_CSV_COLUMNS``, every number as its ``repr``."""
+    at = [EVAL_CSV_COLUMNS.index(column) for column in columns]
+    lines = [",".join(columns)]
+    for label, s in rows:
+        cells = (label, *map(repr, (*s.levels, s.map, s.map_at_30)))
+        lines.append(",".join([cells[i] for i in at]))
     return "\n".join(lines) + "\n"

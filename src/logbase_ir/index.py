@@ -33,6 +33,7 @@ import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable, Mapping
+from contextlib import suppress
 from itertools import accumulate, compress, count, islice, repeat
 from operator import add, ge, is_not, lt, sub
 
@@ -203,27 +204,25 @@ class _Postings(Mapping):
 def write_atomic(path: str, *parts) -> None:
     """Write the bytes-like ``parts`` to a temporary file in the same
     directory, then rename it over ``path``. An error or interrupt removes the
-    temporary file and leaves any earlier file at ``path`` whole."""
+    temporary file and leaves any earlier file at ``path`` whole; an OSError
+    is raised again as one that names ``path``."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             for part in parts:
                 f.write(part)
         os.replace(tmp, path)
-    except BaseException:
-        try:
+    except BaseException as e:
+        with suppress(OSError):
             os.remove(tmp)
-        except OSError:
-            pass
+        if isinstance(e, OSError):
+            raise OSError(f"cannot write {path}: {e}") from e
         raise
 
 
 def write_report(path: str, content: str) -> None:
     """Write a report file atomically (``write_atomic``)."""
-    try:
-        write_atomic(path, content.encode("utf-8"))
-    except OSError as e:
-        raise OSError(f"cannot write {path}: {e}") from e
+    write_atomic(path, content.encode("utf-8"))
 
 
 def _header(line: bytes) -> dict:

@@ -39,6 +39,10 @@ METRICS = ("map", "map_at_30")
 
 SKIP_INVALID_BASE = "invalid-base"
 
+# enters the resume cache's digest: bump it with any change that moves a
+# summary, so that a resumed sweep never mixes two versions' summaries
+CACHE_VERSION = 1
+
 MAX_GRID_VALUES = 1_000_000
 _HALF_ULP = Decimal(2.0**-53)
 
@@ -137,11 +141,11 @@ Row = tuple[str, EvalSummary]
 
 
 def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
-    """sha256 of the index as it is held, then the queries, qrels and
-    options. The index enters with nothing encoded: its stoplist fingerprint,
-    terms and df, each term's doc ids and tfs, then the doc ids and norms,
-    each column in little-endian byte order, so a built index and a loaded
-    copy of it give one digest."""
+    """sha256 of the index as it is held, then the queries, qrels, options
+    and ``CACHE_VERSION``. The index enters with nothing encoded: its
+    stoplist fingerprint, terms and df, each term's doc ids and tfs, then the
+    doc ids and norms, each column in little-endian byte order, so a built
+    index and a loaded copy of it give one digest."""
     entries = index.dictionary.values()
     h = hashlib.sha256(json.dumps(
         [index.stoplist_sha256, list(index.dictionary), [len(ids) for ids, _ in entries]]
@@ -156,6 +160,7 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
         {
             "queries": {str(q): t for q, t in sorted(query_tokens.items())},
             "qrels": {str(q): sorted(d) for q, d in sorted(qrels.items())},
+            "cache_version": CACHE_VERSION,
             "cutoff": cutoff,
             "interpolation": interpolation,
             "pooling": pooling,
@@ -343,17 +348,11 @@ def emit_csv(result: SweepResult, path: str) -> None:
 
 def emit_metric_curve(result: SweepResult, metric: str, path: str) -> None:
     """Two-column plot data: base, metric value."""
-    key = _metric(metric)
-    lines = [f"base,{metric}"]
-    lines += [f"{row[0]},{key(row)!r}" for row in result.per_base.items()]
-    write_report(path, "\n".join(lines) + "\n")
+    _metric(metric)
+    write_report(path, summary_csv(result.per_base.items(), ("base", metric)))
 
 
 def emit_level_curves(result: SweepResult, labels: list[str], path: str) -> None:
     """Twelve-column plot data: base plus the 11 level precisions."""
-    lines = [",".join(EVAL_CSV_COLUMNS[:12])]
-    for label in labels:
-        summary = result.per_base[label]
-        cells = [label] + [repr(v) for v in summary.levels]
-        lines.append(",".join(cells))
-    write_report(path, "\n".join(lines) + "\n")
+    rows = [(label, result.per_base[label]) for label in labels]
+    write_report(path, summary_csv(rows, EVAL_CSV_COLUMNS[:12]))

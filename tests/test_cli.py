@@ -12,6 +12,8 @@ import pytest
 
 from logbase_ir import index as index_mod
 from logbase_ir.cli import _OPTIONS, build_parser, main
+from logbase_ir.collection_io import DOC_FORMATS, QRELS_FORMATS
+from logbase_ir.evaluation import INTERPOLATION_MODES, POOLING_MODES
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, stoplist_fingerprint
 
@@ -884,6 +886,97 @@ class TestConfigLines:
         assert err == f"error: {cfg}:2: unknown option 'bogus'\n"
 
 
+class TestGivenTwice:
+    """A flag given twice exits 2 before any input is read, as a config key
+    set twice does; its last value does not silently win."""
+
+    def check(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        # docs.all does not exist: reading it would exit 2 with another message
+        code, out, err = run(capsys, *argv, "--docs", "docs.all")
+        assert (code, out, err) == (2, "", f"error: {flag} given twice\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["stats", "--format", "smart", "--format", "npl"], "--format"),
+        (["index", "--save-index", "a.bin", "--save-index", "b.bin"], "--save-index"),
+        (["search", "--base", "10", "--base", "2", "-k", "1", "-k", "5", "zebra"], "--base"),
+        (["eval", "--cutoff", "5", "--cutoff", "5"], "--cutoff"),
+        (["sweep", "--no-cache", "--no-cache"], "--no-cache"),
+    ], ids=["stats", "index", "search", "eval", "sweep"])
+    def test_flag_given_twice(self, capsys, tmp_path, monkeypatch, argv, flag):
+        self.check(capsys, tmp_path, monkeypatch, argv, flag)
+
+    def test_short_and_long_top_are_one_flag(self, capsys, tmp_path, monkeypatch):
+        self.check(capsys, tmp_path, monkeypatch, ["search", "-k", "1", "--top", "5", "zebra"],
+                   "--top")
+
+    def test_config_given_twice(self, capsys, tmp_path, monkeypatch):
+        self.check(capsys, tmp_path, monkeypatch,
+                   ["stats", "--config", "a.cfg", "--config", "b.cfg"], "--config")
+
+
+class TestErrorExits:
+    """Error exits of the 0/1/2 contract, each with its message."""
+
+    @pytest.mark.parametrize("key", ["docs", "queries", "qrels"])
+    def test_missing_required_option(self, capsys, collection, tmp_path, key):
+        given = [arg for other in ("docs", "queries", "qrels") if other != key
+                 for arg in (f"--{other}", collection[other])]
+        code, out, err = run(capsys, "eval", *given, "--out", tmp_path / "out")
+        assert (code, out, err) == (2, "", f"error: missing required option --{key}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_snapshot_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "search", "--load-index", "nope.idx", "zebra")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot read nope.idx: ")
+
+    def test_snapshot_into_missing_directory_is_usage_error(self, capsys, collection,
+                                                            tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "index", "--docs", collection["docs"], "--save-index",
+                           "nodir/x.idx")
+        assert code == 2
+        assert err.startswith("error: cannot write nodir/x.idx: ")
+        assert len(err.splitlines()) == 1
+
+    def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "sweep_cache.jsonl").write_text("{torn\n")
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        code, _, err = run(capsys, "sweep", "--docs", collection["docs"], "--queries",
+                           collection["queries"], "--qrels", collection["qrels"],
+                           "--out", "out", "--base", "10")
+        assert code == 2
+        assert err == "error: cannot write out/sweep_cache.jsonl: disk full\n"
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["sweep_cache.jsonl"]
+
+    def test_empty_qrels_is_domain_error(self, capsys, collection, tmp_path):
+        collection["qrels"].write_text("")
+        code, out, err = run(capsys, "eval", "--docs", collection["docs"], "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--out", tmp_path / "out")
+        assert (code, out, err) == (1, "", "error: degenerate qrels: no judged queries\n")
+
+    @pytest.mark.parametrize("record, message", [
+        ('{"id": "7", "text": "a"}', "line 1: record id must be an integer, got '7'"),
+        ('{"id": 7, "text": 5}', "line 1: record text must be a string"),
+    ], ids=["id-string", "text-number"])
+    def test_ill_typed_jsonl_record_is_domain_error(self, capsys, tmp_path, record, message):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(record + "\n")
+        code, out, err = run(capsys, "stats", "--docs", docs, "--format", "jsonl")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestUsageErrors:
     """Bad evaluation options exit 2 before any input is read."""
 
@@ -1129,6 +1222,16 @@ class TestEmptyValues:
     def test_empty_config_flag_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "stats", "--config", "", "--docs", tmp_path / "none.all")
         assert (code, out, err) == (2, "", "error: --config is empty\n")
+
+
+@pytest.mark.parametrize("key, values", [
+    ("format", DOC_FORMATS), ("qrels_format", QRELS_FORMATS),
+    ("interp", INTERPOLATION_MODES), ("pooling", POOLING_MODES),
+])
+def test_choice_help_lists_its_values_and_default(key, values):
+    listed, default = re.fullmatch(r".*: (.+) \(default (\S+)\)", _OPTIONS[key][1]).groups()
+    assert re.split(r", | or ", listed) == list(values)
+    assert default == values[0]
 
 
 def test_readme_cli_section_names_every_option():

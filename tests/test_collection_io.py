@@ -10,6 +10,7 @@ from logbase_ir.collection_io import (
     ParseError,
     RawDocument,
     RawQuery,
+    document_records,
     parse_documents,
     parse_qrels,
     parse_queries,
@@ -187,6 +188,16 @@ texts = st.lists(st.text(max_size=60), min_size=1, max_size=30)
 
 
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("parse, message", [
+    (lambda: document_records([], "bogus"), "unknown document format 'bogus'"),
+    (lambda: parse_queries("", "bogus"), "unknown query format 'bogus'"),
+    (lambda: parse_qrels("", "bogus"), "unknown qrels format 'bogus'"),
+], ids=["documents", "queries", "qrels"])
+def test_unknown_format_is_value_error(parse, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        parse()
 
 
 class TestLineBreaks:

@@ -20,6 +20,7 @@ from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import Ranker
+from logbase_ir.sweep import CACHE_VERSION
 
 from conftest import perfbench
 
@@ -170,7 +171,7 @@ REPORT_SHA256 = {
             "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
         "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
         "out/sweep_cache.jsonl":
-            "f4d8a83fb108b2faa6ce6ce33dde8222cdba0dba33ab3766cb3410d08d954d35",
+            "a580981f20f03492e6a8e8fff5af9f560be6eaff07cc2b0bc8fef140ce70b6f2",
         "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
         "out/top5_map_at_30.txt":
             "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",
@@ -200,6 +201,17 @@ def test_benchmark_reports_keep_their_bytes(capsys, tmp_path, monkeypatch, shape
                    if p.is_file() and str(p) not in paths.values())
     assert {name: hashlib.sha256(content).hexdigest()
             for name, content in written.items()} == REPORT_SHA256[shape]
+
+
+# CACHE_VERSION with the sha256 of the MED-shaped sweep.csv that its summaries
+# give. A change that moves a summary moves that sweep.csv pin, and then fails
+# here until CACHE_VERSION is bumped with it: a resumed sweep must not reuse
+# the cached summaries of the version before.
+CACHE_VERSION_PIN = (1, "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e")
+
+
+def test_cache_version_moves_with_the_summaries():
+    assert (CACHE_VERSION, REPORT_SHA256["med"]["out/sweep.csv"]) == CACHE_VERSION_PIN
 
 
 def csv_rows(path):
@@ -297,7 +309,7 @@ NEAR_TIE_SHA256 = {
             "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
         "out/sweep.csv": "4bedf566aebdb6c27a948f01238ae343ed60b9f8757e77b5ceafa9aa2001bb30",
         "out/sweep_cache.jsonl":
-            "9d2c39c432de0e93bbba61499b2d9bbf91ab8ea19acc4e7754faa61c92058119",
+            "77ef09e738316fc2130b3999dcea87e368d31882c0337a25f20dc67f2ac85861",
         "out/top5_map.txt": "a2289db068381b102705426e564fdf6750f2d872480129d3ea87240db7eddd32",
         "out/top5_map_at_30.txt":
             "f8e80d881e930c1c5dc244f780d780f9c3404a66380e530c1ee13c24623c49f8",

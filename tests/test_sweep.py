@@ -512,6 +512,17 @@ class TestCache:
         fresh = toy_sweep(grid, cutoff=2)
         assert different.per_base == fresh.per_base
 
+    def test_line_of_another_cache_version_is_not_reused(self, tmp_path, monkeypatch):
+        cache, fresh = tmp_path / "cache.jsonl", tmp_path / "fresh.jsonl"
+        grid = BaseGrid.parse("2:3:1")
+        monkeypatch.setattr(sweep, "CACHE_VERSION", sweep.CACHE_VERSION - 1)
+        toy_sweep(grid, cache_path=str(cache))
+        monkeypatch.undo()
+        assert toy_sweep(grid, cache_path=str(cache)).ranked_bases == 2
+        # the other version's lines are dropped and this version's written
+        toy_sweep(grid, cache_path=str(fresh))
+        assert cache.read_text() == fresh.read_text()
+
     def test_built_and_loaded_index_give_one_digest(self, tmp_path, monkeypatch):
         path = tmp_path / "index.bin"
         INDEX.save(str(path))
