@@ -287,20 +287,26 @@ def _eval_inputs(opts: _Options):
     """The index, judged queries and qrels of ``eval`` and ``sweep``; every
     input path is checked before any input is read. The judged queries are
     ``{query_id: tokens}`` in query-file order; qrels naming a query the
-    file lacks, or no query at all, exit 1. Judged doc ids absent from the
-    collection, then unjudged queries, are noted on stderr."""
+    file lacks, or no query at all, exit 1. Judged pairs graded <= 0, judged
+    doc ids absent from the collection, then unjudged queries, are noted on
+    stderr."""
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts)
     queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
     # the qrels format is checked by _eval_options
-    qrels = collection_io.parse_qrels(_read(qrels_path), opts.get("qrels_format", "auto"))
+    qrels_text, qrels_format = _read(qrels_path), opts.get("qrels_format", "auto")
+    qrels = collection_io.parse_qrels(qrels_text, qrels_format)
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
     unknown = sorted(qrels.keys() - {q.query_id for q in queries})
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
+    graded = collection_io.nonpositive_grades(qrels_text, qrels_format)
+    if graded:
+        print(f"note: {graded} judged pairs have a grade <= 0 and count as relevant",
+              file=sys.stderr)
     absent = set().union(*qrels.values()) - index.norms.keys()
     if absent:
         print(f"note: {len(absent)} judged doc ids are not in the collection", file=sys.stderr)
@@ -397,7 +403,7 @@ def cmd_sweep(opts: _Options) -> int:
         try:
             compare = sweep_mod.best_standard_worst(result, metric)
         except ValueError as e:
-            print(f"note: comparison table skipped: {e}", file=sys.stderr)
+            print(f"note: {metric} comparison table skipped: {e}", file=sys.stderr)
             continue
         write_report(os.path.join(out, f"compare_{metric}.txt"),
                      sweep_mod.render_table(compare, metric))

@@ -193,7 +193,9 @@ def _lisa_queries(lines: Iterable[str]) -> Records:
 
 
 def _jsonl(lines: Iterable[str]) -> Records:
-    """The canonical JSON-lines form: ``{"id": int, "text": str}``."""
+    """The canonical JSON-lines form: ``{"id": int, "text": str}``. A JSON
+    string can hold a lone surrogate (``"\\ud800"``), which no UTF-8 text
+    can, so such a text fails at its line."""
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -209,6 +211,11 @@ def _jsonl(lines: Iterable[str]) -> Records:
             raise ParseError(f"record id must be an integer, got {doc_id!r}", lineno)
         if not isinstance(text, str):
             raise ParseError("record text must be a string", lineno)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ParseError(f"record text holds a lone surrogate {text[e.start]!r}",
+                             lineno) from None
         yield lineno, doc_id, text
 
 
@@ -283,34 +290,29 @@ def _qrels_idlist(content: str) -> Qrels:
     return qrels
 
 
-def parse_qrels(content: str, format: str = "auto") -> Qrels:
-    """Parse relevance judgments into query_id -> relevant doc_id sets.
-
-    Column layouts: ``two`` is ``query_id doc_id``, ``three`` is
-    ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
-    Any listed pair counts as relevant regardless of grade. ``auto`` picks
-    the layout from the column count; a four-column file whose second column
-    is not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
-    """
-    if format == "idlist":
-        return _qrels_idlist(content)
+def _qrels_rows(content: str, format: str) -> Iterator[tuple[int, int, str | None]]:
+    """(query_id, doc_id, grade) of each row of a column layout (see
+    ``parse_qrels``), the grade None where the layout carries none: ``two``,
+    and four columns whose second is not uniformly "0" (CISI's)."""
     if format != "auto" and format not in _QRELS_LAYOUTS:
         raise ValueError(f"unknown qrels format {format!r}")
     rows = [(n, parts) for n, parts in enumerate(map(str.split, split_lines(content)), start=1)
             if parts]
     if format == "auto":
         if not rows:
-            return {}
+            return
         first_row, width = rows[0][0], len(rows[0][1])
         doc_cols = dict(_QRELS_LAYOUTS.values())
         if width not in doc_cols:
             raise ParseError(f"cannot infer qrels layout from {width} columns", first_row)
         columns, doc_col = width, doc_cols[width]
-        if width == 4 and any(r[1] != "0" for _, r in rows if len(r) == 4):
-            doc_col = 1
     else:
         columns, doc_col = _QRELS_LAYOUTS[format]
-    qrels: Qrels = {}
+    grade_col = None if columns == 2 else columns - 1
+    if columns == 4 and any(r[1] != "0" for _, r in rows if len(r) == 4):
+        grade_col = None
+        if format == "auto":
+            doc_col = 1
     for lineno, parts in rows:
         if len(parts) != columns:
             raise ParseError(f"expected {columns} columns, found {len(parts)}", lineno)
@@ -319,5 +321,39 @@ def parse_qrels(content: str, format: str = "auto") -> Qrels:
             doc_id = int(parts[doc_col])
         except ValueError:
             raise ParseError("non-integer id column", lineno) from None
+        yield query_id, doc_id, None if grade_col is None else parts[grade_col]
+
+
+def parse_qrels(content: str, format: str = "auto") -> Qrels:
+    """Parse relevance judgments into query_id -> relevant doc_id sets.
+
+    Column layouts: ``two`` is ``query_id doc_id``, ``three`` is
+    ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
+    Any listed pair counts as relevant regardless of grade
+    (``nonpositive_grades`` counts those graded <= 0). ``auto`` picks the
+    layout from the column count; a four-column file whose second column is
+    not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
+    """
+    if format == "idlist":
+        return _qrels_idlist(content)
+    qrels: Qrels = {}
+    for query_id, doc_id, _ in _qrels_rows(content, format):
         qrels.setdefault(query_id, set()).add(doc_id)
     return qrels
+
+
+def _at_most_zero(grade: str) -> bool:
+    try:
+        return float(grade) <= 0
+    except ValueError:
+        return False
+
+
+def nonpositive_grades(content: str, format: str = "auto") -> int:
+    """The number of qrels rows, of a layout that carries a grade, whose
+    grade reads as a number <= 0: TREC's judged non-relevant pairs, which
+    ``parse_qrels`` counts as relevant all the same."""
+    if format == "idlist":
+        return 0
+    return sum(1 for *_, grade in _qrels_rows(content, format)
+               if grade is not None and _at_most_zero(grade))

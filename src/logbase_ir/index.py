@@ -205,7 +205,8 @@ def write_atomic(path: str, *parts) -> None:
     """Write the bytes-like ``parts`` to a temporary file in the same
     directory, then rename it over ``path``. An error or interrupt removes the
     temporary file and leaves any earlier file at ``path`` whole; an OSError
-    is raised again as one that names ``path``."""
+    is raised again as one that names ``path`` and, by its ``strerror``, not
+    the temporary file."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
@@ -216,7 +217,7 @@ def write_atomic(path: str, *parts) -> None:
         with suppress(OSError):
             os.remove(tmp)
         if isinstance(e, OSError):
-            raise OSError(f"cannot write {path}: {e}") from e
+            raise OSError(f"cannot write {path}: {e.strerror or e}") from e
         raise
 
 

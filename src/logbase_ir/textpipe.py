@@ -1,13 +1,13 @@
 """Text pipeline: tokenize, drop stopwords, stem.
 
-The index term alphabet is [a-z0-9]. Tokenization splits on every other
-character, so hyphenated and punctuated forms break apart before any
-filtering happens. Every input file (collection, queries, qrels, config,
-stoplist) is split into lines by ``split_lines``.
+The index term alphabet is [a-z0-9]. A token is a maximal run of ASCII
+letters and digits, lowercased; every other character, non-ASCII ones
+included, separates tokens, so hyphenated and punctuated forms break apart
+before any filtering happens. Every input file (collection, queries, qrels,
+config, stoplist) is split into lines by ``split_lines``.
 """
 
 import hashlib
-import re
 from functools import lru_cache
 from importlib import resources
 
@@ -19,24 +19,19 @@ from .porter import stem as porter_stem
 # Porter fixture words to it.
 PIPELINE_VERSION = 1
 
-_TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
-# every ASCII character but [A-Za-z0-9] to a space
-_SEPARATORS = str.maketrans(dict.fromkeys(
-    (c for c in map(chr, range(128)) if not c.isalnum()), " "
-))
+# A-Z to a-z, a-z and 0-9 kept, every other byte to a space
+_TOKEN_BYTES = bytes(b if chr(b).isalnum() else 32 for b in range(128)).lower().ljust(256)
 
 
 def tokenize(text: str) -> list[str]:
     """Split text into lowercase alphanumeric tokens, order preserved.
 
-    ASCII text is lowercased whole, every separator becomes a space and the
-    result is split, all in C. Other text is matched first and each token
-    lowercased, since lowercasing a non-ASCII character can give an ASCII
-    letter (the Kelvin sign gives 'k').
+    The text is encoded as ASCII with every other character as "?", the
+    bytes go through ``_TOKEN_BYTES`` and the result is split, all in C. So
+    a non-ASCII character separates tokens even where it lowercases to an
+    ASCII letter (the Kelvin sign to "k").
     """
-    if text.isascii():
-        return text.lower().translate(_SEPARATORS).split()
-    return [piece.lower() for piece in _TOKEN_RE.findall(text)]
+    return text.encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
 def split_lines(text: str) -> list[str]:

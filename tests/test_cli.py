@@ -586,6 +586,37 @@ class TestEval:
         assert err.splitlines() == [
             *notes, "note: 1 distinct ranking to the cutoff across 1 base; 0 fragile groups"]
 
+    @pytest.mark.parametrize("qrels, graded", [
+        ("1 0 1 1\n1 0 2 0\n1 0 3 -1\n", 2),   # TREC: query 0 doc grade
+        ("1 1 1\n1 2 0\n1 3 0.0\n", 2),        # query doc grade
+        ("1 1 0 0\n1 2 0 0\n1 3 0 0\n", 0),    # CISI: query doc x x, no grade
+        ("1 1\n1 2\n1 3\n", 0),
+        ("1 1 2 3\n/\n", 0),                    # idlist
+    ], ids=["four", "three", "cisi", "two", "idlist"])
+    def test_judged_pairs_graded_at_most_zero_are_noted(self, capsys, tmp_path, qrels, graded):
+        docs = tmp_path / "three.all"
+        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n.I 3\n.W\nplum\n")
+        queries = tmp_path / "one.qry"
+        queries.write_text(".I 1\n.W\napple banana\n")
+        (tmp_path / "q.rel").write_text(qrels)
+        (tmp_path / "ones.rel").write_text("1 1\n1 2\n1 3\n")
+        fmt = ["--qrels-format", "idlist"] if "/" in qrels else []
+        notes = ([f"note: {graded} judged pairs have a grade <= 0 and count as relevant"]
+                 if graded else [])
+        for command, extra, report in (("eval", [], "eval.csv"),
+                                       ("sweep", ["--base", "10"], "sweep.csv")):
+            args = [command, "--docs", docs, "--queries", queries, *extra]
+            code, out, err = run(capsys, *args, "--qrels", tmp_path / "q.rel", *fmt,
+                                 "--out", tmp_path / "mixed")
+            assert code == 0
+            assert [line for line in err.splitlines() if " grade " in line] == notes
+            # the same pairs are relevant as when every grade is 1
+            code, ones, _ = run(capsys, *args, "--qrels", tmp_path / "ones.rel",
+                                "--out", tmp_path / "ones")
+            assert (code, out.replace("mixed", "ones")) == (0, ones)
+            assert (tmp_path / "mixed" / report).read_text() == \
+                (tmp_path / "ones" / report).read_text()
+
     def test_out_dir_from_environment(self, capsys, collection, tmp_path, monkeypatch):
         monkeypatch.setenv("LOGBASE_IR_OUT", str(tmp_path / "envout"))
         code, _, _ = run(
@@ -667,6 +698,11 @@ class TestSweep:
         assert code == 0
         assert "comparison table skipped" in err
         assert not (out / "compare_map.txt").exists()
+        # one note per metric, each naming its metric
+        skipped = [line for line in err.splitlines() if "comparison table skipped" in line]
+        assert skipped == [f"note: {metric} comparison table skipped: base 10 is not present "
+                           "in the sweep result" for metric in ("map", "map_at_30")]
+        assert len(set(skipped)) == 2
 
     def test_rerun_is_byte_identical(self, capsys, collection, tmp_path):
         out = tmp_path / "out"
@@ -938,9 +974,18 @@ class TestErrorExits:
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, "index", "--docs", collection["docs"], "--save-index",
                            "nodir/x.idx")
-        assert code == 2
-        assert err.startswith("error: cannot write nodir/x.idx: ")
-        assert len(err.splitlines()) == 1
+        # strerror alone: the OSError's own text names the temporary file,
+        # whose name holds the process id
+        assert (code, err) == (2, "error: cannot write nodir/x.idx: No such file or directory\n")
+
+    def test_run_file_onto_a_directory_is_usage_error(self, capsys, collection, tmp_path,
+                                                      monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "eval", "--docs", collection["docs"], "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--save-run", "o7", "--out", "o7")
+        assert (code, out, err) == (2, "", "error: cannot write o7: Is a directory\n")
+        assert os.listdir("o7") == []
 
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):
@@ -975,6 +1020,30 @@ class TestErrorExits:
         docs.write_text(record + "\n")
         code, out, err = run(capsys, "stats", "--docs", docs, "--format", "jsonl")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command, kind", [
+        ("stats", "docs"), ("search", "docs"), ("eval", "docs"), ("sweep", "docs"),
+        ("eval", "queries"), ("sweep", "queries"),
+    ])
+    def test_lone_surrogate_in_jsonl_text_is_domain_error(self, capsys, tmp_path,
+                                                          monkeypatch, command, kind):
+        # valid JSON: a document's failed in the text-bytes count, naming no
+        # line, and a query's was accepted
+        monkeypatch.chdir(tmp_path)
+        bad = '{"id": 2, "text": "alpha \\ud800 beta"}\n'
+        Path("docs.jsonl").write_text('{"id": 1, "text": "alpha"}\n'
+                                      + (bad if kind == "docs" else ""))
+        Path("queries.jsonl").write_text('{"id": 1, "text": "alpha"}\n'
+                                         + (bad if kind == "queries" else ""))
+        Path("qrels.txt").write_text("1 1\n")
+        argv = {"stats": ["stats"], "search": ["search", "alpha"],
+                "eval": ["eval", "--queries", "queries.jsonl", "--qrels", "qrels.txt"],
+                "sweep": ["sweep", "--queries", "queries.jsonl", "--qrels", "qrels.txt",
+                          "--base", "10"]}[command]
+        code, out, err = run(capsys, *argv, "--docs", "docs.jsonl", "--format", "jsonl")
+        assert (code, out, err) == (
+            1, "", "error: line 2: record text holds a lone surrogate '\\ud800'\n")
+        assert not Path("out").exists()
 
 
 class TestUsageErrors:

@@ -11,6 +11,7 @@ from logbase_ir.collection_io import (
     RawDocument,
     RawQuery,
     document_records,
+    nonpositive_grades,
     parse_documents,
     parse_qrels,
     parse_queries,
@@ -182,6 +183,20 @@ class TestParseQrels:
     def test_empty(self):
         assert parse_qrels("") == {}
 
+    @pytest.mark.parametrize("content, fmt, count", [
+        ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "auto", 2),
+        ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "four", 2),
+        ("1 5 0\n1 6 0.0\n1 7 x\n1 8 1\n", "auto", 2),  # "x" is not a number
+        ("1 5 0\n1 6 0\n", "three", 2),
+        ("1 5 0 0\n1 6 0 0\n", "auto", 0),  # CISI: query doc x x, no grade
+        ("1 5 0 0\n1 0 6 0\n", "four", 0),  # second column not all "0"
+        ("1 0\n1 6\n", "two", 0),
+        ("1 0 0\n/\n", "idlist", 0),
+    ])
+    def test_nonpositive_grades(self, content, fmt, count):
+        # counted only: parse_qrels keeps every listed pair relevant
+        assert nonpositive_grades(content, fmt) == count
+
 
 ids = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=30, unique=True)
 texts = st.lists(st.text(max_size=60), min_size=1, max_size=30)
@@ -288,6 +303,15 @@ class TestJsonlRoundTrip:
     def test_smart_to_jsonl_round_trip(self):
         docs = parse_documents(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta", "smart")
         assert parse_documents(jsonl(docs), "jsonl") == docs
+
+    def test_lone_surrogate_in_text_is_parse_error(self):
+        # valid JSON, but no UTF-8 text can hold it: a document's failed
+        # later naming no line, and a query's was accepted
+        content = '{"id": 1, "text": "a"}\n{"id": 2, "text": "alpha \\ud800 beta"}\n'
+        for parse in (lambda c: parse_documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
+            with pytest.raises(ParseError, match=r"^line 2: record text holds a lone "
+                                                 r"surrogate '\\ud800'$"):
+                parse(content)
 
 
 # Fuzzing: on any text, a parser returns records or raises ParseError with a

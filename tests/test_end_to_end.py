@@ -10,6 +10,7 @@ by path (``conftest.perfbench``), so nothing is written beside them.
 
 import builtins
 import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -303,7 +304,7 @@ NEAR_TIE_SHA256 = {
     },
     "sweep": {
         "stdout": "b0b792d64b65b6ff7d633f04922966c9dde88cc1e755317883df77cb49a36b72",
-        "stderr": "3d5dd62de20a9154978bdca48b8b41ba1074e004cf58555634b534057707408c",
+        "stderr": "59e0b83b2bb80ba8d999788d1b9ae80719c6c61965206474ec308a19d7803d7b",
         "out/curve_map.csv": "fa3cd9095d775c052f2a4684ff78d5c7db407061477d7ef5033086b4cf3a4489",
         "out/curve_map_at_30.csv":
             "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
@@ -369,6 +370,47 @@ def test_resumed_sweep_plans_only_for_uncached_bases(capsys, tmp_path, monkeypat
     assert len(plans) == 2
     monkeypatch.setattr(Ranker, "plan", None)
     assert sweep() == "note: 0 distinct rankings to the cutoff across 0 bases; 0 fragile groups"
+
+
+# A JSONL collection of accented Latin, the Kelvin sign, dotted capital I,
+# ligatures, CJK and emoji, each beside ASCII words: every benchmark shape
+# is ASCII, so this one pins the tokenizer on text where every non-ASCII
+# character separates tokens, also those that lowercase to ASCII letters.
+NON_ASCII_DOCS = {
+    1: "Na\u00efve caf\u00e9 r\u00e9sum\u00e9: the \u00c5ngstr\u00f6m unit, 42 \u00c5 wide",
+    2: "\u212aelvin scale at 300 \u212a; KELVIN and kelvin in ASCII",
+    3: "\u0130stanbul and Istanbul, \u0131stanbul with a dotless i",
+    4: "\u6771\u4eac Tokyo 2020 \u306e caf\u00e9 \u4f1a\u8b70 r\u00e9sum\u00e9",
+    5: "rocket\U0001f680launch \U0001f680 na\u00efve emoji\U0001f44dok fine",
+    6: "\ufb01ne ligature \ufb01, superscript x\u00b2 and \u0663 three",
+}
+NON_ASCII_QUERIES = {
+    "cafe": "caf\u00e9 r\u00e9sum\u00e9 na\u00efve Tokyo",
+    "kelvin": "\u212aelvin \u0130stanbul \U0001f680 rocket fine",
+}
+# sha256 of the stdout and snapshot of ``index --save-index`` and of the
+# stdout of ``search -k 10`` for each query above
+NON_ASCII_SHA256 = {
+    "index": "149ec8f967338f4e6198976d513ce2a615c1e11d1e1d6b9a307e58123cee603f",
+    "x.idx": "86ba8d93b41602d801403527f0a827e67790beddafcf77aca9f94009bbc59ea1",
+    "search-cafe": "b9da01c42c7f626195f4d0c3f8260234a75be32f1345387256e9b9ef983b4323",
+    "search-kelvin": "5176ce934cee2d197951b4b527563b1e46dd080a2f9bdea4d9b2627800bd07b2",
+}
+
+
+def test_non_ascii_collection_keeps_its_bytes(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("docs.jsonl").write_text("".join(
+        json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
+        for i, t in NON_ASCII_DOCS.items()), encoding="utf-8")
+    written = {"index": run(capsys, "index", "--docs", "docs.jsonl", "--format", "jsonl",
+                            "--save-index", "x.idx").encode()}
+    written["x.idx"] = Path("x.idx").read_bytes()
+    for name, query in NON_ASCII_QUERIES.items():
+        written[f"search-{name}"] = run(capsys, "search", "--load-index", "x.idx", "-k", "10",
+                                        query).encode()
+    assert {name: hashlib.sha256(content).hexdigest()
+            for name, content in written.items()} == NON_ASCII_SHA256
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

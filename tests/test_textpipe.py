@@ -52,7 +52,13 @@ class TestTokenize:
         # the Kelvin sign lowercases to "k", and "İ" to "i" plus a combining dot
         assert tokenize("\u212aelvin \u0130stanbul") == ["elvin", "stanbul"]
 
-    @given(st.one_of(st.text(max_size=200), st.text(st.characters(max_codepoint=127))))
+    @given(st.one_of(
+        st.text(max_size=200),
+        st.text(st.characters(max_codepoint=127)),
+        # st.text() never draws a lone surrogate, which a JSON string can hold
+        st.text(st.one_of(st.characters(max_codepoint=127), st.characters(categories=["Cs"]),
+                          st.sampled_from("\u212a\u0130\u00e9\U0001f600")), max_size=60),
+    ))
     def test_runs_of_ascii_alphanumerics_lowercased(self, text):
         want = [piece.lower() for piece in re.findall("[A-Za-z0-9]+", text)]
         assert tokenize(text) == want
