@@ -23,6 +23,7 @@ flags always reproduce identical artifacts.
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from io import TextIOWrapper
 
 from .index import InvertedIndex, build_index, write_report
@@ -59,6 +60,18 @@ def _read(path: str, read=TextIOWrapper.read):
         raise _Exit(2, f"cannot read {path}: {e}") from e
     except UnicodeDecodeError as e:
         raise _Exit(1, f"{path}: not UTF-8: {e}") from e
+
+
+@contextmanager
+def _naming(path: str):
+    """A malformed record of the collection file at ``path`` (a
+    ``collection_io.ParseError`` raised within) exits 1 naming the file."""
+    from .collection_io import ParseError
+
+    try:
+        yield
+    except ParseError as e:
+        raise _Exit(1, f"{path}: {e}") from e
 
 
 _ALL = ("stats", "index", "search", "eval", "sweep")
@@ -186,7 +199,10 @@ class _Options:
 
 def _out_dir(opts: _Options) -> str:
     out = opts.get("out", "out")
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
     return out
 
 
@@ -245,14 +261,24 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
             yield doc_id, pipeline(text, stoplist)
 
     def build(f):
-        records = collection_io.document_records(collection_io.file_lines(f), fmt)
+        records = collection_io.parse_documents(collection_io.file_lines(f), fmt)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
-    return _read(docs, build), stoplist, text_bytes
+    with _naming(docs):
+        index = _read(docs, build)
+    return index, stoplist, text_bytes
 
 
-def _count(n: int, noun: str) -> str:
-    return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
+def _count(n: int, one: str, many: str | None = None) -> str:
+    """n and the words that follow it: ``one`` when n is 1, else ``many``,
+    by default ``one`` and an "s"."""
+    return f"{n} {one}" if n == 1 else f"{n} {many or one + 's'}"
+
+
+def _note(n: int, one: str, many: str) -> None:
+    """A stderr note on n things, worded as ``_count`` does; none for 0."""
+    if n:
+        print(f"note: {_count(n, one, many)}", file=sys.stderr)
 
 
 def cmd_index(opts: _Options) -> int:
@@ -286,35 +312,34 @@ def cmd_search(opts: _Options) -> int:
 def _eval_inputs(opts: _Options):
     """The index, judged queries and qrels of ``eval`` and ``sweep``; every
     input path is checked before any input is read. The judged queries are
-    ``{query_id: tokens}`` in query-file order; qrels naming a query the
-    file lacks, or no query at all, exit 1. Judged pairs graded <= 0, judged
-    doc ids absent from the collection, then unjudged queries, are noted on
-    stderr."""
+    ``{query_id: tokens}`` in query-file order. A malformed file exits 1
+    naming it, as do qrels naming a query the file lacks, or no query at
+    all. Judged pairs graded <= 0, judged doc ids absent from the
+    collection, then unjudged queries, are noted on stderr."""
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts)
-    queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
+    with _naming(queries_path):
+        queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
     # the qrels format is checked by _eval_options
     qrels_text, qrels_format = _read(qrels_path), opts.get("qrels_format", "auto")
-    qrels = collection_io.parse_qrels(qrels_text, qrels_format)
+    with _naming(qrels_path):
+        qrels = collection_io.parse_qrels(qrels_text, qrels_format)
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
-    unknown = sorted(qrels.keys() - {q.query_id for q in queries})
+    unknown = sorted(qrels.keys() - queries.keys())
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
-    graded = collection_io.nonpositive_grades(qrels_text, qrels_format)
-    if graded:
-        print(f"note: {graded} judged pairs have a grade <= 0 and count as relevant",
-              file=sys.stderr)
-    absent = set().union(*qrels.values()) - index.norms.keys()
-    if absent:
-        print(f"note: {len(absent)} judged doc ids are not in the collection", file=sys.stderr)
-    dropped = len(queries) - len(qrels)  # the qrels name known queries only
-    if dropped:
-        print(f"note: {dropped} queries have no judgments and are skipped", file=sys.stderr)
-    query_tokens = {q.query_id: pipeline(q.text, stoplist) for q in queries
-                    if q.query_id in qrels}
+    _note(collection_io.nonpositive_grades(qrels_text, qrels_format),
+          "judged pair has a grade <= 0 and counts as relevant",
+          "judged pairs have a grade <= 0 and count as relevant")
+    _note(len(set().union(*qrels.values()) - index.norms.keys()),
+          "judged doc id is not in the collection", "judged doc ids are not in the collection")
+    _note(len(queries) - len(qrels),  # the qrels name known queries only
+          "query has no judgments and is skipped", "queries have no judgments and are skipped")
+    query_tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items()
+                    if qid in qrels}
     return index, query_tokens, qrels
 
 

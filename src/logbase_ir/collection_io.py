@@ -9,11 +9,11 @@ Documents and queries arrive in one of three incompatible native layouts:
   asterisks; queries are ``<id>`` then text terminated by a ``#`` line.
 
 Each format has one reader, a generator of (line, id, text) records over an
-iterable of lines, so a collection file can be streamed a record at a time
-(``file_lines``, ``document_records``). Lines end at "\n" and "\r\n" only
-(``textpipe.split_lines``). One check, ``_unique``, rejects a repeated id at
-its line for every format; ``parse_documents`` and ``parse_queries`` collect
-a whole text into RawDocument / RawQuery lists.
+iterable of lines. ``parse_documents`` streams a document file's
+(doc_id, text) records from its lines (``file_lines``), a record at a time;
+``parse_queries`` reads a whole query file into ``{query_id: text}`` in file
+order. Lines end at "\n" and "\r\n" only (``textpipe.split_lines``). One
+check, ``_unique``, rejects a repeated id at its line for every format.
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -22,7 +22,7 @@ import json
 from collections.abc import Iterable, Iterator
 from functools import partial
 from itertools import chain
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .textpipe import split_lines
 
@@ -33,16 +33,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-class RawDocument(NamedTuple):
-    doc_id: int
-    text: str
-
-
-class RawQuery(NamedTuple):
-    query_id: int
-    text: str
 
 
 # query_id -> set of relevant doc_ids
@@ -206,7 +196,7 @@ def _jsonl(lines: Iterable[str]) -> Records:
         except (ValueError, KeyError, TypeError, RecursionError):
             # ValueError: malformed JSON, or an integer past the digit limit;
             # RecursionError: nesting deeper than the decoder's stack
-            raise ParseError("bad JSON document record", lineno) from None
+            raise ParseError("bad JSON record", lineno) from None
         if not isinstance(doc_id, int) or isinstance(doc_id, bool):
             raise ParseError(f"record id must be an integer, got {doc_id!r}", lineno)
         if not isinstance(text, str):
@@ -238,8 +228,10 @@ _QUERY_READERS = {
 DOC_FORMATS = tuple(_DOC_READERS)
 
 
-def document_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, str]]:
-    """The (doc_id, text) records of a document file's lines, read lazily."""
+def parse_documents(lines: Iterable[str], format: str) -> Iterator[tuple[int, str]]:
+    """The (doc_id, text) records of a document file's lines, read lazily;
+    SMART documents take their text from the ``.T`` and ``.W`` sections. An
+    unknown format fails at the call."""
     try:
         reader = _DOC_READERS[format]
     except KeyError:
@@ -247,19 +239,14 @@ def document_records(lines: Iterable[str], format: str) -> Iterator[tuple[int, s
     return _unique(reader(lines))
 
 
-def parse_documents(content: str, format: str) -> list[RawDocument]:
-    """Parse a document file; SMART documents take their text from the
-    ``.T`` and ``.W`` sections, in record order."""
-    return [RawDocument(i, t) for i, t in document_records(split_lines(content), format)]
-
-
-def parse_queries(content: str, format: str = "smart") -> list[RawQuery]:
-    """Parse a query file; SMART queries take their text from ``.W`` only."""
+def parse_queries(content: str, format: str = "smart") -> dict[int, str]:
+    """A query file's ``{query_id: text}``, in file order; SMART queries take
+    their text from ``.W`` only."""
     try:
         reader = _QUERY_READERS[format]
     except KeyError:
         raise ValueError(f"unknown query format {format!r}") from None
-    return [RawQuery(i, t) for i, t in _unique(reader(split_lines(content)))]
+    return dict(_unique(reader(split_lines(content))))
 
 
 QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")

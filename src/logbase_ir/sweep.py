@@ -19,7 +19,7 @@ import math
 import sys
 from array import array
 from contextlib import nullcontext
-from decimal import Decimal, Inexact, InvalidOperation, localcontext
+from decimal import Decimal, Inexact, InvalidOperation, getcontext, localcontext
 from itertools import chain
 from operator import itemgetter
 
@@ -99,7 +99,16 @@ class BaseGrid:
 
     @classmethod
     def single(cls, base: Decimal) -> "BaseGrid":
-        return cls(base, base, Decimal("0.1"))
+        """The grid of ``base`` alone. Its step only ends ``values()``: a unit
+        of the base's last digit, no coarser than the default grid's 0.1
+        (which gives the label one decimal) unless the base is too large for
+        a tenth within Decimal's digits, so the step's sum is always exact."""
+        if not base.is_finite():
+            return cls(base, base, Decimal("0.1"))
+        exponent = base.as_tuple().exponent
+        if base.adjusted() + 2 <= getcontext().prec:  # base + 0.1 is exact
+            exponent = min(exponent, -1)
+        return cls(base, base, Decimal(1).scaleb(exponent))
 
     @classmethod
     def parse(cls, spec: str) -> "BaseGrid":

@@ -30,7 +30,7 @@ from logbase_ir.index import build_index
 from logbase_ir.porter import stem
 from logbase_ir.retrieval import RankedList, Ranker
 from logbase_ir.sweep import BaseGrid, emit_csv, render_table, run_sweep, top_k_report
-from logbase_ir.textpipe import default_stoplist, pipeline
+from logbase_ir.textpipe import default_stoplist, pipeline, split_lines
 from logbase_ir.weighting import WeightScheme
 
 from conftest import data_dir, find_collection_file
@@ -72,6 +72,11 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} {name}: PASS")
 
 
+def _documents(content: str, fmt: str) -> list[tuple[int, str]]:
+    """The (doc_id, text) records of a whole document file's text."""
+    return list(parse_documents(split_lines(content), fmt))
+
+
 def _read(path: Path) -> str:
     return path.read_text(encoding="utf-8", errors="replace")
 
@@ -90,10 +95,10 @@ def _load_collection(name: str):
                 p for p in base.rglob("LISA?.*") if p.is_file() and p.suffix != ".num"
             )
         if chunks:
-            return parse_documents("\n".join(_read(c) for c in chunks), fmt), fmt
+            return _documents("\n".join(_read(c) for c in chunks), fmt), fmt
     if path is None:
         pytest.skip(f"{name} collection files not available")
-    return parse_documents(_read(path), fmt), fmt
+    return _documents(_read(path), fmt), fmt
 
 
 @lru_cache(maxsize=1)
@@ -104,8 +109,8 @@ def _med_setup():
     if not (docs_path and queries_path and qrels_path):
         return None
     stoplist = default_stoplist()
-    docs = parse_documents(_read(docs_path), "smart")
-    index = build_index([(d.doc_id, pipeline(d.text, stoplist)) for d in docs])
+    docs = _documents(_read(docs_path), "smart")
+    index = build_index([(i, pipeline(t, stoplist)) for i, t in docs])
     queries = parse_queries(_read(queries_path), "smart")
     qrels = parse_qrels(_read(qrels_path), "auto")
     return stoplist, index, queries, qrels
@@ -152,7 +157,7 @@ def test_criterion_3_collection_ingestion(name):
             f"expected {EXPECTED_DOC_COUNTS[name]}"
         )
         stoplist = default_stoplist()
-        index = build_index([(d.doc_id, pipeline(d.text, stoplist)) for d in docs])
+        index = build_index([(i, pipeline(t, stoplist)) for i, t in docs])
         # term counts are pipeline-dependent: reported, not asserted
         print(f"{name}: {len(index.dictionary)} distinct terms after the pipeline")
 
@@ -236,10 +241,10 @@ def test_criterion_5_base_invariance_med():
         if setup is None:
             pytest.skip("MED collection files not available")
         stoplist, index, queries, qrels = setup
-        judged = [q for q in queries if q.query_id in qrels][:10]
+        judged = [qid for qid in queries if qid in qrels][:10]
         assert len(judged) == 10
-        tokens = {q.query_id: pipeline(q.text, stoplist) for q in judged}
-        sub_qrels = {q.query_id: qrels[q.query_id] for q in judged}
+        tokens = {qid: pipeline(queries[qid], stoplist) for qid in judged}
+        sub_qrels = {qid: qrels[qid] for qid in judged}
         bases = _sample_bases(random.Random(99))
         reference = None
         reference_summary = None
@@ -308,7 +313,7 @@ def test_criterion_6_med_sweep_wall_time():
             pytest.skip("set LOGBASE_IR_RUN_SLOW=1 to run the full MED sweep")
         stoplist, index, queries, qrels = setup
         start = time.perf_counter()
-        tokens = {q.query_id: pipeline(q.text, stoplist) for q in queries if q.query_id in qrels}
+        tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items() if qid in qrels}
         result = run_sweep(index, tokens, qrels)
         elapsed = time.perf_counter() - start
         assert len(result.per_base) == 999

@@ -108,7 +108,7 @@ class TestStatsAndIndex:
         docs.write_bytes(b".I 1\r.W\rhello world\n.I 2\n.W\nfoo\n")
         code, out, err = run(capsys, "stats", "--docs", docs)
         assert (code, out) == (1, "")
-        assert err == "error: line 1: bad .I record id '1\\r.W\\rhello world'\n"
+        assert err == f"error: {docs}: line 1: bad .I record id '1\\r.W\\rhello world'\n"
 
     def test_non_utf8_docs_is_domain_error(self, capsys, tmp_path):
         docs = tmp_path / "latin1.all"
@@ -547,10 +547,10 @@ class TestEval:
         code, out, err = run(capsys, "eval", *args, "--out", tmp_path / "out")
         assert code == 0
         assert "map 0.068182" in out
-        assert "note: 1 judged doc ids are not in the collection" in err.splitlines()
+        assert "note: 1 judged doc id is not in the collection" in err.splitlines()
         code, _, err = run(capsys, "sweep", *args, "--base", "10", "--out", tmp_path / "sw")
         assert code == 0
-        assert "note: 1 judged doc ids are not in the collection" in err.splitlines()
+        assert "note: 1 judged doc id is not in the collection" in err.splitlines()
 
     def test_all_judged_doc_ids_present_gives_no_note(self, capsys, collection, tmp_path):
         code, _, err = run(
@@ -562,7 +562,7 @@ class TestEval:
             "--out", tmp_path / "out",
         )
         assert code == 0
-        assert "judged doc ids" not in err
+        assert "judged doc id" not in err
 
     def test_unjudged_queries_are_noted_and_skipped(self, capsys, tmp_path):
         docs = tmp_path / "two.all"
@@ -572,7 +572,7 @@ class TestEval:
         qrels = tmp_path / "one.rel"
         qrels.write_text("1 1\n1 999\n")  # doc 999 is not in the collection
         args = ["--docs", docs, "--queries", queries, "--qrels", qrels]
-        notes = ["note: 1 judged doc ids are not in the collection",
+        notes = ["note: 1 judged doc id is not in the collection",
                  "note: 2 queries have no judgments and are skipped"]
         out, run_path = tmp_path / "out", tmp_path / "run.tsv"
         code, _, err = run(capsys, "eval", *args, "--out", out, "--save-run", run_path)
@@ -585,6 +585,22 @@ class TestEval:
         assert code == 0
         assert err.splitlines() == [
             *notes, "note: 1 distinct ranking to the cutoff across 1 base; 0 fragile groups"]
+
+    def test_notes_of_one_are_worded_in_the_singular(self, capsys, tmp_path):
+        docs = tmp_path / "two.all"
+        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n")
+        queries = tmp_path / "two.qry"
+        queries.write_text(".I 1\n.W\napple banana\n.I 2\n.W\ncherry\n")
+        qrels = tmp_path / "one.rel"
+        qrels.write_text("1 1 1\n1 2 0\n1 999 1\n")  # doc 2 graded 0, doc 999 absent
+        notes = ["note: 1 judged pair has a grade <= 0 and counts as relevant",
+                 "note: 1 judged doc id is not in the collection",
+                 "note: 1 query has no judgments and is skipped"]
+        args = ["--docs", docs, "--queries", queries, "--qrels", qrels]
+        for command, extra in (("eval", []), ("sweep", ["--base", "10"])):
+            code, _, err = run(capsys, command, *args, *extra, "--out", tmp_path / command)
+            assert code == 0
+            assert err.splitlines()[:3] == notes
 
     @pytest.mark.parametrize("qrels, graded", [
         ("1 0 1 1\n1 0 2 0\n1 0 3 -1\n", 2),   # TREC: query 0 doc grade
@@ -774,6 +790,20 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert len(rows) == 2
         assert rows[1].startswith("10.0,")
+
+    @pytest.mark.parametrize("base", ["1e30", "1e-30"])
+    def test_base_far_from_one_runs_as_eval_does(self, capsys, collection, tmp_path, base):
+        # a single base was stepped by 0.1, whose sum with these bases needs
+        # more than Decimal's 28 digits, so sweep exited 2 where eval ran
+        code, _, err = run(capsys, *self.sweep_args(collection, tmp_path / "sw"), "--base", base)
+        assert code == 0, err
+        code, _, err = run(capsys, "eval", *self.sweep_args(collection, tmp_path / "ev")[1:],
+                           "--base", base)
+        assert code == 0, err
+        swept = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+        evaluated = (tmp_path / "ev" / "eval.csv").read_text().splitlines()
+        assert len(swept) == len(evaluated) == 2
+        assert swept[1].split(",")[1:] == evaluated[1].split(",")[1:]
 
 
 LISA_END = "*" * 44
@@ -987,6 +1017,40 @@ class TestErrorExits:
         assert (code, out, err) == (2, "", "error: cannot write o7: Is a directory\n")
         assert os.listdir("o7") == []
 
+    @pytest.mark.parametrize("fmt, bad, content, message", [
+        ("jsonl", "d", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),
+        ("jsonl", "q", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),
+        ("smart", "q", ".I x\n.W\nzebra\n", "line 1: bad .I record id 'x'"),
+        ("smart", "r", "1 0 1 1 1\n", "line 1: cannot infer qrels layout from 5 columns"),
+    ], ids=["docs", "queries", "smart-queries", "qrels"])
+    def test_malformed_file_is_named(self, capsys, tmp_path, monkeypatch, fmt, bad, content,
+                                     message):
+        # a parse fault named a line but no file, and a query a document
+        monkeypatch.chdir(tmp_path)
+        good = {"jsonl": '{"id": 1, "text": "zebra"}\n', "smart": ".I 1\n.W\nzebra\n"}[fmt]
+        for name, text in (("d", good), ("q", good), ("r", "1 1\n")):
+            Path(name).write_text(content if name == bad else text)
+        for command in ("eval", "sweep"):
+            code, out, err = run(capsys, command, "--docs", "d", "--queries", "q", "--qrels", "r",
+                                 "--format", fmt, "--base", "10")
+            assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
+        assert not Path("out").exists()
+
+    @pytest.mark.parametrize("out, message", [
+        ("afile", "afile: File exists"),
+        ("afile/sub", "afile/sub: Not a directory"),
+    ])
+    def test_out_that_cannot_be_a_directory(self, capsys, collection, tmp_path, monkeypatch,
+                                            out, message):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        for command in ("eval", "sweep"):
+            code, stdout, err = run(capsys, command, "--docs", collection["docs"], "--queries",
+                                    collection["queries"], "--qrels", collection["qrels"],
+                                    "--base", "10", "--out", out)
+            assert (code, stdout, err) == (
+                2, "", f"error: cannot create output directory {message}\n")
+
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1019,7 +1083,7 @@ class TestErrorExits:
         docs = tmp_path / "docs.jsonl"
         docs.write_text(record + "\n")
         code, out, err = run(capsys, "stats", "--docs", docs, "--format", "jsonl")
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert (code, out, err) == (1, "", f"error: {docs}: {message}\n")
 
     @pytest.mark.parametrize("command, kind", [
         ("stats", "docs"), ("search", "docs"), ("eval", "docs"), ("sweep", "docs"),
@@ -1042,7 +1106,7 @@ class TestErrorExits:
                           "--base", "10"]}[command]
         code, out, err = run(capsys, *argv, "--docs", "docs.jsonl", "--format", "jsonl")
         assert (code, out, err) == (
-            1, "", "error: line 2: record text holds a lone surrogate '\\ud800'\n")
+            1, "", f"error: {kind}.jsonl: line 2: record text holds a lone surrogate '\\ud800'\n")
         assert not Path("out").exists()
 
 

@@ -8,106 +8,107 @@ from logbase_ir.collection_io import (
     DOC_FORMATS,
     QRELS_FORMATS,
     ParseError,
-    RawDocument,
-    RawQuery,
-    document_records,
     nonpositive_grades,
     parse_documents,
     parse_qrels,
     parse_queries,
 )
+from logbase_ir.textpipe import split_lines
 
 
-def jsonl(docs: list[RawDocument]) -> str:
-    """The canonical JSON-lines form of documents, one object per line."""
+def documents(content: str, fmt: str) -> list[tuple[int, str]]:
+    """The (doc_id, text) records of a whole document file's text."""
+    return list(parse_documents(split_lines(content), fmt))
+
+
+def jsonl(records: list[tuple[int, str]]) -> str:
+    """The canonical JSON-lines form of records, one object per line."""
     return "".join(
-        json.dumps({"id": d.doc_id, "text": d.text}, ensure_ascii=False) + "\n" for d in docs
+        json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n" for i, t in records
     )
 
 
 class TestParseSmart:
     def test_two_documents(self):
         content = ".I 1\n.W\nhello world\n.I 2\n.W\nfoo"
-        assert parse_documents(content, "smart") == [
-            RawDocument(1, "hello world"),
-            RawDocument(2, "foo"),
+        assert documents(content, "smart") == [
+            (1, "hello world"),
+            (2, "foo"),
         ]
 
     def test_title_and_body_joined(self):
         content = ".I 3\n.T\ntitle\n.W\nbody"
-        assert parse_documents(content, "smart") == [RawDocument(3, "title body")]
+        assert documents(content, "smart") == [(3, "title body")]
 
     def test_other_sections_discarded(self):
         content = ".I 7\n.T\nt\n.A\nauthor x\n.B\njournal 1999\n.W\nw\n.X\n1 2 3"
-        assert parse_documents(content, "smart") == [RawDocument(7, "t w")]
+        assert documents(content, "smart") == [(7, "t w")]
 
     def test_empty_file(self):
-        assert parse_documents("", "smart") == []
+        assert documents("", "smart") == []
 
     def test_document_with_no_sections(self):
-        assert parse_documents(".I 4", "smart") == [RawDocument(4, "")]
+        assert documents(".I 4", "smart") == [(4, "")]
 
     def test_multiline_sections_whitespace_normalized(self):
         content = ".I 1\n.W\n  line one\n\tline   two\n"
-        assert parse_documents(content, "smart") == [RawDocument(1, "line one line two")]
+        assert documents(content, "smart") == [(1, "line one line two")]
 
     def test_bad_id_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
-            parse_documents(".I 1\n.W\n.I x\n", "smart")
+            documents(".I 1\n.W\n.I x\n", "smart")
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_documents(".I 1\n.W\na\n.I 1\n.W\nb", "smart")
+            documents(".I 1\n.W\na\n.I 1\n.W\nb", "smart")
 
     def test_count_equals_marker_count(self):
         content = "".join(f".I {i}\n.W\nword{i}\n" for i in range(1, 42))
-        docs = parse_documents(content, "smart")
+        docs = documents(content, "smart")
         assert len(docs) == content.count(".I ")
 
     def test_dot_line_that_is_not_a_marker_is_content(self):
-        assert parse_documents(".I 1\n.W\n.5 percent solution", "smart") == [
-            RawDocument(1, ".5 percent solution")
+        assert documents(".I 1\n.W\n.5 percent solution", "smart") == [
+            (1, ".5 percent solution")
         ]
 
 
 class TestParseQueries:
     def test_single(self):
-        assert parse_queries(".I 1\n.W\nwhat is x") == [RawQuery(1, "what is x")]
+        assert parse_queries(".I 1\n.W\nwhat is x") == {1: "what is x"}
 
     def test_empty_file(self):
-        assert parse_queries("") == []
+        assert parse_queries("") == {}
 
     def test_only_w_sections_kept(self):
         content = ".I 2\n.T\nignored title\n.W\nthe question"
-        assert parse_queries(content) == [RawQuery(2, "the question")]
+        assert parse_queries(content) == {2: "the question"}
 
     def test_jsonl_format(self):
-        assert parse_queries('{"id": 9, "text": "q"}\n', format="jsonl") == [
-            RawQuery(9, "q")
-        ]
+        assert parse_queries('{"id": 9, "text": "q"}\n', format="jsonl") == {9: "q"}
 
 
 class TestParseNpl:
     CONTENT = "1\nenergy levels in gases\n/\n2\nmicrowave spectroscopy\n  /\n"
 
     def test_documents(self):
-        assert parse_documents(self.CONTENT, "npl") == [
-            RawDocument(1, "energy levels in gases"),
-            RawDocument(2, "microwave spectroscopy"),
+        assert documents(self.CONTENT, "npl") == [
+            (1, "energy levels in gases"),
+            (2, "microwave spectroscopy"),
         ]
 
     def test_id_on_text_line(self):
-        assert parse_documents("3 compact text\n/\n", "npl") == [RawDocument(3, "compact text")]
+        assert documents("3 compact text\n/\n", "npl") == [(3, "compact text")]
 
     def test_queries_via_format_flag(self):
-        assert parse_queries(self.CONTENT, format="npl") == [
-            RawQuery(1, "energy levels in gases"),
-            RawQuery(2, "microwave spectroscopy"),
-        ]
+        assert parse_queries(self.CONTENT, format="npl") == {
+            1: "energy levels in gases",
+            2: "microwave spectroscopy",
+        }
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError, match="duplicate"):
-            parse_documents("1\na\n/\n1\nb\n/\n", "npl")
+            documents("1\na\n/\n1\nb\n/\n", "npl")
 
 
 class TestParseLisa:
@@ -119,17 +120,17 @@ class TestParseLisa:
     )
 
     def test_documents(self):
-        assert parse_documents(self.CONTENT, "lisa") == [
-            RawDocument(1, "LIBRARY AUTOMATION. the effects of automation."),
-            RawDocument(2, "CATALOGUING RULES."),
+        assert documents(self.CONTENT, "lisa") == [
+            (1, "LIBRARY AUTOMATION. the effects of automation."),
+            (2, "CATALOGUING RULES."),
         ]
 
     def test_queries_hash_terminated(self):
         content = "1\nWHAT IS AUTOMATION\nIN LIBRARIES #\n2\nSECOND QUERY#\n"
-        assert parse_queries(content, "lisa") == [
-            RawQuery(1, "WHAT IS AUTOMATION IN LIBRARIES"),
-            RawQuery(2, "SECOND QUERY"),
-        ]
+        assert parse_queries(content, "lisa") == {
+            1: "WHAT IS AUTOMATION IN LIBRARIES",
+            2: "SECOND QUERY",
+        }
 
 
 class TestParseQrels:
@@ -206,7 +207,7 @@ SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 
 
 @pytest.mark.parametrize("parse, message", [
-    (lambda: document_records([], "bogus"), "unknown document format 'bogus'"),
+    (lambda: parse_documents([], "bogus"), "unknown document format 'bogus'"),
     (lambda: parse_queries("", "bogus"), "unknown query format 'bogus'"),
     (lambda: parse_qrels("", "bogus"), "unknown qrels format 'bogus'"),
 ], ids=["documents", "queries", "qrels"])
@@ -222,14 +223,14 @@ class TestLineBreaks:
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator_inside_a_smart_record(self, sep):
         content = f".I 1\n.W\nabc{sep}.I 2\n"
-        assert parse_documents(content, "smart") == [RawDocument(1, "abc .I 2")]
+        assert documents(content, "smart") == [(1, "abc .I 2")]
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_error_line_as_an_editor_counts(self, sep):
         with pytest.raises(ParseError, match="line 4"):
-            parse_documents(f".I 1\n.W\na{sep}b\n.I x\n", "smart")
+            documents(f".I 1\n.W\na{sep}b\n.I x\n", "smart")
         with pytest.raises(ParseError, match="line 3"):
-            parse_documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
+            documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n", "two")
 
@@ -259,16 +260,16 @@ class TestLineBreaks:
 
     def test_smart_whitespace_lines_and_markers(self):
         content = self.SMART_WHITESPACE
-        assert parse_documents(content, "smart") == [
-            RawDocument(1, "a title body\t text more text"),
-            RawDocument(2, "second"),
-            RawDocument(3, ""),
+        assert documents(content, "smart") == [
+            (1, "a title body\t text more text"),
+            (2, "second"),
+            (3, ""),
         ]
-        assert parse_queries(content, "smart") == [
-            RawQuery(1, "body\t text more text"), RawQuery(2, "second"), RawQuery(3, "")
-        ]
+        assert parse_queries(content, "smart") == {
+            1: "body\t text more text", 2: "second", 3: ""
+        }
 
-    @pytest.mark.parametrize("parse", [parse_documents, parse_queries])
+    @pytest.mark.parametrize("parse", [documents, parse_queries])
     @pytest.mark.parametrize("tail,message", [
         ("\x0c\n.I 1\n", "line 25: duplicate record id 1"),
         ("　\n.I 4\t\tx\n", "line 25: bad .I record id '4\\t\\tx'"),
@@ -283,32 +284,32 @@ class TestLineBreaks:
         assert str(e.value) == "line 3: section .W before any .I record"
 
     def test_crlf(self):
-        assert parse_documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n", "smart") == [
-            RawDocument(1, "abc"), RawDocument(2, "")
+        assert documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n", "smart") == [
+            (1, "abc"), (2, "")
         ]
-        assert parse_documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [RawDocument(3, "text")]
+        assert documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [(3, "text")]
         assert parse_qrels("1 2\r\n1 3\r\n") == {1: {2, 3}}
 
 
 class TestJsonlRoundTrip:
     @given(ids=ids, texts=texts)
     def test_round_trip(self, ids, texts):
-        docs = [RawDocument(i, t) for i, t in zip(ids, texts)]
-        assert parse_documents(jsonl(docs), "jsonl") == docs
+        docs = list(zip(ids, texts))
+        assert documents(jsonl(docs), "jsonl") == docs
 
     def test_bad_record_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_documents('{"id": 1, "text": "a"}\n{"id": "x"}\n', "jsonl")
+            documents('{"id": 1, "text": "a"}\n{"id": "x"}\n', "jsonl")
 
     def test_smart_to_jsonl_round_trip(self):
-        docs = parse_documents(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta", "smart")
-        assert parse_documents(jsonl(docs), "jsonl") == docs
+        docs = documents(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta", "smart")
+        assert documents(jsonl(docs), "jsonl") == docs
 
     def test_lone_surrogate_in_text_is_parse_error(self):
         # valid JSON, but no UTF-8 text can hold it: a document's failed
         # later naming no line, and a query's was accepted
         content = '{"id": 1, "text": "a"}\n{"id": 2, "text": "alpha \\ud800 beta"}\n'
-        for parse in (lambda c: parse_documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
+        for parse in (lambda c: documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
             with pytest.raises(ParseError, match=r"^line 2: record text holds a lone "
                                                  r"surrogate '\\ud800'$"):
                 parse(content)
@@ -348,7 +349,7 @@ def one_record_of(kind, fmt):
     if kind == "queries":
         template = "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
         return lambda c: parse_queries(c, fmt), template
-    return lambda c: parse_documents(c, fmt), RECORDS[fmt]
+    return lambda c: documents(c, fmt), RECORDS[fmt]
 
 
 RECORDS = {
@@ -359,11 +360,38 @@ RECORDS = {
 }
 
 
+@pytest.mark.parametrize("fmt", DOC_FORMATS)
+def test_documents_stream_a_record_at_a_time(fmt):
+    # the first record comes before the reader takes more than the line
+    # that ends it, however long the file
+    record = RECORDS[fmt]
+    lines = split_lines("".join(record.format(i) for i in range(1, 1001)))
+    taken = 0
+
+    def counted():
+        nonlocal taken
+        for line in lines:
+            taken += 1
+            yield line
+
+    records = parse_documents(counted(), fmt)
+    assert taken == 0
+    assert next(records) == (1, "t w" if fmt == "smart" else "w")
+    assert taken <= record.count("\n") + 1
+
+
+@pytest.mark.parametrize("fmt", DOC_FORMATS)
+def test_queries_keep_file_order(fmt):
+    template = "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
+    ids = [5, 2, 9, 1, 7]
+    assert list(parse_queries("".join(map(template.format, ids)), fmt)) == ids
+
+
 class TestFuzz:
     @pytest.mark.parametrize("fmt", DOC_FORMATS)
     @given(content=fuzz_text)
     def test_document_parsers(self, fmt, content):
-        parses_or_parse_error(lambda c: parse_documents(c, fmt), content)
+        parses_or_parse_error(lambda c: documents(c, fmt), content)
 
     @pytest.mark.parametrize("fmt", DOC_FORMATS)
     @given(content=fuzz_text)
@@ -395,14 +423,13 @@ class TestFuzz:
 
     @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
     def test_jsonl_round_trips_exactly(self, records):
-        docs = [RawDocument(i, t) for i, t in records]
-        content = jsonl(docs)
-        assert parse_documents(content, "jsonl") == docs
-        assert parse_queries(content, "jsonl") == [RawQuery(i, t) for i, t in records]
+        content = jsonl(records)
+        assert documents(content, "jsonl") == records
+        assert list(parse_queries(content, "jsonl").items()) == records
 
     def test_deep_nesting_is_parse_error(self):
         # 200,000 '[' used to end in a RecursionError traceback
-        for parse in (lambda c: parse_documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
+        for parse in (lambda c: documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
             with pytest.raises(ParseError, match="line 2"):
                 parse('{"id": 1, "text": "a"}\n' + "[" * 200_000)
 
@@ -414,4 +441,4 @@ class TestFuzz:
     def test_integer_past_the_digit_limit_is_parse_error(self):
         # a plain ValueError without a line number before
         with pytest.raises(ParseError, match="line 1"):
-            parse_documents('{"id": 1' + "0" * 5000 + ', "text": "a"}', "jsonl")
+            documents('{"id": 1' + "0" * 5000 + ', "text": "a"}', "jsonl")

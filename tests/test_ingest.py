@@ -13,7 +13,6 @@ from logbase_ir.cli import main
 from logbase_ir.collection_io import (
     DOC_FORMATS,
     ParseError,
-    document_records,
     file_lines,
     parse_documents,
 )
@@ -44,9 +43,9 @@ def test_stream_gives_the_records_and_errors_of_the_whole_text(fmt, content):
         except ParseError as e:
             return str(e)
 
-    whole = outcome(lambda: ((d.doc_id, d.text) for d in parse_documents(content, fmt)))
+    whole = outcome(lambda: parse_documents(split_lines(content), fmt))
     lines = file_lines(io.StringIO(content, newline=""), 4)
-    assert outcome(lambda: document_records(lines, fmt)) == whole
+    assert outcome(lambda: parse_documents(lines, fmt)) == whole
 
 
 def test_index_peak_memory_is_a_few_snapshots(tmp_path, capsys):
