@@ -13,14 +13,17 @@ a usage error; a key of another subcommand is ignored, so one file can serve
 several commands. A flag's value and a config value are the same text,
 converted by the same cast, and an empty one is a usage error. Of two
 mutually exclusive options (--base and --grid of ``sweep``, --docs and
---load-index of ``search``), a flag outranks both keys. Every option is
-checked before any input but the config file is read. Exit codes: 0 on
+--load-index of ``search``), a flag outranks both keys. Every option, --out
+too (created after), is checked before any input but the config file is
+read. A --base has one check (``_scheme``) and one report label, ``str`` of
+its float; only a --grid goes through ``sweep.BaseGrid``. Exit codes: 0 on
 success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
 errors. The pipeline has no randomness anywhere, so identical inputs and
 flags always reproduce identical artifacts.
 """
 
 import argparse
+import errno
 import os
 import sys
 from contextlib import contextmanager
@@ -198,12 +201,22 @@ class _Options:
 
 
 def _out_dir(opts: _Options) -> str:
+    """The --out directory, which ``_eval_inputs`` creates once the inputs
+    are read. Where ``os.makedirs`` must fail (a component of the path is a
+    non-directory, or its nearest existing ancestor is not a writable
+    directory) it exits 2 now, with the reason ``os.makedirs`` gives."""
     out = opts.get("out", "out")
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
-    return out
+    path = head = out.rstrip(os.sep) or os.sep
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    head = head or os.curdir
+    if not os.path.isdir(head):
+        fault = errno.EEXIST if head == path else errno.ENOTDIR
+    elif head != path and not os.access(head, os.W_OK | os.X_OK):
+        fault = errno.EACCES
+    else:
+        return out
+    raise _Exit(2, f"cannot create output directory {out}: {os.strerror(fault)}")
 
 
 def _stoplist(opts: _Options) -> frozenset[str]:
@@ -310,14 +323,16 @@ def cmd_search(opts: _Options) -> int:
 
 
 def _eval_inputs(opts: _Options):
-    """The index, judged queries and qrels of ``eval`` and ``sweep``; every
-    input path is checked before any input is read. The judged queries are
-    ``{query_id: tokens}`` in query-file order. A malformed file exits 1
+    """The output directory, index, judged queries and qrels of ``eval`` and
+    ``sweep``. --out (``_out_dir``) and every input path are checked before
+    any input is read; the directory is created after. The judged queries
+    are ``{query_id: tokens}`` in query-file order. A malformed file exits 1
     naming it, as do qrels naming a query the file lacks, or no query at
     all. Judged pairs graded <= 0, judged doc ids absent from the
     collection, then unjudged queries, are noted on stderr."""
     from . import collection_io
 
+    out = _out_dir(opts)
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts)
     with _naming(queries_path):
@@ -340,7 +355,11 @@ def _eval_inputs(opts: _Options):
           "query has no judgments and is skipped", "queries have no judgments and are skipped")
     query_tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items()
                     if qid in qrels}
-    return index, query_tokens, qrels
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as e:
+        raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
+    return out, index, query_tokens, qrels
 
 
 def _eval_options(opts: _Options) -> tuple[int, str, str]:
@@ -362,8 +381,7 @@ def cmd_eval(opts: _Options) -> int:
 
     cutoff, interp, pooling = _eval_options(opts)
     scheme = _scheme(opts)
-    index, query_tokens, qrels = _eval_inputs(opts)
-    out = _out_dir(opts)
+    out, index, query_tokens, qrels = _eval_inputs(opts)
     ranker = Ranker(index, scheme)
     rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
     summary, diagnostics = evaluation.evaluate_rankings(
@@ -386,30 +404,28 @@ def cmd_eval(opts: _Options) -> int:
 
 
 def cmd_sweep(opts: _Options) -> int:
-    from decimal import Decimal
-
     from . import sweep as sweep_mod
 
     cutoff, interp, pooling = _eval_options(opts)
-    base, spec = opts.get("base", cast=float), opts.get("grid")
-    try:
-        if base is not None:
-            grid = sweep_mod.BaseGrid.single(Decimal(str(base)))
-        else:
+    if opts.get("base") is not None:
+        labels = [str(_scheme(opts).base)]
+    else:
+        spec = opts.get("grid")
+        try:
             grid = sweep_mod.BaseGrid.parse(spec) if spec else sweep_mod.BaseGrid.default()
-    except ValueError as e:
-        raise _Exit(2, str(e)) from e
+        except ValueError as e:
+            raise _Exit(2, str(e)) from e
+        labels = grid.labels()
     top = _at_least_one(opts, "top", 5)
     no_cache = opts.get("no_cache", False, cast=_boolean)
-    index, query_tokens, qrels = _eval_inputs(opts)
-    out = _out_dir(opts)
+    out, index, query_tokens, qrels = _eval_inputs(opts)
     cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")
 
     result = sweep_mod.run_sweep(
         index,
         query_tokens,
         qrels,
-        grid,
+        labels,
         cutoff=cutoff,
         interpolation=interp,
         pooling=pooling,

@@ -13,7 +13,8 @@ iterable of lines. ``parse_documents`` streams a document file's
 (doc_id, text) records from its lines (``file_lines``), a record at a time;
 ``parse_queries`` reads a whole query file into ``{query_id: text}`` in file
 order. Lines end at "\n" and "\r\n" only (``textpipe.split_lines``). One
-check, ``_unique``, rejects a repeated id at its line for every format.
+check, ``_unique``, rejects a repeated id at its line for every format, and
+a doc id outside int64 (the index's id column); query ids are unbounded.
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -209,12 +210,15 @@ def _jsonl(lines: Iterable[str]) -> Records:
         yield lineno, doc_id, text
 
 
-def _unique(records: Records) -> Iterator[tuple[int, str]]:
-    """The (id, text) of each record; a repeated id fails at its line."""
+def _unique(records: Records, doc_ids: bool = False) -> Iterator[tuple[int, str]]:
+    """The (id, text) of each record; a repeated id, or with ``doc_ids`` an
+    id outside int64, fails at its line."""
     seen: set[int] = set()
     for lineno, record_id, text in records:
         if record_id in seen:
             raise ParseError(f"duplicate record id {record_id}", lineno)
+        if doc_ids and not -(2**63) <= record_id < 2**63:
+            raise ParseError(f"doc id {record_id} does not fit in a signed 64-bit integer", lineno)
         seen.add(record_id)
         yield record_id, text
 
@@ -231,12 +235,13 @@ DOC_FORMATS = tuple(_DOC_READERS)
 def parse_documents(lines: Iterable[str], format: str) -> Iterator[tuple[int, str]]:
     """The (doc_id, text) records of a document file's lines, read lazily;
     SMART documents take their text from the ``.T`` and ``.W`` sections. An
-    unknown format fails at the call."""
+    unknown format fails at the call; a repeated doc id, or one outside
+    int64, fails at its line."""
     try:
         reader = _DOC_READERS[format]
     except KeyError:
         raise ValueError(f"unknown document format {format!r}") from None
-    return _unique(reader(lines))
+    return _unique(reader(lines), doc_ids=True)
 
 
 def parse_queries(content: str, format: str = "smart") -> dict[int, str]:

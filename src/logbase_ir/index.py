@@ -42,8 +42,6 @@ from .textpipe import PIPELINE_VERSION
 # term -> (doc_ids, tfs): equal-length int64 arrays, doc ids strictly increasing
 Entry = tuple[array, array]
 
-_INT64 = range(-(2**63), 2**63)
-
 
 class InvertedIndex:
     """Document norms plus term dictionary.
@@ -296,21 +294,14 @@ def build_index(
     one document at a time: each document's term counts are appended to its
     terms' int64 columns and its tokens dropped. A term's columns are sorted
     by doc id only when the doc ids arrived out of order. Documents with no
-    tokens still count toward n_docs. Raises ValueError on an empty
-    collection, duplicate doc_ids or a doc_id outside int64.
+    tokens still count toward n_docs. The doc ids must be distinct and fit
+    int64 (``collection_io.parse_documents`` checks). Raises ValueError on an
+    empty collection.
     """
-    seen: set[int] = set()
+    doc_ids: list[int] = []
     columns: dict[str, Entry] = {}
-    ascending, last = True, _INT64.start
     for doc_id, tokens in docs:
-        if doc_id in seen:
-            raise ValueError(f"duplicate doc_id {doc_id}")
-        if doc_id not in _INT64:
-            raise ValueError(f"doc_id {doc_id} does not fit in a signed 64-bit integer")
-        seen.add(doc_id)
-        if doc_id < last:
-            ascending = False
-        last = doc_id
+        doc_ids.append(doc_id)
         for term, tf in Counter(tokens).items():
             try:
                 ids, tfs = columns[term]
@@ -318,15 +309,16 @@ def build_index(
                 ids, tfs = columns[term] = array("q"), array("q")
             ids.append(doc_id)
             tfs.append(tf)
-    if not seen:
+    if not doc_ids:
         raise ValueError("empty collection: no documents to index")
     dictionary = {term: columns.pop(term) for term in sorted(columns)}
-    if not ascending:
+    ascending = sorted(doc_ids)
+    if doc_ids != ascending:
         for term, (ids, tfs) in dictionary.items():
             order = sorted(range(len(ids)), key=ids.__getitem__)
             dictionary[term] = (array("q", map(ids.__getitem__, order)),
                                 array("q", map(tfs.__getitem__, order)))
-    return InvertedIndex(_norms(sorted(seen), dictionary), dictionary, stoplist_sha256)
+    return InvertedIndex(_norms(ascending, dictionary), dictionary, stoplist_sha256)
 
 
 def _norms(doc_ids: list[int], dictionary: dict[str, Entry]) -> dict[int, float]:

@@ -1,11 +1,14 @@
 """Log-base parameter sweep: evaluate every base on a grid and report.
 
-The default grid is 0.1 to 100.0 in steps of 0.1 (1000 values). Grid values
-are generated with Decimal arithmetic so the rendered one-decimal labels are
-exact; base 1.0 is unusable (log undefined) and is recorded as skipped rather
-than evaluated. The base only rescales the TF-IDF weights, which cosine
-cancels, so one ranking serves every base: each query is ranked once, at
-base e (``Ranker.plan``), and a base re-scores only the groups of near-tied
+A sweep takes its bases as labels and weighs each at ``float(label)``: the
+labels of a grid, or the one label ``str(scheme.base)`` of a base that
+``WeightScheme`` checked, as ``eval`` labels it. The default grid is 0.1 to
+100.0 in steps of 0.1 (1000 values). Grid values are generated with Decimal
+arithmetic so the rendered one-decimal labels are exact; base 1.0 is
+unusable (log undefined) and is recorded as skipped rather than evaluated.
+The base only rescales the TF-IDF weights, which cosine cancels, so one
+ranking serves every base: each query is ranked once, at base e
+(``Ranker.plan``), and a base re-scores only the groups of near-tied
 documents whose order rounding could change, with that base's weights
 computed directly from term vectors gathered once (``Ranker.settle``): the
 two calls of ``Ranker.rank_tokens``. Per-base summaries can be cached on
@@ -19,7 +22,7 @@ import math
 import sys
 from array import array
 from contextlib import nullcontext
-from decimal import Decimal, Inexact, InvalidOperation, getcontext, localcontext
+from decimal import Decimal, Inexact, InvalidOperation, localcontext
 from itertools import chain
 from operator import itemgetter
 
@@ -50,7 +53,7 @@ _HALF_ULP = Decimal(2.0**-53)
 class BaseGrid:
     """Arithmetic grid of log bases, generated exactly via Decimal steps."""
 
-    __slots__ = ("start", "stop", "step")
+    __slots__ = ("start", "stop", "step", "n")
 
     def __init__(self, start: Decimal, stop: Decimal, step: Decimal):
         self.start, self.stop, self.step = start, stop, step
@@ -70,45 +73,33 @@ class BaseGrid:
         if math.isinf(float(self.stop)):
             raise ValueError(f"grid stop {self.stop} is infinite as a double")
         # every value, and the first one past the stop, must be exact in
-        # Decimal's 28 digits, or values() could repeat a value without end
+        # Decimal's 28 digits, so that each label is its value
         with localcontext() as ctx:
             ctx.traps[Inexact] = True
             try:
                 n = (self.stop - self.start) // self.step + 1
-                self.start + n * self.step  # the value that ends values()
+                self.start + n * self.step
             except (Inexact, InvalidOperation):
                 raise ValueError(
                     f"grid {spec} needs more than {ctx.prec} significant digits"
                 ) from None
-        if n > MAX_GRID_VALUES:
+        self.n = int(n)
+        if self.n > MAX_GRID_VALUES:
             raise ValueError(f"grid {spec} has {n} values, more than {MAX_GRID_VALUES}")
         # a value other than 1 within half an ulp of 1.0 would divide by
         # ln 1.0 = 0; only the two values around 1 can lie there
         if self.start <= 1 + _HALF_ULP and self.stop >= 1 - _HALF_ULP:
             near = int((1 - self.start) // self.step)
-            for k in range(max(near - 1, 0), min(near + 3, int(n))):
+            for k in range(max(near - 1, 0), min(near + 3, self.n)):
                 value = self.start + k * self.step
                 if value != 1 and float(value) == 1.0:
                     raise ValueError(f"grid value {value} is 1.0 as a double")
-        if n == 1 and self.start == 1:
+        if self.n == 1 and self.start == 1:
             raise ValueError("grid holds no base but 1, whose logarithm is 0")
 
     @classmethod
     def default(cls) -> "BaseGrid":
         return cls(Decimal("0.1"), Decimal("100.0"), Decimal("0.1"))
-
-    @classmethod
-    def single(cls, base: Decimal) -> "BaseGrid":
-        """The grid of ``base`` alone. Its step only ends ``values()``: a unit
-        of the base's last digit, no coarser than the default grid's 0.1
-        (which gives the label one decimal) unless the base is too large for
-        a tenth within Decimal's digits, so the step's sum is always exact."""
-        if not base.is_finite():
-            return cls(base, base, Decimal("0.1"))
-        exponent = base.as_tuple().exponent
-        if base.adjusted() + 2 <= getcontext().prec:  # base + 0.1 is exact
-            exponent = min(exponent, -1)
-        return cls(base, base, Decimal(1).scaleb(exponent))
 
     @classmethod
     def parse(cls, spec: str) -> "BaseGrid":
@@ -122,15 +113,9 @@ class BaseGrid:
             raise ValueError(f"non-numeric grid spec {spec!r}") from None
         return cls(start, stop, step)
 
-    def values(self) -> list[Decimal]:
-        out = []
-        k = 0
-        while True:
-            v = self.start + k * self.step
-            if v > self.stop:
-                return out
-            out.append(v)
-            k += 1
+    def labels(self) -> list[str]:
+        """Every value of the grid, ascending, as its exact Decimal label."""
+        return [str(self.start + k * self.step) for k in range(self.n)]
 
 
 class SweepResult:
@@ -240,7 +225,7 @@ def run_sweep(
     index: InvertedIndex,
     query_tokens: dict[int, list[str]],
     qrels: Qrels,
-    grid: BaseGrid | None = None,
+    labels: list[str],
     *,
     cutoff: int = DEFAULT_CUTOFF,
     interpolation: str = "paper",
@@ -248,8 +233,10 @@ def run_sweep(
     cache_path: str | None = None,
 ) -> SweepResult:
     """Evaluate the judged queries' tokens, ``{query_id: tokens}`` as
-    ``Ranker.rank_tokens`` takes them, at every grid base; base 1.0 is
-    recorded as skipped.
+    ``Ranker.rank_tokens`` takes them, at every base of ``labels``: a grid's
+    ``BaseGrid.labels()``, or ``[str(scheme.base)]`` for one checked base,
+    the label ``eval`` writes. Each base is weighed at ``float(label)``; a
+    label whose double is 1.0 is recorded as skipped.
 
     ``evaluate_rankings`` refuses empty qrels and qrels naming a query not
     passed. Unless the cache holds every base, one base-e ranker plans once
@@ -261,16 +248,14 @@ def run_sweep(
     ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
     share one evaluation.
     """
-    if grid is None:
-        grid = BaseGrid.default()
     result = SweepResult()
     cached: dict[str, EvalSummary] = {}
     if cache_path is not None:
         digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
         cached = _load_cache(cache_path, digest)
-    values = grid.values()
+    bases = [(label, float(label)) for label in labels]
     fragile: dict[int, list[tuple[int, int]]] = {}
-    if any(value != 1 and str(value) not in cached for value in values):
+    if any(base != 1.0 and label not in cached for label, base in bases):
         rankings, groups, vectors = Ranker(index, WeightScheme(math.e)).plan(query_tokens, cutoff)
         for qid, query_groups in groups.items():
             entries = rankings[qid].entries
@@ -282,9 +267,8 @@ def run_sweep(
     memo: dict[tuple, EvalSummary] = {}
     with (nullcontext() if cache_path is None
           else open(cache_path, "a", encoding="utf-8")) as cache_file:
-        for value in values:
-            label = str(value)
-            if value == 1:
+        for label, base in bases:
+            if base == 1.0:
                 result.skipped.append((label, SKIP_INVALID_BASE))
                 continue
             if label in cached:
@@ -292,7 +276,7 @@ def run_sweep(
                 continue
             settled = rankings
             if fragile:
-                ranker = Ranker(index, WeightScheme(float(value)))
+                ranker = Ranker(index, WeightScheme(base))
                 settled = ranker.settle(query_tokens, rankings, fragile, vectors)
             # evaluation reads only the doc ids up to the cutoff
             key = tuple(

@@ -268,7 +268,7 @@ def test_criterion_5_report_shape():
         texts = {1: "apple pie", 2: "pear tart", 3: "apple tart"}
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
         result = run_sweep(index, {1: pipeline("apple", frozenset())}, {1: {1}},
-                           BaseGrid.parse("9:11:1"))
+                           BaseGrid.parse("9:11:1").labels())
         rows = top_k_report(result, "map", 5)
         text = render_table(rows, "map")
         header = text.splitlines()[0].split()
@@ -289,16 +289,16 @@ def test_criterion_6_sweep_contract():
         queries = {qid: pipeline(text, frozenset())
                    for qid, text in ((1, "solar energy"), (2, "wind power"))}
         qrels = {1: {1, 3}, 2: {2, 4}}
-        grid = BaseGrid.default()
-        assert len(grid.values()) == 1000
-        result = run_sweep(index, queries, qrels, grid)
+        labels = BaseGrid.default().labels()
+        assert len(labels) == 1000
+        result = run_sweep(index, queries, qrels, labels)
         assert len(result.per_base) == 999
         assert [label for label, _ in result.skipped] == ["1.0"]
         with tempfile.TemporaryDirectory() as tmp:
             p1 = Path(tmp) / "a.csv"
             p2 = Path(tmp) / "b.csv"
             emit_csv(result, str(p1))
-            rerun = run_sweep(index, queries, qrels, grid)
+            rerun = run_sweep(index, queries, qrels, labels)
             emit_csv(rerun, str(p2))
             assert p1.read_bytes() == p2.read_bytes()
             assert len(p1.read_text().splitlines()) == 1000  # header + 999 rows
@@ -314,7 +314,7 @@ def test_criterion_6_med_sweep_wall_time():
         stoplist, index, queries, qrels = setup
         start = time.perf_counter()
         tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items() if qid in qrels}
-        result = run_sweep(index, tokens, qrels)
+        result = run_sweep(index, tokens, qrels, BaseGrid.default().labels())
         elapsed = time.perf_counter() - start
         assert len(result.per_base) == 999
         assert elapsed < 1800, f"MED sweep took {elapsed:.0f}s"

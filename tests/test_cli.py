@@ -166,9 +166,8 @@ class TestStatsAndIndex:
                      "--out", tmp_path / "out"]
         code, out, err = run(capsys, *argv)
         assert code == 1
-        assert err == (
-            "error: doc_id 9223372036854775808 does not fit in a signed 64-bit integer\n"
-        )
+        assert err == (f"error: {collection['docs']}: line 4: doc id 9223372036854775808 "
+                       "does not fit in a signed 64-bit integer\n")
 
     def test_stats_ignores_save_index_from_config(self, capsys, collection, tmp_path):
         snap = tmp_path / "index.json"
@@ -791,10 +790,11 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[1].startswith("10.0,")
 
-    @pytest.mark.parametrize("base", ["1e30", "1e-30"])
+    @pytest.mark.parametrize("base", ["10", "0.5", "1e20", "0.00001", "1e30", "1e-30"])
     def test_base_far_from_one_runs_as_eval_does(self, capsys, collection, tmp_path, base):
-        # a single base was stepped by 0.1, whose sum with these bases needs
-        # more than Decimal's 28 digits, so sweep exited 2 where eval ran
+        # a single base was a one-value Decimal grid: far from 1 it exited 2
+        # where eval ran, and it was labelled 100000000000000000000.0 where
+        # eval wrote 1e+20; now both check it as a float and write one row
         code, _, err = run(capsys, *self.sweep_args(collection, tmp_path / "sw"), "--base", base)
         assert code == 0, err
         code, _, err = run(capsys, "eval", *self.sweep_args(collection, tmp_path / "ev")[1:],
@@ -803,7 +803,8 @@ class TestSweep:
         swept = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
         evaluated = (tmp_path / "ev" / "eval.csv").read_text().splitlines()
         assert len(swept) == len(evaluated) == 2
-        assert swept[1].split(",")[1:] == evaluated[1].split(",")[1:]
+        assert swept[1] == evaluated[1]
+        assert swept[1].split(",")[0] == str(float(base))
 
 
 LISA_END = "*" * 44
@@ -1051,6 +1052,38 @@ class TestErrorExits:
             assert (code, stdout, err) == (
                 2, "", f"error: cannot create output directory {message}\n")
 
+    @pytest.mark.parametrize("out", ["afile", "afile/", "afile/sub", "afile/sub/deeper",
+                                     "link/sub", "adir", "adir/new/deeper", "new", "locked/new",
+                                     "dangling"])
+    def test_out_is_checked_before_any_input_is_read(self, capsys, tmp_path, monkeypatch, out):
+        # an --out that os.makedirs cannot create failed only after the
+        # ingest; now it fails before any input is read (none exists here),
+        # with the reason os.makedirs gives, and nothing is created. A
+        # dangling link is left to os.makedirs, after the inputs are read.
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("")
+        Path("adir").mkdir()
+        Path("locked").mkdir(mode=0o500)
+        os.symlink("afile", "link")
+        os.symlink("nowhere", "dangling")
+        errors = set()
+        for command in ("eval", "sweep"):
+            code, stdout, err = run(capsys, command, "--docs", "none", "--queries", "none",
+                                    "--qrels", "none", "--out", out)
+            assert (code, stdout) == (2, "")
+            errors.add(err)
+        [err] = errors
+        assert sorted(os.listdir()) == ["adir", "afile", "dangling", "link", "locked"]
+        assert os.listdir("adir") == []
+        read_first = err.startswith("error: cannot read none: ")
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as e:
+            assert err == f"error: cannot create output directory {out}: {e.strerror}\n" or (
+                out == "dangling" and read_first)
+        else:
+            assert read_first
+
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -1184,11 +1217,14 @@ class TestUsageErrors:
     def test_malformed_grid_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep"], "grid=1:2", "START:STOP:STEP")
 
+    # sweep checks a --base as eval does, not as a grid of one value
     def test_sweep_base_zero(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["sweep", "--base", "0"], "", "start must be positive")
+        self.check(capsys, tmp_path, ["sweep", "--base", "0"], "",
+                   "error: log base must be positive and != 1, got 0.0\n")
 
     def test_sweep_base_one(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["sweep", "--base", "1"], "", "no base but 1")
+        self.check(capsys, tmp_path, ["sweep", "--base", "1"], "",
+                   "error: log base must be positive and != 1, got 1.0\n")
 
     def test_sweep_grid_of_one_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep"], "grid=1:1.5:1", "no base but 1")

@@ -421,11 +421,32 @@ class TestFuzz:
         with pytest.raises(ParseError, match=rf"^line {n + 1}: duplicate record id 1$"):
             parse(record.format(1) + record.format(1) + record.format("x"))
 
+    @pytest.mark.parametrize("doc_id", [2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    def test_doc_id_outside_int64_fails_at_its_line(self, fmt, doc_id):
+        # the index's doc-id column is int64, so the file is refused at the line
+        parse, record = one_record_of("documents", fmt)
+        n = record.count("\n")
+        with pytest.raises(ParseError, match=rf"^line {n + 1}: doc id {doc_id} does not fit "
+                                             r"in a signed 64-bit integer$"):
+            parse(record.format(1) + record.format(doc_id))
+        ends = [2**63 - 1, -(2**63)]
+        assert [doc for doc, _ in parse("".join(map(record.format, ends)))] == ends
+        # a query id is unbounded
+        parse, record = one_record_of("queries", fmt)
+        assert list(parse(record.format(1) + record.format(doc_id))) == [1, doc_id]
+
     @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
     def test_jsonl_round_trips_exactly(self, records):
         content = jsonl(records)
-        assert documents(content, "jsonl") == records
         assert list(parse_queries(content, "jsonl").items()) == records
+        # a doc id must fit int64; the first that does not fails at its line
+        wide = [line for line, (i, _) in enumerate(records, start=1) if not -(2**63) <= i < 2**63]
+        if wide:
+            with pytest.raises(ParseError, match=rf"^line {wide[0]}: doc id "):
+                documents(content, "jsonl")
+        else:
+            assert documents(content, "jsonl") == records
 
     def test_deep_nesting_is_parse_error(self):
         # 200,000 '[' used to end in a RecursionError traceback

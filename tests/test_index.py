@@ -37,15 +37,6 @@ class TestBuild:
         with pytest.raises(ValueError, match="empty"):
             build_index([])
 
-    def test_duplicate_doc_id_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            build_index([(1, ["a"]), (1, ["b"])])
-
-    @pytest.mark.parametrize("doc_id", [2**63, -(2**63) - 1])
-    def test_doc_id_outside_int64_rejected(self, doc_id):
-        with pytest.raises(ValueError, match=f"doc_id {doc_id} does not fit"):
-            build_index([(1, ["a"]), (doc_id, ["b"])])
-
     def test_one_shot_generator(self):
         docs = [(3, ["b", "a"]), (1, ["a", "a"]), (2, [])]
         stream = (doc for doc in docs)

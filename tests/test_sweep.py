@@ -38,18 +38,14 @@ QRELS = {1: {1, 3, 5}, 2: {2, 4}}
 INDEX = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
 
 
-def grid_labels(grid):
-    return [str(v) for v in grid.values()]
-
-
-def toy_sweep(grid, **kwargs):
-    return run_sweep(INDEX, QUERIES, QRELS, grid, **kwargs)
+def toy_sweep(labels, **kwargs):
+    return run_sweep(INDEX, QUERIES, QRELS, labels, **kwargs)
 
 
 class TestBaseGrid:
     def test_default_grid_is_exactly_the_thousand_tenths(self):
         grid = BaseGrid.default()
-        labels = grid_labels(grid)
+        labels = grid.labels()
         assert len(labels) == 1000
         assert len(set(labels)) == 1000
         assert labels == [str(k * Decimal("0.1")) for k in range(1, 1001)]
@@ -59,7 +55,7 @@ class TestBaseGrid:
 
     def test_parse(self):
         grid = BaseGrid.parse("9.9:10.1:0.1")
-        assert grid_labels(grid) == ["9.9", "10.0", "10.1"]
+        assert grid.labels() == ["9.9", "10.0", "10.1"]
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -76,10 +72,13 @@ class TestBaseGrid:
             BaseGrid(Decimal("3"), Decimal("2"), Decimal("1"))
 
     def test_single(self):
-        assert grid_labels(BaseGrid.single(Decimal("10"))) == ["10.0"]
+        # a one-value grid keeps its Decimal label; one --base enters a
+        # sweep as the label eval writes, str(float), and is no grid
+        assert BaseGrid.parse("10.0:10.0:1").labels() == ["10.0"]
+        assert list(toy_sweep([str(WeightScheme(10.0).base)]).per_base) == ["10.0"]
 
-    # each is rejected on construction; values() is never called on them, as
-    # for the third it would append the same value without end
+    # each is rejected on construction; the third's values were once
+    # appended without end
     @pytest.mark.parametrize(
         "spec, message",
         [
@@ -101,9 +100,9 @@ class TestBaseGrid:
             BaseGrid.parse(spec)
 
     def test_grid_around_one_kept(self):
-        assert grid_labels(BaseGrid.parse("0.5:1.5:0.5")) == ["0.5", "1.0", "1.5"]
+        assert BaseGrid.parse("0.5:1.5:0.5").labels() == ["0.5", "1.0", "1.5"]
         grid = BaseGrid.parse("0.9999999999999998:1.0000000000000004:0.0000000000000002")
-        labels = grid_labels(grid)
+        labels = grid.labels()
         assert [float(x) for x in labels] == [
             0.9999999999999998, 1.0, 1.0000000000000002, 1.0000000000000004
         ]
@@ -111,28 +110,28 @@ class TestBaseGrid:
 
 class TestRunSweep:
     def test_base_one_is_skipped_not_evaluated(self):
-        result = toy_sweep(BaseGrid.parse("0.5:1.5:0.5"))
+        result = toy_sweep(BaseGrid.parse("0.5:1.5:0.5").labels())
         assert [label for label, _ in result.skipped] == ["1.0"]
         assert result.skipped[0][1] == "invalid-base"
         assert sorted(result.per_base) == ["0.5", "1.5"]
 
     def test_grid_partition_invariant(self):
-        grid = BaseGrid.parse("0.7:1.3:0.1")
-        result = toy_sweep(grid)
+        labels = BaseGrid.parse("0.7:1.3:0.1").labels()
+        result = toy_sweep(labels)
         evaluated = set(result.per_base)
         skipped = {label for label, _ in result.skipped}
-        assert evaluated | skipped == set(grid_labels(grid))
+        assert evaluated | skipped == set(labels)
         assert not (evaluated & skipped)
 
     def test_single_base_matches_direct_evaluation(self):
-        result = toy_sweep(BaseGrid.single(Decimal("10")))
+        result = toy_sweep(["10.0"])
         assert list(result.per_base) == ["10.0"]
         summary = result.per_base["10.0"]
         assert isinstance(summary, EvalSummary)
         assert 0.0 <= summary.map <= 1.0
 
     def test_all_bases_agree_to_1e9(self):
-        result = toy_sweep(BaseGrid.parse("0.2:30:1.1"))
+        result = toy_sweep(BaseGrid.parse("0.2:30:1.1").labels())
         summaries = list(result.per_base.values())
         first = summaries[0]
         for other in summaries[1:]:
@@ -142,11 +141,11 @@ class TestRunSweep:
 
     def test_qrels_for_unknown_query_rejected(self):
         with pytest.raises(ValueError, match="no ranking for judged queries"):
-            run_sweep(INDEX, QUERIES, {9: {1}}, BaseGrid.single(Decimal("10")))
+            run_sweep(INDEX, QUERIES, {9: {1}}, ["10.0"])
 
     def test_empty_qrels_rejected(self):
         with pytest.raises(ValueError, match="no judged"):
-            run_sweep(INDEX, QUERIES, {}, BaseGrid.single(Decimal("10")))
+            run_sweep(INDEX, QUERIES, {}, ["10.0"])
 
 
 def rescaled_rankings(ranker, accumulators):
@@ -179,15 +178,15 @@ def criterion_4_corpora(count):
         yield build_index(sorted(docs.items())), queries
 
 
-def reference_sweep(index, tokens, qrels, grid, cutoffs):
-    """Per cutoff, base label -> summary in grid order, with every base ranked
-    afresh by ``base_rankings``; bases whose full rankings agree share an
-    evaluation."""
+def reference_sweep(index, tokens, qrels, labels, cutoffs):
+    """Per cutoff, base label -> summary in label order, with every base
+    but 1.0 ranked afresh by ``base_rankings``; bases whose full rankings
+    agree share an evaluation."""
     orders, rankings = {}, {}
-    for value in grid.values():
-        if value != 1:
-            ranked = base_rankings(index, tokens, float(value))
-            order = orders[str(value)] = tuple(
+    for label in labels:
+        if float(label) != 1.0:
+            ranked = base_rankings(index, tokens, float(label))
+            order = orders[label] = tuple(
                 tuple(d for d, _ in rl.entries) for rl in ranked.values()
             )
             rankings.setdefault(order, ranked)
@@ -245,7 +244,7 @@ class TestRescaledRanking:
                             if position[x] > position[y]:
                                 assert abs(want_scores[x] - want_scores[y]) <= 1e-12
                 # the sweep ranks as eval does, near ties included
-                swept = run_sweep(index, tokens, qrels, BaseGrid.single(Decimal(str(base))))
+                swept = run_sweep(index, tokens, qrels, [str(base)])
                 assert list(swept.per_base.values()) == [evaluate_rankings(want, qrels)[0]]
         # the rescaled order alone differs from the reference's on a few pairs
         assert 0 < reordered < pairs / 10
@@ -293,7 +292,7 @@ class TestRescaledRanking:
 
     def test_each_base_gets_the_summary_of_its_own_rankings(self):
         rng = random.Random(5678)
-        grid = BaseGrid.parse("0.1:2.0:0.1")
+        labels = BaseGrid.parse("0.1:2.0:0.1").labels()
         varied = 0
         for index, queries in self.corpora():
             tokens = dict(enumerate(queries))
@@ -301,7 +300,7 @@ class TestRescaledRanking:
                 qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
                 for qid in tokens
             }
-            swept = run_sweep(index, tokens, qrels, grid)
+            swept = run_sweep(index, tokens, qrels, labels)
             for label, summary in swept.per_base.items():
                 rankings = base_rankings(index, tokens, float(label))
                 assert summary == evaluate_rankings(rankings, qrels)[0]
@@ -321,13 +320,13 @@ class TestRescaledRanking:
 
         monkeypatch.setattr(index_mod, "_norms", recording)
         index = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
-        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5"))
+        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5").labels())
         assert len(result.per_base) == 9
         assert calls == [sorted(TEXTS)]
 
     def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
-        grid = BaseGrid.parse("2:6:0.5")
-        bases = [float(v) for v in grid.values()]
+        labels = BaseGrid.parse("2:6:0.5").labels()
+        bases = [float(v) for v in labels]
         orders = {
             tuple(tuple(d for d, _ in rl.entries) for rl in
                   base_rankings(INDEX, QUERIES, base).values())
@@ -337,10 +336,10 @@ class TestRescaledRanking:
 
         # every base evaluated on its own Ranker
         full = SweepResult()
-        for value in grid.values():
-            r = Ranker(INDEX, WeightScheme(float(value)))
+        for label in labels:
+            r = Ranker(INDEX, WeightScheme(float(label)))
             rankings = {qid: r.rank_tokens(qid, t) for qid, t in QUERIES.items()}
-            full.per_base[str(value)], _ = evaluate_rankings(rankings, QRELS)
+            full.per_base[label], _ = evaluate_rankings(rankings, QRELS)
 
         calls = []
 
@@ -349,7 +348,7 @@ class TestRescaledRanking:
             return evaluate_rankings(*args, **kwargs)
 
         monkeypatch.setattr(sweep, "evaluate_rankings", counting)
-        memoized = toy_sweep(grid)
+        memoized = toy_sweep(labels)
         assert len(calls) == 1
         assert len(memoized.per_base) == len(bases)
         emit_csv(full, str(tmp_path / "full.csv"))
@@ -362,7 +361,7 @@ class TestPlan:
 
     def test_default_grid_on_200_random_corpora(self):
         rng = random.Random(5678)
-        grid = BaseGrid.default()
+        labels = BaseGrid.default().labels()
         varied = fragile = 0
         for index, queries in criterion_4_corpora(200):
             tokens = dict(enumerate(queries))
@@ -370,9 +369,9 @@ class TestPlan:
                 qid: set(rng.sample(range(1, index.n_docs + 1), k=min(3, index.n_docs)))
                 for qid in tokens
             }
-            want = reference_sweep(index, tokens, qrels, grid, (1000, 2))
+            want = reference_sweep(index, tokens, qrels, labels, (1000, 2))
             for cutoff in (1000, 2):
-                swept = run_sweep(index, tokens, qrels, grid, cutoff=cutoff)
+                swept = run_sweep(index, tokens, qrels, labels, cutoff=cutoff)
                 assert_summaries_equal(swept.per_base, want[cutoff])
                 varied += len(set(swept.per_base.values())) > 1
                 fragile += swept.fragile_groups
@@ -380,18 +379,19 @@ class TestPlan:
         assert varied > 0
         assert fragile > 0
 
-    def sweep_and_reference(self, texts, query, qrels, grid, **kwargs):
+    def sweep_and_reference(self, texts, query, qrels, labels, **kwargs):
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
         tokens = {1: pipeline(query, frozenset())}
-        swept = run_sweep(index, tokens, qrels, grid, **kwargs)
+        swept = run_sweep(index, tokens, qrels, labels, **kwargs)
         cutoff = kwargs.get("cutoff", 1000)
-        return swept, reference_sweep(index, tokens, qrels, grid, (cutoff,))[cutoff]
+        return swept, reference_sweep(index, tokens, qrels, labels, (cutoff,))[cutoff]
 
     # docs 1 and 2 have the same cosine with the query, rounded differently
     NEAR_TIE = {1: "x y", 2: "x y x y x y", 3: "z", 4: "z", 5: "z w"}
 
     def test_fragile_group_changes_order_between_bases(self):
-        swept, want = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, BaseGrid.default())
+        swept, want = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}},
+                                               BaseGrid.default().labels())
         assert_summaries_equal(swept.per_base, want)
         assert swept.fragile_groups == 1
         assert swept.distinct_rankings == len(set(want.values())) == 2
@@ -401,7 +401,8 @@ class TestPlan:
         # NEAR_TIE do, at ranks 2 and 3
         texts = {1: "x y", 2: "x y z", 3: "x y z x y z x y z", 4: "z", 5: "z w", 6: "w"}
         for cutoff, fragile in ((1, 0), (2, 1)):
-            swept, want = self.sweep_and_reference(texts, "x y", {1: {3}}, BaseGrid.default(),
+            swept, want = self.sweep_and_reference(texts, "x y", {1: {3}},
+                                                   BaseGrid.default().labels(),
                                                    cutoff=cutoff)
             assert_summaries_equal(swept.per_base, want)
             assert swept.fragile_groups == fragile
@@ -417,7 +418,7 @@ class TestPlan:
             6: "plum",
         }
         swept, want = self.sweep_and_reference(texts, "common apple", {1: {2, 4}},
-                                               BaseGrid.default())
+                                               BaseGrid.default().labels())
         assert_summaries_equal(swept.per_base, want)
         assert swept.fragile_groups == 0
         assert swept.distinct_rankings == 1
@@ -431,12 +432,12 @@ class TestPlan:
             return settle(self, query_tokens, rankings, groups, vectors)
 
         monkeypatch.setattr(Ranker, "settle", recording)
-        grid = BaseGrid.parse("2:6:0.5")
-        swept, _ = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, grid)
+        labels = BaseGrid.parse("2:6:0.5").labels()
+        swept, _ = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, labels)
         # the pair, at positions 0 and 1, settled once per base with a ranker
         # of that base (the reference's calls come after the sweep's)
-        n = len(grid.values())
-        assert calls[:n] == [(float(v), {1: [(0, 2)]}) for v in grid.values()]
+        n = len(labels)
+        assert calls[:n] == [(float(v), {1: [(0, 2)]}) for v in labels]
 
     def test_tie_of_different_documents_is_fragile(self):
         # docs 2 and 3 tie bit for bit at base e, but their vectors differ,
@@ -464,63 +465,63 @@ class TestPlan:
             return term_vectors(index, doc_ids)
 
         monkeypatch.setattr(retrieval, "term_vectors", recording)
-        grid = BaseGrid.parse("2:6:0.5")
+        labels = BaseGrid.parse("2:6:0.5").labels()
         index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
         # both queries hold docs 1 and 2 in a fragile group
         queries = {1: ["x", "y"], 2: ["y", "x", "y", "x"]}
-        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid)
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, labels)
         assert swept.fragile_groups == 2
-        assert swept.ranked_bases == len(grid.values())
+        assert swept.ranked_bases == len(labels)
         assert calls == [{1, 2}]
         # no near ties, no pass
         calls.clear()
         index = build_index([(1, ["x", "y"]), (2, ["x", "x", "y"]), (3, ["z"])])
-        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, grid)
+        swept = run_sweep(index, queries, {1: {2}, 2: {1}}, labels)
         assert swept.fragile_groups == 0
-        assert swept.ranked_bases == len(grid.values())
+        assert swept.ranked_bases == len(labels)
         assert calls == []
 
 
 class TestCache:
     def test_resume_uses_cached_entries(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.parse("2:4:1")
-        first = toy_sweep(grid, cache_path=str(cache))
+        labels = BaseGrid.parse("2:4:1").labels()
+        first = toy_sweep(labels, cache_path=str(cache))
         assert cache.exists()
         lines_after_first = cache.read_text().count("\n")
-        second = toy_sweep(grid, cache_path=str(cache))
+        second = toy_sweep(labels, cache_path=str(cache))
         assert second.per_base == first.per_base
         # everything was cached, nothing re-appended
         assert cache.read_text().count("\n") == lines_after_first
 
     def test_partial_cache_completes(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.parse("2.0:4.0:1.0")
-        full = toy_sweep(grid)
-        toy_sweep(BaseGrid.single(Decimal("3")), cache_path=str(cache))
+        labels = BaseGrid.parse("2.0:4.0:1.0").labels()
+        full = toy_sweep(labels)
+        toy_sweep(["3.0"], cache_path=str(cache))
         assert "3.0" in cache.read_text()
-        resumed = toy_sweep(grid, cache_path=str(cache))
+        resumed = toy_sweep(labels, cache_path=str(cache))
         # in grid order, the cached base among the computed ones
         assert list(resumed.per_base.items()) == list(full.per_base.items())
 
     def test_cache_keyed_by_inputs(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.single(Decimal("2"))
-        toy_sweep(grid, cache_path=str(cache))
+        labels = ["2.0"]
+        toy_sweep(labels, cache_path=str(cache))
         # different cutoff changes the digest, so the entry must not be reused
-        different = toy_sweep(grid, cutoff=2, cache_path=str(cache))
-        fresh = toy_sweep(grid, cutoff=2)
+        different = toy_sweep(labels, cutoff=2, cache_path=str(cache))
+        fresh = toy_sweep(labels, cutoff=2)
         assert different.per_base == fresh.per_base
 
     def test_line_of_another_cache_version_is_not_reused(self, tmp_path, monkeypatch):
         cache, fresh = tmp_path / "cache.jsonl", tmp_path / "fresh.jsonl"
-        grid = BaseGrid.parse("2:3:1")
+        labels = BaseGrid.parse("2:3:1").labels()
         monkeypatch.setattr(sweep, "CACHE_VERSION", sweep.CACHE_VERSION - 1)
-        toy_sweep(grid, cache_path=str(cache))
+        toy_sweep(labels, cache_path=str(cache))
         monkeypatch.undo()
-        assert toy_sweep(grid, cache_path=str(cache)).ranked_bases == 2
+        assert toy_sweep(labels, cache_path=str(cache)).ranked_bases == 2
         # the other version's lines are dropped and this version's written
-        toy_sweep(grid, cache_path=str(fresh))
+        toy_sweep(labels, cache_path=str(fresh))
         assert cache.read_text() == fresh.read_text()
 
     def test_built_and_loaded_index_give_one_digest(self, tmp_path, monkeypatch):
@@ -530,9 +531,9 @@ class TestCache:
         # the digest hashes the index as held: no snapshot is encoded
         monkeypatch.setattr(index_mod.InvertedIndex, "snapshot_parts", None)
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.parse("2:4:1")
-        built = toy_sweep(grid, cache_path=str(cache))
-        resumed = run_sweep(loaded, QUERIES, QRELS, grid, cache_path=str(cache))
+        labels = BaseGrid.parse("2:4:1").labels()
+        built = toy_sweep(labels, cache_path=str(cache))
+        resumed = run_sweep(loaded, QUERIES, QRELS, labels, cache_path=str(cache))
         assert (resumed.ranked_bases, resumed.per_base) == (0, built.per_base)
         # another index, another digest
         fewer = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items() if d != 5])
@@ -543,8 +544,8 @@ class TestCache:
     def test_corrupt_cache_line_ignored(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         cache.write_text("{not json\n")
-        grid = BaseGrid.single(Decimal("2"))
-        result = toy_sweep(grid, cache_path=str(cache))
+        labels = ["2.0"]
+        result = toy_sweep(labels, cache_path=str(cache))
         assert list(result.per_base) == ["2.0"]
 
 
@@ -552,7 +553,7 @@ class TestCache:
         """A valid cache line of the toy sweep at base 2, with ``changes``
         applied (a value of None deletes the key)."""
         cache = tmp_path / "first.jsonl"
-        toy_sweep(BaseGrid.single(Decimal("2")), cache_path=str(cache))
+        toy_sweep(["2.0"], cache_path=str(cache))
         entry = json.loads(cache.read_text())
         for key, value in changes.items():
             if value is None:
@@ -584,8 +585,8 @@ class TestCache:
     def test_ill_typed_entry_is_recomputed(self, tmp_path, changes):
         cache = tmp_path / "cache.jsonl"
         cache.write_text(self.cached_line(tmp_path, **changes) + "\n")
-        grid = BaseGrid.single(Decimal("2"))
-        assert toy_sweep(grid, cache_path=str(cache)).per_base == toy_sweep(grid).per_base
+        labels = ["2.0"]
+        assert toy_sweep(labels, cache_path=str(cache)).per_base == toy_sweep(labels).per_base
         # the bad line is gone and the recomputed one appended
         assert cache.read_text() == (tmp_path / "first.jsonl").read_text()
 
@@ -594,19 +595,19 @@ class TestCache:
     def test_non_object_line_is_skipped(self, tmp_path, line):
         cache = tmp_path / "cache.jsonl"
         cache.write_bytes(line.encode("utf-8", "surrogateescape") + b"\n")
-        grid = BaseGrid.single(Decimal("2"))
-        assert toy_sweep(grid, cache_path=str(cache)).per_base == toy_sweep(grid).per_base
+        labels = ["2.0"]
+        assert toy_sweep(labels, cache_path=str(cache)).per_base == toy_sweep(labels).per_base
 
     def test_values_outside_the_unit_interval_are_recomputed(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.parse("9:11:1")
-        first = toy_sweep(grid, cache_path=str(cache))
+        labels = BaseGrid.parse("9:11:1").labels()
+        first = toy_sweep(labels, cache_path=str(cache))
         good = cache.read_text().splitlines()
         entries = [json.loads(line) for line in good]
         entries[0]["map"] = float("nan")  # written as NaN, which json.loads reads
         entries[1]["map_at_30"] = 7.5
         cache.write_text("".join(json.dumps(e) + "\n" for e in entries))
-        resumed = toy_sweep(grid, cache_path=str(cache))
+        resumed = toy_sweep(labels, cache_path=str(cache))
         assert resumed.ranked_bases == 2
         assert list(resumed.per_base.items()) == list(first.per_base.items())
         # compacted to base 11's line, then bases 9 and 10 appended again
@@ -617,8 +618,8 @@ class TestCache:
         stale = self.cached_line(tmp_path, digest="0" * 64)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(f"{stale}\n{good}\n\n{good}\n{good[:20]}")
-        grid = BaseGrid.single(Decimal("2"))
-        result = toy_sweep(grid, cache_path=str(cache))
+        labels = ["2.0"]
+        result = toy_sweep(labels, cache_path=str(cache))
         assert result.ranked_bases == 0  # base 2 came from the cache
         assert cache.read_text() == good + "\n"
 
@@ -626,24 +627,24 @@ class TestCache:
         good = self.cached_line(tmp_path)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(good)
-        toy_sweep(BaseGrid.parse("2.0:3.0:1.0"), cache_path=str(cache))
+        toy_sweep(BaseGrid.parse("2.0:3.0:1.0").labels(), cache_path=str(cache))
         lines = cache.read_text().splitlines()
         assert lines[0] == good
         assert [json.loads(x)["base"] for x in lines] == ["2.0", "3.0"]
 
     def test_valid_cache_is_not_rewritten(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache.jsonl"
-        grid = BaseGrid.parse("2:4:1")
-        toy_sweep(grid, cache_path=str(cache))
+        labels = BaseGrid.parse("2:4:1").labels()
+        toy_sweep(labels, cache_path=str(cache))
         writes = []
         monkeypatch.setattr(sweep, "write_atomic", lambda *args: writes.append(args))
-        toy_sweep(grid, cache_path=str(cache))
+        toy_sweep(labels, cache_path=str(cache))
         assert writes == []
 
 
 @pytest.fixture(scope="module")
 def report_result():
-    return toy_sweep(BaseGrid.parse("5:10:2.5"))
+    return toy_sweep(BaseGrid.parse("5:10:2.5").labels())
 
 
 class TestReports:
@@ -669,7 +670,7 @@ class TestReports:
         assert best[1].map_at_30 == pytest.approx(worst[1].map_at_30, abs=1e-9)
 
     def test_best_standard_worst_requires_base_ten(self):
-        result = toy_sweep(BaseGrid.parse("2:4:1"))
+        result = toy_sweep(BaseGrid.parse("2:4:1").labels())
         with pytest.raises(ValueError, match="base 10"):
             best_standard_worst(result, "map")
 
@@ -686,7 +687,7 @@ class TestReports:
 
 class TestEmission:
     def test_csv_shape_and_determinism(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("0.8:1.2:0.1"))
+        result = toy_sweep(BaseGrid.parse("0.8:1.2:0.1").labels())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(result, str(p1))
         emit_csv(result, str(p2))
@@ -707,7 +708,7 @@ class TestEmission:
         ]
 
     def test_metric_curve(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1"))
+        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
         path = tmp_path / "curve.csv"
         emit_metric_curve(result, "map", str(path))
         lines = path.read_text().splitlines()
@@ -715,7 +716,7 @@ class TestEmission:
         assert len(lines) == 3
 
     def test_level_curves(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1"))
+        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
         path = tmp_path / "levels.csv"
         emit_level_curves(result, ["2", "3"], str(path))
         lines = path.read_text().splitlines()
@@ -731,12 +732,12 @@ class TestEmission:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            emit_csv(toy_sweep(BaseGrid.parse("2:3:1")), str(path))
+            emit_csv(toy_sweep(BaseGrid.parse("2:3:1").labels()), str(path))
         assert path.read_text() == "old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1"))
+        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
         bad = tmp_path / "missing-dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(result, str(bad))
@@ -744,7 +745,7 @@ class TestEmission:
 
 class TestDefaultGridRun:
     def test_thousand_grid_on_toy_corpus(self):
-        result = toy_sweep(None)
+        result = toy_sweep(BaseGrid.default().labels())
         assert len(result.per_base) == 999
         assert [label for label, _ in result.skipped] == ["1.0"]
         maps = {s.map for s in result.per_base.values()}
