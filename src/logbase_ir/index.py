@@ -294,9 +294,9 @@ def build_index(
     one document at a time: each document's term counts are appended to its
     terms' int64 columns and its tokens dropped. A term's columns are sorted
     by doc id only when the doc ids arrived out of order. Documents with no
-    tokens still count toward n_docs. The doc ids must be distinct and fit
-    int64 (``collection_io.parse_documents`` checks). Raises ValueError on an
-    empty collection.
+    tokens still count toward n_docs. The doc ids must fit int64
+    (``collection_io.parse_documents`` checks). Raises ValueError on an empty
+    collection or a duplicate doc_id.
     """
     doc_ids: list[int] = []
     columns: dict[str, Entry] = {}
@@ -313,6 +313,9 @@ def build_index(
         raise ValueError("empty collection: no documents to index")
     dictionary = {term: columns.pop(term) for term in sorted(columns)}
     ascending = sorted(doc_ids)
+    for prev, doc_id in zip(ascending, ascending[1:]):
+        if prev == doc_id:
+            raise ValueError(f"duplicate doc_id {doc_id}")
     if doc_ids != ascending:
         for term, (ids, tfs) in dictionary.items():
             order = sorted(range(len(ids)), key=ids.__getitem__)

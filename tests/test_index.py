@@ -37,6 +37,10 @@ class TestBuild:
         with pytest.raises(ValueError, match="empty"):
             build_index([])
 
+    def test_duplicate_doc_id_rejected(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            build_index([(1, ["a"]), (1, ["b"])])
+
     def test_one_shot_generator(self):
         docs = [(3, ["b", "a"]), (1, ["a", "a"]), (2, [])]
         stream = (doc for doc in docs)
