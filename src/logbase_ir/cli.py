@@ -16,7 +16,8 @@ mutually exclusive options (--base and --grid of ``sweep``, --docs and
 --load-index of ``search``), a flag outranks both keys. Every option, --out
 too (created after), is checked before any input but the config file is
 read. A --base has one check (``_scheme``) and one report label, ``str`` of
-its float; only a --grid goes through ``sweep.BaseGrid``. Exit codes: 0 on
+its float; only a --grid goes through ``sweep.grid_labels``. A sweep always
+resumes from its cache, ``sweep_cache.jsonl`` in --out. Exit codes: 0 on
 success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
 errors. The pipeline has no randomness anywhere, so identical inputs and
 flags always reproduce identical artifacts.
@@ -38,7 +39,7 @@ from .textpipe import (
     split_lines,
     stoplist_fingerprint,
 )
-from .weighting import InvalidBaseError, WeightScheme
+from .weighting import WeightScheme
 
 # A command imports the modules only it runs (collection_io, evaluation,
 # sweep) when it runs, so a search from a snapshot loads none of them.
@@ -81,8 +82,7 @@ _ALL = ("stats", "index", "search", "eval", "sweep")
 _EVAL = ("eval", "sweep")
 
 # Every option once: its config key (the flag is --key with - for _), the
-# subcommands that take it and its help text. A no_* option is a switch:
-# its flag takes no value and stands for "true".
+# subcommands that take it and its help text.
 _OPTIONS = {
     "docs": (_ALL, "document collection file"),
     "format": (_ALL, "collection file format: smart, npl, lisa or jsonl (default smart)"),
@@ -103,7 +103,6 @@ _OPTIONS = {
     "grid": (("sweep",), "base grid as START:STOP:STEP (default 0.1:100.0:0.1)"),
     "top": (("search", "sweep"), "results to print (search, default 10) or rows in "
                                  "the top-k tables (sweep, default 5)"),
-    "no_cache": (("sweep",), "disable the per-base resume cache"),
 }
 # pairs of mutually exclusive options, in the order their error names them
 _EXCLUSIVE = (("load_index", "docs"), ("base", "grid"))
@@ -132,16 +131,6 @@ def _load_config(path: str) -> dict[str, str]:
                            f"{first_line[key]}")
         cfg[key], first_line[key] = value, lineno
     return cfg
-
-
-_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
-
-
-def _boolean(value: str) -> bool:
-    try:
-        return _BOOLEANS[value.lower()]
-    except KeyError:
-        raise ValueError("expected true/false/yes/no/1/0") from None
 
 
 class _Options:
@@ -203,15 +192,17 @@ class _Options:
 def _out_dir(opts: _Options) -> str:
     """The --out directory, which ``_eval_inputs`` creates once the inputs
     are read. Where ``os.makedirs`` must fail (a component of the path is a
-    non-directory, or its nearest existing ancestor is not a writable
-    directory) it exits 2 now, with the reason ``os.makedirs`` gives."""
+    non-directory or a dangling link, or its nearest existing ancestor is
+    not a writable directory) it exits 2 now, with the reason
+    ``os.makedirs`` gives."""
     out = opts.get("out", "out")
     path = head = out.rstrip(os.sep) or os.sep
-    while head and not os.path.exists(head):
+    while head and not os.path.lexists(head):
         head = os.path.dirname(head)
     head = head or os.curdir
-    if not os.path.isdir(head):
-        fault = errno.EEXIST if head == path else errno.ENOTDIR
+    if not os.path.isdir(head):  # a non-directory, or a link to one or to nothing
+        fault = (errno.EEXIST if head == path
+                 else errno.ENOTDIR if os.path.exists(head) else errno.ENOENT)
     elif head != path and not os.access(head, os.W_OK | os.X_OK):
         fault = errno.EACCES
     else:
@@ -309,7 +300,10 @@ def cmd_index(opts: _Options) -> int:
 
 def _scheme(opts: _Options) -> WeightScheme:
     """The --base weighting, checked before any input is read."""
-    return WeightScheme(opts.get("base", 10.0, cast=float))
+    try:
+        return WeightScheme(opts.get("base", 10.0, cast=float))
+    except ValueError as e:
+        raise _Exit(2, str(e)) from e
 
 
 def cmd_search(opts: _Options) -> int:
@@ -395,8 +389,10 @@ def cmd_eval(opts: _Options) -> int:
         print(f"level_{level:.1f} {value:.6f}")
     print(f"map {summary.map:.6f}")
     print(f"map_at_30 {summary.map_at_30:.6f}")
-    for query_id, level in diagnostics:
-        print(f"empty-bucket query={query_id} level={level / 10:.1f}", file=sys.stderr)
+    # an empty bucket scores 0.0 in paper mode only; a pooled one is no query's
+    for query_id, level in diagnostics if interp == "paper" else ():
+        query = "" if query_id is None else f"query={query_id} "
+        print(f"empty-bucket {query}level={level / 10:.1f}", file=sys.stderr)
     csv_path = os.path.join(out, "eval.csv")
     write_report(csv_path, evaluation.summary_csv([(str(scheme.base), summary)]))
     print(f"report written to {csv_path}", file=sys.stderr)
@@ -410,16 +406,12 @@ def cmd_sweep(opts: _Options) -> int:
     if opts.get("base") is not None:
         labels = [str(_scheme(opts).base)]
     else:
-        spec = opts.get("grid")
         try:
-            grid = sweep_mod.BaseGrid.parse(spec) if spec else sweep_mod.BaseGrid.default()
+            labels = sweep_mod.grid_labels(opts.get("grid", sweep_mod.DEFAULT_GRID))
         except ValueError as e:
             raise _Exit(2, str(e)) from e
-        labels = grid.labels()
     top = _at_least_one(opts, "top", 5)
-    no_cache = opts.get("no_cache", False, cast=_boolean)
     out, index, query_tokens, qrels = _eval_inputs(opts)
-    cache_path = None if no_cache else os.path.join(out, "sweep_cache.jsonl")
 
     result = sweep_mod.run_sweep(
         index,
@@ -429,7 +421,7 @@ def cmd_sweep(opts: _Options) -> int:
         cutoff=cutoff,
         interpolation=interp,
         pooling=pooling,
-        cache_path=cache_path,
+        cache_path=os.path.join(out, "sweep_cache.jsonl"),
     )
     print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
           f"across {_count(result.ranked_bases, 'base')}; "
@@ -487,9 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
             if command not in commands:
                 continue
             short = ["-k"] if (command, key) == ("search", "top") else []
-            action = ({"action": "append_const", "const": "true"} if key.startswith("no_")
-                      else {"action": "append"})
-            p.add_argument(*short, _flag(key), help=help_text, **action)
+            p.add_argument(*short, _flag(key), action="append", help=help_text)
         if command == "search":
             p.add_argument("query", help="query text")
     return parser
@@ -502,7 +492,7 @@ def main(argv=None) -> int:
     except _Exit as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (InvalidBaseError, OSError) as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except ValueError as e:

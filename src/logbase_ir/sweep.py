@@ -1,19 +1,21 @@
 """Log-base parameter sweep: evaluate every base on a grid and report.
 
 A sweep takes its bases as labels and weighs each at ``float(label)``: the
-labels of a grid, or the one label ``str(scheme.base)`` of a base that
-``WeightScheme`` checked, as ``eval`` labels it. The default grid is 0.1 to
-100.0 in steps of 0.1 (1000 values). Grid values are generated with Decimal
-arithmetic so the rendered one-decimal labels are exact; base 1.0 is
-unusable (log undefined) and is recorded as skipped rather than evaluated.
+labels of a grid spec (``grid_labels``), or the one label
+``str(scheme.base)`` of a base that ``WeightScheme`` checked, as ``eval``
+labels it. The default grid, ``DEFAULT_GRID``, is 0.1 to 100.0 in steps of
+0.1 (1000 values). Grid values are generated with Decimal arithmetic so the
+rendered one-decimal labels are exact; base 1.0 is unusable (log undefined)
+and its label is recorded as skipped rather than evaluated.
 The base only rescales the TF-IDF weights, which cosine cancels, so one
 ranking serves every base: each query is ranked once, at base e
 (``Ranker.plan``), and a base re-scores only the groups of near-tied
 documents whose order rounding could change, with that base's weights
 computed directly from term vectors gathered once (``Ranker.settle``): the
-two calls of ``Ranker.rank_tokens``. Per-base summaries can be cached on
-disk keyed by a digest of the inputs, so an interrupted sweep resumes
-instead of recomputing, and one whose every base is cached ranks nothing.
+two calls of ``Ranker.rank_tokens``. Given a ``cache_path`` (the CLI always
+gives one), per-base summaries are cached on disk keyed by a digest of the
+inputs, so an interrupted sweep resumes instead of recomputing, and one
+whose every base is cached ranks nothing.
 """
 
 import hashlib
@@ -40,89 +42,72 @@ from .weighting import WeightScheme
 
 METRICS = ("map", "map_at_30")
 
-SKIP_INVALID_BASE = "invalid-base"
-
 # enters the resume cache's digest: bump it with any change that moves a
 # summary, so that a resumed sweep never mixes two versions' summaries
 CACHE_VERSION = 1
 
+DEFAULT_GRID = "0.1:100.0:0.1"
 MAX_GRID_VALUES = 1_000_000
 _HALF_ULP = Decimal(2.0**-53)
 
 
-class BaseGrid:
-    """Arithmetic grid of log bases, generated exactly via Decimal steps."""
-
-    __slots__ = ("start", "stop", "step", "n")
-
-    def __init__(self, start: Decimal, stop: Decimal, step: Decimal):
-        self.start, self.stop, self.step = start, stop, step
-        if not all(v.is_finite() for v in (self.start, self.stop, self.step)):
-            raise ValueError(
-                f"grid values must be finite, got {self.start}:{self.stop}:{self.step}"
-            )
-        if self.step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
-        if self.start <= 0:
-            raise ValueError(f"grid start must be positive, got {self.start}")
-        if self.stop < self.start:
-            raise ValueError(f"grid stop {self.stop} below start {self.start}")
-        spec = f"{self.start}:{self.stop}:{self.step}"
-        if float(self.start) == 0.0:
-            raise ValueError(f"grid start {self.start} is 0 as a double")
-        if math.isinf(float(self.stop)):
-            raise ValueError(f"grid stop {self.stop} is infinite as a double")
-        # every value, and the first one past the stop, must be exact in
-        # Decimal's 28 digits, so that each label is its value
-        with localcontext() as ctx:
-            ctx.traps[Inexact] = True
-            try:
-                n = (self.stop - self.start) // self.step + 1
-                self.start + n * self.step
-            except (Inexact, InvalidOperation):
-                raise ValueError(
-                    f"grid {spec} needs more than {ctx.prec} significant digits"
-                ) from None
-        self.n = int(n)
-        if self.n > MAX_GRID_VALUES:
-            raise ValueError(f"grid {spec} has {n} values, more than {MAX_GRID_VALUES}")
-        # a value other than 1 within half an ulp of 1.0 would divide by
-        # ln 1.0 = 0; only the two values around 1 can lie there
-        if self.start <= 1 + _HALF_ULP and self.stop >= 1 - _HALF_ULP:
-            near = int((1 - self.start) // self.step)
-            for k in range(max(near - 1, 0), min(near + 3, self.n)):
-                value = self.start + k * self.step
-                if value != 1 and float(value) == 1.0:
-                    raise ValueError(f"grid value {value} is 1.0 as a double")
-        if self.n == 1 and self.start == 1:
-            raise ValueError("grid holds no base but 1, whose logarithm is 0")
-
-    @classmethod
-    def default(cls) -> "BaseGrid":
-        return cls(Decimal("0.1"), Decimal("100.0"), Decimal("0.1"))
-
-    @classmethod
-    def parse(cls, spec: str) -> "BaseGrid":
-        """Parse a START:STOP:STEP grid specification."""
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"grid spec must be START:STOP:STEP, got {spec!r}")
+def grid_labels(spec: str) -> list[str]:
+    """Every value of the START:STOP:STEP grid ``spec``, ascending, as its
+    exact Decimal label. A spec whose values are not all usable log bases
+    but 1 (or would be too many) is refused with ``ValueError``."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"grid spec must be START:STOP:STEP, got {spec!r}")
+    try:
+        start, stop, step = (Decimal(p) for p in parts)
+    except InvalidOperation:
+        raise ValueError(f"non-numeric grid spec {spec!r}") from None
+    if not all(v.is_finite() for v in (start, stop, step)):
+        raise ValueError(f"grid values must be finite, got {start}:{stop}:{step}")
+    if step <= 0:
+        raise ValueError(f"grid step must be positive, got {step}")
+    if start <= 0:
+        raise ValueError(f"grid start must be positive, got {start}")
+    if stop < start:
+        raise ValueError(f"grid stop {stop} below start {start}")
+    shown = f"{start}:{stop}:{step}"
+    if float(start) == 0.0:
+        raise ValueError(f"grid start {start} is 0 as a double")
+    if math.isinf(float(stop)):
+        raise ValueError(f"grid stop {stop} is infinite as a double")
+    # every value, and the first one past the stop, must be exact in
+    # Decimal's 28 digits, so that each label is its value
+    with localcontext() as ctx:
+        ctx.traps[Inexact] = True
         try:
-            start, stop, step = (Decimal(p) for p in parts)
-        except InvalidOperation:
-            raise ValueError(f"non-numeric grid spec {spec!r}") from None
-        return cls(start, stop, step)
-
-    def labels(self) -> list[str]:
-        """Every value of the grid, ascending, as its exact Decimal label."""
-        return [str(self.start + k * self.step) for k in range(self.n)]
+            n = (stop - start) // step + 1
+            start + n * step
+        except (Inexact, InvalidOperation):
+            raise ValueError(
+                f"grid {shown} needs more than {ctx.prec} significant digits"
+            ) from None
+    if n > MAX_GRID_VALUES:
+        raise ValueError(f"grid {shown} has {n} values, more than {MAX_GRID_VALUES}")
+    n = int(n)
+    # a value other than 1 within half an ulp of 1.0 would divide by
+    # ln 1.0 = 0; only the two values around 1 can lie there
+    if start <= 1 + _HALF_ULP and stop >= 1 - _HALF_ULP:
+        near = int((1 - start) // step)
+        for k in range(max(near - 1, 0), min(near + 3, n)):
+            value = start + k * step
+            if value != 1 and float(value) == 1.0:
+                raise ValueError(f"grid value {value} is 1.0 as a double")
+    if n == 1 and start == 1:
+        raise ValueError("grid holds no base but 1, whose logarithm is 0")
+    return [str(start + k * step) for k in range(n)]
 
 
 class SweepResult:
     def __init__(self):
         # base label -> summary, in ascending base order
         self.per_base: dict[str, EvalSummary] = {}
-        self.skipped: list[tuple[str, str]] = []
+        # labels whose double is 1.0, unusable as a log base
+        self.skipped: list[str] = []
         # bases ranked in this run (not taken from the cache), the distinct
         # rankings to the cutoff among them, and the fragile groups of the plan
         self.ranked_bases = 0
@@ -234,7 +219,7 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the judged queries' tokens, ``{query_id: tokens}`` as
     ``Ranker.rank_tokens`` takes them, at every base of ``labels``: a grid's
-    ``BaseGrid.labels()``, or ``[str(scheme.base)]`` for one checked base,
+    ``grid_labels``, or ``[str(scheme.base)]`` for one checked base,
     the label ``eval`` writes. Each base is weighed at ``float(label)``; a
     label whose double is 1.0 is recorded as skipped.
 
@@ -269,7 +254,7 @@ def run_sweep(
           else open(cache_path, "a", encoding="utf-8")) as cache_file:
         for label, base in bases:
             if base == 1.0:
-                result.skipped.append((label, SKIP_INVALID_BASE))
+                result.skipped.append(label)
                 continue
             if label in cached:
                 result.per_base[label] = cached[label]

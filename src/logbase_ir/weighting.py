@@ -16,18 +16,14 @@ from collections import Counter
 from .index import InvertedIndex
 
 
-class InvalidBaseError(ValueError):
-    pass
-
-
 class WeightScheme:
-    """A validated log base."""
+    """A validated log base; any other value raises ``ValueError``."""
 
     __slots__ = ("base",)
 
     def __init__(self, base: float):
         if not (base > 0.0) or base == 1.0 or math.isinf(base):
-            raise InvalidBaseError(f"log base must be positive and != 1, got {base!r}")
+            raise ValueError(f"log base must be positive and != 1, got {base!r}")
         self.base = base
 
 

@@ -29,7 +29,14 @@ from logbase_ir.evaluation import (
 from logbase_ir.index import build_index
 from logbase_ir.porter import stem
 from logbase_ir.retrieval import RankedList, Ranker
-from logbase_ir.sweep import BaseGrid, emit_csv, render_table, run_sweep, top_k_report
+from logbase_ir.sweep import (
+    DEFAULT_GRID,
+    emit_csv,
+    grid_labels,
+    render_table,
+    run_sweep,
+    top_k_report,
+)
 from logbase_ir.textpipe import default_stoplist, pipeline, split_lines
 from logbase_ir.weighting import WeightScheme
 
@@ -268,7 +275,7 @@ def test_criterion_5_report_shape():
         texts = {1: "apple pie", 2: "pear tart", 3: "apple tart"}
         index = build_index([(d, pipeline(t, frozenset())) for d, t in texts.items()])
         result = run_sweep(index, {1: pipeline("apple", frozenset())}, {1: {1}},
-                           BaseGrid.parse("9:11:1").labels())
+                           grid_labels("9:11:1"))
         rows = top_k_report(result, "map", 5)
         text = render_table(rows, "map")
         header = text.splitlines()[0].split()
@@ -289,11 +296,11 @@ def test_criterion_6_sweep_contract():
         queries = {qid: pipeline(text, frozenset())
                    for qid, text in ((1, "solar energy"), (2, "wind power"))}
         qrels = {1: {1, 3}, 2: {2, 4}}
-        labels = BaseGrid.default().labels()
+        labels = grid_labels(DEFAULT_GRID)
         assert len(labels) == 1000
         result = run_sweep(index, queries, qrels, labels)
         assert len(result.per_base) == 999
-        assert [label for label, _ in result.skipped] == ["1.0"]
+        assert result.skipped == ["1.0"]
         with tempfile.TemporaryDirectory() as tmp:
             p1 = Path(tmp) / "a.csv"
             p2 = Path(tmp) / "b.csv"
@@ -314,7 +321,7 @@ def test_criterion_6_med_sweep_wall_time():
         stoplist, index, queries, qrels = setup
         start = time.perf_counter()
         tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items() if qid in qrels}
-        result = run_sweep(index, tokens, qrels, BaseGrid.default().labels())
+        result = run_sweep(index, tokens, qrels, grid_labels(DEFAULT_GRID))
         elapsed = time.perf_counter() - start
         assert len(result.per_base) == 999
         assert elapsed < 1800, f"MED sweep took {elapsed:.0f}s"

@@ -585,6 +585,33 @@ class TestEval:
         assert err.splitlines() == [
             *notes, "note: 1 distinct ranking to the cutoff across 1 base; 0 fragile groups"]
 
+    @pytest.mark.parametrize("options, notes", [
+        (["--pooling", "pooled"], [f"empty-bucket level={k / 10:.1f}" for k in range(11)
+                                   if k != 5]),
+        (["--interp", "standard"], []),
+        (["--interp", "standard", "--pooling", "pooled"], []),
+    ], ids=["paper-pooled", "standard", "standard-pooled"])
+    def test_empty_bucket_notes_only_where_an_empty_bucket_scores(self, capsys, tmp_path,
+                                                                   options, notes):
+        # a standard level scores from hits, not buckets, and a pooled
+        # bucket is no one query's (test_unjudged_queries_are_noted_and_skipped
+        # checks the per-query paper notes)
+        docs = tmp_path / "four.all"
+        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\ncherry\n.I 3\n.W\nplum\n"
+                        ".I 4\n.W\npear\n")
+        queries = tmp_path / "one.qry"
+        queries.write_text(".I 1\n.W\napple banana\n")
+        qrels = tmp_path / "two.rel"
+        qrels.write_text("1 1\n1 2\n")  # doc 1 at rank 1 is the one point, at recall 0.5
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "eval", "--docs", docs, "--queries", queries,
+                                "--qrels", qrels, "--out", out, *options)
+        assert code == 0
+        # standard mode scores level 0.0 from the hit; paper mode, from its empty bucket
+        level = "1.000000" if "standard" in options else "0.000000"
+        assert stdout.splitlines()[0] == f"level_0.0 {level}"
+        assert err.splitlines() == [*notes, f"report written to {out / 'eval.csv'}"]
+
     def test_notes_of_one_are_worded_in_the_singular(self, capsys, tmp_path):
         docs = tmp_path / "two.all"
         docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n")
@@ -876,27 +903,6 @@ class TestConfigValues:
         )
         return cfg
 
-    @pytest.mark.parametrize("value", ["false", "No", "0"])
-    def test_no_cache_false_keeps_the_cache(self, capsys, collection, tmp_path, value):
-        cfg = self.eval_config(collection, tmp_path, f"no_cache={value}")
-        code, _, _ = run(capsys, "sweep", "--config", cfg, "--base", "10")
-        assert code == 0
-        assert (tmp_path / "out" / "sweep_cache.jsonl").exists()
-
-    @pytest.mark.parametrize("value", ["true", "YES", "1"])
-    def test_no_cache_true_disables_the_cache(self, capsys, collection, tmp_path, value):
-        cfg = self.eval_config(collection, tmp_path, f"no_cache={value}")
-        code, _, _ = run(capsys, "sweep", "--config", cfg, "--base", "10")
-        assert code == 0
-        assert (tmp_path / "out" / "sweep.csv").exists()
-        assert not (tmp_path / "out" / "sweep_cache.jsonl").exists()
-
-    def test_no_cache_other_value_is_usage_error(self, capsys, collection, tmp_path):
-        cfg = self.eval_config(collection, tmp_path, "no_cache=maybe")
-        code, _, err = run(capsys, "sweep", "--config", cfg, "--base", "10")
-        assert code == 2
-        assert "config no_cache='maybe'" in err
-
     def test_misspelt_key_is_usage_error(self, capsys, collection, tmp_path):
         # cutof=2 used to run with the default cutoff and exit 0
         cfg = self.eval_config(collection, tmp_path, "cutof=2")
@@ -969,7 +975,7 @@ class TestGivenTwice:
         (["index", "--save-index", "a.bin", "--save-index", "b.bin"], "--save-index"),
         (["search", "--base", "10", "--base", "2", "-k", "1", "-k", "5", "zebra"], "--base"),
         (["eval", "--cutoff", "5", "--cutoff", "5"], "--cutoff"),
-        (["sweep", "--no-cache", "--no-cache"], "--no-cache"),
+        (["sweep", "--grid", "2:3:1", "--grid", "2:3:1"], "--grid"),
     ], ids=["stats", "index", "search", "eval", "sweep"])
     def test_flag_given_twice(self, capsys, tmp_path, monkeypatch, argv, flag):
         self.check(capsys, tmp_path, monkeypatch, argv, flag)
@@ -1054,12 +1060,11 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("out", ["afile", "afile/", "afile/sub", "afile/sub/deeper",
                                      "link/sub", "adir", "adir/new/deeper", "new", "locked/new",
-                                     "dangling"])
+                                     "dangling", "dangling/sub"])
     def test_out_is_checked_before_any_input_is_read(self, capsys, tmp_path, monkeypatch, out):
-        # an --out that os.makedirs cannot create failed only after the
-        # ingest; now it fails before any input is read (none exists here),
-        # with the reason os.makedirs gives, and nothing is created. A
-        # dangling link is left to os.makedirs, after the inputs are read.
+        # an --out that os.makedirs cannot create, through a dangling link
+        # too, fails before any input is read (none exists here), with the
+        # reason os.makedirs gives, and nothing is created
         monkeypatch.chdir(tmp_path)
         Path("afile").write_text("")
         Path("adir").mkdir()
@@ -1075,14 +1080,12 @@ class TestErrorExits:
         [err] = errors
         assert sorted(os.listdir()) == ["adir", "afile", "dangling", "link", "locked"]
         assert os.listdir("adir") == []
-        read_first = err.startswith("error: cannot read none: ")
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as e:
-            assert err == f"error: cannot create output directory {out}: {e.strerror}\n" or (
-                out == "dangling" and read_first)
+            assert err == f"error: cannot create output directory {out}: {e.strerror}\n"
         else:
-            assert read_first
+            assert err.startswith("error: cannot read none: ")
 
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):
@@ -1254,10 +1257,6 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, [*argv, "--format", "bogus", "--stoplist", stoplist], "",
                    "unknown format 'bogus'")
 
-    def test_no_cache_value_before_the_inputs_are_read(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["sweep", "--base", "10"], "no_cache=maybe",
-                   "config no_cache='maybe'")
-
     def test_search_top_zero_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")
 
@@ -1273,7 +1272,7 @@ def table_flags(command):
 class TestOptionTable:
     """The parser and the config check come from one table of options."""
 
-    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 13, 15)))
+    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 13, 14)))
     def test_parser_flags_are_the_table_entries(self, command, count):
         parser = build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
@@ -1287,7 +1286,7 @@ class TestOptionTable:
     def test_keys_of_other_subcommands_are_ignored(self, capsys, collection, tmp_path,
                                                   command):
         # each value fails if read: a path under a missing directory, or no
-        # valid number, choice, grid or boolean
+        # valid number, choice or grid
         poison = tmp_path / "absent" / "x"
         others = [key for key, (commands, _) in _OPTIONS.items() if command not in commands]
         cfg = tmp_path / "run.cfg"
@@ -1360,6 +1359,24 @@ class TestOptionTable:
         assert raised.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() and not (tmp_path / "o5").exists()
+
+    def test_no_cache_is_no_flag(self, capsys, collection, tmp_path, monkeypatch):
+        # every sweep resumes from its cache, which changes no output
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--no-cache", "--docs", str(collection["docs"]), "--queries",
+                  str(collection["queries"]), "--qrels", str(collection["qrels"])])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --no-cache" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_cache_is_no_config_key(self, capsys, collection, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out={tmp_path / 'out'}\nno_cache=true\n")
+        code, out, err = run(capsys, "sweep", "--config", cfg, "--docs", collection["docs"],
+                             "--queries", collection["queries"], "--qrels", collection["qrels"])
+        assert (code, out, err) == (2, "", f"error: {cfg}:2: unknown option 'no_cache'\n")
+        assert not (tmp_path / "out").exists()
 
     def test_short_top_flag_is_checked_as_top(self, capsys, collection):
         code, out, err = run(capsys, "search", "--docs", collection["docs"], "-k", "x", "zebra")

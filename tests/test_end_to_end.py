@@ -84,14 +84,16 @@ builtin_sum = builtins.sum
 
 
 def outputs(capsys, out_dir, paths):
-    """stdout and every report of an eval and a sweep, by name."""
+    """stdout and every report of an eval and a sweep, by name. The sweep
+    starts without a resume cache, so that it ranks every base."""
+    (out_dir / "sweep" / "sweep_cache.jsonl").unlink(missing_ok=True)
     files = {}
     files["eval"] = run(capsys, "eval", *inputs(paths), "--out", out_dir,
                         "--save-run", out_dir / "run.tsv", "--base", "0.3")
     files["eval-pooled"] = run(capsys, "eval", *inputs(paths), "--out", out_dir / "pooled",
                                "--interp", "standard", "--pooling", "pooled")
     files["sweep"] = run(capsys, "sweep", *inputs(paths), "--out", out_dir / "sweep",
-                         "--grid", "0.2:10.0:0.2", "--no-cache")
+                         "--grid", "0.2:10.0:0.2")
     for path in sorted(out_dir.rglob("*")):
         if path.is_file():
             files[str(path.relative_to(out_dir))] = path.read_bytes()
@@ -233,7 +235,7 @@ def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
     top = sorted({ref.rank(terms)[0][0] for terms in col.queries.values()})
     col.docs_smart += "".join(f".I {1000 + d}\n.W\n" + f"{texts[d]}\n" * 3 for d in top)
     paths = gen.write(col, str(tmp_path / "fragile"))
-    argv = ["sweep", *inputs(paths), "--out", tmp_path, "--grid", "0.5:3.0:0.5", "--no-cache"]
+    argv = ["sweep", *inputs(paths), "--out", tmp_path, "--grid", "0.5:3.0:0.5"]
     assert main([str(a) for a in argv]) == 0
     fragile = re.search(r"; (\d+) fragile groups?\n", capsys.readouterr().err)
     assert fragile and int(fragile[1]) > 0

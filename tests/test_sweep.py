@@ -11,12 +11,13 @@ from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
 from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import (
-    BaseGrid,
+    DEFAULT_GRID,
     SweepResult,
     best_standard_worst,
     emit_csv,
     emit_level_curves,
     emit_metric_curve,
+    grid_labels,
     render_table,
     run_sweep,
     top_k_report,
@@ -44,8 +45,7 @@ def toy_sweep(labels, **kwargs):
 
 class TestBaseGrid:
     def test_default_grid_is_exactly_the_thousand_tenths(self):
-        grid = BaseGrid.default()
-        labels = grid.labels()
+        labels = grid_labels(DEFAULT_GRID)
         assert len(labels) == 1000
         assert len(set(labels)) == 1000
         assert labels == [str(k * Decimal("0.1")) for k in range(1, 1001)]
@@ -54,27 +54,26 @@ class TestBaseGrid:
         assert labels[-1] == "100.0"
 
     def test_parse(self):
-        grid = BaseGrid.parse("9.9:10.1:0.1")
-        assert grid.labels() == ["9.9", "10.0", "10.1"]
+        assert grid_labels("9.9:10.1:0.1") == ["9.9", "10.0", "10.1"]
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            BaseGrid.parse("1:2")
-        with pytest.raises(ValueError):
-            BaseGrid.parse("a:b:c")
+        with pytest.raises(ValueError, match="^grid spec must be START:STOP:STEP, got '1:2'$"):
+            grid_labels("1:2")
+        with pytest.raises(ValueError, match="^non-numeric grid spec 'a:b:c'$"):
+            grid_labels("a:b:c")
 
     def test_invalid_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            BaseGrid(Decimal("1"), Decimal("2"), Decimal("0"))
-        with pytest.raises(ValueError):
-            BaseGrid(Decimal("0"), Decimal("2"), Decimal("1"))
-        with pytest.raises(ValueError):
-            BaseGrid(Decimal("3"), Decimal("2"), Decimal("1"))
+        with pytest.raises(ValueError, match="^grid step must be positive, got 0$"):
+            grid_labels("1:2:0")
+        with pytest.raises(ValueError, match="^grid start must be positive, got 0$"):
+            grid_labels("0:2:1")
+        with pytest.raises(ValueError, match="^grid stop 2 below start 3$"):
+            grid_labels("3:2:1")
 
     def test_single(self):
         # a one-value grid keeps its Decimal label; one --base enters a
         # sweep as the label eval writes, str(float), and is no grid
-        assert BaseGrid.parse("10.0:10.0:1").labels() == ["10.0"]
+        assert grid_labels("10.0:10.0:1") == ["10.0"]
         assert list(toy_sweep([str(WeightScheme(10.0).base)]).per_base) == ["10.0"]
 
     # each is rejected on construction; the third's values were once
@@ -97,12 +96,11 @@ class TestBaseGrid:
     )
     def test_unusable_grids_rejected(self, spec, message):
         with pytest.raises(ValueError, match=message):
-            BaseGrid.parse(spec)
+            grid_labels(spec)
 
     def test_grid_around_one_kept(self):
-        assert BaseGrid.parse("0.5:1.5:0.5").labels() == ["0.5", "1.0", "1.5"]
-        grid = BaseGrid.parse("0.9999999999999998:1.0000000000000004:0.0000000000000002")
-        labels = grid.labels()
+        assert grid_labels("0.5:1.5:0.5") == ["0.5", "1.0", "1.5"]
+        labels = grid_labels("0.9999999999999998:1.0000000000000004:0.0000000000000002")
         assert [float(x) for x in labels] == [
             0.9999999999999998, 1.0, 1.0000000000000002, 1.0000000000000004
         ]
@@ -110,16 +108,15 @@ class TestBaseGrid:
 
 class TestRunSweep:
     def test_base_one_is_skipped_not_evaluated(self):
-        result = toy_sweep(BaseGrid.parse("0.5:1.5:0.5").labels())
-        assert [label for label, _ in result.skipped] == ["1.0"]
-        assert result.skipped[0][1] == "invalid-base"
+        result = toy_sweep(grid_labels("0.5:1.5:0.5"))
+        assert result.skipped == ["1.0"]
         assert sorted(result.per_base) == ["0.5", "1.5"]
 
     def test_grid_partition_invariant(self):
-        labels = BaseGrid.parse("0.7:1.3:0.1").labels()
+        labels = grid_labels("0.7:1.3:0.1")
         result = toy_sweep(labels)
         evaluated = set(result.per_base)
-        skipped = {label for label, _ in result.skipped}
+        skipped = set(result.skipped)
         assert evaluated | skipped == set(labels)
         assert not (evaluated & skipped)
 
@@ -131,7 +128,7 @@ class TestRunSweep:
         assert 0.0 <= summary.map <= 1.0
 
     def test_all_bases_agree_to_1e9(self):
-        result = toy_sweep(BaseGrid.parse("0.2:30:1.1").labels())
+        result = toy_sweep(grid_labels("0.2:30:1.1"))
         summaries = list(result.per_base.values())
         first = summaries[0]
         for other in summaries[1:]:
@@ -292,7 +289,7 @@ class TestRescaledRanking:
 
     def test_each_base_gets_the_summary_of_its_own_rankings(self):
         rng = random.Random(5678)
-        labels = BaseGrid.parse("0.1:2.0:0.1").labels()
+        labels = grid_labels("0.1:2.0:0.1")
         varied = 0
         for index, queries in self.corpora():
             tokens = dict(enumerate(queries))
@@ -320,12 +317,12 @@ class TestRescaledRanking:
 
         monkeypatch.setattr(index_mod, "_norms", recording)
         index = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
-        result = run_sweep(index, QUERIES, QRELS, BaseGrid.parse("0.5:5:0.5").labels())
+        result = run_sweep(index, QUERIES, QRELS, grid_labels("0.5:5:0.5"))
         assert len(result.per_base) == 9
         assert calls == [sorted(TEXTS)]
 
     def test_equal_rankings_are_evaluated_once(self, tmp_path, monkeypatch):
-        labels = BaseGrid.parse("2:6:0.5").labels()
+        labels = grid_labels("2:6:0.5")
         bases = [float(v) for v in labels]
         orders = {
             tuple(tuple(d for d, _ in rl.entries) for rl in
@@ -361,7 +358,7 @@ class TestPlan:
 
     def test_default_grid_on_200_random_corpora(self):
         rng = random.Random(5678)
-        labels = BaseGrid.default().labels()
+        labels = grid_labels(DEFAULT_GRID)
         varied = fragile = 0
         for index, queries in criterion_4_corpora(200):
             tokens = dict(enumerate(queries))
@@ -391,7 +388,7 @@ class TestPlan:
 
     def test_fragile_group_changes_order_between_bases(self):
         swept, want = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}},
-                                               BaseGrid.default().labels())
+                                               grid_labels(DEFAULT_GRID))
         assert_summaries_equal(swept.per_base, want)
         assert swept.fragile_groups == 1
         assert swept.distinct_rankings == len(set(want.values())) == 2
@@ -402,7 +399,7 @@ class TestPlan:
         texts = {1: "x y", 2: "x y z", 3: "x y z x y z x y z", 4: "z", 5: "z w", 6: "w"}
         for cutoff, fragile in ((1, 0), (2, 1)):
             swept, want = self.sweep_and_reference(texts, "x y", {1: {3}},
-                                                   BaseGrid.default().labels(),
+                                                   grid_labels(DEFAULT_GRID),
                                                    cutoff=cutoff)
             assert_summaries_equal(swept.per_base, want)
             assert swept.fragile_groups == fragile
@@ -418,7 +415,7 @@ class TestPlan:
             6: "plum",
         }
         swept, want = self.sweep_and_reference(texts, "common apple", {1: {2, 4}},
-                                               BaseGrid.default().labels())
+                                               grid_labels(DEFAULT_GRID))
         assert_summaries_equal(swept.per_base, want)
         assert swept.fragile_groups == 0
         assert swept.distinct_rankings == 1
@@ -432,7 +429,7 @@ class TestPlan:
             return settle(self, query_tokens, rankings, groups, vectors)
 
         monkeypatch.setattr(Ranker, "settle", recording)
-        labels = BaseGrid.parse("2:6:0.5").labels()
+        labels = grid_labels("2:6:0.5")
         swept, _ = self.sweep_and_reference(self.NEAR_TIE, "x y", {1: {2}}, labels)
         # the pair, at positions 0 and 1, settled once per base with a ranker
         # of that base (the reference's calls come after the sweep's)
@@ -465,7 +462,7 @@ class TestPlan:
             return term_vectors(index, doc_ids)
 
         monkeypatch.setattr(retrieval, "term_vectors", recording)
-        labels = BaseGrid.parse("2:6:0.5").labels()
+        labels = grid_labels("2:6:0.5")
         index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
         # both queries hold docs 1 and 2 in a fragile group
         queries = {1: ["x", "y"], 2: ["y", "x", "y", "x"]}
@@ -485,7 +482,7 @@ class TestPlan:
 class TestCache:
     def test_resume_uses_cached_entries(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        labels = BaseGrid.parse("2:4:1").labels()
+        labels = grid_labels("2:4:1")
         first = toy_sweep(labels, cache_path=str(cache))
         assert cache.exists()
         lines_after_first = cache.read_text().count("\n")
@@ -496,7 +493,7 @@ class TestCache:
 
     def test_partial_cache_completes(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        labels = BaseGrid.parse("2.0:4.0:1.0").labels()
+        labels = grid_labels("2.0:4.0:1.0")
         full = toy_sweep(labels)
         toy_sweep(["3.0"], cache_path=str(cache))
         assert "3.0" in cache.read_text()
@@ -515,7 +512,7 @@ class TestCache:
 
     def test_line_of_another_cache_version_is_not_reused(self, tmp_path, monkeypatch):
         cache, fresh = tmp_path / "cache.jsonl", tmp_path / "fresh.jsonl"
-        labels = BaseGrid.parse("2:3:1").labels()
+        labels = grid_labels("2:3:1")
         monkeypatch.setattr(sweep, "CACHE_VERSION", sweep.CACHE_VERSION - 1)
         toy_sweep(labels, cache_path=str(cache))
         monkeypatch.undo()
@@ -531,7 +528,7 @@ class TestCache:
         # the digest hashes the index as held: no snapshot is encoded
         monkeypatch.setattr(index_mod.InvertedIndex, "snapshot_parts", None)
         cache = tmp_path / "cache.jsonl"
-        labels = BaseGrid.parse("2:4:1").labels()
+        labels = grid_labels("2:4:1")
         built = toy_sweep(labels, cache_path=str(cache))
         resumed = run_sweep(loaded, QUERIES, QRELS, labels, cache_path=str(cache))
         assert (resumed.ranked_bases, resumed.per_base) == (0, built.per_base)
@@ -600,7 +597,7 @@ class TestCache:
 
     def test_values_outside_the_unit_interval_are_recomputed(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
-        labels = BaseGrid.parse("9:11:1").labels()
+        labels = grid_labels("9:11:1")
         first = toy_sweep(labels, cache_path=str(cache))
         good = cache.read_text().splitlines()
         entries = [json.loads(line) for line in good]
@@ -627,14 +624,14 @@ class TestCache:
         good = self.cached_line(tmp_path)
         cache = tmp_path / "cache.jsonl"
         cache.write_text(good)
-        toy_sweep(BaseGrid.parse("2.0:3.0:1.0").labels(), cache_path=str(cache))
+        toy_sweep(grid_labels("2.0:3.0:1.0"), cache_path=str(cache))
         lines = cache.read_text().splitlines()
         assert lines[0] == good
         assert [json.loads(x)["base"] for x in lines] == ["2.0", "3.0"]
 
     def test_valid_cache_is_not_rewritten(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache.jsonl"
-        labels = BaseGrid.parse("2:4:1").labels()
+        labels = grid_labels("2:4:1")
         toy_sweep(labels, cache_path=str(cache))
         writes = []
         monkeypatch.setattr(sweep, "write_atomic", lambda *args: writes.append(args))
@@ -644,7 +641,7 @@ class TestCache:
 
 @pytest.fixture(scope="module")
 def report_result():
-    return toy_sweep(BaseGrid.parse("5:10:2.5").labels())
+    return toy_sweep(grid_labels("5:10:2.5"))
 
 
 class TestReports:
@@ -670,7 +667,7 @@ class TestReports:
         assert best[1].map_at_30 == pytest.approx(worst[1].map_at_30, abs=1e-9)
 
     def test_best_standard_worst_requires_base_ten(self):
-        result = toy_sweep(BaseGrid.parse("2:4:1").labels())
+        result = toy_sweep(grid_labels("2:4:1"))
         with pytest.raises(ValueError, match="base 10"):
             best_standard_worst(result, "map")
 
@@ -687,7 +684,7 @@ class TestReports:
 
 class TestEmission:
     def test_csv_shape_and_determinism(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("0.8:1.2:0.1").labels())
+        result = toy_sweep(grid_labels("0.8:1.2:0.1"))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(result, str(p1))
         emit_csv(result, str(p2))
@@ -708,7 +705,7 @@ class TestEmission:
         ]
 
     def test_metric_curve(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
+        result = toy_sweep(grid_labels("2:3:1"))
         path = tmp_path / "curve.csv"
         emit_metric_curve(result, "map", str(path))
         lines = path.read_text().splitlines()
@@ -716,7 +713,7 @@ class TestEmission:
         assert len(lines) == 3
 
     def test_level_curves(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
+        result = toy_sweep(grid_labels("2:3:1"))
         path = tmp_path / "levels.csv"
         emit_level_curves(result, ["2", "3"], str(path))
         lines = path.read_text().splitlines()
@@ -732,12 +729,12 @@ class TestEmission:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            emit_csv(toy_sweep(BaseGrid.parse("2:3:1").labels()), str(path))
+            emit_csv(toy_sweep(grid_labels("2:3:1")), str(path))
         assert path.read_text() == "old report\n"
         assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
     def test_unwritable_path_raises_with_context(self, tmp_path):
-        result = toy_sweep(BaseGrid.parse("2:3:1").labels())
+        result = toy_sweep(grid_labels("2:3:1"))
         bad = tmp_path / "missing-dir" / "x.csv"
         with pytest.raises(OSError, match="x.csv"):
             emit_csv(result, str(bad))
@@ -745,8 +742,8 @@ class TestEmission:
 
 class TestDefaultGridRun:
     def test_thousand_grid_on_toy_corpus(self):
-        result = toy_sweep(BaseGrid.default().labels())
+        result = toy_sweep(grid_labels(DEFAULT_GRID))
         assert len(result.per_base) == 999
-        assert [label for label, _ in result.skipped] == ["1.0"]
+        assert result.skipped == ["1.0"]
         maps = {s.map for s in result.per_base.values()}
         assert max(maps) - min(maps) < 1e-9
