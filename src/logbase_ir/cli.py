@@ -192,17 +192,22 @@ class _Options:
 def _out_dir(opts: _Options) -> str:
     """The --out directory, which ``_eval_inputs`` creates once the inputs
     are read. Where ``os.makedirs`` must fail (a component of the path is a
-    non-directory or a dangling link, or its nearest existing ancestor is
-    not a writable directory) it exits 2 now, with the reason
+    non-directory or a link that resolves to none, or its nearest existing
+    ancestor is not a writable directory) it exits 2 now, with the reason
     ``os.makedirs`` gives."""
     out = opts.get("out", "out")
     path = head = out.rstrip(os.sep) or os.sep
     while head and not os.path.lexists(head):
         head = os.path.dirname(head)
     head = head or os.curdir
-    if not os.path.isdir(head):  # a non-directory, or a link to one or to nothing
-        fault = (errno.EEXIST if head == path
-                 else errno.ENOTDIR if os.path.exists(head) else errno.ENOENT)
+    if head == path and not os.path.isdir(head):  # --out itself resolves to no directory
+        fault = errno.EEXIST
+    elif not os.path.isdir(head):
+        try:
+            os.stat(head)
+            fault = errno.ENOTDIR
+        except OSError as e:  # a link to nothing, or a loop of links
+            fault = e.errno
     elif head != path and not os.access(head, os.W_OK | os.X_OK):
         fault = errno.EACCES
     else:
@@ -331,17 +336,15 @@ def _eval_inputs(opts: _Options):
     index, stoplist, _ = _index(opts)
     with _naming(queries_path):
         queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
-    # the qrels format is checked by _eval_options
-    qrels_text, qrels_format = _read(qrels_path), opts.get("qrels_format", "auto")
-    with _naming(qrels_path):
-        qrels = collection_io.parse_qrels(qrels_text, qrels_format)
+    with _naming(qrels_path):  # the qrels format is checked by _eval_options
+        qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
+                                                       opts.get("qrels_format", "auto"))
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
     unknown = sorted(qrels.keys() - queries.keys())
     if unknown:
         raise _Exit(1, f"qrels reference unknown query ids {unknown}")
-    _note(collection_io.nonpositive_grades(qrels_text, qrels_format),
-          "judged pair has a grade <= 0 and counts as relevant",
+    _note(nonpositive, "judged pair has a grade <= 0 and counts as relevant",
           "judged pairs have a grade <= 0 and count as relevant")
     _note(len(set().union(*qrels.values()) - index.norms.keys()),
           "judged doc id is not in the collection", "judged doc ids are not in the collection")

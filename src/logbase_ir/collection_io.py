@@ -15,6 +15,8 @@ iterable of lines. ``parse_documents`` streams a document file's
 order. Lines end at "\n" and "\r\n" only (``textpipe.split_lines``). One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
+``parse_qrels`` reads a qrels file's judgments and its count of grades
+<= 0 in one parse.
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -260,7 +262,8 @@ _QRELS_LAYOUTS = {"two": (2, 1), "three": (3, 1), "four": (4, 2)}
 
 
 def _qrels_idlist(content: str) -> Qrels:
-    """Relevance lists: a query id, then doc ids, terminated by a ``/`` line."""
+    """Relevance lists: a query id, then doc ids, terminated by a ``/`` line.
+    A list that names no doc id fails at its query id's line."""
     qrels: Qrels = {}
     tokens: list[tuple[int, str]] = []
 
@@ -270,6 +273,8 @@ def _qrels_idlist(content: str) -> Qrels:
                 ids = [int(t) for _, t in tokens]
             except ValueError:
                 raise ParseError("non-integer id", tokens[0][0]) from None
+            if len(ids) == 1:
+                raise ParseError(f"query {ids[0]} lists no relevant doc id", tokens[0][0])
             qrels.setdefault(ids[0], set()).update(ids[1:])
             tokens.clear()
 
@@ -316,36 +321,31 @@ def _qrels_rows(content: str, format: str) -> Iterator[tuple[int, int, str | Non
         yield query_id, doc_id, None if grade_col is None else parts[grade_col]
 
 
-def parse_qrels(content: str, format: str = "auto") -> Qrels:
-    """Parse relevance judgments into query_id -> relevant doc_id sets.
-
-    Column layouts: ``two`` is ``query_id doc_id``, ``three`` is
-    ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
-    Any listed pair counts as relevant regardless of grade
-    (``nonpositive_grades`` counts those graded <= 0). ``auto`` picks the
-    layout from the column count; a four-column file whose second column is
-    not uniformly "0" is read as ``query_id doc_id x x`` (the CISI layout).
-    """
-    if format == "idlist":
-        return _qrels_idlist(content)
-    qrels: Qrels = {}
-    for query_id, doc_id, _ in _qrels_rows(content, format):
-        qrels.setdefault(query_id, set()).add(doc_id)
-    return qrels
-
-
-def _at_most_zero(grade: str) -> bool:
+def _at_most_zero(grade: str | None) -> bool:
     try:
-        return float(grade) <= 0
+        return grade is not None and float(grade) <= 0
     except ValueError:
         return False
 
 
-def nonpositive_grades(content: str, format: str = "auto") -> int:
-    """The number of qrels rows, of a layout that carries a grade, whose
-    grade reads as a number <= 0: TREC's judged non-relevant pairs, which
-    ``parse_qrels`` counts as relevant all the same."""
+def parse_qrels(content: str, format: str = "auto") -> tuple[Qrels, int]:
+    """A qrels file's judgments, query_id -> relevant doc_id sets, and the
+    number of its rows whose grade reads as a number <= 0, both from one walk
+    of the rows. Any listed pair counts as relevant regardless of grade, so
+    TREC's judged non-relevant pairs, graded <= 0, count too.
+
+    Column layouts: ``two`` is ``query_id doc_id``, ``three`` is
+    ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
+    ``auto`` picks the layout from the column count; a four-column file
+    whose second column is not uniformly "0" is read as ``query_id doc_id x
+    x`` (the CISI layout). ``two``, CISI's layout and ``idlist`` carry no
+    grade, so their count is 0.
+    """
     if format == "idlist":
-        return 0
-    return sum(1 for *_, grade in _qrels_rows(content, format)
-               if grade is not None and _at_most_zero(grade))
+        return _qrels_idlist(content), 0
+    qrels: Qrels = {}
+    nonpositive = 0
+    for query_id, doc_id, grade in _qrels_rows(content, format):
+        qrels.setdefault(query_id, set()).add(doc_id)
+        nonpositive += _at_most_zero(grade)
+    return qrels, nonpositive

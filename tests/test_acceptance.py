@@ -119,7 +119,7 @@ def _med_setup():
     docs = _documents(_read(docs_path), "smart")
     index = build_index([(i, pipeline(t, stoplist)) for i, t in docs])
     queries = parse_queries(_read(queries_path), "smart")
-    qrels = parse_qrels(_read(qrels_path), "auto")
+    qrels, _ = parse_qrels(_read(qrels_path), "auto")
     return stoplist, index, queries, qrels
 
 

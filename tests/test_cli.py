@@ -1,14 +1,20 @@
 import ast
+import errno
+import functools
 import hashlib
+import io
 import json
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from logbase_ir import index as index_mod
 from logbase_ir.cli import _OPTIONS, build_parser, main
@@ -875,6 +881,92 @@ class TestByteOrderMark:
         assert outputs[1] == outputs[0]
 
 
+# qrels of queries 1 and 2 in each --qrels-format; auto reads CISI's layout
+QRELS_FILES = {
+    "auto": "1 1 0 0\n1 2 0 0\n2 3 0 0\n",
+    "two": "1 1\n1 2\n2 3\n",
+    "three": "1 1 1\n1 2 0\n2 3 1\n",
+    "four": "1 0 1 1\n1 0 2 -1\n2 0 3 1\n",
+    "idlist": "1\n1 2\n/\n2 3\n/\n",
+}
+MUTANT_BYTES = st.one_of(st.sampled_from(b" \t\r\n/.#*-019e\"{}[]:,\x00\xff"),
+                         st.integers(0, 255))
+
+
+@st.composite
+def mutated(draw, data: bytes) -> bytes:
+    """``data`` after one to four edits. A byte-level edit replaces up to two
+    bytes at one place with up to two others; a line-level edit drops a
+    line, repeats it, copies another line over it or puts junk in its
+    place."""
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            i, cut = draw(st.integers(0, len(data))), draw(st.integers(0, 2))
+            data = data[:i] + bytes(draw(st.lists(MUTANT_BYTES, max_size=2))) + data[i + cut:]
+        else:
+            lines = data.split(b"\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = draw(st.sampled_from([
+                [], [lines[i]] * 2, [draw(st.sampled_from(lines))],
+                [bytes(draw(st.lists(MUTANT_BYTES, max_size=8)))]]))
+            data = b"\n".join(lines)
+    return data
+
+
+def _rehashed(snapshot: bytes) -> bytes:
+    """The snapshot with the body_sha256 of its body, where its header line
+    is still a JSON object, so that a load checks past the hash."""
+    line, _, body = snapshot.partition(b"\n")
+    try:
+        header = json.loads(line)
+    except ValueError:
+        return snapshot
+    if not isinstance(header, dict):
+        return snapshot
+    header["body_sha256"] = hashlib.sha256(body).hexdigest()
+    return json.dumps(header).encode() + b"\n" + body
+
+
+class TestMutatedInputs:
+    """A mutated input file of any kind lets no exception escape ``main``:
+    every run exits 0, 1 or 2."""
+
+    @pytest.mark.parametrize("role, fmt", [
+        *(("docs", fmt) for fmt in DOC_FORMATS), *(("queries", fmt) for fmt in DOC_FORMATS),
+        *(("qrels", fmt) for fmt in QRELS_FORMATS), ("config", "smart"), ("snapshot", "smart"),
+    ])
+    @seed(26)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_run_exits_0_1_or_2(self, role, fmt, data):
+        doc_format, qrels_format = ("smart", fmt) if role == "qrels" else (fmt, "two")
+        docs, queries = FORMAT_FILES[doc_format]
+        with tempfile.TemporaryDirectory() as tmp, \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            path = functools.partial(os.path.join, tmp)
+            inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[qrels_format]}
+            config = "".join(f"{name}={path(name)}\n" for name in inputs) + \
+                "format=smart\nqrels_format=two\nbase=10\ncutoff=50\ninterp=standard\n" \
+                "pooling=pooled\n"
+            for name, text in {**inputs, "config": config}.items():
+                Path(path(name)).write_text(text, encoding="utf-8")
+            if role == "snapshot":
+                assert main(["index", "--docs", path("docs"), "--save-index",
+                             path("snapshot")]) == 0
+                argv = ["search", "--load-index", path("snapshot"), "zebra yak"]
+            else:
+                command = data.draw(st.sampled_from(["eval", "sweep"]))
+                argv = [command, "--out", path("out"), *(["--base", "10"] * (command == "sweep"))]
+                if role == "config":
+                    argv += ["--config", path("config")]
+                else:
+                    argv += [*(arg for name in inputs for arg in (f"--{name}", path(name))),
+                             "--format", doc_format, "--qrels-format", qrels_format]
+            mutant = data.draw(mutated(Path(path(role)).read_bytes()))
+            Path(path(role)).write_bytes(_rehashed(mutant) if role == "snapshot" else mutant)
+            assert main(argv) in (0, 1, 2)
+
+
 class TestConfigPrecedence:
     def test_config_supplies_defaults_flags_override(self, capsys, collection, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1029,17 +1121,20 @@ class TestErrorExits:
         ("jsonl", "q", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),
         ("smart", "q", ".I x\n.W\nzebra\n", "line 1: bad .I record id 'x'"),
         ("smart", "r", "1 0 1 1 1\n", "line 1: cannot infer qrels layout from 5 columns"),
-    ], ids=["docs", "queries", "smart-queries", "qrels"])
+        ("smart", "r", "1\n1\n/\n2\n/\n", "line 4: query 2 lists no relevant doc id"),
+    ], ids=["docs", "queries", "smart-queries", "qrels", "idlist-qrels"])
     def test_malformed_file_is_named(self, capsys, tmp_path, monkeypatch, fmt, bad, content,
                                      message):
-        # a parse fault named a line but no file, and a query a document
+        # a parse fault named a line but no file, and a query a document; an
+        # idlist list naming no document failed only once --out was created
         monkeypatch.chdir(tmp_path)
         good = {"jsonl": '{"id": 1, "text": "zebra"}\n', "smart": ".I 1\n.W\nzebra\n"}[fmt]
         for name, text in (("d", good), ("q", good), ("r", "1 1\n")):
             Path(name).write_text(content if name == bad else text)
+        qrels_format = ["--qrels-format", "idlist"] if "/" in content else []
         for command in ("eval", "sweep"):
             code, out, err = run(capsys, command, "--docs", "d", "--queries", "q", "--qrels", "r",
-                                 "--format", fmt, "--base", "10")
+                                 *qrels_format, "--format", fmt, "--base", "10")
             assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
         assert not Path("out").exists()
 
@@ -1060,17 +1155,18 @@ class TestErrorExits:
 
     @pytest.mark.parametrize("out", ["afile", "afile/", "afile/sub", "afile/sub/deeper",
                                      "link/sub", "adir", "adir/new/deeper", "new", "locked/new",
-                                     "dangling", "dangling/sub"])
+                                     "dangling", "dangling/sub", "loop", "loop/sub"])
     def test_out_is_checked_before_any_input_is_read(self, capsys, tmp_path, monkeypatch, out):
-        # an --out that os.makedirs cannot create, through a dangling link
-        # too, fails before any input is read (none exists here), with the
-        # reason os.makedirs gives, and nothing is created
+        # an --out that os.makedirs cannot create, through a dangling link or
+        # a loop of links too, fails before any input is read (none exists
+        # here), with the reason os.makedirs gives, and nothing is created
         monkeypatch.chdir(tmp_path)
         Path("afile").write_text("")
         Path("adir").mkdir()
         Path("locked").mkdir(mode=0o500)
         os.symlink("afile", "link")
         os.symlink("nowhere", "dangling")
+        os.symlink("loop", "loop")
         errors = set()
         for command in ("eval", "sweep"):
             code, stdout, err = run(capsys, command, "--docs", "none", "--queries", "none",
@@ -1078,12 +1174,14 @@ class TestErrorExits:
             assert (code, stdout) == (2, "")
             errors.add(err)
         [err] = errors
-        assert sorted(os.listdir()) == ["adir", "afile", "dangling", "link", "locked"]
+        assert sorted(os.listdir()) == ["adir", "afile", "dangling", "link", "locked", "loop"]
         assert os.listdir("adir") == []
         try:
             os.makedirs(out, exist_ok=True)
         except OSError as e:
             assert err == f"error: cannot create output directory {out}: {e.strerror}\n"
+            if out == "loop/sub":
+                assert e.errno == errno.ELOOP
         else:
             assert err.startswith("error: cannot read none: ")
 

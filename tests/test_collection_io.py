@@ -8,7 +8,6 @@ from logbase_ir.collection_io import (
     DOC_FORMATS,
     QRELS_FORMATS,
     ParseError,
-    nonpositive_grades,
     parse_documents,
     parse_qrels,
     parse_queries,
@@ -135,34 +134,40 @@ class TestParseLisa:
 
 class TestParseQrels:
     def test_two_column(self):
-        assert parse_qrels("1 13\n1 14\n2 13", "two") == {1: {13, 14}, 2: {13}}
+        assert parse_qrels("1 13\n1 14\n2 13", "two") == ({1: {13, 14}, 2: {13}}, 0)
 
     def test_four_column(self):
-        assert parse_qrels("1 0 13 1", "four") == {1: {13}}
+        assert parse_qrels("1 0 13 1", "four") == ({1: {13}}, 0)
 
     def test_three_column_any_grade_counts(self):
-        assert parse_qrels("1 13 2\n1 14 -1", "three") == {1: {13, 14}}
+        assert parse_qrels("1 13 2\n1 14 -1", "three") == ({1: {13, 14}}, 1)
 
     def test_duplicates_collapse(self):
-        assert parse_qrels("1 13\n1 13", "two") == {1: {13}}
+        assert parse_qrels("1 13\n1 13", "two") == ({1: {13}}, 0)
 
     def test_auto_detect(self):
-        assert parse_qrels("1 0 13 1\n1 0 14 1") == {1: {13, 14}}
-        assert parse_qrels("3 7") == {3: {7}}
+        assert parse_qrels("1 0 13 1\n1 0 14 1") == ({1: {13, 14}}, 0)
+        assert parse_qrels("3 7") == ({3: {7}}, 0)
 
     def test_auto_detect_four_column_with_float_grades(self):
         # second column holds the doc id when it is not uniformly zero
         content = " 1  28 0.000000 0.000000\n 1  35 0.000000 0.000000\n"
-        assert parse_qrels(content) == {1: {28, 35}}
+        assert parse_qrels(content) == ({1: {28, 35}}, 0)
 
     def test_idlist(self):
         content = "1\n10 11\n12\n/\n2 20\n/\n"
-        assert parse_qrels(content, "idlist") == {1: {10, 11, 12}, 2: {20}}
+        assert parse_qrels(content, "idlist") == ({1: {10, 11, 12}, 2: {20}}, 0)
 
     def test_idlist_last_record_needs_no_slash(self):
-        assert parse_qrels("1\n10 11\n/\n2 20\n21", "idlist") == {1: {10, 11}, 2: {20, 21}}
+        assert parse_qrels("1\n10 11\n/\n2 20\n21", "idlist") == ({1: {10, 11}, 2: {20, 21}}, 0)
         with pytest.raises(ParseError, match="line 4"):
             parse_qrels("1\n10 11\n/\n2 x\n21", "idlist")
+
+    @pytest.mark.parametrize("content", ["1\n1\n/\n2\n/\n", "1 1\n/\n\n2\n",
+                                         "1 1\n/\n\n2 \n/\n/"])
+    def test_idlist_list_naming_no_doc_fails_at_its_line(self, content):
+        with pytest.raises(ParseError, match=r"^line 4: query 2 lists no relevant doc id$"):
+            parse_qrels(content, "idlist")
 
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -177,12 +182,12 @@ class TestParseQrels:
             assert parse_qrels("\n".join(lines), "two") == expected
 
     def test_idempotent_via_tsv_round_trip(self):
-        qrels = parse_qrels("2 4\n1 9\n1 3", "two")
+        qrels, _ = parse_qrels("2 4\n1 9\n1 3", "two")
         tsv = "".join(f"{q}\t{d}\n" for q in sorted(qrels) for d in sorted(qrels[q]))
-        assert parse_qrels(tsv, "two") == qrels
+        assert parse_qrels(tsv, "two") == (qrels, 0)
 
     def test_empty(self):
-        assert parse_qrels("") == {}
+        assert parse_qrels("") == ({}, 0)
 
     @pytest.mark.parametrize("content, fmt, count", [
         ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "auto", 2),
@@ -195,8 +200,10 @@ class TestParseQrels:
         ("1 0 0\n/\n", "idlist", 0),
     ])
     def test_nonpositive_grades(self, content, fmt, count):
-        # counted only: parse_qrels keeps every listed pair relevant
-        assert nonpositive_grades(content, fmt) == count
+        # counted only: every listed pair stays relevant
+        qrels, nonpositive = parse_qrels(content, fmt)
+        assert nonpositive == count
+        assert sum(map(len, qrels.values())) == content.count("\n") - content.count("/")
 
 
 ids = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=30, unique=True)
@@ -288,7 +295,7 @@ class TestLineBreaks:
             (1, "abc"), (2, "")
         ]
         assert documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [(3, "text")]
-        assert parse_qrels("1 2\r\n1 3\r\n") == {1: {2, 3}}
+        assert parse_qrels("1 2\r\n1 3\r\n") == ({1: {2, 3}}, 0)
 
 
 class TestJsonlRoundTrip:
