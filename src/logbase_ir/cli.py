@@ -13,21 +13,21 @@ a usage error; a key of another subcommand is ignored, so one file can serve
 several commands. A flag's value and a config value are the same text,
 converted by the same cast, and an empty one is a usage error. Of two
 mutually exclusive options (--base and --grid of ``sweep``, --docs and
---load-index of ``search``), a flag outranks both keys. Every option, --out
-too (created after), is checked before any input but the config file is
-read. A --base has one check (``_scheme``) and one report label, ``str`` of
-its float; only a --grid goes through ``sweep.grid_labels``. A sweep always
-resumes from its cache, ``sweep_cache.jsonl`` in --out. Exit codes: 0 on
-success, 1 for domain errors (empty or malformed data), 2 for usage and I/O
-errors. The pipeline has no randomness anywhere, so identical inputs and
-flags always reproduce identical artifacts.
+--load-index of ``search``), a flag outranks both keys. Every option is
+checked before any input but the config file is read, --out by making it
+(removed if an input fails). A --base has one check (``_scheme``) and one
+report label, ``str`` of its float; only a --grid goes through
+``sweep.grid_labels``. A sweep always resumes from its cache,
+``sweep_cache.jsonl`` in --out. Exit codes: 0 on success, 1 for domain
+errors (empty or malformed data), 2 for usage and I/O errors. The pipeline
+has no randomness anywhere, so identical inputs and flags always reproduce
+identical artifacts.
 """
 
 import argparse
-import errno
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from io import TextIOWrapper
 
 from .index import InvertedIndex, build_index, write_report
@@ -61,7 +61,7 @@ def _read(path: str, read=TextIOWrapper.read):
         with open(path, encoding="utf-8-sig", newline="") as f:
             return read(f)
     except OSError as e:
-        raise _Exit(2, f"cannot read {path}: {e}") from e
+        raise _Exit(2, f"cannot read {path}: {e.strerror or e}") from e
     except UnicodeDecodeError as e:
         raise _Exit(1, f"{path}: not UTF-8: {e}") from e
 
@@ -189,32 +189,6 @@ class _Options:
         return value
 
 
-def _out_dir(opts: _Options) -> str:
-    """The --out directory, which ``_eval_inputs`` creates once the inputs
-    are read. Where ``os.makedirs`` must fail (a component of the path is a
-    non-directory or a link that resolves to none, or its nearest existing
-    ancestor is not a writable directory) it exits 2 now, with the reason
-    ``os.makedirs`` gives."""
-    out = opts.get("out", "out")
-    path = head = out.rstrip(os.sep) or os.sep
-    while head and not os.path.lexists(head):
-        head = os.path.dirname(head)
-    head = head or os.curdir
-    if head == path and not os.path.isdir(head):  # --out itself resolves to no directory
-        fault = errno.EEXIST
-    elif not os.path.isdir(head):
-        try:
-            os.stat(head)
-            fault = errno.ENOTDIR
-        except OSError as e:  # a link to nothing, or a loop of links
-            fault = e.errno
-    elif head != path and not os.access(head, os.W_OK | os.X_OK):
-        fault = errno.EACCES
-    else:
-        return out
-    raise _Exit(2, f"cannot create output directory {out}: {os.strerror(fault)}")
-
-
 def _stoplist(opts: _Options) -> frozenset[str]:
     path = opts.get("stoplist")
     return default_stoplist() if path is None else parse_stoplist(_read(path))
@@ -253,7 +227,7 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
         try:
             index = InvertedIndex.load(snapshot)
         except OSError as e:
-            raise _Exit(2, f"cannot read {snapshot}: {e}") from e
+            raise _Exit(2, f"cannot read {snapshot}: {e.strerror or e}") from e
         except ValueError as e:
             raise _Exit(1, f"{snapshot}: {e}") from e
         if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
@@ -323,27 +297,41 @@ def cmd_search(opts: _Options) -> int:
 
 def _eval_inputs(opts: _Options):
     """The output directory, index, judged queries and qrels of ``eval`` and
-    ``sweep``. --out (``_out_dir``) and every input path are checked before
-    any input is read; the directory is created after. The judged queries
-    are ``{query_id: tokens}`` in query-file order. A malformed file exits 1
-    naming it, as do qrels naming a query the file lacks, or no query at
-    all. Judged pairs graded <= 0, judged doc ids absent from the
-    collection, then unjudged queries, are noted on stderr."""
+    ``sweep``. --out is made first, so ``os.makedirs`` judges it before any
+    input is read, and the directories made are removed if an input fails.
+    The judged queries are ``{query_id: tokens}`` in query-file order. A
+    malformed file exits 1 naming it, as do qrels naming a query the file
+    lacks, or no query at all. Judged pairs graded <= 0, judged doc ids
+    absent from the collection, then unjudged queries, are noted on stderr."""
     from . import collection_io
 
-    out = _out_dir(opts)
-    queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
-    index, stoplist, _ = _index(opts)
-    with _naming(queries_path):
-        queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
-    with _naming(qrels_path):  # the qrels format is checked by _eval_options
-        qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
-                                                       opts.get("qrels_format", "auto"))
-    if not qrels:
-        raise _Exit(1, "degenerate qrels: no judged queries")
-    unknown = sorted(qrels.keys() - queries.keys())
-    if unknown:
-        raise _Exit(1, f"qrels reference unknown query ids {unknown}")
+    out = opts.get("out", "out")
+    made, path = [], out.rstrip(os.sep)  # made: the paths os.makedirs makes, deepest first
+    while path and not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
+    try:
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as e:
+            raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
+        queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
+        index, stoplist, _ = _index(opts)
+        with _naming(queries_path):
+            queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
+        with _naming(qrels_path):  # the qrels format is checked by _eval_options
+            qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
+                                                           opts.get("qrels_format", "auto"))
+        if not qrels:
+            raise _Exit(1, "degenerate qrels: no judged queries")
+        unknown = sorted(qrels.keys() - queries.keys())
+        if unknown:
+            raise _Exit(1, f"qrels reference unknown query ids {unknown}")
+    except BaseException:
+        for path in made:
+            with suppress(OSError):
+                os.rmdir(path)
+        raise
     _note(nonpositive, "judged pair has a grade <= 0 and counts as relevant",
           "judged pairs have a grade <= 0 and count as relevant")
     _note(len(set().union(*qrels.values()) - index.norms.keys()),
@@ -352,10 +340,6 @@ def _eval_inputs(opts: _Options):
           "query has no judgments and is skipped", "queries have no judgments and are skipped")
     query_tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items()
                     if qid in qrels}
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as e:
-        raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
     return out, index, query_tokens, qrels
 
 

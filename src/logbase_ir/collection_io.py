@@ -16,7 +16,7 @@ order. Lines end at "\n" and "\r\n" only (``textpipe.split_lines``). One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
-<= 0 in one parse.
+<= 0 in one parse; its ``idlist`` lists are NPL records.
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -262,28 +262,18 @@ _QRELS_LAYOUTS = {"two": (2, 1), "three": (3, 1), "four": (4, 2)}
 
 
 def _qrels_idlist(content: str) -> Qrels:
-    """Relevance lists: a query id, then doc ids, terminated by a ``/`` line.
-    A list that names no doc id fails at its query id's line."""
+    """Relevance lists: NPL records (``_npl``), a query id and then the doc
+    ids it judges relevant. A list that names no doc id fails at its query
+    id's line; a repeated query id adds to its list."""
     qrels: Qrels = {}
-    tokens: list[tuple[int, str]] = []
-
-    def flush() -> None:
-        if tokens:
-            try:
-                ids = [int(t) for _, t in tokens]
-            except ValueError:
-                raise ParseError("non-integer id", tokens[0][0]) from None
-            if len(ids) == 1:
-                raise ParseError(f"query {ids[0]} lists no relevant doc id", tokens[0][0])
-            qrels.setdefault(ids[0], set()).update(ids[1:])
-            tokens.clear()
-
-    for lineno, line in enumerate(split_lines(content), start=1):
-        if line.strip() == "/":
-            flush()
-        else:
-            tokens.extend((lineno, t) for t in line.split())
-    flush()
+    for lineno, query_id, text in _npl(split_lines(content)):
+        try:
+            doc_ids = [int(t) for t in text.split()]
+        except ValueError:
+            raise ParseError("non-integer id", lineno) from None
+        if not doc_ids:
+            raise ParseError(f"query {query_id} lists no relevant doc id", lineno)
+        qrels.setdefault(query_id, set()).update(doc_ids)
     return qrels
 
 
@@ -338,7 +328,8 @@ def parse_qrels(content: str, format: str = "auto") -> tuple[Qrels, int]:
     ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
     ``auto`` picks the layout from the column count; a four-column file
     whose second column is not uniformly "0" is read as ``query_id doc_id x
-    x`` (the CISI layout). ``two``, CISI's layout and ``idlist`` carry no
+    x`` (the CISI layout). ``idlist`` is NPL's layout of relevance lists
+    (``_qrels_idlist``). ``two``, CISI's layout and ``idlist`` carry no
     grade, so their count is 0.
     """
     if format == "idlist":

@@ -927,6 +927,48 @@ def _rehashed(snapshot: bytes) -> bytes:
     return json.dumps(header).encode() + b"\n" + body
 
 
+# a snapshot's documents, of six terms, and a query that reads every term
+HEADER_DOCS = ".I 1\n.W\nzebra yak ox\n.I 2\n.W\nzebra zebra gnu\n.I 3\n.W\nyak emu\n" \
+              ".I 5\n.W\nox ant ant\n"
+HEADER_QUERY = "ant emu gnu ox yak zebra"
+# any JSON value, int64's edges and non-finite floats among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) | st.integers(-3, 40)
+    | st.sampled_from([2**63 - 1, 2**63, -(2**63), 10**30]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+
+
+@st.composite
+def edited(draw, value):
+    """``value`` after one edit. A list loses, repeats or replaces an item,
+    swaps two, gains one, or moves 1 between two integers (keeping their
+    sum, so the body's length still matches); an integer moves by a little
+    or past int64; any value may become any JSON value."""
+    kind = draw(st.sampled_from(["drop", "repeat", "replace", "swap", "append", "shift"])
+                if isinstance(value, list) and value else
+                st.sampled_from(["nudge", "other"]) if type(value) is int else st.just("other"))
+    if kind == "other":
+        return draw(JSON_VALUES)
+    if kind == "nudge":
+        return value + draw(st.sampled_from([-2, -1, 1, 2, 2**63, -(2**63)]))
+    items, (i, j) = list(value), draw(st.tuples(*[st.integers(0, len(value) - 1)] * 2))
+    if kind == "drop":
+        del items[i]
+    elif kind == "repeat":
+        items.insert(i, items[i])
+    elif kind == "replace":
+        items[i] = draw(edited(items[i]))
+    elif kind == "swap":
+        items[i], items[j] = items[j], items[i]
+    elif kind == "append":
+        items.append(draw(JSON_VALUES))
+    elif type(items[i]) is int and type(items[j]) is int:  # shift
+        items[i], items[j] = items[i] + 1, items[j] - 1
+    return items
+
+
 class TestMutatedInputs:
     """A mutated input file of any kind lets no exception escape ``main``:
     every run exits 0, 1 or 2."""
@@ -965,6 +1007,28 @@ class TestMutatedInputs:
             mutant = data.draw(mutated(Path(path(role)).read_bytes()))
             Path(path(role)).write_bytes(_rehashed(mutant) if role == "snapshot" else mutant)
             assert main(argv) in (0, 1, 2)
+
+    @pytest.mark.parametrize("field", ["n_docs", "terms", "df", "format_version",
+                                       "pipeline_version", "stoplist_sha256"])
+    @seed(27)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_every_header_edit_exits_0_1_or_2(self, field, data):
+        # one to three edits of one header field, body_sha256 recomputed
+        with tempfile.TemporaryDirectory() as tmp, \
+                redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            docs, snapshot = os.path.join(tmp, "docs"), os.path.join(tmp, "snapshot")
+            Path(docs).write_text(HEADER_DOCS, encoding="utf-8")
+            assert main(["index", "--docs", docs, "--save-index", snapshot]) == 0
+            line, _, body = Path(snapshot).read_bytes().partition(b"\n")
+            header = json.loads(line)
+            for _ in range(data.draw(st.integers(1, 3))):
+                if data.draw(st.integers(0, 9)) == 0:
+                    header.pop(field, None)
+                else:
+                    header[field] = data.draw(edited(header.get(field)))
+            Path(snapshot).write_bytes(_rehashed(json.dumps(header).encode() + b"\n" + body))
+            assert main(["search", "--load-index", snapshot, HEADER_QUERY]) in (0, 1, 2)
 
 
 class TestConfigPrecedence:
@@ -1184,6 +1248,76 @@ class TestErrorExits:
                 assert e.errno == errno.ELOOP
         else:
             assert err.startswith("error: cannot read none: ")
+
+    def test_failing_input_removes_the_directories_made_for_out(self, capsys, collection,
+                                                                 tmp_path, monkeypatch):
+        # the qrels fail only once the docs are indexed; adir was there before
+        monkeypatch.chdir(tmp_path)
+        Path("adir").mkdir()
+        collection["qrels"].write_text("1 1\n1 x\n")
+        for command in ("eval", "sweep"):
+            code, out, err = run(capsys, command, "--docs", collection["docs"], "--queries",
+                                 collection["queries"], "--qrels", collection["qrels"],
+                                 "--base", "10", "--out", "adir/new/deeper")
+            assert (code, out, err) == (
+                1, "", f"error: {collection['qrels']}: line 2: non-integer id column\n")
+            assert os.listdir("adir") == []
+
+    def test_interrupt_removes_the_directories_made_for_out(self, collection, tmp_path,
+                                                             monkeypatch):
+        from logbase_ir import collection_io
+
+        def interrupted(content, format):
+            raise KeyboardInterrupt
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(collection_io, "parse_qrels", interrupted)
+        for command in ("eval", "sweep"):
+            with pytest.raises(KeyboardInterrupt):
+                main([command, "--docs", str(collection["docs"]), "--queries",
+                      str(collection["queries"]), "--qrels", str(collection["qrels"]),
+                      "--base", "10", "--out", "new/deeper"])
+            assert not Path("new").exists()
+
+    def test_failing_input_keeps_an_existing_out(self, capsys, collection, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("out", "sub").mkdir(parents=True)
+        Path("out", "eval.csv").write_text("earlier\n")
+        for command in ("eval", "sweep"):
+            code, _, err = run(capsys, command, "--docs", collection["docs"], "--queries",
+                               "none", "--qrels", collection["qrels"], "--base", "10")
+            assert (code, err) == (2, "error: cannot read none: No such file or directory\n")
+            assert sorted(os.listdir("out")) == ["eval.csv", "sub"]
+            assert Path("out", "eval.csv").read_text() == "earlier\n"
+
+    def test_out_that_makedirs_makes_in_part_is_removed(self, capsys, tmp_path, monkeypatch):
+        # os.makedirs makes new, then fails on a name longer than any allowed
+        monkeypatch.chdir(tmp_path)
+        out = "new/" + "x" * 300
+        for command in ("eval", "sweep"):
+            code, stdout, err = run(capsys, command, "--docs", "none", "--queries", "none",
+                                    "--qrels", "none", "--out", out)
+            assert (code, stdout, err) == (
+                2, "", f"error: cannot create output directory {out}: File name too long\n")
+            assert os.listdir() == []
+
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--docs", "{}"],
+        ["search", "--load-index", "{}", "zebra"],
+        ["eval", "--docs", "{}", "--queries", "{}", "--qrels", "{}"],
+    ], ids=["docs", "snapshot", "eval"])
+    @pytest.mark.parametrize("name, reason", [
+        ("none", "No such file or directory"), ("adir", "Is a directory"),
+    ])
+    def test_unreadable_input_gives_the_reason_alone(self, capsys, tmp_path, monkeypatch,
+                                                     argv, name, reason):
+        # worded as a write failure is: no errno, no second copy of the path
+        monkeypatch.chdir(tmp_path)
+        Path("adir").mkdir()
+        code, out, err = run(capsys, *(arg.format(name) for arg in argv))
+        assert (code, out, err) == (2, "", f"error: cannot read {name}: {reason}\n")
+        assert sorted(os.listdir()) == ["adir"]
 
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):

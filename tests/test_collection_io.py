@@ -169,6 +169,14 @@ class TestParseQrels:
         with pytest.raises(ParseError, match=r"^line 4: query 2 lists no relevant doc id$"):
             parse_qrels(content, "idlist")
 
+    def test_idlist_is_read_as_npl_records(self):
+        # a query id is an NPL record id; a doc id keeps its own message
+        with pytest.raises(ParseError, match=r"^line 5: bad record id 'x'$"):
+            parse_qrels("1\n10\n/\n\nx 20\n/\n", "idlist")
+        with pytest.raises(ParseError, match=r"^line 4: non-integer id$"):
+            parse_qrels("1\n10\n/\n2\n20 y\n", "idlist")
+        assert parse_qrels("1 10\n/\n2 20\n/\n1\n11\n", "idlist") == ({1: {10, 11}, 2: {20}}, 0)
+
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels("1 13\n1 x", "two")

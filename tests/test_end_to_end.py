@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import re
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,129 @@ CACHE_VERSION_PIN = (1, "93031010238416881810290b2e0497b36005e65b296665b79294c2f
 
 def test_cache_version_moves_with_the_summaries():
     assert (CACHE_VERSION, REPORT_SHA256["med"]["out/sweep.csv"]) == CACHE_VERSION_PIN
+
+
+# The two classic collections the benchmark does not generate, at their
+# published sizes, each in its own layout: LISA's documents and #-ended
+# queries (``--format lisa``), and CISI's SMART text with its ``qid did 0 0``
+# qrels, which judge 76 of its 112 queries.
+WHOLE_SHAPES = {
+    "lisa": gen.Shape("lisa", 6003, (20, 80), (3, 10), 7000, 35, (5, 30), (5, 12), (30, 2500)),
+    "cisi": gen.Shape("cisi", 1460, (40, 160), (4, 12), 5000, 112, (20, 60), (6, 14), (40, 1200)),
+}
+CISI_JUDGED = 76
+
+
+def lisa_text(smart: str, query: bool) -> str:
+    """SMART records in LISA's layout: a document is ``Document <id>`` and
+    its .T and .W lines, ended by a row of asterisks; a query is its id and
+    its .W lines, the last one ended by ``#``."""
+    records, keep = [], False
+    for line in smart.splitlines():
+        if line.startswith(".I "):
+            records.append([line[3:]])
+        elif line in (".T", ".A", ".W"):
+            keep = line != ".A"
+        elif keep:
+            records[-1].append(line)
+    if query:
+        return "".join(f"{qid}\n" + "\n".join(text) + " #\n" for qid, *text in records)
+    return "".join(f"Document {d}\n" + "\n".join(text) + "\n" + "*" * 44 + "\n"
+                   for d, *text in records)
+
+
+def whole_collection(shape: str, directory: Path) -> tuple:
+    """The seed-1 collection of a shape, its files written into ``directory``
+    by name, and the arguments that read them."""
+    col = gen.generate(WHOLE_SHAPES[shape], 1)
+    if shape == "lisa":
+        files = {"docs": lisa_text(col.docs_smart, False),
+                 "queries": lisa_text(col.queries_smart, True), "qrels": col.qrels_rel}
+    else:
+        col.qrels = {q: col.qrels[q] for q in sorted(col.qrels)[:CISI_JUDGED]}
+        files = {"docs": col.docs_smart, "queries": col.queries_smart, "qrels": "".join(
+            f"{q} {d} 0 0\n" for q in col.qrels for d in sorted(col.qrels[q]))}
+    for role, text in files.items():
+        (directory / role).write_text(text, encoding="utf-8", newline="\n")
+    fmt = "lisa" if shape == "lisa" else "smart"
+    return col, [*(arg for role in files for arg in (f"--{role}", role)), "--format", fmt]
+
+
+# sha256 of the stdout, the stderr and every file written by ``eval`` and
+# then ``sweep`` into one --out on each whole shape, as in REPORT_SHA256
+WHOLE_SHA256 = {
+    "cisi": {
+        "eval stdout": "729c08e458d2fac9df686515e9ebf015e12e97d2c2ae39e128f6a03622ce2eed",
+        "eval stderr": "6eece77534e7aa050b9c4adcc6e40572c6eb679c3af94d7435f7d5cbd6ab63ef",
+        "sweep stdout": "988d500908323e4150e7d053cfd4acbdc16d054a57341dd1cf9cbc2614d34051",
+        "sweep stderr": "5b02d0c5dfd6b56785b1c7d28a02a4615f3ad628ddc5e8d1ae3bff248ee866cf",
+        "out/compare_map.txt": "ed98c5ec93b3d9ec9caafeb18be6eb1833a7555549754b5af6974345f127a7ba",
+        "out/compare_map_at_30.txt":
+            "7716dcd11a148ab5b18b161f5d9142ec42a886b63b2fb2eb2214cc09142040bc",
+        "out/curve_map.csv": "ae8a2c5bfea807ca0d5302539251da7d4318824fdafc251d571d1ca0b465c0c8",
+        "out/curve_map_at_30.csv":
+            "d62b44371186fed1328ab08dfbdc4cba5cac228eb9636bd83a018940c57c22f4",
+        "out/eval.csv": "af647d04a02ac34a8d5f41fd36329fdf6f0f72b55fa112487710125f72061950",
+        "out/levels_map.csv": "cd11f334a62a83d452b9fea404ba041bc3a5980b0988efdadde604d244892dce",
+        "out/levels_map_at_30.csv":
+            "cd11f334a62a83d452b9fea404ba041bc3a5980b0988efdadde604d244892dce",
+        "out/sweep.csv": "f7d932b2fcc39b45256da6d32898fbace76885e184744a615c177787850bbc3b",
+        "out/sweep_cache.jsonl":
+            "4d4bcceb1f3e11bbe81fcb9c9e9915f54641d5ba74ab991ba2f768e8c7a626c2",
+        "out/top5_map.txt": "7944108efae2f3ea290a09385ee37cabc260c160adbf43655954f910f54babe0",
+        "out/top5_map_at_30.txt":
+            "9ffca49dbb3a5c2a6ce350a31830e044977b93efa971c1d055fb4ef1dfd59d9e",
+        "run.tsv": "5f3bfebc2001dbf64fb22a51815870480063257891a98429c165303e906eda12",
+    },
+    "lisa": {
+        "eval stdout": "2223dee50fe18f60f8e2fa02431101c2a60cd290a3633c6572644dde1835ef3f",
+        "eval stderr": "15c032681010fed1873fecf0a32c8b0ed2df2b1f6e2ce6a76cff772ce666a737",
+        "sweep stdout": "988d500908323e4150e7d053cfd4acbdc16d054a57341dd1cf9cbc2614d34051",
+        "sweep stderr": "b34aad45d89665745275f7fd73d942b88b55e203a83c2ea5e85ff08421080ccf",
+        "out/compare_map.txt": "9ec436497300bc28bdc65d827387d7f11f87bcb6aee375bd2d59aa82dbcebc1d",
+        "out/compare_map_at_30.txt":
+            "4af5f032e20d713cc2426aad05d9cfd82166b3d5c93c8817a9212d41c4aa568a",
+        "out/curve_map.csv": "102f9cc30e4c08075dde79e026065ba0e6de37192ff33ab92b3c43ac70f80f6e",
+        "out/curve_map_at_30.csv":
+            "3930d020c19050c7deb71b1ebe5be09a0463ab04e21cd35dc673f08ccde00a8f",
+        "out/eval.csv": "9d338671cd5d730437043dcfcddaacab56925607915ce3765ae4eba67ea939a5",
+        "out/levels_map.csv": "885ac2378f3b5c9aec50eeb9a975d9563ffbec908ec9c617746180f067fd938d",
+        "out/levels_map_at_30.csv":
+            "885ac2378f3b5c9aec50eeb9a975d9563ffbec908ec9c617746180f067fd938d",
+        "out/sweep.csv": "5c5a746e66574ef4369b7ec2e248cc330341bdf163dc3a6dca171696f32ff696",
+        "out/sweep_cache.jsonl":
+            "3506e36893a45d9eeeaccfa88884a814a1f063fc405d13ae01cc23683e06c1ba",
+        "out/top5_map.txt": "8296f3a8ab6bd07d1b4ef8bec05ed25a306cd135d422023bb5606ea8a5acbe69",
+        "out/top5_map_at_30.txt":
+            "a767872f4246cf724949f202ccebf586b70d03c0f1601a427582e7ce079220e4",
+        "run.tsv": "e93ecc3ffe67714dda18c7065196623f42e02d48c1940a1ca6f7831d2ecc46e0",
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WHOLE_SHAPES))
+def test_whole_lisa_and_cisi_shapes(capsys, tmp_path, monkeypatch, shape):
+    monkeypatch.chdir(tmp_path)
+    col, argv = whole_collection(shape, tmp_path)
+    ref = reference.Reference(col.docs)
+    runs = {q: ref.rank(col.queries[q]) for q in col.qrels}
+    want = reference.summary({q: [d for d, _ in r] for q, r in runs.items()}, col.qrels)
+    labels = [str(Decimal("0.2") * k) for k in range(1, 51) if k != 5]  # base 1.0 is skipped
+    written = {}
+    for command, extra in (("eval", ["--base", "10", "--save-run", "run.tsv"]),
+                           ("sweep", ["--grid", "0.2:10.0:0.2"])):
+        code = main([command, *argv, *extra, "--out", "out"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        written[f"{command} stdout"] = captured.out.encode()
+        written[f"{command} stderr"] = captured.err.encode()
+    assert checks.eval_(written["eval stdout"].decode(), "out", want, "run.tsv", runs) == []
+    assert checks.sweep(written["sweep stdout"].decode(), "out", labels, 1, want) == []
+    written.update((str(p.relative_to(tmp_path)), p.read_bytes())
+                   for p in sorted(tmp_path.rglob("*"))
+                   if p.is_file() and p.name not in ("docs", "queries", "qrels"))
+    assert {name: hashlib.sha256(content).hexdigest()
+            for name, content in written.items()} == WHOLE_SHA256[shape]
 
 
 def csv_rows(path):
