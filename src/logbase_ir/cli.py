@@ -15,7 +15,7 @@ converted by the same cast, and an empty one is a usage error. Of two
 mutually exclusive options (--base and --grid of ``sweep``, --docs and
 --load-index of ``search``), a flag outranks both keys. Every option is
 checked before any input but the config file is read, --out by making it
-(removed if an input fails). A --base has one check (``_scheme``) and one
+(removed if the command fails). A --base has one check (``_scheme``) and one
 report label, ``str`` of its float; only a --grid goes through
 ``sweep.grid_labels``. A sweep always resumes from its cache,
 ``sweep_cache.jsonl`` in --out. Exit codes: 0 on success, 1 for domain
@@ -54,16 +54,24 @@ class _Exit(Exception):
 def _read(path: str, read=TextIOWrapper.read):
     """``read`` applied to the open text input file, by default its whole
     text. Every input file (--docs, --queries, --qrels, --config, --stoplist)
-    is opened here: as UTF-8 less a leading byte order mark, line ends
-    untranslated, so only "\n" and "\r\n" end a line (``split_lines``) and a
-    lone "\r" stays text."""
+    is opened here: as UTF-8 less a leading byte order mark, with lines that
+    end at "\n" only and keep it, and "\r" untranslated. A byte that is not UTF-8
+    exits 1 naming its line and file offset, from a decode of the whole
+    file: the reader's own error counts from the chunk it decodes."""
     try:
-        with open(path, encoding="utf-8-sig", newline="") as f:
+        with open(path, encoding="utf-8-sig", newline="\n") as f:
             return read(f)
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e.strerror or e}") from e
-    except UnicodeDecodeError as e:
-        raise _Exit(1, f"{path}: not UTF-8: {e}") from e
+    except UnicodeDecodeError:
+        with open(path, "rb") as f:
+            data = f.read()
+        try:
+            data.decode("utf-8")  # not utf-8-sig, whose positions skip a BOM
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise _Exit(1, f"{path}: not UTF-8: line {line}: {e}") from e
+        raise
 
 
 @contextmanager
@@ -244,7 +252,7 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
             yield doc_id, pipeline(text, stoplist)
 
     def build(f):
-        records = collection_io.parse_documents(collection_io.file_lines(f), fmt)
+        records = collection_io.parse_documents(f, fmt)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
     with _naming(docs):
@@ -295,16 +303,12 @@ def cmd_search(opts: _Options) -> int:
     return 0
 
 
-def _eval_inputs(opts: _Options):
-    """The output directory, index, judged queries and qrels of ``eval`` and
-    ``sweep``. --out is made first, so ``os.makedirs`` judges it before any
-    input is read, and the directories made are removed if an input fails.
-    The judged queries are ``{query_id: tokens}`` in query-file order. A
-    malformed file exits 1 naming it, as do qrels naming a query the file
-    lacks, or no query at all. Judged pairs graded <= 0, judged doc ids
-    absent from the collection, then unjudged queries, are noted on stderr."""
-    from . import collection_io
-
+@contextmanager
+def _out_dir(opts: _Options):
+    """--out of ``eval`` and ``sweep``, made by ``os.makedirs`` before any
+    input is read. If the command then fails, Ctrl-C included, the
+    directories made are removed, deepest first, by ``rmdir``, which leaves
+    any that is not empty, such as one holding a sweep's cache."""
     out = opts.get("out", "out")
     made, path = [], out.rstrip(os.sep)  # made: the paths os.makedirs makes, deepest first
     while path and not os.path.lexists(path):
@@ -315,23 +319,34 @@ def _eval_inputs(opts: _Options):
             os.makedirs(out, exist_ok=True)
         except OSError as e:
             raise _Exit(2, f"cannot create output directory {out}: {e.strerror or e}") from e
-        queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
-        index, stoplist, _ = _index(opts)
-        with _naming(queries_path):
-            queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
-        with _naming(qrels_path):  # the qrels format is checked by _eval_options
-            qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
-                                                           opts.get("qrels_format", "auto"))
-        if not qrels:
-            raise _Exit(1, "degenerate qrels: no judged queries")
-        unknown = sorted(qrels.keys() - queries.keys())
-        if unknown:
-            raise _Exit(1, f"qrels reference unknown query ids {unknown}")
+        yield out
     except BaseException:
         for path in made:
             with suppress(OSError):
                 os.rmdir(path)
         raise
+
+
+def _eval_inputs(opts: _Options):
+    """The index, judged queries and qrels of ``eval`` and ``sweep``. The
+    judged queries are ``{query_id: tokens}`` in query-file order. A
+    malformed file exits 1 naming it, as do qrels naming a query the file
+    lacks, or no query at all. Judged pairs graded <= 0, judged doc ids
+    absent from the collection, then unjudged queries, are noted on stderr."""
+    from . import collection_io
+
+    queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
+    index, stoplist, _ = _index(opts)
+    with _naming(queries_path):
+        queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
+    with _naming(qrels_path):  # the qrels format is checked by _eval_options
+        qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
+                                                       opts.get("qrels_format", "auto"))
+    if not qrels:
+        raise _Exit(1, "degenerate qrels: no judged queries")
+    unknown = sorted(qrels.keys() - queries.keys())
+    if unknown:
+        raise _Exit(1, f"qrels reference unknown query ids {unknown}")
     _note(nonpositive, "judged pair has a grade <= 0 and counts as relevant",
           "judged pairs have a grade <= 0 and count as relevant")
     _note(len(set().union(*qrels.values()) - index.norms.keys()),
@@ -340,7 +355,7 @@ def _eval_inputs(opts: _Options):
           "query has no judgments and is skipped", "queries have no judgments and are skipped")
     query_tokens = {qid: pipeline(text, stoplist) for qid, text in queries.items()
                     if qid in qrels}
-    return out, index, query_tokens, qrels
+    return index, query_tokens, qrels
 
 
 def _eval_options(opts: _Options) -> tuple[int, str, str]:
@@ -362,27 +377,28 @@ def cmd_eval(opts: _Options) -> int:
 
     cutoff, interp, pooling = _eval_options(opts)
     scheme = _scheme(opts)
-    out, index, query_tokens, qrels = _eval_inputs(opts)
-    ranker = Ranker(index, scheme)
-    rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
-    summary, diagnostics = evaluation.evaluate_rankings(
-        rankings, qrels, cutoff, interp, pooling
-    )
-    run_path = opts.get("save_run")
-    if run_path:
-        ordered = [rankings[qid] for qid in sorted(rankings)]
-        write_report(run_path, format_run(ordered))
-    for level, value in zip(evaluation.RECALL_LEVELS, summary.levels):
-        print(f"level_{level:.1f} {value:.6f}")
-    print(f"map {summary.map:.6f}")
-    print(f"map_at_30 {summary.map_at_30:.6f}")
-    # an empty bucket scores 0.0 in paper mode only; a pooled one is no query's
-    for query_id, level in diagnostics if interp == "paper" else ():
-        query = "" if query_id is None else f"query={query_id} "
-        print(f"empty-bucket {query}level={level / 10:.1f}", file=sys.stderr)
-    csv_path = os.path.join(out, "eval.csv")
-    write_report(csv_path, evaluation.summary_csv([(str(scheme.base), summary)]))
-    print(f"report written to {csv_path}", file=sys.stderr)
+    with _out_dir(opts) as out:
+        index, query_tokens, qrels = _eval_inputs(opts)
+        ranker = Ranker(index, scheme)
+        rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
+        summary, diagnostics = evaluation.evaluate_rankings(
+            rankings, qrels, cutoff, interp, pooling
+        )
+        run_path = opts.get("save_run")
+        if run_path:
+            ordered = [rankings[qid] for qid in sorted(rankings)]
+            write_report(run_path, format_run(ordered))
+        for level, value in zip(evaluation.RECALL_LEVELS, summary.levels):
+            print(f"level_{level:.1f} {value:.6f}")
+        print(f"map {summary.map:.6f}")
+        print(f"map_at_30 {summary.map_at_30:.6f}")
+        # an empty bucket scores 0.0 in paper mode only; a pooled one is no query's
+        for query_id, level in diagnostics if interp == "paper" else ():
+            query = "" if query_id is None else f"query={query_id} "
+            print(f"empty-bucket {query}level={level / 10:.1f}", file=sys.stderr)
+        csv_path = os.path.join(out, "eval.csv")
+        write_report(csv_path, evaluation.summary_csv([(str(scheme.base), summary)]))
+        print(f"report written to {csv_path}", file=sys.stderr)
     return 0
 
 
@@ -398,44 +414,45 @@ def cmd_sweep(opts: _Options) -> int:
         except ValueError as e:
             raise _Exit(2, str(e)) from e
     top = _at_least_one(opts, "top", 5)
-    out, index, query_tokens, qrels = _eval_inputs(opts)
+    with _out_dir(opts) as out:
+        index, query_tokens, qrels = _eval_inputs(opts)
 
-    result = sweep_mod.run_sweep(
-        index,
-        query_tokens,
-        qrels,
-        labels,
-        cutoff=cutoff,
-        interpolation=interp,
-        pooling=pooling,
-        cache_path=os.path.join(out, "sweep_cache.jsonl"),
-    )
-    print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
-          f"across {_count(result.ranked_bases, 'base')}; "
-          f"{_count(result.fragile_groups, 'fragile group')}", file=sys.stderr)
-
-    sweep_mod.emit_csv(result, os.path.join(out, "sweep.csv"))
-    for metric in sweep_mod.METRICS:
-        rows = sweep_mod.top_k_report(result, metric, top)
-        write_report(os.path.join(out, f"top{top}_{metric}.txt"),
-                     sweep_mod.render_table(rows, metric))
-        sweep_mod.emit_metric_curve(result, metric, os.path.join(out, f"curve_{metric}.csv"))
-        try:
-            compare = sweep_mod.best_standard_worst(result, metric)
-        except ValueError as e:
-            print(f"note: {metric} comparison table skipped: {e}", file=sys.stderr)
-            continue
-        write_report(os.path.join(out, f"compare_{metric}.txt"),
-                     sweep_mod.render_table(compare, metric))
-        sweep_mod.emit_level_curves(
-            result,
-            [label for label, _ in compare],
-            os.path.join(out, f"levels_{metric}.csv"),
+        result = sweep_mod.run_sweep(
+            index,
+            query_tokens,
+            qrels,
+            labels,
+            cutoff=cutoff,
+            interpolation=interp,
+            pooling=pooling,
+            cache_path=os.path.join(out, "sweep_cache.jsonl"),
         )
-    evaluated = len(result.per_base)
-    skipped = len(result.skipped)
-    print(f"sweep complete: {evaluated} bases evaluated, {skipped} skipped; "
-          f"reports in {out}")
+        print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
+              f"across {_count(result.ranked_bases, 'base')}; "
+              f"{_count(result.fragile_groups, 'fragile group')}", file=sys.stderr)
+
+        sweep_mod.emit_csv(result, os.path.join(out, "sweep.csv"))
+        for metric in sweep_mod.METRICS:
+            rows = sweep_mod.top_k_report(result, metric, top)
+            write_report(os.path.join(out, f"top{top}_{metric}.txt"),
+                         sweep_mod.render_table(rows, metric))
+            sweep_mod.emit_metric_curve(result, metric, os.path.join(out, f"curve_{metric}.csv"))
+            try:
+                compare = sweep_mod.best_standard_worst(result, metric)
+            except ValueError as e:
+                print(f"note: {metric} comparison table skipped: {e}", file=sys.stderr)
+                continue
+            write_report(os.path.join(out, f"compare_{metric}.txt"),
+                         sweep_mod.render_table(compare, metric))
+            sweep_mod.emit_level_curves(
+                result,
+                [label for label, _ in compare],
+                os.path.join(out, f"levels_{metric}.csv"),
+            )
+        evaluated = len(result.per_base)
+        skipped = len(result.skipped)
+        print(f"sweep complete: {evaluated} bases evaluated, {skipped} skipped; "
+              f"reports in {out}")
     return 0
 
 

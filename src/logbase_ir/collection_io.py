@@ -10,9 +10,10 @@ Documents and queries arrive in one of three incompatible native layouts:
 
 Each format has one reader, a generator of (line, id, text) records over an
 iterable of lines. ``parse_documents`` streams a document file's
-(doc_id, text) records from its lines (``file_lines``), a record at a time;
-``parse_queries`` reads a whole query file into ``{query_id: text}`` in file
-order. Lines end at "\n" and "\r\n" only (``textpipe.split_lines``). One
+(doc_id, text) records from its lines, a record at a time; ``parse_queries``
+reads a whole query file into ``{query_id: text}`` in file order. Lines end
+at "\n" and "\r\n" only: a "\r" before "\n" is whitespace to every reader,
+so a file opened with ``newline="\n"`` gives the lines of ``split_lines``. One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
@@ -24,8 +25,6 @@ str}`` for documents and queries, and two-column TSV for qrels.
 import json
 from collections.abc import Iterable, Iterator
 from functools import partial
-from itertools import chain
-from typing import TextIO
 
 from .textpipe import split_lines
 
@@ -40,23 +39,6 @@ class ParseError(ValueError):
 
 # query_id -> set of relevant doc_ids
 Qrels = dict[int, set[int]]
-
-
-def file_lines(f: TextIO, chunk_size: int = 1 << 16) -> Iterator[str]:
-    """The lines of a text file opened with ``newline=""``, as ``split_lines``
-    gives those of its whole text, read a chunk at a time. A chunk's last
-    piece is carried into the next chunk, so a "\r\n" split between two
-    chunks still ends one line."""
-
-    def chunks() -> Iterator[list[str]]:
-        rest = ""
-        for chunk in iter(partial(f.read, chunk_size), ""):
-            lines = split_lines(rest + chunk)
-            rest = lines.pop()
-            yield lines
-        yield [rest]
-
-    return chain.from_iterable(chunks())
 
 
 # A record reader takes an iterable of lines and yields (line, id, text)

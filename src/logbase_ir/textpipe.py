@@ -4,7 +4,8 @@ The index term alphabet is [a-z0-9]. A token is a maximal run of ASCII
 letters and digits, lowercased; every other character, non-ASCII ones
 included, separates tokens, so hyphenated and punctuated forms break apart
 before any filtering happens. Every input file (collection, queries, qrels,
-config, stoplist) is split into lines by ``split_lines``.
+config, stoplist) ends its lines at "\n" and "\r\n" only (``split_lines``,
+or a collection file opened with ``newline="\n"``).
 """
 
 import hashlib

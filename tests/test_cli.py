@@ -134,6 +134,18 @@ class TestStatsAndIndex:
         assert err.startswith(f"error: {stoplist}: not UTF-8: ")
         assert len(err.splitlines()) == 1
 
+    def test_non_utf8_names_the_line_and_the_file_offset(self, capsys, tmp_path):
+        # the bad byte lies past the first 64 KiB, so past the reader's first
+        # chunks; the decoder's own position counts from its chunk
+        head = "".join(f".I {i}\n.W\nzebra\n" for i in range(1, 5001)).encode() + b".I 5001\n.W\n"
+        assert len(head) > 1 << 16
+        docs = tmp_path / "docs.all"
+        docs.write_bytes(head + b"\xff\n")
+        code, out, err = run(capsys, "stats", "--docs", docs)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {docs}: not UTF-8: line 15003: 'utf-8' codec can't decode "
+                       f"byte 0xff in position {len(head)}: invalid start byte\n")
+
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "stats", "--docs", tmp_path / "nope.all")
         assert code == 2
@@ -880,6 +892,16 @@ class TestByteOrderMark:
                             (tmp_path / "run.tsv").read_bytes()))
         assert outputs[1] == outputs[0]
 
+    def test_not_utf8_offset_counts_the_mark(self, capsys, collection, tmp_path):
+        queries = tmp_path / "bom.qry"
+        queries.write_bytes(b"\xef\xbb\xbf.I 1\n.W\n\xff\n")
+        code, out, err = run(capsys, "eval", "--docs", collection["docs"], "--queries", queries,
+                             "--qrels", collection["qrels"], "--out", tmp_path / "out")
+        assert (code, out) == (1, "")
+        assert err == (f"error: {queries}: not UTF-8: line 3: 'utf-8' codec can't decode "
+                       "byte 0xff in position 11: invalid start byte\n")
+        assert not (tmp_path / "out").exists()
+
 
 # qrels of queries 1 and 2 in each --qrels-format; auto reads CISI's layout
 QRELS_FILES = {
@@ -1178,7 +1200,33 @@ class TestErrorExits:
                              collection["queries"], "--qrels", collection["qrels"],
                              "--save-run", "o7", "--out", "o7")
         assert (code, out, err) == (2, "", "error: cannot write o7: Is a directory\n")
-        assert os.listdir("o7") == []
+        assert not Path("o7").exists()
+
+    def test_failing_run_file_removes_the_out_it_made(self, capsys, collection, tmp_path,
+                                                      monkeypatch):
+        # the run file fails only after every query is ranked and evaluated
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "eval", "--docs", collection["docs"], "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--save-run", "nodir/run.tsv", "--out", "newout")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write nodir/run.tsv: No such file or directory\n"
+        assert not Path("newout").exists()
+
+    def test_interrupted_evaluation_removes_the_out_it_made(self, collection, tmp_path,
+                                                            monkeypatch):
+        from logbase_ir import evaluation
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(evaluation, "evaluate_rankings", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["eval", "--docs", str(collection["docs"]), "--queries",
+                  str(collection["queries"]), "--qrels", str(collection["qrels"]),
+                  "--out", "new/deeper"])
+        assert not Path("new").exists()
 
     @pytest.mark.parametrize("fmt, bad, content, message", [
         ("jsonl", "d", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),

@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -16,8 +17,9 @@ from logbase_ir.textpipe import split_lines
 
 
 def documents(content: str, fmt: str) -> list[tuple[int, str]]:
-    """The (doc_id, text) records of a whole document file's text."""
-    return list(parse_documents(split_lines(content), fmt))
+    """The (doc_id, text) records of a document file's text, from its lines
+    as the open file gives them to the commands."""
+    return list(parse_documents(io.StringIO(content, newline="\n"), fmt))
 
 
 def jsonl(records: list[tuple[int, str]]) -> str:
