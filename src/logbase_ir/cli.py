@@ -19,7 +19,9 @@ checked before any input but the config file is read, --out by making it
 report label, ``str`` of its float; only a --grid goes through
 ``sweep.grid_labels``. A sweep always resumes from its cache,
 ``sweep_cache.jsonl`` in --out. Exit codes: 0 on success, 1 for domain
-errors (empty or malformed data), 2 for usage and I/O errors. The pipeline
+errors (empty or malformed data), 2 for usage and I/O errors; an input
+file's faults, an index snapshot's too, take theirs in one place,
+``_input``, and every text input has one line rule (``_read``). The pipeline
 has no randomness anywhere, so identical inputs and flags always reproduce
 identical artifacts.
 """
@@ -36,7 +38,6 @@ from .textpipe import (
     default_stoplist,
     parse_stoplist,
     pipeline,
-    split_lines,
     stoplist_fingerprint,
 )
 from .weighting import WeightScheme
@@ -51,16 +52,17 @@ class _Exit(Exception):
         self.code = code
 
 
-def _read(path: str, read=TextIOWrapper.read):
-    """``read`` applied to the open text input file, by default its whole
-    text. Every input file (--docs, --queries, --qrels, --config, --stoplist)
-    is opened here: as UTF-8 less a leading byte order mark, with lines that
-    end at "\n" only and keep it, and "\r" untranslated. A byte that is not UTF-8
-    exits 1 naming its line and file offset, from a decode of the whole
-    file: the reader's own error counts from the chunk it decodes."""
+@contextmanager
+def _input(path: str):
+    """Every fault of the input file at ``path`` (--docs, --queries, --qrels,
+    --config, --stoplist or --load-index), raised within, as its exit: an
+    OSError exits 2 with the reason alone; a byte that is not UTF-8 exits 1
+    naming its line and file offset, from a decode of the whole file, as the
+    reader's own error counts from the chunk it decodes; any other
+    ValueError, a ``collection_io.ParseError`` among them, exits 1 after the
+    path."""
     try:
-        with open(path, encoding="utf-8-sig", newline="\n") as f:
-            return read(f)
+        yield
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e.strerror or e}") from e
     except UnicodeDecodeError:
@@ -72,18 +74,20 @@ def _read(path: str, read=TextIOWrapper.read):
             line = data.count(b"\n", 0, e.start) + 1
             raise _Exit(1, f"{path}: not UTF-8: line {line}: {e}") from e
         raise
-
-
-@contextmanager
-def _naming(path: str):
-    """A malformed record of the collection file at ``path`` (a
-    ``collection_io.ParseError`` raised within) exits 1 naming the file."""
-    from .collection_io import ParseError
-
-    try:
-        yield
-    except ParseError as e:
+    except ValueError as e:
         raise _Exit(1, f"{path}: {e}") from e
+
+
+def _read(path: str, read=TextIOWrapper.read):
+    """``read`` applied to the open text input file, by default its whole
+    text, inside ``_input``. Every text input (--docs, --queries, --qrels,
+    --config, --stoplist) is opened here: as UTF-8 less a leading byte order
+    mark, with lines that end at "\n" only and keep it, and "\r"
+    untranslated. A caller of the whole text splits it at "\n" alone, so
+    every input has one line rule, and every parser takes a "\r" before the
+    "\n" for whitespace."""
+    with _input(path), open(path, encoding="utf-8-sig", newline="\n") as f:
+        return read(f)
 
 
 _ALL = ("stats", "index", "search", "eval", "sweep")
@@ -123,7 +127,7 @@ def _flag(key: str) -> str:
 def _load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(split_lines(_read(path)), start=1):
+    for lineno, line in enumerate(_read(path).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -232,16 +236,12 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
     docs = None if snapshot else opts.require("docs")
     stoplist = _stoplist(opts)
     if snapshot:
-        try:
+        with _input(snapshot):
             index = InvertedIndex.load(snapshot)
-        except OSError as e:
-            raise _Exit(2, f"cannot read {snapshot}: {e.strerror or e}") from e
-        except ValueError as e:
-            raise _Exit(1, f"{snapshot}: {e}") from e
-        if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
-            raise _Exit(1, f"{snapshot}: index snapshot was built with another stoplist; "
-                           "rebuild it with `logbase-ir index --save-index` and the same "
-                           "--stoplist as this search")
+            if index.stoplist_sha256 != stoplist_fingerprint(stoplist):
+                raise ValueError("index snapshot was built with another stoplist; rebuild it "
+                                 "with `logbase-ir index --save-index` and the same "
+                                 "--stoplist as this search")
         return index, stoplist, None
     text_bytes = 0
 
@@ -255,8 +255,7 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
         records = collection_io.parse_documents(f, fmt)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
-    with _naming(docs):
-        index = _read(docs, build)
+    index = _read(docs, build)
     return index, stoplist, text_bytes
 
 
@@ -337,11 +336,11 @@ def _eval_inputs(opts: _Options):
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts)
-    with _naming(queries_path):
-        queries = collection_io.parse_queries(_read(queries_path), opts.get("format", "smart"))
-    with _naming(qrels_path):  # the qrels format is checked by _eval_options
-        qrels, nonpositive = collection_io.parse_qrels(_read(qrels_path),
-                                                       opts.get("qrels_format", "auto"))
+    fmt, qrels_format = opts.get("format", "smart"), opts.get("qrels_format", "auto")
+    queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt))
+    # the qrels format is checked by _eval_options
+    qrels, nonpositive = _read(qrels_path,
+                               lambda f: collection_io.parse_qrels(f.read(), qrels_format))
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
     unknown = sorted(qrels.keys() - queries.keys())

@@ -12,8 +12,9 @@ Each format has one reader, a generator of (line, id, text) records over an
 iterable of lines. ``parse_documents`` streams a document file's
 (doc_id, text) records from its lines, a record at a time; ``parse_queries``
 reads a whole query file into ``{query_id: text}`` in file order. Lines end
-at "\n" and "\r\n" only: a "\r" before "\n" is whitespace to every reader,
-so a file opened with ``newline="\n"`` gives the lines of ``split_lines``. One
+at "\n" only, whether a file opened with ``newline="\n"`` gives them or a
+whole text is split at "\n": a "\r" before "\n" is whitespace to every
+reader, so "\r\n" ends lines alike. One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
@@ -25,8 +26,6 @@ str}`` for documents and queries, and two-column TSV for qrels.
 import json
 from collections.abc import Iterable, Iterator
 from functools import partial
-
-from .textpipe import split_lines
 
 
 class ParseError(ValueError):
@@ -235,7 +234,7 @@ def parse_queries(content: str, format: str = "smart") -> dict[int, str]:
         reader = _QUERY_READERS[format]
     except KeyError:
         raise ValueError(f"unknown query format {format!r}") from None
-    return dict(_unique(reader(split_lines(content))))
+    return dict(_unique(reader(content.split("\n"))))
 
 
 QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
@@ -248,7 +247,7 @@ def _qrels_idlist(content: str) -> Qrels:
     ids it judges relevant. A list that names no doc id fails at its query
     id's line; a repeated query id adds to its list."""
     qrels: Qrels = {}
-    for lineno, query_id, text in _npl(split_lines(content)):
+    for lineno, query_id, text in _npl(content.split("\n")):
         try:
             doc_ids = [int(t) for t in text.split()]
         except ValueError:
@@ -265,7 +264,7 @@ def _qrels_rows(content: str, format: str) -> Iterator[tuple[int, int, str | Non
     and four columns whose second is not uniformly "0" (CISI's)."""
     if format != "auto" and format not in _QRELS_LAYOUTS:
         raise ValueError(f"unknown qrels format {format!r}")
-    rows = [(n, parts) for n, parts in enumerate(map(str.split, split_lines(content)), start=1)
+    rows = [(n, parts) for n, parts in enumerate(map(str.split, content.split("\n")), start=1)
             if parts]
     if format == "auto":
         if not rows:

@@ -140,7 +140,7 @@ class InvertedIndex:
         past = next(compress(count(), map(ge, last, repeat(n_docs))), None)
         if past is not None:
             raise ValueError(
-                f"index snapshot: term {terms[past]!r}: last posting at position {last[past]} "
+                f"index snapshot: term {terms[past]!r:.40}: last posting at position {last[past]} "
                 f"of the doc-id column, expected below n_docs {n_docs}"
             )
         # every tf is at most the total, so every tf fits int64
@@ -235,13 +235,11 @@ def _header(line: bytes) -> dict:
     if not isinstance(header, dict):
         raise ValueError("index snapshot header is not a JSON object")
     version = header.get("format_version")
-    if version in (1, 2, 3, 4):
-        raise ValueError(
-            f"index snapshot has format version {version}, which is no longer read; "
-            "rebuild it with `logbase-ir index --save-index`"
-        )
     if version != InvertedIndex.FORMAT_VERSION:
-        raise ValueError(f"unsupported index format version {version!r}")
+        raise ValueError(
+            f"index snapshot has format version {version!r:.40}, not "
+            f"{InvertedIndex.FORMAT_VERSION}; rebuild it with `logbase-ir index --save-index`"
+        )
     pipeline = header.get("pipeline_version")
     if type(pipeline) is not int or pipeline != PIPELINE_VERSION:
         raise ValueError(
@@ -270,16 +268,17 @@ def _header(line: bytes) -> dict:
     later = islice(terms, 1, None)
     unordered = next(compress(islice(terms, 1, None), map(ge, terms, later)), None)
     if unordered is not None:
-        raise ValueError(f"index snapshot: term {unordered!r}: terms not strictly increasing")
+        raise ValueError(f"index snapshot: term {unordered!r:.40}: terms not strictly increasing")
     bad = next(compress(zip(terms, df), map(is_not, map(type, df), repeat(int))), None)
     if bad is not None:
         raise ValueError(
-            f"index snapshot: term {bad[0]!r}: non-integer df {bad[1]!r}, expected an int >= 1"
+            f"index snapshot: term {bad[0]!r:.40}: non-integer df {bad[1]!r:.40}, "
+            "expected an int >= 1"
         )
     bad = next(compress(zip(terms, df), map(lt, df, repeat(1))), None)
     if bad is not None:
         raise ValueError(
-            f"index snapshot: term {bad[0]!r}: df {bad[1]} below 1, "
+            f"index snapshot: term {bad[0]!r:.40}: df {bad[1]!r:.40} below 1, "
             "expected a non-empty posting list"
         )
     return header

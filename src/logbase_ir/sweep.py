@@ -163,6 +163,8 @@ def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
             lines = f.read().splitlines(keepends=True)
     except FileNotFoundError:
         return {}
+    except OSError as e:
+        raise OSError(f"cannot read {cache_path}: {e.strerror or e}") from e
     cached: dict[str, EvalSummary] = {}
     kept: dict[str, bytes] = {}
     for line in lines:
@@ -250,31 +252,35 @@ def run_sweep(
                     fragile.setdefault(qid, []).append((start, stop))
     result.fragile_groups = sum(map(len, fragile.values()))
     memo: dict[tuple, EvalSummary] = {}
-    with (nullcontext() if cache_path is None
-          else open(cache_path, "a", encoding="utf-8")) as cache_file:
-        for label, base in bases:
-            if base == 1.0:
-                result.skipped.append(label)
-                continue
-            if label in cached:
-                result.per_base[label] = cached[label]
-                continue
-            settled = rankings
-            if fragile:
-                ranker = Ranker(index, WeightScheme(base))
-                settled = ranker.settle(query_tokens, rankings, fragile, vectors)
-            # evaluation reads only the doc ids up to the cutoff
-            key = tuple(
-                tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))
-                for qid, groups in fragile.items() for start, stop in groups
-            )
-            if key not in memo:
-                memo[key], _ = evaluate_rankings(settled, qrels, cutoff, interpolation, pooling)
-            summary = result.per_base[label] = memo[key]
-            result.ranked_bases += 1
-            if cache_file:
-                cache_file.write(_cache_line(digest, label, summary) + "\n")
-                cache_file.flush()
+    try:
+        with (nullcontext() if cache_path is None
+              else open(cache_path, "a", encoding="utf-8")) as cache_file:
+            for label, base in bases:
+                if base == 1.0:
+                    result.skipped.append(label)
+                    continue
+                if label in cached:
+                    result.per_base[label] = cached[label]
+                    continue
+                settled = rankings
+                if fragile:
+                    ranker = Ranker(index, WeightScheme(base))
+                    settled = ranker.settle(query_tokens, rankings, fragile, vectors)
+                # evaluation reads only the doc ids up to the cutoff
+                key = tuple(
+                    tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))
+                    for qid, groups in fragile.items() for start, stop in groups
+                )
+                if key not in memo:
+                    memo[key], _ = evaluate_rankings(settled, qrels, cutoff, interpolation,
+                                                     pooling)
+                summary = result.per_base[label] = memo[key]
+                result.ranked_bases += 1
+                if cache_file:
+                    cache_file.write(_cache_line(digest, label, summary) + "\n")
+                    cache_file.flush()
+    except OSError as e:  # the cache's open, write or flush
+        raise OSError(f"cannot write {cache_path}: {e.strerror or e}") from e
     result.distinct_rankings = len(memo)
     return result
 

@@ -4,8 +4,8 @@ The index term alphabet is [a-z0-9]. A token is a maximal run of ASCII
 letters and digits, lowercased; every other character, non-ASCII ones
 included, separates tokens, so hyphenated and punctuated forms break apart
 before any filtering happens. Every input file (collection, queries, qrels,
-config, stoplist) ends its lines at "\n" and "\r\n" only (``split_lines``,
-or a collection file opened with ``newline="\n"``).
+config, stoplist) ends its lines at "\n" only, and a "\r" before it is
+whitespace to every reader of lines, so "\r\n" ends lines alike.
 """
 
 import hashlib
@@ -35,19 +35,12 @@ def tokenize(text: str) -> list[str]:
     return text.encode("ascii", "replace").translate(_TOKEN_BYTES).decode("ascii").split()
 
 
-def split_lines(text: str) -> list[str]:
-    """The lines of an input file's text, split at "\n" and "\r\n" only, as
-    an editor counts them: str.splitlines() would also split at a lone "\r",
-    a form feed, \x1c-\x1e, \x85, U+2028 and U+2029, which stay text."""
-    return text.replace("\r\n", "\n").split("\n")
-
-
 def parse_stoplist(text: str) -> frozenset[str]:
     """The words of a stoplist text: one word per line, ``#`` starts a
     comment. Every line is run through the tokenizer, so entries are
     lowercase alphanumeric and punctuated forms degrade predictably."""
     words: set[str] = set()
-    for line in split_lines(text):
+    for line in text.split("\n"):
         words.update(tokenize(line.split("#", 1)[0]))
     return frozenset(words)
 

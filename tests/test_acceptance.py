@@ -37,7 +37,7 @@ from logbase_ir.sweep import (
     run_sweep,
     top_k_report,
 )
-from logbase_ir.textpipe import default_stoplist, pipeline, split_lines
+from logbase_ir.textpipe import default_stoplist, pipeline
 from logbase_ir.weighting import WeightScheme
 
 from conftest import data_dir, find_collection_file
@@ -81,7 +81,7 @@ def criterion(number, name):
 
 def _documents(content: str, fmt: str) -> list[tuple[int, str]]:
     """The (doc_id, text) records of a whole document file's text."""
-    return list(parse_documents(split_lines(content), fmt))
+    return list(parse_documents(content.split("\n"), fmt))
 
 
 def _read(path: Path) -> str:

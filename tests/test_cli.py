@@ -325,28 +325,31 @@ class TestSearch:
             (_v5([0], [0])[:-1], "body is 63 bytes, expected 64"),
             (json.dumps({
                 "format_version": 2, "n_docs": 3, "dictionary": {"zebra": [[1], [1]]},
-            }).encode(), "version 2, which is no longer read; rebuild it"),
+            }).encode(), "format version 2, not 5; rebuild it"),
             (b"\xff" + _v5([0], [0]), "not UTF-8"),
-            (_v3(3), "version 3, which is no longer read; rebuild it"),
+            (_v3(3), "format version 3, not 5; rebuild it"),
             # format 3 read this n_docs, and the search then overflowed
-            (_v3(10**400), "version 3, which is no longer read; rebuild it"),
+            (_v3(10**400), "format version 3, not 5; rebuild it"),
             (_v5([0], [0], n_docs=10**400), "n_docs must be an integer from 1 to 2**63 - 1"),
             # a posting of the fourth document, of three
             (_v5([3], [0]), "term 'zebra': last posting at position 3 of the doc-id column, "
              "expected below n_docs 3"),
             (_v5([0], [0], norms=(float("nan"), 1.0, 0.0)), "doc id 1: norm nan"),
             (_v5([0], [0])[:-1] + b"\x01", "body does not match its sha256"),
-            (_v4(), "version 4, which is no longer read; rebuild it"),
+            (_v4(), "format version 4, not 5; rebuild it"),
             (_v5([0], [0], pipeline_version=PIPELINE_VERSION + 1),
              f"text pipeline version {PIPELINE_VERSION + 1}, not {PIPELINE_VERSION}; rebuild it"),
             (_v5([0, 1, 2**64 - 1], [0, 0, 0]), "term 'zebra': last posting at position "
              "18446744073709551618"),
             (_v5([0], [2**64 - 1]), "tfs sum to 18446744073709551616, expected below 2**63"),
+            # the message held its whole repr, 128,890 characters
+            (_v5([0], [0], format_version=list(range(20_000))),
+             "format version [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 1, not 5; rebuild it"),
         ],
         ids=[
             "v1-doc-7", "unequal", "list", "truncated", "deep", "truncated-body", "v2",
             "not-utf8", "v3", "v3-huge-n-docs", "huge-n-docs", "absent-doc", "nan-norm",
-            "damaged", "v4", "pipeline", "past-end-near-2**64", "tf-near-2**64",
+            "damaged", "v4", "pipeline", "past-end-near-2**64", "tf-near-2**64", "huge-version",
         ],
     )
     def test_malformed_snapshot_is_domain_error(self, capsys, tmp_path, content, message):
@@ -1350,22 +1353,53 @@ class TestErrorExits:
                 2, "", f"error: cannot create output directory {out}: File name too long\n")
             assert os.listdir() == []
 
-    @pytest.mark.parametrize("argv", [
-        ["stats", "--docs", "{}"],
-        ["search", "--load-index", "{}", "zebra"],
-        ["eval", "--docs", "{}", "--queries", "{}", "--qrels", "{}"],
-    ], ids=["docs", "snapshot", "eval"])
+    # every input file, the others readable: the collection fixture's files
+    INPUTS = {
+        "docs": ["stats", "--docs", "{}"],
+        "snapshot": ["search", "--load-index", "{}", "zebra"],
+        "eval": ["eval", "--docs", "{}", "--queries", "{}", "--qrels", "{}"],
+        "queries": ["eval", "--docs", "docs.all", "--queries", "{}", "--qrels", "qrels.txt"],
+        "qrels": ["sweep", "--docs", "docs.all", "--queries", "queries.qry", "--qrels", "{}",
+                  "--base", "10"],
+        "config": ["stats", "--docs", "docs.all", "--config", "{}"],
+        "stoplist": ["stats", "--docs", "docs.all", "--stoplist", "{}"],
+    }
+
+    @pytest.mark.parametrize("argv", INPUTS.values(), ids=INPUTS)
     @pytest.mark.parametrize("name, reason", [
         ("none", "No such file or directory"), ("adir", "Is a directory"),
     ])
-    def test_unreadable_input_gives_the_reason_alone(self, capsys, tmp_path, monkeypatch,
-                                                     argv, name, reason):
+    def test_unreadable_input_gives_the_reason_alone(self, capsys, collection, tmp_path,
+                                                     monkeypatch, argv, name, reason):
         # worded as a write failure is: no errno, no second copy of the path
         monkeypatch.chdir(tmp_path)
         Path("adir").mkdir()
+        before = sorted(os.listdir())
         code, out, err = run(capsys, *(arg.format(name) for arg in argv))
         assert (code, out, err) == (2, "", f"error: cannot read {name}: {reason}\n")
-        assert sorted(os.listdir()) == ["adir"]
+        assert sorted(os.listdir()) == before
+
+    @pytest.mark.parametrize("argv, content, message", [
+        (INPUTS["docs"], ".I one\n", "line 1: bad .I record id 'one'"),
+        (INPUTS["docs"], "", "empty collection: no documents to index"),
+        (INPUTS["snapshot"], "[]", "index snapshot header is not a JSON object"),
+        (INPUTS["queries"], ".I 1\n.W\nzebra\n.I 1\n", "line 4: duplicate record id 1"),
+        (INPUTS["qrels"], "1 1\n1 x\n", "line 2: non-integer id column"),
+        (INPUTS["config"], b"top=3\n\xff\n", "not UTF-8: line 2: 'utf-8' codec can't decode "
+         "byte 0xff in position 6: invalid start byte"),
+        (INPUTS["stoplist"], b"the\xff\n", "not UTF-8: line 1: 'utf-8' codec can't decode "
+         "byte 0xff in position 3: invalid start byte"),
+    ], ids=["docs", "empty-docs", "snapshot", "queries", "qrels", "config", "stoplist"])
+    def test_malformed_input_is_named(self, capsys, collection, tmp_path, monkeypatch, argv,
+                                      content, message):
+        # an empty collection named no file
+        monkeypatch.chdir(tmp_path)
+        bad = Path("bad")
+        bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+        before = sorted(os.listdir())
+        code, out, err = run(capsys, *(arg.format(bad) for arg in argv))
+        assert (code, out, err) == (1, "", f"error: bad: {message}\n")
+        assert sorted(os.listdir()) == before
 
     def test_failing_cache_compaction_names_the_cache(self, capsys, collection, tmp_path,
                                                       monkeypatch):
@@ -1383,6 +1417,38 @@ class TestErrorExits:
         assert code == 2
         assert err == "error: cannot write out/sweep_cache.jsonl: disk full\n"
         assert [p.name for p in (tmp_path / "out").iterdir()] == ["sweep_cache.jsonl"]
+
+    def test_cache_that_is_a_directory_is_named(self, capsys, collection, tmp_path,
+                                                monkeypatch):
+        # the OSError's own text, errno and all, was the message
+        monkeypatch.chdir(tmp_path)
+        Path("out", "sweep_cache.jsonl").mkdir(parents=True)
+        code, out, err = run(capsys, "sweep", "--docs", collection["docs"], "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--out", "out", "--base", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read out/sweep_cache.jsonl: Is a directory\n"
+
+    @pytest.mark.parametrize("step", ["open", "write", "flush"])
+    def test_failing_cache_append_names_the_cache(self, capsys, collection, tmp_path,
+                                                  monkeypatch, step):
+        from logbase_ir import sweep
+
+        def full(*args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def cache_open(path, mode="r", **kwargs):
+            if mode != "a":
+                return open(path, mode, **kwargs)
+            return full() if step == "open" else type("Full", (io.StringIO,), {step: full})()
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sweep, "open", cache_open, raising=False)
+        code, out, err = run(capsys, "sweep", "--docs", collection["docs"], "--queries",
+                             collection["queries"], "--qrels", collection["qrels"],
+                             "--out", "out", "--base", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write out/sweep_cache.jsonl: No space left on device\n"
 
     def test_empty_qrels_is_domain_error(self, capsys, collection, tmp_path):
         collection["qrels"].write_text("")

@@ -13,7 +13,6 @@ from logbase_ir.collection_io import (
     parse_qrels,
     parse_queries,
 )
-from logbase_ir.textpipe import split_lines
 
 
 def documents(content: str, fmt: str) -> list[tuple[int, str]]:
@@ -251,7 +250,7 @@ class TestLineBreaks:
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n", "two")
 
-    # Whitespace-only lines that split_lines keeps as text, inside and between
+    # Whitespace-only lines that a "\n" split keeps as text, inside and between
     # records; a marker with leading whitespace; an id with trailing tabs. A
     # marker line's rest keeps its inner whitespace, a text line's does not.
     SMART_WHITESPACE = (
@@ -382,7 +381,7 @@ def test_documents_stream_a_record_at_a_time(fmt):
     # the first record comes before the reader takes more than the line
     # that ends it, however long the file
     record = RECORDS[fmt]
-    lines = split_lines("".join(record.format(i) for i in range(1, 1001)))
+    lines = "".join(record.format(i) for i in range(1, 1001)).split("\n")
     taken = 0
 
     def counted():

@@ -23,7 +23,6 @@ from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import CACHE_VERSION
-from logbase_ir.textpipe import split_lines
 
 from conftest import perfbench
 
@@ -355,7 +354,7 @@ def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
     # bit at all bases)
     col = gen.generate(SHAPE, 1)
     ref = reference.Reference(col.docs)
-    texts = dict(parse_documents(split_lines(col.docs_smart), "smart"))
+    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
     top = sorted({ref.rank(terms)[0][0] for terms in col.queries.values()})
     col.docs_smart += "".join(f".I {1000 + d}\n.W\n" + f"{texts[d]}\n" * 3 for d in top)
     paths = gen.write(col, str(tmp_path / "fragile"))
@@ -379,7 +378,7 @@ def near_tie_collection():
     identical, to the full depth)."""
     col = gen.generate(SHAPE, 1)
     ref = reference.Reference(col.docs)
-    texts = dict(parse_documents(split_lines(col.docs_smart), "smart"))
+    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
     ranked = [ref.rank(terms) for terms in col.queries.values()]
     top = sorted({r[0][0] for r in ranked})
     second = sorted({r[1][0] for r in ranked} - set(top))

@@ -218,7 +218,7 @@ class TestSnapshot:
         del v4["pipeline_version"]
         path = tmp_path / "index.bin"
         path.write_bytes(json.dumps(v4).encode() + b"\n" + body)
-        with pytest.raises(ValueError, match="version 4, which is no longer read.*--save-index"):
+        with pytest.raises(ValueError, match="format version 4, not 5; rebuild it.*--save-index"):
             InvertedIndex.load(str(path))
 
     def test_version_3_rejected_with_rebuild_hint(self, tmp_path):
@@ -306,6 +306,15 @@ class TestSnapshot:
             (_snapshot(pipeline_version=None), "text pipeline version None"),
             (_snapshot(pipeline_version=float(PIPELINE_VERSION)), "text pipeline version"),
             (_snapshot(pipeline_version=True), "text pipeline version True"),
+            # a header value is echoed as its repr cut to 40 characters
+            (_snapshot(format_version="v" * 100), f"format version '{'v' * 39}, not 5; rebuild"),
+            (_snapshot(terms=["b", "a" * 100]), f"term '{'a' * 39}: terms not strictly"),
+            (_snapshot(terms=["a" * 100, "b"], df=["x" * 100, 2]),
+             f"term '{'a' * 39}: non-integer df '{'x' * 39}, expected"),
+            (_snapshot(terms=["a" * 100, "b"], df=[0, 2]), f"term '{'a' * 39}: df 0 below 1"),
+            (_snapshot(df=[-(10**100), 2]), f"term 'a': df -{'1' + '0' * 38} below 1"),
+            (_snapshot(terms=["a" * 100, "b"], postings=[2, 0, 0]),
+             f"term '{'a' * 39}: last posting at position 2"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, data, match):

@@ -1,17 +1,23 @@
 """Streaming ingest: the --docs file is read a line at a time, parsed one
 record at a time and folded into the posting columns, so a command holds
-the postings, not the collection."""
+the postings, not the collection. Every input ends its lines at "\n"
+alone, read from the file or split from its whole text."""
 
-import io
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from logbase_ir import textpipe
-from logbase_ir.cli import main
-from logbase_ir.collection_io import DOC_FORMATS, ParseError, parse_documents
-from logbase_ir.textpipe import split_lines
+from logbase_ir import cli, textpipe
+from logbase_ir.collection_io import (
+    DOC_FORMATS,
+    QRELS_FORMATS,
+    parse_documents,
+    parse_qrels,
+    parse_queries,
+)
 
 from conftest import perfbench
 
@@ -21,29 +27,59 @@ line_text = st.lists(st.sampled_from(["a", "b c", "\r", "\n", "\r\n", "é", "\x8
 
 @given(line_text)
 def test_file_lines_split_as_lines(text):
-    # a file opened with newline="\n" ends a line at "\n" only and keeps
-    # the "\n" or "\r\n" that ends it; split_lines gives a last "" after one
-    got = [line[:-2] if line.endswith("\r\n") else line.removesuffix("\n")
-           for line in io.StringIO(text, newline="\n")]
-    whole = split_lines(text)
+    # an input file ends a line at "\n" only and keeps it; its whole text
+    # split at "\n" gives the same lines, and a last "" after a final "\n"
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "input")
+        path.write_bytes(text.encode("utf-8"))
+        got = [line.removesuffix("\n") for line in cli._read(path, list)]
+        whole = cli._read(path).split("\n")
     assert got == (whole[:-1] if whole[-1] == "" else whole)
 
 
-@pytest.mark.parametrize("fmt", DOC_FORMATS)
-@given(content=st.lists(st.sampled_from(
-    [".I 1", ".I 2", ".W", ".T", "/", "1 a", "2 b", "Document 1", "Document 2", "****", "x y",
-     '{"id": 1, "text": "a"}', '{"id": 2, "text": "b"}', "", "\r"]
-), max_size=10).map("\n".join))
-def test_stream_gives_the_records_and_errors_of_the_whole_text(fmt, content):
-    def outcome(records):
-        try:
-            return list(records())
-        except ParseError as e:
-            return str(e)
+_DOC_LINES = [".I 1", ".I 2", ".W", ".T", "/", "1 a", "2 b", "Document 1", "Document 2", "****",
+              "x y", '{"id": 1, "text": "a"}', '{"id": 2, "text": "b"}', "", "\r"]
+# (input, format, the lines of its texts, its reader as the commands call it)
+_INPUTS = [
+    *(("docs", fmt, _DOC_LINES,
+       lambda path, fmt=fmt: cli._read(path, lambda f: list(parse_documents(f, fmt))))
+      for fmt in DOC_FORMATS),
+    *(("queries", fmt, [*_DOC_LINES, "1", "2", "a #", "#"],
+       lambda path, fmt=fmt: cli._read(path, lambda f: parse_queries(f.read(), fmt)))
+      for fmt in DOC_FORMATS),
+    *(("qrels", layout, ["1 2", "1 3 1", "1 0 2 1", "2 0 3 0", "1 2 x", "/", "1", "2", "x", "",
+                         "\r"],
+       lambda path, layout=layout: cli._read(path, lambda f: parse_qrels(f.read(), layout)))
+      for layout in QRELS_FORMATS),
+    ("config", None, ["top=3", "top = 4", "docs=d", "# c", "cutoff=5 # c", "bad", "x=1", "",
+                      "\r"], cli._load_config),
+    ("stoplist", None, ["the", "a b", "# c", "of # x", "é", "", "\r"],
+     lambda path: textpipe.parse_stoplist(cli._read(path))),
+]
 
-    whole = outcome(lambda: parse_documents(split_lines(content), fmt))
-    lines = io.StringIO(content, newline="\n")
-    assert outcome(lambda: parse_documents(lines, fmt)) == whole
+
+@pytest.mark.parametrize(
+    "lines, read", [(lines, read) for _, _, lines, read in _INPUTS],
+    ids=[fmt if kind == "docs" else "-".join(filter(None, (kind, fmt)))
+         for kind, fmt, _, _ in _INPUTS],
+)
+@given(data=st.data())
+def test_stream_gives_the_records_and_errors_of_the_whole_text(lines, read, data):
+    # every input, read as the commands read it, gives the same records, or
+    # the same error at the same line, whether its lines end at "\n" or at
+    # "\r\n": every reader takes the "\r" before a "\n" for whitespace
+    content = "\n".join(data.draw(st.lists(st.sampled_from(lines), max_size=10)))
+
+    def outcome(text):
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            return read(path)
+        except cli._Exit as e:
+            return e.code, str(e)
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "input")
+        assert outcome(content.replace("\n", "\r\n")) == outcome(content)
 
 
 def test_index_peak_memory_is_a_few_snapshots(tmp_path, capsys):
@@ -58,7 +94,7 @@ def test_index_peak_memory_is_a_few_snapshots(tmp_path, capsys):
     textpipe._terms.cache_clear()
     tracemalloc.start()
     try:
-        code = main(["index", "--docs", paths["docs"], "--save-index", str(snapshot)])
+        code = cli.main(["index", "--docs", paths["docs"], "--save-index", str(snapshot)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
