@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Iterable, Mapping
 from contextlib import suppress
 from itertools import accumulate, compress, count, islice, repeat
-from operator import add, ge, is_not, lt, sub
+from operator import add, ge, gt, is_not, lt, sub
 
 from .textpipe import PIPELINE_VERSION
 
@@ -280,6 +280,12 @@ def _header(line: bytes) -> dict:
         raise ValueError(
             f"index snapshot: term {bad[0]!r:.40}: df {bad[1]!r:.40} below 1, "
             "expected a non-empty posting list"
+        )
+    bad = next(compress(zip(terms, df), map(gt, df, repeat(n_docs))), None)
+    if bad is not None:
+        raise ValueError(
+            f"index snapshot: term {bad[0]!r:.40}: df {bad[1]!r:.40} above n_docs {n_docs}, "
+            "expected at most one posting per document"
         )
     return header
 

@@ -6,57 +6,41 @@ returned unchanged, step 2 maps "bli" to "ble", and step 2 includes the
 "logi" to "log" rule. One further published refinement is adopted in step 1c:
 terminal y becomes i only when preceded by a consonant, so "playing" stems to
 "play" rather than "plai" while "happy" still becomes "happi".
+
+Every condition reads the word's consonant/vowel form (``_form``), one "c"
+or "v" per letter: a, e, i, o and u are vowels, y is a vowel after a
+consonant, and every other character is a consonant. The measure m of
+[C](VC){m}[V] is the number of "vc" in the form.
 """
 
 _VOWELS = frozenset("aeiou")
 
 
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant at the start of a word, and after a vowel
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _form(word: str) -> str:
+    """The word's consonant/vowel form, one "c" or "v" per letter."""
+    form = ""
+    for ch in word:
+        form += "v" if ch in _VOWELS or (ch == "y" and form[-1:] == "c") else "c"
+    return form
 
 
 def _measure(stem: str) -> int:
-    """Count vowel-consonant sequences: the m of [C](VC){m}[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    """The m of [C](VC){m}[V]."""
+    return _form(stem).count("vc")
 
 
 def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word)[-1] == "c"
 
 
 def _ends_cvc(word: str) -> bool:
     # consonant-vowel-consonant ending where the final consonant is not
     # w, x or y; used to decide whether to restore a trailing e
-    return (
-        len(word) >= 3
-        and _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1a(word: str) -> str:
@@ -92,13 +76,10 @@ def _step1b(word: str) -> str:
 
 
 def _step1c(word: str) -> str:
-    if (
-        word.endswith("y")
-        and len(word) >= 2
-        and _is_consonant(word, len(word) - 2)
-        and _has_vowel(word[:-1])
-    ):
-        return word[:-1] + "i"
+    if word.endswith("y"):
+        form = _form(word[:-1])
+        if form.endswith("c") and "v" in form:
+            return word[:-1] + "i"
     return word
 
 

@@ -6,7 +6,9 @@ formula written out in full. ``evaluate`` scores rankings from one
 (recall, precision) point per rank. Both deliberately share no code with the
 package implementation. ``porter_stem`` is the Porter stemmer with steps 2
 to 4 scanning every suffix in list order, the reference for the package's
-lookup by the word's last letter.
+lookup by the word's last letter. ``consonants`` states Porter's consonant
+rule letter by letter, the reference for the package's consonant/vowel form
+and the conditions read from it.
 
 Floats are added left to right (``total``), as the package adds them: from
 Python 3.12, sum() adds floats with compensation, and a repr comparison
@@ -148,9 +150,38 @@ def evaluate(rankings, qrels, cutoff, interpolation, pooling):
     return levels, total(levels) / 11, total(levels[:4]) / 4, diagnostics
 
 
-# Porter steps 2 to 4 as a linear scan of the flat rule lists; steps 1 and 5
-# are the package's own. The lists are copies, so a reordering in the package
-# shows as a difference.
+def consonants(word: str) -> list[bool]:
+    """Whether each letter is a consonant: a letter other than a, e, i, o
+    and u, and other than a y after a consonant."""
+    marks = []
+    for i, ch in enumerate(word):
+        marks.append(ch not in "aeiou" and not (ch == "y" and i > 0 and marks[i - 1]))
+    return marks
+
+
+def measure(stem: str) -> int:
+    """The m of [C](VC){m}[V]: the consonants that follow a vowel."""
+    marks = consonants(stem)
+    return sum(1 for i in range(1, len(stem)) if marks[i] and not marks[i - 1])
+
+
+def has_vowel(stem: str) -> bool:
+    return not all(consonants(stem))
+
+
+def ends_double_consonant(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and consonants(word)[-1]
+
+
+def ends_cvc(word: str) -> bool:
+    marks = consonants(word)
+    return (len(word) >= 3 and marks[-3] and not marks[-2] and marks[-1]
+            and word[-1] not in "wxy")
+
+
+# Porter steps 2 to 4 as a linear scan of the flat rule lists, with the
+# measure above; steps 1 and 5 are the package's own. The lists are copies,
+# so a reordering in the package shows as a difference.
 STEP2_RULES = (
     ("ational", "ate"),
     ("tional", "tion"),
@@ -196,7 +227,7 @@ def _apply_rules(word: str, rules) -> str:
     for suffix, replacement in rules:
         if word.endswith(suffix):
             stem = word[: -len(suffix)]
-            if porter._measure(stem) > 0:
+            if measure(stem) > 0:
                 return stem + replacement
             return word
     return word
@@ -208,7 +239,7 @@ def _step4(word: str) -> str:
             stem = word[: -len(suffix)]
             if suffix == "ion" and not stem.endswith(("s", "t")):
                 continue
-            if porter._measure(stem) > 1:
+            if measure(stem) > 1:
                 return stem
             return word
     return word

@@ -855,6 +855,48 @@ class TestSweep:
         assert swept[1].split(",")[0] == str(float(base))
 
 
+LONG_Y = "y" * 5000
+
+
+@pytest.mark.parametrize("word", [LONG_Y, LONG_Y + "ness"], ids=["y", "y-ness"])
+class TestLongRunOfY:
+    """A word of 5,000 y is stemmed by every command that reads text, alone
+    and before "ness", which step 3 strips after measuring the run."""
+
+    @staticmethod
+    def docs(tmp_path, word):
+        docs = tmp_path / "docs.all"
+        docs.write_text(f".I 1\n.W\n{word} zebra\n.I 2\n.W\nzebra yak\n.I 3\n.W\nyak\n")
+        return docs
+
+    def test_stats(self, capsys, tmp_path, word):
+        code, out, err = run(capsys, "stats", "--docs", self.docs(tmp_path, word))
+        assert (code, err) == (0, "")
+        assert out.startswith("documents=3 distinct_terms=3 ")
+
+    def test_index_then_search(self, capsys, tmp_path, word):
+        snapshot = tmp_path / "index.bin"
+        code, _, err = run(capsys, "index", "--docs", self.docs(tmp_path, word),
+                           "--save-index", snapshot)
+        assert code == 0, err
+        code, out, err = run(capsys, "search", "--load-index", snapshot, "-k", "3", word)
+        assert (code, err) == (0, "")
+        assert [line.split("\t")[:2] for line in out.splitlines()] == [["1", "1"]]
+
+    def test_search_query(self, capsys, collection, word):
+        code, out, err = run(capsys, "search", "--docs", collection["docs"], word)
+        assert (code, out, err) == (0, "", "")
+
+    def test_eval_query(self, capsys, tmp_path, word):
+        queries, qrels = tmp_path / "queries.qry", tmp_path / "qrels.txt"
+        queries.write_text(f".I 1\n.W\n{word}\n")
+        qrels.write_text("1 1\n")
+        code, out, err = run(capsys, "eval", "--docs", self.docs(tmp_path, word),
+                             "--queries", queries, "--qrels", qrels, "--out", tmp_path / "out")
+        assert code == 0, err
+        assert "level_1.0 1.000000\n" in out
+
+
 LISA_END = "*" * 44
 # documents 1 to 3 and queries 1 and 2 of each collection format
 FORMAT_FILES = {

@@ -14,6 +14,8 @@ import json
 import math
 import re
 from decimal import Decimal
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -100,13 +102,19 @@ def outputs(capsys, out_dir, paths):
     return files
 
 
+def left_sum(iterable, start=0):
+    """sum() as Python 3.11 and earlier add: left to right."""
+    return reduce(add, iterable, start)
+
+
 def test_same_bytes_when_sum_compensates(capsys, tmp_path, collection, monkeypatch):
     # every float sum that reaches an output adds left to right, so the
     # outputs do not depend on how the running Python's sum() adds floats
     _, paths, _ = collection
+    assert compensated_sum([0.1] * 10) == 1.0 != left_sum([0.1] * 10)
+    monkeypatch.setattr(builtins, "sum", left_sum)
     plain = outputs(capsys, tmp_path, paths)
     monkeypatch.setattr(builtins, "sum", compensated_sum)
-    assert sum([0.1] * 10) == 1.0 != builtin_sum([0.1] * 10)
     compensated = outputs(capsys, tmp_path, paths)
     monkeypatch.undo()
     assert compensated.keys() == plain.keys()

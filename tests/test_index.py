@@ -298,7 +298,8 @@ class TestSnapshot:
             (_snapshot(body_sha256="0" * 64), "body does not match its sha256"),
             (_snapshot(body_sha256=None), "body_sha256 is not a string"),
             (_snapshot(n_docs=3), "body is 80 bytes, expected 96"),
-            (_snapshot(n_docs=1), "body is 80 bytes, expected 64"),
+            (_snapshot(n_docs=1, terms=["a", "b", "c"], df=[1, 1, 1]),
+             "body is 80 bytes, expected 64"),
             (_snapshot(n_docs=10**400), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
             (_snapshot(n_docs=2**63), r"n_docs must be an integer from 1 to 2\*\*63 - 1"),
             (_snapshot(pipeline_version=PIPELINE_VERSION + 1),
@@ -315,6 +316,13 @@ class TestSnapshot:
             (_snapshot(df=[-(10**100), 2]), f"term 'a': df -{'1' + '0' * 38} below 1"),
             (_snapshot(terms=["a" * 100, "b"], postings=[2, 0, 0]),
              f"term '{'a' * 39}: last posting at position 2"),
+            # no term is in more documents than there are
+            (_snapshot(n_docs=1), "term 'b': df 2 above n_docs 1, expected at most one"),
+            # a df of 4,001 digits is cut to 40 characters, and the body size
+            # is not checked against the postings it would count
+            (_snapshot(terms=["a" * 100, "b"], df=[10**4000, 2]),
+             f"^index snapshot: term '{'a' * 39}: df {'1' + '0' * 39} above n_docs 2, "
+             "expected at most one posting per document$"),
         ],
     )
     def test_malformed_rejected(self, tmp_path, data, match):

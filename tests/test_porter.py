@@ -1,8 +1,11 @@
+import itertools
+from operator import mul
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from logbase_ir import porter
 from logbase_ir.porter import stem
 from logbase_ir.textpipe import tokenize
 
@@ -115,3 +118,25 @@ class TestAgainstLinearScan:
     def test_stem_plus_suffixes(self, root, suffixes):
         word = root + "".join(suffixes)
         assert stem(word) == oracle.porter_stem(word)
+
+    @given(st.builds(mul, st.sampled_from("abeswy1"), st.integers(0, 5000)),
+           st.lists(st.sampled_from(SUFFIXES), max_size=3))
+    def test_long_run_plus_suffixes(self, run, suffixes):
+        # runs of one letter up to 5,000 long, which the other strategies
+        # never make: the stemmer must stay linear and non-recursive on them
+        word = run + "".join(suffixes)
+        assert stem(word) == oracle.porter_stem(word)
+
+
+# every word of up to six letters over a vowel, two consonants (w among
+# them, which ends no cvc), y and a digit
+SHORT_WORDS = ["".join(letters)
+               for n in range(7) for letters in itertools.product("abwy1", repeat=n)]
+
+
+@pytest.mark.parametrize("name", ["measure", "has_vowel", "ends_cvc", "ends_double_consonant"])
+def test_form_conditions_against_consonant_rule(name):
+    # the package reads each condition from the word's consonant/vowel
+    # form; oracle restates Porter's consonant rule letter by letter
+    fast, slow = getattr(porter, f"_{name}"), getattr(oracle, name)
+    assert [w for w in SHORT_WORDS if fast(w) != slow(w)] == []
