@@ -104,7 +104,7 @@ _OPTIONS = {
     "out": (_EVAL, "output directory (default $LOGBASE_IR_OUT or ./out)"),
     "queries": (_EVAL, "query file"),
     "qrels": (_EVAL, "relevance judgments file"),
-    "qrels_format": (_EVAL, "qrels layout: auto, two, three, four or idlist (default auto)"),
+    "qrels_format": (_EVAL, "qrels layout: auto or idlist (default auto)"),
     "cutoff": (_EVAL, "ranking depth per query (default 1000)"),
     "interp": (_EVAL, "level precision mode: paper or standard (default paper)"),
     "pooling": (_EVAL, "bucket per query or pool all points: per_query or pooled "
@@ -326,19 +326,19 @@ def _out_dir(opts: _Options):
         raise
 
 
-def _eval_inputs(opts: _Options):
-    """The index, judged queries and qrels of ``eval`` and ``sweep``. The
-    judged queries are ``{query_id: tokens}`` in query-file order. A
-    malformed file exits 1 naming it, as do qrels naming a query the file
-    lacks, or no query at all. Judged pairs graded <= 0, judged doc ids
-    absent from the collection, then unjudged queries, are noted on stderr."""
+def _eval_inputs(opts: _Options, fmt: str, qrels_format: str):
+    """The index, judged queries and qrels of ``eval`` and ``sweep``, the
+    queries read in ``fmt`` and the qrels in ``qrels_format``, as
+    ``_eval_options`` checked them. The judged queries are ``{query_id:
+    tokens}`` in query-file order. A malformed file exits 1 naming it, as do
+    qrels naming a query the file lacks, or no query at all. Judged pairs
+    graded <= 0, judged doc ids absent from the collection, then unjudged
+    queries, are noted on stderr."""
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts)
-    fmt, qrels_format = opts.get("format", "smart"), opts.get("qrels_format", "auto")
     queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt))
-    # the qrels format is checked by _eval_options
     qrels, nonpositive = _read(qrels_path,
                                lambda f: collection_io.parse_qrels(f.read(), qrels_format))
     if not qrels:
@@ -357,27 +357,27 @@ def _eval_inputs(opts: _Options):
     return index, query_tokens, qrels
 
 
-def _eval_options(opts: _Options) -> tuple[int, str, str]:
-    """Cutoff, interpolation and pooling, validated before any work, as are
-    the collection and qrels formats."""
+def _eval_options(opts: _Options) -> tuple[int, str, str, str, str]:
+    """Cutoff, interpolation, pooling and the collection and qrels formats,
+    validated before any work."""
     from . import collection_io, evaluation
 
     cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
     interp = _choice(opts, "interp", "paper", evaluation.INTERPOLATION_MODES)
     pooling = _choice(opts, "pooling", "per_query", evaluation.POOLING_MODES)
-    _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
-    _choice(opts, "qrels_format", "auto", collection_io.QRELS_FORMATS)
-    return cutoff, interp, pooling
+    fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
+    qrels_format = _choice(opts, "qrels_format", "auto", collection_io.QRELS_FORMATS)
+    return cutoff, interp, pooling, fmt, qrels_format
 
 
 def cmd_eval(opts: _Options) -> int:
     from . import evaluation
     from .retrieval import format_run
 
-    cutoff, interp, pooling = _eval_options(opts)
+    cutoff, interp, pooling, fmt, qrels_format = _eval_options(opts)
     scheme = _scheme(opts)
     with _out_dir(opts) as out:
-        index, query_tokens, qrels = _eval_inputs(opts)
+        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format)
         ranker = Ranker(index, scheme)
         rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
         summary, diagnostics = evaluation.evaluate_rankings(
@@ -404,7 +404,7 @@ def cmd_eval(opts: _Options) -> int:
 def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
-    cutoff, interp, pooling = _eval_options(opts)
+    cutoff, interp, pooling, fmt, qrels_format = _eval_options(opts)
     if opts.get("base") is not None:
         labels = [str(_scheme(opts).base)]
     else:
@@ -414,7 +414,7 @@ def cmd_sweep(opts: _Options) -> int:
             raise _Exit(2, str(e)) from e
     top = _at_least_one(opts, "top", 5)
     with _out_dir(opts) as out:
-        index, query_tokens, qrels = _eval_inputs(opts)
+        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format)
 
         result = sweep_mod.run_sweep(
             index,

@@ -18,7 +18,8 @@ reader, so "\r\n" ends lines alike. One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
-<= 0 in one parse; its ``idlist`` lists are NPL records.
+<= 0 in one parse, in one of two layouts: rows of columns, whose width
+picks their meaning (``auto``), or NPL records listing doc ids (``idlist``).
 The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
 str}`` for documents and queries, and two-column TSV for qrels.
 """
@@ -237,9 +238,9 @@ def parse_queries(content: str, format: str = "smart") -> dict[int, str]:
     return dict(_unique(reader(content.split("\n"))))
 
 
-QRELS_FORMATS = ("auto", "two", "three", "four", "idlist")
-# (column count, doc-id column) of each fixed-column layout
-_QRELS_LAYOUTS = {"two": (2, 1), "three": (3, 1), "four": (4, 2)}
+QRELS_FORMATS = ("auto", "idlist")
+# (doc-id column, grade column) of each row width that ``auto`` reads
+_QRELS_COLUMNS = {2: (1, None), 3: (1, 2), 4: (2, 3)}
 
 
 def _qrels_idlist(content: str) -> Qrels:
@@ -258,29 +259,22 @@ def _qrels_idlist(content: str) -> Qrels:
     return qrels
 
 
-def _qrels_rows(content: str, format: str) -> Iterator[tuple[int, int, str | None]]:
-    """(query_id, doc_id, grade) of each row of a column layout (see
-    ``parse_qrels``), the grade None where the layout carries none: ``two``,
-    and four columns whose second is not uniformly "0" (CISI's)."""
-    if format != "auto" and format not in _QRELS_LAYOUTS:
-        raise ValueError(f"unknown qrels format {format!r}")
+def _qrels_rows(content: str) -> Iterator[tuple[int, int, str | None]]:
+    """(query_id, doc_id, grade) of each row, in the layout of the first
+    row's width: 2 columns are ``query_id doc_id``, 3 are ``query_id doc_id
+    grade`` and 4 are ``query_id 0 doc_id grade``, or CISI's ``query_id
+    doc_id x x`` when the second column is not "0" on every row. The grade
+    is None where the layout carries none."""
     rows = [(n, parts) for n, parts in enumerate(map(str.split, content.split("\n")), start=1)
             if parts]
-    if format == "auto":
-        if not rows:
-            return
-        first_row, width = rows[0][0], len(rows[0][1])
-        doc_cols = dict(_QRELS_LAYOUTS.values())
-        if width not in doc_cols:
-            raise ParseError(f"cannot infer qrels layout from {width} columns", first_row)
-        columns, doc_col = width, doc_cols[width]
-    else:
-        columns, doc_col = _QRELS_LAYOUTS[format]
-    grade_col = None if columns == 2 else columns - 1
+    if not rows:
+        return
+    first_row, columns = rows[0][0], len(rows[0][1])
+    if columns not in _QRELS_COLUMNS:
+        raise ParseError(f"cannot infer qrels layout from {columns} columns", first_row)
+    doc_col, grade_col = _QRELS_COLUMNS[columns]
     if columns == 4 and any(r[1] != "0" for _, r in rows if len(r) == 4):
-        grade_col = None
-        if format == "auto":
-            doc_col = 1
+        doc_col, grade_col = 1, None
     for lineno, parts in rows:
         if len(parts) != columns:
             raise ParseError(f"expected {columns} columns, found {len(parts)}", lineno)
@@ -305,19 +299,18 @@ def parse_qrels(content: str, format: str = "auto") -> tuple[Qrels, int]:
     of the rows. Any listed pair counts as relevant regardless of grade, so
     TREC's judged non-relevant pairs, graded <= 0, count too.
 
-    Column layouts: ``two`` is ``query_id doc_id``, ``three`` is
-    ``query_id doc_id grade`` and ``four`` is ``query_id 0 doc_id grade``.
-    ``auto`` picks the layout from the column count; a four-column file
-    whose second column is not uniformly "0" is read as ``query_id doc_id x
-    x`` (the CISI layout). ``idlist`` is NPL's layout of relevance lists
-    (``_qrels_idlist``). ``two``, CISI's layout and ``idlist`` carry no
-    grade, so their count is 0.
+    ``auto`` reads rows of columns, their layout picked by the first row's
+    width (``_qrels_rows``); ``idlist`` is NPL's layout of relevance lists
+    (``_qrels_idlist``). Any other format fails at the call. CISI's layout
+    and ``idlist`` carry no grade, nor do two columns, so their count is 0.
     """
     if format == "idlist":
         return _qrels_idlist(content), 0
+    if format != "auto":
+        raise ValueError(f"unknown qrels format {format!r}")
     qrels: Qrels = {}
     nonpositive = 0
-    for query_id, doc_id, grade in _qrels_rows(content, format):
+    for query_id, doc_id, grade in _qrels_rows(content):
         qrels.setdefault(query_id, set()).add(doc_id)
         nonpositive += _at_most_zero(grade)
     return qrels, nonpositive

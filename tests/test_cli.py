@@ -948,7 +948,8 @@ class TestByteOrderMark:
         assert not (tmp_path / "out").exists()
 
 
-# qrels of queries 1 and 2 in each --qrels-format; auto reads CISI's layout
+# qrels of queries 1 and 2 in each layout: CISI's, two, three and four
+# columns, all read by auto, and idlist
 QRELS_FILES = {
     "auto": "1 1 0 0\n1 2 0 0\n2 3 0 0\n",
     "two": "1 1\n1 2\n2 3\n",
@@ -1042,20 +1043,21 @@ class TestMutatedInputs:
 
     @pytest.mark.parametrize("role, fmt", [
         *(("docs", fmt) for fmt in DOC_FORMATS), *(("queries", fmt) for fmt in DOC_FORMATS),
-        *(("qrels", fmt) for fmt in QRELS_FORMATS), ("config", "smart"), ("snapshot", "smart"),
+        *(("qrels", layout) for layout in QRELS_FILES), ("config", "smart"), ("snapshot", "smart"),
     ])
     @seed(26)
     @settings(max_examples=25, deadline=None, database=None)
     @given(data=st.data())
     def test_every_run_exits_0_1_or_2(self, role, fmt, data):
-        doc_format, qrels_format = ("smart", fmt) if role == "qrels" else (fmt, "two")
+        doc_format, layout = ("smart", fmt) if role == "qrels" else (fmt, "two")
+        qrels_format = "idlist" if layout == "idlist" else "auto"
         docs, queries = FORMAT_FILES[doc_format]
         with tempfile.TemporaryDirectory() as tmp, \
                 redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             path = functools.partial(os.path.join, tmp)
-            inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[qrels_format]}
+            inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[layout]}
             config = "".join(f"{name}={path(name)}\n" for name in inputs) + \
-                "format=smart\nqrels_format=two\nbase=10\ncutoff=50\ninterp=standard\n" \
+                "format=smart\nqrels_format=auto\nbase=10\ncutoff=50\ninterp=standard\n" \
                 "pooling=pooled\n"
             for name, text in {**inputs, "config": config}.items():
                 Path(path(name)).write_text(text, encoding="utf-8")
@@ -1427,11 +1429,14 @@ class TestErrorExits:
         (INPUTS["snapshot"], "[]", "index snapshot header is not a JSON object"),
         (INPUTS["queries"], ".I 1\n.W\nzebra\n.I 1\n", "line 4: duplicate record id 1"),
         (INPUTS["qrels"], "1 1\n1 x\n", "line 2: non-integer id column"),
+        ([*INPUTS["docs"], "--format", "lisa"], "Document 1\nzebra\n****\nDocument x1\nyak\n",
+         "line 4: bad document id 'x1'"),
         (INPUTS["config"], b"top=3\n\xff\n", "not UTF-8: line 2: 'utf-8' codec can't decode "
          "byte 0xff in position 6: invalid start byte"),
         (INPUTS["stoplist"], b"the\xff\n", "not UTF-8: line 1: 'utf-8' codec can't decode "
          "byte 0xff in position 3: invalid start byte"),
-    ], ids=["docs", "empty-docs", "snapshot", "queries", "qrels", "config", "stoplist"])
+    ], ids=["docs", "empty-docs", "snapshot", "queries", "qrels", "lisa-docs", "config",
+            "stoplist"])
     def test_malformed_input_is_named(self, capsys, collection, tmp_path, monkeypatch, argv,
                                       content, message):
         # an empty collection named no file
@@ -1569,6 +1574,14 @@ class TestUsageErrors:
         flag = "--" + key.replace("_", "-")
         self.check(capsys, tmp_path, [command, flag, "bogus"], "", message)
         self.check(capsys, tmp_path, [command], f"{key}=bogus", message)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("value", ["two", "three", "four"])
+    def test_column_count_is_no_qrels_format(self, capsys, tmp_path, command, value):
+        # auto reads every layout of columns from its width
+        message = f"error: unknown qrels format {value!r}\n"
+        self.check(capsys, tmp_path, [command, "--qrels-format", value], "", message)
+        self.check(capsys, tmp_path, [command], f"qrels_format={value}", message)
 
     def test_top_zero_flag(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")
@@ -1806,12 +1819,18 @@ def test_choice_help_lists_its_values_and_default(key, values):
     listed, default = re.fullmatch(r".*: (.+) \(default (\S+)\)", _OPTIONS[key][1]).groups()
     assert re.split(r", | or ", listed) == list(values)
     assert default == values[0]
+    # README's CLI section lists them as `--flag {a,b,...}`, once
+    flag = "--" + key.replace("_", "-")
+    assert re.findall(rf"`{flag} \{{([^}}]*)\}}`", readme_cli_section()) == [",".join(values)]
+
+
+def readme_cli_section() -> str:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_cli_section_names_every_option():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", readme_cli_section()))
     table = set().union(*map(table_flags, COMMANDS))
     assert table - named == set(), "options missing from README's CLI section"
     assert named - table - {"--config"} == set(), "README names flags the table lacks"

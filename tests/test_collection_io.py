@@ -135,16 +135,16 @@ class TestParseLisa:
 
 class TestParseQrels:
     def test_two_column(self):
-        assert parse_qrels("1 13\n1 14\n2 13", "two") == ({1: {13, 14}, 2: {13}}, 0)
+        assert parse_qrels("1 13\n1 14\n2 13") == ({1: {13, 14}, 2: {13}}, 0)
 
     def test_four_column(self):
-        assert parse_qrels("1 0 13 1", "four") == ({1: {13}}, 0)
+        assert parse_qrels("1 0 13 1") == ({1: {13}}, 0)
 
     def test_three_column_any_grade_counts(self):
-        assert parse_qrels("1 13 2\n1 14 -1", "three") == ({1: {13, 14}}, 1)
+        assert parse_qrels("1 13 2\n1 14 -1") == ({1: {13, 14}}, 1)
 
     def test_duplicates_collapse(self):
-        assert parse_qrels("1 13\n1 13", "two") == ({1: {13}}, 0)
+        assert parse_qrels("1 13\n1 13") == ({1: {13}}, 0)
 
     def test_auto_detect(self):
         assert parse_qrels("1 0 13 1\n1 0 14 1") == ({1: {13, 14}}, 0)
@@ -180,32 +180,31 @@ class TestParseQrels:
 
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_qrels("1 13\n1 x", "two")
+            parse_qrels("1 13\n1 x")
 
     def test_order_insensitive(self):
         lines = [f"{q} {d}" for q in range(1, 6) for d in range(q, q + 4)]
-        expected = parse_qrels("\n".join(lines), "two")
+        expected = parse_qrels("\n".join(lines))
         rng = random.Random(7)
         for _ in range(5):
             rng.shuffle(lines)
-            assert parse_qrels("\n".join(lines), "two") == expected
+            assert parse_qrels("\n".join(lines)) == expected
 
     def test_idempotent_via_tsv_round_trip(self):
-        qrels, _ = parse_qrels("2 4\n1 9\n1 3", "two")
+        qrels, _ = parse_qrels("2 4\n1 9\n1 3")
         tsv = "".join(f"{q}\t{d}\n" for q in sorted(qrels) for d in sorted(qrels[q]))
-        assert parse_qrels(tsv, "two") == (qrels, 0)
+        assert parse_qrels(tsv) == (qrels, 0)
 
     def test_empty(self):
         assert parse_qrels("") == ({}, 0)
 
     @pytest.mark.parametrize("content, fmt, count", [
         ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "auto", 2),
-        ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "four", 2),
         ("1 5 0\n1 6 0.0\n1 7 x\n1 8 1\n", "auto", 2),  # "x" is not a number
-        ("1 5 0\n1 6 0\n", "three", 2),
+        ("1 5 0\n1 6 0\n", "auto", 2),
         ("1 5 0 0\n1 6 0 0\n", "auto", 0),  # CISI: query doc x x, no grade
-        ("1 5 0 0\n1 0 6 0\n", "four", 0),  # second column not all "0"
-        ("1 0\n1 6\n", "two", 0),
+        ("1 5 0 0\n1 0 6 0\n", "auto", 0),  # second column not all "0": CISI
+        ("1 0\n1 6\n", "auto", 0),
         ("1 0 0\n/\n", "idlist", 0),
     ])
     def test_nonpositive_grades(self, content, fmt, count):
@@ -226,7 +225,9 @@ SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
     (lambda: parse_documents([], "bogus"), "unknown document format 'bogus'"),
     (lambda: parse_queries("", "bogus"), "unknown query format 'bogus'"),
     (lambda: parse_qrels("", "bogus"), "unknown qrels format 'bogus'"),
-], ids=["documents", "queries", "qrels"])
+    # auto reads every layout of columns from its width
+    (lambda: parse_qrels("1 0 13 1\n", "four"), "unknown qrels format 'four'"),
+], ids=["documents", "queries", "qrels", "qrels-four"])
 def test_unknown_format_is_value_error(parse, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse()
@@ -248,7 +249,7 @@ class TestLineBreaks:
         with pytest.raises(ParseError, match="line 3"):
             documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
         with pytest.raises(ParseError, match="line 2"):
-            parse_qrels(f"1 2{sep}\n1 x\n", "two")
+            parse_qrels(f"1 2{sep}\n1 x\n")
 
     # Whitespace-only lines that a "\n" split keeps as text, inside and between
     # records; a marker with leading whitespace; an id with trailing tabs. A
@@ -347,6 +348,9 @@ fuzz_text = st.one_of(
     st.lists(fuzz_lines, max_size=12).map("\n".join),
 )
 
+# a first row of each width that auto reads, ahead of fuzzed lines
+QRELS_FIRST_ROWS = {"two": "1 2\n", "three": "1 2 1\n", "four": "1 0 2 1\n"}
+
 
 def parses_or_parse_error(parse, content):
     """parse(content) returns, or raises ParseError naming a non-blank line
@@ -414,9 +418,12 @@ class TestFuzz:
     def test_query_parsers(self, fmt, content):
         parses_or_parse_error(lambda c: parse_queries(c, fmt), content)
 
-    @pytest.mark.parametrize("fmt", QRELS_FORMATS)
+    @pytest.mark.parametrize("layout", [*QRELS_FORMATS, *QRELS_FIRST_ROWS])
     @given(content=fuzz_text)
-    def test_qrels_parser(self, fmt, content):
+    def test_qrels_parser(self, layout, content):
+        # a layout of columns is read by auto, from a first row of its width
+        fmt = layout if layout in QRELS_FORMATS else "auto"
+        content = QRELS_FIRST_ROWS.get(layout, "") + content
         parses_or_parse_error(lambda c: parse_qrels(c, fmt), content)
 
     @pytest.mark.parametrize("kind", ["documents", "queries"])

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from logbase_ir import cli, textpipe
 from logbase_ir.collection_io import (
     DOC_FORMATS,
-    QRELS_FORMATS,
     parse_documents,
     parse_qrels,
     parse_queries,
@@ -39,6 +38,14 @@ def test_file_lines_split_as_lines(text):
 
 _DOC_LINES = [".I 1", ".I 2", ".W", ".T", "/", "1 a", "2 b", "Document 1", "Document 2", "****",
               "x y", '{"id": 1, "text": "a"}', '{"id": 2, "text": "b"}', "", "\r"]
+_QRELS_LINES = ["1 2", "1 3 1", "1 0 2 1", "2 0 3 0", "1 2 x", "/", "1", "2", "x", "", "\r"]
+# each qrels layout's format and lines; auto reads rows of one width as
+# that width's layout
+_QRELS = {"auto": ("auto", _QRELS_LINES),
+          "two": ("auto", ["1 2", "2 3", "1 x", "x", "", "\r"]),
+          "three": ("auto", ["1 3 1", "2 3 0", "1 2 x", "x", "", "\r"]),
+          "four": ("auto", ["1 0 2 1", "2 0 3 0", "1 5 0 0", "x", "", "\r"]),
+          "idlist": ("idlist", _QRELS_LINES)}
 # (input, format, the lines of its texts, its reader as the commands call it)
 _INPUTS = [
     *(("docs", fmt, _DOC_LINES,
@@ -47,10 +54,9 @@ _INPUTS = [
     *(("queries", fmt, [*_DOC_LINES, "1", "2", "a #", "#"],
        lambda path, fmt=fmt: cli._read(path, lambda f: parse_queries(f.read(), fmt)))
       for fmt in DOC_FORMATS),
-    *(("qrels", layout, ["1 2", "1 3 1", "1 0 2 1", "2 0 3 0", "1 2 x", "/", "1", "2", "x", "",
-                         "\r"],
-       lambda path, layout=layout: cli._read(path, lambda f: parse_qrels(f.read(), layout)))
-      for layout in QRELS_FORMATS),
+    *(("qrels", layout, lines,
+       lambda path, fmt=fmt: cli._read(path, lambda f: parse_qrels(f.read(), fmt)))
+      for layout, (fmt, lines) in _QRELS.items()),
     ("config", None, ["top=3", "top = 4", "docs=d", "# c", "cutoff=5 # c", "bad", "x=1", "",
                       "\r"], cli._load_config),
     ("stoplist", None, ["the", "a b", "# c", "of # x", "é", "", "\r"],
