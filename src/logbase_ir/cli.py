@@ -106,9 +106,6 @@ _OPTIONS = {
     "qrels": (_EVAL, "relevance judgments file"),
     "qrels_format": (_EVAL, "qrels layout: auto or idlist (default auto)"),
     "cutoff": (_EVAL, "ranking depth per query (default 1000)"),
-    "interp": (_EVAL, "level precision mode: paper or standard (default paper)"),
-    "pooling": (_EVAL, "bucket per query or pool all points: per_query or pooled "
-                       "(default per_query)"),
     "base": (("search", "eval", "sweep"),
              "log base (default 10); sweep evaluates it alone, in place of a grid"),
     "save_run": (("eval",), "write the ranked lists as a TSV run file"),
@@ -357,32 +354,28 @@ def _eval_inputs(opts: _Options, fmt: str, qrels_format: str):
     return index, query_tokens, qrels
 
 
-def _eval_options(opts: _Options) -> tuple[int, str, str, str, str]:
-    """Cutoff, interpolation, pooling and the collection and qrels formats,
-    validated before any work."""
+def _eval_options(opts: _Options) -> tuple[int, str, str]:
+    """Cutoff and the collection and qrels formats, validated before any
+    work."""
     from . import collection_io, evaluation
 
     cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
-    interp = _choice(opts, "interp", "paper", evaluation.INTERPOLATION_MODES)
-    pooling = _choice(opts, "pooling", "per_query", evaluation.POOLING_MODES)
     fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
     qrels_format = _choice(opts, "qrels_format", "auto", collection_io.QRELS_FORMATS)
-    return cutoff, interp, pooling, fmt, qrels_format
+    return cutoff, fmt, qrels_format
 
 
 def cmd_eval(opts: _Options) -> int:
     from . import evaluation
     from .retrieval import format_run
 
-    cutoff, interp, pooling, fmt, qrels_format = _eval_options(opts)
+    cutoff, fmt, qrels_format = _eval_options(opts)
     scheme = _scheme(opts)
     with _out_dir(opts) as out:
         index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format)
         ranker = Ranker(index, scheme)
         rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
-        summary, diagnostics = evaluation.evaluate_rankings(
-            rankings, qrels, cutoff, interp, pooling
-        )
+        summary, diagnostics = evaluation.evaluate_rankings(rankings, qrels, cutoff)
         run_path = opts.get("save_run")
         if run_path:
             ordered = [rankings[qid] for qid in sorted(rankings)]
@@ -391,10 +384,8 @@ def cmd_eval(opts: _Options) -> int:
             print(f"level_{level:.1f} {value:.6f}")
         print(f"map {summary.map:.6f}")
         print(f"map_at_30 {summary.map_at_30:.6f}")
-        # an empty bucket scores 0.0 in paper mode only; a pooled one is no query's
-        for query_id, level in diagnostics if interp == "paper" else ():
-            query = "" if query_id is None else f"query={query_id} "
-            print(f"empty-bucket {query}level={level / 10:.1f}", file=sys.stderr)
+        for query_id, level in diagnostics:
+            print(f"empty-bucket query={query_id} level={level / 10:.1f}", file=sys.stderr)
         csv_path = os.path.join(out, "eval.csv")
         write_report(csv_path, evaluation.summary_csv([(str(scheme.base), summary)]))
         print(f"report written to {csv_path}", file=sys.stderr)
@@ -404,7 +395,7 @@ def cmd_eval(opts: _Options) -> int:
 def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
-    cutoff, interp, pooling, fmt, qrels_format = _eval_options(opts)
+    cutoff, fmt, qrels_format = _eval_options(opts)
     if opts.get("base") is not None:
         labels = [str(_scheme(opts).base)]
     else:
@@ -422,8 +413,6 @@ def cmd_sweep(opts: _Options) -> int:
             qrels,
             labels,
             cutoff=cutoff,
-            interpolation=interp,
-            pooling=pooling,
             cache_path=os.path.join(out, "sweep_cache.jsonl"),
         )
         print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "

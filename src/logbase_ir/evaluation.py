@@ -3,10 +3,9 @@
 One pass over each ranked list (``pr_curve``) takes the precision at every
 rank position and places it on the fixed recall levels 0.0, 0.1, ..., 1.0
 by the rank's recall: level 0.0 owns [0.00, 0.05), each middle level L owns
-[L-0.05, L+0.05) and level 1.0 owns [0.95, 1.00]. In ``paper`` mode a
-level's precision is the mean of its list; empty lists score 0.0 and are
-reported as diagnostics. ``standard`` mode takes instead the highest
-precision at any recall >= the level, which is always that of a hit.
+[L-0.05, L+0.05) and level 1.0 owns [0.95, 1.00]. A query's precision at a
+level is the mean of its list; an empty list scores 0.0 and is reported as
+a diagnostic. The level precisions are then averaged over queries.
 
 The two summary metrics are means over level precisions: ``map11`` averages
 all 11 levels and ``map_at_30`` averages the levels 0.0 through 0.3 (it is a
@@ -16,7 +15,6 @@ recall-level average, not precision at rank 30).
 from bisect import bisect_right
 from collections.abc import Iterable
 from functools import reduce
-from itertools import chain
 from operator import add
 from typing import NamedTuple
 
@@ -30,9 +28,6 @@ RECALL_LEVELS = tuple(k / 10 for k in range(11))
 # edge (2k+1)/20 are both correctly rounded doubles of rationals that differ by
 # at least 1/(20R) unless equal, so comparing the doubles gives the exact rule.
 _BUCKET_EDGES = [(2 * k + 1) / 20 for k in range(10)]
-
-INTERPOLATION_MODES = ("paper", "standard")
-POOLING_MODES = ("per_query", "pooled")
 
 DEFAULT_CUTOFF = 1000
 
@@ -67,30 +62,26 @@ def bucket_index(recall: float) -> int:
 
 def pr_curve(
     ranked: RankedList, relevant: set[int], cutoff: int = DEFAULT_CUTOFF
-) -> tuple[list[list[float]], list[tuple[float, float]]]:
+) -> list[list[float]]:
     """One pass over a ranking to the cutoff.
 
     Returns the precision at every rank, in rank order, placed in the list
-    of the recall level that owns the rank's recall, and the (recall,
-    precision) of every hit. The level changes only at a hit, and between
-    hits precision only falls, so the hits carry every interpolation maximum.
+    of the recall level that owns the rank's recall. The level changes only
+    at a hit.
     """
     if not relevant:
         raise ValueError(f"query {ranked.query_id}: empty relevant set")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     levels: list[list[float]] = [[] for _ in RECALL_LEVELS]
-    hits: list[tuple[float, float]] = []
     bucket = levels[0]
     found = 0
     for position, (doc_id, _score) in enumerate(ranked.entries[:cutoff], start=1):
         if doc_id in relevant:
             found += 1
-            recall = found / len(relevant)
-            bucket = levels[bucket_index(recall)]
-            hits.append((recall, found / position))
+            bucket = levels[bucket_index(found / len(relevant))]
         bucket.append(found / position)
-    return levels, hits
+    return levels
 
 
 def average_over_queries(per_query: list[ElevenLevels]) -> ElevenLevels:
@@ -119,48 +110,31 @@ def evaluate_rankings(
     rankings: dict[int, RankedList],
     qrels: Qrels,
     cutoff: int = DEFAULT_CUTOFF,
-    interpolation: str = "paper",
-    pooling: str = "per_query",
-) -> tuple[EvalSummary, list[tuple[int | None, int]]]:
+) -> tuple[EvalSummary, list[tuple[int, int]]]:
     """Score a set of ranked lists against relevance judgments.
 
     Queries are processed in ascending query_id order. Returns the summary
-    plus diagnostics: (query_id, level) pairs whose bucket was empty, with
-    query_id None in pooled mode.
+    plus diagnostics: the (query_id, level) pairs whose bucket was empty
+    and so scored 0.0.
     """
-    if interpolation not in INTERPOLATION_MODES:
-        raise ValueError(f"unknown interpolation mode {interpolation!r}")
-    if pooling not in POOLING_MODES:
-        raise ValueError(f"unknown pooling mode {pooling!r}")
     if not qrels:
         raise ValueError("no judged queries to evaluate")
     missing = sorted(q for q in qrels if q not in rankings)
     if missing:
         raise ValueError(f"no ranking for judged queries {missing}")
 
-    query_ids: list[int | None] = sorted(qrels)
+    query_ids = sorted(qrels)
     curves = [pr_curve(rankings[q], qrels[q], cutoff) for q in query_ids]
-    if pooling == "pooled":
-        query_ids = [None]
-        all_levels, all_hits = zip(*curves)
-        curves = [([list(chain(*lists)) for lists in zip(*all_levels)], list(chain(*all_hits)))]
     diagnostics = [
         (query_id, i)
-        for query_id, (levels, _) in zip(query_ids, curves)
+        for query_id, levels in zip(query_ids, curves)
         for i, bucket in enumerate(levels)
         if not bucket
     ]
-    if interpolation == "paper":
-        per_query = [
-            tuple(_total(bucket) / len(bucket) if bucket else 0.0 for bucket in levels)
-            for levels, _ in curves
-        ]
-    else:
-        per_query = [
-            tuple(max((p for r, p in hits if r >= level), default=0.0) for level in RECALL_LEVELS)
-            for _, hits in curves
-        ]
-    # the mean of one vector (pooled mode) is that vector exactly
+    per_query = [
+        tuple(_total(bucket) / len(bucket) if bucket else 0.0 for bucket in levels)
+        for levels in curves
+    ]
     return summarize(average_over_queries(per_query)), diagnostics
 
 

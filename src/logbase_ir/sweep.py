@@ -119,8 +119,8 @@ class SweepResult:
 Row = tuple[str, EvalSummary]
 
 
-def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, pooling) -> str:
-    """sha256 of the index as it is held, then the queries, qrels, options
+def _digest(index: InvertedIndex, query_tokens, qrels, cutoff) -> str:
+    """sha256 of the index as it is held, then the queries, qrels, cutoff
     and ``CACHE_VERSION``. The index enters with nothing encoded: its
     stoplist fingerprint, terms and df, each term's doc ids and tfs, then the
     doc ids and norms, each column in little-endian byte order, so a built
@@ -141,8 +141,9 @@ def _digest(index: InvertedIndex, query_tokens, qrels, cutoff, interpolation, po
             "qrels": {str(q): sorted(d) for q, d in sorted(qrels.items())},
             "cache_version": CACHE_VERSION,
             "cutoff": cutoff,
-            "interpolation": interpolation,
-            "pooling": pooling,
+            # fixed, so old sweep_cache.jsonl lines still hit and pinned cache bytes hold
+            "interpolation": "paper",
+            "pooling": "per_query",
         },
         sort_keys=True,
     )
@@ -215,8 +216,6 @@ def run_sweep(
     labels: list[str],
     *,
     cutoff: int = DEFAULT_CUTOFF,
-    interpolation: str = "paper",
-    pooling: str = "per_query",
     cache_path: str | None = None,
 ) -> SweepResult:
     """Evaluate the judged queries' tokens, ``{query_id: tokens}`` as
@@ -232,13 +231,14 @@ def run_sweep(
     term vectors are not all equal; identical documents score alike in every
     arithmetic and keep their doc-id order. Each base settles only the
     fragile groups (``Ranker.settle``), so every base ranks as
-    ``Ranker.rank_tokens`` does. Bases whose rankings agree to the cutoff
-    share one evaluation.
+    ``Ranker.rank_tokens`` does. Each base is scored by the paper's
+    11-level bucket means (``evaluate_rankings``), and bases whose rankings
+    agree to the cutoff share one evaluation.
     """
     result = SweepResult()
     cached: dict[str, EvalSummary] = {}
     if cache_path is not None:
-        digest = _digest(index, query_tokens, qrels, cutoff, interpolation, pooling)
+        digest = _digest(index, query_tokens, qrels, cutoff)
         cached = _load_cache(cache_path, digest)
     bases = [(label, float(label)) for label in labels]
     fragile: dict[int, list[tuple[int, int]]] = {}
@@ -272,8 +272,7 @@ def run_sweep(
                     for qid, groups in fragile.items() for start, stop in groups
                 )
                 if key not in memo:
-                    memo[key], _ = evaluate_rankings(settled, qrels, cutoff, interpolation,
-                                                     pooling)
+                    memo[key], _ = evaluate_rankings(settled, qrels, cutoff)
                 summary = result.per_base[label] = memo[key]
                 result.ranked_bases += 1
                 if cache_file:

@@ -118,35 +118,17 @@ def bucket_to_levels(points: list[PRPoint]) -> tuple[float, ...]:
     return tuple(total(b) / len(b) if b else 0.0 for b in bucketize(points))
 
 
-def interpolated_levels(points: list[PRPoint]) -> tuple[float, ...]:
-    """Max precision over every point at recall >= each level."""
-    levels = []
-    for k in range(11):
-        best = 0.0
-        for p in points:
-            if _exact(p.recall) >= Fraction(k, 10) and p.precision > best:
-                best = p.precision
-        levels.append(best)
-    return tuple(levels)
-
-
-def evaluate(rankings, qrels, cutoff, interpolation, pooling):
+def evaluate(rankings, qrels, cutoff):
     """(levels, map, map_at_30, diagnostics) as evaluate_rankings defines them.
 
     ``rankings`` maps query id to a list of (doc_id, score) entries.
     """
-    score = bucket_to_levels if interpolation == "paper" else interpolated_levels
     curves = [(q, pr_points(rankings[q], qrels[q], cutoff)) for q in sorted(qrels)]
-    if pooling == "pooled":
-        curves = [(None, [p for _, points in curves for p in points])]
     diagnostics = [
         (q, i) for q, points in curves for i, b in enumerate(bucketize(points)) if not b
     ]
-    per_query = [score(points) for _, points in curves]
-    if pooling == "pooled":
-        levels = per_query[0]
-    else:
-        levels = tuple(total(v[i] for v in per_query) / len(per_query) for i in range(11))
+    per_query = [bucket_to_levels(points) for _, points in curves]
+    levels = tuple(total(v[i] for v in per_query) / len(per_query) for i in range(11))
     return levels, total(levels) / 11, total(levels[:4]) / 4, diagnostics
 
 

@@ -338,8 +338,15 @@ def test_criterion_7_metric_property_suite():
             doc_ids = rng.sample(range(1, 100), k=n)
             ranked = RankedList(1, tuple((d, 1.0 - i / n) for i, d in enumerate(doc_ids)))
             relevant = set(rng.sample(range(1, 100), k=rng.randint(1, 20)))
-            levels, hits = pr_curve(ranked, relevant, cutoff=50)
-            recalls = [recall for recall, _ in hits]
+            levels = pr_curve(ranked, relevant, cutoff=50)
+            # each hit's recall, recomputed from the ranking; every rank's
+            # precision sits in the level owning the recall at that rank
+            recalls = []
+            for position, (doc_id, _) in enumerate(ranked.entries, start=1):
+                if doc_id in relevant:
+                    recalls.append((len(recalls) + 1) / len(relevant))
+                recall = recalls[-1] if recalls else 0.0
+                assert len(recalls) / position in levels[bucket_index(recall)]
             assert len(recalls) == len(relevant.intersection(doc_ids))
             assert recalls == sorted(recalls)
             assert all(0.0 <= recall <= 1.0 for recall in recalls)

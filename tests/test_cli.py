@@ -19,7 +19,6 @@ from hypothesis import given, seed, settings, strategies as st
 from logbase_ir import index as index_mod
 from logbase_ir.cli import _OPTIONS, build_parser, main
 from logbase_ir.collection_io import DOC_FORMATS, QRELS_FORMATS
-from logbase_ir.evaluation import INTERPOLATION_MODES, POOLING_MODES
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, stoplist_fingerprint
 
@@ -606,33 +605,6 @@ class TestEval:
         assert err.splitlines() == [
             *notes, "note: 1 distinct ranking to the cutoff across 1 base; 0 fragile groups"]
 
-    @pytest.mark.parametrize("options, notes", [
-        (["--pooling", "pooled"], [f"empty-bucket level={k / 10:.1f}" for k in range(11)
-                                   if k != 5]),
-        (["--interp", "standard"], []),
-        (["--interp", "standard", "--pooling", "pooled"], []),
-    ], ids=["paper-pooled", "standard", "standard-pooled"])
-    def test_empty_bucket_notes_only_where_an_empty_bucket_scores(self, capsys, tmp_path,
-                                                                   options, notes):
-        # a standard level scores from hits, not buckets, and a pooled
-        # bucket is no one query's (test_unjudged_queries_are_noted_and_skipped
-        # checks the per-query paper notes)
-        docs = tmp_path / "four.all"
-        docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\ncherry\n.I 3\n.W\nplum\n"
-                        ".I 4\n.W\npear\n")
-        queries = tmp_path / "one.qry"
-        queries.write_text(".I 1\n.W\napple banana\n")
-        qrels = tmp_path / "two.rel"
-        qrels.write_text("1 1\n1 2\n")  # doc 1 at rank 1 is the one point, at recall 0.5
-        out = tmp_path / "out"
-        code, stdout, err = run(capsys, "eval", "--docs", docs, "--queries", queries,
-                                "--qrels", qrels, "--out", out, *options)
-        assert code == 0
-        # standard mode scores level 0.0 from the hit; paper mode, from its empty bucket
-        level = "1.000000" if "standard" in options else "0.000000"
-        assert stdout.splitlines()[0] == f"level_0.0 {level}"
-        assert err.splitlines() == [*notes, f"report written to {out / 'eval.csv'}"]
-
     def test_notes_of_one_are_worded_in_the_singular(self, capsys, tmp_path):
         docs = tmp_path / "two.all"
         docs.write_text(".I 1\n.W\napple banana\n.I 2\n.W\napple cherry\n")
@@ -1057,8 +1029,7 @@ class TestMutatedInputs:
             path = functools.partial(os.path.join, tmp)
             inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[layout]}
             config = "".join(f"{name}={path(name)}\n" for name in inputs) + \
-                "format=smart\nqrels_format=auto\nbase=10\ncutoff=50\ninterp=standard\n" \
-                "pooling=pooled\n"
+                "format=smart\nqrels_format=auto\nbase=10\ncutoff=50\n"
             for name, text in {**inputs, "config": config}.items():
                 Path(path(name)).write_text(text, encoding="utf-8")
             if role == "snapshot":
@@ -1560,15 +1531,7 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, [command], "cutoff=0", "cutoff must be >= 1")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_interp_bogus_config(self, capsys, tmp_path, command):
-        self.check(capsys, tmp_path, [command], "interp=bogus", "unknown interp 'bogus'")
-
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_pooling_bogus_config(self, capsys, tmp_path, command):
-        self.check(capsys, tmp_path, [command], "pooling=bogus", "unknown pooling 'bogus'")
-
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("key", ["format", "qrels_format", "interp", "pooling"])
+    @pytest.mark.parametrize("key", ["format", "qrels_format"])
     def test_unknown_choice_flag_and_config_alike(self, capsys, tmp_path, command, key):
         message = f"unknown {key.replace('_', ' ')} 'bogus'"
         flag = "--" + key.replace("_", "-")
@@ -1582,6 +1545,26 @@ class TestUsageErrors:
         message = f"error: unknown qrels format {value!r}\n"
         self.check(capsys, tmp_path, [command, "--qrels-format", value], "", message)
         self.check(capsys, tmp_path, [command], f"qrels_format={value}", message)
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    @pytest.mark.parametrize("key", ["interp", "pooling"])
+    def test_removed_evaluation_options(self, capsys, tmp_path, command, key):
+        # levels are bucket means per query, the paper's one rule: no option picks another
+        # the docs do not exist: the option must be refused first
+        docs, out = tmp_path / "none.all", tmp_path / "out"
+        with pytest.raises(SystemExit) as raised:
+            main([command, "--docs", str(docs), "--out", str(out), f"--{key}", "paper"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --{key} paper" in captured.err
+        assert not out.exists()
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"docs={docs}\nout={out}\n{key}=paper\n")
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {cfg}:3: unknown option {key!r}\n"
+        assert not out.exists()
 
     def test_top_zero_flag(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")
@@ -1673,7 +1656,7 @@ def table_flags(command):
 class TestOptionTable:
     """The parser and the config check come from one table of options."""
 
-    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 13, 14)))
+    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 11, 12)))
     def test_parser_flags_are_the_table_entries(self, command, count):
         parser = build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
@@ -1813,7 +1796,6 @@ class TestEmptyValues:
 
 @pytest.mark.parametrize("key, values", [
     ("format", DOC_FORMATS), ("qrels_format", QRELS_FORMATS),
-    ("interp", INTERPOLATION_MODES), ("pooling", POOLING_MODES),
 ])
 def test_choice_help_lists_its_values_and_default(key, values):
     listed, default = re.fullmatch(r".*: (.+) \(default (\S+)\)", _OPTIONS[key][1]).groups()

@@ -92,8 +92,6 @@ def outputs(capsys, out_dir, paths):
     files = {}
     files["eval"] = run(capsys, "eval", *inputs(paths), "--out", out_dir,
                         "--save-run", out_dir / "run.tsv", "--base", "0.3")
-    files["eval-pooled"] = run(capsys, "eval", *inputs(paths), "--out", out_dir / "pooled",
-                               "--interp", "standard", "--pooling", "pooled")
     files["sweep"] = run(capsys, "sweep", *inputs(paths), "--out", out_dir / "sweep",
                          "--grid", "0.2:10.0:0.2")
     for path in sorted(out_dir.rglob("*")):

@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logbase_ir.evaluation import (
-    INTERPOLATION_MODES,
-    POOLING_MODES,
     RECALL_LEVELS,
     average_over_queries,
     bucket_index,
@@ -30,14 +28,11 @@ def ranked(*doc_ids):
 
 
 def assert_matches_oracle(rankings, qrels, cutoff=100):
-    """evaluate_rankings equals the per-rank point model in every mode, by repr."""
+    """evaluate_rankings equals the per-rank point model, by repr."""
     entries = {q: rl.entries for q, rl in rankings.items()}
-    for interpolation in INTERPOLATION_MODES:
-        for pooling in POOLING_MODES:
-            summary, diagnostics = evaluate_rankings(rankings, qrels, cutoff, interpolation, pooling)
-            got = (summary.levels, summary.map, summary.map_at_30, diagnostics)
-            want = oracle.evaluate(entries, qrels, cutoff, interpolation, pooling)
-            assert repr(got) == repr(want), (interpolation, pooling)
+    summary, diagnostics = evaluate_rankings(rankings, qrels, cutoff)
+    got = (summary.levels, summary.map, summary.map_at_30, diagnostics)
+    assert repr(got) == repr(oracle.evaluate(entries, qrels, cutoff))
 
 
 def flat(levels):
@@ -45,32 +40,33 @@ def flat(levels):
     return [p for bucket in levels for p in bucket]
 
 
-def hits_of(points, relevant_ranks):
-    return [(float(p.recall), p.precision) for p in points if p.rank in relevant_ranks]
-
-
 class TestPrCurve:
     def test_hit_miss_hit_with_six_relevant(self):
-        levels, hits = pr_curve(ranked(10, 20, 30), relevant={10, 30, 40, 50, 60, 70}, cutoff=10)
+        levels = pr_curve(ranked(10, 20, 30), relevant={10, 30, 40, 50, 60, 70}, cutoff=10)
         # recall 1/6 at ranks 1-2 is level 0.2, recall 2/6 at rank 3 is level 0.3
         assert levels == [[], [], [1.0, 0.5], [pytest.approx(2 / 3)]] + [[]] * 7
-        assert hits == [(pytest.approx(1 / 6), 1.0), (pytest.approx(2 / 6), pytest.approx(2 / 3))]
 
     def test_all_relevant_prefix(self):
-        levels, hits = pr_curve(ranked(1, 2, 3), relevant={1, 2, 3}, cutoff=10)
-        assert flat(levels) == [1.0, 1.0, 1.0]
-        assert [p for _, p in hits] == [1.0, 1.0, 1.0]
+        levels = pr_curve(ranked(1, 2, 3), relevant={1, 2, 3}, cutoff=10)
+        # recalls 1/3, 2/3 and 1 at precision 1
+        assert levels == [[], [], [], [1.0], [], [], [], [1.0], [], [], [1.0]]
 
     def test_no_relevant_retrieved(self):
-        levels, hits = pr_curve(ranked(1, 2), relevant={9}, cutoff=10)
+        levels = pr_curve(ranked(1, 2), relevant={9}, cutoff=10)
         # ranks before the first hit have recall 0: level 0.0
         assert levels == [[0.0, 0.0]] + [[]] * 10
-        assert hits == []
 
     def test_cutoff_truncates(self):
-        levels, hits = pr_curve(ranked(1, 2, 3, 4), relevant={4}, cutoff=2)
-        assert len(flat(levels)) == 2
-        assert hits == []
+        levels = pr_curve(ranked(1, 2, 3, 4), relevant={4}, cutoff=2)
+        assert levels == [[0.0, 0.0]] + [[]] * 10
+
+    def test_no_points(self):
+        # an empty ranking leaves every bucket empty: each level scores 0.0
+        empty = RankedList(1, ())
+        assert pr_curve(empty, {1}) == [[] for _ in range(11)]
+        summary, diagnostics = evaluate_rankings({1: empty}, {1: {1}})
+        assert summary.levels == tuple([0.0] * 11)
+        assert diagnostics == [(1, level) for level in range(11)]
 
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="empty relevant"):
@@ -85,17 +81,16 @@ class TestPrCurve:
         st.sets(st.integers(1, 50), min_size=1, max_size=20),
     )
     def test_recall_monotone_and_bounded(self, doc_ids, relevant):
-        levels, hits = pr_curve(ranked(*doc_ids), relevant, cutoff=100)
-        recalls = [r for r, _ in hits]
-        assert recalls == sorted(set(recalls))
-        assert all(0.0 < r <= 1.0 for r in recalls)
+        levels = pr_curve(ranked(*doc_ids), relevant, cutoff=100)
         assert all(0.0 <= p <= 1.0 for p in flat(levels))
         assert len(flat(levels)) == len(doc_ids)
-        # the same precisions, levels and hits as one point per rank
+        # the same precisions and levels as one point per rank, whose recall
+        # never falls and stays in [0, 1]
         points = oracle.pr_points(ranked(*doc_ids).entries, relevant, 100)
         assert levels == oracle.bucketize(points)
-        hit_ranks = {i for i, d in enumerate(doc_ids, start=1) if d in relevant}
-        assert hits == hits_of(points, hit_ranks)
+        recalls = [p.recall for p in points]
+        assert recalls == sorted(recalls)
+        assert all(0 <= r <= 1 for r in recalls)
 
 
 class TestBucketing:
@@ -106,8 +101,7 @@ class TestBucketing:
         assert levels[1:] == tuple([0.0] * 10)
         # a hit then a miss at recall 1/50 both land in level 0.0
         relevant = {1, *range(100, 149)}
-        pr_levels, _ = pr_curve(ranked(1, 2), relevant)
-        assert pr_levels == [[1.0, 0.5]] + [[]] * 10
+        assert pr_curve(ranked(1, 2), relevant) == [[1.0, 0.5]] + [[]] * 10
         summary, _ = evaluate_rankings({1: ranked(1, 2)}, {1: relevant})
         assert summary.levels == (0.75,) + tuple([0.0] * 10)
         assert_matches_oracle({1: ranked(1, 2)}, {1: relevant})
@@ -116,9 +110,7 @@ class TestBucketing:
         levels = oracle.bucket_to_levels([PRPoint(1, 0.5, 0.42)])
         assert levels[5] == pytest.approx(0.42)
         # one hit of two relevant at rank 1: recall 0.5, level 0.5
-        pr_levels, hits = pr_curve(ranked(1), {1, 2})
-        assert pr_levels[5] == [1.0]
-        assert hits == [(0.5, 1.0)]
+        assert pr_curve(ranked(1), {1, 2}) == [[]] * 5 + [[1.0]] + [[]] * 5
 
     def test_worked_average_example(self):
         # one point per populated level reproduces the worked table exactly;
@@ -154,8 +146,8 @@ class TestBucketing:
         # 3 hits of 20 relevant is recall 3/20 = 0.15, on the 0.1/0.2 edge;
         # the double 3/20 lies just below 0.15 but must still land in 0.2
         ranked = RankedList(1, tuple((d, 1.0 / d) for d in range(1, 4)))
-        levels, hits = pr_curve(ranked, set(range(1, 21)))
-        assert bucket_index(hits[-1][0]) == 2
+        assert bucket_index(3 / 20) == 2
+        levels = pr_curve(ranked, set(range(1, 21)))
         assert levels[2] == [1.0]
         summary, _ = evaluate_rankings({1: ranked}, {1: set(range(1, 21))})
         assert summary.levels[2] == 1.0
@@ -175,31 +167,6 @@ class TestBucketing:
         buckets = [[] for _ in range(11)]
         buckets[level].append(recall)
         assert sum(len(b) for b in buckets) == 1
-
-
-class TestInterpolatedLevels:
-    def test_max_precision_at_or_above_each_level(self):
-        points = [PRPoint(1, 0.2, 0.6), PRPoint(2, 0.6, 0.9), PRPoint(3, 1.0, 0.1)]
-        levels = oracle.interpolated_levels(points)
-        assert levels[0] == pytest.approx(0.9)
-        assert levels[2] == pytest.approx(0.9)  # 0.2 and above includes 0.6
-        assert levels[6] == pytest.approx(0.9)
-        assert levels[7] == pytest.approx(0.1)
-        assert levels[10] == pytest.approx(0.1)
-        # N R R N N R with three relevant: hits at recall 1/3, 2/3 and 1 with
-        # precision 1/2, 2/3 and 1/2; level 0.7 and above reach only the last
-        ranking = ranked_list(["N", "R", "R", "N", "N", "R"])
-        summary, _ = evaluate_rankings({1: ranking}, {1: {1, 2, 5}}, interpolation="standard")
-        assert summary.levels == (2 / 3,) * 7 + (0.5,) * 4
-        assert_matches_oracle({1: ranking}, {1: {1, 2, 5}})
-
-    def test_no_points(self):
-        assert oracle.interpolated_levels([]) == tuple([0.0] * 11)
-        empty = RankedList(1, ())
-        assert pr_curve(empty, {1}) == ([[] for _ in range(11)], [])
-        summary, diagnostics = evaluate_rankings({1: empty}, {1: {1}}, interpolation="standard")
-        assert summary.levels == tuple([0.0] * 11)
-        assert diagnostics == [(1, level) for level in range(11)]
 
 
 class TestAveraging:
@@ -250,7 +217,7 @@ class TestSpreadsheetCrossCheck:
         levels = summary.levels
         expected = [float(expected_by_level.get(i, 0)) for i in range(11)]
         assert levels == pytest.approx(expected, abs=1e-12)
-        pr_levels, _ = pr_curve(ranking, relevant, cutoff=100)
+        pr_levels = pr_curve(ranking, relevant, cutoff=100)
         assert [i for i, bucket in enumerate(pr_levels) if bucket] == sorted(expected_by_level)
         assert_matches_oracle({1: ranking}, {1: relevant})
         want_map = float(sum(Fraction(v) for v in expected_by_level.values()) / 11)
@@ -332,16 +299,6 @@ class TestEvaluateRankings:
         assert summary.map_at_30 == pytest.approx(map_at_30(summary.levels))
         assert all(qid in (1, 2) for qid, _ in diagnostics)
 
-    def test_pooled_mode_buckets_once(self, rankings):
-        qrels = {1: {10, 11, 12}, 2: {20, 21}}
-        pooled, diagnostics = evaluate_rankings(rankings, qrels, pooling="pooled")
-        pool = [
-            *oracle.pr_points(rankings[1].entries, qrels[1], 1000),
-            *oracle.pr_points(rankings[2].entries, qrels[2], 1000),
-        ]
-        assert pooled.levels == pytest.approx(oracle.bucket_to_levels(pool))
-        assert all(qid is None for qid, _ in diagnostics)
-
     def test_missing_ranking_rejected(self, rankings):
         with pytest.raises(ValueError, match="no ranking"):
             evaluate_rankings(rankings, {1: {10}, 3: {30}})
@@ -349,12 +306,6 @@ class TestEvaluateRankings:
     def test_empty_qrels_rejected(self, rankings):
         with pytest.raises(ValueError, match="no judged"):
             evaluate_rankings(rankings, {})
-
-    def test_unknown_modes_rejected(self, rankings):
-        with pytest.raises(ValueError):
-            evaluate_rankings(rankings, {1: {10}}, interpolation="cubic")
-        with pytest.raises(ValueError):
-            evaluate_rankings(rankings, {1: {10}}, pooling="mean")
 
     def test_summarize_consistency(self):
         summary = summarize(WORKED_LEVELS)

@@ -534,7 +534,7 @@ class TestCache:
         assert (resumed.ranked_bases, resumed.per_base) == (0, built.per_base)
         # another index, another digest
         fewer = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items() if d != 5])
-        options = (QUERIES, QRELS, 30, "standard", "macro")
+        options = (QUERIES, QRELS, 30)
         assert sweep._digest(loaded, *options) == sweep._digest(INDEX, *options)
         assert sweep._digest(fewer, *options) != sweep._digest(INDEX, *options)
 
