@@ -56,6 +56,9 @@ class InvertedIndex:
             when built, a ``_Postings`` when loaded.
         stoplist_sha256: fingerprint of the stoplist the tokens were made
             with (``textpipe.stoplist_fingerprint``); empty when unknown.
+
+    The term vectors that ``term_vectors`` gathers are kept for the life of
+    the index, outside the snapshot.
     """
 
     FORMAT_VERSION = 5
@@ -67,10 +70,26 @@ class InvertedIndex:
         self.n_docs = len(norms)
         self.dictionary = dictionary
         self.stoplist_sha256 = stoplist_sha256
+        self._vectors: dict[int, list[tuple[str, int]]] = {}
 
     def doc_freq(self, term: str) -> int:
         postings = self.dictionary.get(term)
         return len(postings[0]) if postings else 0
+
+    def term_vectors(self, doc_ids: Iterable[int]) -> dict[int, list[tuple[str, int]]]:
+        """Each given document's (term, tf) pairs in sorted term order. The
+        documents not asked for before are gathered in one pass over the
+        postings that picks out their postings in C, and kept; a call whose
+        every document is kept makes no pass."""
+        asked = set(doc_ids)
+        wanted = asked.difference(self._vectors)
+        if wanted:
+            gathered: dict[int, list[tuple[str, int]]] = {doc_id: [] for doc_id in wanted}
+            for term, (ids, tfs) in self.dictionary.items():
+                for p in compress(count(), map(wanted.__contains__, ids)):
+                    gathered[ids[p]].append((term, tfs[p]))
+            self._vectors.update(gathered)
+        return {doc_id: self._vectors[doc_id] for doc_id in asked}
 
     def snapshot_parts(self) -> list:
         """The snapshot's header line, then its four columns, each in the

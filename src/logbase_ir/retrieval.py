@@ -3,10 +3,14 @@
 Scoring is deterministic: query terms are visited in sorted order, postings
 in doc_id order, and ties in the final ordering break toward the smaller
 doc_id. Repeated runs produce bit-identical rankings.
+
+Queries are scored at base e, and only documents too close for rounding to
+order them are re-scored at the ranker's base, from the term vectors the
+index hands out (``InvertedIndex.term_vectors``).
 """
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterator
 from functools import reduce
 from itertools import compress, count, repeat
 from operator import add, itemgetter, lt, mul
@@ -24,8 +28,6 @@ class RankedList(NamedTuple):
     entries: tuple[tuple[int, float], ...] = ()
 
 
-# doc_id -> its (term, tf) pairs in sorted term order
-Vectors = dict[int, list[tuple[str, int]]]
 # query id -> its near-tie groups, each as (start, stop) positions
 Groups = dict[int, list[tuple[int, int]]]
 
@@ -67,8 +69,9 @@ class Ranker:
     e, computed for those terms alone, and each document's norm is the base-e
     one the index stores. Every command ranks in the same two calls: ``plan``
     ranks at base e and finds the documents too close for the bound above to
-    order them, and ``settle`` re-scores those from their term vectors with
-    the weights of the scheme's base computed directly.
+    order them, and ``settle`` re-scores those with the weights of the
+    scheme's base computed directly, from the term vectors it asks the index
+    for (``InvertedIndex.term_vectors``).
     """
 
     def __init__(self, index: InvertedIndex, scheme: WeightScheme):
@@ -112,11 +115,10 @@ class Ranker:
         return self.settle(q, *self.plan(q))[query_id]
 
     def plan(self, query_tokens: dict[int, list[str]], depth: int | None = None
-             ) -> tuple[dict[int, RankedList], Groups, Vectors]:
-        """Each query's base-e ranking (``rank``); for each query that has
-        any, its near-tie groups (``near_tie_groups``) that start before
-        ``depth`` (all of them for None); and the term vectors of their
-        members, from one pass over the postings (none when no group)."""
+             ) -> tuple[dict[int, RankedList], Groups]:
+        """Each query's base-e ranking (``rank``) and, for each query that
+        has any, its near-tie groups (``near_tie_groups``) that start before
+        ``depth`` (all of them for None)."""
         rankings, groups = {}, {}
         for qid, tokens in query_tokens.items():
             ranked = rankings[qid] = self.rank(qid, self.accumulate(tokens))
@@ -124,18 +126,18 @@ class Ranker:
                      if depth is None or start < depth]
             if found:
                 groups[qid] = found
-        members = {doc_id for qid, found in groups.items() for start, stop in found
-                   for doc_id, _ in rankings[qid].entries[start:stop]}
-        return rankings, groups, term_vectors(self.index, members) if members else {}
+        return rankings, groups
 
     def settle(self, query_tokens: dict[int, list[str]], rankings: dict[int, RankedList],
-               groups: Groups, vectors: Vectors) -> dict[int, RankedList]:
+               groups: Groups) -> dict[int, RankedList]:
         """The rankings with each group of positions re-scored and re-sorted
         with the scheme's base computed directly; a query with no group keeps
-        its ranking. A member's dot product with the query weights and its
-        squared norm come from its term vector (``term_vectors``), each added
-        in sorted term order, with one idf per term for the whole call."""
+        its ranking. The members' term vectors come from the index in one
+        call (``InvertedIndex.term_vectors``); a member's dot product with
+        the query weights and its squared norm are each added in sorted term
+        order, with one idf per term for the whole call."""
         settled = dict(rankings)
+        vectors = self.index.term_vectors(group_members(rankings, groups))
         idfs: dict[str, float] = {}
         for qid, query_groups in groups.items():
             entries = list(rankings[qid].entries)
@@ -162,16 +164,10 @@ class Ranker:
         return settled
 
 
-def term_vectors(index: InvertedIndex, doc_ids: Iterable[int]) -> Vectors:
-    """Each given document's (term, tf) pairs in sorted term order, from one
-    pass over the postings that picks out the given documents' postings in
-    C."""
-    wanted = set(doc_ids)
-    vectors: Vectors = {doc_id: [] for doc_id in wanted}
-    for term, (ids, tfs) in index.dictionary.items():
-        for p in compress(count(), map(wanted.__contains__, ids)):
-            vectors[ids[p]].append((term, tfs[p]))
-    return vectors
+def group_members(rankings: dict[int, RankedList], groups: Groups) -> Iterator[int]:
+    """The doc id of every member of every group of every query."""
+    return (doc_id for qid, query_groups in groups.items() for start, stop in query_groups
+            for doc_id, _ in rankings[qid].entries[start:stop])
 
 
 def format_run(ranked_lists: list[RankedList]) -> str:

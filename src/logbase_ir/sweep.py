@@ -11,11 +11,13 @@ The base only rescales the TF-IDF weights, which cosine cancels, so one
 ranking serves every base: each query is ranked once, at base e
 (``Ranker.plan``), and a base re-scores only the groups of near-tied
 documents whose order rounding could change, with that base's weights
-computed directly from term vectors gathered once (``Ranker.settle``): the
-two calls of ``Ranker.rank_tokens``. Given a ``cache_path`` (the CLI always
-gives one), per-base summaries are cached on disk keyed by a digest of the
-inputs, so an interrupted sweep resumes instead of recomputing, and one
-whose every base is cached ranks nothing.
+computed directly (``Ranker.settle``): the two calls of
+``Ranker.rank_tokens``. The index gathers the members' term vectors once
+and keeps them (``InvertedIndex.term_vectors``), so no base makes a pass
+over the postings. Given a ``cache_path`` (the CLI always gives one),
+per-base summaries are cached on disk keyed by a digest of the inputs, so
+an interrupted sweep resumes instead of recomputing, and one whose every
+base is cached ranks nothing.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ from .evaluation import (
     summary_csv,
 )
 from .index import InvertedIndex, write_atomic, write_report
-from .retrieval import Ranker
+from .retrieval import Ranker, group_members
 from .weighting import WeightScheme
 
 METRICS = ("map", "map_at_30")
@@ -228,12 +230,14 @@ def run_sweep(
     passed. Unless the cache holds every base, one base-e ranker plans once
     (``Ranker.plan``): it ranks each query and finds the near-tie groups
     before the cutoff. Of these, the fragile ones are those whose members'
-    term vectors are not all equal; identical documents score alike in every
-    arithmetic and keep their doc-id order. Each base settles only the
-    fragile groups (``Ranker.settle``), so every base ranks as
-    ``Ranker.rank_tokens`` does. Each base is scored by the paper's
-    11-level bucket means (``evaluate_rankings``), and bases whose rankings
-    agree to the cutoff share one evaluation.
+    term vectors, asked of the index in one call
+    (``InvertedIndex.term_vectors``), are not all equal; identical documents
+    score alike in every arithmetic and keep their doc-id order. Each base
+    settles only the fragile groups (``Ranker.settle``), from the vectors
+    the index kept, so every base ranks as ``Ranker.rank_tokens`` does.
+    Each base is scored by the paper's 11-level bucket means
+    (``evaluate_rankings``), and bases whose rankings agree to the cutoff
+    share one evaluation.
     """
     result = SweepResult()
     cached: dict[str, EvalSummary] = {}
@@ -243,7 +247,8 @@ def run_sweep(
     bases = [(label, float(label)) for label in labels]
     fragile: dict[int, list[tuple[int, int]]] = {}
     if any(base != 1.0 and label not in cached for label, base in bases):
-        rankings, groups, vectors = Ranker(index, WeightScheme(math.e)).plan(query_tokens, cutoff)
+        rankings, groups = Ranker(index, WeightScheme(math.e)).plan(query_tokens, cutoff)
+        vectors = index.term_vectors(group_members(rankings, groups))
         for qid, query_groups in groups.items():
             entries = rankings[qid].entries
             for start, stop in query_groups:
@@ -265,7 +270,7 @@ def run_sweep(
                 settled = rankings
                 if fragile:
                     ranker = Ranker(index, WeightScheme(base))
-                    settled = ranker.settle(query_tokens, rankings, fragile, vectors)
+                    settled = ranker.settle(query_tokens, rankings, fragile)
                 # evaluation reads only the doc ids up to the cutoff
                 key = tuple(
                     tuple(map(itemgetter(0), settled[qid].entries[start:min(stop, cutoff)]))

@@ -7,7 +7,8 @@ intact because cosine ranking is invariant under a uniform rescale.
 Since log_b x = ln x / ln b, a weight at base b is the base-e weight times
 1 / ln b, a factor that cosine cancels. Ranking therefore scores at base e
 (``retrieval.Ranker.plan``), and weighs at the scheme's base only the
-documents whose order rounding could change (``retrieval.Ranker.settle``).
+documents whose order rounding could change (``retrieval.Ranker.settle``),
+from the term vectors the index keeps (``index.InvertedIndex.term_vectors``).
 """
 
 import math

@@ -83,3 +83,20 @@ def toy_index():
         (5, ["fig"]),
     ]
     return build_index(docs)
+
+
+class CountedPostings(dict):
+    """A built index's dictionary that counts its ``items()`` calls: each is
+    one pass over every posting, as ``InvertedIndex.term_vectors`` makes."""
+
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+def count_passes(index):
+    """Put ``index.dictionary`` in a ``CountedPostings``, and return that."""
+    index.dictionary = CountedPostings(index.dictionary)
+    return index.dictionary

@@ -20,13 +20,14 @@ from pathlib import Path
 
 import pytest
 
+from logbase_ir import cli
 from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import CACHE_VERSION
 
-from conftest import perfbench
+from conftest import count_passes, perfbench
 
 gen, reference, checks = perfbench("gen"), perfbench("reference"), perfbench("checks")
 
@@ -502,6 +503,50 @@ def test_resumed_sweep_plans_only_for_uncached_bases(capsys, tmp_path, monkeypat
     assert len(plans) == 2
     monkeypatch.setattr(Ranker, "plan", None)
     assert sweep() == "note: 0 distinct rankings to the cutoff across 0 bases; 0 fragile groups"
+
+
+def test_eval_gathers_each_term_vector_once(capsys, tmp_path, monkeypatch):
+    # eval ranks one query at a time; its queries share near-tie members,
+    # and the index hands out a member's vector gathered by an earlier query
+    paths = gen.write(near_tie_collection(), str(tmp_path))
+    built, ranked, asked = [], [], []
+    build, rank_tokens, term_vectors = cli.build_index, Ranker.rank_tokens, InvertedIndex.term_vectors
+
+    def counted_build(*args):
+        index = build(*args)
+        built.append((index, count_passes(index)))
+        return index
+
+    def recording_rank(self, query_id, tokens):
+        ranking = rank_tokens(self, query_id, tokens)
+        ranked.append((self, query_id, tokens, ranking))
+        return ranking
+
+    def recording_vectors(self, doc_ids):
+        vectors = term_vectors(self, doc_ids)
+        asked.append(vectors)
+        return vectors
+
+    monkeypatch.setattr(cli, "build_index", counted_build)
+    monkeypatch.setattr(Ranker, "rank_tokens", recording_rank)
+    monkeypatch.setattr(InvertedIndex, "term_vectors", recording_vectors)
+    run(capsys, "eval", *inputs(paths), "--out", tmp_path / "out")
+    [(index, postings)] = built
+    # every query has near ties, and a pass is made only for a query that
+    # names a member no earlier query named
+    assert len(asked) == len(ranked) == 12
+    new = [not vectors.keys() <= set().union(*asked[:i]) for i, vectors in enumerate(asked)]
+    assert postings.passes == sum(new) == 7
+    # each member's vector is the one gathered first: 44 members, 200 asked
+    first = {}
+    for vectors in asked:
+        for doc_id, vector in vectors.items():
+            assert first.setdefault(doc_id, vector) is vector
+    assert (len(first), sum(map(len, asked))) == (44, 200)
+    # ranking the queries again on the same index makes no pass
+    for ranker, query_id, tokens, ranking in list(ranked):
+        assert repr(ranker.rank_tokens(query_id, tokens)) == repr(ranking)
+    assert postings.passes == 7
 
 
 # A JSONL collection of accented Latin, the Kelvin sign, dotted capital I,

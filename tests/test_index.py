@@ -61,6 +61,21 @@ class TestLookups:
         assert small.doc_freq("z") == 0
         assert small.doc_freq("a") == 1
 
+    def test_term_vectors(self, tmp_path):
+        docs = [(3, ["x", "y", "y"]), (5, ["y", "z"]), (8, ["x", "w", "w", "w"]), (9, [])]
+        index = build_index(docs)
+        snapshot = b"".join(map(bytes, index.snapshot_parts()))
+        want = {3: [("x", 1), ("y", 2)], 8: [("w", 3), ("x", 1)], 9: []}
+        vectors = index.term_vectors([8, 3, 9, 3])
+        assert vectors == want
+        # kept for the life of the index, and out of its snapshot
+        again = index.term_vectors([3, 5])
+        assert again[3] is vectors[3] and again[5] == [("y", 1), ("z", 1)]
+        assert b"".join(map(bytes, index.snapshot_parts())) == snapshot
+        index.save(str(tmp_path / "index.bin"))
+        loaded = InvertedIndex.load(str(tmp_path / "index.bin"))
+        assert loaded.term_vectors([3, 8, 9]) == want
+
 
 corpora = st.lists(
     st.lists(st.sampled_from("abcdefgh"), max_size=12),

@@ -3,12 +3,12 @@ import random
 
 import pytest
 
-from logbase_ir import retrieval
-from logbase_ir.index import build_index
+from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import RankedList, Ranker, format_run
 from logbase_ir.textpipe import pipeline
 from logbase_ir.weighting import WeightScheme, idf
 
+from conftest import count_passes
 from oracle import dense_rank, random_corpus
 
 
@@ -202,8 +202,8 @@ class TestSettle:
         settled = []
         settle = Ranker.settle
 
-        def recording(self, query_tokens, rankings, groups, vectors):
-            result = settle(self, query_tokens, rankings, groups, vectors)
+        def recording(self, query_tokens, rankings, groups):
+            result = settle(self, query_tokens, rankings, groups)
             settled.extend(entry for qid, spans in groups.items() for start, stop in spans
                            for entry in result[qid].entries[start:stop])
             return result
@@ -233,21 +233,32 @@ class TestSettle:
         # docs 1 and 2 have the same cosine with the query; docs 3 and 4 do not
         index = build_index([(1, ["x", "y"]), (2, ["x", "y"] * 3), (3, ["x", "z", "z"]),
                              (4, ["x", "w"]), (5, ["w"])])
+        postings = count_passes(index)
         ranker = Ranker(index, WeightScheme(10))
-        calls = []
-        term_vectors = retrieval.term_vectors
+        asked = []
+        term_vectors = InvertedIndex.term_vectors
 
-        def recording(index, doc_ids):
-            calls.append(set(doc_ids))
-            return term_vectors(index, doc_ids)
+        def recording(self, doc_ids):
+            vectors = term_vectors(self, doc_ids)
+            asked.append(set(vectors))
+            return vectors
 
-        monkeypatch.setattr(retrieval, "term_vectors", recording)
+        monkeypatch.setattr(InvertedIndex, "term_vectors", recording)
         ranked = ranker.rank_tokens(1, ["x", "y"])
-        # only the near-tied candidates are re-scored at base 10; the others
-        # are ranked by the stored base-e norms
-        assert calls == [{1, 2}]
-        assert term_vectors(index, [1, 2]) == {1: [("x", 1), ("y", 1)], 2: [("x", 3), ("y", 3)]}
+        # only the near-tied candidates are re-scored at base 10, from one
+        # pass; the others are ranked by the stored base-e norms
+        assert asked == [{1, 2}]
+        assert postings.passes == 1
         assert {d for d, _ in ranked.entries[:2]} == {1, 2}
         assert {d for d, _ in ranked.entries} == {1, 2, 3, 4}
-        ranker.rank_tokens(2, ["z", "w"])  # no near ties
-        assert calls == [{1, 2}]
+        # the same members again make no pass, nor does a query with no near ties
+        assert repr(ranker.rank_tokens(1, ["x", "y"])) == repr(ranked)
+        ranker.rank_tokens(2, ["z", "w"])
+        assert asked == [{1, 2}, {1, 2}, set()]
+        assert postings.passes == 1
+        # the pass gathered the members alone: a candidate outside the group
+        # needs a pass of its own
+        assert index.term_vectors([1, 2]) == {1: [("x", 1), ("y", 1)], 2: [("x", 3), ("y", 3)]}
+        assert postings.passes == 1
+        assert index.term_vectors([3]) == {3: [("x", 1), ("z", 2)]}
+        assert postings.passes == 2

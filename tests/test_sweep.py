@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-from logbase_ir import index as index_mod, retrieval, sweep
+from logbase_ir import index as index_mod, sweep
 from logbase_ir.evaluation import EvalSummary, evaluate_rankings
 from logbase_ir.index import build_index
 from logbase_ir.retrieval import Ranker
@@ -25,6 +25,7 @@ from logbase_ir.sweep import (
 from logbase_ir.textpipe import pipeline
 from logbase_ir.weighting import WeightScheme
 
+from conftest import count_passes
 from oracle import random_corpus
 
 TEXTS = {
@@ -264,10 +265,10 @@ class TestRescaledRanking:
         settled_positions = set()
         settle = Ranker.settle
 
-        def recording(self, query_tokens, rankings, groups, vectors):
+        def recording(self, query_tokens, rankings, groups):
             settled_positions.update(p for spans in groups.values() for start, stop in spans
                                      for p in range(start, stop))
-            return settle(self, query_tokens, rankings, groups, vectors)
+            return settle(self, query_tokens, rankings, groups)
 
         monkeypatch.setattr(Ranker, "settle", recording)
         unsettled = 0
@@ -424,9 +425,9 @@ class TestPlan:
         calls = []
         settle = Ranker.settle
 
-        def recording(self, query_tokens, rankings, groups, vectors):
+        def recording(self, query_tokens, rankings, groups):
             calls.append((self.scheme.base, groups))
-            return settle(self, query_tokens, rankings, groups, vectors)
+            return settle(self, query_tokens, rankings, groups)
 
         monkeypatch.setattr(Ranker, "settle", recording)
         labels = grid_labels("2:6:0.5")
@@ -441,42 +442,43 @@ class TestPlan:
         # so the weights at other bases can tell them apart
         index, queries = list(criterion_4_corpora(72))[71]
         ranker = Ranker(index, WeightScheme(math.e))
-        rankings, groups, vectors = ranker.plan({0: queries[0]}, 1000)
+        rankings, groups = ranker.plan({0: queries[0]}, 1000)
         assert [d for d, _ in rankings[0].entries[:2]] == [2, 3]
         assert rankings[0].entries[0][1] == rankings[0].entries[1][1]
         assert groups == {0: [(0, 2)]}
+        vectors = index.term_vectors([2, 3])
         assert vectors[2] != vectors[3]
-        assert vectors == retrieval.term_vectors(index, vectors)
+        # each is the document's (term, tf) pairs in sorted term order
+        assert vectors == {d: [(term, tfs[list(ids).index(d)])
+                               for term, (ids, tfs) in sorted(index.dictionary.items())
+                               if d in ids]
+                           for d in (2, 3)}
         orders = {
             tuple(d for d, _ in Ranker(index, WeightScheme(b)).rank_tokens(0, queries[0]).entries)
             for b in (2.0, 2.4, 10.0)
         }
         assert len(orders) == 2
 
-    def test_one_term_vectors_pass_per_sweep(self, monkeypatch):
-        calls = []
-        term_vectors = retrieval.term_vectors
-
-        def recording(index, doc_ids):
-            calls.append(set(doc_ids))
-            return term_vectors(index, doc_ids)
-
-        monkeypatch.setattr(retrieval, "term_vectors", recording)
+    def test_one_term_vectors_pass_per_sweep(self):
         labels = grid_labels("2:6:0.5")
         index = build_index([(d, pipeline(t, frozenset())) for d, t in self.NEAR_TIE.items()])
+        postings = count_passes(index)
         # both queries hold docs 1 and 2 in a fragile group
         queries = {1: ["x", "y"], 2: ["y", "x", "y", "x"]}
         swept = run_sweep(index, queries, {1: {2}, 2: {1}}, labels)
         assert swept.fragile_groups == 2
         assert swept.ranked_bases == len(labels)
-        assert calls == [{1, 2}]
+        assert postings.passes == 1
+        # the index keeps the vectors: a second sweep makes no pass
+        assert run_sweep(index, queries, {1: {2}, 2: {1}}, labels).fragile_groups == 2
+        assert postings.passes == 1
         # no near ties, no pass
-        calls.clear()
         index = build_index([(1, ["x", "y"]), (2, ["x", "x", "y"]), (3, ["z"])])
+        postings = count_passes(index)
         swept = run_sweep(index, queries, {1: {2}, 2: {1}}, labels)
         assert swept.fragile_groups == 0
         assert swept.ranked_bases == len(labels)
-        assert calls == []
+        assert postings.passes == 0
 
 
 class TestCache:
