@@ -97,7 +97,7 @@ _EVAL = ("eval", "sweep")
 # subcommands that take it and its help text.
 _OPTIONS = {
     "docs": (_ALL, "document collection file"),
-    "format": (_ALL, "collection file format: smart, npl, lisa or jsonl (default smart)"),
+    "format": (_ALL, "collection file format: smart, npl or lisa (default smart)"),
     "stoplist": (_ALL, "stoplist file overriding the bundled list"),
     "save_index": (("index",), "write an index snapshot"),
     "load_index": (("search",), "use an index snapshot"),

@@ -20,11 +20,9 @@ a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
 <= 0 in one parse, in one of two layouts: rows of columns, whose width
 picks their meaning (``auto``), or NPL records listing doc ids (``idlist``).
-The canonical on-disk exchange format is JSON-lines ``{"id": int, "text":
-str}`` for documents and queries, and two-column TSV for qrels.
+Every reader serves one of the paper's collections: MED, CRAN, CISI, NPL, LISA.
 """
 
-import json
 from collections.abc import Iterable, Iterator
 from functools import partial
 
@@ -167,33 +165,6 @@ def _lisa_queries(lines: Iterable[str]) -> Records:
         yield *head, " ".join(pieces)
 
 
-def _jsonl(lines: Iterable[str]) -> Records:
-    """The canonical JSON-lines form: ``{"id": int, "text": str}``. A JSON
-    string can hold a lone surrogate (``"\\ud800"``), which no UTF-8 text
-    can, so such a text fails at its line."""
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            doc_id = obj["id"]
-            text = obj["text"]
-        except (ValueError, KeyError, TypeError, RecursionError):
-            # ValueError: malformed JSON, or an integer past the digit limit;
-            # RecursionError: nesting deeper than the decoder's stack
-            raise ParseError("bad JSON record", lineno) from None
-        if not isinstance(doc_id, int) or isinstance(doc_id, bool):
-            raise ParseError(f"record id must be an integer, got {doc_id!r}", lineno)
-        if not isinstance(text, str):
-            raise ParseError("record text must be a string", lineno)
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise ParseError(f"record text holds a lone surrogate {text[e.start]!r}",
-                             lineno) from None
-        yield lineno, doc_id, text
-
-
 def _unique(records: Records, doc_ids: bool = False) -> Iterator[tuple[int, str]]:
     """The (id, text) of each record; a repeated id, or with ``doc_ids`` an
     id outside int64, fails at its line."""
@@ -207,7 +178,7 @@ def _unique(records: Records, doc_ids: bool = False) -> Iterator[tuple[int, str]
         yield record_id, text
 
 
-_DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa, "jsonl": _jsonl}
+_DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa}
 _QUERY_READERS = {
     **_DOC_READERS,
     "smart": partial(_smart, indexed=frozenset({".W"})),  # the .W section only

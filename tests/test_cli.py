@@ -295,7 +295,7 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "unknown format 'bogus'" in err
-        cfg.write_text("format=jsonl\n")  # a valid format is accepted
+        cfg.write_text("format=npl\n")  # a valid format is accepted
         code, out, _ = run(capsys, "search", "--load-index", snap, "--config", cfg, "zebra")
         assert code == 0
         assert len(out.splitlines()) == 10
@@ -878,9 +878,6 @@ FORMAT_FILES = {
     "lisa": ("".join(f"Document {d}\n{text}\n{LISA_END}\n"
                      for d, text in ((1, "zebra yak"), (2, "zebra zebra"), (3, "yak"))),
              "1\nzebra yak #\n2\nyak #\n"),
-    "jsonl": ("".join(json.dumps({"id": d, "text": text}) + "\n"
-                      for d, text in ((1, "zebra yak"), (2, "zebra zebra"), (3, "yak"))),
-              '{"id": 1, "text": "zebra yak"}\n{"id": 2, "text": "yak"}\n'),
 }
 
 
@@ -889,7 +886,7 @@ class TestByteOrderMark:
 
     @pytest.mark.parametrize("fmt, role", [
         ("smart", "docs"), ("smart", "queries"), ("npl", "docs"), ("npl", "queries"),
-        ("lisa", "docs"), ("lisa", "queries"), ("jsonl", "docs"), ("jsonl", "queries"),
+        ("lisa", "docs"), ("lisa", "queries"),
         ("smart", "qrels"), ("smart", "config"), ("smart", "stoplist"),
     ])
     def test_leading_mark_gives_the_same_output(self, capsys, tmp_path, fmt, role):
@@ -1246,25 +1243,23 @@ class TestErrorExits:
                   "--out", "new/deeper"])
         assert not Path("new").exists()
 
-    @pytest.mark.parametrize("fmt, bad, content, message", [
-        ("jsonl", "d", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),
-        ("jsonl", "q", '{"id": 1, "text": "zebra"}\n{"id": 2, "te\n', "line 2: bad JSON record"),
-        ("smart", "q", ".I x\n.W\nzebra\n", "line 1: bad .I record id 'x'"),
-        ("smart", "r", "1 0 1 1 1\n", "line 1: cannot infer qrels layout from 5 columns"),
-        ("smart", "r", "1\n1\n/\n2\n/\n", "line 4: query 2 lists no relevant doc id"),
-    ], ids=["docs", "queries", "smart-queries", "qrels", "idlist-qrels"])
-    def test_malformed_file_is_named(self, capsys, tmp_path, monkeypatch, fmt, bad, content,
-                                     message):
+    @pytest.mark.parametrize("bad, content, message", [
+        ("d", ".I 1\n.W\nzebra\n.I x\n", "line 4: bad .I record id 'x'"),
+        ("q", ".I x\n.W\nzebra\n", "line 1: bad .I record id 'x'"),
+        ("r", "1 0 1 1 1\n", "line 1: cannot infer qrels layout from 5 columns"),
+        ("r", "1\n1\n/\n2\n/\n", "line 4: query 2 lists no relevant doc id"),
+    ], ids=["docs", "smart-queries", "qrels", "idlist-qrels"])
+    def test_malformed_file_is_named(self, capsys, tmp_path, monkeypatch, bad, content, message):
         # a parse fault named a line but no file, and a query a document; an
         # idlist list naming no document failed only once --out was created
         monkeypatch.chdir(tmp_path)
-        good = {"jsonl": '{"id": 1, "text": "zebra"}\n', "smart": ".I 1\n.W\nzebra\n"}[fmt]
+        good = ".I 1\n.W\nzebra\n"
         for name, text in (("d", good), ("q", good), ("r", "1 1\n")):
             Path(name).write_text(content if name == bad else text)
         qrels_format = ["--qrels-format", "idlist"] if "/" in content else []
         for command in ("eval", "sweep"):
             code, out, err = run(capsys, command, "--docs", "d", "--queries", "q", "--qrels", "r",
-                                 *qrels_format, "--format", fmt, "--base", "10")
+                                 *qrels_format, "--base", "10")
             assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
         assert not Path("out").exists()
 
@@ -1475,40 +1470,6 @@ class TestErrorExits:
                              "--out", tmp_path / "out")
         assert (code, out, err) == (1, "", "error: degenerate qrels: no judged queries\n")
 
-    @pytest.mark.parametrize("record, message", [
-        ('{"id": "7", "text": "a"}', "line 1: record id must be an integer, got '7'"),
-        ('{"id": 7, "text": 5}', "line 1: record text must be a string"),
-    ], ids=["id-string", "text-number"])
-    def test_ill_typed_jsonl_record_is_domain_error(self, capsys, tmp_path, record, message):
-        docs = tmp_path / "docs.jsonl"
-        docs.write_text(record + "\n")
-        code, out, err = run(capsys, "stats", "--docs", docs, "--format", "jsonl")
-        assert (code, out, err) == (1, "", f"error: {docs}: {message}\n")
-
-    @pytest.mark.parametrize("command, kind", [
-        ("stats", "docs"), ("search", "docs"), ("eval", "docs"), ("sweep", "docs"),
-        ("eval", "queries"), ("sweep", "queries"),
-    ])
-    def test_lone_surrogate_in_jsonl_text_is_domain_error(self, capsys, tmp_path,
-                                                          monkeypatch, command, kind):
-        # valid JSON: a document's failed in the text-bytes count, naming no
-        # line, and a query's was accepted
-        monkeypatch.chdir(tmp_path)
-        bad = '{"id": 2, "text": "alpha \\ud800 beta"}\n'
-        Path("docs.jsonl").write_text('{"id": 1, "text": "alpha"}\n'
-                                      + (bad if kind == "docs" else ""))
-        Path("queries.jsonl").write_text('{"id": 1, "text": "alpha"}\n'
-                                         + (bad if kind == "queries" else ""))
-        Path("qrels.txt").write_text("1 1\n")
-        argv = {"stats": ["stats"], "search": ["search", "alpha"],
-                "eval": ["eval", "--queries", "queries.jsonl", "--qrels", "qrels.txt"],
-                "sweep": ["sweep", "--queries", "queries.jsonl", "--qrels", "qrels.txt",
-                          "--base", "10"]}[command]
-        code, out, err = run(capsys, *argv, "--docs", "docs.jsonl", "--format", "jsonl")
-        assert (code, out, err) == (
-            1, "", f"error: {kind}.jsonl: line 2: record text holds a lone surrogate '\\ud800'\n")
-        assert not Path("out").exists()
-
 
 class TestUsageErrors:
     """Bad evaluation options exit 2 before any input is read."""
@@ -1565,6 +1526,24 @@ class TestUsageErrors:
         assert (code, stdout) == (2, "")
         assert err == f"error: {cfg}:3: unknown option {key!r}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stats"], ["index", "--save-index", "out"], ["search", "zebra"],
+        ["search", "--load-index", "none.idx", "zebra"],
+        ["eval", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
+        ["sweep", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
+    ], ids=["stats", "index", "search", "search-snapshot", "eval", "sweep"])
+    def test_removed_jsonl_format(self, capsys, tmp_path, monkeypatch, argv):
+        # none of the paper's collections is JSON lines: the format is refused
+        # as any unknown one is, though the docs file is valid JSON lines
+        monkeypatch.chdir(tmp_path)
+        Path("docs.jsonl").write_text('{"id": 1, "text": "zebra"}\n')
+        docs = [] if "--load-index" in argv else ["--docs", "docs.jsonl"]
+        for flags, config in ((["--format", "jsonl"], ""), ([], "format=jsonl\n")):
+            Path("run.cfg").write_text(config)
+            code, out, err = run(capsys, *argv, *docs, *flags, "--config", "run.cfg")
+            assert (code, out, err) == (2, "", "error: unknown format 'jsonl'\n")
+            assert not Path("out").exists()
 
     def test_top_zero_flag(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")

@@ -1,5 +1,4 @@
 import io
-import json
 import random
 
 import pytest
@@ -19,13 +18,6 @@ def documents(content: str, fmt: str) -> list[tuple[int, str]]:
     """The (doc_id, text) records of a document file's text, from its lines
     as the open file gives them to the commands."""
     return list(parse_documents(io.StringIO(content, newline="\n"), fmt))
-
-
-def jsonl(records: list[tuple[int, str]]) -> str:
-    """The canonical JSON-lines form of records, one object per line."""
-    return "".join(
-        json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n" for i, t in records
-    )
 
 
 class TestParseSmart:
@@ -83,9 +75,6 @@ class TestParseQueries:
     def test_only_w_sections_kept(self):
         content = ".I 2\n.T\nignored title\n.W\nthe question"
         assert parse_queries(content) == {2: "the question"}
-
-    def test_jsonl_format(self):
-        assert parse_queries('{"id": 9, "text": "q"}\n', format="jsonl") == {9: "q"}
 
 
 class TestParseNpl:
@@ -214,10 +203,6 @@ class TestParseQrels:
         assert sum(map(len, qrels.values())) == content.count("\n") - content.count("/")
 
 
-ids = st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=30, unique=True)
-texts = st.lists(st.text(max_size=60), min_size=1, max_size=30)
-
-
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
 
 
@@ -308,38 +293,13 @@ class TestLineBreaks:
         assert parse_qrels("1 2\r\n1 3\r\n") == ({1: {2, 3}}, 0)
 
 
-class TestJsonlRoundTrip:
-    @given(ids=ids, texts=texts)
-    def test_round_trip(self, ids, texts):
-        docs = list(zip(ids, texts))
-        assert documents(jsonl(docs), "jsonl") == docs
-
-    def test_bad_record_reports_line(self):
-        with pytest.raises(ParseError, match="line 2"):
-            documents('{"id": 1, "text": "a"}\n{"id": "x"}\n', "jsonl")
-
-    def test_smart_to_jsonl_round_trip(self):
-        docs = documents(".I 1\n.T\nalpha\n.W\nbeta gamma\n.I 2\n.W\ndelta", "smart")
-        assert documents(jsonl(docs), "jsonl") == docs
-
-    def test_lone_surrogate_in_text_is_parse_error(self):
-        # valid JSON, but no UTF-8 text can hold it: a document's failed
-        # later naming no line, and a query's was accepted
-        content = '{"id": 1, "text": "a"}\n{"id": 2, "text": "alpha \\ud800 beta"}\n'
-        for parse in (lambda c: documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
-            with pytest.raises(ParseError, match=r"^line 2: record text holds a lone "
-                                                 r"surrogate '\\ud800'$"):
-                parse(content)
-
-
 # Fuzzing: on any text, a parser returns records or raises ParseError with a
 # line of the input; nothing else escapes. Lines are drawn from pieces of
 # every layout, so the parsers get past their first checks.
 PIECES = [
     ".I", ".W", ".T", ".A", ".X", "/", "#", "*", "**", "Document", "document",
     "1", "2", "-3", "0", "007", "1_0", "x", "\u0663", "1" * 4400, "1 0 2 1", "1 2 3",
-    '{"id": 1, "text": "a"}', '{"id": 2}', '{"id": true, "text": ""}', "[" * 1200, "[]",
-    '{"id": 1' + "0" * 4400 + ', "text": "a"}', "null", " ", "\t", "\x0c", "\x85", "\u2028",
+    " ", "\t", "\x0c", "\x85", "\u2028",
     "\r", "\ufeff", "\u00e9", "\x1c", "\x1d", "\x1e", "\u2029", "\r\n", "\x0b",
 ]
 fuzz_lines = st.lists(st.sampled_from(PIECES), max_size=5).map(" ".join)
@@ -376,7 +336,6 @@ RECORDS = {
     "smart": ".I {}\n.T\nt\n.W\nw\n",
     "npl": "{}\nw\n/\n",
     "lisa": "Document {}\nw\n****\n",
-    "jsonl": '{{"id": {}, "text": "w"}}\n',
 }
 
 
@@ -459,30 +418,7 @@ class TestFuzz:
         parse, record = one_record_of("queries", fmt)
         assert list(parse(record.format(1) + record.format(doc_id))) == [1, doc_id]
 
-    @given(st.lists(st.tuples(st.integers(), st.text()), max_size=20, unique_by=lambda r: r[0]))
-    def test_jsonl_round_trips_exactly(self, records):
-        content = jsonl(records)
-        assert list(parse_queries(content, "jsonl").items()) == records
-        # a doc id must fit int64; the first that does not fails at its line
-        wide = [line for line, (i, _) in enumerate(records, start=1) if not -(2**63) <= i < 2**63]
-        if wide:
-            with pytest.raises(ParseError, match=rf"^line {wide[0]}: doc id "):
-                documents(content, "jsonl")
-        else:
-            assert documents(content, "jsonl") == records
-
-    def test_deep_nesting_is_parse_error(self):
-        # 200,000 '[' used to end in a RecursionError traceback
-        for parse in (lambda c: documents(c, "jsonl"), lambda c: parse_queries(c, "jsonl")):
-            with pytest.raises(ParseError, match="line 2"):
-                parse('{"id": 1, "text": "a"}\n' + "[" * 200_000)
-
     def test_qrels_layout_error_names_the_first_row(self):
         # the error named line 1 even when the first row came later
         with pytest.raises(ParseError, match="line 3"):
             parse_qrels("\n\n1 2 3 4 5\n")
-
-    def test_integer_past_the_digit_limit_is_parse_error(self):
-        # a plain ValueError without a line number before
-        with pytest.raises(ParseError, match="line 1"):
-            documents('{"id": 1' + "0" * 5000 + ', "text": "a"}', "jsonl")

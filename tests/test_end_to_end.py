@@ -10,7 +10,6 @@ by path (``conftest.perfbench``), so nothing is written beside them.
 
 import builtins
 import hashlib
-import json
 import math
 import re
 from decimal import Decimal
@@ -25,7 +24,9 @@ from logbase_ir.cli import main
 from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import Ranker
-from logbase_ir.sweep import CACHE_VERSION
+from logbase_ir.sweep import CACHE_VERSION, grid_labels, run_sweep
+from logbase_ir.textpipe import default_stoplist, pipeline
+from logbase_ir.weighting import WeightScheme
 
 from conftest import count_passes, perfbench
 
@@ -549,7 +550,35 @@ def test_eval_gathers_each_term_vector_once(capsys, tmp_path, monkeypatch):
     assert postings.passes == 7
 
 
-# A JSONL collection of accented Latin, the Kelvin sign, dotted capital I,
+def test_sweep_counts_rankings_cut_at_the_cutoff():
+    # a third proportional copy of each top document (its text written
+    # twice) makes 57 groups of three, each query's first straddling a
+    # cutoff of 1: bases that agree on the first document share one
+    # evaluation, however they order the rest of its group
+    col = near_tie_collection()
+    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
+    top = [d - 1000 for d in texts if 1000 <= d < 2000]
+    col.docs_smart += "".join(f".I {3000 + d}\n.W\n" + f"{texts[d]}\n" * 2 for d in top)
+    stoplist = default_stoplist()
+    index = build_index((d, pipeline(t, stoplist))
+                        for d, t in parse_documents(col.docs_smart.split("\n"), "smart"))
+    tokens = {q: pipeline(col.query_text[q], stoplist) for q in col.qrels}
+    labels = grid_labels("0.1:10.0:0.1")
+    orders = {depth: set() for depth in (1, 3)}
+    for label in labels:
+        if float(label) == 1.0:
+            continue
+        ranker = Ranker(index, WeightScheme(float(label)))
+        rankings = [ranker.rank_tokens(q, t).entries for q, t in tokens.items()]
+        for depth, seen in orders.items():
+            seen.add(tuple(tuple(d for d, _ in entries[:depth]) for entries in rankings))
+    swept = run_sweep(index, tokens, col.qrels, labels, cutoff=1)
+    assert swept.distinct_rankings == len(orders[1])
+    # the groups reorder past the cutoff too, so a key that is not cut counts more
+    assert len(orders[1]) < len(orders[3])
+
+
+# A SMART collection of accented Latin, the Kelvin sign, dotted capital I,
 # ligatures, CJK and emoji, each beside ASCII words: every benchmark shape
 # is ASCII, so this one pins the tokenizer on text where every non-ASCII
 # character separates tokens, also those that lowercase to ASCII letters.
@@ -577,11 +606,10 @@ NON_ASCII_SHA256 = {
 
 def test_non_ascii_collection_keeps_its_bytes(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    Path("docs.jsonl").write_text("".join(
-        json.dumps({"id": i, "text": t}, ensure_ascii=False) + "\n"
-        for i, t in NON_ASCII_DOCS.items()), encoding="utf-8")
-    written = {"index": run(capsys, "index", "--docs", "docs.jsonl", "--format", "jsonl",
-                            "--save-index", "x.idx").encode()}
+    Path("docs.all").write_text("".join(f".I {i}\n.W\n{t}\n" for i, t in NON_ASCII_DOCS.items()),
+                                encoding="utf-8")
+    written = {"index": run(capsys, "index", "--docs", "docs.all", "--save-index",
+                            "x.idx").encode()}
     written["x.idx"] = Path("x.idx").read_bytes()
     for name, query in NON_ASCII_QUERIES.items():
         written[f"search-{name}"] = run(capsys, "search", "--load-index", "x.idx", "-k", "10",

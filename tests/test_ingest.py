@@ -37,7 +37,7 @@ def test_file_lines_split_as_lines(text):
 
 
 _DOC_LINES = [".I 1", ".I 2", ".W", ".T", "/", "1 a", "2 b", "Document 1", "Document 2", "****",
-              "x y", '{"id": 1, "text": "a"}', '{"id": 2, "text": "b"}', "", "\r"]
+              "x y", "", "\r"]
 _QRELS_LINES = ["1 2", "1 3 1", "1 0 2 1", "2 0 3 0", "1 2 x", "/", "1", "2", "x", "", "\r"]
 # each qrels layout's format and lines; auto reads rows of one width as
 # that width's layout

@@ -55,7 +55,7 @@ class TestTokenize:
     @given(st.one_of(
         st.text(max_size=200),
         st.text(st.characters(max_codepoint=127)),
-        # st.text() never draws a lone surrogate, which a JSON string can hold
+        # st.text() never draws a lone surrogate, which an undecodable argv byte gives
         st.text(st.one_of(st.characters(max_codepoint=127), st.characters(categories=["Cs"]),
                           st.sampled_from("\u212a\u0130\u00e9\U0001f600")), max_size=60),
     ))
