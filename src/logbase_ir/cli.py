@@ -18,19 +18,20 @@ checked before any input but the config file is read, --out by making it
 (removed if the command fails). A --base has one check (``_scheme``) and one
 report label, ``str`` of its float; only a --grid goes through
 ``sweep.grid_labels``. A sweep always resumes from its cache,
-``sweep_cache.jsonl`` in --out. Exit codes: 0 on success, 1 for domain
-errors (empty or malformed data), 2 for usage and I/O errors; an input
-file's faults, an index snapshot's too, take theirs in one place,
-``_input``, and every text input has one line rule (``_read``). The pipeline
-has no randomness anywhere, so identical inputs and flags always reproduce
-identical artifacts.
+``sweep_cache.jsonl`` in --out, keyed on its input files' bytes. Exit
+codes: 0 on success, 1 for domain errors (empty or malformed data), 2 for
+usage and I/O errors; an input file's faults, an index snapshot's too, take
+theirs in one place, ``_input``, and every text input has one line rule and
+one read (``_read``). The pipeline has no randomness anywhere, so identical
+inputs and flags always reproduce identical artifacts.
 """
 
 import argparse
+import hashlib
 import os
 import sys
 from contextlib import contextmanager, suppress
-from io import TextIOWrapper
+from io import BytesIO, TextIOWrapper
 
 from .index import InvertedIndex, build_index, write_report
 from .retrieval import Ranker
@@ -56,38 +57,41 @@ class _Exit(Exception):
 def _input(path: str):
     """Every fault of the input file at ``path`` (--docs, --queries, --qrels,
     --config, --stoplist or --load-index), raised within, as its exit: an
-    OSError exits 2 with the reason alone; a byte that is not UTF-8 exits 1
-    naming its line and file offset, from a decode of the whole file, as the
-    reader's own error counts from the chunk it decodes; any other
-    ValueError, a ``collection_io.ParseError`` among them, exits 1 after the
-    path."""
+    OSError exits 2 with the reason alone; any ValueError, a
+    ``collection_io.ParseError`` among them, exits 1 after the path."""
     try:
         yield
     except OSError as e:
         raise _Exit(2, f"cannot read {path}: {e.strerror or e}") from e
-    except UnicodeDecodeError:
-        with open(path, "rb") as f:
-            data = f.read()
-        try:
-            data.decode("utf-8")  # not utf-8-sig, whose positions skip a BOM
-        except UnicodeDecodeError as e:
-            line = data.count(b"\n", 0, e.start) + 1
-            raise _Exit(1, f"{path}: not UTF-8: line {line}: {e}") from e
-        raise
     except ValueError as e:
         raise _Exit(1, f"{path}: {e}") from e
 
 
-def _read(path: str, read=TextIOWrapper.read):
-    """``read`` applied to the open text input file, by default its whole
-    text, inside ``_input``. Every text input (--docs, --queries, --qrels,
-    --config, --stoplist) is opened here: as UTF-8 less a leading byte order
-    mark, with lines that end at "\n" only and keep it, and "\r"
-    untranslated. A caller of the whole text splits it at "\n" alone, so
-    every input has one line rule, and every parser takes a "\r" before the
-    "\n" for whitespace."""
-    with _input(path), open(path, encoding="utf-8-sig", newline="\n") as f:
-        return read(f)
+def _read(path: str, read=TextIOWrapper.read, sha256: dict[str, str] | None = None,
+          key: str = ""):
+    """``read`` applied to the text input file (--docs, --queries, --qrels,
+    --config, --stoplist), by default its whole text, inside ``_input``. Its
+    bytes are read once, their sha256 put in ``sha256[key]`` if given, and the
+    text decoded from the same bytes: UTF-8 less a leading byte order mark,
+    lines that end at "\n" only and keep it, "\r" untranslated. A byte that
+    is not UTF-8 exits 1 naming its line and file offset. A caller of the
+    whole text splits it at "\n" alone, so every input has one line rule, and
+    every parser takes a "\r" before the "\n" for whitespace."""
+    with _input(path):
+        with open(path, "rb") as f:
+            data = f.read()
+        if sha256 is not None:
+            sha256[key] = hashlib.sha256(data).hexdigest()
+        try:
+            return read(TextIOWrapper(BytesIO(data), encoding="utf-8-sig", newline="\n"))
+        except UnicodeDecodeError:
+            # the reader's positions count from the chunk it decodes
+            try:
+                data.decode("utf-8")  # not utf-8-sig, whose positions skip a BOM
+            except UnicodeDecodeError as e:
+                line = data.count(b"\n", 0, e.start) + 1
+                raise _Exit(1, f"{path}: not UTF-8: line {line}: {e}") from e
+            raise
 
 
 _ALL = ("stats", "index", "search", "eval", "sweep")
@@ -219,12 +223,15 @@ def _at_least_one(opts: _Options, key: str, default: int) -> int:
     return value
 
 
-def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
+def _index(
+    opts: _Options, sha256: dict[str, str] | None = None
+) -> tuple[InvertedIndex, frozenset[str], int | None]:
     """The command's index and stoplist, and the UTF-8 size of the
     documents' text (None from a snapshot). The index is the --load-index
     snapshot, if built with the same stoplist, or else built from --docs in
-    one pass. --format (for a snapshot only when given, so collection_io is
-    not imported) and --docs are checked before any input is read."""
+    one pass (its sha256 in ``sha256``, as ``_read`` records it). --format
+    (for a snapshot only when given, so collection_io is not imported) and
+    --docs are checked before any input is read."""
     snapshot = opts.get("load_index")
     if snapshot is None or opts.get("format") is not None:
         from . import collection_io
@@ -252,7 +259,7 @@ def _index(opts: _Options) -> tuple[InvertedIndex, frozenset[str], int | None]:
         records = collection_io.parse_documents(f, fmt)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
-    index = _read(docs, build)
+    index = _read(docs, build, sha256, "docs")
     return index, stoplist, text_bytes
 
 
@@ -323,10 +330,12 @@ def _out_dir(opts: _Options):
         raise
 
 
-def _eval_inputs(opts: _Options, fmt: str, qrels_format: str):
+def _eval_inputs(opts: _Options, fmt: str, qrels_format: str,
+                 sha256: dict[str, str] | None = None):
     """The index, judged queries and qrels of ``eval`` and ``sweep``, the
     queries read in ``fmt`` and the qrels in ``qrels_format``, as
-    ``_eval_options`` checked them. The judged queries are ``{query_id:
+    ``_eval_options`` checked them, and each file's sha256 in ``sha256``
+    under its option's name (``_read``). The judged queries are ``{query_id:
     tokens}`` in query-file order. A malformed file exits 1 naming it, as do
     qrels naming a query the file lacks, or no query at all. Judged pairs
     graded <= 0, judged doc ids absent from the collection, then unjudged
@@ -334,10 +343,12 @@ def _eval_inputs(opts: _Options, fmt: str, qrels_format: str):
     from . import collection_io
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
-    index, stoplist, _ = _index(opts)
-    queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt))
+    index, stoplist, _ = _index(opts, sha256)
+    queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt),
+                    sha256, "queries")
     qrels, nonpositive = _read(qrels_path,
-                               lambda f: collection_io.parse_qrels(f.read(), qrels_format))
+                               lambda f: collection_io.parse_qrels(f.read(), qrels_format),
+                               sha256, "qrels")
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
     unknown = sorted(qrels.keys() - queries.keys())
@@ -405,15 +416,17 @@ def cmd_sweep(opts: _Options) -> int:
             raise _Exit(2, str(e)) from e
     top = _at_least_one(opts, "top", 5)
     with _out_dir(opts) as out:
-        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format)
-
+        # the resume cache's key holds no path: a copy of the inputs hits it
+        inputs = {"format": fmt, "qrels_format": qrels_format}
+        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format, inputs)
+        inputs["stoplist"] = index.stoplist_sha256
         result = sweep_mod.run_sweep(
             index,
             query_tokens,
             qrels,
             labels,
             cutoff=cutoff,
-            cache_path=os.path.join(out, "sweep_cache.jsonl"),
+            cache=(os.path.join(out, "sweep_cache.jsonl"), inputs),
         )
         print(f"note: {_count(result.distinct_rankings, 'distinct ranking')} to the cutoff "
               f"across {_count(result.ranked_bases, 'base')}; "

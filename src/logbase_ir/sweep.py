@@ -14,22 +14,20 @@ documents whose order rounding could change, with that base's weights
 computed directly (``Ranker.settle``): the two calls of
 ``Ranker.rank_tokens``. The index gathers the members' term vectors once
 and keeps them (``InvertedIndex.term_vectors``), so no base makes a pass
-over the postings. Given a ``cache_path`` (the CLI always gives one),
-per-base summaries are cached on disk keyed by a digest of the inputs, so
-an interrupted sweep resumes instead of recomputing, and one whose every
-base is cached ranks nothing.
+over the postings. Given a ``cache`` (the CLI always gives one), per-base
+summaries are cached on disk keyed by what the sweep was given, not by the
+index it holds, so an interrupted sweep resumes instead of recomputing,
+and one whose every base is cached ranks nothing.
 """
 
 import hashlib
 import json
 import math
-import sys
-from array import array
 from contextlib import nullcontext
 from decimal import Decimal, Inexact, InvalidOperation, localcontext
-from itertools import chain
 from operator import itemgetter
 
+from . import textpipe
 from .collection_io import Qrels
 from .evaluation import (
     DEFAULT_CUTOFF,
@@ -50,7 +48,6 @@ CACHE_VERSION = 1
 
 DEFAULT_GRID = "0.1:100.0:0.1"
 MAX_GRID_VALUES = 1_000_000
-_HALF_ULP = Decimal(2.0**-53)
 
 
 def grid_labels(spec: str) -> list[str]:
@@ -90,18 +87,14 @@ def grid_labels(spec: str) -> list[str]:
             ) from None
     if n > MAX_GRID_VALUES:
         raise ValueError(f"grid {shown} has {n} values, more than {MAX_GRID_VALUES}")
-    n = int(n)
-    # a value other than 1 within half an ulp of 1.0 would divide by
-    # ln 1.0 = 0; only the two values around 1 can lie there
-    if start <= 1 + _HALF_ULP and stop >= 1 - _HALF_ULP:
-        near = int((1 - start) // step)
-        for k in range(max(near - 1, 0), min(near + 3, n)):
-            value = start + k * step
-            if value != 1 and float(value) == 1.0:
-                raise ValueError(f"grid value {value} is 1.0 as a double")
     if n == 1 and start == 1:
         raise ValueError("grid holds no base but 1, whose logarithm is 0")
-    return [str(start + k * step) for k in range(n)]
+    labels = [str(start + k * step) for k in range(int(n))]
+    # a value other than 1 that rounds to 1.0 would divide by ln 1.0 = 0
+    for label in labels:
+        if float(label) == 1.0 and Decimal(label) != 1:
+            raise ValueError(f"grid value {label} is 1.0 as a double")
+    return labels
 
 
 class SweepResult:
@@ -121,36 +114,21 @@ class SweepResult:
 Row = tuple[str, EvalSummary]
 
 
-def _digest(index: InvertedIndex, query_tokens, qrels, cutoff) -> str:
-    """sha256 of the index as it is held, then the queries, qrels, cutoff
-    and ``CACHE_VERSION``. The index enters with nothing encoded: its
-    stoplist fingerprint, terms and df, each term's doc ids and tfs, then the
-    doc ids and norms, each column in little-endian byte order, so a built
-    index and a loaded copy of it give one digest."""
-    entries = index.dictionary.values()
-    h = hashlib.sha256(json.dumps(
-        [index.stoplist_sha256, list(index.dictionary), [len(ids) for ids, _ in entries]]
-    ).encode("utf-8"))
-    for column in (*chain.from_iterable(entries), array("q", index.norms),
-                   array("d", index.norms.values())):
-        if sys.byteorder == "big":
-            column = array(column.typecode, column)
-            column.byteswap()
-        h.update(column)
+def _digest(inputs: dict, cutoff: int) -> str:
+    """sha256 of what a sweep was given: ``inputs``, the caller's
+    description of its inputs as JSON values, and the cutoff, with
+    ``CACHE_VERSION`` and ``textpipe.PIPELINE_VERSION``, the versions of the
+    code that turns them into summaries."""
     payload = json.dumps(
         {
-            "queries": {str(q): t for q, t in sorted(query_tokens.items())},
-            "qrels": {str(q): sorted(d) for q, d in sorted(qrels.items())},
-            "cache_version": CACHE_VERSION,
+            "inputs": inputs,
             "cutoff": cutoff,
-            # fixed, so old sweep_cache.jsonl lines still hit and pinned cache bytes hold
-            "interpolation": "paper",
-            "pooling": "per_query",
+            "cache_version": CACHE_VERSION,
+            "pipeline_version": textpipe.PIPELINE_VERSION,
         },
         sort_keys=True,
     )
-    h.update(payload.encode("utf-8"))
-    return h.hexdigest()
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def _load_cache(cache_path: str, digest: str) -> dict[str, EvalSummary]:
@@ -218,7 +196,7 @@ def run_sweep(
     labels: list[str],
     *,
     cutoff: int = DEFAULT_CUTOFF,
-    cache_path: str | None = None,
+    cache: tuple[str, dict] | None = None,
 ) -> SweepResult:
     """Evaluate the judged queries' tokens, ``{query_id: tokens}`` as
     ``Ranker.rank_tokens`` takes them, at every base of ``labels``: a grid's
@@ -238,11 +216,16 @@ def run_sweep(
     Each base is scored by the paper's 11-level bucket means
     (``evaluate_rankings``), and bases whose rankings agree to the cutoff
     share one evaluation.
+
+    ``cache`` is ``(path, inputs)``: a line per base in the file at ``path``,
+    keyed by ``_digest(inputs, cutoff)``, where ``inputs`` stands for the
+    index, tokens and qrels, and must differ wherever these could.
     """
     result = SweepResult()
     cached: dict[str, EvalSummary] = {}
+    cache_path, inputs = cache or (None, None)
     if cache_path is not None:
-        digest = _digest(index, query_tokens, qrels, cutoff)
+        digest = _digest(inputs, cutoff)
         cached = _load_cache(cache_path, digest)
     bases = [(label, float(label)) for label in labels]
     fragile: dict[int, list[tuple[int, int]]] = {}

@@ -14,10 +14,11 @@ from importlib import resources
 
 from .porter import stem as porter_stem
 
-# The identity of the terms ``pipeline`` makes from a text. Snapshots record
-# it and a load refuses any other, so bump it with any change to the
-# tokenizer or the stemmer that changes a term; a test pins the terms of the
-# Porter fixture words to it.
+# The identity of the terms made from an input's bytes. A snapshot records
+# it and a load refuses any other; the sweep's resume cache is keyed on it.
+# Bump it with any change to a reader, the tokenizer or the stemmer that
+# changes a term; tests pin the terms of the Porter fixture words and of a
+# benchmark index to it.
 PIPELINE_VERSION = 1
 
 # A-Z to a-z, a-z and 0-9 kept, every other byte to a space

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import errno
 import functools
 import hashlib
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from logbase_ir import index as index_mod
+from logbase_ir import index as index_mod, textpipe
 from logbase_ir.cli import _OPTIONS, build_parser, main
 from logbase_ir.collection_io import DOC_FORMATS, QRELS_FORMATS
 from logbase_ir.index import InvertedIndex
@@ -825,6 +826,71 @@ class TestSweep:
         assert len(swept) == len(evaluated) == 2
         assert swept[1] == evaluated[1]
         assert swept[1].split(",")[0] == str(float(base))
+
+
+class TestSweepCacheKey:
+    """A sweep's resume cache is keyed on what it was given: the bytes of
+    each input file, the formats, the stoplist's words, the cutoff and the
+    code's versions, and not on where the files lie."""
+
+    def ranked(self, capsys, paths, out, *flags):
+        """The bases a sweep over a two-base grid ranked, not taken from its
+        cache."""
+        code, _, err = run(capsys, "sweep", *(arg for role, path in paths.items()
+                                              for arg in (f"--{role}", path)),
+                           "--out", out, "--grid", "2:3:1", *flags)
+        assert code == 0, err
+        return int(re.search(r" across (\d+) bases?; ", err)[1])
+
+    def test_copy_of_the_inputs_elsewhere_hits(self, capsys, collection, tmp_path):
+        assert self.ranked(capsys, collection, tmp_path / "out") == 2
+        copy = {role: tmp_path / "copy" / role for role in collection}
+        copy["docs"].parent.mkdir()
+        for role, path in collection.items():
+            copy[role].write_bytes(path.read_bytes())
+        assert self.ranked(capsys, copy, tmp_path / "out") == 0
+
+    def test_crlf_copy_of_the_docs_builds_the_same_index_and_misses(self, capsys, collection,
+                                                                    tmp_path):
+        # the trade-off of a key on bytes: the same index from other bytes
+        # is ranked again, and gives the same report
+        crlf = dict(collection, docs=tmp_path / "crlf.all")
+        crlf["docs"].write_bytes(collection["docs"].read_bytes().replace(b"\n", b"\r\n"))
+        assert run(capsys, "stats", "--docs", crlf["docs"]) == run(capsys, "stats", "--docs",
+                                                                  collection["docs"])
+        out = tmp_path / "out"
+        assert self.ranked(capsys, collection, out) == 2
+        report = (out / "sweep.csv").read_bytes()
+        assert self.ranked(capsys, crlf, out) == 2
+        assert (out / "sweep.csv").read_bytes() == report
+
+    def test_another_stoplist_misses(self, capsys, collection, tmp_path):
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("yak\n")
+        out = tmp_path / "out"
+        assert self.ranked(capsys, collection, out) == 2
+        assert self.ranked(capsys, collection, out, "--stoplist", stoplist) == 2
+        assert self.ranked(capsys, collection, out, "--stoplist", stoplist) == 0
+
+    def test_another_pipeline_version_misses(self, capsys, collection, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self.ranked(capsys, collection, out) == 2
+        monkeypatch.setattr(textpipe, "PIPELINE_VERSION", PIPELINE_VERSION + 1)
+        assert self.ranked(capsys, collection, out) == 2
+
+    def test_each_input_file_is_opened_once(self, capsys, collection, tmp_path, monkeypatch):
+        # the bytes hashed are the bytes parsed: no second read
+        opened = []
+
+        def counting(file, *args, **kwargs):
+            opened.append(str(file))
+            return builtin_open(file, *args, **kwargs)
+
+        builtin_open = builtins.open
+        monkeypatch.setattr(builtins, "open", counting)
+        assert self.ranked(capsys, collection, tmp_path / "out") == 2
+        monkeypatch.undo()
+        assert [opened.count(str(path)) for path in collection.values()] == [1, 1, 1]
 
 
 LONG_Y = "y" * 5000

@@ -11,7 +11,10 @@ by path (``conftest.perfbench``), so nothing is written beside them.
 import builtins
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from functools import reduce
 from operator import add
@@ -25,7 +28,7 @@ from logbase_ir.collection_io import parse_documents
 from logbase_ir.index import InvertedIndex, build_index
 from logbase_ir.retrieval import Ranker
 from logbase_ir.sweep import CACHE_VERSION, grid_labels, run_sweep
-from logbase_ir.textpipe import default_stoplist, pipeline
+from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, pipeline
 from logbase_ir.weighting import WeightScheme
 
 from conftest import count_passes, perfbench
@@ -183,7 +186,7 @@ REPORT_SHA256 = {
             "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
         "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
         "out/sweep_cache.jsonl":
-            "a580981f20f03492e6a8e8fff5af9f560be6eaff07cc2b0bc8fef140ce70b6f2",
+            "32db62d866ca9f8a2ab1cd7a9f07c63b1527165e0062d2b6bcfb09a0a315ad29",
         "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
         "out/top5_map_at_30.txt":
             "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",
@@ -224,6 +227,26 @@ CACHE_VERSION_PIN = (1, "93031010238416881810290b2e0497b36005e65b296665b79294c2f
 
 def test_cache_version_moves_with_the_summaries():
     assert (CACHE_VERSION, REPORT_SHA256["med"]["out/sweep.csv"]) == CACHE_VERSION_PIN
+
+
+# PIPELINE_VERSION with the sha256 of the terms, doc ids and tfs of the
+# MED-shaped seed-1 index, built from its --docs file. The resume cache is
+# keyed on the input bytes, so only the versions tell a cache made by other
+# code: a change to the reader, tokenizer, stoplist rule or stemmer that
+# moves a term fails here until PIPELINE_VERSION is bumped with it.
+PIPELINE_VERSION_PIN = (1, "063d8b8b6a4490d0798ac4f8202aa8377fc1f22bff5202f663854b38aab21b86")
+
+
+def test_pipeline_version_moves_with_the_terms(capsys, tmp_path, monkeypatch):
+    paths = gen.write(gen.generate(gen.SHAPES["med"], 1), str(tmp_path))
+    built = []
+    monkeypatch.setattr(cli, "build_index", lambda *args: built.append(build_index(*args))
+                        or built[-1])
+    assert main(["stats", "--docs", paths["docs"]]) == 0, capsys.readouterr().err
+    content = hashlib.sha256()
+    for term, (ids, tfs) in built[0].dictionary.items():
+        content.update(f"{term} {list(ids)} {list(tfs)}\n".encode())
+    assert (PIPELINE_VERSION, content.hexdigest()) == PIPELINE_VERSION_PIN
 
 
 # The two classic collections the benchmark does not generate, at their
@@ -292,7 +315,7 @@ WHOLE_SHA256 = {
             "cd11f334a62a83d452b9fea404ba041bc3a5980b0988efdadde604d244892dce",
         "out/sweep.csv": "f7d932b2fcc39b45256da6d32898fbace76885e184744a615c177787850bbc3b",
         "out/sweep_cache.jsonl":
-            "4d4bcceb1f3e11bbe81fcb9c9e9915f54641d5ba74ab991ba2f768e8c7a626c2",
+            "6cc8a42b057a701e7a8982d687cd6bcb5aebcd2d89a902c9e3a70e70cf4ff75b",
         "out/top5_map.txt": "7944108efae2f3ea290a09385ee37cabc260c160adbf43655954f910f54babe0",
         "out/top5_map_at_30.txt":
             "9ffca49dbb3a5c2a6ce350a31830e044977b93efa971c1d055fb4ef1dfd59d9e",
@@ -315,7 +338,7 @@ WHOLE_SHA256 = {
             "885ac2378f3b5c9aec50eeb9a975d9563ffbec908ec9c617746180f067fd938d",
         "out/sweep.csv": "5c5a746e66574ef4369b7ec2e248cc330341bdf163dc3a6dca171696f32ff696",
         "out/sweep_cache.jsonl":
-            "3506e36893a45d9eeeaccfa88884a814a1f063fc405d13ae01cc23683e06c1ba",
+            "c3469831b0a3d7b26a601f800c90b571e8d040de78c2e27020b84fd06de6860f",
         "out/top5_map.txt": "8296f3a8ab6bd07d1b4ef8bec05ed25a306cd135d422023bb5606ea8a5acbe69",
         "out/top5_map_at_30.txt":
             "a767872f4246cf724949f202ccebf586b70d03c0f1601a427582e7ce079220e4",
@@ -444,7 +467,7 @@ NEAR_TIE_SHA256 = {
             "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
         "out/sweep.csv": "4bedf566aebdb6c27a948f01238ae343ed60b9f8757e77b5ceafa9aa2001bb30",
         "out/sweep_cache.jsonl":
-            "77ef09e738316fc2130b3999dcea87e368d31882c0337a25f20dc67f2ac85861",
+            "31898100d05aa2e54b6895ca4b1a49c896b146479be57909d0622e11fe4827ef",
         "out/top5_map.txt": "a2289db068381b102705426e564fdf6750f2d872480129d3ea87240db7eddd32",
         "out/top5_map_at_30.txt":
             "f8e80d881e930c1c5dc244f780d780f9c3404a66380e530c1ee13c24623c49f8",
@@ -471,6 +494,27 @@ def test_near_tie_outputs_keep_their_bytes(capsys, tmp_path, monkeypatch, case):
                    if p.is_file() and str(p) not in paths.values())
     assert {name: hashlib.sha256(content).hexdigest()
             for name, content in written.items()} == NEAR_TIE_SHA256[case]
+
+
+def test_sweep_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # str hashing is salted per process; no output may follow the order of
+    # a set or dict of strings that the salt decides
+    gen.write(near_tie_collection(), str(tmp_path))
+    argv = ["sweep", "--grid", "0.5:3.0:0.5", "--out", "out", "--docs", "../docs.all",
+            "--queries", "../queries.qry", "--qrels", "../qrels.rel"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for hash_seed in ("0", "1"):
+        cwd = tmp_path / f"seed{hash_seed}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-m", "logbase_ir.cli", *argv], cwd=cwd,
+                              capture_output=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed))
+        files = {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*"))
+                 if p.is_file()}
+        written.append((proc.stdout, proc.stderr, files))
+    assert "out/sweep_cache.jsonl" in written[0][2]
+    assert written[1] == written[0]
 
 
 def test_resumed_sweep_plans_only_for_uncached_bases(capsys, tmp_path, monkeypatch):

@@ -40,8 +40,13 @@ QRELS = {1: {1, 3, 5}, 2: {2, 4}}
 INDEX = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items()])
 
 
-def toy_sweep(labels, **kwargs):
-    return run_sweep(INDEX, QUERIES, QRELS, labels, **kwargs)
+# what the toy sweep was given, as the CLI describes a sweep's inputs
+TOY_INPUTS = {"docs": "toy", "queries": "toy", "qrels": "toy"}
+
+
+def toy_sweep(labels, cache_path=None, **kwargs):
+    cache = None if cache_path is None else (cache_path, TOY_INPUTS)
+    return run_sweep(INDEX, QUERIES, QRELS, labels, cache=cache, **kwargs)
 
 
 class TestBaseGrid:
@@ -492,6 +497,9 @@ class TestCache:
         assert second.per_base == first.per_base
         # everything was cached, nothing re-appended
         assert cache.read_text().count("\n") == lines_after_first
+        # the key reads no index, nor does a sweep whose every base is cached
+        unread = run_sweep(None, QUERIES, QRELS, labels, cache=(str(cache), TOY_INPUTS))
+        assert unread.per_base == first.per_base
 
     def test_partial_cache_completes(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -527,18 +535,13 @@ class TestCache:
         path = tmp_path / "index.bin"
         INDEX.save(str(path))
         loaded = index_mod.InvertedIndex.load(str(path))
-        # the digest hashes the index as held: no snapshot is encoded
+        # the key is the inputs given, whichever index: no snapshot is encoded
         monkeypatch.setattr(index_mod.InvertedIndex, "snapshot_parts", None)
         cache = tmp_path / "cache.jsonl"
         labels = grid_labels("2:4:1")
         built = toy_sweep(labels, cache_path=str(cache))
-        resumed = run_sweep(loaded, QUERIES, QRELS, labels, cache_path=str(cache))
+        resumed = run_sweep(loaded, QUERIES, QRELS, labels, cache=(str(cache), TOY_INPUTS))
         assert (resumed.ranked_bases, resumed.per_base) == (0, built.per_base)
-        # another index, another digest
-        fewer = build_index([(d, pipeline(t, frozenset())) for d, t in TEXTS.items() if d != 5])
-        options = (QUERIES, QRELS, 30)
-        assert sweep._digest(loaded, *options) == sweep._digest(INDEX, *options)
-        assert sweep._digest(fewer, *options) != sweep._digest(INDEX, *options)
 
     def test_corrupt_cache_line_ignored(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
