@@ -1,29 +1,31 @@
 """Command-line interface.
 
-Subcommands: ``index``, ``search``, ``eval``, ``sweep``, ``stats``. Each
-option is declared once, in ``_OPTIONS``: its config key, the subcommands
-that take it and its help text. The parser and the config check are both
-built from that table. Options resolve with precedence flags > config file >
-defaults, and --out has $LOGBASE_IR_OUT before its default. A flag is
-spelled in full, never abbreviated. The config file is a flat ``key=value``
-text file whose keys are the long option names with ``_`` where the flag has
-``-`` (``save_run=run.tsv`` for ``--save-run``). A key that no subcommand
-takes, a key set twice or a flag given twice (-k and --top are one flag) is
-a usage error; a key of another subcommand is ignored, so one file can serve
-several commands. A flag's value and a config value are the same text,
-converted by the same cast, and an empty one is a usage error. Of two
-mutually exclusive options (--base and --grid of ``sweep``, --docs and
---load-index of ``search``), a flag outranks both keys. Every option is
-checked before any input but the config file is read, --out by making it
-(removed if the command fails). A --base has one check (``_scheme``) and one
-report label, ``str`` of its float; only a --grid goes through
-``sweep.grid_labels``. A sweep always resumes from its cache,
-``sweep_cache.jsonl`` in --out, keyed on its input files' bytes. Exit
-codes: 0 on success, 1 for domain errors (empty or malformed data), 2 for
-usage and I/O errors; an input file's faults, an index snapshot's too, take
-theirs in one place, ``_input``, and every text input has one line rule and
-one read (``_read``). The pipeline has no randomness anywhere, so identical
-inputs and flags always reproduce identical artifacts.
+Subcommands: ``index``, ``search``, ``eval`` and ``sweep``. Each option is
+declared once, in ``_OPTIONS``: its config key, the subcommands that take it
+and its help text. The parser and the config check are both built from that
+table; no option names a layout that an input file shows itself (the qrels',
+``collection_io.parse_qrels``). Options resolve with precedence flags >
+config file > defaults, and --out has $LOGBASE_IR_OUT before its default. A
+flag is spelled in full, never abbreviated. The config file is a flat
+``key=value`` text file whose keys are the long option names with ``_``
+where the flag has ``-`` (``save_run=run.tsv`` for ``--save-run``). A key
+that no subcommand takes, a key set twice or a flag given twice (-k and
+--top are one flag) is a usage error; a key of another subcommand is
+ignored, so one file can serve several commands. A flag's value and a config
+value are the same text, converted by the same cast, and an empty one is a
+usage error. Of two mutually exclusive options (--base and --grid of
+``sweep``, --docs and --load-index of ``search``), a flag outranks both
+keys. Every option is checked before any input but the config file is read,
+--out by making it (removed if the command fails). A --base has one check
+(``_scheme``) and one report label, ``str`` of its float; only a --grid goes
+through ``sweep.grid_labels``. A sweep always resumes from its cache,
+``sweep_cache.jsonl`` in --out, keyed on its input files' bytes, and its
+top-k tables hold 5 rows. Exit codes: 0 on success, 1 for domain errors
+(empty or malformed data), 2 for usage and I/O errors; an input file's
+faults, an index snapshot's too, take theirs in one place, ``_input``, and
+every text input has one line rule and one read (``_read``). The pipeline
+has no randomness anywhere, so identical inputs and flags always reproduce
+identical artifacts.
 """
 
 import argparse
@@ -94,7 +96,7 @@ def _read(path: str, read=TextIOWrapper.read, sha256: dict[str, str] | None = No
             raise
 
 
-_ALL = ("stats", "index", "search", "eval", "sweep")
+_ALL = ("index", "search", "eval", "sweep")
 _EVAL = ("eval", "sweep")
 
 # Every option once: its config key (the flag is --key with - for _), the
@@ -108,14 +110,12 @@ _OPTIONS = {
     "out": (_EVAL, "output directory (default $LOGBASE_IR_OUT or ./out)"),
     "queries": (_EVAL, "query file"),
     "qrels": (_EVAL, "relevance judgments file"),
-    "qrels_format": (_EVAL, "qrels layout: auto or idlist (default auto)"),
     "cutoff": (_EVAL, "ranking depth per query (default 1000)"),
     "base": (("search", "eval", "sweep"),
              "log base (default 10); sweep evaluates it alone, in place of a grid"),
     "save_run": (("eval",), "write the ranked lists as a TSV run file"),
     "grid": (("sweep",), "base grid as START:STOP:STEP (default 0.1:100.0:0.1)"),
-    "top": (("search", "sweep"), "results to print (search, default 10) or rows in "
-                                 "the top-k tables (sweep, default 5)"),
+    "top": (("search",), "results to print (default 10)"),
 }
 # pairs of mutually exclusive options, in the order their error names them
 _EXCLUSIVE = (("load_index", "docs"), ("base", "grid"))
@@ -212,7 +212,7 @@ def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) ->
     config file alike; any other value exits 2."""
     value = opts.get(key, default)
     if value not in allowed:
-        raise _Exit(2, f"unknown {key.replace('_', ' ')} {value!r}")
+        raise _Exit(2, f"unknown {key} {value!r}")
     return value
 
 
@@ -276,8 +276,8 @@ def _note(n: int, one: str, many: str) -> None:
 
 
 def cmd_index(opts: _Options) -> int:
-    """``stats`` and ``index``: build the index and print its statistics;
-    ``index`` also writes a snapshot when --save-index is given."""
+    """Build the index and print its statistics; write a snapshot when
+    --save-index is given."""
     index, _, text_bytes = _index(opts)
     print(f"documents={index.n_docs} distinct_terms={len(index.dictionary)} "
           f"text_bytes={text_bytes}")
@@ -330,13 +330,12 @@ def _out_dir(opts: _Options):
         raise
 
 
-def _eval_inputs(opts: _Options, fmt: str, qrels_format: str,
-                 sha256: dict[str, str] | None = None):
+def _eval_inputs(opts: _Options, fmt: str, sha256: dict[str, str] | None = None):
     """The index, judged queries and qrels of ``eval`` and ``sweep``, the
-    queries read in ``fmt`` and the qrels in ``qrels_format``, as
-    ``_eval_options`` checked them, and each file's sha256 in ``sha256``
-    under its option's name (``_read``). The judged queries are ``{query_id:
-    tokens}`` in query-file order. A malformed file exits 1 naming it, as do
+    queries read in ``fmt`` as ``_eval_options`` checked it and the qrels in
+    the layout they show (``collection_io.parse_qrels``), and each file's
+    sha256 in ``sha256`` under its option's name (``_read``). The judged
+    queries are ``{query_id: tokens}`` in query-file order. A malformed file exits 1 naming it, as do
     qrels naming a query the file lacks, or no query at all. Judged pairs
     graded <= 0, judged doc ids absent from the collection, then unjudged
     queries, are noted on stderr."""
@@ -346,8 +345,7 @@ def _eval_inputs(opts: _Options, fmt: str, qrels_format: str,
     index, stoplist, _ = _index(opts, sha256)
     queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt),
                     sha256, "queries")
-    qrels, nonpositive = _read(qrels_path,
-                               lambda f: collection_io.parse_qrels(f.read(), qrels_format),
+    qrels, nonpositive = _read(qrels_path, lambda f: collection_io.parse_qrels(f.read()),
                                sha256, "qrels")
     if not qrels:
         raise _Exit(1, "degenerate qrels: no judged queries")
@@ -365,25 +363,23 @@ def _eval_inputs(opts: _Options, fmt: str, qrels_format: str,
     return index, query_tokens, qrels
 
 
-def _eval_options(opts: _Options) -> tuple[int, str, str]:
-    """Cutoff and the collection and qrels formats, validated before any
-    work."""
+def _eval_options(opts: _Options) -> tuple[int, str]:
+    """Cutoff and collection format, validated before any work."""
     from . import collection_io, evaluation
 
     cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
     fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
-    qrels_format = _choice(opts, "qrels_format", "auto", collection_io.QRELS_FORMATS)
-    return cutoff, fmt, qrels_format
+    return cutoff, fmt
 
 
 def cmd_eval(opts: _Options) -> int:
     from . import evaluation
     from .retrieval import format_run
 
-    cutoff, fmt, qrels_format = _eval_options(opts)
+    cutoff, fmt = _eval_options(opts)
     scheme = _scheme(opts)
     with _out_dir(opts) as out:
-        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format)
+        index, query_tokens, qrels = _eval_inputs(opts, fmt)
         ranker = Ranker(index, scheme)
         rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
         summary, diagnostics = evaluation.evaluate_rankings(rankings, qrels, cutoff)
@@ -406,7 +402,7 @@ def cmd_eval(opts: _Options) -> int:
 def cmd_sweep(opts: _Options) -> int:
     from . import sweep as sweep_mod
 
-    cutoff, fmt, qrels_format = _eval_options(opts)
+    cutoff, fmt = _eval_options(opts)
     if opts.get("base") is not None:
         labels = [str(_scheme(opts).base)]
     else:
@@ -414,11 +410,10 @@ def cmd_sweep(opts: _Options) -> int:
             labels = sweep_mod.grid_labels(opts.get("grid", sweep_mod.DEFAULT_GRID))
         except ValueError as e:
             raise _Exit(2, str(e)) from e
-    top = _at_least_one(opts, "top", 5)
     with _out_dir(opts) as out:
         # the resume cache's key holds no path: a copy of the inputs hits it
-        inputs = {"format": fmt, "qrels_format": qrels_format}
-        index, query_tokens, qrels = _eval_inputs(opts, fmt, qrels_format, inputs)
+        inputs = {"format": fmt}
+        index, query_tokens, qrels = _eval_inputs(opts, fmt, inputs)
         inputs["stoplist"] = index.stoplist_sha256
         result = sweep_mod.run_sweep(
             index,
@@ -434,8 +429,8 @@ def cmd_sweep(opts: _Options) -> int:
 
         sweep_mod.emit_csv(result, os.path.join(out, "sweep.csv"))
         for metric in sweep_mod.METRICS:
-            rows = sweep_mod.top_k_report(result, metric, top)
-            write_report(os.path.join(out, f"top{top}_{metric}.txt"),
+            rows = sweep_mod.top_k_report(result, metric, 5)
+            write_report(os.path.join(out, f"top5_{metric}.txt"),
                          sweep_mod.render_table(rows, metric))
             sweep_mod.emit_metric_curve(result, metric, os.path.join(out, f"curve_{metric}.csv"))
             try:
@@ -458,8 +453,8 @@ def cmd_sweep(opts: _Options) -> int:
 
 
 _COMMANDS = {
-    "stats": (cmd_index, "parse, index and report collection statistics"),
-    "index": (cmd_index, "build the index and optionally snapshot it"),
+    "index": (cmd_index, "build the index, report its statistics and optionally "
+                         "snapshot it"),
     "search": (cmd_search, "rank documents for an ad-hoc query"),
     "eval": (cmd_eval, "evaluate one weighting base against qrels"),
     "sweep": (cmd_sweep, "evaluate every base on a grid and report"),
@@ -483,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (commands, help_text) in _OPTIONS.items():
             if command not in commands:
                 continue
-            short = ["-k"] if (command, key) == ("search", "top") else []
+            short = ["-k"] if key == "top" else []
             p.add_argument(*short, _flag(key), action="append", help=help_text)
         if command == "search":
             p.add_argument("query", help="query text")

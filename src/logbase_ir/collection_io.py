@@ -18,8 +18,9 @@ reader, so "\r\n" ends lines alike. One
 check, ``_unique``, rejects a repeated id at its line for every format, and
 a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
-<= 0 in one parse, in one of two layouts: rows of columns, whose width
-picks their meaning (``auto``), or NPL records listing doc ids (``idlist``).
+<= 0 in one parse, in the layout the file itself shows: NPL records listing
+doc ids when its first row is a lone id or a line holds only ``/``, else
+rows of columns, whose width picks their meaning.
 Every reader serves one of the paper's collections: MED, CRAN, CISI, NPL, LISA.
 """
 
@@ -209,17 +210,16 @@ def parse_queries(content: str, format: str = "smart") -> dict[int, str]:
     return dict(_unique(reader(content.split("\n"))))
 
 
-QRELS_FORMATS = ("auto", "idlist")
-# (doc-id column, grade column) of each row width that ``auto`` reads
+# (doc-id column, grade column) of each row width
 _QRELS_COLUMNS = {2: (1, None), 3: (1, 2), 4: (2, 3)}
 
 
-def _qrels_idlist(content: str) -> Qrels:
+def _qrels_idlist(lines: list[str]) -> Qrels:
     """Relevance lists: NPL records (``_npl``), a query id and then the doc
     ids it judges relevant. A list that names no doc id fails at its query
     id's line; a repeated query id adds to its list."""
     qrels: Qrels = {}
-    for lineno, query_id, text in _npl(content.split("\n")):
+    for lineno, query_id, text in _npl(lines):
         try:
             doc_ids = [int(t) for t in text.split()]
         except ValueError:
@@ -230,14 +230,12 @@ def _qrels_idlist(content: str) -> Qrels:
     return qrels
 
 
-def _qrels_rows(content: str) -> Iterator[tuple[int, int, str | None]]:
-    """(query_id, doc_id, grade) of each row, in the layout of the first
-    row's width: 2 columns are ``query_id doc_id``, 3 are ``query_id doc_id
-    grade`` and 4 are ``query_id 0 doc_id grade``, or CISI's ``query_id
-    doc_id x x`` when the second column is not "0" on every row. The grade
-    is None where the layout carries none."""
-    rows = [(n, parts) for n, parts in enumerate(map(str.split, content.split("\n")), start=1)
-            if parts]
+def _qrels_rows(rows: list[tuple[int, list[str]]]) -> Iterator[tuple[int, int, str | None]]:
+    """(query_id, doc_id, grade) of each numbered row of columns, in the
+    layout of the first row's width: 2 columns are ``query_id doc_id``, 3 are
+    ``query_id doc_id grade`` and 4 are ``query_id 0 doc_id grade``, or
+    CISI's ``query_id doc_id x x`` when the second column is not "0" on every
+    row. The grade is None where the layout carries none."""
     if not rows:
         return
     first_row, columns = rows[0][0], len(rows[0][1])
@@ -264,24 +262,29 @@ def _at_most_zero(grade: str | None) -> bool:
         return False
 
 
-def parse_qrels(content: str, format: str = "auto") -> tuple[Qrels, int]:
+def parse_qrels(content: str) -> tuple[Qrels, int]:
     """A qrels file's judgments, query_id -> relevant doc_id sets, and the
     number of its rows whose grade reads as a number <= 0, both from one walk
     of the rows. Any listed pair counts as relevant regardless of grade, so
     TREC's judged non-relevant pairs, graded <= 0, count too.
 
-    ``auto`` reads rows of columns, their layout picked by the first row's
-    width (``_qrels_rows``); ``idlist`` is NPL's layout of relevance lists
-    (``_qrels_idlist``). Any other format fails at the call. CISI's layout
-    and ``idlist`` carry no grade, nor do two columns, so their count is 0.
+    A file reads as rows of columns, their layout picked by the first row's
+    width (``_qrels_rows``), unless its first row is a lone id or a line of
+    it holds only "/": then it is NPL's relevance lists (``_qrels_idlist``).
+    Rows of columns hold neither, so the lists are looked for only when the
+    rows fail. CISI's layout, the lists and two columns carry no grade, so
+    their count is 0.
     """
-    if format == "idlist":
-        return _qrels_idlist(content), 0
-    if format != "auto":
-        raise ValueError(f"unknown qrels format {format!r}")
+    lines = content.split("\n")
+    rows = [(n, parts) for n, parts in enumerate(map(str.split, lines), start=1) if parts]
     qrels: Qrels = {}
     nonpositive = 0
-    for query_id, doc_id, grade in _qrels_rows(content):
-        qrels.setdefault(query_id, set()).add(doc_id)
-        nonpositive += _at_most_zero(grade)
+    try:
+        for query_id, doc_id, grade in _qrels_rows(rows):
+            qrels.setdefault(query_id, set()).add(doc_id)
+            nonpositive += _at_most_zero(grade)
+    except ParseError:
+        if len(rows[0][1]) == 1 or ["/"] in (parts for _, parts in rows):
+            return _qrels_idlist(lines), 0
+        raise
     return qrels, nonpositive

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from logbase_ir import index as index_mod, textpipe
 from logbase_ir.cli import _OPTIONS, build_parser, main
-from logbase_ir.collection_io import DOC_FORMATS, QRELS_FORMATS
+from logbase_ir.collection_io import DOC_FORMATS
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, stoplist_fingerprint
 
@@ -93,7 +94,7 @@ def run(capsys, *argv):
 
 class TestStatsAndIndex:
     def test_stats_reports_counts(self, capsys, collection):
-        code, out, _ = run(capsys, "stats", "--docs", collection["docs"])
+        code, out, _ = run(capsys, "index", "--docs", collection["docs"])
         assert code == 0
         assert "documents=31" in out
         assert "distinct_terms=2" in out
@@ -103,7 +104,7 @@ class TestStatsAndIndex:
         docs = tmp_path / "docs.all"
         docs.write_text(".I 1\n.T\napple\n.W\nbanana  caf\u00e9\n.A\nx\n.I 2\n.W\nbanana cherry\n",
                         encoding="utf-8")
-        code, out, _ = run(capsys, "stats", "--docs", docs)
+        code, out, _ = run(capsys, "index", "--docs", docs)
         assert code == 0
         text_bytes = len("apple banana caf\u00e9".encode()) + len("banana cherry")
         assert out == f"documents=2 distinct_terms=4 text_bytes={text_bytes}\n"
@@ -112,14 +113,14 @@ class TestStatsAndIndex:
         # a lone "\r" does not end a line: ".I 1\r.W\rhello world" is one line
         docs = tmp_path / "docs.all"
         docs.write_bytes(b".I 1\r.W\rhello world\n.I 2\n.W\nfoo\n")
-        code, out, err = run(capsys, "stats", "--docs", docs)
+        code, out, err = run(capsys, "index", "--docs", docs)
         assert (code, out) == (1, "")
         assert err == f"error: {docs}: line 1: bad .I record id '1\\r.W\\rhello world'\n"
 
     def test_non_utf8_docs_is_domain_error(self, capsys, tmp_path):
         docs = tmp_path / "latin1.all"
         docs.write_bytes(".I 1\n.W\ncaf\u00e9\n".encode("latin-1"))
-        code, out, err = run(capsys, "stats", "--docs", docs)
+        code, out, err = run(capsys, "index", "--docs", docs)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {docs}: not UTF-8: ")
         assert len(err.splitlines()) == 1
@@ -128,7 +129,7 @@ class TestStatsAndIndex:
     def test_non_utf8_stoplist_is_domain_error(self, capsys, collection, tmp_path):
         stoplist = tmp_path / "stop.txt"
         stoplist.write_bytes(b"the\n\xff\n")
-        code, out, err = run(capsys, "stats", "--docs", collection["docs"],
+        code, out, err = run(capsys, "index", "--docs", collection["docs"],
                              "--stoplist", stoplist)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {stoplist}: not UTF-8: ")
@@ -141,27 +142,27 @@ class TestStatsAndIndex:
         assert len(head) > 1 << 16
         docs = tmp_path / "docs.all"
         docs.write_bytes(head + b"\xff\n")
-        code, out, err = run(capsys, "stats", "--docs", docs)
+        code, out, err = run(capsys, "index", "--docs", docs)
         assert (code, out) == (1, "")
         assert err == (f"error: {docs}: not UTF-8: line 15003: 'utf-8' codec can't decode "
                        f"byte 0xff in position {len(head)}: invalid start byte\n")
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run(capsys, "stats", "--docs", tmp_path / "nope.all")
+        code, _, err = run(capsys, "index", "--docs", tmp_path / "nope.all")
         assert code == 2
         assert "cannot read" in err
 
     def test_empty_collection_is_domain_error(self, capsys, tmp_path):
         empty = tmp_path / "empty.all"
         empty.write_text("")
-        code, _, err = run(capsys, "stats", "--docs", empty)
+        code, _, err = run(capsys, "index", "--docs", empty)
         assert code == 1
         assert "empty collection" in err
 
     def test_malformed_file_is_domain_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.all"
         bad.write_text(".I one\n.W\nx\n")
-        code, _, err = run(capsys, "stats", "--docs", bad)
+        code, _, err = run(capsys, "index", "--docs", bad)
         assert code == 1
         assert "line 1" in err
 
@@ -187,15 +188,6 @@ class TestStatsAndIndex:
         assert err == (f"error: {collection['docs']}: line 4: doc id 9223372036854775808 "
                        "does not fit in a signed 64-bit integer\n")
 
-    def test_stats_ignores_save_index_from_config(self, capsys, collection, tmp_path):
-        snap = tmp_path / "index.json"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"docs={collection['docs']}\nsave_index={snap}\n")
-        code, out, _ = run(capsys, "stats", "--config", cfg)
-        assert code == 0
-        assert out.startswith("documents=31 distinct_terms=2 ")
-        assert "snapshot" not in out
-        assert not snap.exists()
 
 
 class TestSearch:
@@ -636,13 +628,12 @@ class TestEval:
         queries.write_text(".I 1\n.W\napple banana\n")
         (tmp_path / "q.rel").write_text(qrels)
         (tmp_path / "ones.rel").write_text("1 1\n1 2\n1 3\n")
-        fmt = ["--qrels-format", "idlist"] if "/" in qrels else []
         notes = ([f"note: {graded} judged pairs have a grade <= 0 and count as relevant"]
                  if graded else [])
         for command, extra, report in (("eval", [], "eval.csv"),
                                        ("sweep", ["--base", "10"], "sweep.csv")):
             args = [command, "--docs", docs, "--queries", queries, *extra]
-            code, out, err = run(capsys, *args, "--qrels", tmp_path / "q.rel", *fmt,
+            code, out, err = run(capsys, *args, "--qrels", tmp_path / "q.rel",
                                  "--out", tmp_path / "mixed")
             assert code == 0
             assert [line for line in err.splitlines() if " grade " in line] == notes
@@ -697,7 +688,7 @@ class TestEval:
     def test_commands_without_out_ignore_the_environment(self, capsys, collection,
                                                          monkeypatch):
         monkeypatch.setenv("LOGBASE_IR_OUT", "")
-        code, _, err = run(capsys, "stats", "--docs", collection["docs"])
+        code, _, err = run(capsys, "index", "--docs", collection["docs"])
         assert code == 0, err
 
 
@@ -856,8 +847,8 @@ class TestSweepCacheKey:
         # is ranked again, and gives the same report
         crlf = dict(collection, docs=tmp_path / "crlf.all")
         crlf["docs"].write_bytes(collection["docs"].read_bytes().replace(b"\n", b"\r\n"))
-        assert run(capsys, "stats", "--docs", crlf["docs"]) == run(capsys, "stats", "--docs",
-                                                                  collection["docs"])
+        assert run(capsys, "index", "--docs", crlf["docs"]) == run(capsys, "index", "--docs",
+                                                                   collection["docs"])
         out = tmp_path / "out"
         assert self.ranked(capsys, collection, out) == 2
         report = (out / "sweep.csv").read_bytes()
@@ -908,7 +899,7 @@ class TestLongRunOfY:
         return docs
 
     def test_stats(self, capsys, tmp_path, word):
-        code, out, err = run(capsys, "stats", "--docs", self.docs(tmp_path, word))
+        code, out, err = run(capsys, "index", "--docs", self.docs(tmp_path, word))
         assert (code, err) == (0, "")
         assert out.startswith("documents=3 distinct_terms=3 ")
 
@@ -984,7 +975,7 @@ class TestByteOrderMark:
 
 
 # qrels of queries 1 and 2 in each layout: CISI's, two, three and four
-# columns, all read by auto, and idlist
+# columns, read as rows, and relevance lists (idlist)
 QRELS_FILES = {
     "auto": "1 1 0 0\n1 2 0 0\n2 3 0 0\n",
     "two": "1 1\n1 2\n2 3\n",
@@ -1085,14 +1076,13 @@ class TestMutatedInputs:
     @given(data=st.data())
     def test_every_run_exits_0_1_or_2(self, role, fmt, data):
         doc_format, layout = ("smart", fmt) if role == "qrels" else (fmt, "two")
-        qrels_format = "idlist" if layout == "idlist" else "auto"
         docs, queries = FORMAT_FILES[doc_format]
         with tempfile.TemporaryDirectory() as tmp, \
                 redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             path = functools.partial(os.path.join, tmp)
             inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[layout]}
             config = "".join(f"{name}={path(name)}\n" for name in inputs) + \
-                "format=smart\nqrels_format=auto\nbase=10\ncutoff=50\n"
+                "format=smart\nbase=10\ncutoff=50\n"
             for name, text in {**inputs, "config": config}.items():
                 Path(path(name)).write_text(text, encoding="utf-8")
             if role == "snapshot":
@@ -1106,7 +1096,7 @@ class TestMutatedInputs:
                     argv += ["--config", path("config")]
                 else:
                     argv += [*(arg for name in inputs for arg in (f"--{name}", path(name))),
-                             "--format", doc_format, "--qrels-format", qrels_format]
+                             "--format", doc_format]
             mutant = data.draw(mutated(Path(path(role)).read_bytes()))
             Path(path(role)).write_bytes(_rehashed(mutant) if role == "snapshot" else mutant)
             assert main(argv) in (0, 1, 2)
@@ -1148,7 +1138,7 @@ class TestConfigPrecedence:
     def test_malformed_config_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n")
-        code, _, err = run(capsys, "stats", "--config", cfg)
+        code, _, err = run(capsys, "index", "--config", cfg)
         assert code == 2
         assert "key=value" in err
 
@@ -1230,12 +1220,11 @@ class TestGivenTwice:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
-        (["stats", "--format", "smart", "--format", "npl"], "--format"),
         (["index", "--save-index", "a.bin", "--save-index", "b.bin"], "--save-index"),
         (["search", "--base", "10", "--base", "2", "-k", "1", "-k", "5", "zebra"], "--base"),
         (["eval", "--cutoff", "5", "--cutoff", "5"], "--cutoff"),
         (["sweep", "--grid", "2:3:1", "--grid", "2:3:1"], "--grid"),
-    ], ids=["stats", "index", "search", "eval", "sweep"])
+    ], ids=["index", "search", "eval", "sweep"])
     def test_flag_given_twice(self, capsys, tmp_path, monkeypatch, argv, flag):
         self.check(capsys, tmp_path, monkeypatch, argv, flag)
 
@@ -1245,7 +1234,7 @@ class TestGivenTwice:
 
     def test_config_given_twice(self, capsys, tmp_path, monkeypatch):
         self.check(capsys, tmp_path, monkeypatch,
-                   ["stats", "--config", "a.cfg", "--config", "b.cfg"], "--config")
+                   ["index", "--config", "a.cfg", "--config", "b.cfg"], "--config")
 
 
 class TestErrorExits:
@@ -1322,10 +1311,9 @@ class TestErrorExits:
         good = ".I 1\n.W\nzebra\n"
         for name, text in (("d", good), ("q", good), ("r", "1 1\n")):
             Path(name).write_text(content if name == bad else text)
-        qrels_format = ["--qrels-format", "idlist"] if "/" in content else []
         for command in ("eval", "sweep"):
             code, out, err = run(capsys, command, "--docs", "d", "--queries", "q", "--qrels", "r",
-                                 *qrels_format, "--base", "10")
+                                 "--base", "10")
             assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
         assert not Path("out").exists()
 
@@ -1394,7 +1382,7 @@ class TestErrorExits:
                                                              monkeypatch):
         from logbase_ir import collection_io
 
-        def interrupted(content, format):
+        def interrupted(content):
             raise KeyboardInterrupt
 
         monkeypatch.chdir(tmp_path)
@@ -1431,14 +1419,14 @@ class TestErrorExits:
 
     # every input file, the others readable: the collection fixture's files
     INPUTS = {
-        "docs": ["stats", "--docs", "{}"],
+        "docs": ["index", "--docs", "{}"],
         "snapshot": ["search", "--load-index", "{}", "zebra"],
         "eval": ["eval", "--docs", "{}", "--queries", "{}", "--qrels", "{}"],
         "queries": ["eval", "--docs", "docs.all", "--queries", "{}", "--qrels", "qrels.txt"],
         "qrels": ["sweep", "--docs", "docs.all", "--queries", "queries.qry", "--qrels", "{}",
                   "--base", "10"],
-        "config": ["stats", "--docs", "docs.all", "--config", "{}"],
-        "stoplist": ["stats", "--docs", "docs.all", "--stoplist", "{}"],
+        "config": ["index", "--docs", "docs.all", "--config", "{}"],
+        "stoplist": ["index", "--docs", "docs.all", "--stoplist", "{}"],
     }
 
     @pytest.mark.parametrize("argv", INPUTS.values(), ids=INPUTS)
@@ -1558,33 +1546,26 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, [command], "cutoff=0", "cutoff must be >= 1")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("key", ["format", "qrels_format"])
+    @pytest.mark.parametrize("key", ["format"])
     def test_unknown_choice_flag_and_config_alike(self, capsys, tmp_path, command, key):
-        message = f"unknown {key.replace('_', ' ')} 'bogus'"
-        flag = "--" + key.replace("_", "-")
-        self.check(capsys, tmp_path, [command, flag, "bogus"], "", message)
+        message = f"unknown {key} 'bogus'"
+        self.check(capsys, tmp_path, [command, f"--{key}", "bogus"], "", message)
         self.check(capsys, tmp_path, [command], f"{key}=bogus", message)
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("value", ["two", "three", "four"])
-    def test_column_count_is_no_qrels_format(self, capsys, tmp_path, command, value):
-        # auto reads every layout of columns from its width
-        message = f"error: unknown qrels format {value!r}\n"
-        self.check(capsys, tmp_path, [command, "--qrels-format", value], "", message)
-        self.check(capsys, tmp_path, [command], f"qrels_format={value}", message)
-
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("key", ["interp", "pooling"])
+    @pytest.mark.parametrize("key", ["interp", "pooling", "qrels_format"])
     def test_removed_evaluation_options(self, capsys, tmp_path, command, key):
-        # levels are bucket means per query, the paper's one rule: no option picks another
+        # levels are bucket means per query, the paper's one rule, and a
+        # qrels file shows its own layout: no option picks another
         # the docs do not exist: the option must be refused first
         docs, out = tmp_path / "none.all", tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
         with pytest.raises(SystemExit) as raised:
-            main([command, "--docs", str(docs), "--out", str(out), f"--{key}", "paper"])
+            main([command, "--docs", str(docs), "--out", str(out), flag, "paper"])
         assert raised.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"unrecognized arguments: --{key} paper" in captured.err
+        assert f"unrecognized arguments: {flag} paper" in captured.err
         assert not out.exists()
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"docs={docs}\nout={out}\n{key}=paper\n")
@@ -1594,11 +1575,11 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["stats"], ["index", "--save-index", "out"], ["search", "zebra"],
+        ["index", "--save-index", "out"], ["search", "zebra"],
         ["search", "--load-index", "none.idx", "zebra"],
         ["eval", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
         ["sweep", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
-    ], ids=["stats", "index", "search", "search-snapshot", "eval", "sweep"])
+    ], ids=["index", "search", "search-snapshot", "eval", "sweep"])
     def test_removed_jsonl_format(self, capsys, tmp_path, monkeypatch, argv):
         # none of the paper's collections is JSON lines: the format is refused
         # as any unknown one is, though the docs file is valid JSON lines
@@ -1612,10 +1593,38 @@ class TestUsageErrors:
             assert not Path("out").exists()
 
     def test_top_zero_flag(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["sweep", "--top", "0"], "", "top must be >= 1, got 0")
+        # a sweep's top-k tables hold 5 rows: --top is refused as unknown
+        # the docs do not exist: the flag must be refused first
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as raised:
+            main(["sweep", "--docs", str(tmp_path / "none.all"), "--out", str(out),
+                  "--top", "0"])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --top 0" in captured.err
+        assert not out.exists()
 
-    def test_top_zero_config(self, capsys, tmp_path):
-        self.check(capsys, tmp_path, ["sweep"], "top=0", "top must be >= 1, got 0")
+    def test_top_zero_config(self, capsys, collection, tmp_path):
+        # top is a key of search alone, ignored as any other subcommand's is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top=0\n")
+        code, _, err = run(capsys, "sweep", "--config", cfg, "--docs", collection["docs"],
+                           "--queries", collection["queries"], "--qrels", collection["qrels"],
+                           "--out", tmp_path / "out", "--base", "10")
+        assert code == 0, err
+        assert sorted(p.name for p in (tmp_path / "out").glob("top*")) == \
+            ["top5_map.txt", "top5_map_at_30.txt"]
+
+    def test_stats_is_no_command(self, capsys, tmp_path):
+        # index without --save-index prints the same statistics
+        # the docs do not exist: the command must be refused first
+        with pytest.raises(SystemExit) as raised:
+            main(["stats", "--docs", str(tmp_path / "none.all")])
+        assert raised.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'stats'" in captured.err
 
     @pytest.mark.parametrize("argv", [["eval"], ["search", "zebra"]], ids=["eval", "search"])
     def test_invalid_base_flag(self, capsys, tmp_path, argv):
@@ -1678,8 +1687,8 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, ["search", "-k", k, "zebra"], "",
                    f"top must be >= 1, got {k}")
 
-    @pytest.mark.parametrize("argv", [["stats"], ["index"], ["search", "zebra"], ["eval"]],
-                             ids=["stats", "index", "search", "eval"])
+    @pytest.mark.parametrize("argv", [["index"], ["search", "zebra"], ["eval"]],
+                             ids=["index", "search", "eval"])
     def test_unknown_format_before_the_stoplist_is_read(self, capsys, tmp_path, argv):
         stoplist = tmp_path / "bad.txt"
         stoplist.write_bytes(b"\xff")  # reading it would exit 1
@@ -1690,7 +1699,7 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")
 
 
-COMMANDS = ("stats", "index", "search", "eval", "sweep")
+COMMANDS = ("index", "search", "eval", "sweep")
 
 
 def table_flags(command):
@@ -1701,7 +1710,7 @@ def table_flags(command):
 class TestOptionTable:
     """The parser and the config check come from one table of options."""
 
-    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 5, 7, 11, 12)))
+    @pytest.mark.parametrize("command, count", zip(COMMANDS, (5, 7, 10, 10)))
     def test_parser_flags_are_the_table_entries(self, command, count):
         parser = build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
@@ -1728,8 +1737,8 @@ class TestOptionTable:
         assert code == 0, err
         assert not (tmp_path / "absent").exists()
 
-    @pytest.mark.parametrize("argv", [["stats"], ["index"], ["search", "zebra"]],
-                             ids=["stats", "index", "search"])
+    @pytest.mark.parametrize("argv", [["index"], ["search", "zebra"]],
+                             ids=["index", "search"])
     def test_out_is_not_an_option_of(self, capsys, collection, tmp_path, argv):
         with pytest.raises(SystemExit) as raised:
             main([*argv, "--docs", str(collection["docs"]), "--out", str(tmp_path / "out")])
@@ -1753,9 +1762,8 @@ class TestOptionTable:
     @pytest.mark.parametrize("argv, key", [
         (["search", "zebra"], "base"), (["eval"], "base"), (["sweep"], "base"),
         (["eval"], "cutoff"), (["sweep"], "cutoff"), (["search", "zebra"], "top"),
-        (["sweep"], "top"),
     ], ids=["search-base", "eval-base", "sweep-base", "eval-cutoff", "sweep-cutoff",
-            "search-top", "sweep-top"])
+            "search-top"])
     def test_malformed_number_same_reason_from_flag_and_config(self, capsys, tmp_path,
                                                                argv, key):
         # the inputs do not exist: the value must be checked first
@@ -1835,13 +1843,11 @@ class TestEmptyValues:
         assert err == f"error: {where} is empty\n"
 
     def test_empty_config_flag_is_usage_error(self, capsys, tmp_path):
-        code, out, err = run(capsys, "stats", "--config", "", "--docs", tmp_path / "none.all")
+        code, out, err = run(capsys, "index", "--config", "", "--docs", tmp_path / "none.all")
         assert (code, out, err) == (2, "", "error: --config is empty\n")
 
 
-@pytest.mark.parametrize("key, values", [
-    ("format", DOC_FORMATS), ("qrels_format", QRELS_FORMATS),
-])
+@pytest.mark.parametrize("key, values", [("format", DOC_FORMATS)])
 def test_choice_help_lists_its_values_and_default(key, values):
     listed, default = re.fullmatch(r".*: (.+) \(default (\S+)\)", _OPTIONS[key][1]).groups()
     assert re.split(r", | or ", listed) == list(values)
@@ -1851,9 +1857,26 @@ def test_choice_help_lists_its_values_and_default(key, values):
     assert re.findall(rf"`{flag} \{{([^}}]*)\}}`", readme_cli_section()) == [",".join(values)]
 
 
+def readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def readme_cli_section() -> str:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    return readme().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_cli_examples_parse():
+    # every command line of README's sh blocks, continuation lines joined
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("logbase-ir ")]
+    assert len(examples) >= 5
+    for argv in examples:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_readme_cli_section_names_every_option():

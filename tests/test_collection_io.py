@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from logbase_ir.collection_io import (
     DOC_FORMATS,
-    QRELS_FORMATS,
     ParseError,
+    _qrels_idlist,
     parse_documents,
     parse_qrels,
     parse_queries,
@@ -146,26 +146,33 @@ class TestParseQrels:
 
     def test_idlist(self):
         content = "1\n10 11\n12\n/\n2 20\n/\n"
-        assert parse_qrels(content, "idlist") == ({1: {10, 11, 12}, 2: {20}}, 0)
+        assert parse_qrels(content) == ({1: {10, 11, 12}, 2: {20}}, 0)
 
     def test_idlist_last_record_needs_no_slash(self):
-        assert parse_qrels("1\n10 11\n/\n2 20\n21", "idlist") == ({1: {10, 11}, 2: {20, 21}}, 0)
+        assert parse_qrels("1\n10 11\n/\n2 20\n21") == ({1: {10, 11}, 2: {20, 21}}, 0)
         with pytest.raises(ParseError, match="line 4"):
-            parse_qrels("1\n10 11\n/\n2 x\n21", "idlist")
+            parse_qrels("1\n10 11\n/\n2 x\n21")
 
     @pytest.mark.parametrize("content", ["1\n1\n/\n2\n/\n", "1 1\n/\n\n2\n",
                                          "1 1\n/\n\n2 \n/\n/"])
     def test_idlist_list_naming_no_doc_fails_at_its_line(self, content):
         with pytest.raises(ParseError, match=r"^line 4: query 2 lists no relevant doc id$"):
-            parse_qrels(content, "idlist")
+            parse_qrels(content)
 
     def test_idlist_is_read_as_npl_records(self):
         # a query id is an NPL record id; a doc id keeps its own message
         with pytest.raises(ParseError, match=r"^line 5: bad record id 'x'$"):
-            parse_qrels("1\n10\n/\n\nx 20\n/\n", "idlist")
+            parse_qrels("1\n10\n/\n\nx 20\n/\n")
         with pytest.raises(ParseError, match=r"^line 4: non-integer id$"):
-            parse_qrels("1\n10\n/\n2\n20 y\n", "idlist")
-        assert parse_qrels("1 10\n/\n2 20\n/\n1\n11\n", "idlist") == ({1: {10, 11}, 2: {20}}, 0)
+            parse_qrels("1\n10\n/\n2\n20 y\n")
+        assert parse_qrels("1 10\n/\n2 20\n/\n1\n11\n") == ({1: {10, 11}, 2: {20}}, 0)
+
+    def test_list_on_the_line_of_its_query_id_is_a_row(self):
+        # without a "/" line it is byte for byte a row of three columns;
+        # NPL's lists put the query id alone on its line
+        assert parse_qrels("1 10 11\n") == ({1: {10}}, 0)
+        # a "/" line makes the file lists, past rows that fail as columns
+        assert parse_qrels("1 10 11\n12\n/\n") == ({1: {10, 11, 12}}, 0)
 
     def test_non_integer_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -187,7 +194,8 @@ class TestParseQrels:
     def test_empty(self):
         assert parse_qrels("") == ({}, 0)
 
-    @pytest.mark.parametrize("content, fmt, count", [
+    # the layout each file shows: rows of columns (auto) or relevance lists
+    @pytest.mark.parametrize("content, layout, count", [
         ("1 0 5 1\n1 0 6 0\n2 0 7 -2\n", "auto", 2),
         ("1 5 0\n1 6 0.0\n1 7 x\n1 8 1\n", "auto", 2),  # "x" is not a number
         ("1 5 0\n1 6 0\n", "auto", 2),
@@ -196,9 +204,11 @@ class TestParseQrels:
         ("1 0\n1 6\n", "auto", 0),
         ("1 0 0\n/\n", "idlist", 0),
     ])
-    def test_nonpositive_grades(self, content, fmt, count):
+    def test_nonpositive_grades(self, content, layout, count):
         # counted only: every listed pair stays relevant
-        qrels, nonpositive = parse_qrels(content, fmt)
+        qrels, nonpositive = parse_qrels(content)
+        if layout == "idlist":
+            assert qrels == _qrels_idlist(content.split("\n"))
         assert nonpositive == count
         assert sum(map(len, qrels.values())) == content.count("\n") - content.count("/")
 
@@ -209,10 +219,7 @@ SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 @pytest.mark.parametrize("parse, message", [
     (lambda: parse_documents([], "bogus"), "unknown document format 'bogus'"),
     (lambda: parse_queries("", "bogus"), "unknown query format 'bogus'"),
-    (lambda: parse_qrels("", "bogus"), "unknown qrels format 'bogus'"),
-    # auto reads every layout of columns from its width
-    (lambda: parse_qrels("1 0 13 1\n", "four"), "unknown qrels format 'four'"),
-], ids=["documents", "queries", "qrels", "qrels-four"])
+], ids=["documents", "queries"])
 def test_unknown_format_is_value_error(parse, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         parse()
@@ -308,8 +315,10 @@ fuzz_text = st.one_of(
     st.lists(fuzz_lines, max_size=12).map("\n".join),
 )
 
-# a first row of each width that auto reads, ahead of fuzzed lines
-QRELS_FIRST_ROWS = {"two": "1 2\n", "three": "1 2 1\n", "four": "1 0 2 1\n"}
+# a first row of each layout ahead of fuzzed lines: none (auto), so the
+# fuzzed lines pick it; a lone query id (idlist); a row of each width
+QRELS_FIRST_ROWS = {"auto": "", "idlist": "1\n", "two": "1 2\n", "three": "1 2 1\n",
+                    "four": "1 0 2 1\n"}
 
 
 def parses_or_parse_error(parse, content):
@@ -377,13 +386,10 @@ class TestFuzz:
     def test_query_parsers(self, fmt, content):
         parses_or_parse_error(lambda c: parse_queries(c, fmt), content)
 
-    @pytest.mark.parametrize("layout", [*QRELS_FORMATS, *QRELS_FIRST_ROWS])
+    @pytest.mark.parametrize("layout", QRELS_FIRST_ROWS)
     @given(content=fuzz_text)
     def test_qrels_parser(self, layout, content):
-        # a layout of columns is read by auto, from a first row of its width
-        fmt = layout if layout in QRELS_FORMATS else "auto"
-        content = QRELS_FIRST_ROWS.get(layout, "") + content
-        parses_or_parse_error(lambda c: parse_qrels(c, fmt), content)
+        parses_or_parse_error(parse_qrels, QRELS_FIRST_ROWS[layout] + content)
 
     @pytest.mark.parametrize("kind", ["documents", "queries"])
     @pytest.mark.parametrize("fmt", DOC_FORMATS)

@@ -186,7 +186,7 @@ REPORT_SHA256 = {
             "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
         "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
         "out/sweep_cache.jsonl":
-            "32db62d866ca9f8a2ab1cd7a9f07c63b1527165e0062d2b6bcfb09a0a315ad29",
+            "10e6ac26c2e5bd785dbfa9fd04037d95e08a1dac0d3f93ae6f31ac330de07211",
         "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
         "out/top5_map_at_30.txt":
             "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",
@@ -242,7 +242,7 @@ def test_pipeline_version_moves_with_the_terms(capsys, tmp_path, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "build_index", lambda *args: built.append(build_index(*args))
                         or built[-1])
-    assert main(["stats", "--docs", paths["docs"]]) == 0, capsys.readouterr().err
+    assert main(["index", "--docs", paths["docs"]]) == 0, capsys.readouterr().err
     content = hashlib.sha256()
     for term, (ids, tfs) in built[0].dictionary.items():
         content.update(f"{term} {list(ids)} {list(tfs)}\n".encode())
@@ -315,7 +315,7 @@ WHOLE_SHA256 = {
             "cd11f334a62a83d452b9fea404ba041bc3a5980b0988efdadde604d244892dce",
         "out/sweep.csv": "f7d932b2fcc39b45256da6d32898fbace76885e184744a615c177787850bbc3b",
         "out/sweep_cache.jsonl":
-            "6cc8a42b057a701e7a8982d687cd6bcb5aebcd2d89a902c9e3a70e70cf4ff75b",
+            "bc1b667cc5f493da26a0c8a193323cee073e6e2368c60445b306effb4ecdcc4b",
         "out/top5_map.txt": "7944108efae2f3ea290a09385ee37cabc260c160adbf43655954f910f54babe0",
         "out/top5_map_at_30.txt":
             "9ffca49dbb3a5c2a6ce350a31830e044977b93efa971c1d055fb4ef1dfd59d9e",
@@ -338,7 +338,7 @@ WHOLE_SHA256 = {
             "885ac2378f3b5c9aec50eeb9a975d9563ffbec908ec9c617746180f067fd938d",
         "out/sweep.csv": "5c5a746e66574ef4369b7ec2e248cc330341bdf163dc3a6dca171696f32ff696",
         "out/sweep_cache.jsonl":
-            "c3469831b0a3d7b26a601f800c90b571e8d040de78c2e27020b84fd06de6860f",
+            "c9ea94519367f4973cf537ecb4c0af5127c0a41892efe2f2f9a4a59c42949ba1",
         "out/top5_map.txt": "8296f3a8ab6bd07d1b4ef8bec05ed25a306cd135d422023bb5606ea8a5acbe69",
         "out/top5_map_at_30.txt":
             "a767872f4246cf724949f202ccebf586b70d03c0f1601a427582e7ce079220e4",
@@ -467,7 +467,7 @@ NEAR_TIE_SHA256 = {
             "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
         "out/sweep.csv": "4bedf566aebdb6c27a948f01238ae343ed60b9f8757e77b5ceafa9aa2001bb30",
         "out/sweep_cache.jsonl":
-            "31898100d05aa2e54b6895ca4b1a49c896b146479be57909d0622e11fe4827ef",
+            "b7e8d8dda65aa2b56cbde341313d39154b353c1c2c8ba35d2c99bd200f75928a",
         "out/top5_map.txt": "a2289db068381b102705426e564fdf6750f2d872480129d3ea87240db7eddd32",
         "out/top5_map_at_30.txt":
             "f8e80d881e930c1c5dc244f780d780f9c3404a66380e530c1ee13c24623c49f8",

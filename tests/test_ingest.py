@@ -39,13 +39,13 @@ def test_file_lines_split_as_lines(text):
 _DOC_LINES = [".I 1", ".I 2", ".W", ".T", "/", "1 a", "2 b", "Document 1", "Document 2", "****",
               "x y", "", "\r"]
 _QRELS_LINES = ["1 2", "1 3 1", "1 0 2 1", "2 0 3 0", "1 2 x", "/", "1", "2", "x", "", "\r"]
-# each qrels layout's format and lines; auto reads rows of one width as
-# that width's layout
-_QRELS = {"auto": ("auto", _QRELS_LINES),
-          "two": ("auto", ["1 2", "2 3", "1 x", "x", "", "\r"]),
-          "three": ("auto", ["1 3 1", "2 3 0", "1 2 x", "x", "", "\r"]),
-          "four": ("auto", ["1 0 2 1", "2 0 3 0", "1 5 0 0", "x", "", "\r"]),
-          "idlist": ("idlist", _QRELS_LINES)}
+# the lines of each qrels layout, which the file's own lines pick: every
+# layout's (auto), rows of one width, or relevance lists
+_QRELS = {"auto": _QRELS_LINES,
+          "two": ["1 2", "2 3", "1 x", "x", "", "\r"],
+          "three": ["1 3 1", "2 3 0", "1 2 x", "x", "", "\r"],
+          "four": ["1 0 2 1", "2 0 3 0", "1 5 0 0", "x", "", "\r"],
+          "idlist": ["1", "2", "1 2", "/", "x", "", "\r"]}
 # (input, format, the lines of its texts, its reader as the commands call it)
 _INPUTS = [
     *(("docs", fmt, _DOC_LINES,
@@ -54,9 +54,8 @@ _INPUTS = [
     *(("queries", fmt, [*_DOC_LINES, "1", "2", "a #", "#"],
        lambda path, fmt=fmt: cli._read(path, lambda f: parse_queries(f.read(), fmt)))
       for fmt in DOC_FORMATS),
-    *(("qrels", layout, lines,
-       lambda path, fmt=fmt: cli._read(path, lambda f: parse_qrels(f.read(), fmt)))
-      for layout, (fmt, lines) in _QRELS.items()),
+    *(("qrels", layout, lines, lambda path: cli._read(path, lambda f: parse_qrels(f.read())))
+      for layout, lines in _QRELS.items()),
     ("config", None, ["top=3", "top = 4", "docs=d", "# c", "cutoff=5 # c", "bad", "x=1", "",
                       "\r"], cli._load_config),
     ("stoplist", None, ["the", "a b", "# c", "of # x", "é", "", "\r"],
