@@ -3,8 +3,8 @@
 Subcommands: ``index``, ``search``, ``eval`` and ``sweep``. Each option is
 declared once, in ``_OPTIONS``: its config key, the subcommands that take it
 and its help text. The parser and the config check are both built from that
-table; no option names a layout that an input file shows itself (the qrels',
-``collection_io.parse_qrels``). Options resolve with precedence flags >
+table; no option names a layout, since every input file shows its own
+(``collection_io``). Options resolve with precedence flags >
 config file > defaults, and --out has $LOGBASE_IR_OUT before its default. A
 flag is spelled in full, never abbreviated. The config file is a flat
 ``key=value`` text file whose keys are the long option names with ``_``
@@ -103,7 +103,6 @@ _EVAL = ("eval", "sweep")
 # subcommands that take it and its help text.
 _OPTIONS = {
     "docs": (_ALL, "document collection file"),
-    "format": (_ALL, "collection file format: smart, npl or lisa (default smart)"),
     "stoplist": (_ALL, "stoplist file overriding the bundled list"),
     "save_index": (("index",), "write an index snapshot"),
     "load_index": (("search",), "use an index snapshot"),
@@ -207,15 +206,6 @@ def _stoplist(opts: _Options) -> frozenset[str]:
     return default_stoplist() if path is None else parse_stoplist(_read(path))
 
 
-def _choice(opts: _Options, key: str, default: str, allowed: tuple[str, ...]) -> str:
-    """An option that takes one of a fixed set of values, from a flag or the
-    config file alike; any other value exits 2."""
-    value = opts.get(key, default)
-    if value not in allowed:
-        raise _Exit(2, f"unknown {key} {value!r}")
-    return value
-
-
 def _at_least_one(opts: _Options, key: str, default: int) -> int:
     value = opts.get(key, default, cast=int)
     if value < 1:
@@ -229,14 +219,9 @@ def _index(
     """The command's index and stoplist, and the UTF-8 size of the
     documents' text (None from a snapshot). The index is the --load-index
     snapshot, if built with the same stoplist, or else built from --docs in
-    one pass (its sha256 in ``sha256``, as ``_read`` records it). --format
-    (for a snapshot only when given, so collection_io is not imported) and
-    --docs are checked before any input is read."""
+    one pass, in the layout the file shows (its sha256 in ``sha256``, as
+    ``_read`` records it). --docs is checked before any input is read."""
     snapshot = opts.get("load_index")
-    if snapshot is None or opts.get("format") is not None:
-        from . import collection_io
-
-        fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
     docs = None if snapshot else opts.require("docs")
     stoplist = _stoplist(opts)
     if snapshot:
@@ -247,6 +232,8 @@ def _index(
                                  "with `logbase-ir index --save-index` and the same "
                                  "--stoplist as this search")
         return index, stoplist, None
+    from . import collection_io
+
     text_bytes = 0
 
     def tokenized(records):
@@ -256,7 +243,7 @@ def _index(
             yield doc_id, pipeline(text, stoplist)
 
     def build(f):
-        records = collection_io.parse_documents(f, fmt)
+        records = collection_io.parse_documents(f)
         return build_index(tokenized(records), stoplist_fingerprint(stoplist))
 
     index = _read(docs, build, sha256, "docs")
@@ -330,10 +317,9 @@ def _out_dir(opts: _Options):
         raise
 
 
-def _eval_inputs(opts: _Options, fmt: str, sha256: dict[str, str] | None = None):
-    """The index, judged queries and qrels of ``eval`` and ``sweep``, the
-    queries read in ``fmt`` as ``_eval_options`` checked it and the qrels in
-    the layout they show (``collection_io.parse_qrels``), and each file's
+def _eval_inputs(opts: _Options, sha256: dict[str, str] | None = None):
+    """The index, judged queries and qrels of ``eval`` and ``sweep``, each
+    file read in the layout it shows (``collection_io``), and each file's
     sha256 in ``sha256`` under its option's name (``_read``). The judged
     queries are ``{query_id: tokens}`` in query-file order. A malformed file exits 1 naming it, as do
     qrels naming a query the file lacks, or no query at all. Judged pairs
@@ -343,7 +329,7 @@ def _eval_inputs(opts: _Options, fmt: str, sha256: dict[str, str] | None = None)
 
     queries_path, qrels_path = opts.require("queries"), opts.require("qrels")
     index, stoplist, _ = _index(opts, sha256)
-    queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read(), fmt),
+    queries = _read(queries_path, lambda f: collection_io.parse_queries(f.read()),
                     sha256, "queries")
     qrels, nonpositive = _read(qrels_path, lambda f: collection_io.parse_qrels(f.read()),
                                sha256, "qrels")
@@ -363,23 +349,14 @@ def _eval_inputs(opts: _Options, fmt: str, sha256: dict[str, str] | None = None)
     return index, query_tokens, qrels
 
 
-def _eval_options(opts: _Options) -> tuple[int, str]:
-    """Cutoff and collection format, validated before any work."""
-    from . import collection_io, evaluation
-
-    cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
-    fmt = _choice(opts, "format", "smart", collection_io.DOC_FORMATS)
-    return cutoff, fmt
-
-
 def cmd_eval(opts: _Options) -> int:
     from . import evaluation
     from .retrieval import format_run
 
-    cutoff, fmt = _eval_options(opts)
+    cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
     scheme = _scheme(opts)
     with _out_dir(opts) as out:
-        index, query_tokens, qrels = _eval_inputs(opts, fmt)
+        index, query_tokens, qrels = _eval_inputs(opts)
         ranker = Ranker(index, scheme)
         rankings = {qid: ranker.rank_tokens(qid, tokens) for qid, tokens in query_tokens.items()}
         summary, diagnostics = evaluation.evaluate_rankings(rankings, qrels, cutoff)
@@ -400,9 +377,9 @@ def cmd_eval(opts: _Options) -> int:
 
 
 def cmd_sweep(opts: _Options) -> int:
-    from . import sweep as sweep_mod
+    from . import evaluation, sweep as sweep_mod
 
-    cutoff, fmt = _eval_options(opts)
+    cutoff = _at_least_one(opts, "cutoff", evaluation.DEFAULT_CUTOFF)
     if opts.get("base") is not None:
         labels = [str(_scheme(opts).base)]
     else:
@@ -412,8 +389,8 @@ def cmd_sweep(opts: _Options) -> int:
             raise _Exit(2, str(e)) from e
     with _out_dir(opts) as out:
         # the resume cache's key holds no path: a copy of the inputs hits it
-        inputs = {"format": fmt}
-        index, query_tokens, qrels = _eval_inputs(opts, fmt, inputs)
+        inputs = {}
+        index, query_tokens, qrels = _eval_inputs(opts, inputs)
         inputs["stoplist"] = index.stoplist_sha256
         result = sweep_mod.run_sweep(
             index,

@@ -8,15 +8,18 @@ Documents and queries arrive in one of three incompatible native layouts:
 * LISA: records introduced by ``Document <id>`` headers, separated by rows of
   asterisks; queries are ``<id>`` then text terminated by a ``#`` line.
 
-Each format has one reader, a generator of (line, id, text) records over an
-iterable of lines. ``parse_documents`` streams a document file's
-(doc_id, text) records from its lines, a record at a time; ``parse_queries``
-reads a whole query file into ``{query_id: text}`` in file order. Lines end
-at "\n" only, whether a file opened with ``newline="\n"`` gives them or a
-whole text is split at "\n": a "\r" before "\n" is whitespace to every
-reader, so "\r\n" ends lines alike. One
-check, ``_unique``, rejects a repeated id at its line for every format, and
-a doc id outside int64 (the index's id column); query ids are unbounded.
+Each file shows its layout, so no caller names one: a file whose first
+non-blank line opens with the word ``.I`` is SMART; a document file whose
+first such line is ``Document <id>``, or a query file with a line ending in
+``#``, is LISA; any other is NPL. Each layout has one reader, a generator of
+(line, id, text) records over an iterable of lines. ``parse_documents``
+streams a document file's (doc_id, text) records from its lines, a record
+at a time; ``parse_queries`` reads a whole query file into
+``{query_id: text}`` in file order. Lines end at "\n" only, whether a file
+opened with ``newline="\n"`` gives them or a whole text is split at "\n": a
+"\r" before "\n" is whitespace to every reader, so "\r\n" ends lines alike.
+One check, ``_unique``, rejects a repeated id at its line for every layout,
+and a doc id outside int64 (the index's id column); query ids are unbounded.
 ``parse_qrels`` reads a qrels file's judgments and its count of grades
 <= 0 in one parse, in the layout the file itself shows: NPL records listing
 doc ids when its first row is a lone id or a line holds only ``/``, else
@@ -25,7 +28,7 @@ Every reader serves one of the paper's collections: MED, CRAN, CISI, NPL, LISA.
 """
 
 from collections.abc import Iterable, Iterator
-from functools import partial
+from itertools import chain
 
 
 class ParseError(ValueError):
@@ -52,7 +55,8 @@ _SMART_INDEXED = frozenset({".T", ".W"})
 
 
 def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Records:
-    """SMART marker records: the text of the indexed sections."""
+    """SMART marker records: the text of the indexed sections. The first
+    non-blank line is a ``.I`` line, as the callers check."""
     head: tuple[int, int] | None = None  # (line, id) of the open record
     section: str | None = None
     pieces: list[str] = []
@@ -72,13 +76,11 @@ def _smart(lines: Iterable[str], indexed: frozenset[str] = _SMART_INDEXED) -> Re
             section = None
             pieces = []
         elif marker in _SMART_SECTIONS:
-            if head is None:
-                raise ParseError(f"section {marker} before any .I record", lineno)
             section = marker
             rest = line.strip()[2:].strip()
             if rest and section in indexed:
                 pieces.append(rest)
-        elif head is not None and section in indexed:
+        elif section in indexed:
             pieces.append(" ".join(words))
     if head is not None:
         yield *head, " ".join(pieces)
@@ -179,35 +181,45 @@ def _unique(records: Records, doc_ids: bool = False) -> Iterator[tuple[int, str]
         yield record_id, text
 
 
-_DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa}
-_QUERY_READERS = {
-    **_DOC_READERS,
-    "smart": partial(_smart, indexed=frozenset({".W"})),  # the .W section only
-    "lisa": _lisa_queries,
-}
-DOC_FORMATS = tuple(_DOC_READERS)
+def _first_words(lines: Iterable[str]) -> tuple[Iterator[str], list[str]]:
+    """The lines again, from the first, and the words of the first
+    non-blank one ([] if none), having read no further."""
+    lines, read, words = iter(lines), [], []
+    for line in lines:
+        read.append(line)
+        if words := line.split():
+            break
+    return chain(read, lines), words
 
 
-def parse_documents(lines: Iterable[str], format: str) -> Iterator[tuple[int, str]]:
-    """The (doc_id, text) records of a document file's lines, read lazily;
-    SMART documents take their text from the ``.T`` and ``.W`` sections. An
-    unknown format fails at the call; a repeated doc id, or one outside
-    int64, fails at its line."""
-    try:
-        reader = _DOC_READERS[format]
-    except KeyError:
-        raise ValueError(f"unknown document format {format!r}") from None
-    return _unique(reader(lines), doc_ids=True)
+def parse_documents(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The (doc_id, text) records of a document file's lines, read lazily in
+    the layout its first non-blank line shows: the word ``.I`` opens SMART,
+    whose text is its ``.T`` and ``.W`` sections; ``Document <id>`` opens
+    LISA; any other line NPL. A repeated doc id, or one outside int64, fails at
+    its line."""
+    lines, words = _first_words(lines)
+    if words[:1] == [".I"]:
+        reader = _smart
+    elif len(words) == 2 and words[0].lower() == "document":
+        reader = _lisa
+    else:
+        reader = _npl
+    yield from _unique(reader(lines), doc_ids=True)
 
 
-def parse_queries(content: str, format: str = "smart") -> dict[int, str]:
-    """A query file's ``{query_id: text}``, in file order; SMART queries take
-    their text from ``.W`` only."""
-    try:
-        reader = _QUERY_READERS[format]
-    except KeyError:
-        raise ValueError(f"unknown query format {format!r}") from None
-    return dict(_unique(reader(content.split("\n"))))
+def parse_queries(content: str) -> dict[int, str]:
+    """A query file's ``{query_id: text}``, in file order, in the layout it
+    shows: SMART, text from ``.W`` only, if its first non-blank line opens
+    with the word ``.I``; else LISA if a line ends in ``#``; else NPL."""
+    lines = content.split("\n")
+    if _first_words(lines)[1][:1] == [".I"]:
+        records = _smart(lines, frozenset({".W"}))
+    elif any(line.rstrip().endswith("#") for line in lines):
+        records = _lisa_queries(lines)
+    else:
+        records = _npl(lines)
+    return dict(_unique(records))
 
 
 # (doc-id column, grade column) of each row width

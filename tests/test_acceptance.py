@@ -79,9 +79,9 @@ def criterion(number, name):
         print(f"ACCEPTANCE {number} {name}: PASS")
 
 
-def _documents(content: str, fmt: str) -> list[tuple[int, str]]:
+def _documents(content: str) -> list[tuple[int, str]]:
     """The (doc_id, text) records of a whole document file's text."""
-    return list(parse_documents(content.split("\n"), fmt))
+    return list(parse_documents(content.split("\n")))
 
 
 def _read(path: Path) -> str:
@@ -89,9 +89,9 @@ def _read(path: Path) -> str:
 
 
 def _load_collection(name: str):
-    """(docs, format) for one of the five collections, or skip."""
+    """The documents of one of the five collections, read in the layout
+    their file shows, or skip."""
     key = f"{name.lower()}_docs"
-    fmt = {"NPL": "npl", "LISA": "lisa"}.get(name, "smart")
     path = find_collection_file(key)
     if path is None and name == "LISA":
         # the LISA distribution ships the documents as LISA0.001 .. LISA5.850
@@ -102,10 +102,10 @@ def _load_collection(name: str):
                 p for p in base.rglob("LISA?.*") if p.is_file() and p.suffix != ".num"
             )
         if chunks:
-            return _documents("\n".join(_read(c) for c in chunks), fmt), fmt
+            return _documents("\n".join(_read(c) for c in chunks))
     if path is None:
         pytest.skip(f"{name} collection files not available")
-    return _documents(_read(path), fmt), fmt
+    return _documents(_read(path))
 
 
 @lru_cache(maxsize=1)
@@ -116,10 +116,10 @@ def _med_setup():
     if not (docs_path and queries_path and qrels_path):
         return None
     stoplist = default_stoplist()
-    docs = _documents(_read(docs_path), "smart")
+    docs = _documents(_read(docs_path))
     index = build_index([(i, pipeline(t, stoplist)) for i, t in docs])
-    queries = parse_queries(_read(queries_path), "smart")
-    qrels, _ = parse_qrels(_read(qrels_path), "auto")
+    queries = parse_queries(_read(queries_path))
+    qrels, _ = parse_qrels(_read(qrels_path))
     return stoplist, index, queries, qrels
 
 
@@ -158,7 +158,7 @@ def test_criterion_2_porter_conformance():
 @pytest.mark.parametrize("name", sorted(EXPECTED_DOC_COUNTS))
 def test_criterion_3_collection_ingestion(name):
     with criterion(3, f"collection ingestion {name}"):
-        docs, _fmt = _load_collection(name)
+        docs = _load_collection(name)
         assert len(docs) == EXPECTED_DOC_COUNTS[name], (
             f"{name}: parsed {len(docs)} documents, "
             f"expected {EXPECTED_DOC_COUNTS[name]}"
@@ -175,7 +175,7 @@ def test_criterion_3_cran_query_count():
         if path is None:
             pytest.skip("CRAN query file not available")
         content = _read(path)
-        queries = parse_queries(content, "smart")
+        queries = parse_queries(content)
         marker_lines = len(re.findall(r"^\.I\s", content, flags=re.M))
         assert len(queries) == marker_lines
 

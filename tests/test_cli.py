@@ -20,7 +20,6 @@ from hypothesis import given, seed, settings, strategies as st
 
 from logbase_ir import index as index_mod, textpipe
 from logbase_ir.cli import _OPTIONS, build_parser, main
-from logbase_ir.collection_io import DOC_FORMATS
 from logbase_ir.index import InvertedIndex
 from logbase_ir.textpipe import PIPELINE_VERSION, default_stoplist, stoplist_fingerprint
 
@@ -274,24 +273,6 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert "mutually exclusive" in err
-
-    @pytest.mark.parametrize("config", [False, True], ids=["flag", "config"])
-    def test_format_is_checked_on_the_snapshot_path(self, capsys, collection, tmp_path,
-                                                     config):
-        snap = tmp_path / "index.bin"
-        run(capsys, "index", "--docs", collection["docs"], "--save-index", snap)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("format=bogus\n" if config else "")
-        flags = [] if config else ["--format", "bogus"]
-        code, out, err = run(capsys, "search", "--load-index", snap, "--config", cfg, *flags,
-                             "zebra")
-        assert code == 2
-        assert out == ""
-        assert "unknown format 'bogus'" in err
-        cfg.write_text("format=npl\n")  # a valid format is accepted
-        code, out, _ = run(capsys, "search", "--load-index", snap, "--config", cfg, "zebra")
-        assert code == 0
-        assert len(out.splitlines()) == 10
 
     def test_invalid_base_is_usage_error(self, capsys, collection):
         code, _, err = run(
@@ -821,8 +802,8 @@ class TestSweep:
 
 class TestSweepCacheKey:
     """A sweep's resume cache is keyed on what it was given: the bytes of
-    each input file, the formats, the stoplist's words, the cutoff and the
-    code's versions, and not on where the files lie."""
+    each input file, which show its layout, the stoplist's words, the
+    cutoff and the code's versions, and not on where the files lie."""
 
     def ranked(self, capsys, paths, out, *flags):
         """The bases a sweep over a two-base grid ranked, not taken from its
@@ -938,6 +919,27 @@ FORMAT_FILES = {
 }
 
 
+@pytest.mark.parametrize("fmt", ["npl", "lisa"])
+def test_each_layout_reads_with_no_flag(capsys, tmp_path, fmt):
+    # every file shows its layout: NPL's and LISA's documents and queries,
+    # with no flag, give the outputs of the same texts in SMART's layout
+    paths = {name: tmp_path / name for name in ("docs", "queries", "qrels")}
+    paths["qrels"].write_text("1 1\n1 2\n2 3\n")
+    outputs = {}
+    for layout in ("smart", fmt):
+        paths["docs"].write_text(FORMAT_FILES[layout][0])
+        paths["queries"].write_text(FORMAT_FILES[layout][1])
+        index = run(capsys, "index", "--docs", paths["docs"])
+        assert index == (0, "documents=3 distinct_terms=2 text_bytes=23\n", "")
+        code, out, err = run(capsys, "eval", "--out", tmp_path / "out", "--save-run",
+                             tmp_path / "run.tsv",
+                             *(arg for name, path in paths.items() for arg in (f"--{name}", path)))
+        assert code == 0, err
+        outputs[layout] = (out, err, (tmp_path / "out" / "eval.csv").read_bytes(),
+                           (tmp_path / "run.tsv").read_bytes())
+    assert outputs[fmt] == outputs["smart"]
+
+
 class TestByteOrderMark:
     """A UTF-8 byte order mark that starts an input file is not text."""
 
@@ -949,7 +951,7 @@ class TestByteOrderMark:
     def test_leading_mark_gives_the_same_output(self, capsys, tmp_path, fmt, role):
         docs, queries = FORMAT_FILES[fmt]
         texts = {"docs": docs, "queries": queries, "qrels": "1 1\n1 2\n2 3\n",
-                 "config": "cutoff=1000\nformat=" + fmt + "\n", "stoplist": "zebra\nthe\n"}
+                 "config": "cutoff=1000\n", "stoplist": "zebra\nthe\n"}
         paths = {name: tmp_path / name for name in texts}
         argv = ["eval", "--out", tmp_path / "out", "--save-run", tmp_path / "run.tsv",
                 *(arg for name, path in paths.items() for arg in (f"--{name}", path))]
@@ -1068,7 +1070,7 @@ class TestMutatedInputs:
     every run exits 0, 1 or 2."""
 
     @pytest.mark.parametrize("role, fmt", [
-        *(("docs", fmt) for fmt in DOC_FORMATS), *(("queries", fmt) for fmt in DOC_FORMATS),
+        *(("docs", fmt) for fmt in FORMAT_FILES), *(("queries", fmt) for fmt in FORMAT_FILES),
         *(("qrels", layout) for layout in QRELS_FILES), ("config", "smart"), ("snapshot", "smart"),
     ])
     @seed(26)
@@ -1082,7 +1084,7 @@ class TestMutatedInputs:
             path = functools.partial(os.path.join, tmp)
             inputs = {"docs": docs, "queries": queries, "qrels": QRELS_FILES[layout]}
             config = "".join(f"{name}={path(name)}\n" for name in inputs) + \
-                "format=smart\nbase=10\ncutoff=50\n"
+                "base=10\ncutoff=50\n"
             for name, text in {**inputs, "config": config}.items():
                 Path(path(name)).write_text(text, encoding="utf-8")
             if role == "snapshot":
@@ -1095,8 +1097,7 @@ class TestMutatedInputs:
                 if role == "config":
                     argv += ["--config", path("config")]
                 else:
-                    argv += [*(arg for name in inputs for arg in (f"--{name}", path(name))),
-                             "--format", doc_format]
+                    argv += [arg for name in inputs for arg in (f"--{name}", path(name))]
             mutant = data.draw(mutated(Path(path(role)).read_bytes()))
             Path(path(role)).write_bytes(_rehashed(mutant) if role == "snapshot" else mutant)
             assert main(argv) in (0, 1, 2)
@@ -1449,14 +1450,16 @@ class TestErrorExits:
         (INPUTS["snapshot"], "[]", "index snapshot header is not a JSON object"),
         (INPUTS["queries"], ".I 1\n.W\nzebra\n.I 1\n", "line 4: duplicate record id 1"),
         (INPUTS["qrels"], "1 1\n1 x\n", "line 2: non-integer id column"),
-        ([*INPUTS["docs"], "--format", "lisa"], "Document 1\nzebra\n****\nDocument x1\nyak\n",
+        (INPUTS["docs"], "Document 1\nzebra\n****\nDocument x1\nyak\n",
          "line 4: bad document id 'x1'"),
+        # text before a SMART file's first .I line makes it NPL
+        (INPUTS["docs"], "\njunk\n.I 1\n.W\nzebra\n", "line 2: bad record id 'junk'"),
         (INPUTS["config"], b"top=3\n\xff\n", "not UTF-8: line 2: 'utf-8' codec can't decode "
          "byte 0xff in position 6: invalid start byte"),
         (INPUTS["stoplist"], b"the\xff\n", "not UTF-8: line 1: 'utf-8' codec can't decode "
          "byte 0xff in position 3: invalid start byte"),
-    ], ids=["docs", "empty-docs", "snapshot", "queries", "qrels", "lisa-docs", "config",
-            "stoplist"])
+    ], ids=["docs", "empty-docs", "snapshot", "queries", "qrels", "lisa-docs", "smart-junk",
+            "config", "stoplist"])
     def test_malformed_input_is_named(self, capsys, collection, tmp_path, monkeypatch, argv,
                                       content, message):
         # an empty collection named no file
@@ -1546,17 +1549,10 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, [command], "cutoff=0", "cutoff must be >= 1")
 
     @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("key", ["format"])
-    def test_unknown_choice_flag_and_config_alike(self, capsys, tmp_path, command, key):
-        message = f"unknown {key} 'bogus'"
-        self.check(capsys, tmp_path, [command, f"--{key}", "bogus"], "", message)
-        self.check(capsys, tmp_path, [command], f"{key}=bogus", message)
-
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    @pytest.mark.parametrize("key", ["interp", "pooling", "qrels_format"])
+    @pytest.mark.parametrize("key", ["interp", "pooling", "qrels_format", "format"])
     def test_removed_evaluation_options(self, capsys, tmp_path, command, key):
-        # levels are bucket means per query, the paper's one rule, and a
-        # qrels file shows its own layout: no option picks another
+        # levels are bucket means per query, the paper's one rule, and every
+        # input file shows its own layout: no option picks another
         # the docs do not exist: the option must be refused first
         docs, out = tmp_path / "none.all", tmp_path / "out"
         flag = "--" + key.replace("_", "-")
@@ -1573,24 +1569,6 @@ class TestUsageErrors:
         assert (code, stdout) == (2, "")
         assert err == f"error: {cfg}:3: unknown option {key!r}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["index", "--save-index", "out"], ["search", "zebra"],
-        ["search", "--load-index", "none.idx", "zebra"],
-        ["eval", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
-        ["sweep", "--queries", "none.qry", "--qrels", "none.rel", "--out", "out"],
-    ], ids=["index", "search", "search-snapshot", "eval", "sweep"])
-    def test_removed_jsonl_format(self, capsys, tmp_path, monkeypatch, argv):
-        # none of the paper's collections is JSON lines: the format is refused
-        # as any unknown one is, though the docs file is valid JSON lines
-        monkeypatch.chdir(tmp_path)
-        Path("docs.jsonl").write_text('{"id": 1, "text": "zebra"}\n')
-        docs = [] if "--load-index" in argv else ["--docs", "docs.jsonl"]
-        for flags, config in ((["--format", "jsonl"], ""), ([], "format=jsonl\n")):
-            Path("run.cfg").write_text(config)
-            code, out, err = run(capsys, *argv, *docs, *flags, "--config", "run.cfg")
-            assert (code, out, err) == (2, "", "error: unknown format 'jsonl'\n")
-            assert not Path("out").exists()
 
     def test_top_zero_flag(self, capsys, tmp_path):
         # a sweep's top-k tables hold 5 rows: --top is refused as unknown
@@ -1687,14 +1665,6 @@ class TestUsageErrors:
         self.check(capsys, tmp_path, ["search", "-k", k, "zebra"], "",
                    f"top must be >= 1, got {k}")
 
-    @pytest.mark.parametrize("argv", [["index"], ["search", "zebra"], ["eval"]],
-                             ids=["index", "search", "eval"])
-    def test_unknown_format_before_the_stoplist_is_read(self, capsys, tmp_path, argv):
-        stoplist = tmp_path / "bad.txt"
-        stoplist.write_bytes(b"\xff")  # reading it would exit 1
-        self.check(capsys, tmp_path, [*argv, "--format", "bogus", "--stoplist", stoplist], "",
-                   "unknown format 'bogus'")
-
     def test_search_top_zero_config(self, capsys, tmp_path):
         self.check(capsys, tmp_path, ["search", "zebra"], "top=0", "top must be >= 1, got 0")
 
@@ -1710,7 +1680,7 @@ def table_flags(command):
 class TestOptionTable:
     """The parser and the config check come from one table of options."""
 
-    @pytest.mark.parametrize("command, count", zip(COMMANDS, (5, 7, 10, 10)))
+    @pytest.mark.parametrize("command, count", zip(COMMANDS, (4, 6, 9, 9)))
     def test_parser_flags_are_the_table_entries(self, command, count):
         parser = build_parser()
         subparsers = next(a for a in parser._actions if isinstance(a.choices, dict))
@@ -1845,16 +1815,6 @@ class TestEmptyValues:
     def test_empty_config_flag_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "index", "--config", "", "--docs", tmp_path / "none.all")
         assert (code, out, err) == (2, "", "error: --config is empty\n")
-
-
-@pytest.mark.parametrize("key, values", [("format", DOC_FORMATS)])
-def test_choice_help_lists_its_values_and_default(key, values):
-    listed, default = re.fullmatch(r".*: (.+) \(default (\S+)\)", _OPTIONS[key][1]).groups()
-    assert re.split(r", | or ", listed) == list(values)
-    assert default == values[0]
-    # README's CLI section lists them as `--flag {a,b,...}`, once
-    flag = "--" + key.replace("_", "-")
-    assert re.findall(rf"`{flag} \{{([^}}]*)\}}`", readme_cli_section()) == [",".join(values)]
 
 
 def readme() -> str:

@@ -5,62 +5,68 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbase_ir.collection_io import (
-    DOC_FORMATS,
     ParseError,
+    _lisa,
+    _lisa_queries,
+    _npl,
     _qrels_idlist,
+    _smart,
     parse_documents,
     parse_qrels,
     parse_queries,
 )
 
+LAYOUTS = ("smart", "npl", "lisa")
 
-def documents(content: str, fmt: str) -> list[tuple[int, str]]:
+
+def documents(content: str) -> list[tuple[int, str]]:
     """The (doc_id, text) records of a document file's text, from its lines
     as the open file gives them to the commands."""
-    return list(parse_documents(io.StringIO(content, newline="\n"), fmt))
+    return list(parse_documents(io.StringIO(content, newline="\n")))
 
 
 class TestParseSmart:
     def test_two_documents(self):
         content = ".I 1\n.W\nhello world\n.I 2\n.W\nfoo"
-        assert documents(content, "smart") == [
+        assert documents(content) == [
             (1, "hello world"),
             (2, "foo"),
         ]
 
     def test_title_and_body_joined(self):
         content = ".I 3\n.T\ntitle\n.W\nbody"
-        assert documents(content, "smart") == [(3, "title body")]
+        assert documents(content) == [(3, "title body")]
 
     def test_other_sections_discarded(self):
         content = ".I 7\n.T\nt\n.A\nauthor x\n.B\njournal 1999\n.W\nw\n.X\n1 2 3"
-        assert documents(content, "smart") == [(7, "t w")]
+        assert documents(content) == [(7, "t w")]
 
     def test_empty_file(self):
-        assert documents("", "smart") == []
+        assert documents("") == []
+        assert documents(" \n\t\n") == []
 
     def test_document_with_no_sections(self):
-        assert documents(".I 4", "smart") == [(4, "")]
+        assert documents(".I 4") == [(4, "")]
 
     def test_multiline_sections_whitespace_normalized(self):
         content = ".I 1\n.W\n  line one\n\tline   two\n"
-        assert documents(content, "smart") == [(1, "line one line two")]
+        assert documents(content) == [(1, "line one line two")]
 
     def test_bad_id_reports_line(self):
         with pytest.raises(ParseError, match="line 3"):
-            documents(".I 1\n.W\n.I x\n", "smart")
+            documents(".I 1\n.W\n.I x\n")
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
-            documents(".I 1\n.W\na\n.I 1\n.W\nb", "smart")
+            documents(".I 1\n.W\na\n.I 1\n.W\nb")
 
     def test_count_equals_marker_count(self):
         content = "".join(f".I {i}\n.W\nword{i}\n" for i in range(1, 42))
-        docs = documents(content, "smart")
+        docs = documents(content)
         assert len(docs) == content.count(".I ")
 
     def test_dot_line_that_is_not_a_marker_is_content(self):
-        assert documents(".I 1\n.W\n.5 percent solution", "smart") == [
+        assert documents(".I 1\n.W\n.5 percent solution") == [
             (1, ".5 percent solution")
         ]
 
@@ -71,6 +77,7 @@ class TestParseQueries:
 
     def test_empty_file(self):
         assert parse_queries("") == {}
+        assert parse_queries("\n \n") == {}
 
     def test_only_w_sections_kept(self):
         content = ".I 2\n.T\nignored title\n.W\nthe question"
@@ -81,23 +88,23 @@ class TestParseNpl:
     CONTENT = "1\nenergy levels in gases\n/\n2\nmicrowave spectroscopy\n  /\n"
 
     def test_documents(self):
-        assert documents(self.CONTENT, "npl") == [
+        assert documents(self.CONTENT) == [
             (1, "energy levels in gases"),
             (2, "microwave spectroscopy"),
         ]
 
     def test_id_on_text_line(self):
-        assert documents("3 compact text\n/\n", "npl") == [(3, "compact text")]
+        assert documents("3 compact text\n/\n") == [(3, "compact text")]
 
-    def test_queries_via_format_flag(self):
-        assert parse_queries(self.CONTENT, format="npl") == {
+    def test_queries(self):
+        assert parse_queries(self.CONTENT) == {
             1: "energy levels in gases",
             2: "microwave spectroscopy",
         }
 
     def test_duplicate_id(self):
         with pytest.raises(ParseError, match="duplicate"):
-            documents("1\na\n/\n1\nb\n/\n", "npl")
+            documents("1\na\n/\n1\nb\n/\n")
 
 
 class TestParseLisa:
@@ -109,14 +116,14 @@ class TestParseLisa:
     )
 
     def test_documents(self):
-        assert documents(self.CONTENT, "lisa") == [
+        assert documents(self.CONTENT) == [
             (1, "LIBRARY AUTOMATION. the effects of automation."),
             (2, "CATALOGUING RULES."),
         ]
 
     def test_queries_hash_terminated(self):
         content = "1\nWHAT IS AUTOMATION\nIN LIBRARIES #\n2\nSECOND QUERY#\n"
-        assert parse_queries(content, "lisa") == {
+        assert parse_queries(content) == {
             1: "WHAT IS AUTOMATION IN LIBRARIES",
             2: "SECOND QUERY",
         }
@@ -216,15 +223,6 @@ class TestParseQrels:
 SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
 
 
-@pytest.mark.parametrize("parse, message", [
-    (lambda: parse_documents([], "bogus"), "unknown document format 'bogus'"),
-    (lambda: parse_queries("", "bogus"), "unknown query format 'bogus'"),
-], ids=["documents", "queries"])
-def test_unknown_format_is_value_error(parse, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        parse()
-
-
 class TestLineBreaks:
     """Only "\n" and "\r\n" end a line, as in an editor; the other line
     separators of str.splitlines() are text."""
@@ -232,14 +230,14 @@ class TestLineBreaks:
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_separator_inside_a_smart_record(self, sep):
         content = f".I 1\n.W\nabc{sep}.I 2\n"
-        assert documents(content, "smart") == [(1, "abc .I 2")]
+        assert documents(content) == [(1, "abc .I 2")]
 
     @pytest.mark.parametrize("sep", SEPARATORS)
     def test_error_line_as_an_editor_counts(self, sep):
         with pytest.raises(ParseError, match="line 4"):
-            documents(f".I 1\n.W\na{sep}b\n.I x\n", "smart")
+            documents(f".I 1\n.W\na{sep}b\n.I x\n")
         with pytest.raises(ParseError, match="line 3"):
-            documents(f"1 a{sep}b\n/\nx y\n/\n", "npl")
+            documents(f"1 a{sep}b\n/\nx y\n/\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels(f"1 2{sep}\n1 x\n")
 
@@ -269,12 +267,12 @@ class TestLineBreaks:
 
     def test_smart_whitespace_lines_and_markers(self):
         content = self.SMART_WHITESPACE
-        assert documents(content, "smart") == [
+        assert documents(content) == [
             (1, "a title body\t text more text"),
             (2, "second"),
             (3, ""),
         ]
-        assert parse_queries(content, "smart") == {
+        assert parse_queries(content) == {
             1: "body\t text more text", 2: "second", 3: ""
         }
 
@@ -286,17 +284,18 @@ class TestLineBreaks:
     ])
     def test_smart_error_lines_count_whitespace_lines(self, parse, tail, message):
         with pytest.raises(ParseError) as e:
-            parse(self.SMART_WHITESPACE + tail, "smart")
+            parse(self.SMART_WHITESPACE + tail)
         assert str(e.value) == message
+        # a file whose first non-blank line is no .I line is not SMART
         with pytest.raises(ParseError) as e:
-            parse("\x0c\n \n .W\n", "smart")
-        assert str(e.value) == "line 3: section .W before any .I record"
+            parse("\x0c\n \n .W\n")
+        assert str(e.value) == "line 3: bad record id '.W'"
 
     def test_crlf(self):
-        assert documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n", "smart") == [
+        assert documents(".I 1\r\n.W\r\nabc\r\n.I 2\r\n") == [
             (1, "abc"), (2, "")
         ]
-        assert documents("Document 3\r\ntext\r\n****\r\n", "lisa") == [(3, "text")]
+        assert documents("Document 3\r\ntext\r\n****\r\n") == [(3, "text")]
         assert parse_qrels("1 2\r\n1 3\r\n") == ({1: {2, 3}}, 0)
 
 
@@ -333,12 +332,11 @@ def parses_or_parse_error(parse, content):
 
 
 def one_record_of(kind, fmt):
-    """The parser of a kind of file, and a template of one record whose id
-    is on its first line."""
+    """The parser of a kind of file, and a template of one record of the
+    layout whose id is on its first line."""
     if kind == "queries":
-        template = "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
-        return lambda c: parse_queries(c, fmt), template
-    return lambda c: documents(c, fmt), RECORDS[fmt]
+        return parse_queries, "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
+    return documents, RECORDS[fmt]
 
 
 RECORDS = {
@@ -348,7 +346,47 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("fmt", DOC_FORMATS)
+# documents 1 and 2, and queries 1 and 2, in each layout, with blank
+# lines, a second header word case and spacing, and text lines that look
+# like another layout's
+LAYOUT_FILES = {
+    "smart": ("\n \n.I 1\n.T\nzebra\n.W\nyak ox\n.I  2\n.W\nzebra\n",
+              "\n.I 1\n.T\nignored #\n.W\nzebra yak\n.I 2\n.W\nox\n"),
+    "npl": ("\n1\nzebra\nyak ox\n   /\n2\n.I zebra\n/\n", "1\nzebra yak\n/\n2 ox\n/\n"),
+    "lisa": ("\t\nDocument  1\nzebra\nyak ox\n****\ndocument 2\nzebra\n****\n",
+             "\n1\nzebra\nyak #\n2\nox#\n"),
+}
+DOC_READERS = {"smart": _smart, "npl": _npl, "lisa": _lisa}
+QUERY_READERS = {"smart": lambda lines: _smart(lines, frozenset({".W"})), "npl": _npl,
+                 "lisa": _lisa_queries}
+
+
+@pytest.mark.parametrize("fmt", LAYOUTS)
+def test_each_file_reads_in_the_layout_it_shows(fmt):
+    # the records of the layout's own reader, as naming the layout gave them
+    docs, queries = LAYOUT_FILES[fmt]
+    text = ".I zebra" if fmt == "npl" else "zebra"
+    assert documents(docs) == [(1, "zebra yak ox"), (2, text)]
+    assert documents(docs) == [(i, t) for _, i, t in DOC_READERS[fmt](docs.split("\n"))]
+    assert parse_queries(queries) == {1: "zebra yak", 2: "ox"}
+    assert parse_queries(queries) == {i: t for _, i, t in QUERY_READERS[fmt](queries.split("\n"))}
+
+
+@pytest.mark.parametrize("parse, content, message", [
+    # text before a SMART file's first .I line is read, and fails
+    (documents, "junk\n.I 1\n.W\nzebra\n", "line 1: bad record id 'junk'"),
+    (parse_queries, "\njunk\n.I 1\n.W\nzebra\n", "line 2: bad record id 'junk'"),
+    # a LISA header holds two words, the second an id
+    (documents, "Document x\nzebra\n****\n", "line 1: bad document id 'x'"),
+    (documents, "\nDocument 1 2\nzebra\n", "line 2: bad record id 'Document'"),
+    (parse_queries, "1\nzebra #\nx\nyak #\n", "line 3: bad query id 'x'"),
+], ids=["smart-docs", "smart-queries", "lisa-docs", "lisa-docs-words", "lisa-queries"])
+def test_a_file_is_read_in_the_layout_its_first_line_shows(parse, content, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse(content)
+
+
+@pytest.mark.parametrize("fmt", LAYOUTS)
 def test_documents_stream_a_record_at_a_time(fmt):
     # the first record comes before the reader takes more than the line
     # that ends it, however long the file
@@ -362,29 +400,35 @@ def test_documents_stream_a_record_at_a_time(fmt):
             taken += 1
             yield line
 
-    records = parse_documents(counted(), fmt)
+    records = parse_documents(counted())
     assert taken == 0
     assert next(records) == (1, "t w" if fmt == "smart" else "w")
     assert taken <= record.count("\n") + 1
 
 
-@pytest.mark.parametrize("fmt", DOC_FORMATS)
+@pytest.mark.parametrize("fmt", LAYOUTS)
 def test_queries_keep_file_order(fmt):
-    template = "{}\nw x #\n" if fmt == "lisa" else RECORDS[fmt]
+    _, template = one_record_of("queries", fmt)
     ids = [5, 2, 9, 1, 7]
-    assert list(parse_queries("".join(map(template.format, ids)), fmt)) == ids
+    assert list(parse_queries("".join(map(template.format, ids)))) == ids
+
+
+# first lines of each layout ahead of fuzzed lines, which pick the reader:
+# none (auto), so the fuzzed lines pick it, or a record's first lines
+DOC_HEADS = {"smart": ".I 1\n", "npl": "1\n", "lisa": "Document 1\n", "auto": ""}
+QUERY_HEADS = {"smart": ".I 1\n", "npl": "1\n", "lisa": "1\nw #\n", "auto": ""}
 
 
 class TestFuzz:
-    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @pytest.mark.parametrize("fmt", DOC_HEADS)
     @given(content=fuzz_text)
     def test_document_parsers(self, fmt, content):
-        parses_or_parse_error(lambda c: documents(c, fmt), content)
+        parses_or_parse_error(documents, DOC_HEADS[fmt] + content)
 
-    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @pytest.mark.parametrize("fmt", QUERY_HEADS)
     @given(content=fuzz_text)
     def test_query_parsers(self, fmt, content):
-        parses_or_parse_error(lambda c: parse_queries(c, fmt), content)
+        parses_or_parse_error(parse_queries, QUERY_HEADS[fmt] + content)
 
     @pytest.mark.parametrize("layout", QRELS_FIRST_ROWS)
     @given(content=fuzz_text)
@@ -392,7 +436,7 @@ class TestFuzz:
         parses_or_parse_error(parse_qrels, QRELS_FIRST_ROWS[layout] + content)
 
     @pytest.mark.parametrize("kind", ["documents", "queries"])
-    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @pytest.mark.parametrize("fmt", LAYOUTS)
     def test_repeated_id_fails_at_its_second_line(self, kind, fmt):
         parse, record = one_record_of(kind, fmt)
         n = record.count("\n")
@@ -400,7 +444,7 @@ class TestFuzz:
             parse(record.format(1) + record.format(2) + record.format(1))
 
     @pytest.mark.parametrize("kind", ["documents", "queries"])
-    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @pytest.mark.parametrize("fmt", LAYOUTS)
     def test_repeated_id_is_reported_before_a_later_bad_id(self, kind, fmt):
         # a reader yields a record before it reads the next id, so the
         # repeat, the first fault of the file, is the one reported
@@ -410,7 +454,7 @@ class TestFuzz:
             parse(record.format(1) + record.format(1) + record.format("x"))
 
     @pytest.mark.parametrize("doc_id", [2**63, -(2**63) - 1])
-    @pytest.mark.parametrize("fmt", DOC_FORMATS)
+    @pytest.mark.parametrize("fmt", LAYOUTS)
     def test_doc_id_outside_int64_fails_at_its_line(self, fmt, doc_id):
         # the index's doc-id column is int64, so the file is refused at the line
         parse, record = one_record_of("documents", fmt)

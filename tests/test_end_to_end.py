@@ -186,7 +186,7 @@ REPORT_SHA256 = {
             "7d4a16d6a47ca6f1cb1a69c2494b4878d1feaf14998e2ca1a126f86b8430a7da",
         "out/sweep.csv": "93031010238416881810290b2e0497b36005e65b296665b79294c2fd3c342c0e",
         "out/sweep_cache.jsonl":
-            "10e6ac26c2e5bd785dbfa9fd04037d95e08a1dac0d3f93ae6f31ac330de07211",
+            "62a2a92fe3b643515158ad39be76ee80adade59d9c8507120a5aae0896da85e7",
         "out/top5_map.txt": "599218bdbf45e5027d05bc2cfb4f0ed677e6cf8075caaf389c436af268f5db84",
         "out/top5_map_at_30.txt":
             "3c05573c19a4b5c0d4fb41734dff2d65968595932af6ad8c5c2954110a68a70e",
@@ -250,9 +250,9 @@ def test_pipeline_version_moves_with_the_terms(capsys, tmp_path, monkeypatch):
 
 
 # The two classic collections the benchmark does not generate, at their
-# published sizes, each in its own layout: LISA's documents and #-ended
-# queries (``--format lisa``), and CISI's SMART text with its ``qid did 0 0``
-# qrels, which judge 76 of its 112 queries.
+# published sizes, each in its own layout, which the files show: LISA's
+# documents and #-ended queries, and CISI's SMART text with its
+# ``qid did 0 0`` qrels, which judge 76 of its 112 queries.
 WHOLE_SHAPES = {
     "lisa": gen.Shape("lisa", 6003, (20, 80), (3, 10), 7000, 35, (5, 30), (5, 12), (30, 2500)),
     "cisi": gen.Shape("cisi", 1460, (40, 160), (4, 12), 5000, 112, (20, 60), (6, 14), (40, 1200)),
@@ -291,8 +291,7 @@ def whole_collection(shape: str, directory: Path) -> tuple:
             f"{q} {d} 0 0\n" for q in col.qrels for d in sorted(col.qrels[q]))}
     for role, text in files.items():
         (directory / role).write_text(text, encoding="utf-8", newline="\n")
-    fmt = "lisa" if shape == "lisa" else "smart"
-    return col, [*(arg for role in files for arg in (f"--{role}", role)), "--format", fmt]
+    return col, [arg for role in files for arg in (f"--{role}", role)]
 
 
 # sha256 of the stdout, the stderr and every file written by ``eval`` and
@@ -315,7 +314,7 @@ WHOLE_SHA256 = {
             "cd11f334a62a83d452b9fea404ba041bc3a5980b0988efdadde604d244892dce",
         "out/sweep.csv": "f7d932b2fcc39b45256da6d32898fbace76885e184744a615c177787850bbc3b",
         "out/sweep_cache.jsonl":
-            "bc1b667cc5f493da26a0c8a193323cee073e6e2368c60445b306effb4ecdcc4b",
+            "d36ea53ee0eeae8c5702eefe45c7e36acb6a2ba7bf11f880863d434623a388c3",
         "out/top5_map.txt": "7944108efae2f3ea290a09385ee37cabc260c160adbf43655954f910f54babe0",
         "out/top5_map_at_30.txt":
             "9ffca49dbb3a5c2a6ce350a31830e044977b93efa971c1d055fb4ef1dfd59d9e",
@@ -338,7 +337,7 @@ WHOLE_SHA256 = {
             "885ac2378f3b5c9aec50eeb9a975d9563ffbec908ec9c617746180f067fd938d",
         "out/sweep.csv": "5c5a746e66574ef4369b7ec2e248cc330341bdf163dc3a6dca171696f32ff696",
         "out/sweep_cache.jsonl":
-            "c9ea94519367f4973cf537ecb4c0af5127c0a41892efe2f2f9a4a59c42949ba1",
+            "b83462dba975a07e66ed3fefb744d604e1eec8fb6a930a1bec1bea2975a0049a",
         "out/top5_map.txt": "8296f3a8ab6bd07d1b4ef8bec05ed25a306cd135d422023bb5606ea8a5acbe69",
         "out/top5_map_at_30.txt":
             "a767872f4246cf724949f202ccebf586b70d03c0f1601a427582e7ce079220e4",
@@ -385,7 +384,7 @@ def test_sweep_settles_fragile_groups_as_eval_ranks(capsys, tmp_path):
     # bit at all bases)
     col = gen.generate(SHAPE, 1)
     ref = reference.Reference(col.docs)
-    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
+    texts = dict(parse_documents(col.docs_smart.split("\n")))
     top = sorted({ref.rank(terms)[0][0] for terms in col.queries.values()})
     col.docs_smart += "".join(f".I {1000 + d}\n.W\n" + f"{texts[d]}\n" * 3 for d in top)
     paths = gen.write(col, str(tmp_path / "fragile"))
@@ -409,7 +408,7 @@ def near_tie_collection():
     identical, to the full depth)."""
     col = gen.generate(SHAPE, 1)
     ref = reference.Reference(col.docs)
-    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
+    texts = dict(parse_documents(col.docs_smart.split("\n")))
     ranked = [ref.rank(terms) for terms in col.queries.values()]
     top = sorted({r[0][0] for r in ranked})
     second = sorted({r[1][0] for r in ranked} - set(top))
@@ -467,7 +466,7 @@ NEAR_TIE_SHA256 = {
             "9e3b16700340f464ffff1731b196a259568ba5c9235f3d1f449e148145a06a21",
         "out/sweep.csv": "4bedf566aebdb6c27a948f01238ae343ed60b9f8757e77b5ceafa9aa2001bb30",
         "out/sweep_cache.jsonl":
-            "b7e8d8dda65aa2b56cbde341313d39154b353c1c2c8ba35d2c99bd200f75928a",
+            "54fe25f575dda528833570350ef5f82e5f07455c58552cdf9919b2ff410f47d1",
         "out/top5_map.txt": "a2289db068381b102705426e564fdf6750f2d872480129d3ea87240db7eddd32",
         "out/top5_map_at_30.txt":
             "f8e80d881e930c1c5dc244f780d780f9c3404a66380e530c1ee13c24623c49f8",
@@ -600,12 +599,12 @@ def test_sweep_counts_rankings_cut_at_the_cutoff():
     # cutoff of 1: bases that agree on the first document share one
     # evaluation, however they order the rest of its group
     col = near_tie_collection()
-    texts = dict(parse_documents(col.docs_smart.split("\n"), "smart"))
+    texts = dict(parse_documents(col.docs_smart.split("\n")))
     top = [d - 1000 for d in texts if 1000 <= d < 2000]
     col.docs_smart += "".join(f".I {3000 + d}\n.W\n" + f"{texts[d]}\n" * 2 for d in top)
     stoplist = default_stoplist()
     index = build_index((d, pipeline(t, stoplist))
-                        for d, t in parse_documents(col.docs_smart.split("\n"), "smart"))
+                        for d, t in parse_documents(col.docs_smart.split("\n")))
     tokens = {q: pipeline(col.query_text[q], stoplist) for q in col.qrels}
     labels = grid_labels("0.1:10.0:0.1")
     orders = {depth: set() for depth in (1, 3)}

@@ -11,12 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbase_ir import cli, textpipe
-from logbase_ir.collection_io import (
-    DOC_FORMATS,
-    parse_documents,
-    parse_qrels,
-    parse_queries,
-)
+from logbase_ir.collection_io import parse_documents, parse_qrels, parse_queries
 
 from conftest import perfbench
 
@@ -46,34 +41,40 @@ _QRELS = {"auto": _QRELS_LINES,
           "three": ["1 3 1", "2 3 0", "1 2 x", "x", "", "\r"],
           "four": ["1 0 2 1", "2 0 3 0", "1 5 0 0", "x", "", "\r"],
           "idlist": ["1", "2", "1 2", "/", "x", "", "\r"]}
-# (input, format, the lines of its texts, its reader as the commands call it)
+# the first lines of a document and a query file in each layout, which
+# pick its reader: SMART's .I line, LISA's header (its queries: a #-ended
+# line) and NPL's id
+_DOC_HEADS = {"smart": [".I 1"], "npl": ["1 a"], "lisa": ["Document 1"]}
+_QUERY_HEADS = {"smart": [".I 1"], "npl": ["1"], "lisa": ["1", "a #"]}
+# (input, layout, its first lines, the lines of its texts, its reader as the
+# commands call it); an NPL query file holds no #-ended line
 _INPUTS = [
-    *(("docs", fmt, _DOC_LINES,
-       lambda path, fmt=fmt: cli._read(path, lambda f: list(parse_documents(f, fmt))))
-      for fmt in DOC_FORMATS),
-    *(("queries", fmt, [*_DOC_LINES, "1", "2", "a #", "#"],
-       lambda path, fmt=fmt: cli._read(path, lambda f: parse_queries(f.read(), fmt)))
-      for fmt in DOC_FORMATS),
-    *(("qrels", layout, lines, lambda path: cli._read(path, lambda f: parse_qrels(f.read())))
+    *(("docs", fmt, head, _DOC_LINES,
+       lambda path: cli._read(path, lambda f: list(parse_documents(f))))
+      for fmt, head in _DOC_HEADS.items()),
+    *(("queries", fmt, head, [*_DOC_LINES, "1", "2", *["a #", "#"] * (fmt != "npl")],
+       lambda path: cli._read(path, lambda f: parse_queries(f.read())))
+      for fmt, head in _QUERY_HEADS.items()),
+    *(("qrels", layout, [], lines, lambda path: cli._read(path, lambda f: parse_qrels(f.read())))
       for layout, lines in _QRELS.items()),
-    ("config", None, ["top=3", "top = 4", "docs=d", "# c", "cutoff=5 # c", "bad", "x=1", "",
-                      "\r"], cli._load_config),
-    ("stoplist", None, ["the", "a b", "# c", "of # x", "é", "", "\r"],
+    ("config", None, [], ["top=3", "top = 4", "docs=d", "# c", "cutoff=5 # c", "bad", "x=1",
+                          "", "\r"], cli._load_config),
+    ("stoplist", None, [], ["the", "a b", "# c", "of # x", "é", "", "\r"],
      lambda path: textpipe.parse_stoplist(cli._read(path))),
 ]
 
 
 @pytest.mark.parametrize(
-    "lines, read", [(lines, read) for _, _, lines, read in _INPUTS],
+    "head, lines, read", [(head, lines, read) for _, _, head, lines, read in _INPUTS],
     ids=[fmt if kind == "docs" else "-".join(filter(None, (kind, fmt)))
-         for kind, fmt, _, _ in _INPUTS],
+         for kind, fmt, _, _, _ in _INPUTS],
 )
 @given(data=st.data())
-def test_stream_gives_the_records_and_errors_of_the_whole_text(lines, read, data):
+def test_stream_gives_the_records_and_errors_of_the_whole_text(head, lines, read, data):
     # every input, read as the commands read it, gives the same records, or
     # the same error at the same line, whether its lines end at "\n" or at
     # "\r\n": every reader takes the "\r" before a "\n" for whitespace
-    content = "\n".join(data.draw(st.lists(st.sampled_from(lines), max_size=10)))
+    content = "\n".join(head + data.draw(st.lists(st.sampled_from(lines), max_size=10)))
 
     def outcome(text):
         path.write_bytes(text.encode("utf-8"))

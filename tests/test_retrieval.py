@@ -4,7 +4,7 @@ import random
 import pytest
 
 from logbase_ir.index import InvertedIndex, build_index
-from logbase_ir.retrieval import RankedList, Ranker, format_run
+from logbase_ir.retrieval import RankedList, Ranker, format_run, near_tie_groups
 from logbase_ir.textpipe import pipeline
 from logbase_ir.weighting import WeightScheme, idf
 
@@ -141,6 +141,19 @@ class TestOracleEquivalence:
                     rescaled_differs += [d for d, _ in rescaled.entries] != [d for d, _ in want]
         # the rescaled base-e scores alone would have ordered some ties otherwise
         assert rescaled_differs > 0
+
+
+@pytest.mark.parametrize("units, groups", [(8, [(0, 2)]), (32, [])])
+def test_near_tie_margin_is_16_k_u(units, groups):
+    # two scores a relative `units` K u apart, K = V + 2 n + 22 for a
+    # vocabulary of V terms and n distinct query terms: within the 16 K u
+    # margin they form one group, and past it none
+    index = build_index([(1, ["x", "y"]), (2, ["y", "z"]), (3, ["pad"])])
+    tokens = ["x", "y", "y"]
+    k = len(index.dictionary) + 2 * len(set(tokens)) + 22
+    s = 0.5
+    ranked = RankedList(1, ((1, s), (2, s * (1 - units * k * 2.0**-53))))
+    assert near_tie_groups(index, tokens, ranked) == groups
 
 
 class TestScaleInvariance:
